@@ -10,7 +10,6 @@ Exit codes: 2 input/schema problem, 3 missing model or data file,
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import pathlib
 import sys
@@ -21,7 +20,7 @@ from . import __version__
 from .classify import TrainConfig, FeatureConfig, load_model, save_model, train
 from .corpus import AnnotatedSentence, CorpusSpec, generate, noisify, read_jsonl, write_jsonl
 from .druglink import DEFAULT_THRESHOLD, build_lexicon, default_lexicon_path
-from .errors import FileError, OrdonnanceError, SchemaError
+from .errors import FileError, OrdonnanceError, PatternError, SchemaError
 from .linking import LinkConfig, record_to_dict, dumps_canonical
 from .metrics import format_table, report_to_json, score
 from .ocr import parse_ocr_document
@@ -34,8 +33,12 @@ _EXIT_MISSING = 3
 _EXIT_INTERNAL = 4
 
 
-def _fail(code: int, kind: str, message: str):
+def _report(kind: str, message: str) -> None:
     click.echo(json.dumps({"error": {"type": kind, "message": message}}), err=True)
+
+
+def _fail(code: int, kind: str, message: str):
+    _report(kind, message)
     sys.exit(code)
 
 
@@ -68,7 +71,7 @@ def _default_stopwords_path() -> str:
     return str(resources.files("ordonnance.data").joinpath("stopwords_fr.txt"))
 
 
-def _build_runtime(config, model, lexicon, patterns, stopwords, threshold, dedup) -> Runtime:
+def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Runtime:
     model_path = _resolve(config, "model", model, None)
     if model_path is None:
         _fail(_EXIT_MISSING, "model", "no model file given (--model)")
@@ -83,24 +86,32 @@ def _build_runtime(config, model, lexicon, patterns, stopwords, threshold, dedup
     except FileError as exc:
         _fail(_EXIT_MISSING, "lexicon", str(exc))
     patterns_path = _resolve(config, "patterns", patterns, None)
-    pats = load_patterns(patterns_path) if patterns_path else default_patterns()
+    try:
+        pats = load_patterns(patterns_path) if patterns_path else default_patterns()
+    except OSError as exc:
+        _fail(_EXIT_MISSING, "patterns", str(exc))
+    except PatternError as exc:
+        _fail(_EXIT_SCHEMA, "patterns", str(exc))
     stopwords_path = _resolve(config, "stopwords", stopwords, _default_stopwords_path())
     try:
         stops = load_stopwords(stopwords_path)
     except OSError as exc:
         _fail(_EXIT_MISSING, "stopwords", str(exc))
+    try:
+        link_config = LinkConfig(
+            section_gap_factor=config.get("section_gap_factor", 1.5),
+            drug_gap_factor=config.get("drug_gap_factor", 2.5),
+            overlap_fraction=config.get("overlap_fraction", 0.5),
+        )
+    except (TypeError, ValueError) as exc:
+        _fail(_EXIT_SCHEMA, "config", str(exc))
     return Runtime(
         model=clf,
         lexicon=lex,
         patterns=pats,
         stopwords=stops,
         threshold=_resolve(config, "threshold", threshold, DEFAULT_THRESHOLD),
-        link_config=LinkConfig(
-            section_gap_factor=config.get("section_gap_factor", 1.5),
-            drug_gap_factor=config.get("drug_gap_factor", 2.5),
-            overlap_fraction=config.get("overlap_fraction", 0.5),
-        ),
-        dedup_equivalents=_resolve(config, "dedup_equivalents", dedup, True),
+        link_config=link_config,
     )
 
 
@@ -135,48 +146,46 @@ def main():
 @click.option("--patterns", default=None, help="Posology pattern file (JSON).")
 @click.option("--stopwords", default=None, help="Stopword list file.")
 @click.option("--threshold", type=float, default=None, help="Drug link acceptance threshold.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers.")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True)
-@click.option("--dedup-equivalents/--no-dedup-equivalents", "dedup", default=None,
-              help="Collapse 'ou <equivalent drug>' lines onto the first drug (default: on).")
 @click.option("--config", default=None, help="JSON config file with defaults for these options.")
-def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, jobs, fmt, dedup, config):
-    """Run the full pipeline over OCR JSON and emit prescription records."""
+def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt, config):
+    """Run the full pipeline over OCR JSON and emit prescription records.
+
+    Every input is processed: a failing one is reported on stderr and the
+    others are still written. The exit code is that of the first failure.
+    """
     cfg = _load_config(config)
-    runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold, dedup)
+    runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
+    if len(inputs) > 1:
+        if not out:
+            _fail(_EXIT_SCHEMA, "usage", "--out directory is required with several inputs")
+        out_dir = pathlib.Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(path: str) -> bytes:
-        with open(path, "rb") as fh:
-            payload = fh.read()
-        doc = parse_ocr_document(payload)
-        record = extract_document(doc, runtime)
-        rd = record_to_dict(record)
-        if fmt == "table":
-            return _record_table(rd).encode("utf-8")
-        return dumps_canonical(rd)
-
-    try:
-        if len(inputs) == 1:
-            blob = run_one(inputs[0])
-            if out:
+    first_code = 0
+    for path in inputs:
+        try:
+            with open(path, "rb") as fh:
+                payload = fh.read()
+            rd = record_to_dict(extract_document(parse_ocr_document(payload), runtime))
+            blob = _record_table(rd).encode("utf-8") if fmt == "table" else dumps_canonical(rd)
+            if len(inputs) > 1:
+                suffix = ".record.json" if fmt == "json" else ".record.txt"
+                (out_dir / (pathlib.Path(path).stem + suffix)).write_bytes(blob)
+            elif out:
                 pathlib.Path(out).write_bytes(blob)
             else:
                 sys.stdout.buffer.write(blob)
-        else:
-            if not out:
-                _fail(_EXIT_SCHEMA, "usage", "--out directory is required with several inputs")
-            out_dir = pathlib.Path(out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-                results = list(pool.map(run_one, inputs))
-            for path, blob in zip(inputs, results):
-                suffix = ".record.json" if fmt == "json" else ".record.txt"
-                (out_dir / (pathlib.Path(path).stem + suffix)).write_bytes(blob)
-    except FileNotFoundError as exc:
-        _fail(_EXIT_MISSING, "input", str(exc))
-    except (SchemaError, OrdonnanceError) as exc:
-        code = _EXIT_SCHEMA if not isinstance(exc, FileError) else _EXIT_MISSING
-        _fail(code, type(exc).__name__, str(exc))
+            continue
+        except OSError as exc:
+            code, kind, message = _EXIT_MISSING, "input", str(exc)
+        except OrdonnanceError as exc:
+            code = _EXIT_MISSING if isinstance(exc, FileError) else _EXIT_SCHEMA
+            kind, message = type(exc).__name__, str(exc)
+        _report(kind, message)
+        first_code = first_code or code
+    if first_code:
+        sys.exit(first_code)
 
 
 @main.command("gen-corpus")
@@ -281,7 +290,7 @@ def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, 
         pred_spans = [list(r.spans) for r in pred_rows]
     else:
         cfg = _load_config(config)
-        runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold, None)
+        runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
         pred_spans = [annotate_text(row.text, runtime) for row in gold_rows]
 
     mode_name = "TOKEN" if mode == "token" else "EXACT_SPAN"

@@ -17,7 +17,7 @@ import csv
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from . import kernels
 from .errors import DuplicateId, EmptyLexicon, FileError
@@ -28,11 +28,6 @@ DEFAULT_THRESHOLD = 0.72
 # First-token lookups tolerate one OCR edit, but only for tokens long
 # enough that a single edit is unlikely to reach an unrelated name.
 _FUZZY_MIN_LEN = 5
-
-
-def similarity(a: str, b: str) -> float:
-    """Longest-contiguous-match similarity ratio in [0, 1]."""
-    return kernels.similarity(a, b)
 
 
 @dataclass(frozen=True)
@@ -56,19 +51,6 @@ class DrugLexicon:
     entries: tuple[LexiconEntry, ...]
     first_token_index: dict[str, tuple[int, ...]]
 
-    def lookup_candidates(self, first_token: str) -> list[tuple[str, str]]:
-        """Remote-provider seam: candidate (id, name) pairs for a first token."""
-        return [
-            (self.entries[i].drug_id, self.entries[i].name)
-            for i in self.first_token_index.get(first_token, ())
-        ]
-
-
-class CandidateProvider(Protocol):
-    """What a networked lexicon backend must implement to replace the local file."""
-
-    def lookup_candidates(self, first_token: str) -> list[tuple[str, str]]: ...
-
 
 @dataclass(frozen=True)
 class DrugMention:
@@ -78,12 +60,6 @@ class DrugMention:
     surface_text: str
     score: float
     trigger_token_index: int
-
-
-def _normalize_name(name: str) -> tuple[str, tuple[str, ...]]:
-    norm = normalize_text(name).text
-    tokens = tuple(t.text for t in tokenize(norm))
-    return norm, tokens
 
 
 def build_lexicon(path) -> DrugLexicon:
@@ -114,7 +90,8 @@ def build_lexicon(path) -> DrugLexicon:
             if drug_id in seen:
                 raise DuplicateId(f"{path}:{row_no}: duplicate id {drug_id!r}")
             seen.add(drug_id)
-            norm, tokens = _normalize_name(name)
+            norm = normalize_text(name).text
+            tokens = tuple(t.text for t in tokenize(norm))
             if not tokens:
                 raise FileError(f"{path}:{row_no}: name normalizes to nothing")
             entries.append(LexiconEntry(drug_id=drug_id, name=name, norm_name=norm, norm_tokens=tokens))
@@ -152,10 +129,19 @@ def _candidate_indices(lexicon: DrugLexicon, token: str) -> tuple[int, ...]:
 
 
 def mention_token_window(sentence: Sentence, mention: DrugMention) -> tuple[int, int]:
-    """Token range [start, end) the mention's name occupies in the sentence."""
-    _, name_tokens = _normalize_name(mention.lexicon_name)
+    """Token range [start, end) the mention's name occupies in the sentence.
+
+    ``surface_text`` is the ``match_text`` slice from the trigger token's
+    start to the end of the window's last token, so the window ends at the
+    last token that ends within it.
+    """
+    tokens = sentence.tokens
     start = mention.trigger_token_index
-    return start, min(start + len(name_tokens), len(sentence.tokens))
+    stop = tokens[start].start + len(mention.surface_text)
+    end = start + 1
+    while end < len(tokens) and tokens[end].end <= stop:
+        end += 1
+    return start, end
 
 
 def detect_drug(

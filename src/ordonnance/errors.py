@@ -41,10 +41,6 @@ class EmptyLexicon(FileError):
     """Lexicon file has no usable entries."""
 
 
-# The corpus generator reports the same condition under this name.
-LexiconEmpty = EmptyLexicon
-
-
 class TemplateError(OrdonnanceError):
     """A sentence template slot could not be filled."""
 

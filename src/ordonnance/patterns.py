@@ -10,7 +10,7 @@ right after each match.
 
 Pattern file format (JSON list)::
 
-    [{"id": str, "label": "DOSE"|"FREQUENCY"|"DURATION"|"COMMENT"|"DRUG_TRIGGER",
+    [{"id": str, "label": "DOSE"|"FREQUENCY"|"DURATION"|"COMMENT",
       "specs": [{"lower": str|[str], "regex": str, "is_digit": bool,
                  "like_num": bool, "op": "1"|"?"|"+"|"*"}]}]
 
@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from .errors import PatternError
 from .textnorm import Sentence, Token
 
-LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT", "DRUG_TRIGGER")
+LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 
 # STAR/PLUS are bounded so adversarial patterns always terminate;
 # prescription phrases never repeat a token class this often.

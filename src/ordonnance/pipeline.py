@@ -40,30 +40,36 @@ class Runtime:
     stopwords: frozenset[str] = frozenset()
     threshold: float = DEFAULT_THRESHOLD
     link_config: LinkConfig = field(default_factory=LinkConfig)
-    dedup_equivalents: bool = True
 
 
-def _annotate_sentence(sentence: Sentence, runtime: Runtime) -> list[Span]:
-    """Predicted spans over the sentence's match_text."""
+def classify_sentence(sentence: Sentence, runtime: Runtime) -> ClassifiedLine:
+    """Classify one line and run drug linking or posology extraction on it.
+
+    A DRUG line that links carries its mention; when posology follows the
+    name on the same line (a combined line), the remainder's extraction is
+    kept if it found entities. A POSOLOGY line carries its extraction.
+    """
     label = predict(runtime.model, sentence).label
-    spans: list[Span] = []
+    mention = None
+    extraction = None
     if label == "DRUG":
         mention = detect_drug(sentence, runtime.lexicon, runtime.threshold)
         if mention is not None:
-            w0, w1 = mention_token_window(sentence, mention)
-            tokens = sentence.tokens
-            spans.append(("DRUG", tokens[w0].start, tokens[w1 - 1].end))
             remainder = split_combined_line(sentence, mention)
             if remainder.tokens:
-                base = tokens[w1].start
-                extraction = extract_posology(remainder, runtime.patterns)
-                spans.extend(
-                    (e.kind, base + e.char_start, base + e.char_end) for e in extraction.entities
-                )
+                combined = extract_posology(remainder, runtime.patterns)
+                if combined.entities:
+                    extraction = combined
     elif label == "POSOLOGY":
         extraction = extract_posology(sentence, runtime.patterns)
-        spans.extend((e.kind, e.char_start, e.char_end) for e in extraction.entities)
-    return spans
+    return ClassifiedLine(
+        line_id=sentence.line_id,
+        page=sentence.page,
+        bbox=sentence.bbox,
+        label=label,
+        mention=mention,
+        extraction=extraction,
+    )
 
 
 def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
@@ -71,66 +77,54 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
     sentence = sentence_from_text(raw_text, runtime.stopwords)
     if sentence is None:
         return []
+    line = classify_sentence(sentence, runtime)
+    tokens = sentence.tokens
+    spans: list[Span] = []
+    base = 0  # offset of the extraction's text in the sentence's match_text
+    if line.mention is not None:
+        w0, w1 = mention_token_window(sentence, line.mention)
+        spans.append(("DRUG", tokens[w0].start, tokens[w1 - 1].end))
+        if line.extraction is not None:
+            base = tokens[w1].start
+    if line.extraction is not None:
+        spans.extend(
+            (e.kind, base + e.char_start, base + e.char_end) for e in line.extraction.entities
+        )
     norm = normalize_text(raw_text)
-    out: list[Span] = []
-    for kind, start, end in _annotate_sentence(sentence, runtime):
-        raw_start, raw_end = norm.to_raw_span(start, end)
-        out.append((kind, raw_start, raw_end))
-    return out
+    return [(kind, *norm.to_raw_span(start, end)) for kind, start, end in spans]
 
 
 def classify_lines(doc: OcrDocument, runtime: Runtime) -> list[ClassifiedLine]:
-    """Per-line classification and extraction, before geometric linking."""
+    """Per-line classification and extraction, before geometric linking.
+
+    A linked drug line that opens with an equivalence marker ("ou ...")
+    right below another linked drug line names a substitute, so it becomes
+    EQUIVALENT and only the first drug of the pair is kept.
+    """
     classified: list[ClassifiedLine] = []
     sentences: list[Sentence] = []
     for line in doc.lines:
         sentence = make_sentence(line, runtime.stopwords)
         if sentence is None:
             continue  # single-character OCR debris
-        label = predict(runtime.model, sentence).label
-        mention = None
-        extraction = None
-        if label == "DRUG":
-            mention = detect_drug(sentence, runtime.lexicon, runtime.threshold)
-            if mention is not None:
-                remainder = split_combined_line(sentence, mention)
-                if remainder.tokens:
-                    combined = extract_posology(remainder, runtime.patterns)
-                    if combined.entities:
-                        extraction = combined
-        elif label == "POSOLOGY":
-            extraction = extract_posology(sentence, runtime.patterns)
-        classified.append(
-            ClassifiedLine(
-                line_id=line.line_id,
-                page=line.page,
-                bbox=line.bbox,
-                label=label,
-                mention=mention,
-                extraction=extraction,
-            )
-        )
+        classified.append(classify_sentence(sentence, runtime))
         sentences.append(sentence)
 
-    if runtime.dedup_equivalents:
-        markers = default_equivalence_markers()
-        for i in range(1, len(classified)):
-            cur, prev = classified[i], classified[i - 1]
-            if (
-                cur.label == "DRUG"
-                and cur.mention is not None
-                and prev.label == "DRUG"
-                and prev.mention is not None
-                and cur.mention.drug_id != prev.mention.drug_id
-                and starts_with_equivalence_marker(sentences[i], markers)
-            ):
-                # substitute drug ("ou ...") on the line below: keep the first only
-                classified[i] = ClassifiedLine(
-                    line_id=cur.line_id,
-                    page=cur.page,
-                    bbox=cur.bbox,
-                    label="EQUIVALENT",
-                )
+    markers = default_equivalence_markers()
+    for i in range(1, len(classified)):
+        cur, prev = classified[i], classified[i - 1]
+        if (
+            cur.mention is not None
+            and prev.mention is not None
+            and cur.mention.drug_id != prev.mention.drug_id
+            and starts_with_equivalence_marker(sentences[i], markers)
+        ):
+            classified[i] = ClassifiedLine(
+                line_id=cur.line_id,
+                page=cur.page,
+                bbox=cur.bbox,
+                label="EQUIVALENT",
+            )
     return classified
 
 

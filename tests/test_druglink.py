@@ -9,11 +9,11 @@ from ordonnance.druglink import (
     default_lexicon,
     detect_drug,
     mention_token_window,
-    similarity,
     split_combined_line,
     starts_with_equivalence_marker,
 )
 from ordonnance.errors import DuplicateId, EmptyLexicon, FileError
+from ordonnance.kernels import similarity
 from ordonnance.posology import extract_posology
 from ordonnance.textnorm import sentence_from_text
 
@@ -68,10 +68,12 @@ class TestBuildLexicon:
         with pytest.raises(FileError):
             build_lexicon(path)
 
-    def test_candidate_provider_seam(self, tmp_path):
-        lex = build_lexicon(write_lexicon(tmp_path, [("A1", "DOLIPRANE 500"), ("A2", "DOLIPRANE 1000")]))
-        assert lex.lookup_candidates("doliprane") == [("A1", "DOLIPRANE 500"), ("A2", "DOLIPRANE 1000")]
-        assert lex.lookup_candidates("nope") == []
+    def test_first_token_index_groups_names(self, tmp_path):
+        rows = [("A1", "DOLIPRANE 500"), ("B1", "SPASFON 80"), ("A2", "DOLIPRANE 1000")]
+        lex = build_lexicon(write_lexicon(tmp_path, rows))
+        # entry positions per first token, in file order
+        assert lex.first_token_index == {"doliprane": (0, 2), "spasfon": (1,)}
+        assert [lex.entries[i].drug_id for i in lex.first_token_index["doliprane"]] == ["A1", "A2"]
 
 
 class TestDetectDrug:
@@ -153,12 +155,18 @@ class TestDetectDrug:
 
     def test_every_bundled_name_links_to_itself_exactly(self):
         # norm_name lives in the same space as the sentence window, so a line
-        # that is exactly a lexicon name links to that entry at score 1.0.
+        # that is exactly a lexicon name links to that entry at score 1.0,
+        # and a posology suffix after the name is split off whole.
         lexicon = default_lexicon()
+        suffix = " 1 comprime le soir"
         for entry in lexicon.entries:
             m = detect_drug(sentence_from_text(entry.name), lexicon)
             assert m is not None, entry.name
             assert (m.drug_id, m.score) == (entry.drug_id, 1.0), entry.name
+            combined = sentence_from_text(entry.name + suffix)
+            m = detect_drug(combined, lexicon)
+            assert m is not None and m.drug_id == entry.drug_id, entry.name
+            assert split_combined_line(combined, m).match_text == suffix.strip(), entry.name
 
     def test_detection_is_total(self, lex):
         for text in ["doliprane", "x", "doliprane doliprane doliprane", "1000 mg"]:

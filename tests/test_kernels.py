@@ -1,4 +1,4 @@
-"""Backend-equivalence and oracle tests for the string kernels.
+"""Oracle tests for the string kernels.
 
 The brute-force oracle below re-implements the similarity definition
 directly: enumerate every substring pair to find the longest contiguous
@@ -12,15 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordonnance import _kernels_py
+from ordonnance import kernels
 
-try:
-    from ordonnance import _kernels
-
-    BACKENDS = [pytest.param(_kernels, id="cython"), pytest.param(_kernels_py, id="python")]
-except ImportError:
-    _kernels = None
-    BACKENDS = [pytest.param(_kernels_py, id="python")]
+# Test ids carry the backend name that kernels.BACKEND reports.
+KERNELS = [pytest.param(kernels, id=kernels.BACKEND)]
 
 
 def oracle_similarity(a: str, b: str) -> float:
@@ -53,7 +48,7 @@ def oracle_similarity(a: str, b: str) -> float:
 SHORT = st.text(alphabet="abc 1", max_size=8)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 class TestSimilarity:
     def test_identical(self, impl):
         assert impl.similarity("abc", "abc") == 1.0
@@ -98,20 +93,7 @@ class TestSimilarity:
         assert impl.similarity("gélule", "gelule") > 0.8
 
 
-@pytest.mark.skipif(_kernels is None, reason="compiled kernels not built")
-class TestBackendAgreement:
-    @given(st.text(max_size=30), st.text(max_size=30))
-    @settings(max_examples=500)
-    def test_similarity_bit_identical(self, a, b):
-        assert _kernels.similarity(a, b) == _kernels_py.similarity(a, b)
-
-    @given(st.text(max_size=12), st.text(max_size=12))
-    @settings(max_examples=500)
-    def test_levenshtein_identical(self, a, b):
-        assert _kernels.levenshtein_leq1(a, b) == _kernels_py.levenshtein_leq1(a, b)
-
-
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 class TestLevenshteinLeq1:
     def test_equal(self, impl):
         assert impl.levenshtein_leq1("doliprane", "doliprane")
