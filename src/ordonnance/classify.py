@@ -31,6 +31,9 @@ FEATURE_VERSION = "fh1"
 
 _MODEL_MAGIC = "ordonnance-classifier"
 
+# Model header fields load_model needs, with their JSON types.
+_HEADER_FIELDS = {"labels": list, "hash_dim": int, "ngram_min": int, "ngram_max": int, "version": str}
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -203,12 +206,18 @@ def load_model(path) -> ClassifierModel:
         blob = fh.read()
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaError(f"{path}: bad model header: {exc}") from exc
-    if header.get("magic") != _MODEL_MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != _MODEL_MAGIC:
         raise SchemaError(f"{path}: not a classifier model file")
+    for name, kind in _HEADER_FIELDS.items():
+        value = header.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise SchemaError(f"{path}: model header field {name!r} is missing or not a {kind.__name__}")
     labels = tuple(header["labels"])
-    dim = int(header["hash_dim"])
+    dim = header["hash_dim"]
+    if dim < 1 or not all(isinstance(label, str) for label in labels):
+        raise SchemaError(f"{path}: model header needs hash_dim >= 1 and string labels")
     expected = (len(labels) * dim + len(labels)) * 8
     if len(blob) != expected:
         raise SchemaError(f"{path}: weight payload has {len(blob)} bytes, expected {expected}")
@@ -216,8 +225,8 @@ def load_model(path) -> ClassifierModel:
     weights = flat[: len(labels) * dim].reshape(len(labels), dim).copy()
     bias = flat[len(labels) * dim :].copy()
     config = FeatureConfig(
-        ngram_min=int(header["ngram_min"]),
-        ngram_max=int(header["ngram_max"]),
+        ngram_min=header["ngram_min"],
+        ngram_max=header["ngram_max"],
         hash_dim=dim,
         version=header["version"],
     )

@@ -4,12 +4,17 @@ Subcommands: extract, gen-corpus, train, eval, lexicon-check. stdout carries
 only the data artifact; diagnostics go to stderr. A JSON config file can
 pre-set any option (--config); explicit flags win over the config file.
 
-Exit codes: 2 input/schema problem, 3 missing model or data file,
-4 internal invariant breach.
+One rule (`_exit_code`) gives every error its exit code: 2 for a bad value
+in a file, flag or payload, 3 for a file that cannot be read or written,
+4 for anything else. Each error is reported as one JSON line on stderr,
+``{"error": {"type": ..., "message": ...}}``, never as a traceback. Click's
+own usage errors (an unknown option, a value out of its range) keep Click's
+message and exit 2.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
 import sys
@@ -18,9 +23,9 @@ import click
 
 from . import __version__
 from .classify import TrainConfig, FeatureConfig, load_model, save_model, train
-from .corpus import AnnotatedSentence, CorpusSpec, generate, noisify, read_jsonl, write_jsonl
+from .corpus import CorpusSpec, generate, noisify, read_jsonl, write_jsonl
 from .druglink import DEFAULT_THRESHOLD, build_lexicon, default_lexicon_path
-from .errors import FileError, OrdonnanceError, PatternError, SchemaError
+from .errors import OrdonnanceError, SchemaError
 from .linking import LinkConfig, record_to_dict, dumps_canonical
 from .metrics import format_table, report_to_json, score
 from .ocr import parse_ocr_document
@@ -32,6 +37,19 @@ _EXIT_SCHEMA = 2
 _EXIT_MISSING = 3
 _EXIT_INTERNAL = 4
 
+# Click signals usage errors and ctx.exit() with these; Exit and Abort are
+# RuntimeErrors, so they must be let through before any `except Exception`.
+_CLICK_EXCEPTIONS = (click.ClickException, click.exceptions.Exit, click.Abort)
+
+
+def _exit_code(exc: BaseException) -> int:
+    """3 when a file could not be read or written, 2 for a bad value, else 4."""
+    if isinstance(exc, OSError) or isinstance(exc.__cause__, OSError):
+        return _EXIT_MISSING
+    if isinstance(exc, (OrdonnanceError, ValueError, TypeError)):
+        return _EXIT_SCHEMA
+    return _EXIT_INTERNAL
+
 
 def _report(kind: str, message: str) -> None:
     click.echo(json.dumps({"error": {"type": kind, "message": message}}), err=True)
@@ -40,6 +58,17 @@ def _report(kind: str, message: str) -> None:
 def _fail(code: int, kind: str, message: str):
     _report(kind, message)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _failing_as(kind: str):
+    """Report an error escaping the block as ``kind`` and exit with its code."""
+    try:
+        yield
+    except _CLICK_EXCEPTIONS:
+        raise
+    except Exception as exc:
+        _fail(_exit_code(exc), kind, str(exc))
 
 
 def _resolve(ctx_config: dict, key: str, value, default):
@@ -53,15 +82,11 @@ def _resolve(ctx_config: dict, key: str, value, default):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
+    with _failing_as("config"):
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        _fail(_EXIT_MISSING, "config", str(exc))
-    except json.JSONDecodeError as exc:
-        _fail(_EXIT_SCHEMA, "config", f"{path}: {exc}")
-    if not isinstance(cfg, dict):
-        _fail(_EXIT_SCHEMA, "config", f"{path}: expected a JSON object")
+        if not isinstance(cfg, dict):
+            raise SchemaError(f"{path}: expected a JSON object")
     return cfg
 
 
@@ -75,44 +100,28 @@ def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Ru
     model_path = _resolve(config, "model", model, None)
     if model_path is None:
         _fail(_EXIT_MISSING, "model", "no model file given (--model)")
-    try:
+    with _failing_as("model"):
         clf = load_model(model_path)
-    except OSError as exc:
-        _fail(_EXIT_MISSING, "model", str(exc))
-    except SchemaError as exc:
-        _fail(_EXIT_SCHEMA, "model", str(exc))
-    try:
+    with _failing_as("lexicon"):
         lex = build_lexicon(_resolve(config, "lexicon", lexicon, default_lexicon_path()))
-    except FileError as exc:
-        _fail(_EXIT_MISSING, "lexicon", str(exc))
     patterns_path = _resolve(config, "patterns", patterns, None)
-    try:
+    with _failing_as("patterns"):
         pats = load_patterns(patterns_path) if patterns_path else default_patterns()
-    except OSError as exc:
-        _fail(_EXIT_MISSING, "patterns", str(exc))
-    except PatternError as exc:
-        _fail(_EXIT_SCHEMA, "patterns", str(exc))
-    stopwords_path = _resolve(config, "stopwords", stopwords, _default_stopwords_path())
-    try:
-        stops = load_stopwords(stopwords_path)
-    except OSError as exc:
-        _fail(_EXIT_MISSING, "stopwords", str(exc))
-    try:
-        link_config = LinkConfig(
-            section_gap_factor=config.get("section_gap_factor", 1.5),
-            drug_gap_factor=config.get("drug_gap_factor", 2.5),
-            overlap_fraction=config.get("overlap_fraction", 0.5),
+    with _failing_as("stopwords"):
+        stops = load_stopwords(_resolve(config, "stopwords", stopwords, _default_stopwords_path()))
+    with _failing_as("config"):
+        return Runtime(
+            model=clf,
+            lexicon=lex,
+            patterns=pats,
+            stopwords=stops,
+            threshold=_resolve(config, "threshold", threshold, DEFAULT_THRESHOLD),
+            link_config=LinkConfig(
+                section_gap_factor=config.get("section_gap_factor", 1.5),
+                drug_gap_factor=config.get("drug_gap_factor", 2.5),
+                overlap_fraction=config.get("overlap_fraction", 0.5),
+            ),
         )
-    except (TypeError, ValueError) as exc:
-        _fail(_EXIT_SCHEMA, "config", str(exc))
-    return Runtime(
-        model=clf,
-        lexicon=lex,
-        patterns=pats,
-        stopwords=stops,
-        threshold=_resolve(config, "threshold", threshold, DEFAULT_THRESHOLD),
-        link_config=link_config,
-    )
 
 
 def _record_table(record_dict: dict) -> str:
@@ -132,7 +141,15 @@ def _record_table(record_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
+class _Main(click.Group):
+    """Group that reports an error no command caught as JSON, never a traceback."""
+
+    def invoke(self, ctx):
+        with _failing_as("internal"):
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="ordonnance")
 def main():
     """Structure OCR'd French prescriptions into drugs and posologies."""
@@ -160,7 +177,8 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
         if not out:
             _fail(_EXIT_SCHEMA, "usage", "--out directory is required with several inputs")
         out_dir = pathlib.Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _failing_as("output"):
+            out_dir.mkdir(parents=True, exist_ok=True)
 
     first_code = 0
     for path in inputs:
@@ -176,14 +194,9 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
                 pathlib.Path(out).write_bytes(blob)
             else:
                 sys.stdout.buffer.write(blob)
-            continue
-        except OSError as exc:
-            code, kind, message = _EXIT_MISSING, "input", str(exc)
-        except OrdonnanceError as exc:
-            code = _EXIT_MISSING if isinstance(exc, FileError) else _EXIT_SCHEMA
-            kind, message = type(exc).__name__, str(exc)
-        _report(kind, message)
-        first_code = first_code or code
+        except Exception as exc:
+            _report("input" if isinstance(exc, OSError) else type(exc).__name__, str(exc))
+            first_code = first_code or _exit_code(exc)
     if first_code:
         sys.exit(first_code)
 
@@ -198,7 +211,7 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
 @click.option("--out", required=True, help="Output JSONL path.")
 def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
     """Generate a labeled synthetic corpus (JSON Lines)."""
-    try:
+    with _failing_as("corpus"):
         spec = CorpusSpec(
             n_drug=n_drug,
             n_posology=n_posology,
@@ -210,8 +223,6 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
         if noise > 0:
             sentences = [noisify(s, noise, seed * 1_000_003 + i) for i, s in enumerate(sentences)]
         write_jsonl(sentences, out)
-    except (ValueError, OrdonnanceError) as exc:
-        _fail(_EXIT_SCHEMA, type(exc).__name__, str(exc))
     click.echo(f"wrote {n_drug + n_posology + n_useless} sentences to {out}", err=True)
 
 
@@ -222,17 +233,14 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--epochs", type=int, default=200, show_default=True)
 @click.option("--learning-rate", type=float, default=5.0, show_default=True)
-@click.option("--hash-dim", type=int, default=2**18, show_default=True)
-@click.option("--holdout", type=float, default=0.1, show_default=True)
+@click.option("--hash-dim", type=click.IntRange(min=1), default=2**18, show_default=True)
+@click.option("--holdout", type=click.FloatRange(0, 1, max_open=True), default=0.1, show_default=True)
 def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, hash_dim, holdout):
     """Train the sentence classifier on a JSONL corpus."""
-    try:
+    with _failing_as("corpus"):
         rows = read_jsonl(corpus_path)
-    except FileNotFoundError as exc:
-        _fail(_EXIT_MISSING, "corpus", str(exc))
-    except SchemaError as exc:
-        _fail(_EXIT_SCHEMA, "corpus", str(exc))
-    stops = load_stopwords(stopwords) if stopwords else load_stopwords(_default_stopwords_path())
+    with _failing_as("stopwords"):
+        stops = load_stopwords(stopwords or _default_stopwords_path())
     corpus = []
     for row in rows:
         sentence = sentence_from_text(row.text, stops)
@@ -245,11 +253,10 @@ def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, h
         holdout_fraction=holdout,
         features=FeatureConfig(hash_dim=hash_dim),
     )
-    try:
+    with _failing_as("corpus"):
         model = train(corpus, config)
-    except OrdonnanceError as exc:
-        _fail(_EXIT_SCHEMA, type(exc).__name__, str(exc))
-    save_model(model, model_path)
+    with _failing_as("model"):
+        save_model(model, model_path)
     metrics = {
         "sentences": len(corpus),
         "holdout_accuracy": model.holdout_accuracy,
@@ -273,31 +280,20 @@ def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, h
 @click.option("--config", default=None)
 def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, mode, fmt, config):
     """Score extraction quality against a gold corpus."""
-    try:
+    with _failing_as("gold"):
         gold_rows = read_jsonl(gold)
-    except FileNotFoundError as exc:
-        _fail(_EXIT_MISSING, "gold", str(exc))
-    except SchemaError as exc:
-        _fail(_EXIT_SCHEMA, "gold", str(exc))
 
     if predictions is not None:
-        try:
-            pred_rows = read_jsonl(predictions)
-        except FileNotFoundError as exc:
-            _fail(_EXIT_MISSING, "predictions", str(exc))
-        except SchemaError as exc:
-            _fail(_EXIT_SCHEMA, "predictions", str(exc))
-        pred_spans = [list(r.spans) for r in pred_rows]
+        with _failing_as("predictions"):
+            pred_spans = [list(r.spans) for r in read_jsonl(predictions)]
     else:
         cfg = _load_config(config)
         runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
         pred_spans = [annotate_text(row.text, runtime) for row in gold_rows]
 
     mode_name = "TOKEN" if mode == "token" else "EXACT_SPAN"
-    try:
+    with _failing_as("predictions"):
         report = score(gold_rows, pred_spans, mode=mode_name)
-    except OrdonnanceError as exc:
-        _fail(_EXIT_SCHEMA, type(exc).__name__, str(exc))
     if fmt == "table":
         click.echo(format_table(report))
     else:
@@ -309,10 +305,8 @@ def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, 
 def cmd_lexicon_check(lexicon):
     """Validate a lexicon file and print basic statistics."""
     path = lexicon or default_lexicon_path()
-    try:
+    with _failing_as("lexicon"):
         lex = build_lexicon(path)
-    except FileError as exc:
-        _fail(_EXIT_SCHEMA, type(exc).__name__, str(exc))
     stats = {
         "path": str(path),
         "entries": len(lex.entries),

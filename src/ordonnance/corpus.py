@@ -262,9 +262,11 @@ def read_jsonl(path) -> list[AnnotatedSentence]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise SchemaError(f"{path}:{line_no}: expected a JSON object")
             try:
                 spans = tuple((s["kind"], int(s["start"]), int(s["end"])) for s in obj.get("spans", []))
                 out.append(AnnotatedSentence(text=obj["text"], label=obj["label"], spans=spans))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}:{line_no}: bad record: {exc}") from exc
     return out

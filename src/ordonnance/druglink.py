@@ -220,6 +220,7 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
         tokens=shifted,
         bbox=sentence.bbox,
         page=sentence.page,
+        origins=sentence.origins[base:],
     )
 
 

@@ -24,7 +24,11 @@ from .linking import ClassifiedLine, LinkConfig, PrescriptionRecord, link
 from .ocr import OcrDocument
 from .patterns import PatternSet
 from .posology import extract_posology
-from .textnorm import Sentence, make_sentence, normalize_text, sentence_from_text
+from .textnorm import NormalizedText, Sentence, make_sentence, sentence_from_text
+
+# Not called here. It stays bound because perfbench/spans.py wraps the
+# textnorm layer functions by their names in this module.
+from .textnorm import normalize_text  # noqa: F401
 
 # (kind, char_start, char_end) in the coordinates of the text that was annotated
 Span = tuple[str, int, int]
@@ -40,6 +44,11 @@ class Runtime:
     stopwords: frozenset[str] = frozenset()
     threshold: float = DEFAULT_THRESHOLD
     link_config: LinkConfig = field(default_factory=LinkConfig)
+
+    def __post_init__(self):
+        t = self.threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= t <= 1:
+            raise ValueError(f"threshold must be a number in [0, 1], got {t!r}")
 
 
 def classify_sentence(sentence: Sentence, runtime: Runtime) -> ClassifiedLine:
@@ -90,7 +99,7 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
         spans.extend(
             (e.kind, base + e.char_start, base + e.char_end) for e in line.extraction.entities
         )
-    norm = normalize_text(raw_text)
+    norm = NormalizedText(sentence.match_text, sentence.origins)
     return [(kind, *norm.to_raw_span(start, end)) for kind, start, end in spans]
 
 

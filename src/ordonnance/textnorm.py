@@ -52,6 +52,8 @@ class Sentence:
     tokens: tuple[Token, ...]
     bbox: BoundingBox
     page: int
+    # raw-text index of each match_text character (see NormalizedText)
+    origins: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -277,6 +279,7 @@ def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sen
         tokens=tuple(tokens),
         bbox=line.bbox,
         page=line.page,
+        origins=norm.origins,
     )
 
 

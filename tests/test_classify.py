@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from ordonnance.classify import (
     save_model,
     train,
 )
-from ordonnance.errors import DegenerateCorpus, VersionMismatch
+from ordonnance.errors import DegenerateCorpus, SchemaError, VersionMismatch
 from ordonnance.textnorm import sentence_from_text
 
 
@@ -170,3 +171,25 @@ class TestModelFile:
         loaded = load_model(tmp_path / "model.bin")
         for s, _ in toy_corpus():
             assert predict(model, s) == predict(loaded, s)
+
+    # Each header comes with as many weights as the old loader's size check
+    # asked for, so only the header's own check can reject it.
+    @pytest.mark.parametrize(
+        "header, n_weights",
+        [
+            (["ordonnance-classifier"], 0),
+            ({"magic": "ordonnance-classifier", "hash_dim": 16, "ngram_min": 3, "ngram_max": 5, "version": "fh1"}, 0),
+            ({"magic": "ordonnance-classifier", "labels": "DRUG", "hash_dim": 16, "ngram_min": 3,
+              "ngram_max": 5, "version": "fh1"}, 4 * 16 + 4),
+            ({"magic": "ordonnance-classifier", "labels": ["DRUG"], "hash_dim": "16", "ngram_min": 3,
+              "ngram_max": 5, "version": "fh1"}, 16 + 1),
+            ({"magic": "ordonnance-classifier", "labels": ["DRUG"], "hash_dim": 0, "ngram_min": 3,
+              "ngram_max": 5, "version": "fh1"}, 1),
+        ],
+        ids=["not-an-object", "no-labels", "labels-not-a-list", "hash-dim-a-string", "hash-dim-zero"],
+    )
+    def test_bad_header_is_a_schema_error(self, tmp_path, header, n_weights):
+        path = tmp_path / "model.bin"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(8 * n_weights))
+        with pytest.raises(SchemaError):
+            load_model(path)

@@ -148,6 +148,19 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             read_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        ['"doliprane 1000 mg"', '[1, 2]', '{"text": "x", "label": "DOSE", "spans": [{"kind": "DOSE", "start": "a", "end": 1}]}'],
+        ids=["string", "list", "non-integer-offset"],
+    )
+    def test_rejects_a_record_that_is_not_an_object_of_the_schema(self, tmp_path, line):
+        from ordonnance.errors import SchemaError
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaError):
+            read_jsonl(path)
+
 
 def _edit_distance(a, b):
     prev = list(range(len(b) + 1))

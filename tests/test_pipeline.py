@@ -1,14 +1,16 @@
 """Contract tests for the end-to-end pipeline on the 7-drug OCR fixture."""
 
 import copy
+import dataclasses
 import json
 from collections import Counter
 
 import pytest
 
+from ordonnance import pipeline, textnorm
 from ordonnance.linking import link, record_to_dict, to_json
 from ordonnance.ocr import parse_ocr_document
-from ordonnance.pipeline import annotate_text, classify_lines, extract_document
+from ordonnance.pipeline import Runtime, annotate_text, classify_lines, extract_document
 
 from conftest import DATA_DIR
 
@@ -129,6 +131,31 @@ class TestAnnotateText:
 
     def test_blank_text_has_no_spans(self, runtime):
         assert annotate_text("", runtime) == []
+
+    def test_text_is_normalized_once(self, runtime, monkeypatch):
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return normalize(raw)
+
+        normalize = textnorm.normalize_text
+        monkeypatch.setattr(textnorm, "normalize_text", counting)
+        monkeypatch.setattr(pipeline, "normalize_text", counting)
+        text = "DOLIPRANE 1000 mg, comprimé 2 gélules le matin à jeun"
+        assert len(annotate_text(text, runtime)) == 4
+        assert calls == [text]
+
+
+@pytest.mark.parametrize("threshold", [0, 0.72, 1.0, 1])
+def test_runtime_accepts_a_threshold_in_the_unit_interval(runtime, threshold):
+    assert dataclasses.replace(runtime, threshold=threshold).threshold == threshold
+
+
+@pytest.mark.parametrize("threshold", [7, -0.1, float("nan"), "x", None, True])
+def test_runtime_rejects_a_threshold_outside_the_unit_interval(runtime, threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        Runtime(model=runtime.model, lexicon=runtime.lexicon, patterns=runtime.patterns, threshold=threshold)
 
 
 def test_equivalent_drug_line_is_collapsed(runtime):
