@@ -54,6 +54,10 @@ class TrainConfig:
     holdout_fraction: float = 0.1
     features: FeatureConfig = field(default_factory=FeatureConfig)
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+
 
 @dataclass(frozen=True)
 class SentenceClass:

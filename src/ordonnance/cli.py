@@ -182,11 +182,13 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
 
     first_code = 0
     for path in inputs:
+        kind = "input"  # what an OSError failed on
         try:
             with open(path, "rb") as fh:
                 payload = fh.read()
             rd = record_to_dict(extract_document(parse_ocr_document(payload), runtime))
             blob = _record_table(rd).encode("utf-8") if fmt == "table" else dumps_canonical(rd)
+            kind = "output"
             if len(inputs) > 1:
                 suffix = ".record.json" if fmt == "json" else ".record.txt"
                 (out_dir / (pathlib.Path(path).stem + suffix)).write_bytes(blob)
@@ -195,7 +197,7 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
             else:
                 sys.stdout.buffer.write(blob)
         except Exception as exc:
-            _report("input" if isinstance(exc, OSError) else type(exc).__name__, str(exc))
+            _report(kind if isinstance(exc, OSError) else type(exc).__name__, str(exc))
             first_code = first_code or _exit_code(exc)
     if first_code:
         sys.exit(first_code)
@@ -207,7 +209,8 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
 @click.option("--n-useless", type=int, required=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--lexicon", default=None, help="Drug lexicon CSV (default: bundled demo lexicon).")
-@click.option("--noise", type=float, default=0.0, show_default=True, help="OCR noise rate in [0, 0.3].")
+@click.option("--noise", type=click.FloatRange(0, 0.3), default=0.0, show_default=True,
+              help="OCR noise rate in [0, 0.3].")
 @click.option("--out", required=True, help="Output JSONL path.")
 def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
     """Generate a labeled synthetic corpus (JSON Lines)."""
@@ -231,7 +234,7 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
 @click.option("--model", "model_path", required=True, help="Where to write the model file.")
 @click.option("--stopwords", default=None)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--epochs", type=int, default=200, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--learning-rate", type=float, default=5.0, show_default=True)
 @click.option("--hash-dim", type=click.IntRange(min=1), default=2**18, show_default=True)
 @click.option("--holdout", type=click.FloatRange(0, 1, max_open=True), default=0.1, show_default=True)

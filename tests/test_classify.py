@@ -78,6 +78,11 @@ class TestTrain:
         with pytest.raises(DegenerateCorpus):
             train(corpus, TOY_CONFIG)
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_fewer_than_one_epoch_raises(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=epochs)
+
     def test_empty_corpus_raises(self):
         with pytest.raises(DegenerateCorpus):
             train([], TOY_CONFIG)

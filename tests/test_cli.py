@@ -136,62 +136,72 @@ def _raise_runtime_error(text, runtime):
 
 
 # Each row: CLI arguments built from the model file and a scratch directory,
-# the exit code, and the attribute of ordonnance.cli broken for the run.
+# the exit code, the reported error type, and the attribute of ordonnance.cli
+# broken for the run.
 ERROR_CASES = [
     pytest.param(
         lambda m, d: _extract(m, "--lexicon", _write(d / "dup.csv", "id,name\nA,doliprane\nA,smecta\n")),
-        2, None, id="duplicate-lexicon-id",
+        2, "lexicon", None, id="duplicate-lexicon-id",
     ),
     pytest.param(
         lambda m, d: ["lexicon-check", "--lexicon", str(d / "absent.csv")],
-        3, None, id="lexicon-check-absent-file",
+        3, "lexicon", None, id="lexicon-check-absent-file",
     ),
     pytest.param(
         lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "m.bin"), "--stopwords", str(d / "absent.txt")],
-        3, None, id="train-absent-stopwords",
+        3, "stopwords", None, id="train-absent-stopwords",
     ),
     pytest.param(
         lambda m, d: ["gen-corpus", "--n-drug", "1", "--n-posology", "1", "--n-useless", "1",
                       "--out", str(d / "missing" / "corpus.jsonl")],
-        3, None, id="gen-corpus-out-in-missing-dir",
+        3, "corpus", None, id="gen-corpus-out-in-missing-dir",
     ),
     pytest.param(
         lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "missing" / "m.bin"),
                       "--epochs", "2", "--hash-dim", "64"],
-        3, None, id="train-model-in-missing-dir",
+        3, "model", None, id="train-model-in-missing-dir",
     ),
     pytest.param(
         lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"threshold": "x"}')),
-        2, None, id="config-threshold-not-a-number",
+        2, "config", None, id="config-threshold-not-a-number",
     ),
-    pytest.param(lambda m, d: _extract(m, "--threshold", "7"), 2, None, id="threshold-above-one"),
+    pytest.param(lambda m, d: _extract(m, "--threshold", "7"), 2, "config", None, id="threshold-above-one"),
+    pytest.param(
+        lambda m, d: _extract(m, "--out", str(d / "missing" / "record.json")),
+        3, "output", None, id="extract-out-in-missing-dir",
+    ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE),
                       "--model", _write(d / "m.bin", '{"magic": "ordonnance-classifier"}\n')],
-        2, None, id="model-header-without-labels",
+        2, "model", None, id="model-header-without-labels",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _write(d / "gold.jsonl", '"doliprane 1000 mg"\n')],
-        2, None, id="gold-line-is-a-json-string",
+        2, "gold", None, id="gold-line-is-a-json-string",
     ),
     pytest.param(
         lambda m, d: ["eval", "--model", str(m), "--gold", _write(d / "gold.jsonl", json.dumps(_CORPUS[0]) + "\n")],
-        4, "annotate_text", id="eval-internal-error",
+        4, "internal", "annotate_text", id="eval-internal-error",
     ),
 ]
 
 
-@pytest.mark.parametrize("make_args, code, broken", ERROR_CASES)
-def test_every_error_exits_with_its_code_and_one_json_line(model_file, tmp_path, monkeypatch, make_args, code, broken):
+@pytest.mark.parametrize("make_args, code, kind, broken", ERROR_CASES)
+def test_every_error_exits_with_its_code_and_one_json_line(
+    model_file, tmp_path, monkeypatch, make_args, code, kind, broken
+):
     if broken is not None:
         monkeypatch.setattr(cli, broken, _raise_runtime_error)
     result = CliRunner().invoke(main, make_args(model_file, tmp_path))
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == code, result.stderr
-    assert len(_error(result)) == 1
+    assert [e["type"] for e in _error(result)] == [kind]
 
 
-@pytest.mark.parametrize("flag, value", [("--hash-dim", "0"), ("--holdout", "1.5"), ("--holdout", "1")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--hash-dim", "0"), ("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3")],
+)
 def test_out_of_range_train_flag_is_a_usage_error(tmp_path, flag, value):
     args = ["train", "--input", _corpus(tmp_path), "--model", str(tmp_path / "m.bin"), "--epochs", "2", flag, value]
     result = CliRunner().invoke(main, args)
@@ -199,3 +209,23 @@ def test_out_of_range_train_flag_is_a_usage_error(tmp_path, flag, value):
     assert result.exit_code == 2
     assert "Invalid value" in result.stderr
     assert not (tmp_path / "m.bin").exists()
+
+
+def _gen_corpus(out, *args):
+    return ["gen-corpus", "--n-drug", "2", "--n-posology", "2", "--n-useless", "2", "--out", str(out), *args]
+
+
+@pytest.mark.parametrize("noise", ["-1", "0.31"])
+def test_out_of_range_noise_is_a_usage_error(tmp_path, noise):
+    result = CliRunner().invoke(main, _gen_corpus(tmp_path / "corpus.jsonl", "--noise", noise))
+    assert result.exit_code == 2
+    assert "Invalid value" in result.stderr
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
+def test_zero_noise_writes_the_clean_corpus(tmp_path):
+    clean, zero = tmp_path / "clean.jsonl", tmp_path / "zero.jsonl"
+    assert CliRunner().invoke(main, _gen_corpus(clean)).exit_code == 0
+    result = CliRunner().invoke(main, _gen_corpus(zero, "--noise", "0"))
+    assert result.exit_code == 0, result.stderr
+    assert zero.read_bytes() == clean.read_bytes()

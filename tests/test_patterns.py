@@ -1,9 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
+from ordonnance import patterns as patterns_module
+from ordonnance.corpus import CorpusSpec, generate, noisify
+from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import PatternError
 from ordonnance.patterns import (
+    LABELS,
     MAX_REPS,
     PatternSet,
     TokenPattern,
@@ -196,6 +201,129 @@ class TestBruteForceEquivalence:
                 assert 0 <= sp.start_token < sp.end_token <= len(s.tokens)
                 # replaying spec-by-spec consumption over the span succeeds
                 assert sp.end_token in brute_force_reach(p, s, sp.start_token)
+
+
+def brute_force_find_all(pats: PatternSet, sentence) -> list[tuple[int, int, str, str]]:
+    """find_all's per-label overlap rule over brute_force_spans of every pattern."""
+    kept = []
+    for label in LABELS:
+        candidates = sorted(
+            (-(end - start), start, p.pattern_id, end)
+            for p in pats.by_label[label]
+            for start, end in brute_force_spans(p, sentence)
+        )
+        chosen = []
+        for _, start, pid, end in candidates:
+            if not any(s < end and start < e for s, e, _ in chosen):
+                chosen.append((start, end, pid))
+        kept.extend((start, end, label, pid) for start, end, pid in chosen)
+    return sorted(kept)
+
+
+def compiled_find_all(pats: PatternSet, sentence) -> list[tuple[int, int, str, str]]:
+    return [(sp.start_token, sp.end_token, sp.label, sp.pattern_id) for sp in find_all(pats, sentence)]
+
+
+def corpus_sentences(noise: float) -> list:
+    spec = CorpusSpec(n_drug=40, n_posology=120, n_useless=40, seed=3, lexicon_path=default_lexicon_path())
+    texts = [noisify(a, noise, i).text for i, a in enumerate(generate(spec))]
+    return [s for s in map(sent, texts) if s is not None]
+
+
+class TestCompiledMatcher:
+    def test_default_set_dedupes_to_distinct_specs(self):
+        pats = default_patterns()
+        assert sum(len(p.specs) for p in pats.patterns) == 498
+        assert len(pats.specs) == 118
+
+    def test_quantifier_is_not_part_of_a_spec(self):
+        pats = parse_patterns([
+            {"id": "a", "label": "DOSE", "specs": [{"like_num": True}, {"lower": ["cp"]}]},
+            {"id": "b", "label": "FREQUENCY", "specs": [{"like_num": True, "op": "+"}, {"lower": "cp", "op": "?"}]},
+        ])
+        assert len(pats.specs) == 2
+        (dose,), (frequency,) = (pats.index[label][0][0] for label in ("DOSE", "FREQUENCY"))
+        assert dose.spec_ids == frequency.spec_ids == (0, 1)
+
+    def test_patterns_are_indexed_by_first_spec(self):
+        def constraints(spec):
+            return spec.lower, spec.regex, spec.is_digit, spec.like_num
+
+        pats = default_patterns()
+        indexed = []
+        for label, (by_first, always) in pats.index.items():
+            assert not always  # no shipped pattern starts with an optional spec
+            for sid, group in by_first.items():
+                for entry in group:
+                    assert (entry.pattern.label, entry.spec_ids[0]) == (label, sid)
+                    assert [constraints(pats.specs[i]) for i in entry.spec_ids] == [
+                        constraints(spec) for spec in entry.pattern.specs
+                    ]
+                    indexed.append(entry.pattern)
+        assert sorted(p.pattern_id for p in indexed) == sorted(p.pattern_id for p in pats.patterns)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_default_set_equals_brute_force_on_generated_corpus(self, noise):
+        pats = default_patterns()
+        sentences = corpus_sentences(noise)
+        assert len(sentences) >= 190
+        matched = 0
+        for s in sentences:
+            got = compiled_find_all(pats, s)
+            assert got == brute_force_find_all(pats, s), s.match_text
+            matched += bool(got)
+        assert matched >= 120
+
+    def test_random_pattern_sets_equal_brute_force(self):
+        rng = random.Random(7)
+        vocab = ["1", "2", "cp", "mg", "matin", "et", "soir"]
+        spec_pool = [
+            {"like_num": True},
+            {"is_digit": True},
+            {"lower": ["cp", "mg"]},
+            {"lower": ["matin", "soir"]},
+            {"regex": "m.*"},
+            {"lower": ["et"], "op": "?"},
+            {"like_num": True, "op": "+"},
+            {"lower": ["cp"], "op": "*"},
+            {"regex": "[a-z]+", "op": "?"},
+            {"lower": ["matin", "soir"], "op": "+"},
+        ]
+        leading_optional = shared = 0
+        for trial in range(200):
+            data = [
+                {
+                    "id": f"t{trial}-{i}",
+                    "label": rng.choice(("DOSE", "FREQUENCY")),
+                    "specs": [dict(rng.choice(spec_pool)) for _ in range(rng.randint(1, 4))],
+                }
+                for i in range(rng.randint(2, 6))
+            ]
+            pats = parse_patterns(data)
+            leading_optional += sum(len(always) for _, always in pats.index.values())
+            shared += len(pats.specs) < sum(len(p.specs) for p in pats.patterns)
+            for _ in range(3):
+                s = raw_sent(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
+                assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
+        assert leading_optional > 50 and shared > 100
+
+    def test_each_spec_is_checked_at_most_once_per_token(self, monkeypatch):
+        pats = default_patterns()
+        distinct = {id(spec) for spec in pats.specs}
+        calls: Counter = Counter()
+        real = patterns_module.match_token
+
+        def counting(spec, token):
+            calls[id(spec), id(token)] += 1
+            return real(spec, token)
+
+        monkeypatch.setattr(patterns_module, "match_token", counting)
+        for s in corpus_sentences(0.1)[40:80]:  # posology sentences
+            calls.clear()
+            find_all(pats, s)
+            assert calls, s.match_text
+            assert max(calls.values()) == 1, s.match_text
+            assert {spec for spec, _ in calls} <= distinct
 
 
 class TestFindAll:
