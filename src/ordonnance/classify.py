@@ -4,14 +4,26 @@ A hashed character n-gram linear model trained by plain full-batch gradient
 descent on cross-entropy. The decision the classifier makes is lexical
 (drug-name lines vs posology phrasing vs boilerplate), so hashed n-grams of
 the stopword-filtered text plus word unigrams carry the signal. Training is
-deterministic for a fixed seed and epoch budget; the model file format is a
-single JSON header line followed by raw little-endian float64 weight bytes,
-which round-trips bit-exactly.
+deterministic for a fixed seed and epoch budget.
+
+The model keeps only the weight columns of the hashed ids that training
+features touched; every other column of the dense (labels, hash_dim) array
+is exactly zero and would add nothing to a logit. ``predict`` gathers the
+rows of a line's known ids and takes one dot product.
+
+Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
+labels, the feature config, ``n_cols``), then raw little-endian bytes: the
+``n_cols`` sorted hashed ids as int64, the (n_cols, labels) weight block as
+float64, and the bias as float64. It round-trips bit-exactly. The dense
+format of earlier releases (magic ``ordonnance-classifier``) is refused
+with ``SchemaError``; retrain to get a current model.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -29,10 +41,13 @@ CLASS_LABELS = ("DRUG", "POSOLOGY", "USELESS")
 # they were trained with and refuse to run under a different one.
 FEATURE_VERSION = "fh1"
 
-_MODEL_MAGIC = "ordonnance-classifier"
+_MODEL_MAGIC = "ordonnance-classifier-2"
+_DENSE_MAGIC = "ordonnance-classifier"  # earlier releases' dense format, refused
 
 # Model header fields load_model needs, with their JSON types.
-_HEADER_FIELDS = {"labels": list, "hash_dim": int, "ngram_min": int, "ngram_max": int, "version": str}
+_HEADER_FIELDS = {
+    "labels": list, "hash_dim": int, "ngram_min": int, "ngram_max": int, "version": str, "n_cols": int,
+}
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        # a zero or negative step never leaves the untrained model; nan or inf ruins it
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -69,26 +87,47 @@ class SentenceClass:
 class ClassifierModel:
     config: FeatureConfig
     labels: tuple[str, ...]
-    weights: np.ndarray  # (n_labels, hash_dim)
+    ids: np.ndarray  # (n_cols,) int64 hashed feature ids, strictly increasing
+    weights: np.ndarray  # (n_cols, n_labels): row r holds the weights of ids[r]
     bias: np.ndarray  # (n_labels,)
     version: str = FEATURE_VERSION
     holdout_accuracy: float | None = None
 
 
-def _hash(feature: str, dim: int) -> int:
-    return zlib.crc32(feature.encode("utf-8")) % dim
+@functools.cache
+def _seed(prefix: str) -> int:
+    """CRC-32 of a feature prefix; chaining it hashes prefix + gram in one call."""
+    return zlib.crc32(prefix.encode("utf-8"))
 
 
 def featurize(sentence: Sentence | str, config: FeatureConfig) -> dict[int, float]:
-    """Hashed feature vector: char n-grams plus word unigrams, L2-normalized."""
+    """Hashed feature vector: char n-grams plus word unigrams, L2-normalized.
+
+    The n-gram ``g`` of length n hashes to ``crc32(f"c{n}|{g}".encode()) %
+    hash_dim`` and the word ``w`` to ``crc32(f"w|{w}".encode()) % hash_dim``;
+    the prefix's CRC seeds the gram's, so no feature string is built. ASCII
+    text is sliced as bytes; other text is encoded gram by gram.
+    """
     text = sentence.feature_text if isinstance(sentence, Sentence) else sentence
+    dim = config.hash_dim
+    crc32 = zlib.crc32
     counts: dict[int, float] = {}
-    for n in range(config.ngram_min, config.ngram_max + 1):
-        for i in range(len(text) - n + 1):
-            idx = _hash(f"c{n}|{text[i : i + n]}", config.hash_dim)
-            counts[idx] = counts.get(idx, 0.0) + 1.0
+    if text.isascii():
+        data = text.encode("ascii")
+        for n in range(config.ngram_min, config.ngram_max + 1):
+            seed = _seed(f"c{n}|")
+            for i in range(len(data) - n + 1):
+                idx = crc32(data[i : i + n], seed) % dim
+                counts[idx] = counts.get(idx, 0.0) + 1.0
+    else:
+        for n in range(config.ngram_min, config.ngram_max + 1):
+            seed = _seed(f"c{n}|")
+            for i in range(len(text) - n + 1):
+                idx = crc32(text[i : i + n].encode("utf-8"), seed) % dim
+                counts[idx] = counts.get(idx, 0.0) + 1.0
+    seed = _seed("w|")
     for word in text.split():
-        idx = _hash(f"w|{word}", config.hash_dim)
+        idx = crc32(word.encode("utf-8"), seed) % dim
         counts[idx] = counts.get(idx, 0.0) + 1.0
     norm = sum(v * v for v in counts.values()) ** 0.5
     if norm > 0:
@@ -160,7 +199,10 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
         weights -= lr * (x.T @ grad).T
         bias -= lr * grad.sum(axis=0)
 
-    model = ClassifierModel(config=feats, labels=labels, weights=weights, bias=bias)
+    # Columns no training feature touched stay exactly zero; keep the rest.
+    ids = np.unique(x.indices).astype(np.int64)
+    block = np.ascontiguousarray(weights[:, ids].T)
+    model = ClassifierModel(config=feats, labels=labels, ids=ids, weights=block, bias=bias)
     if holdout_idx:
         correct = sum(
             1 for i in holdout_idx if predict(model, corpus[i][0]).label == corpus[i][1]
@@ -176,15 +218,17 @@ def predict(model: ClassifierModel, sentence: Sentence | str) -> SentenceClass:
             f"model featurizer {model.version!r} != runtime {FEATURE_VERSION!r}"
         )
     vec = featurize(sentence, model.config)
-    logits = model.bias.copy()
-    for k, v in vec.items():
-        logits += model.weights[:, k] * v
+    logits = model.bias
+    if len(model.ids):
+        keys = np.fromiter(vec, dtype=np.int64, count=len(vec))
+        values = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
+        # A key the model lacks would add +0.0 to every logit: drop it.
+        rows = model.ids.searchsorted(keys)
+        known = model.ids.take(rows, mode="clip") == keys
+        logits = values[known] @ model.weights[rows[known]] + logits
     probs = _softmax(logits)
     best = int(np.argmax(probs))
-    return SentenceClass(
-        label=model.labels[best],
-        scores={label: float(p) for label, p in zip(model.labels, probs)},
-    )
+    return SentenceClass(label=model.labels[best], scores=dict(zip(model.labels, probs.tolist())))
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -195,11 +239,13 @@ def save_model(model: ClassifierModel, path) -> None:
         "ngram_min": model.config.ngram_min,
         "ngram_max": model.config.ngram_max,
         "hash_dim": model.config.hash_dim,
+        "n_cols": len(model.ids),
         "holdout_accuracy": model.holdout_accuracy,
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
+        fh.write(np.ascontiguousarray(model.ids, dtype="<i8").tobytes())
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
 
@@ -212,7 +258,10 @@ def load_model(path) -> ClassifierModel:
         header = json.loads(header_line)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaError(f"{path}: bad model header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != _MODEL_MAGIC:
+    magic = header.get("magic") if isinstance(header, dict) else None
+    if magic == _DENSE_MAGIC:
+        raise SchemaError(f"{path}: dense model file of an earlier release; retrain the model")
+    if magic != _MODEL_MAGIC:
         raise SchemaError(f"{path}: not a classifier model file")
     for name, kind in _HEADER_FIELDS.items():
         value = header.get(name)
@@ -220,14 +269,17 @@ def load_model(path) -> ClassifierModel:
             raise SchemaError(f"{path}: model header field {name!r} is missing or not a {kind.__name__}")
     labels = tuple(header["labels"])
     dim = header["hash_dim"]
-    if dim < 1 or not all(isinstance(label, str) for label in labels):
-        raise SchemaError(f"{path}: model header needs hash_dim >= 1 and string labels")
-    expected = (len(labels) * dim + len(labels)) * 8
+    n_cols = header["n_cols"]
+    if dim < 1 or n_cols < 0 or not all(isinstance(label, str) for label in labels):
+        raise SchemaError(f"{path}: model header needs hash_dim >= 1, n_cols >= 0 and string labels")
+    n_weights = n_cols * len(labels)
+    expected = (n_cols + n_weights + len(labels)) * 8
     if len(blob) != expected:
-        raise SchemaError(f"{path}: weight payload has {len(blob)} bytes, expected {expected}")
-    flat = np.frombuffer(blob, dtype="<f8")
-    weights = flat[: len(labels) * dim].reshape(len(labels), dim).copy()
-    bias = flat[len(labels) * dim :].copy()
+        raise SchemaError(f"{path}: model payload has {len(blob)} bytes, expected {expected}")
+    ids = np.frombuffer(blob, dtype="<i8", count=n_cols).astype(np.int64)
+    if n_cols and (ids[0] < 0 or ids[-1] >= dim or not np.all(ids[1:] > ids[:-1])):
+        raise SchemaError(f"{path}: model ids must be strictly increasing in [0, hash_dim)")
+    flat = np.frombuffer(blob, dtype="<f8", offset=n_cols * 8).astype(np.float64)
     config = FeatureConfig(
         ngram_min=header["ngram_min"],
         ngram_max=header["ngram_max"],
@@ -237,8 +289,9 @@ def load_model(path) -> ClassifierModel:
     return ClassifierModel(
         config=config,
         labels=labels,
-        weights=weights,
-        bias=bias,
+        ids=ids,
+        weights=flat[:n_weights].reshape(n_cols, len(labels)),
+        bias=flat[n_weights:],
         version=header["version"],
         holdout_accuracy=header.get("holdout_accuracy"),
     )

@@ -235,11 +235,20 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
 @click.option("--stopwords", default=None)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--epochs", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--learning-rate", type=float, default=5.0, show_default=True)
+@click.option("--learning-rate", type=click.FloatRange(0, min_open=True), default=5.0, show_default=True)
 @click.option("--hash-dim", type=click.IntRange(min=1), default=2**18, show_default=True)
 @click.option("--holdout", type=click.FloatRange(0, 1, max_open=True), default=0.1, show_default=True)
 def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, hash_dim, holdout):
     """Train the sentence classifier on a JSONL corpus."""
+    # FloatRange lets nan and inf through; TrainConfig refuses them.
+    with _failing_as("config"):
+        config = TrainConfig(
+            epochs=epochs,
+            learning_rate=learning_rate,
+            seed=seed,
+            holdout_fraction=holdout,
+            features=FeatureConfig(hash_dim=hash_dim),
+        )
     with _failing_as("corpus"):
         rows = read_jsonl(corpus_path)
     with _failing_as("stopwords"):
@@ -249,13 +258,6 @@ def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, h
         sentence = sentence_from_text(row.text, stops)
         if sentence is not None:
             corpus.append((sentence, row.label))
-    config = TrainConfig(
-        epochs=epochs,
-        learning_rate=learning_rate,
-        seed=seed,
-        holdout_fraction=holdout,
-        features=FeatureConfig(hash_dim=hash_dim),
-    )
     with _failing_as("corpus"):
         model = train(corpus, config)
     with _failing_as("model"):

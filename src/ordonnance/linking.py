@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .druglink import DrugMention
 from .errors import OrderError
-from .ocr import BoundingBox, reading_order_key
+from .ocr import BoundingBox
 from .posology import PosologyExtraction
 
 _FALLBACK_MEDIAN_HEIGHT = 0.02

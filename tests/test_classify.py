@@ -1,5 +1,6 @@
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ordonnance.classify import (
     CLASS_LABELS,
     ClassifierModel,
     FeatureConfig,
+    SentenceClass,
     TrainConfig,
     featurize,
     load_model,
@@ -15,6 +17,8 @@ from ordonnance.classify import (
     save_model,
     train,
 )
+from ordonnance.corpus import CorpusSpec, generate, noisify
+from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import DegenerateCorpus, SchemaError, VersionMismatch
 from ordonnance.textnorm import sentence_from_text
 
@@ -47,6 +51,44 @@ def toy_corpus():
 TOY_CONFIG = TrainConfig(epochs=300, features=FeatureConfig(hash_dim=2**14), holdout_fraction=0.0)
 
 
+def oracle_featurize(text, config):
+    """featurize as specified: each feature string built, encoded and hashed whole."""
+    counts = {}
+    for n in range(config.ngram_min, config.ngram_max + 1):
+        for i in range(len(text) - n + 1):
+            idx = zlib.crc32(f"c{n}|{text[i : i + n]}".encode("utf-8")) % config.hash_dim
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+    for word in text.split():
+        idx = zlib.crc32(f"w|{word}".encode("utf-8")) % config.hash_dim
+        counts[idx] = counts.get(idx, 0.0) + 1.0
+    norm = sum(v * v for v in counts.values()) ** 0.5
+    return {k: v / norm for k, v in counts.items()} if norm > 0 else counts
+
+
+def oracle_predict(model, text):
+    """predict on the dense (labels, hash_dim) weights, one column at a time."""
+    dense = np.zeros((len(model.labels), model.config.hash_dim))
+    dense[:, model.ids] = model.weights.T
+    logits = model.bias.copy()
+    for k, v in oracle_featurize(text, model.config).items():
+        logits += dense[:, k] * v
+    exp = np.exp(logits - logits.max())
+    probs = exp / exp.sum()
+    return SentenceClass(model.labels[int(np.argmax(probs))], dict(zip(model.labels, probs.tolist())))
+
+
+def softmax(logits):
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
+
+
+@pytest.fixture(scope="module")
+def noisy_sentences(stopwords):
+    spec = CorpusSpec(n_drug=67, n_posology=67, n_useless=66, seed=5, lexicon_path=default_lexicon_path())
+    rows = [noisify(row, 0.1, 5_000 + i) for i, row in enumerate(generate(spec))]
+    return [s for row in rows if (s := sentence_from_text(row.text, stopwords)) is not None]
+
+
 class TestFeaturize:
     def test_empty_text_is_zero_vector(self):
         assert featurize("", FeatureConfig()) == {}
@@ -65,6 +107,18 @@ class TestFeaturize:
         vec = featurize("1 cp matin et soir", FeatureConfig())
         assert math.isqrt(1) and abs(sum(v * v for v in vec.values()) - 1.0) < 1e-9
 
+    def test_equals_the_spelled_out_hash_in_value_and_key_order(self, noisy_sentences):
+        cfg = FeatureConfig()
+        assert len(noisy_sentences) == 200
+        for s in noisy_sentences:
+            assert list(featurize(s, cfg).items()) == list(oracle_featurize(s.feature_text, cfg).items())
+
+    @pytest.mark.parametrize("config", [FeatureConfig(), FeatureConfig(ngram_min=1, ngram_max=2, hash_dim=97)])
+    def test_non_ascii_text_hashes_its_utf8_bytes(self, config):
+        text = sent("œdème 5 µg/kg à 37°").feature_text
+        assert not text.isascii()  # accent stripping keeps œ, µ and °
+        assert list(featurize(text, config).items()) == list(oracle_featurize(text, config).items())
+
 
 class TestTrain:
     def test_separable_toy_corpus_reaches_full_accuracy(self):
@@ -82,6 +136,18 @@ class TestTrain:
     def test_fewer_than_one_epoch_raises(self, epochs):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=epochs)
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -5.0, math.nan, math.inf])
+    def test_learning_rate_not_finite_and_positive_raises(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
+
+    def test_stores_exactly_the_columns_its_features_touch(self):
+        corpus = toy_corpus()
+        model = train(corpus, TOY_CONFIG)
+        touched = sorted({k for s, _ in corpus for k in featurize(s, TOY_CONFIG.features)})
+        assert model.ids.dtype == np.int64 and model.ids.tolist() == touched
+        assert model.weights.shape == (len(touched), len(CLASS_LABELS))
 
     def test_empty_corpus_raises(self):
         with pytest.raises(DegenerateCorpus):
@@ -125,12 +191,34 @@ class TestPredict:
         stale = ClassifierModel(
             config=model.config,
             labels=model.labels,
+            ids=model.ids,
             weights=model.weights,
             bias=model.bias,
             version="fh0",
         )
         with pytest.raises(VersionMismatch):
             predict(stale, sent("doliprane 1000 mg"))
+
+    def test_no_known_feature_gives_the_softmax_of_the_bias(self, model):
+        text = "zq"  # shorter than an n-gram: its only feature is the word
+        (key,) = featurize(text, model.config)
+        assert key not in model.ids
+        assert predict(model, text).scores == dict(zip(model.labels, softmax(model.bias).tolist()))
+
+    def test_model_without_columns_gives_the_softmax_of_the_bias(self, model, tmp_path):
+        empty = ClassifierModel(
+            config=model.config,
+            labels=model.labels,
+            ids=np.empty(0, dtype=np.int64),
+            weights=np.empty((0, len(model.labels))),
+            bias=np.array([0.5, -1.0, 0.25]),
+        )
+        save_model(empty, tmp_path / "model.bin")
+        loaded = load_model(tmp_path / "model.bin")
+        assert loaded.ids.shape == (0,) and loaded.weights.shape == (0, 3)
+        expected = dict(zip(model.labels, softmax(empty.bias).tolist()))
+        for text in ["doliprane 1000 mg", ""]:
+            assert predict(loaded, text).scores == expected
 
 
 class TestTrainedPredictions:
@@ -151,6 +239,29 @@ class TestTrainedPredictions:
         assert trained_model.holdout_accuracy is not None
         assert trained_model.holdout_accuracy >= 0.93
 
+    def test_gathered_dot_product_matches_the_dense_oracle(self, trained_model, noisy_sentences):
+        for s in noisy_sentences:
+            got, want = predict(trained_model, s), oracle_predict(trained_model, s.feature_text)
+            assert got.label == want.label
+            assert got.scores == pytest.approx(want.scores, rel=0, abs=1e-12)
+
+
+# A valid one-label header with two columns, for the bad-file table.
+_HEADER = {"magic": "ordonnance-classifier-2", "labels": ["DRUG"], "hash_dim": 16, "ngram_min": 3,
+           "ngram_max": 5, "version": "fh1", "n_cols": 2}
+
+
+def _header(drop=(), **changes) -> dict:
+    header = {**_HEADER, **changes}
+    for name in drop:
+        del header[name]
+    return header
+
+
+def _model_file(header, ids, n_floats) -> bytes:
+    ids = np.asarray(ids, dtype="<i8").tobytes()
+    return json.dumps(header).encode("utf-8") + b"\n" + ids + bytes(8 * n_floats)
+
 
 class TestModelFile:
     def test_round_trip_exact(self, tmp_path):
@@ -158,6 +269,7 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
+        assert loaded.ids.dtype == np.int64 and np.array_equal(loaded.ids, model.ids)
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.bias, model.bias)
         assert loaded.labels == model.labels
@@ -177,24 +289,39 @@ class TestModelFile:
         for s, _ in toy_corpus():
             assert predict(model, s) == predict(loaded, s)
 
-    # Each header comes with as many weights as the old loader's size check
-    # asked for, so only the header's own check can reject it.
-    @pytest.mark.parametrize(
-        "header, n_weights",
-        [
-            (["ordonnance-classifier"], 0),
-            ({"magic": "ordonnance-classifier", "hash_dim": 16, "ngram_min": 3, "ngram_max": 5, "version": "fh1"}, 0),
-            ({"magic": "ordonnance-classifier", "labels": "DRUG", "hash_dim": 16, "ngram_min": 3,
-              "ngram_max": 5, "version": "fh1"}, 4 * 16 + 4),
-            ({"magic": "ordonnance-classifier", "labels": ["DRUG"], "hash_dim": "16", "ngram_min": 3,
-              "ngram_max": 5, "version": "fh1"}, 16 + 1),
-            ({"magic": "ordonnance-classifier", "labels": ["DRUG"], "hash_dim": 0, "ngram_min": 3,
-              "ngram_max": 5, "version": "fh1"}, 1),
-        ],
-        ids=["not-an-object", "no-labels", "labels-not-a-list", "hash-dim-a-string", "hash-dim-zero"],
-    )
-    def test_bad_header_is_a_schema_error(self, tmp_path, header, n_weights):
+    def test_minimal_file_loads(self, tmp_path):
         path = tmp_path / "model.bin"
-        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(8 * n_weights))
-        with pytest.raises(SchemaError):
+        path.write_bytes(_model_file(_HEADER, [3, 7], 2 + 1))
+        model = load_model(path)
+        assert model.ids.tolist() == [3, 7] and model.weights.shape == (2, 1) and model.bias.shape == (1,)
+
+    # Each row breaks one thing in _HEADER or its payload (the n_cols ids, then
+    # n_floats zeros for the weight block and bias) and names the check that
+    # must reject it. Wherever it can, the rest is sized and valued so that
+    # every other check passes.
+    @pytest.mark.parametrize(
+        "header, ids, n_floats, message",
+        [
+            (["ordonnance-classifier-2"], [3, 7], 3, "not a classifier model file"),
+            (_header(drop=["labels"]), [3, 7], 3, "'labels' is missing"),
+            (_header(labels="DRUG"), [3, 7], 2 * 4 + 4, "'labels' is missing or not a list"),
+            (_header(hash_dim="16"), [3, 7], 3, "'hash_dim' is missing or not a int"),
+            (_header(hash_dim=0, n_cols=0), [], 1, "hash_dim >= 1"),
+            (_header(drop=["n_cols"]), [3, 7], 3, "'n_cols' is missing"),
+            (_header(n_cols=-1), [], 0, "n_cols >= 0"),
+            (_HEADER, [3, 7], 2, "payload has 32 bytes, expected 40"),
+            (_HEADER, [7, 3], 3, "strictly increasing"),
+            (_HEADER, [3, 3], 3, "strictly increasing"),
+            (_HEADER, [-1, 3], 3, "strictly increasing"),
+            (_HEADER, [3, 16], 3, "strictly increasing"),
+            (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 16 + 1, "dense model file"),
+        ],
+        ids=["not-an-object", "no-labels", "labels-not-a-list", "hash-dim-a-string", "hash-dim-zero",
+             "no-n-cols", "n-cols-negative", "payload-one-float-short", "ids-decreasing", "ids-repeated",
+             "id-negative", "id-at-hash-dim", "earlier-dense-format"],
+    )
+    def test_bad_header_is_a_schema_error(self, tmp_path, header, ids, n_floats, message):
+        path = tmp_path / "model.bin"
+        path.write_bytes(_model_file(header, ids, n_floats))
+        with pytest.raises(SchemaError, match=message):
             load_model(path)

@@ -131,6 +131,14 @@ def _extract(model_file, *args):
     return ["extract", "--model", str(model_file), "--input", str(FIXTURE), *args]
 
 
+def _dense_model_file(path):
+    """A model file in the dense format of earlier releases: (labels, hash_dim) weights."""
+    header = {"magic": "ordonnance-classifier", "version": "fh1", "labels": ["DRUG", "POSOLOGY", "USELESS"],
+              "ngram_min": 3, "ngram_max": 5, "hash_dim": 16, "holdout_accuracy": None}
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + bytes(8 * (3 * 16 + 3)))
+    return str(path)
+
+
 def _raise_runtime_error(text, runtime):
     raise RuntimeError("annotate_text broke")
 
@@ -172,8 +180,12 @@ ERROR_CASES = [
     ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE),
-                      "--model", _write(d / "m.bin", '{"magic": "ordonnance-classifier"}\n')],
+                      "--model", _write(d / "m.bin", '{"magic": "ordonnance-classifier-2"}\n')],
         2, "model", None, id="model-header-without-labels",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _dense_model_file(d / "dense.bin")],
+        2, "model", None, id="model-file-in-the-earlier-dense-format",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _write(d / "gold.jsonl", '"doliprane 1000 mg"\n')],
@@ -200,14 +212,18 @@ def test_every_error_exits_with_its_code_and_one_json_line(
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--hash-dim", "0"), ("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3")],
+    [("--hash-dim", "0"), ("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3"),
+     ("--learning-rate", "0"), ("--learning-rate", "-5"), ("--learning-rate", "nan"), ("--learning-rate", "inf")],
 )
 def test_out_of_range_train_flag_is_a_usage_error(tmp_path, flag, value):
     args = ["train", "--input", _corpus(tmp_path), "--model", str(tmp_path / "m.bin"), "--epochs", "2", flag, value]
     result = CliRunner().invoke(main, args)
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 2
-    assert "Invalid value" in result.stderr
+    if value in ("nan", "inf"):  # FloatRange lets them through; TrainConfig refuses them
+        assert [e["type"] for e in _error(result)] == ["config"]
+    else:
+        assert "Invalid value" in result.stderr
     assert not (tmp_path / "m.bin").exists()
 
 
