@@ -7,9 +7,11 @@ the stopword-filtered text plus word unigrams carry the signal. Training is
 deterministic for a fixed seed and epoch budget.
 
 The model keeps only the weight columns of the hashed ids that training
-features touched; every other column of the dense (labels, hash_dim) array
-is exactly zero and would add nothing to a logit. ``predict`` gathers the
-rows of a line's known ids and takes one dot product.
+features touched: no other column of the (labels, hash_dim) space ever
+moves from zero. Training runs in that compact column space with numpy
+alone, summing each logit and each gradient column with ``np.bincount`` in
+row order. ``predict`` gathers the rows of a line's known ids and takes one
+dot product.
 
 Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
 labels, the feature config, ``n_cols``), then raw little-endian bytes: the
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateCorpus, SchemaError, VersionMismatch
 from .textnorm import Sentence
@@ -135,21 +136,6 @@ def featurize(sentence: Sentence | str, config: FeatureConfig) -> dict[int, floa
     return counts
 
 
-def _build_matrix(vectors: Sequence[dict[int, float]], dim: int) -> sparse.csr_matrix:
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for vec in vectors:
-        for k in sorted(vec):
-            indices.append(k)
-            data.append(vec[k])
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(vectors), dim),
-    )
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
@@ -182,27 +168,35 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
         raise DegenerateCorpus("holdout fraction leaves no training data")
 
     feats = config.features
-    vectors = [featurize(corpus[i][0], feats) for i in train_idx]
-    x = _build_matrix(vectors, feats.hash_dim)
+    n = len(train_idx)
+    # The nonzeros in row order, each row's keys sorted: the order in which
+    # every logit and every gradient column is summed.
+    vectors = [sorted(featurize(corpus[i][0], feats).items()) for i in train_idx]
+    keys = np.array([k for vec in vectors for k, _ in vec], dtype=np.int64)
+    vals = np.array([v for vec in vectors for _, v in vec], dtype=np.float64)
+    rows = np.repeat(np.arange(n), [len(vec) for vec in vectors])
+    # Only the columns a feature touches ever move from zero; train just those.
+    ids, cols = np.unique(keys, return_inverse=True)
     label_pos = {label: j for j, label in enumerate(labels)}
-    y = np.zeros((len(train_idx), len(labels)))
+    y = np.zeros((n, len(labels)))
     for row, i in enumerate(train_idx):
         y[row, label_pos[corpus[i][1]]] = 1.0
 
-    weights = np.zeros((len(labels), feats.hash_dim))
+    # bincount adds its weights one by one in input order, so each sum is
+    # the same sequence of float additions for any numpy build.
+    weights = np.zeros((len(labels), len(ids)))  # row k: the weights of label k
     bias = np.zeros(len(labels))
-    n = x.shape[0]
+    logits = np.empty((n, len(labels)))
     for epoch in range(config.epochs):
         lr = config.learning_rate / (1.0 + config.lr_decay * epoch)
-        probs = _softmax(x @ weights.T + bias)
-        grad = (probs - y) / n
-        weights -= lr * (x.T @ grad).T
+        for k, w in enumerate(weights):
+            logits[:, k] = np.bincount(rows, vals * w[cols], minlength=n)
+        grad = (_softmax(logits + bias) - y) / n
+        for k, g in enumerate(grad.T):
+            weights[k] -= lr * np.bincount(cols, vals * g[rows], minlength=len(ids))
         bias -= lr * grad.sum(axis=0)
 
-    # Columns no training feature touched stay exactly zero; keep the rest.
-    ids = np.unique(x.indices).astype(np.int64)
-    block = np.ascontiguousarray(weights[:, ids].T)
-    model = ClassifierModel(config=feats, labels=labels, ids=ids, weights=block, bias=bias)
+    model = ClassifierModel(config=feats, labels=labels, ids=ids, weights=np.ascontiguousarray(weights.T), bias=bias)
     if holdout_idx:
         correct = sum(
             1 for i in holdout_idx if predict(model, corpus[i][0]).label == corpus[i][1]
@@ -268,10 +262,12 @@ def load_model(path) -> ClassifierModel:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise SchemaError(f"{path}: model header field {name!r} is missing or not a {kind.__name__}")
     labels = tuple(header["labels"])
+    if labels != CLASS_LABELS:  # train writes no other label list
+        raise SchemaError(f"{path}: model labels must be {list(CLASS_LABELS)}, got {list(labels)}")
     dim = header["hash_dim"]
     n_cols = header["n_cols"]
-    if dim < 1 or n_cols < 0 or not all(isinstance(label, str) for label in labels):
-        raise SchemaError(f"{path}: model header needs hash_dim >= 1, n_cols >= 0 and string labels")
+    if dim < 1 or n_cols < 0:
+        raise SchemaError(f"{path}: model header needs hash_dim >= 1 and n_cols >= 0")
     n_weights = n_cols * len(labels)
     expected = (n_cols + n_weights + len(labels)) * 8
     if len(blob) != expected:

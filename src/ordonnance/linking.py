@@ -14,6 +14,7 @@ thresholds hold regardless of scan resolution or font size.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -32,8 +33,11 @@ class LinkConfig:
     overlap_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.section_gap_factor <= 0 or self.drug_gap_factor <= 0 or self.overlap_fraction <= 0:
-            raise ValueError("link factors must be positive")
+        for name in ("section_gap_factor", "drug_gap_factor", "overlap_fraction"):
+            value = getattr(self, name)
+            # nan and inf fail `0 < value < inf`; a bool would pass as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if self.overlap_fraction > 1:
             raise ValueError("overlap_fraction must be <= 1")
 

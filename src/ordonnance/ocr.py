@@ -169,28 +169,3 @@ def parse_ocr_document(payload: bytes | str) -> OcrDocument:
     lines.sort(key=reading_order_key)
     return OcrDocument(doc_id=doc_id, pages=pages, lines=tuple(lines))
 
-
-def document_to_payload(doc: OcrDocument) -> dict:
-    """Canonical plain-dict form of a document; parse(dumps(...)) is a fixed point."""
-    return {
-        "doc_id": doc.doc_id,
-        "pages": doc.pages,
-        "lines": [
-            {
-                "id": line.line_id,
-                "page": line.page,
-                "text": line.raw_text,
-                "bbox": {
-                    "left": line.bbox.left,
-                    "top": line.bbox.top,
-                    "width": line.bbox.width,
-                    "height": line.bbox.height,
-                },
-                "words": [
-                    {"text": w, "bbox": {"left": b.left, "top": b.top, "width": b.width, "height": b.height}}
-                    for w, b in line.words
-                ],
-            }
-            for line in doc.lines
-        ],
-    }

@@ -8,8 +8,8 @@ classifier). Removing stopwords before matching would destroy phrases like
 "2 fois par jour", hence the split.
 
 `normalize_text` additionally returns, for every character of the
-normalized text, the index of the raw character it came from, so that
-spans can be projected between the raw and normalized coordinate spaces.
+normalized text, the index of the raw character it came from, so that a
+span of the normalized text can be projected back onto the raw text.
 """
 
 from __future__ import annotations
@@ -68,13 +68,6 @@ class NormalizedText:
         if start >= end:
             raise ValueError(f"empty span ({start}, {end})")
         return (self.origins[start], self.origins[end - 1] + 1)
-
-    def to_norm_span(self, raw_start: int, raw_end: int) -> tuple[int, int] | None:
-        """Project a raw [start, end) span onto the normalized text, or None if erased."""
-        hits = [i for i, o in enumerate(self.origins) if raw_start <= o < raw_end]
-        if not hits:
-            return None
-        return (hits[0], hits[-1] + 1)
 
 
 def _is_digit_char(ch: str) -> bool:

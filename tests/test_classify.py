@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import zlib
 
 import numpy as np
@@ -82,6 +83,50 @@ def softmax(logits):
     return exp / exp.sum()
 
 
+def oracle_train(corpus, config):
+    """train spelled out: (ids, weights, bias), every sparse sum a Python loop.
+
+    Each logit and each gradient entry starts at 0.0 and adds its terms in
+    row order, each row's keys ascending. Only the softmax and the bias step
+    are numpy, written as train writes them.
+    """
+    order = list(range(len(corpus)))
+    random.Random(config.seed).shuffle(order)
+    train_idx = order[: len(order) - int(len(corpus) * config.holdout_fraction)]
+    rows = [sorted(featurize(corpus[i][0], config.features).items()) for i in train_idx]
+    y = np.array([[float(corpus[i][1] == label) for label in CLASS_LABELS] for i in train_idx])
+    n = len(rows)
+    weights = {key: [0.0] * len(CLASS_LABELS) for row in rows for key, _ in row}
+    bias = np.zeros(len(CLASS_LABELS))
+    for epoch in range(config.epochs):
+        lr = config.learning_rate / (1.0 + config.lr_decay * epoch)
+        logits = []
+        for row in rows:
+            sums = [0.0] * len(CLASS_LABELS)
+            for key, value in row:
+                for k in range(len(CLASS_LABELS)):
+                    sums[k] += value * weights[key][k]
+            logits.append(sums)
+        logits = np.array(logits) + bias
+        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        grad = (exp / exp.sum(axis=-1, keepdims=True) - y) / n
+        sums = {key: [0.0] * len(CLASS_LABELS) for key in weights}
+        for i, row in enumerate(rows):
+            for key, value in row:
+                for k in range(len(CLASS_LABELS)):
+                    sums[key][k] += value * float(grad[i, k])
+        for key, column in sums.items():
+            for k in range(len(CLASS_LABELS)):
+                weights[key][k] -= lr * column[k]
+        bias -= lr * grad.sum(axis=0)
+    ids = sorted(weights)
+    return np.array(ids, dtype=np.int64), np.array([weights[key] for key in ids]), bias
+
+
+def bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
 @pytest.fixture(scope="module")
 def noisy_sentences(stopwords):
     spec = CorpusSpec(n_drug=67, n_posology=67, n_useless=66, seed=5, lexicon_path=default_lexicon_path())
@@ -148,6 +193,19 @@ class TestTrain:
         touched = sorted({k for s, _ in corpus for k in featurize(s, TOY_CONFIG.features)})
         assert model.ids.dtype == np.int64 and model.ids.tolist() == touched
         assert model.weights.shape == (len(touched), len(CLASS_LABELS))
+
+    def test_equals_the_spelled_out_descent_bit_for_bit(self, stopwords):
+        spec = CorpusSpec(n_drug=20, n_posology=20, n_useless=20, seed=3, lexicon_path=default_lexicon_path())
+        rows = [noisify(row, 0.1, 7_000 + i) for i, row in enumerate(generate(spec))]
+        corpus = [(s, row.label) for row in rows if (s := sentence_from_text(row.text, stopwords)) is not None]
+        assert len(corpus) == 60
+        config = TrainConfig(epochs=4, features=FeatureConfig(hash_dim=2**10))
+        model = train(corpus, config)
+        ids, weights, bias = oracle_train(corpus, config)
+        assert np.array_equal(model.ids, ids)
+        assert np.array_equal(bits(model.weights), bits(weights))
+        assert np.array_equal(bits(model.bias), bits(bias))
+        assert np.any(weights != 0) and np.any(bias != 0)
 
     def test_empty_corpus_raises(self):
         with pytest.raises(DegenerateCorpus):
@@ -246,8 +304,8 @@ class TestTrainedPredictions:
             assert got.scores == pytest.approx(want.scores, rel=0, abs=1e-12)
 
 
-# A valid one-label header with two columns, for the bad-file table.
-_HEADER = {"magic": "ordonnance-classifier-2", "labels": ["DRUG"], "hash_dim": 16, "ngram_min": 3,
+# A valid header with two columns, for the bad-file table.
+_HEADER = {"magic": "ordonnance-classifier-2", "labels": list(CLASS_LABELS), "hash_dim": 16, "ngram_min": 3,
            "ngram_max": 5, "version": "fh1", "n_cols": 2}
 
 
@@ -291,9 +349,9 @@ class TestModelFile:
 
     def test_minimal_file_loads(self, tmp_path):
         path = tmp_path / "model.bin"
-        path.write_bytes(_model_file(_HEADER, [3, 7], 2 + 1))
+        path.write_bytes(_model_file(_HEADER, [3, 7], 2 * 3 + 3))
         model = load_model(path)
-        assert model.ids.tolist() == [3, 7] and model.weights.shape == (2, 1) and model.bias.shape == (1,)
+        assert model.ids.tolist() == [3, 7] and model.weights.shape == (2, 3) and model.bias.shape == (3,)
 
     # Each row breaks one thing in _HEADER or its payload (the n_cols ids, then
     # n_floats zeros for the weight block and bias) and names the check that
@@ -302,23 +360,27 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "header, ids, n_floats, message",
         [
-            (["ordonnance-classifier-2"], [3, 7], 3, "not a classifier model file"),
-            (_header(drop=["labels"]), [3, 7], 3, "'labels' is missing"),
+            (["ordonnance-classifier-2"], [3, 7], 9, "not a classifier model file"),
+            (_header(drop=["labels"]), [3, 7], 9, "'labels' is missing"),
             (_header(labels="DRUG"), [3, 7], 2 * 4 + 4, "'labels' is missing or not a list"),
-            (_header(hash_dim="16"), [3, 7], 3, "'hash_dim' is missing or not a int"),
-            (_header(hash_dim=0, n_cols=0), [], 1, "hash_dim >= 1"),
-            (_header(drop=["n_cols"]), [3, 7], 3, "'n_cols' is missing"),
+            (_header(labels=[]), [3, 7], 0, r"model labels must be \['DRUG', 'POSOLOGY', 'USELESS'\], got \[\]"),
+            (_header(labels=["A", "B", "C"]), [3, 7], 9, "model labels must be"),
+            (_header(labels=["DRUG", "DRUG", "USELESS"]), [3, 7], 9, "model labels must be"),
+            (_header(hash_dim="16"), [3, 7], 9, "'hash_dim' is missing or not a int"),
+            (_header(hash_dim=0, n_cols=0), [], 3, "hash_dim >= 1"),
+            (_header(drop=["n_cols"]), [3, 7], 9, "'n_cols' is missing"),
             (_header(n_cols=-1), [], 0, "n_cols >= 0"),
-            (_HEADER, [3, 7], 2, "payload has 32 bytes, expected 40"),
-            (_HEADER, [7, 3], 3, "strictly increasing"),
-            (_HEADER, [3, 3], 3, "strictly increasing"),
-            (_HEADER, [-1, 3], 3, "strictly increasing"),
-            (_HEADER, [3, 16], 3, "strictly increasing"),
-            (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 16 + 1, "dense model file"),
+            (_HEADER, [3, 7], 8, "payload has 80 bytes, expected 88"),
+            (_HEADER, [7, 3], 9, "strictly increasing"),
+            (_HEADER, [3, 3], 9, "strictly increasing"),
+            (_HEADER, [-1, 3], 9, "strictly increasing"),
+            (_HEADER, [3, 16], 9, "strictly increasing"),
+            (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 3 * 16 + 3, "dense model file"),
         ],
-        ids=["not-an-object", "no-labels", "labels-not-a-list", "hash-dim-a-string", "hash-dim-zero",
-             "no-n-cols", "n-cols-negative", "payload-one-float-short", "ids-decreasing", "ids-repeated",
-             "id-negative", "id-at-hash-dim", "earlier-dense-format"],
+        ids=["not-an-object", "no-labels", "labels-not-a-list", "labels-empty", "labels-unknown",
+             "labels-repeated", "hash-dim-a-string", "hash-dim-zero", "no-n-cols", "n-cols-negative",
+             "payload-one-float-short", "ids-decreasing", "ids-repeated", "id-negative", "id-at-hash-dim",
+             "earlier-dense-format"],
     )
     def test_bad_header_is_a_schema_error(self, tmp_path, header, ids, n_floats, message):
         path = tmp_path / "model.bin"

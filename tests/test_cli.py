@@ -6,6 +6,10 @@ on stderr, never a traceback.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -139,6 +143,14 @@ def _dense_model_file(path):
     return str(path)
 
 
+def _model_file_with_labels(path, labels):
+    """A current-format model file without columns, with the given labels."""
+    header = {"magic": "ordonnance-classifier-2", "version": "fh1", "labels": labels,
+              "ngram_min": 3, "ngram_max": 5, "hash_dim": 16, "n_cols": 0, "holdout_accuracy": None}
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + bytes(8 * len(labels)))
+    return str(path)
+
+
 def _raise_runtime_error(text, runtime):
     raise RuntimeError("annotate_text broke")
 
@@ -175,6 +187,10 @@ ERROR_CASES = [
     ),
     pytest.param(lambda m, d: _extract(m, "--threshold", "7"), 2, "config", None, id="threshold-above-one"),
     pytest.param(
+        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"drug_gap_factor": NaN}')),
+        2, "config", None, id="config-gap-factor-nan",
+    ),
+    pytest.param(
         lambda m, d: _extract(m, "--out", str(d / "missing" / "record.json")),
         3, "output", None, id="extract-out-in-missing-dir",
     ),
@@ -186,6 +202,11 @@ ERROR_CASES = [
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _dense_model_file(d / "dense.bin")],
         2, "model", None, id="model-file-in-the-earlier-dense-format",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--input", str(FIXTURE),
+                      "--model", _model_file_with_labels(d / "m.bin", ["A", "B", "C"])],
+        2, "model", None, id="model-labels-not-the-three-classes",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _write(d / "gold.jsonl", '"doliprane 1000 mg"\n')],
@@ -208,6 +229,14 @@ def test_every_error_exits_with_its_code_and_one_json_line(
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == code, result.stderr
     assert [e["type"] for e in _error(result)] == [kind]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = pathlib.Path(cli.__file__).parents[1]
+    code = "import sys, ordonnance.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ the aligned rule, the first-posology and chain gap limits in units of the
 page's median line height, orphans, unlinked drug lines and input order.
 """
 
+import math
 import random
 
 import pytest
@@ -171,6 +172,13 @@ class TestLinkConfig:
             {"drug_gap_factor": 0},
             {"overlap_fraction": 0},
             {"overlap_fraction": 1.01},
+            {"drug_gap_factor": math.nan, "section_gap_factor": math.nan},
+            {"section_gap_factor": math.nan},
+            {"drug_gap_factor": math.inf},
+            {"overlap_fraction": math.nan},
+            {"drug_gap_factor": True},
+            {"section_gap_factor": False},
+            {"drug_gap_factor": "wide"},
         ],
     )
     def test_out_of_range_factor_is_rejected(self, kwargs):
@@ -179,3 +187,4 @@ class TestLinkConfig:
 
     def test_bounds_themselves_are_accepted(self):
         assert LinkConfig(overlap_fraction=1.0).overlap_fraction == 1.0
+        assert LinkConfig(drug_gap_factor=3).drug_gap_factor == 3  # a JSON config gives ints

@@ -6,7 +6,6 @@ from ordonnance.errors import EmptyDocument, GeometryError, SchemaError
 from ordonnance.ocr import (
     BoundingBox,
     OcrLine,
-    document_to_payload,
     parse_ocr_document,
     reading_order_key,
 )
@@ -118,13 +117,6 @@ def test_words_must_reassemble_text():
 def test_reading_order_key_values():
     ln = OcrLine("x", "text", BoundingBox(0.1, 0.3, 0.2, 0.02), page=1)
     assert reading_order_key(ln) == (1, 0.3, 0.1)
-
-
-def test_parse_serialize_parse_fixed_point():
-    doc = parse_ocr_document(payload([line(id="b", top=0.4), line(id="a", top=0.1)]))
-    round1 = json.dumps(document_to_payload(doc))
-    doc2 = parse_ocr_document(round1)
-    assert json.dumps(document_to_payload(doc2)) == round1
 
 
 def test_sort_is_a_permutation():

@@ -127,7 +127,6 @@ class TestNormalizeText:
         start = n.text.index("1000")
         raw_span = n.to_raw_span(start, start + 4)
         assert raw[raw_span[0] : raw_span[1]] == "1 000"
-        assert n.to_norm_span(*raw_span) == (start, start + 4)
 
 
 class TestMakeSentence:
