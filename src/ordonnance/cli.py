@@ -79,6 +79,10 @@ def _resolve(ctx_config: dict, key: str, value, default):
     return default
 
 
+# Config keys naming a file. `open` would take an integer as a file descriptor.
+_PATH_KEYS = ("model", "lexicon", "patterns", "stopwords")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -87,6 +91,9 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise SchemaError(f"{path}: expected a JSON object")
+        for key in _PATH_KEYS:
+            if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
+                raise SchemaError(f"{path}: {key!r} must be a non-empty file path, got {cfg[key]!r}")
     return cfg
 
 

@@ -8,6 +8,17 @@ when it clears the acceptance threshold. A sentence with no candidate above
 the threshold yields no mention, which is how badly OCR'd or misclassified
 lines get ignored instead of mislinked.
 
+Scoring skips only work that cannot change the result, by three exact rules:
+
+- a window equal to the name scores 1.0 without calling the kernel, as
+  ``similarity`` returns exactly 1.0 for equal strings;
+- the score is 2M/(la+lb) with M matched characters and M <= min(la, lb),
+  so a candidate whose bound 2*min(la, lb)/(la+lb) is strictly below the
+  threshold or the best score so far is not scored (an equal score can
+  still win on trigger, length or id, so it is scored);
+- once the best score is 1.0, later trigger tokens are not probed: they
+  can neither beat nor tie it.
+
 Lexicon CSV format: header ``id,name``, UTF-8, one drug per row.
 """
 
@@ -161,23 +172,35 @@ def detect_drug(
     threshold can only turn a mention into None, never change its identity.
     """
     tokens = sentence.tokens
-    best: tuple[float, int, int, str] | None = None  # score, -trigger? see key below
+    match_text = sentence.match_text
+    best: tuple[float, int, int, str] | None = None  # (score, -trigger, len(norm_name), drug_id)
     best_entry: LexiconEntry | None = None
     best_trigger = -1
     n = len(tokens)
     for trigger in range(min(3, n)):
+        if best is not None and best[0] == 1.0:
+            break  # a later trigger can neither beat nor tie a full match
+        start = tokens[trigger].start
         for idx in _candidate_indices(lexicon, tokens[trigger].text):
             entry = lexicon.entries[idx]
+            name = entry.norm_name
             end = min(trigger + len(entry.norm_tokens), n)
-            window = sentence.match_text[tokens[trigger].start : tokens[end - 1].end]
-            score = kernels.similarity(entry.norm_name, window)
-            key = (score, -trigger, len(entry.norm_name))
+            window = match_text[start : tokens[end - 1].end]
+            if window == name:
+                score = 1.0
+            else:
+                la, lb = len(name), len(window)
+                floor = threshold if best is None else max(threshold, best[0])
+                if 2.0 * min(la, lb) / (la + lb) < floor:
+                    continue  # cannot reach the threshold or the best score
+                score = kernels.similarity(name, window)
+            key = (score, -trigger, len(name))
             if (
                 best is None
                 or key > best[:3]
                 or (key == best[:3] and entry.drug_id < best[3])
             ):
-                best = (score, -trigger, len(entry.norm_name), entry.drug_id)
+                best = (score, -trigger, len(name), entry.drug_id)
                 best_entry = entry
                 best_trigger = trigger
     if best is None or best_entry is None or best[0] < threshold:
@@ -198,26 +221,17 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
 
     Combined lines carry the drug name first and the posology after it; the
     remainder keeps the line's geometry so downstream linking still works.
-    The remainder may be empty (no tokens).
+    The remainder may be empty (no tokens). Its ``feature_text`` is empty:
+    a remainder goes to posology extraction and is never classified.
     """
     _, end = mention_token_window(sentence, mention)
     tokens = sentence.tokens
-    if end >= len(tokens):
-        return Sentence(
-            line_id=sentence.line_id,
-            match_text="",
-            feature_text="",
-            tokens=(),
-            bbox=sentence.bbox,
-            page=sentence.page,
-        )
-    base = tokens[end].start
-    shifted = tuple(replace(t, start=t.start - base, end=t.end - base) for t in tokens[end:])
+    base = tokens[end].start if end < len(tokens) else len(sentence.match_text)
     return Sentence(
         line_id=sentence.line_id,
         match_text=sentence.match_text[base:],
-        feature_text=" ".join(t.text for t in shifted),
-        tokens=shifted,
+        feature_text="",
+        tokens=tuple(replace(t, start=t.start - base, end=t.end - base) for t in tokens[end:]),
         bbox=sentence.bbox,
         page=sentence.page,
         origins=sentence.origins[base:],

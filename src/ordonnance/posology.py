@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .patterns import MatchSpan, PatternSet, find_all
+from .patterns import PatternSet, find_all
 from .textnorm import Sentence
 
 POSOLOGY_KINDS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
@@ -19,11 +19,9 @@ POSOLOGY_KINDS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 class PosologyEntity:
     kind: str
     text: str
-    span: MatchSpan
-    sentence_line_id: str
     # character offsets of the span in the sentence's match_text
-    char_start: int = 0
-    char_end: int = 0
+    char_start: int
+    char_end: int
 
 
 @dataclass(frozen=True)
@@ -44,8 +42,6 @@ def extract_posology(sentence: Sentence, patterns: PatternSet) -> PosologyExtrac
         PosologyEntity(
             kind=s.label,
             text=s.text,
-            span=s,
-            sentence_line_id=sentence.line_id,
             char_start=sentence.tokens[s.start_token].start,
             char_end=sentence.tokens[s.end_token - 1].end,
         )

@@ -10,6 +10,13 @@ classifier). Removing stopwords before matching would destroy phrases like
 `normalize_text` additionally returns, for every character of the
 normalized text, the index of the raw character it came from, so that a
 span of the normalized text can be projected back onto the raw text.
+
+Both functions make one pass with compiled patterns. Accent stripping and
+lowercasing map each character on its own, so an ASCII line is just
+``raw.lower()`` and only non-ASCII characters are folded one at a time.
+Regex ``\\s`` equals ``str.isspace()`` at every code point, so whitespace
+splits the same way in both functions. The tests keep the earlier
+four-pass normalizer and chunk tokenizer as oracles.
 """
 
 from __future__ import annotations
@@ -20,14 +27,21 @@ from dataclasses import dataclass
 
 from .ocr import BoundingBox, OcrLine
 
-# Characters split off as their own tokens, unless "." or "/" sits between
-# two digits (decimal points and fractions like 1/2 stay whole).
-_PUNCT = ".,;:()/"
+# A token is a run of characters that are neither whitespace nor punctuation
+# (.,;:()/), where "." and "/" between two digits also count, so decimal
+# points and fractions like 1/2 stay whole; any other punctuation character
+# is a token of its own.
+_TOKEN_RE = re.compile(r"(?:[^\s.,;:()/]|(?<=[0-9])[./](?=[0-9]))+|[.,;:()/]")
 
-_DIGITS = "0123456789"
+_WORD_RE = re.compile(r"\S+")
 
-# Space-like separators that may appear inside OCR'd numbers.
-_NUM_SPACES = {" ", " ", " ", " "}
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+
+# Between two digits of whitespace-collapsed text: a decimal separator with
+# at most one space on either side (written as "."), or a single space
+# joining digit groups (dropped). All of NBSP, narrow NBSP and thin space
+# are whitespace, so collapsing has already turned them into " ".
+_NUMBER_GAP_RE = re.compile(r"(?<=[0-9])(?: ?([.,]) ?| )(?=[0-9])")
 
 _LIKE_NUM_RE = re.compile(r"\d+(?:\.\d+)?|\d+/\d+")
 
@@ -70,151 +84,77 @@ class NormalizedText:
         return (self.origins[start], self.origins[end - 1] + 1)
 
 
-def _is_digit_char(ch: str) -> bool:
-    return ch in _DIGITS
-
-
-def _map_strip_accents(chars: list[str], origins: list[int]) -> tuple[list[str], list[int]]:
-    out_c: list[str] = []
-    out_o: list[int] = []
-    for ch, org in zip(chars, origins):
-        for piece in unicodedata.normalize("NFD", ch):
-            if not unicodedata.combining(piece):
-                out_c.append(piece)
-                out_o.append(org)
-    return out_c, out_o
-
-
-def _map_lower(chars: list[str], origins: list[int]) -> tuple[list[str], list[int]]:
-    out_c: list[str] = []
-    out_o: list[int] = []
-    for ch, org in zip(chars, origins):
-        for piece in ch.lower():
-            out_c.append(piece)
-            out_o.append(org)
-    return out_c, out_o
-
-
-def _map_collapse_ws(chars: list[str], origins: list[int]) -> tuple[list[str], list[int]]:
-    out_c: list[str] = []
-    out_o: list[int] = []
-    pending_space: int | None = None
-    for ch, org in zip(chars, origins):
-        if ch.isspace():
-            if out_c and pending_space is None:
-                pending_space = org
-            continue
-        if pending_space is not None:
-            out_c.append(" ")
-            out_o.append(pending_space)
-            pending_space = None
-        out_c.append(ch)
-        out_o.append(org)
-    return out_c, out_o
-
-
-def _map_unify_numbers(chars: list[str], origins: list[int]) -> tuple[list[str], list[int]]:
-    n = len(chars)
-    out_c: list[str] = []
-    out_o: list[int] = []
-    i = 0
-    while i < n:
-        ch = chars[i]
-        if ch in (",", ".") or ch in _NUM_SPACES:
-            prev_digit = bool(out_c) and _is_digit_char(out_c[-1])
-            if ch in (",", "."):
-                # decimal separator between digits, tolerating spaces around it
-                j = i + 1
-                while j < n and chars[j] in _NUM_SPACES:
-                    j += 1
-                if prev_digit and j < n and _is_digit_char(chars[j]):
-                    out_c.append(".")
-                    out_o.append(origins[i])
-                    i += 1
-                    while i < n and chars[i] in _NUM_SPACES:
-                        i += 1
-                    continue
-            else:
-                # a separator that might precede "digit , digit" or join digit groups
-                j = i + 1
-                while j < n and chars[j] in _NUM_SPACES:
-                    j += 1
-                if prev_digit and j < n and chars[j] in (",", "."):
-                    k = j + 1
-                    while k < n and chars[k] in _NUM_SPACES:
-                        k += 1
-                    if k < n and _is_digit_char(chars[k]):
-                        out_c.append(".")
-                        out_o.append(origins[j])
-                        i = k
-                        continue
-                # single space between digit groups: join
-                if prev_digit and j == i + 1 and j < n and _is_digit_char(chars[j]):
-                    i += 1
-                    continue
-        out_c.append(ch)
-        out_o.append(origins[i])
-        i += 1
-    return out_c, out_o
+def _fold_char(ch: str) -> str:
+    """Accent stripping (NFD, combining marks dropped), then lowercasing, of one character."""
+    return "".join(
+        piece.lower() for piece in unicodedata.normalize("NFD", ch) if not unicodedata.combining(piece)
+    )
 
 
 def strip_accents(s: str) -> str:
     """Remove combining accents (NFD decomposition), preserving everything else."""
-    chars, _ = _map_strip_accents(list(s), list(range(len(s))))
-    return "".join(chars)
-
-
-def unify_numbers(s: str) -> str:
-    """Normalize number formats: join spaced digit groups, unify decimal separators.
-
-    "1 000 mg" -> "1000 mg"; "0,5 g" -> "0.5 g"; "0 , 5" -> "0.5". No other
-    characters are altered.
-    """
-    chars, _ = _map_unify_numbers(list(s), list(range(len(s))))
-    return "".join(chars)
+    return "".join(
+        piece for piece in unicodedata.normalize("NFD", s) if not unicodedata.combining(piece)
+    )
 
 
 def normalize_text(raw: str) -> NormalizedText:
-    """Full cleaning pipeline with per-character provenance."""
-    chars = list(raw)
-    origins = list(range(len(raw)))
-    chars, origins = _map_strip_accents(chars, origins)
-    chars, origins = _map_lower(chars, origins)
-    chars, origins = _map_collapse_ws(chars, origins)
-    chars, origins = _map_unify_numbers(chars, origins)
-    # unification may leave a dangling trailing space copy; collapse is idempotent
-    while chars and chars[-1] == " ":
-        chars.pop()
-        origins.pop()
-    return NormalizedText("".join(chars), tuple(origins))
+    """Full cleaning pipeline with per-character provenance.
 
+    Accent stripping and lowercasing act character by character, so an
+    ASCII line is ``raw.lower()`` with identity origins and only non-ASCII
+    characters are folded one at a time. Whitespace runs (``str.isspace``,
+    which ``\\s`` equals) become one space that takes the origin of the
+    run's first character. After that the only separator left is " ", and
+    number unification is a single substitution over the collapsed text.
+    """
+    if raw.isascii():
+        folded = raw.lower()
+        folded_origins: range | list[int] = range(len(raw))
+    else:
+        parts: list[str] = []
+        folded_origins = []
+        pos = 0
+        for m in _NON_ASCII_RE.finditer(raw):
+            i = m.start()
+            piece = _fold_char(m.group())
+            parts += (raw[pos:i].lower(), piece)
+            folded_origins += range(pos, i)
+            folded_origins += [i] * len(piece)
+            pos = i + 1
+        parts.append(raw[pos:].lower())
+        folded_origins += range(pos, len(raw))
+        folded = "".join(parts)
 
-def _split_chunk(chunk: str, base: int) -> list[tuple[str, int, int]]:
-    parts: list[tuple[str, int, int]] = []
-    buf_start = None
-    for i, ch in enumerate(chunk):
-        if ch in _PUNCT:
-            keep = (
-                ch in "./"
-                and i > 0
-                and i + 1 < len(chunk)
-                and _is_digit_char(chunk[i - 1])
-                and _is_digit_char(chunk[i + 1])
-            )
-            if keep:
-                if buf_start is None:
-                    buf_start = i
-                continue
-            if buf_start is not None:
-                parts.append((chunk[buf_start:i], base + buf_start, base + i))
-                buf_start = None
-            parts.append((ch, base + i, base + i + 1))
-        else:
-            if buf_start is None:
-                buf_start = i
-    if buf_start is not None:
-        parts.append((chunk[buf_start:], base + buf_start, base + len(chunk)))
-    return parts
+    text = " ".join(folded.split())
+    if text == folded:
+        origins = folded_origins
+    else:
+        origins = []
+        prev_end = -1
+        for m in _WORD_RE.finditer(folded):
+            start, end = m.span()
+            if prev_end >= 0:
+                origins.append(folded_origins[prev_end])
+            origins += folded_origins[start:end]
+            prev_end = end
+
+    if _NUMBER_GAP_RE.search(text) is None:
+        return NormalizedText(text, tuple(origins))
+    out: list[str] = []
+    out_origins: list[int] = []
+    pos = 0
+    for m in _NUMBER_GAP_RE.finditer(text):
+        start, end = m.span()
+        out.append(text[pos:start])
+        out_origins.extend(origins[pos:start])
+        if m.group(1) is not None:  # a decimal separator, written as "."
+            out.append(".")
+            out_origins.append(origins[m.start(1)])
+        pos = end
+    out.append(text[pos:])
+    out_origins.extend(origins[pos:])
+    return NormalizedText("".join(out), tuple(out_origins))
 
 
 def tokenize(s: str) -> list[Token]:
@@ -222,22 +162,23 @@ def tokenize(s: str) -> list[Token]:
 
     Whitespace separates chunks; punctuation (.,;:()/ ) is split off except
     for "." and "/" between digits, so "1.5" and "1/2" stay whole.
+    ``is_digit`` means ASCII digits only; ``like_num`` accepts any Unicode
+    decimal digit.
     """
-    tokens: list[Token] = []
-    for m in re.finditer(r"\S+", s):
-        for text, start, end in _split_chunk(m.group(), m.start()):
-            is_digit = bool(text) and all(_is_digit_char(c) for c in text)
-            like_num = bool(_LIKE_NUM_RE.fullmatch(text))
-            tokens.append(
-                Token(
-                    text=text,
-                    lower=text.lower(),
-                    is_digit=is_digit,
-                    like_num=like_num,
-                    start=start,
-                    end=end,
-                )
+    tokens = []
+    for m in _TOKEN_RE.finditer(s):
+        text = m.group()
+        start, end = m.span()
+        tokens.append(
+            Token(
+                text=text,
+                lower=text.lower(),
+                is_digit=text.isdigit() and text.isascii(),
+                like_num=_LIKE_NUM_RE.fullmatch(text) is not None,
+                start=start,
+                end=end,
             )
+        )
     return tokens
 
 

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from ordonnance.classify import TrainConfig, save_model, train
-from ordonnance.corpus import CorpusSpec, generate
+from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import default_lexicon, default_lexicon_path
 from ordonnance.patterns import default_patterns
 from ordonnance.pipeline import Runtime
@@ -58,3 +58,10 @@ def model_file(trained_model, tmp_path_factory):
 @pytest.fixture(scope="session")
 def runtime(trained_model, lexicon, patterns, stopwords):
     return Runtime(model=trained_model, lexicon=lexicon, patterns=patterns, stopwords=stopwords)
+
+
+@pytest.fixture(scope="session")
+def noisy_texts():
+    """1,000 generated sentences of every class at OCR noise 0.1."""
+    spec = CorpusSpec(n_drug=400, n_posology=300, n_useless=300, seed=3, lexicon_path=default_lexicon_path())
+    return [noisify(s, 0.1, 3_000 + i).text for i, s in enumerate(generate(spec))]

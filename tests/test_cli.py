@@ -187,6 +187,27 @@ ERROR_CASES = [
     ),
     pytest.param(lambda m, d: _extract(m, "--threshold", "7"), 2, "config", None, id="threshold-above-one"),
     pytest.param(
+        lambda m, d: ["extract", "--input", str(FIXTURE), "--config", _write(d / "config.json", '{"model": 0}')],
+        2, "config", None, id="config-model-an-integer",
+    ),
+    pytest.param(
+        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"lexicon": 5}')),
+        2, "config", None, id="config-lexicon-an-integer",
+    ),
+    pytest.param(
+        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"patterns": 0}')),
+        2, "config", None, id="config-patterns-zero",
+    ),
+    pytest.param(
+        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"patterns": ""}')),
+        2, "config", None, id="config-patterns-empty",
+    ),
+    pytest.param(
+        lambda m, d: ["eval", "--model", str(m), "--gold", _write(d / "gold.jsonl", json.dumps(_CORPUS[0]) + "\n"),
+                      "--config", _write(d / "config.json", '{"stopwords": null}')],
+        2, "config", None, id="config-stopwords-null",
+    ),
+    pytest.param(
         lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"drug_gap_factor": NaN}')),
         2, "config", None, id="config-gap-factor-nan",
     ),

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from ordonnance import kernels
 from ordonnance.druglink import (
     DrugLexicon,
+    DrugMention,
     LexiconEntry,
     build_lexicon,
     default_lexicon,
@@ -18,6 +20,42 @@ from ordonnance.posology import extract_posology
 from ordonnance.textnorm import sentence_from_text
 
 from test_kernels import oracle_similarity
+
+
+def oracle_detect_drug(sentence, lexicon, threshold=0.72):
+    """Unpruned detection: score every candidate of each of the first three tokens.
+
+    Candidates are the entries whose first name token equals the sentence
+    token, or, when none does and the token has at least five characters,
+    those within one edit of it, in lexicon order.
+    """
+    tokens = sentence.tokens
+    n = len(tokens)
+    best = None  # (score, -trigger, len(norm_name), drug_id), entry, trigger
+    for trigger in range(min(3, n)):
+        text = tokens[trigger].text
+        idxs = [i for i, e in enumerate(lexicon.entries) if e.norm_tokens[0] == text]
+        if not idxs and len(text) >= 5:
+            idxs = [i for i, e in enumerate(lexicon.entries) if kernels.levenshtein_leq1(text, e.norm_tokens[0])]
+        for idx in idxs:
+            entry = lexicon.entries[idx]
+            end = min(trigger + len(entry.norm_tokens), n)
+            window = sentence.match_text[tokens[trigger].start : tokens[end - 1].end]
+            score = kernels.similarity(entry.norm_name, window)
+            key = (score, -trigger, len(entry.norm_name))
+            if best is None or key > best[0][:3] or (key == best[0][:3] and entry.drug_id < best[0][3]):
+                best = ((*key, entry.drug_id), entry, trigger, window)
+    if best is None or best[0][0] < threshold:
+        return None
+    (score, _, _, _), entry, trigger, window = best
+    return DrugMention(
+        line_id=sentence.line_id,
+        drug_id=entry.drug_id,
+        lexicon_name=entry.name,
+        surface_text=window,
+        score=score,
+        trigger_token_index=trigger,
+    )
 
 
 def write_lexicon(tmp_path, rows, name="lex.csv"):
@@ -225,3 +263,62 @@ class TestSimilarityProperties:
         for a in strings:
             for b in strings:
                 assert similarity(a, b) == oracle_similarity(a, b), (a, b)
+
+
+class TestAgainstUnprunedOracle:
+    """Pruned detection returns exactly the mention of the unpruned loop."""
+
+    THRESHOLDS = (0.0, 0.5, 0.72, 0.9, 1.0)
+
+    def test_bundled_names_with_and_without_posology(self, lexicon):
+        for entry in lexicon.entries:
+            for text in (entry.name, entry.name + " 1 comprime le soir"):
+                s = sentence_from_text(text)
+                assert detect_drug(s, lexicon) == oracle_detect_drug(s, lexicon), text
+
+    def test_generated_sentences_at_every_threshold(self, lexicon, noisy_texts):
+        linked = 0
+        for text in noisy_texts:
+            s = sentence_from_text(text)
+            if s is None:
+                continue
+            for threshold in self.THRESHOLDS:
+                got = detect_drug(s, lexicon, threshold)
+                assert got == oracle_detect_drug(s, lexicon, threshold), (text, threshold)
+                linked += got is not None
+        assert linked > 1000  # the comparison covers real links, not only None
+
+    def test_fuzzy_only_first_token(self, lexicon):
+        s = sentence_from_text("d0liprane 1000 mg, comprime")
+        assert s.tokens[0].text not in lexicon.first_token_index
+        m = detect_drug(s, lexicon)
+        assert m is not None and m.trigger_token_index == 0
+        assert m == oracle_detect_drug(s, lexicon)
+
+    def test_equal_score_winner_scored_second(self, tmp_path):
+        # both entries score 14/15 against "omega 5x", and the bound of the
+        # second equals the first's score; it must still be scored, as it wins
+        # the tie on its smaller id
+        lex = build_lexicon(write_lexicon(tmp_path, [("B2", "OMEGA 5"), ("B1", "OMEGA 5")]))
+        s = sentence_from_text("omega 5x")
+        m = detect_drug(s, lex)
+        assert (m.drug_id, m.score) == ("B1", 14 / 15)
+        assert m == oracle_detect_drug(s, lex)
+
+    def test_full_match_stops_later_triggers(self, tmp_path):
+        # a full match on the first token settles the line; the later
+        # trigger "spasfon" would also score 1.0 but loses on position
+        lex = build_lexicon(write_lexicon(tmp_path, [("A", "DOLIPRANE"), ("B", "SPASFON")]))
+        s = sentence_from_text("doliprane spasfon")
+        m = detect_drug(s, lex)
+        assert (m.drug_id, m.score, m.trigger_token_index) == ("A", 1.0, 0)
+        assert m == oracle_detect_drug(s, lex)
+
+    def test_partial_match_keeps_probing_later_triggers(self, tmp_path):
+        # the misspelt first token links A at 26/28 by one edit; only a full
+        # match settles a line, so the later "spasfon" still wins at 1.0
+        lex = build_lexicon(write_lexicon(tmp_path, [("A", "ALPHABETAGAMMA"), ("B", "SPASFON")]))
+        s = sentence_from_text("alphabetagammx spasfon")
+        m = detect_drug(s, lex)
+        assert (m.drug_id, m.score, m.trigger_token_index) == ("B", 1.0, 1)
+        assert m == oracle_detect_drug(s, lex)

@@ -30,7 +30,7 @@ def test_comment_family(patterns):
 def test_entities_sorted_and_typed(patterns):
     s = sentence_from_text("prendre 2 gelules le soir au coucher si douleur")
     ext = extract_posology(s, patterns)
-    starts = [e.span.start_token for e in ext.entities]
+    starts = [e.char_start for e in ext.entities]
     assert starts == sorted(starts)
     assert all(e.kind in POSOLOGY_KINDS for e in ext.entities)
     assert ext.residual_text == "prendre"
@@ -41,7 +41,7 @@ def test_entity_text_matches_char_span(patterns):
     ext = extract_posology(s, patterns)
     for e in ext.entities:
         assert s.match_text[e.char_start : e.char_end] == e.text
-        assert e.sentence_line_id == s.line_id
+    assert ext.line_id == s.line_id
 
 
 def test_per_kind_no_token_overlap(patterns):
@@ -52,7 +52,7 @@ def test_per_kind_no_token_overlap(patterns):
         for e in ext.entities:
             if e.kind != kind:
                 continue
-            span = set(range(e.span.start_token, e.span.end_token))
+            span = set(range(e.char_start, e.char_end))
             assert not span & seen
             seen |= span
 
@@ -70,5 +70,5 @@ def test_elliptical_dose_frequency_shorthand(patterns):
     ext = extract_posology(s, patterns)
     kinds = {e.kind for e in ext.entities}
     assert kinds == {"DOSE", "FREQUENCY"}
-    spans = {(e.span.start_token, e.span.end_token) for e in ext.entities}
+    spans = {(e.char_start, e.char_end) for e in ext.entities}
     assert len(spans) == 1

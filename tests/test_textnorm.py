@@ -1,19 +1,46 @@
-import pytest
+"""Text normalization and tokenization contracts.
+
+The oracles below are the earlier implementation, kept verbatim in spirit:
+``normalize_text`` as four passes over a character list (strip accents,
+lowercase, collapse whitespace, unify numbers) and ``tokenize`` as a
+per-chunk scanner. The one-pass code must agree with them exactly, in text,
+origins and every token attribute.
+"""
+
+import re
+import sys
+import unicodedata
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordonnance.druglink import default_lexicon
 from ordonnance.ocr import BoundingBox, OcrLine
 from ordonnance.textnorm import (
+    NormalizedText,
+    Token,
     make_sentence,
     normalize_text,
     sentence_from_text,
     strip_accents,
     tokenize,
-    unify_numbers,
 )
 
 # alphabet used by property tests: French letters, digits, punctuation, spaces
 FRENCH = st.text(alphabet="abcdefgijlmnoprstuvzéèêàçûôùïA BCDER0123456789.,;:()/-'", max_size=40)
+
+# number-dense text: digits, separators and spaces of every kind
+NUMBERS = st.text(alphabet="0123456789 .,/\u00a0\u202f\u2009\tmg", max_size=30)
+
+# characters whose folding or spacing is easy to get wrong: accents, ligatures,
+# case mappings that grow (ß, İ) or depend on context (Σ), a syllable that
+# decomposes into three letters (한), a lone combining accent, NBSP, narrow
+# NBSP, thin space, tab, separators between digits and a non-ASCII decimal
+# digit (Arabic-Indic three)
+TRICKY = st.text(
+    alphabet="aeAEéÉèàçœŒßİΣ한\u0301 \u00a0\u202f\u2009\t\n01239٣.,/;:()-",
+    max_size=40,
+)
 
 
 def box():
@@ -22,6 +49,177 @@ def box():
 
 def ocr_line(text):
     return OcrLine(line_id="t", raw_text=text, bbox=box(), page=1)
+
+
+# ---- oracles: the four-pass normalizer and the chunk tokenizer ------------
+
+_ORACLE_DIGITS = "0123456789"
+_ORACLE_NUM_SPACES = {" ", "\u00a0", "\u202f", "\u2009"}
+_ORACLE_LIKE_NUM = re.compile(r"\d+(?:\.\d+)?|\d+/\d+")
+
+
+def _map_strip_accents(chars, origins):
+    out_c, out_o = [], []
+    for ch, org in zip(chars, origins):
+        for piece in unicodedata.normalize("NFD", ch):
+            if not unicodedata.combining(piece):
+                out_c.append(piece)
+                out_o.append(org)
+    return out_c, out_o
+
+
+def _map_lower(chars, origins):
+    out_c, out_o = [], []
+    for ch, org in zip(chars, origins):
+        for piece in ch.lower():
+            out_c.append(piece)
+            out_o.append(org)
+    return out_c, out_o
+
+
+def _map_collapse_ws(chars, origins):
+    out_c, out_o = [], []
+    pending_space = None
+    for ch, org in zip(chars, origins):
+        if ch.isspace():
+            if out_c and pending_space is None:
+                pending_space = org
+            continue
+        if pending_space is not None:
+            out_c.append(" ")
+            out_o.append(pending_space)
+            pending_space = None
+        out_c.append(ch)
+        out_o.append(org)
+    return out_c, out_o
+
+
+def _map_unify_numbers(chars, origins):
+    n = len(chars)
+    out_c, out_o = [], []
+    i = 0
+    while i < n:
+        ch = chars[i]
+        if ch in (",", ".") or ch in _ORACLE_NUM_SPACES:
+            prev_digit = bool(out_c) and out_c[-1] in _ORACLE_DIGITS
+            j = i + 1
+            while j < n and chars[j] in _ORACLE_NUM_SPACES:
+                j += 1
+            if ch in (",", "."):
+                # decimal separator between digits, tolerating spaces around it
+                if prev_digit and j < n and chars[j] in _ORACLE_DIGITS:
+                    out_c.append(".")
+                    out_o.append(origins[i])
+                    i = j
+                    continue
+            else:
+                # a separator that might precede "digit , digit" or join digit groups
+                if prev_digit and j < n and chars[j] in (",", "."):
+                    k = j + 1
+                    while k < n and chars[k] in _ORACLE_NUM_SPACES:
+                        k += 1
+                    if k < n and chars[k] in _ORACLE_DIGITS:
+                        out_c.append(".")
+                        out_o.append(origins[j])
+                        i = k
+                        continue
+                # single space between digit groups: join
+                if prev_digit and j == i + 1 and j < n and chars[j] in _ORACLE_DIGITS:
+                    i += 1
+                    continue
+        out_c.append(ch)
+        out_o.append(origins[i])
+        i += 1
+    return out_c, out_o
+
+
+def oracle_normalize_text(raw):
+    chars, origins = list(raw), list(range(len(raw)))
+    for step in (_map_strip_accents, _map_lower, _map_collapse_ws, _map_unify_numbers):
+        chars, origins = step(chars, origins)
+    while chars and chars[-1] == " ":
+        chars.pop()
+        origins.pop()
+    return NormalizedText("".join(chars), tuple(origins))
+
+
+def _split_chunk(chunk, base):
+    parts = []
+    buf_start = None
+    for i, ch in enumerate(chunk):
+        if ch in ".,;:()/":
+            keep = (
+                ch in "./"
+                and 0 < i < len(chunk) - 1
+                and chunk[i - 1] in _ORACLE_DIGITS
+                and chunk[i + 1] in _ORACLE_DIGITS
+            )
+            if keep:
+                if buf_start is None:
+                    buf_start = i
+                continue
+            if buf_start is not None:
+                parts.append((chunk[buf_start:i], base + buf_start, base + i))
+                buf_start = None
+            parts.append((ch, base + i, base + i + 1))
+        elif buf_start is None:
+            buf_start = i
+    if buf_start is not None:
+        parts.append((chunk[buf_start:], base + buf_start, base + len(chunk)))
+    return parts
+
+
+def oracle_tokenize(s):
+    return [
+        Token(
+            text=text,
+            lower=text.lower(),
+            is_digit=bool(text) and all(c in _ORACLE_DIGITS for c in text),
+            like_num=bool(_ORACLE_LIKE_NUM.fullmatch(text)),
+            start=start,
+            end=end,
+        )
+        for m in re.finditer(r"\S+", s)
+        for text, start, end in _split_chunk(m.group(), m.start())
+    ]
+
+
+def assert_same_as_oracle(raw):
+    norm = normalize_text(raw)
+    assert norm == oracle_normalize_text(raw), raw
+    assert tokenize(norm.text) == oracle_tokenize(norm.text), raw
+    assert tokenize(raw) == oracle_tokenize(raw), raw
+
+
+class TestAgainstOracles:
+    def test_bundled_names_with_and_without_posology(self):
+        for entry in default_lexicon().entries:
+            assert_same_as_oracle(entry.name)
+            assert_same_as_oracle(entry.name + " 1 comprimé le soir pendant 5 jours")
+
+    def test_generated_sentences_at_noise(self, noisy_texts):
+        for text in noisy_texts:
+            assert_same_as_oracle(text)
+            assert_same_as_oracle(text.upper())
+
+    @given(TRICKY)
+    @settings(max_examples=500)
+    def test_tricky_alphabet(self, s):
+        assert_same_as_oracle(s)
+
+    def test_hand_cases(self):
+        for raw in [
+            "", " ", "\t\u00a0", "  1 000 , 5  mg ", "1\u202f000\u00a0mg", "1 , 2 , 3", "1 ,a", "1 2.5",
+            "ΑΣ ΟΔΟΣ", "İstanbul", "straße", "œdème", "한 1,5", "e\u0301 \u0301 b", "٣ 4", "٣.4", "4/٣", "1./2", "1.2.3",
+            "12/04/2021",
+        ]:
+            assert_same_as_oracle(raw)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # normalize_text and tokenize split on the regex class \s where the
+        # oracles test str.isspace(); the two agree at every code point
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 class TestStripAccents:
@@ -40,34 +238,43 @@ class TestStripAccents:
 
 
 class TestUnifyNumbers:
+    """Number unification, the last step of normalize_text."""
+
+    @staticmethod
+    def unify(s):
+        return normalize_text(s).text
+
     def test_join_digit_groups(self):
-        assert unify_numbers("1 000 mg") == "1000 mg"
+        assert self.unify("1 000 mg") == "1000 mg"
 
     def test_comma_decimal(self):
-        assert unify_numbers("0,5 g matin") == "0.5 g matin"
+        assert self.unify("0,5 g matin") == "0.5 g matin"
 
     def test_identity_when_no_adjacent_digits(self):
-        assert unify_numbers("prendre 2 fois par jour") == "prendre 2 fois par jour"
+        assert self.unify("prendre 2 fois par jour") == "prendre 2 fois par jour"
 
     def test_spaced_decimal_separator(self):
-        assert unify_numbers("0 , 5") == "0.5"
+        assert self.unify("0 , 5") == "0.5"
 
-    def test_double_space_not_joined(self):
-        assert unify_numbers("1  000") == "1  000"
+    def test_double_space_collapses_then_joins(self):
+        # whitespace collapses before numbers are unified
+        assert self.unify("1  000") == "1000"
+        assert self.unify("1\u00a0\u202f000") == "1000"
 
     def test_chained_groups(self):
-        assert unify_numbers("1 0 0 0") == "1000"
+        assert self.unify("1 0 0 0") == "1000"
 
-    @given(FRENCH)
+    @given(NUMBERS)
     def test_idempotent(self, s):
-        once = unify_numbers(s)
-        assert unify_numbers(once) == once
+        once = self.unify(s)
+        assert self.unify(once) == once
 
     @given(FRENCH)
     def test_letters_and_digits_untouched(self, s):
-        # the operation only edits spaces and separators around digits
-        out = unify_numbers(s)
-        assert [c for c in out if c.isalpha()] == [c for c in s if c.isalpha()]
+        # unification only edits spaces and separators around digits, so the
+        # letters are those of the folded text and the digits those of s
+        out = self.unify(s)
+        assert [c for c in out if c.isalpha()] == [c for c in strip_accents(s).lower() if c.isalpha()]
         assert [c for c in out if c.isdigit()] == [c for c in s if c.isdigit()]
 
 
