@@ -113,7 +113,7 @@ def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Ru
         lex = build_lexicon(_resolve(config, "lexicon", lexicon, default_lexicon_path()))
     patterns_path = _resolve(config, "patterns", patterns, None)
     with _failing_as("patterns"):
-        pats = load_patterns(patterns_path) if patterns_path else default_patterns()
+        pats = default_patterns() if patterns_path is None else load_patterns(patterns_path)
     with _failing_as("stopwords"):
         stops = load_stopwords(_resolve(config, "stopwords", stopwords, _default_stopwords_path()))
     with _failing_as("config"):

@@ -226,7 +226,16 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
     """
     _, end = mention_token_window(sentence, mention)
     tokens = sentence.tokens
-    base = tokens[end].start if end < len(tokens) else len(sentence.match_text)
+    if end >= len(tokens):
+        return Sentence(
+            line_id=sentence.line_id,
+            match_text="",
+            feature_text="",
+            tokens=(),
+            bbox=sentence.bbox,
+            page=sentence.page,
+        )
+    base = tokens[end].start
     return Sentence(
         line_id=sentence.line_id,
         match_text=sentence.match_text[base:],

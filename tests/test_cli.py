@@ -202,6 +202,7 @@ ERROR_CASES = [
         lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"patterns": ""}')),
         2, "config", None, id="config-patterns-empty",
     ),
+    pytest.param(lambda m, d: _extract(m, "--patterns", ""), 3, "patterns", None, id="patterns-flag-empty"),
     pytest.param(
         lambda m, d: ["eval", "--model", str(m), "--gold", _write(d / "gold.jsonl", json.dumps(_CORPUS[0]) + "\n"),
                       "--config", _write(d / "config.json", '{"stopwords": null}')],

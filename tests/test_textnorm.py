@@ -1,10 +1,10 @@
 """Text normalization and tokenization contracts.
 
-The oracles below are the earlier implementation, kept verbatim in spirit:
-``normalize_text`` as four passes over a character list (strip accents,
-lowercase, collapse whitespace, unify numbers) and ``tokenize`` as a
-per-chunk scanner. The one-pass code must agree with them exactly, in text,
-origins and every token attribute.
+The oracles below are the earlier implementation: ``normalize_text`` as
+four passes over a character list (strip accents, lowercase, collapse
+whitespace, unify numbers) and ``tokenize`` as a per-chunk scanner. The
+one-pass code must agree with them exactly, in text, origins and every
+token attribute.
 """
 
 import re
@@ -185,6 +185,7 @@ def oracle_tokenize(s):
 
 
 def assert_same_as_oracle(raw):
+    assert strip_accents(raw) == "".join(_map_strip_accents(list(raw), range(len(raw)))[0]), raw
     norm = normalize_text(raw)
     assert norm == oracle_normalize_text(raw), raw
     assert tokenize(norm.text) == oracle_tokenize(norm.text), raw
