@@ -147,13 +147,13 @@ def normalize_text(raw: str) -> NormalizedText:
     for m in _NUMBER_GAP_RE.finditer(text):
         start, end = m.span()
         out.append(text[pos:start])
-        out_origins.extend(origins[pos:start])
+        out_origins += origins[pos:start]
         if m.group(1) is not None:  # a decimal separator, written as "."
             out.append(".")
             out_origins.append(origins[m.start(1)])
         pos = end
     out.append(text[pos:])
-    out_origins.extend(origins[pos:])
+    out_origins += origins[pos:]
     return NormalizedText("".join(out), tuple(out_origins))
 
 
