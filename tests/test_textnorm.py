@@ -217,8 +217,9 @@ class TestAgainstOracles:
             assert_same_as_oracle(raw)
 
     def test_regex_whitespace_is_str_isspace(self):
-        # normalize_text and tokenize split on the regex class \s where the
-        # oracles test str.isspace(); the two agree at every code point
+        # normalize_text and tokenize split on str.split() and the regex
+        # class \s where the oracles test str.isspace(); str.split() is
+        # defined by isspace, and \s agrees with it at every code point
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
