@@ -13,6 +13,12 @@ Payload schema::
 
 All coordinates are fractions of the page size in [0, 1]; values within
 1e-6 of a bound are clamped. ``words`` is optional per line.
+
+Word boxes are validated and nothing more: each must follow the schema and
+have valid geometry, and the word texts must reassemble the line text, or
+the document is refused with ``SchemaError``. They are kept on
+``OcrLine.words`` but no later stage reads them; every stage works on the
+line text and the line box.
 """
 
 from __future__ import annotations

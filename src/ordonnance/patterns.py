@@ -11,17 +11,25 @@ right after each match.
 A PatternSet is compiled once, when it is built. Its specs are deduplicated
 on their constraints (the quantifier is not part of a spec's identity; the
 shipped set's 498 spec instances are 118 distinct specs), each pattern
-becomes a tuple of spec ids, and each label's patterns are indexed by their
-first spec id. Patterns whose first spec is optional ("?" or "*") are tried
-at every position.
+becomes a tuple of spec ids, and the patterns of every label are indexed
+together by their first spec id (31 distinct first specs in the shipped
+set). Patterns whose first spec is optional ("?" or "*") are tried at every
+position.
 
-Per sentence of n tokens, each (distinct spec, token) pair is evaluated at
-most once, on demand. At each position the distinct first specs are checked
-and only the patterns whose first spec holds there are tried. A pattern whose
-ops are all "1" is walked directly, one check per spec; a pattern with a
-quantifier runs a DP over reachable positions, each spec consuming at most
-MAX_REPS tokens. On noisy generated posology lines (about 8 tokens) this
-comes to about 37 spec checks per token.
+A first spec is scannable when its only constraint is a regex with no
+groups, default flags and no global inline flag group such as "(?u)". The
+scannable first specs (30 of the shipped 31) are compiled into one scanner,
+so one C-level regex call per token decides all of them; every other first
+spec is decided by ``match_token``, the one definition of a spec holding.
+
+Per sentence of n tokens, each (distinct spec, token) pair is decided at
+most once, by the scanner or on demand by ``match_token``. One sweep visits
+each position once for every label and tries only the patterns whose first
+spec holds there. A pattern whose ops are all "1" is walked directly, one
+check per spec; a pattern with a quantifier runs a DP over reachable
+positions, each spec consuming at most MAX_REPS tokens. On the POSOLOGY
+lines of generated prescriptions (about 8 tokens) this comes to one scanner
+call and about 7 ``match_token`` calls per token.
 
 Pattern file format (JSON list)::
 
@@ -30,7 +38,9 @@ Pattern file format (JSON list)::
                  "like_num": bool, "op": "1"|"?"|"+"|"*"}]}]
 
 All spec fields are optional; "op" defaults to "1". Regexes are anchored
-(full-token match).
+(full-token match). Tokens are compared through their normalized ``lower``
+text, so a "lower" word must be one token of normalized text (no accent,
+no capital, no space); any other word is refused, as it could never match.
 """
 
 from __future__ import annotations
@@ -40,10 +50,11 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import PatternError
-from .textnorm import Sentence, Token
+from .textnorm import Sentence, Token, normalize_text, tokenize
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 
@@ -96,17 +107,38 @@ class _Compiled(NamedTuple):
     bounds: tuple[tuple[int, int], ...] | None  # per-spec (lo, hi); None: every op is "1"
 
 
-# A label's patterns keyed by first spec id, and those tried at every position.
-_LabelIndex = tuple[dict[int, list[_Compiled]], list[_Compiled]]
+# A pattern and its label, as the sweep tries it.
+_Entry = tuple[str, _Compiled]
+
+# A global inline flag group such as "(?u)". It passes the flags test when it
+# repeats a default flag, and it cannot sit mid-pattern inside the scanner.
+_GLOBAL_FLAGS_RE = re.compile(r"\(\?[aiLmsux]+\)")
+
+
+def _scannable(spec: TokenSpec) -> bool:
+    """True iff the spec is a bare regex that the first-spec scanner can embed."""
+    regex = spec.regex
+    return (
+        regex is not None
+        and spec.lower is None
+        and spec.is_digit is None
+        and spec.like_num is None
+        and regex.groups == 0
+        and regex.flags == re.UNICODE
+        and _GLOBAL_FLAGS_RE.search(regex.pattern) is None
+    )
 
 
 class PatternSet:
     """Immutable collection of patterns, grouped by label and compiled once.
 
     ``specs`` holds each distinct spec once (the quantifier is not part of a
-    spec's identity). ``index`` maps a label to its patterns keyed by their
-    first spec id, plus the patterns whose first spec is optional, which are
-    tried at every position.
+    spec's identity). ``index`` maps a first spec id to the (label, pattern)
+    entries that start with it, over every label; ``always`` holds the
+    entries whose first spec is optional, which are tried at every position.
+
+    ``scanner`` decides every scannable first spec of a token in one call:
+    group k captures the token text exactly when ``scan_ids[k]`` holds.
     """
 
     def __init__(self, patterns: Iterable[TokenPattern]):
@@ -122,7 +154,8 @@ class PatternSet:
 
         ids: dict[tuple, int] = {}
         specs: list[TokenSpec] = []
-        self.index: dict[str, _LabelIndex] = {}
+        self.index: dict[int, list[_Entry]] = {}
+        self.always: list[_Entry] = []
         for p in self.patterns:
             spec_ids = []
             for spec in p.specs:
@@ -134,16 +167,38 @@ class PatternSet:
                 spec_ids.append(sid)
             ops = [spec.op for spec in p.specs]
             bounds = None if set(ops) == {"1"} else tuple(_OP_BOUNDS[op] for op in ops)
-            entry = _Compiled(p, tuple(spec_ids), bounds)
-            by_first, always = self.index.setdefault(p.label, ({}, []))
+            entry = (p.label, _Compiled(p, tuple(spec_ids), bounds))
             if ops[0] in ("?", "*"):
-                always.append(entry)
+                self.always.append(entry)
             else:
-                by_first.setdefault(spec_ids[0], []).append(entry)
+                self.index.setdefault(spec_ids[0], []).append(entry)
         self.specs: tuple[TokenSpec, ...] = tuple(specs)
+
+        self.scan_ids: tuple[int, ...] = tuple(sid for sid in self.index if _scannable(specs[sid]))
+        self.scan_slot: dict[int, int] = {sid: k for k, sid in enumerate(self.scan_ids)}
+        # (?:(?=(p)\Z))? captures the whole token iff p fullmatches it, and
+        # matches the empty string otherwise, so every slot is tried at 0.
+        # Tokens are never empty, so a slot is truthy exactly when it holds.
+        self.scanner = re.compile(
+            "".join(f"(?:(?=({specs[sid].regex.pattern})\\Z))?" for sid in self.scan_ids)
+        )
+        self._scanned = tuple(self.index[sid] for sid in self.scan_ids)
+        self._checked = tuple((sid, group) for sid, group in self.index.items() if sid not in self.scan_slot)
 
     def __len__(self) -> int:
         return len(self.patterns)
+
+    def scan(self, token: Token) -> tuple[str | None, ...]:
+        """Slot k is not None iff first spec ``scan_ids[k]`` holds for the token."""
+        return self.scanner.match(token.text).groups()
+
+
+def _is_token_lower(word: str) -> bool:
+    """True iff some token's ``lower`` can equal ``word``: it is normalized and one whole token."""
+    if normalize_text(word).text != word:
+        return False
+    tokens = tokenize(word)
+    return len(tokens) == 1 and tokens[0].text == tokens[0].lower == word
 
 
 def _parse_spec(obj: dict, where: str) -> TokenSpec:
@@ -161,6 +216,9 @@ def _parse_spec(obj: dict, where: str) -> TokenSpec:
             lower = frozenset(lower)
         else:
             raise PatternError(f"{where}.lower: expected string or non-empty string list")
+        for word in sorted(lower):
+            if not _is_token_lower(word):
+                raise PatternError(f"{where}.lower: {word!r} is not one normalized token, so it never matches")
 
     regex = obj.get("regex")
     if regex is not None:
@@ -244,8 +302,18 @@ def match_token(spec: TokenSpec, token: Token) -> bool:
     return True
 
 
-def _memo_holds(specs: Sequence[TokenSpec], tokens: Sequence[Token]) -> Callable[[int, int], bool]:
-    """``holds(spec_id, pos)``: ``match_token`` evaluated at most once per pair."""
+def _memo_holds(
+    patterns: PatternSet,
+    tokens: Sequence[Token],
+    rows: Sequence[tuple[str | None, ...]],
+) -> Callable[[int, int], bool]:
+    """``holds(spec_id, pos)``, decided at most once per pair.
+
+    A scannable first spec is read from the token's scanner row; every other
+    spec is decided by ``match_token``.
+    """
+    specs = patterns.specs
+    slot = patterns.scan_slot
     n = len(tokens)
     memo: list[bool | None] = [None] * (len(specs) * n)
 
@@ -253,7 +321,11 @@ def _memo_holds(specs: Sequence[TokenSpec], tokens: Sequence[Token]) -> Callable
         i = sid * n + pos
         held = memo[i]
         if held is None:
-            held = memo[i] = match_token(specs[sid], tokens[pos])
+            k = slot.get(sid)
+            if k is None:
+                held = memo[i] = match_token(specs[sid], tokens[pos])
+            else:
+                held = memo[i] = rows[pos][k] is not None
         return held
 
     return holds
@@ -288,41 +360,49 @@ def _longest_end(
     return max(reach)
 
 
-def _label_matches(
-    index: _LabelIndex,
+def _sweep(
+    patterns: PatternSet,
+    rows: Sequence[tuple[str | None, ...]],
     holds: Callable[[int, int], bool],
-    n: int,
-) -> list[tuple[int, int, TokenPattern]]:
-    """Every pattern's non-overlapping longest matches, as (start, end, pattern).
+    found: dict[str, list[tuple[int, int, TokenPattern]]],
+) -> None:
+    """Append each pattern's non-overlapping longest matches to ``found[label]``.
 
-    Positions are visited left to right and a pattern is not tried again
-    before the end of its last match, which is each pattern's own scan.
+    Matches are (start, end, pattern). Positions are visited once, left to
+    right, for every label; at each one only the entries whose first spec
+    holds are tried, and an entry whose label is not a key of ``found`` is
+    skipped. A pattern is not tried again before the end of its last match,
+    which is each pattern's own scan; as that depends on no other pattern,
+    the order of the entries at a position does not change what is found.
     """
-    by_first, always = index
+    n = len(rows)
+    checked = patterns._checked
+    always = patterns.always
     resume: dict[str, int] = {}  # pattern id -> end of its last match
-    found: list[tuple[int, int, TokenPattern]] = []
     for pos in range(n):
-        tried = [entry for sid, group in by_first.items() if holds(sid, pos) for entry in group]
-        tried.extend(always)
-        for pattern, spec_ids, bounds in tried:
-            if resume.get(pattern.pattern_id, 0) > pos:
-                continue
-            if bounds is None:
-                end = pos + len(spec_ids)
-                if end > n:
+        groups = list(compress(patterns._scanned, rows[pos]))
+        groups += [group for sid, group in checked if holds(sid, pos)]
+        groups.append(always)
+        for group in groups:
+            for label, (pattern, spec_ids, bounds) in group:
+                bucket = found.get(label)
+                if bucket is None or resume.get(pattern.pattern_id, 0) > pos:
                     continue
-                j = 1
-                while j < len(spec_ids) and holds(spec_ids[j], pos + j):
-                    j += 1
-                if j < len(spec_ids):
-                    continue
-            else:
-                end = _longest_end(spec_ids, bounds, holds, n, pos)
-                if end <= pos:
-                    continue
-            found.append((pos, end, pattern))
-            resume[pattern.pattern_id] = end
-    return found
+                if bounds is None:
+                    end = pos + len(spec_ids)
+                    if end > n:
+                        continue
+                    j = 1
+                    while j < len(spec_ids) and holds(spec_ids[j], pos + j):
+                        j += 1
+                    if j < len(spec_ids):
+                        continue
+                else:
+                    end = _longest_end(spec_ids, bounds, holds, n, pos)
+                    if end <= pos:
+                        continue
+                bucket.append((pos, end, pattern))
+                resume[pattern.pattern_id] = end
 
 
 def find_matches(pattern: TokenPattern, sentence: Sentence) -> list[MatchSpan]:
@@ -344,14 +424,14 @@ def find_all(
     """
     tokens = sentence.tokens
     n = len(tokens)
-    holds = _memo_holds(patterns.specs, tokens)
+    rows = [patterns.scan(token) for token in tokens]
+    holds = _memo_holds(patterns, tokens, rows)
     wanted = tuple(labels) if labels is not None else LABELS
+    found: dict[str, list[tuple[int, int, TokenPattern]]] = {label: [] for label in wanted}
+    _sweep(patterns, rows, holds, found)
     kept: list[MatchSpan] = []
     for label in wanted:
-        index = patterns.index.get(label)
-        if index is None:
-            continue
-        candidates = _label_matches(index, holds, n)
+        candidates = found[label]
         candidates.sort(key=lambda c: (c[0] - c[1], c[0], c[2].pattern_id))
         taken = bytearray(n)
         for start, end, pattern in candidates:

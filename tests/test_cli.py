@@ -151,6 +151,10 @@ def _model_file_with_labels(path, labels):
     return str(path)
 
 
+def _one_lower_pattern(word):
+    return json.dumps([{"id": "p1", "label": "FREQUENCY", "specs": [{"lower": word}]}], ensure_ascii=False)
+
+
 def _raise_runtime_error(text, runtime):
     raise RuntimeError("annotate_text broke")
 
@@ -203,6 +207,14 @@ ERROR_CASES = [
         2, "config", None, id="config-patterns-empty",
     ),
     pytest.param(lambda m, d: _extract(m, "--patterns", ""), 3, "patterns", None, id="patterns-flag-empty"),
+    pytest.param(
+        lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _one_lower_pattern("Matin"))),
+        2, "patterns", None, id="patterns-lower-word-with-a-capital",
+    ),
+    pytest.param(
+        lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _one_lower_pattern("après"))),
+        2, "patterns", None, id="patterns-lower-word-with-an-accent",
+    ),
     pytest.param(
         lambda m, d: ["eval", "--model", str(m), "--gold", _write(d / "gold.jsonl", json.dumps(_CORPUS[0]) + "\n"),
                       "--config", _write(d / "config.json", '{"stopwords": null}')],

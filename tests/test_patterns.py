@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -242,7 +243,8 @@ class TestCompiledMatcher:
             {"id": "b", "label": "FREQUENCY", "specs": [{"like_num": True, "op": "+"}, {"lower": "cp", "op": "?"}]},
         ])
         assert len(pats.specs) == 2
-        (dose,), (frequency,) = (pats.index[label][0][0] for label in ("DOSE", "FREQUENCY"))
+        ((dose_label, dose), (frequency_label, frequency)) = pats.index[0]
+        assert (dose_label, frequency_label) == ("DOSE", "FREQUENCY")
         assert dose.spec_ids == frequency.spec_ids == (0, 1)
 
     def test_patterns_are_indexed_by_first_spec(self):
@@ -250,16 +252,16 @@ class TestCompiledMatcher:
             return spec.lower, spec.regex, spec.is_digit, spec.like_num
 
         pats = default_patterns()
+        assert not pats.always  # no shipped pattern starts with an optional spec
+        assert len(pats.index) == 31
         indexed = []
-        for label, (by_first, always) in pats.index.items():
-            assert not always  # no shipped pattern starts with an optional spec
-            for sid, group in by_first.items():
-                for entry in group:
-                    assert (entry.pattern.label, entry.spec_ids[0]) == (label, sid)
-                    assert [constraints(pats.specs[i]) for i in entry.spec_ids] == [
-                        constraints(spec) for spec in entry.pattern.specs
-                    ]
-                    indexed.append(entry.pattern)
+        for sid, group in pats.index.items():
+            for label, entry in group:
+                assert (entry.pattern.label, entry.spec_ids[0]) == (label, sid)
+                assert [constraints(pats.specs[i]) for i in entry.spec_ids] == [
+                    constraints(spec) for spec in entry.pattern.specs
+                ]
+                indexed.append(entry.pattern)
         assert sorted(p.pattern_id for p in indexed) == sorted(p.pattern_id for p in pats.patterns)
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
@@ -300,7 +302,7 @@ class TestCompiledMatcher:
                 for i in range(rng.randint(2, 6))
             ]
             pats = parse_patterns(data)
-            leading_optional += sum(len(always) for _, always in pats.index.values())
+            leading_optional += len(pats.always)
             shared += len(pats.specs) < sum(len(p.specs) for p in pats.patterns)
             for _ in range(3):
                 s = raw_sent(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
@@ -310,20 +312,131 @@ class TestCompiledMatcher:
     def test_each_spec_is_checked_at_most_once_per_token(self, monkeypatch):
         pats = default_patterns()
         distinct = {id(spec) for spec in pats.specs}
-        calls: Counter = Counter()
+        calls: Counter = Counter()  # (spec, token) -> decisions, by match_token or the scanner
+        scanned: Counter = Counter()  # token -> scanner calls
         real = patterns_module.match_token
+        real_scan = PatternSet.scan
 
         def counting(spec, token):
             calls[id(spec), id(token)] += 1
             return real(spec, token)
 
+        def counting_scan(self, token):
+            scanned[id(token)] += 1
+            for sid in self.scan_ids:
+                calls[id(self.specs[sid]), id(token)] += 1
+            return real_scan(self, token)
+
         monkeypatch.setattr(patterns_module, "match_token", counting)
+        monkeypatch.setattr(PatternSet, "scan", counting_scan)
+        assert len(pats.scan_ids) == 30
         for s in corpus_sentences(0.1)[40:80]:  # posology sentences
             calls.clear()
+            scanned.clear()
             find_all(pats, s)
             assert calls, s.match_text
             assert max(calls.values()) == 1, s.match_text
             assert {spec for spec, _ in calls} <= distinct
+            assert scanned == Counter(id(token) for token in s.tokens), s.match_text
+
+    def test_one_label_equals_the_all_label_result_filtered(self):
+        pats = default_patterns()
+        for s in corpus_sentences(0.1):
+            every = find_all(pats, s)
+            for label in LABELS:
+                assert find_all(pats, s, labels=(label,)) == [sp for sp in every if sp.label == label]
+            assert find_all(pats, s, labels=("DOSE", "COMMENT")) == [
+                sp for sp in every if sp.label in ("DOSE", "COMMENT")
+            ]
+
+
+class TestFirstSpecScanner:
+    """The scanner decides a first spec exactly as ``match_token`` does."""
+
+    # First specs the scanner must leave to match_token: a regex with a group
+    # (a backreference or a named group), a flag other than the default, a
+    # global inline flag group, or a constraint besides the regex.
+    LEFT_OUT = {
+        "backreference": {"regex": r"([0-9])\1"},
+        "named-group": {"regex": "(?P<unit>cp|mg)"},
+        "ignorecase-flag": {"regex": "(?i)cp"},
+        "default-flag-inline": {"regex": "(?u)cp"},
+        "verbose-flag": {"regex": "(?x) c p"},
+        "regex-and-lower": {"regex": "[a-z]+", "lower": ["cp", "mg"]},
+        "is-digit": {"is_digit": True},
+        "like-num": {"like_num": True},
+        "lower": {"lower": ["cp", "matin"]},
+    }
+    SCANNED = {
+        "digits": {"regex": "[0-9]+"},
+        "alternation": {"regex": "m.*|cp"},
+        "scoped-flag": {"regex": "(?i:cp)"},
+        "anchored": {"regex": "^(?:1|2)$"},
+    }
+    VOCAB = ["11", "12", "1", "2", "1.5", "cp", "CP", "Cp", "mg", "m", "matin", "et", "x"]
+
+    def first_specs(self):
+        return parse_patterns(
+            [{"id": name, "label": "DOSE", "specs": [spec]} for name, spec in {**self.LEFT_OUT, **self.SCANNED}.items()]
+        )
+
+    def test_scannable_rule(self):
+        pats = self.first_specs()
+        scanned = {entry.pattern.pattern_id for sid in pats.scan_ids for _, entry in pats.index[sid]}
+        assert scanned == set(self.SCANNED)
+
+    def test_regex_compiled_with_a_flag_is_left_out(self):
+        spec = TokenSpec(regex=re.compile("cp", re.IGNORECASE))
+        pats = PatternSet([TokenPattern("i", "DOSE", (spec,))])
+        assert pats.scan_ids == ()
+        assert [sp.text for sp in find_all(pats, raw_sent("CP cp mg"))] == ["CP", "cp"]
+
+    def test_scanner_row_equals_match_token(self):
+        pats = self.first_specs()
+        for token in raw_sent(" ".join(self.VOCAB)).tokens:
+            row = pats.scan(token)
+            assert len(row) == len(pats.scan_ids)
+            for k, sid in enumerate(pats.scan_ids):
+                spec = pats.specs[sid]
+                held = spec.regex.fullmatch(token.text) is not None
+                assert (row[k] is not None) == held == match_token(spec, token), (spec.regex.pattern, token.text)
+                assert bool(row[k]) == held
+
+    def test_one_regex_starting_patterns_of_two_labels(self):
+        pats = parse_patterns([
+            {"id": "d", "label": "DOSE", "specs": [{"regex": "[0-9]+"}, {"lower": "cp"}]},
+            {"id": "f", "label": "FREQUENCY", "specs": [{"regex": "[0-9]+"}, {"regex": "x"}]},
+        ])
+        (sid,) = pats.scan_ids
+        assert [label for label, _ in pats.index[sid]] == ["DOSE", "FREQUENCY"]
+        spans = find_all(pats, raw_sent("2 cp 3 x"))
+        assert [(sp.label, sp.text) for sp in spans] == [("DOSE", "2 cp"), ("FREQUENCY", "3 x")]
+
+    def test_random_first_specs_equal_brute_force(self):
+        rng = random.Random(11)
+        firsts = list(self.LEFT_OUT.values()) + list(self.SCANNED.values())
+        firsts += [{"lower": ["et"], "op": "?"}, {"regex": "[0-9]+", "op": "*"}, {"regex": "m.*|cp", "op": "?"}]
+        later = firsts + [{"regex": "[0-9]+", "op": "+"}, {"lower": ["cp"], "op": "*"}]
+        leading_optional = left_out = scanned_later = 0
+        for trial in range(200):
+            data = [
+                {
+                    "id": f"t{trial}-{i}",
+                    "label": rng.choice(LABELS),
+                    "specs": [dict(rng.choice(firsts))] + [dict(rng.choice(later)) for _ in range(rng.randint(0, 3))],
+                }
+                for i in range(rng.randint(2, 7))
+            ]
+            pats = parse_patterns(data)
+            leading_optional += len(pats.always)
+            left_out += len(pats.index) - len(pats.scan_ids)
+            scanned_later += any(
+                sid in pats.scan_slot for group in pats.index.values() for _, entry in group for sid in entry.spec_ids[1:]
+            )
+            for _ in range(3):
+                s = raw_sent(" ".join(rng.choice(self.VOCAB) for _ in range(rng.randint(1, 9))))
+                assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
+        assert leading_optional > 50 and left_out > 300 and scanned_later > 50
 
 
 class TestFindAll:
@@ -390,6 +503,11 @@ class TestPatternFile:
     def test_bad_regex_rejected(self):
         with pytest.raises(PatternError):
             parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"regex": "("}]}])
+
+    @pytest.mark.parametrize("word", ["Matin", "après", "le matin", "1,5", "cp.", ""])
+    def test_lower_word_that_no_token_can_equal_rejected(self, word):
+        with pytest.raises(PatternError, match="never matches"):
+            parse_patterns([{"id": "a", "label": "FREQUENCY", "specs": [{"lower": ["soir", word]}]}])
 
     def test_op_defaults_to_one(self):
         p = parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"like_num": True}]}]).patterns[0]
