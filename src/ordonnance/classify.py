@@ -13,6 +13,16 @@ alone, summing each logit and each gradient column with ``np.bincount`` in
 row order. ``predict`` gathers the rows of a line's known ids and takes one
 dot product.
 
+``featurize`` hashes a batch of lines (a document, a training corpus) at
+once and returns three flat arrays ``(line, ids, values)``, sorted by line
+and then by id. CRC-32 is affine over GF(2), so the CRC of a fixed-length
+window is a constant XOR one table entry per byte (``_gram_table``): the
+n-grams of every ASCII line cost one gather and one XOR per n over the
+batch's bytes. Counts come from one ``np.unique``; each line's norm is the
+Python float power ``sum_sq ** 0.5`` (``math.sqrt`` and ``np.sqrt``
+differ from it at some integers), so every value equals the spelled-out
+per-line ``count / norm`` bit for bit.
+
 Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
 labels, the feature config, ``n_cols``), then raw little-endian bytes: the
 ``n_cols`` sorted hashed ids as int64, the (n_cols, labels) weight block as
@@ -58,6 +68,11 @@ class FeatureConfig:
     hash_dim: int = 2**18
     version: str = FEATURE_VERSION
 
+    def __post_init__(self):
+        # featurize builds n-grams of length 1 and up
+        if not 1 <= self.ngram_min <= self.ngram_max:
+            raise ValueError(f"need 1 <= ngram_min <= ngram_max, got {self.ngram_min}, {self.ngram_max}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -101,39 +116,84 @@ def _seed(prefix: str) -> int:
     return zlib.crc32(prefix.encode("utf-8"))
 
 
-def featurize(sentence: Sentence | str, config: FeatureConfig) -> dict[int, float]:
-    """Hashed feature vector: char n-grams plus word unigrams, L2-normalized.
+@functools.cache
+def _gram_table(n: int) -> np.ndarray:
+    """The 256 int64 entries that extend an (n-1)-gram's CRC to the n-gram's.
 
-    The n-gram ``g`` of length n hashes to ``crc32(f"c{n}|{g}".encode()) %
-    hash_dim`` and the word ``w`` to ``crc32(f"w|{w}".encode()) % hash_dim``;
-    the prefix's CRC seeds the gram's, so no feature string is built. ASCII
-    text is sliced as bytes; other text is encoded gram by gram.
+    CRC-32 is affine over GF(2): for a fixed length its value is the CRC of
+    zero bytes XOR one share per byte, ``G[t][b] = crc32(bytes([b]) +
+    bytes(t)) ^ crc32(bytes(t + 1))`` for byte ``b`` with ``t`` bytes after
+    it. With ``A_n = crc32(bytes(n), _seed(f"c{n}|"))`` the entry for byte
+    ``b`` is ``G[n-1][b] ^ A_n ^ A_{n-1}`` (``A_0 = 0``), so that ``H_n[i] =
+    table(n)[d[i]] ^ H_{n-1}[i+1]`` is the seeded CRC of the n-gram
+    ``d[i:i+n]`` and the prefix costs nothing.
     """
-    text = sentence.feature_text if isinstance(sentence, Sentence) else sentence
-    dim = config.hash_dim
     crc32 = zlib.crc32
-    counts: dict[int, float] = {}
-    if text.isascii():
-        data = text.encode("ascii")
-        for n in range(config.ngram_min, config.ngram_max + 1):
-            seed = _seed(f"c{n}|")
-            for i in range(len(data) - n + 1):
-                idx = crc32(data[i : i + n], seed) % dim
-                counts[idx] = counts.get(idx, 0.0) + 1.0
+    shift = crc32(bytes(n)) ^ crc32(bytes(n), _seed(f"c{n}|"))
+    if n > 1:
+        shift ^= crc32(bytes(n - 1), _seed(f"c{n - 1}|"))
+    tail = bytes(n - 1)
+    table = np.array([crc32(bytes((b,)) + tail) ^ shift for b in range(256)], dtype=np.int64)
+    table.flags.writeable = False  # cached: every caller shares it
+    return table
+
+
+def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hashed feature vectors of many lines: char n-grams plus word unigrams, L2-normalized.
+
+    Returns ``(line, ids, values)``: flat int64, int64 and float64 arrays
+    sorted by line index, then by feature id, so line ``k``'s ids are
+    strictly increasing and a line without features has no entries. The
+    n-gram ``g`` of length n hashes to ``crc32(f"c{n}|{g}".encode()) %
+    hash_dim`` and the word ``w`` to ``crc32(f"w|{w}".encode()) %
+    hash_dim``; no window crosses from one line into the next. The ASCII
+    lines are hashed together as one byte buffer; other lines are encoded
+    gram by gram.
+    """
+    texts = [s.feature_text if isinstance(s, Sentence) else s for s in lines]
+    dim = config.hash_dim
+    stride = min(dim, 1 << 32)  # above every CRC-32 id: line * stride + id is unique
+    one = len(texts) == 1  # a lone line needs no masks and no per-line norms
+    parts = []
+    ascii_rows = [k for k, text in enumerate(texts) if text.isascii()]
+    if ascii_rows:
+        data = np.frombuffer("".join([texts[k] for k in ascii_rows]).encode("ascii"), dtype=np.uint8)
+        if not one:
+            lengths = [len(texts[k]) for k in ascii_rows]
+            base = np.repeat(np.array(ascii_rows, dtype=np.int64) * stride, lengths)
+            left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))  # bytes to the line's end
+        for n in range(1, min(config.ngram_max, len(data)) + 1):
+            gathered = _gram_table(n).take(data[: len(data) - n + 1])
+            crcs = gathered if n == 1 else gathered ^ crcs[1:]
+            if n >= config.ngram_min:
+                if one:
+                    parts.append(crcs % dim)
+                else:
+                    inside = left[: len(crcs)] >= n
+                    parts.append(base[: len(crcs)][inside] + crcs[inside] % dim)
+    keys = []
+    crc32 = zlib.crc32
+    word_seed = _seed("w|")
+    for k, text in enumerate(texts):
+        row = k * stride
+        if not text.isascii():
+            for n in range(config.ngram_min, min(config.ngram_max, len(text)) + 1):
+                seed = _seed(f"c{n}|")
+                for i in range(len(text) - n + 1):
+                    keys.append(row + crc32(text[i : i + n].encode("utf-8"), seed) % dim)
+        for word in text.split():
+            keys.append(row + crc32(word.encode("utf-8"), word_seed) % dim)
+    parts.append(np.array(keys, dtype=np.int64))
+    unique, counts = np.unique(np.concatenate(parts), return_counts=True)
+    if one:
+        line = np.zeros(len(unique), dtype=np.int64)
+        ids = unique
+        norm = float(counts @ counts) ** 0.5
     else:
-        for n in range(config.ngram_min, config.ngram_max + 1):
-            seed = _seed(f"c{n}|")
-            for i in range(len(text) - n + 1):
-                idx = crc32(text[i : i + n].encode("utf-8"), seed) % dim
-                counts[idx] = counts.get(idx, 0.0) + 1.0
-    seed = _seed("w|")
-    for word in text.split():
-        idx = crc32(word.encode("utf-8"), seed) % dim
-        counts[idx] = counts.get(idx, 0.0) + 1.0
-    norm = sum(v * v for v in counts.values()) ** 0.5
-    if norm > 0:
-        counts = {k: v / norm for k, v in counts.items()}
-    return counts
+        line, ids = np.divmod(unique, stride)
+        sum_sq = np.bincount(line, counts * counts, minlength=len(texts))
+        norm = np.array([s**0.5 for s in sum_sq.tolist()])[line]
+    return line, ids, counts / norm
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -171,10 +231,7 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
     n = len(train_idx)
     # The nonzeros in row order, each row's keys sorted: the order in which
     # every logit and every gradient column is summed.
-    vectors = [sorted(featurize(corpus[i][0], feats).items()) for i in train_idx]
-    keys = np.array([k for vec in vectors for k, _ in vec], dtype=np.int64)
-    vals = np.array([v for vec in vectors for _, v in vec], dtype=np.float64)
-    rows = np.repeat(np.arange(n), [len(vec) for vec in vectors])
+    rows, keys, vals = featurize([corpus[i][0] for i in train_idx], feats)
     # Only the columns a feature touches ever move from zero; train just those.
     ids, cols = np.unique(keys, return_inverse=True)
     label_pos = {label: j for j, label in enumerate(labels)}
@@ -205,17 +262,27 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
     return model
 
 
-def predict(model: ClassifierModel, sentence: Sentence | str) -> SentenceClass:
-    """Class scores for one sentence; a valid probability simplex always."""
+def predict(
+    model: ClassifierModel,
+    sentence: Sentence | str,
+    features: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SentenceClass:
+    """Class scores for one sentence; a valid probability simplex always.
+
+    ``features`` is the sentence's ``(ids, values)`` slice of a batch
+    ``featurize`` of its document; without it the sentence is featurized
+    alone, with the same result bit for bit.
+    """
     if model.version != FEATURE_VERSION:
         raise VersionMismatch(
             f"model featurizer {model.version!r} != runtime {FEATURE_VERSION!r}"
         )
-    vec = featurize(sentence, model.config)
+    if features is None:
+        _, keys, values = featurize((sentence,), model.config)
+    else:
+        keys, values = features
     logits = model.bias
     if len(model.ids):
-        keys = np.fromiter(vec, dtype=np.int64, count=len(vec))
-        values = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
         # A key the model lacks would add +0.0 to every logit: drop it.
         rows = model.ids.searchsorted(keys)
         known = model.ids.take(rows, mode="clip") == keys
@@ -266,8 +333,8 @@ def load_model(path) -> ClassifierModel:
         raise SchemaError(f"{path}: model labels must be {list(CLASS_LABELS)}, got {list(labels)}")
     dim = header["hash_dim"]
     n_cols = header["n_cols"]
-    if dim < 1 or n_cols < 0:
-        raise SchemaError(f"{path}: model header needs hash_dim >= 1 and n_cols >= 0")
+    if dim < 1 or n_cols < 0 or not 1 <= header["ngram_min"] <= header["ngram_max"]:
+        raise SchemaError(f"{path}: model header needs hash_dim >= 1, n_cols >= 0 and 1 <= ngram_min <= ngram_max")
     n_weights = n_cols * len(labels)
     expected = (n_cols + n_weights + len(labels)) * 8
     if len(blob) != expected:

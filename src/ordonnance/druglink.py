@@ -25,7 +25,7 @@ Lexicon CSV format: header ``id,name``, UTF-8, one drug per row.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Iterable
@@ -240,7 +240,7 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
         line_id=sentence.line_id,
         match_text=sentence.match_text[base:],
         feature_text="",
-        tokens=tuple(replace(t, start=t.start - base, end=t.end - base) for t in tokens[end:]),
+        tokens=tuple(t._replace(start=t.start - base, end=t.end - base) for t in tokens[end:]),
         bbox=sentence.bbox,
         page=sentence.page,
         origins=sentence.origins[base:],

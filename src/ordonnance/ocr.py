@@ -42,11 +42,13 @@ class BoundingBox:
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
+        # Each test is written so that NaN, for which every comparison is
+        # false, fails it.
+        if not (self.width > 0 and self.height > 0):
             raise GeometryError(f"degenerate box: width={self.width}, height={self.height}")
-        if self.left < 0 or self.top < 0:
+        if not (self.left >= 0 and self.top >= 0):
             raise GeometryError(f"negative origin: left={self.left}, top={self.top}")
-        if self.left + self.width > 1 + _EPS or self.top + self.height > 1 + _EPS:
+        if not (self.left + self.width <= 1 + _EPS and self.top + self.height <= 1 + _EPS):
             raise GeometryError("box extends beyond page bounds")
 
     @property
@@ -110,7 +112,7 @@ def _parse_bbox(obj: Any, where: str) -> BoundingBox:
     width = _require(obj, "width", float, where)
     height = _require(obj, "height", float, where)
     for name, v in (("left", left), ("top", top), ("width", width), ("height", height)):
-        if v < -_EPS or v > 1 + _EPS:
+        if not -_EPS <= v <= 1 + _EPS:  # also false for NaN, which json accepts
             raise GeometryError(f"{where}.{name}: {v} outside [-1e-6, 1+1e-6]")
     if width <= 0 or height <= 0:
         raise GeometryError(f"{where}: non-positive extent (width={width}, height={height})")

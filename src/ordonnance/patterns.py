@@ -405,12 +405,6 @@ def _sweep(
                 resume[pattern.pattern_id] = end
 
 
-def find_matches(pattern: TokenPattern, sentence: Sentence) -> list[MatchSpan]:
-    """Non-overlapping longest matches of one pattern, left to right."""
-    # One pattern's matches never overlap, so find_all keeps them all.
-    return find_all(PatternSet((pattern,)), sentence, labels=(pattern.label,))
-
-
 def find_all(
     patterns: PatternSet,
     sentence: Sentence,

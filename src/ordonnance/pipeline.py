@@ -4,12 +4,21 @@ ingest -> normalize -> classify -> (drug link | posology extract) ->
 geometric link -> record. Also provides the sentence-level annotation used
 by the evaluation harness, with predicted spans projected back into the raw
 text's character space so they are directly comparable to gold spans.
+
+A document's sentences are featurized in one ``classify.featurize`` call;
+``predict`` then runs once per line on that line's slice of the arrays.
+Both are looked up at call time (``featurize`` through its module), so
+wrappers installed on ``classify.featurize`` or on this module's
+``predict`` see every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import classify
 from .classify import ClassifierModel, predict
 from .druglink import (
     DEFAULT_THRESHOLD,
@@ -51,14 +60,18 @@ class Runtime:
             raise ValueError(f"threshold must be a number in [0, 1], got {t!r}")
 
 
-def classify_sentence(sentence: Sentence, runtime: Runtime) -> ClassifiedLine:
+def classify_sentence(
+    sentence: Sentence, runtime: Runtime, features: tuple[np.ndarray, np.ndarray] | None = None
+) -> ClassifiedLine:
     """Classify one line and run drug linking or posology extraction on it.
 
-    A DRUG line that links carries its mention; when posology follows the
-    name on the same line (a combined line), the remainder's extraction is
-    kept if it found entities. A POSOLOGY line carries its extraction.
+    ``features`` is the line's ``(ids, values)`` from a batch featurize; the
+    line is featurized alone without it. A DRUG line that links carries its
+    mention; when posology follows the name on the same line (a combined
+    line), the remainder's extraction is kept if it found entities. A
+    POSOLOGY line carries its extraction.
     """
-    label = predict(runtime.model, sentence).label
+    label = predict(runtime.model, sentence, features).label
     mention = None
     extraction = None
     if label == "DRUG":
@@ -110,14 +123,17 @@ def classify_lines(doc: OcrDocument, runtime: Runtime) -> list[ClassifiedLine]:
     right below another linked drug line names a substitute, so it becomes
     EQUIVALENT and only the first drug of the pair is kept.
     """
-    classified: list[ClassifiedLine] = []
     sentences: list[Sentence] = []
     for line in doc.lines:
         sentence = make_sentence(line, runtime.stopwords)
-        if sentence is None:
-            continue  # single-character OCR debris
-        classified.append(classify_sentence(sentence, runtime))
-        sentences.append(sentence)
+        if sentence is not None:  # None: single-character OCR debris
+            sentences.append(sentence)
+    rows, ids, values = classify.featurize(sentences, runtime.model.config)
+    bounds = rows.searchsorted(np.arange(len(sentences) + 1)).tolist()
+    classified = [
+        classify_sentence(sentence, runtime, (ids[a:b], values[a:b]))
+        for sentence, a, b in zip(sentences, bounds, bounds[1:])
+    ]
 
     markers = default_equivalence_markers()
     for i in range(1, len(classified)):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ocr import BoundingBox, OcrLine
 
@@ -46,8 +47,9 @@ _NUMBER_GAP_RE = re.compile(r"(?<=[0-9])(?: ?([.,]) ?| )(?=[0-9])")
 _LIKE_NUM_RE = re.compile(r"\d+(?:\.\d+)?|\d+/\d+")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token of normalized text; immutable and hashed by value."""
+
     text: str
     lower: str
     is_digit: bool
@@ -169,14 +171,15 @@ def tokenize(s: str) -> list[Token]:
     for m in _TOKEN_RE.finditer(s):
         text = m.group()
         start, end = m.span()
+        # positional: a tuple is built about twice as fast as with keywords
         tokens.append(
             Token(
-                text=text,
-                lower=text.lower(),
-                is_digit=text.isdigit() and text.isascii(),
-                like_num=_LIKE_NUM_RE.fullmatch(text) is not None,
-                start=start,
-                end=end,
+                text,
+                text.lower(),
+                text.isdigit() and text.isascii(),
+                _LIKE_NUM_RE.fullmatch(text) is not None,
+                start,
+                end,
             )
         )
     return tokens

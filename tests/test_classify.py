@@ -93,7 +93,7 @@ def oracle_train(corpus, config):
     order = list(range(len(corpus)))
     random.Random(config.seed).shuffle(order)
     train_idx = order[: len(order) - int(len(corpus) * config.holdout_fraction)]
-    rows = [sorted(featurize(corpus[i][0], config.features).items()) for i in train_idx]
+    rows = [sorted(oracle_featurize(corpus[i][0].feature_text, config.features).items()) for i in train_idx]
     y = np.array([[float(corpus[i][1] == label) for label in CLASS_LABELS] for i in train_idx])
     n = len(rows)
     weights = {key: [0.0] * len(CLASS_LABELS) for row in rows for key, _ in row}
@@ -134,35 +134,108 @@ def noisy_sentences(stopwords):
     return [s for row in rows if (s := sentence_from_text(row.text, stopwords)) is not None]
 
 
+def split_lines(n_lines, line, ids, values):
+    """The batch arrays cut into one (ids, values) list pair per line, after checking their order."""
+    assert line.dtype == ids.dtype == np.int64 and values.dtype == np.float64
+    assert len(line) == len(ids) == len(values)
+    keys = line.tolist()
+    assert keys == sorted(keys) and all(0 <= k < n_lines for k in keys)
+    out = []
+    for k in range(n_lines):
+        mine = line == k
+        row_ids = ids[mine].tolist()
+        assert all(a < b for a, b in zip(row_ids, row_ids[1:]))  # strictly increasing
+        out.append((row_ids, values[mine].tolist()))
+    return out
+
+
+def assert_equals_oracle(texts, config):
+    """Per line, the batch holds the oracle's features with their keys sorted, values bit for bit."""
+    got = split_lines(len(texts), *featurize(texts, config))
+    for text, (ids, values) in zip(texts, got):
+        want = sorted(oracle_featurize(text, config).items())
+        assert ids == [k for k, _ in want], text
+        assert values == [v for _, v in want], text
+
+
+# Lines of every kind in one batch: empty, shorter than an n-gram, with a
+# newline inside, non-ASCII after accent stripping, and ASCII around them.
+MIXED = ["", "zq", "1 cp matin et soir", "œdème 5 µg/kg à 37°", "a", "ab\ncd ef", "\n", "doliprane 1000 mg",
+         "è", "x y", "abc\n", "pendant 10 jours"]
+CONFIGS = [FeatureConfig(), FeatureConfig(ngram_min=1, ngram_max=2, hash_dim=97)]
+
+
 class TestFeaturize:
     def test_empty_text_is_zero_vector(self):
-        assert featurize("", FeatureConfig()) == {}
+        line, ids, values = featurize([""], FeatureConfig())
+        assert len(line) == len(ids) == len(values) == 0
+        assert all(len(a) == 0 for a in featurize([], FeatureConfig()))
 
     def test_deterministic(self):
         cfg = FeatureConfig()
-        assert featurize("doliprane 1000 mg", cfg) == featurize("doliprane 1000 mg", cfg)
+        a = featurize(["doliprane 1000 mg", "1 cp"], cfg)
+        b = featurize(["doliprane 1000 mg", "1 cp"], cfg)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_shared_ngrams_between_variants(self):
-        cfg = FeatureConfig()
-        a = featurize("doliprane 1000 mg", cfg)
-        b = featurize("doliprane 500 mg", cfg)
+        (a, _), (b, _) = split_lines(2, *featurize(["doliprane 1000 mg", "doliprane 500 mg"], FeatureConfig()))
         assert set(a) & set(b)  # all the name n-grams coincide
 
     def test_l2_normalized(self):
-        vec = featurize("1 cp matin et soir", FeatureConfig())
-        assert math.isqrt(1) and abs(sum(v * v for v in vec.values()) - 1.0) < 1e-9
+        _, _, values = featurize(["1 cp matin et soir"], FeatureConfig())
+        assert abs(float(values @ values) - 1.0) < 1e-9
 
-    def test_equals_the_spelled_out_hash_in_value_and_key_order(self, noisy_sentences):
+    def test_equals_the_spelled_out_hash_with_keys_sorted(self, noisy_sentences):
         cfg = FeatureConfig()
-        assert len(noisy_sentences) == 200
-        for s in noisy_sentences:
-            assert list(featurize(s, cfg).items()) == list(oracle_featurize(s.feature_text, cfg).items())
+        texts = [s.feature_text for s in noisy_sentences]
+        assert len(texts) == 200
+        assert_equals_oracle(texts, cfg)
+        # a Sentence is hashed by its feature_text
+        assert all(np.array_equal(x, y) for x, y in zip(featurize(noisy_sentences, cfg), featurize(texts, cfg)))
 
-    @pytest.mark.parametrize("config", [FeatureConfig(), FeatureConfig(ngram_min=1, ngram_max=2, hash_dim=97)])
+    @pytest.mark.parametrize("config", CONFIGS)
     def test_non_ascii_text_hashes_its_utf8_bytes(self, config):
         text = sent("œdème 5 µg/kg à 37°").feature_text
         assert not text.isascii()  # accent stripping keeps œ, µ and °
-        assert list(featurize(text, config).items()) == list(oracle_featurize(text, config).items())
+        assert_equals_oracle([text], config)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_mixed_batch_hashes_each_line_on_its_own(self, config):
+        assert_equals_oracle(MIXED, config)
+        for text in MIXED:
+            assert_equals_oracle([text], config)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_no_window_crosses_a_line_boundary(self, config):
+        # Joined, "ab" + "cd" would give the gram "abc"; apart neither line has one.
+        (ids_ab, _), (ids_cd, _) = split_lines(2, *featurize(["ab", "cd"], config))
+        alone = [featurize([t], config)[1].tolist() for t in ("ab", "cd")]
+        assert [ids_ab, ids_cd] == alone
+
+    def test_a_lone_line_equals_its_row_in_a_batch(self, noisy_sentences):
+        cfg = FeatureConfig()
+        batch = split_lines(len(noisy_sentences), *featurize(noisy_sentences, cfg))
+        for sentence, (ids, values) in zip(noisy_sentences, batch):
+            line, alone_ids, alone_values = featurize([sentence], cfg)
+            assert not line.any()
+            assert alone_ids.tolist() == ids and alone_values.tolist() == values
+
+    def test_norm_is_the_python_float_power_not_sqrt(self):
+        text = "abcd" * 166
+        counts = {}
+        for n in range(3, 6):
+            for i in range(len(text) - n + 1):
+                counts[text[i : i + n]] = counts.get(text[i : i + n], 0) + 1
+        counts[text] = 1  # the one word
+        sum_sq = sum(c * c for c in counts.values())
+        assert sum_sq == 327_694 and math.sqrt(sum_sq) != sum_sq**0.5
+        assert_equals_oracle([text], FeatureConfig())
+        assert_equals_oracle([text, "1 cp"], FeatureConfig())
+
+    @pytest.mark.parametrize("ngram_min, ngram_max", [(0, 3), (4, 3)])
+    def test_config_needs_ngram_bounds_in_order_from_one(self, ngram_min, ngram_max):
+        with pytest.raises(ValueError, match="ngram_min"):
+            FeatureConfig(ngram_min=ngram_min, ngram_max=ngram_max)
 
 
 class TestTrain:
@@ -190,7 +263,7 @@ class TestTrain:
     def test_stores_exactly_the_columns_its_features_touch(self):
         corpus = toy_corpus()
         model = train(corpus, TOY_CONFIG)
-        touched = sorted({k for s, _ in corpus for k in featurize(s, TOY_CONFIG.features)})
+        touched = np.unique(featurize([s for s, _ in corpus], TOY_CONFIG.features)[1]).tolist()
         assert model.ids.dtype == np.int64 and model.ids.tolist() == touched
         assert model.weights.shape == (len(touched), len(CLASS_LABELS))
 
@@ -259,7 +332,7 @@ class TestPredict:
 
     def test_no_known_feature_gives_the_softmax_of_the_bias(self, model):
         text = "zq"  # shorter than an n-gram: its only feature is the word
-        (key,) = featurize(text, model.config)
+        (key,) = featurize([text], model.config)[1].tolist()
         assert key not in model.ids
         assert predict(model, text).scores == dict(zip(model.labels, softmax(model.bias).tolist()))
 
@@ -296,6 +369,12 @@ class TestTrainedPredictions:
     def test_desk_scale_holdout_accuracy(self, trained_model):
         assert trained_model.holdout_accuracy is not None
         assert trained_model.holdout_accuracy >= 0.93
+
+    def test_document_features_give_the_same_scores_bit_for_bit(self, trained_model, noisy_sentences):
+        line, ids, values = featurize(noisy_sentences, trained_model.config)
+        bounds = line.searchsorted(np.arange(len(noisy_sentences) + 1)).tolist()
+        for s, a, b in zip(noisy_sentences, bounds, bounds[1:]):
+            assert predict(trained_model, s, (ids[a:b], values[a:b])) == predict(trained_model, s)
 
     def test_gathered_dot_product_matches_the_dense_oracle(self, trained_model, noisy_sentences):
         for s in noisy_sentences:
@@ -370,6 +449,8 @@ class TestModelFile:
             (_header(hash_dim=0, n_cols=0), [], 3, "hash_dim >= 1"),
             (_header(drop=["n_cols"]), [3, 7], 9, "'n_cols' is missing"),
             (_header(n_cols=-1), [], 0, "n_cols >= 0"),
+            (_header(ngram_min=0), [3, 7], 9, "1 <= ngram_min <= ngram_max"),
+            (_header(ngram_min=6), [3, 7], 9, "1 <= ngram_min <= ngram_max"),
             (_HEADER, [3, 7], 8, "payload has 80 bytes, expected 88"),
             (_HEADER, [7, 3], 9, "strictly increasing"),
             (_HEADER, [3, 3], 9, "strictly increasing"),
@@ -378,7 +459,8 @@ class TestModelFile:
             (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 3 * 16 + 3, "dense model file"),
         ],
         ids=["not-an-object", "no-labels", "labels-not-a-list", "labels-empty", "labels-unknown",
-             "labels-repeated", "hash-dim-a-string", "hash-dim-zero", "no-n-cols", "n-cols-negative",
+             "labels-repeated", "hash-dim-a-string", "hash-dim-zero", "no-n-cols", "n-cols-negative", "ngram-min-zero",
+             "ngram-min-above-max",
              "payload-one-float-short", "ids-decreasing", "ids-repeated", "id-negative", "id-at-hash-dim",
              "earlier-dense-format"],
     )

@@ -155,6 +155,12 @@ def _one_lower_pattern(word):
     return json.dumps([{"id": "p1", "label": "FREQUENCY", "specs": [{"lower": word}]}], ensure_ascii=False)
 
 
+def _fixture_with_nan_top(path):
+    data = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    data["lines"][0]["bbox"]["top"] = float("nan")
+    return _write(path, json.dumps(data))  # json writes the non-standard NaN token
+
+
 def _raise_runtime_error(text, runtime):
     raise RuntimeError("annotate_text broke")
 
@@ -223,6 +229,10 @@ ERROR_CASES = [
     pytest.param(
         lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"drug_gap_factor": NaN}')),
         2, "config", None, id="config-gap-factor-nan",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_nan_top(d / "nan.json")],
+        2, "GeometryError", None, id="line-box-top-nan",
     ),
     pytest.param(
         lambda m, d: _extract(m, "--out", str(d / "missing" / "record.json")),

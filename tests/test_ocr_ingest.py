@@ -62,6 +62,33 @@ def test_out_of_bounds_coordinate():
         parse_ocr_document(payload([line(left=1.2)]))
 
 
+BOX_FIELDS = ("left", "top", "width", "height")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", BOX_FIELDS)
+def test_non_finite_line_box_coordinate_is_geometry_error(field, value):
+    text = payload([line(**{field: value})])  # json writes NaN and Infinity, and parses them back
+    with pytest.raises(GeometryError, match=rf"lines\[0\]\.bbox\.{field}"):
+        parse_ocr_document(text)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", BOX_FIELDS)
+def test_non_finite_word_box_coordinate_is_geometry_error(field, value):
+    box = {"left": 0.1, "top": 0.2, "width": 0.2, "height": 0.03, field: value}
+    words = [{"text": "DOLIPRANE", "bbox": box}]
+    with pytest.raises(GeometryError, match=rf"lines\[0\]\.words\[0\]\.bbox\.{field}"):
+        parse_ocr_document(payload([line(text="DOLIPRANE", words=words)]))
+
+
+@pytest.mark.parametrize("field", BOX_FIELDS)
+def test_bounding_box_refuses_nan(field):
+    coords = {"left": 0.1, "top": 0.2, "width": 0.2, "height": 0.03, field: float("nan")}
+    with pytest.raises(GeometryError):
+        BoundingBox(**coords)
+
+
 def test_near_bound_values_clamped():
     doc = parse_ocr_document(payload([line(left=-5e-7, top=0.2, width=0.5, height=0.03)]))
     assert doc.lines[0].bbox.left == 0.0

@@ -16,7 +16,6 @@ from ordonnance.patterns import (
     TokenSpec,
     default_patterns,
     find_all,
-    find_matches,
     match_token,
     parse_patterns,
 )
@@ -75,14 +74,14 @@ class TestMatchToken:
 class TestFindMatches:
     def test_simple_sequence(self):
         p = pattern("x", "DOSE", {"like_num": True}, {"lower": ["cp"]})
-        spans = find_matches(p, sent("prendre 1 cp matin"))
+        spans = find_all(PatternSet((p,)), sent("prendre 1 cp matin"))
         assert len(spans) == 1
         assert spans[0].text == "1 cp"
         assert (spans[0].start_token, spans[0].end_token) == (1, 3)
 
     def test_greedy_plus_takes_longest(self):
         p = pattern("x", "DOSE", {"like_num": True, "op": "+"})
-        spans = find_matches(p, raw_sent("1 2 3 fin"))
+        spans = find_all(PatternSet((p,)), raw_sent("1 2 3 fin"))
         assert len(spans) == 1
         assert spans[0].text == "1 2 3"
 
@@ -95,35 +94,35 @@ class TestFindMatches:
             {"regex": "jours?|semaines?|mois"},
         )
         s = sent("pendant 10 jours")
-        spans = find_matches(p, s)
+        spans = find_all(PatternSet((p,)), s)
         assert [(sp.start_token, sp.end_token) for sp in spans] == brute_force_spans(p, s)
         assert spans[0].text == "pendant 10 jours"
 
     def test_backtracking_lets_later_specs_match(self):
         p = pattern("x", "DOSE", {"like_num": True, "op": "+"}, {"is_digit": True})
-        spans = find_matches(p, raw_sent("1 2 3"))
+        spans = find_all(PatternSet((p,)), raw_sent("1 2 3"))
         assert len(spans) == 1
         assert (spans[0].start_token, spans[0].end_token) == (0, 3)
 
     def test_matches_do_not_overlap_and_resume_after_end(self):
         p = pattern("x", "DOSE", {"like_num": True}, {"lower": ["cp"]})
-        spans = find_matches(p, sent("1 cp puis 2 cp"))
+        spans = find_all(PatternSet((p,)), sent("1 cp puis 2 cp"))
         assert [sp.text for sp in spans] == ["1 cp", "2 cp"]
 
     def test_optional_spec(self):
         p = pattern("x", "FREQUENCY", {"lower": ["matin"]}, {"lower": [","], "op": "?"}, {"lower": ["midi"]})
-        assert find_matches(p, sent("matin midi"))[0].text == "matin midi"
-        assert find_matches(p, sent("matin , midi"))[0].text == "matin , midi"
+        assert find_all(PatternSet((p,)), sent("matin midi"))[0].text == "matin midi"
+        assert find_all(PatternSet((p,)), sent("matin , midi"))[0].text == "matin , midi"
 
     def test_star_bounded(self):
         p = pattern("x", "DOSE", {"like_num": True}, {"lower": ["x"], "op": "*"})
         text = "1 " + " ".join(["x"] * (MAX_REPS + 3))
-        spans = find_matches(p, sent(text))
+        spans = find_all(PatternSet((p,)), sent(text))
         assert spans[0].end_token == 1 + MAX_REPS
 
     def test_spans_disjoint_sorted(self):
         p = pattern("x", "DOSE", {"like_num": True})
-        spans = find_matches(p, raw_sent("1 a 2 b 3"))
+        spans = find_all(PatternSet((p,)), raw_sent("1 a 2 b 3"))
         starts = [sp.start_token for sp in spans]
         assert starts == sorted(starts)
         for s1, s2 in zip(spans, spans[1:]):
@@ -191,14 +190,14 @@ class TestBruteForceEquivalence:
                 continue
             words = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
             s = raw_sent(" ".join(words))
-            got = [(sp.start_token, sp.end_token) for sp in find_matches(p, s)]
+            got = [(sp.start_token, sp.end_token) for sp in find_all(PatternSet((p,)), s)]
             assert got == brute_force_spans(p, s), (specs, words)
 
     def test_every_span_revalidates(self):
         pats = default_patterns()
         s = sent("1 comprime matin et soir pendant 10 jours si douleur")
         for p in pats.patterns:
-            for sp in find_matches(p, s):
+            for sp in find_all(PatternSet((p,)), s):
                 assert 0 <= sp.start_token < sp.end_token <= len(s.tokens)
                 # replaying spec-by-spec consumption over the span succeeds
                 assert sp.end_token in brute_force_reach(p, s, sp.start_token)

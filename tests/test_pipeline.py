@@ -7,10 +7,11 @@ from collections import Counter
 
 import pytest
 
-from ordonnance import pipeline, textnorm
+from ordonnance import classify, pipeline, textnorm
 from ordonnance.linking import link, record_to_dict, to_json
 from ordonnance.ocr import parse_ocr_document
-from ordonnance.pipeline import Runtime, annotate_text, classify_lines, extract_document
+from ordonnance.pipeline import Runtime, annotate_text, classify_lines, classify_sentence, extract_document
+from ordonnance.textnorm import make_sentence
 
 from conftest import DATA_DIR
 
@@ -145,6 +146,46 @@ class TestAnnotateText:
         text = "DOLIPRANE 1000 mg, comprimé 2 gélules le matin à jeun"
         assert len(annotate_text(text, runtime)) == 4
         assert calls == [text]
+
+
+class TestClassifyCalls:
+    """Where the classifier is called: perfbench wraps these names to time the layer."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"featurize": [], "predict": []}
+        featurize, predict = classify.featurize, pipeline.predict
+
+        def counting_featurize(lines, config):
+            seen["featurize"].append(list(lines))
+            return featurize(lines, config)
+
+        def counting_predict(model, sentence, *rest):
+            seen["predict"].append((sentence, *rest))
+            return predict(model, sentence, *rest)
+
+        monkeypatch.setattr(classify, "featurize", counting_featurize)
+        monkeypatch.setattr(pipeline, "predict", counting_predict)
+        return seen
+
+    def test_a_document_is_featurized_once_and_predicted_per_line(self, runtime, calls):
+        lines = classify_lines(_doc(FIXTURE), runtime)
+        (batch,) = calls["featurize"]
+        assert [s.line_id for s in batch] == [ln.line_id for ln in lines]
+        assert [call[0] for call in calls["predict"]] == batch
+        assert all(isinstance(call[1], tuple) for call in calls["predict"])  # the line's slice of the batch
+
+    def test_bare_text_featurizes_its_one_line(self, runtime, calls):
+        annotate_text("DOLIPRANE 1000 mg", runtime)
+        (call,) = calls["predict"]
+        assert call[1] is None and [len(batch) for batch in calls["featurize"]] == [1]
+
+    def test_batched_lines_classify_as_each_line_alone(self, runtime):
+        doc = _doc(FIXTURE)
+        alone = [
+            classify_sentence(s, runtime) for line in doc.lines if (s := make_sentence(line, runtime.stopwords))
+        ]
+        assert classify_lines(doc, runtime) == alone
 
 
 @pytest.mark.parametrize("threshold", [0, 0.72, 1.0, 1])

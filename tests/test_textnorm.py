@@ -11,6 +11,7 @@ import re
 import sys
 import unicodedata
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -301,6 +302,15 @@ class TestTokenize:
         text = "1 cp, matin"
         for t in tokenize(text):
             assert text[t.start : t.end] == t.text
+
+    def test_token_is_immutable_and_hashed_by_value(self):
+        (tok,) = tokenize("12")
+        for name in ("text", "lower", "is_digit", "like_num", "start", "end"):
+            with pytest.raises(AttributeError):
+                setattr(tok, name, getattr(tok, name))
+        same = Token(text="12", lower="12", is_digit=True, like_num=True, start=0, end=2)
+        assert same == tok and hash(same) == hash(tok) and len({tok, same}) == 1
+        assert same._replace(start=1) != tok
 
     def test_is_digit_implies_like_num(self):
         for t in tokenize("12 0.5 1/2 abc a1 12/04/2021"):
