@@ -66,7 +66,6 @@ class FeatureConfig:
     ngram_min: int = 3
     ngram_max: int = 5
     hash_dim: int = 2**18
-    version: str = FEATURE_VERSION
 
     def __post_init__(self):
         # featurize builds n-grams of length 1 and up
@@ -347,7 +346,6 @@ def load_model(path) -> ClassifierModel:
         ngram_min=header["ngram_min"],
         ngram_max=header["ngram_max"],
         hash_dim=dim,
-        version=header["version"],
     )
     return ClassifierModel(
         config=config,

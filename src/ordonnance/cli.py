@@ -15,6 +15,7 @@ message and exit 2.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import pathlib
 import sys
@@ -116,6 +117,7 @@ def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Ru
         pats = default_patterns() if patterns_path is None else load_patterns(patterns_path)
     with _failing_as("stopwords"):
         stops = load_stopwords(_resolve(config, "stopwords", stopwords, _default_stopwords_path()))
+    link_fields = dataclasses.fields(LinkConfig)  # unset ones keep LinkConfig's defaults
     with _failing_as("config"):
         return Runtime(
             model=clf,
@@ -123,11 +125,7 @@ def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Ru
             patterns=pats,
             stopwords=stops,
             threshold=_resolve(config, "threshold", threshold, DEFAULT_THRESHOLD),
-            link_config=LinkConfig(
-                section_gap_factor=config.get("section_gap_factor", 1.5),
-                drug_gap_factor=config.get("drug_gap_factor", 2.5),
-                overlap_fraction=config.get("overlap_fraction", 0.5),
-            ),
+            link_config=LinkConfig(**{f.name: config[f.name] for f in link_fields if f.name in config}),
         )
 
 
@@ -177,18 +175,26 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
 
     Every input is processed: a failing one is reported on stderr and the
     others are still written. The exit code is that of the first failure.
+    Several inputs each write ``<stem>.record.json`` (or ``.record.txt``) in
+    --out; inputs whose file names would collide are refused before
+    anything is read or written.
     """
     cfg = _load_config(config)
     runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
     if len(inputs) > 1:
         if not out:
             _fail(_EXIT_SCHEMA, "usage", "--out directory is required with several inputs")
+        suffix = ".record.json" if fmt == "json" else ".record.txt"
+        names = [pathlib.Path(path).stem + suffix for path in inputs]
+        clashing = [path for path, name in zip(inputs, names) if names.count(name) > 1]
+        if clashing:
+            _fail(_EXIT_SCHEMA, "usage", f"inputs would overwrite each other's record: {', '.join(clashing)}")
         out_dir = pathlib.Path(out)
         with _failing_as("output"):
             out_dir.mkdir(parents=True, exist_ok=True)
 
     first_code = 0
-    for path in inputs:
+    for i, path in enumerate(inputs):
         kind = "input"  # what an OSError failed on
         try:
             with open(path, "rb") as fh:
@@ -197,8 +203,7 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
             blob = _record_table(rd).encode("utf-8") if fmt == "table" else dumps_canonical(rd)
             kind = "output"
             if len(inputs) > 1:
-                suffix = ".record.json" if fmt == "json" else ".record.txt"
-                (out_dir / (pathlib.Path(path).stem + suffix)).write_bytes(blob)
+                (out_dir / names[i]).write_bytes(blob)
             elif out:
                 pathlib.Path(out).write_bytes(blob)
             else:

@@ -19,6 +19,10 @@ Scoring skips only work that cannot change the result, by three exact rules:
 - once the best score is 1.0, later trigger tokens are not probed: they
   can neither beat nor tie it.
 
+A line opening with an equivalence marker ("ou", "soit", ...) names a
+substitute for the drug above it; the markers are the one shipped word list,
+``data/equivalence_markers.txt``, read once with ``read_word_list``.
+
 Lexicon CSV format: header ``id,name``, UTF-8, one drug per row.
 """
 
@@ -28,11 +32,10 @@ import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
 
 from . import kernels
 from .errors import DuplicateId, EmptyLexicon, FileError
-from .textnorm import Sentence, normalize_text, tokenize
+from .textnorm import Sentence, normalize_text, read_word_list, tokenize
 
 DEFAULT_THRESHOLD = 0.72
 
@@ -249,24 +252,15 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
 
 @lru_cache(maxsize=1)
 def default_equivalence_markers() -> frozenset[str]:
+    """The shipped markers (data/equivalence_markers.txt), read once."""
     text = resources.files("ordonnance.data").joinpath("equivalence_markers.txt").read_text("utf-8")
-    markers: set[str] = set()
-    for line in text.splitlines():
-        word = line.split("#", 1)[0].strip()
-        if word:
-            markers.add(normalize_text(word).text)
-    return frozenset(markers)
+    return read_word_list(text)
 
 
-def starts_with_equivalence_marker(
-    sentence: Sentence, markers: Iterable[str] | None = None
-) -> bool:
-    """True when the line opens with an 'or equivalent' marker ('ou ...').
+def starts_with_equivalence_marker(sentence: Sentence) -> bool:
+    """True when the line opens with one of the shipped 'or equivalent' markers ('ou ...').
 
     Prescriptions often list a substitute drug on the next line introduced by
     such a marker; only the first of the pair should be kept.
     """
-    if not sentence.tokens:
-        return False
-    marker_set = frozenset(markers) if markers is not None else default_equivalence_markers()
-    return sentence.tokens[0].text in marker_set
+    return bool(sentence.tokens) and sentence.tokens[0].text in default_equivalence_markers()

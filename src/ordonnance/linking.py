@@ -217,8 +217,3 @@ def _extraction_to_dict(extraction: PosologyExtraction) -> dict:
 def dumps_canonical(obj: dict) -> bytes:
     """Canonical JSON bytes: stable key order, compact separators, trailing newline."""
     return (json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def to_json(record: PrescriptionRecord) -> bytes:
-    """Canonical JSON for a record; serialize -> parse -> serialize is byte-identical."""
-    return dumps_canonical(record_to_dict(record))

@@ -116,7 +116,11 @@ def _parse_bbox(obj: Any, where: str) -> BoundingBox:
             raise GeometryError(f"{where}.{name}: {v} outside [-1e-6, 1+1e-6]")
     if width <= 0 or height <= 0:
         raise GeometryError(f"{where}: non-positive extent (width={width}, height={height})")
-    return BoundingBox(_clamp(left), _clamp(top), _clamp(width), _clamp(height))
+    left, top, width, height = _clamp(left), _clamp(top), _clamp(width), _clamp(height)
+    # the far-edge test of BoundingBox, made here so that the error names the box
+    if not (left + width <= 1 + _EPS and top + height <= 1 + _EPS):
+        raise GeometryError(f"{where}: box extends beyond page bounds")
+    return BoundingBox(left, top, width, height)
 
 
 def _parse_line(obj: Any, pages: int, idx: int) -> OcrLine:

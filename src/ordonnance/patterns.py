@@ -14,7 +14,8 @@ shipped set's 498 spec instances are 118 distinct specs), each pattern
 becomes a tuple of spec ids, and the patterns of every label are indexed
 together by their first spec id (31 distinct first specs in the shipped
 set). Patterns whose first spec is optional ("?" or "*") are tried at every
-position.
+position. Matching always tries all four labels (there is no label
+selection); overlaps are then resolved per label.
 
 A first spec is scannable when its only constraint is a regex with no
 groups, default flags and no global inline flag group such as "(?u)". The
@@ -107,9 +108,6 @@ class _Compiled(NamedTuple):
     bounds: tuple[tuple[int, int], ...] | None  # per-spec (lo, hi); None: every op is "1"
 
 
-# A pattern and its label, as the sweep tries it.
-_Entry = tuple[str, _Compiled]
-
 # A global inline flag group such as "(?u)". It passes the flags test when it
 # repeats a default flag, and it cannot sit mid-pattern inside the scanner.
 _GLOBAL_FLAGS_RE = re.compile(r"\(\?[aiLmsux]+\)")
@@ -130,12 +128,12 @@ def _scannable(spec: TokenSpec) -> bool:
 
 
 class PatternSet:
-    """Immutable collection of patterns, grouped by label and compiled once.
+    """Immutable collection of patterns, compiled once.
 
     ``specs`` holds each distinct spec once (the quantifier is not part of a
-    spec's identity). ``index`` maps a first spec id to the (label, pattern)
-    entries that start with it, over every label; ``always`` holds the
-    entries whose first spec is optional, which are tried at every position.
+    spec's identity). ``index`` maps a first spec id to the compiled patterns
+    that start with it, over every label; ``always`` holds the patterns whose
+    first spec is optional, which are tried at every position.
 
     ``scanner`` decides every scannable first spec of a token in one call:
     group k captures the token text exactly when ``scan_ids[k]`` holds.
@@ -148,14 +146,11 @@ class PatternSet:
             if p.pattern_id in seen:
                 raise PatternError(f"duplicate pattern id {p.pattern_id!r}")
             seen.add(p.pattern_id)
-        self.by_label: dict[str, tuple[TokenPattern, ...]] = {
-            label: tuple(p for p in self.patterns if p.label == label) for label in LABELS
-        }
 
         ids: dict[tuple, int] = {}
         specs: list[TokenSpec] = []
-        self.index: dict[int, list[_Entry]] = {}
-        self.always: list[_Entry] = []
+        self.index: dict[int, list[_Compiled]] = {}
+        self.always: list[_Compiled] = []
         for p in self.patterns:
             spec_ids = []
             for spec in p.specs:
@@ -167,7 +162,7 @@ class PatternSet:
                 spec_ids.append(sid)
             ops = [spec.op for spec in p.specs]
             bounds = None if set(ops) == {"1"} else tuple(_OP_BOUNDS[op] for op in ops)
-            entry = (p.label, _Compiled(p, tuple(spec_ids), bounds))
+            entry = _Compiled(p, tuple(spec_ids), bounds)
             if ops[0] in ("?", "*"):
                 self.always.append(entry)
             else:
@@ -184,9 +179,6 @@ class PatternSet:
         )
         self._scanned = tuple(self.index[sid] for sid in self.scan_ids)
         self._checked = tuple((sid, group) for sid, group in self.index.items() if sid not in self.scan_slot)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
 
     def scan(self, token: Token) -> tuple[str | None, ...]:
         """Slot k is not None iff first spec ``scan_ids[k]`` holds for the token."""
@@ -364,29 +356,27 @@ def _sweep(
     patterns: PatternSet,
     rows: Sequence[tuple[str | None, ...]],
     holds: Callable[[int, int], bool],
-    found: dict[str, list[tuple[int, int, TokenPattern]]],
-) -> None:
-    """Append each pattern's non-overlapping longest matches to ``found[label]``.
+) -> list[tuple[int, int, TokenPattern]]:
+    """Each pattern's non-overlapping longest matches, as (start, end, pattern).
 
-    Matches are (start, end, pattern). Positions are visited once, left to
-    right, for every label; at each one only the entries whose first spec
-    holds are tried, and an entry whose label is not a key of ``found`` is
-    skipped. A pattern is not tried again before the end of its last match,
-    which is each pattern's own scan; as that depends on no other pattern,
-    the order of the entries at a position does not change what is found.
+    Positions are visited once, left to right, for every label; at each one
+    only the patterns whose first spec holds are tried. A pattern is not
+    tried again before the end of its last match, which is each pattern's
+    own scan; as that depends on no other pattern, the order of the patterns
+    at a position does not change what is found.
     """
     n = len(rows)
     checked = patterns._checked
     always = patterns.always
+    found: list[tuple[int, int, TokenPattern]] = []
     resume: dict[str, int] = {}  # pattern id -> end of its last match
     for pos in range(n):
         groups = list(compress(patterns._scanned, rows[pos]))
         groups += [group for sid, group in checked if holds(sid, pos)]
         groups.append(always)
         for group in groups:
-            for label, (pattern, spec_ids, bounds) in group:
-                bucket = found.get(label)
-                if bucket is None or resume.get(pattern.pattern_id, 0) > pos:
+            for pattern, spec_ids, bounds in group:
+                if resume.get(pattern.pattern_id, 0) > pos:
                     continue
                 if bounds is None:
                     end = pos + len(spec_ids)
@@ -401,15 +391,12 @@ def _sweep(
                     end = _longest_end(spec_ids, bounds, holds, n, pos)
                     if end <= pos:
                         continue
-                bucket.append((pos, end, pattern))
+                found.append((pos, end, pattern))
                 resume[pattern.pattern_id] = end
+    return found
 
 
-def find_all(
-    patterns: PatternSet,
-    sentence: Sentence,
-    labels: Sequence[str] | None = None,
-) -> list[MatchSpan]:
+def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
     """Union of matches over patterns, with per-label overlap resolution.
 
     Overlapping spans of the same label keep only the longest (ties: the
@@ -419,27 +406,23 @@ def find_all(
     tokens = sentence.tokens
     n = len(tokens)
     rows = [patterns.scan(token) for token in tokens]
-    holds = _memo_holds(patterns, tokens, rows)
-    wanted = tuple(labels) if labels is not None else LABELS
-    found: dict[str, list[tuple[int, int, TokenPattern]]] = {label: [] for label in wanted}
-    _sweep(patterns, rows, holds, found)
+    found = _sweep(patterns, rows, _memo_holds(patterns, tokens, rows))
+    found.sort(key=lambda c: (c[0] - c[1], c[0], c[2].pattern_id))
+    taken = {label: bytearray(n) for label in LABELS}
     kept: list[MatchSpan] = []
-    for label in wanted:
-        candidates = found[label]
-        candidates.sort(key=lambda c: (c[0] - c[1], c[0], c[2].pattern_id))
-        taken = bytearray(n)
-        for start, end, pattern in candidates:
-            if any(taken[start:end]):
-                continue
-            taken[start:end] = b"\x01" * (end - start)
-            kept.append(
-                MatchSpan(
-                    pattern_id=pattern.pattern_id,
-                    label=label,
-                    start_token=start,
-                    end_token=end,
-                    text=sentence.match_text[tokens[start].start : tokens[end - 1].end],
-                )
+    for start, end, pattern in found:
+        used = taken[pattern.label]
+        if any(used[start:end]):
+            continue
+        used[start:end] = b"\x01" * (end - start)
+        kept.append(
+            MatchSpan(
+                pattern_id=pattern.pattern_id,
+                label=pattern.label,
+                start_token=start,
+                end_token=end,
+                text=sentence.match_text[tokens[start].start : tokens[end - 1].end],
             )
+        )
     kept.sort(key=lambda s: (s.start_token, s.end_token, s.label, s.pattern_id))
     return kept

@@ -23,7 +23,6 @@ from .classify import ClassifierModel, predict
 from .druglink import (
     DEFAULT_THRESHOLD,
     DrugLexicon,
-    default_equivalence_markers,
     detect_drug,
     mention_token_window,
     split_combined_line,
@@ -135,14 +134,13 @@ def classify_lines(doc: OcrDocument, runtime: Runtime) -> list[ClassifiedLine]:
         for sentence, a, b in zip(sentences, bounds, bounds[1:])
     ]
 
-    markers = default_equivalence_markers()
     for i in range(1, len(classified)):
         cur, prev = classified[i], classified[i - 1]
         if (
             cur.mention is not None
             and prev.mention is not None
             and cur.mention.drug_id != prev.mention.drug_id
-            and starts_with_equivalence_marker(sentences[i], markers)
+            and starts_with_equivalence_marker(sentences[i])
         ):
             classified[i] = ClassifiedLine(
                 line_id=cur.line_id,

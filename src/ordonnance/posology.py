@@ -1,8 +1,8 @@
 """Posology extraction: dose, frequency, duration and comment entities.
 
-Runs the four posology matcher families over a sentence classified as
-posology (or over the remainder of a combined drug+posology line) and
-collects the surviving spans as entities.
+Runs the pattern set over a sentence classified as posology (or over the
+remainder of a combined drug+posology line) and collects the surviving spans
+as entities; an entity's kind is its pattern's label.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .patterns import PatternSet, find_all
 from .textnorm import Sentence
-
-POSOLOGY_KINDS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ def extract_posology(sentence: Sentence, patterns: PatternSet) -> PosologyExtrac
     Entities come back sorted by span start. ``residual_text`` joins the
     tokens not covered by any entity, preserving order.
     """
-    spans = find_all(patterns, sentence, labels=POSOLOGY_KINDS)
+    spans = find_all(patterns, sentence)
     entities = tuple(
         PosologyEntity(
             kind=s.label,

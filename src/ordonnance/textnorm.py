@@ -11,6 +11,9 @@ classifier). Removing stopwords before matching would destroy phrases like
 normalized text, the index of the raw character it came from, so that a
 span of the normalized text can be projected back onto the raw text.
 
+`read_word_list` reads the shipped word lists (stopwords, equivalence
+markers), each entry folded by `normalize_text` like the text it is matched in.
+
 Both functions make one pass with compiled patterns. Accent stripping and
 lowercasing map each character on its own, so an ASCII line is just
 ``raw.lower()`` and only non-ASCII characters are folded one at a time.
@@ -90,13 +93,6 @@ def _fold_char(ch: str) -> str:
     """Accent stripping (NFD, combining marks dropped), then lowercasing, of one character."""
     return "".join(
         piece.lower() for piece in unicodedata.normalize("NFD", ch) if not unicodedata.combining(piece)
-    )
-
-
-def strip_accents(s: str) -> str:
-    """Remove combining accents (NFD decomposition), preserving everything else."""
-    return "".join(
-        piece for piece in unicodedata.normalize("NFD", s) if not unicodedata.combining(piece)
     )
 
 
@@ -185,15 +181,16 @@ def tokenize(s: str) -> list[Token]:
     return tokens
 
 
+def read_word_list(text: str) -> frozenset[str]:
+    """The normalized words of a word list: one per line, '#' starts a comment."""
+    words = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return frozenset(normalize_text(word).text for word in words if word)
+
+
 def load_stopwords(path) -> frozenset[str]:
-    """Load the stopword file: one word per line, '#' starts a comment."""
-    words: set[str] = set()
+    """Load the stopword file (see ``read_word_list``)."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                words.add(strip_accents(word).lower())
-    return frozenset(words)
+        return read_word_list(fh.read())
 
 
 def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sentence | None:
@@ -220,13 +217,9 @@ def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sen
     )
 
 
-def sentence_from_text(
-    text: str,
-    stopwords: frozenset[str] = frozenset(),
-    line_id: str = "text",
-    bbox: BoundingBox | None = None,
-    page: int = 1,
-) -> Sentence | None:
-    """Convenience wrapper building a Sentence from bare text (no real geometry)."""
-    box = bbox if bbox is not None else BoundingBox(0.0, 0.0, 1.0, 0.02)
-    return make_sentence(OcrLine(line_id=line_id, raw_text=text, bbox=box, page=page), stopwords)
+_TEXT_BOX = BoundingBox(0.0, 0.0, 1.0, 0.02)
+
+
+def sentence_from_text(text: str, stopwords: frozenset[str] = frozenset()) -> Sentence | None:
+    """A Sentence from bare text: line "text" on page 1, with a placeholder box."""
+    return make_sentence(OcrLine(line_id="text", raw_text=text, bbox=_TEXT_BOX, page=1), stopwords)

@@ -105,6 +105,36 @@ def test_several_inputs_need_an_out_directory(run):
     assert [e["type"] for e in _error(result)] == ["usage"]
 
 
+@pytest.mark.parametrize("same_path", [False, True], ids=["same-stem", "same-path"])
+def test_inputs_writing_the_same_record_are_refused_before_anything_is_written(run, tmp_path, same_path):
+    first = tmp_path / "a" / "doc.json"
+    second = first if same_path else tmp_path / "b" / "doc.json"
+    for path in (first, second):
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(FIXTURE.read_bytes())
+    out = tmp_path / "out"
+    result = run("--input", str(first), "--input", str(FIXTURE), "--input", str(second), "--out", str(out))
+    assert result.exit_code == 2
+    (error,) = _error(result)
+    assert error["type"] == "usage"
+    assert str(first) in error["message"] and str(second) in error["message"]
+    assert str(FIXTURE) not in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, orphans", [({}, 0), ({"drug_gap_factor": 0.01}, 4)], ids=["defaults", "tight-drug-gap"])
+def test_link_config_keys_are_honoured_and_unset_ones_keep_the_defaults(run, tmp_path, config, orphans):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    result = run("--input", str(FIXTURE), "--config", str(path))
+    assert result.exit_code == 0, result.stderr
+    record = json.loads(result.stdout)
+    attached = sum(len(d["posologies"]) for d in record["drugs"])
+    # the fixture's 4 posology lines: within the default section and drug gaps
+    # every one is attached, and none is once the first gap must be tiny
+    assert (attached, len(record["orphans"])) == (4 - orphans, orphans)
+
+
 def test_threshold_of_one_is_accepted(run):
     result = run("--input", str(FIXTURE), "--threshold", "1.0")
     assert result.exit_code == 0, result.stderr

@@ -89,6 +89,32 @@ def test_bounding_box_refuses_nan(field):
         BoundingBox(**coords)
 
 
+OVERFLOWS = {"right": {"left": 0.6, "width": 0.5}, "bottom": {"top": 0.9, "height": 0.2}}
+
+
+@pytest.mark.parametrize("overflow", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_line_box_beyond_the_page_names_the_line(overflow):
+    text = payload([line(id="a"), line(id="b", **overflow)])
+    with pytest.raises(GeometryError, match=r"^lines\[1\]\.bbox: box extends beyond page bounds"):
+        parse_ocr_document(text)
+
+
+@pytest.mark.parametrize("overflow", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_word_box_beyond_the_page_names_the_word(overflow):
+    words = [
+        {"text": word, "bbox": {"left": 0.1 + 0.1 * i, "top": 0.2, "width": 0.08, "height": 0.03}}
+        for i, word in enumerate(("1", "cp", "matin"))
+    ]
+    words[2]["bbox"].update(overflow)
+    with pytest.raises(GeometryError, match=r"^lines\[0\]\.words\[2\]\.bbox: box extends beyond page bounds"):
+        parse_ocr_document(payload([line(text="1 cp matin", words=words)]))
+
+
+def test_far_edge_within_the_clamp_tolerance_is_accepted():
+    doc = parse_ocr_document(payload([line(left=0.5, width=0.5 + 5e-7, top=0.5, height=0.5 + 5e-7)]))
+    assert (doc.lines[0].bbox.right, doc.lines[0].bbox.bottom) == (1.0 + 5e-7, 1.0 + 5e-7)
+
+
 def test_near_bound_values_clamped():
     doc = parse_ocr_document(payload([line(left=-5e-7, top=0.2, width=0.5, height=0.03)]))
     assert doc.lines[0].bbox.left == 0.0

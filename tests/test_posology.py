@@ -1,4 +1,5 @@
-from ordonnance.posology import POSOLOGY_KINDS, extract_posology
+from ordonnance.patterns import LABELS
+from ordonnance.posology import extract_posology
 from ordonnance.textnorm import sentence_from_text
 
 
@@ -32,7 +33,7 @@ def test_entities_sorted_and_typed(patterns):
     ext = extract_posology(s, patterns)
     starts = [e.char_start for e in ext.entities]
     assert starts == sorted(starts)
-    assert all(e.kind in POSOLOGY_KINDS for e in ext.entities)
+    assert all(e.kind in LABELS for e in ext.entities)
     assert ext.residual_text == "prendre"
 
 
@@ -47,7 +48,7 @@ def test_entity_text_matches_char_span(patterns):
 def test_per_kind_no_token_overlap(patterns):
     s = sentence_from_text("1 comprime de 500 mg 2 fois par jour pendant 7 jours a jeun")
     ext = extract_posology(s, patterns)
-    for kind in POSOLOGY_KINDS:
+    for kind in LABELS:
         seen = set()
         for e in ext.entities:
             if e.kind != kind:

@@ -10,20 +10,22 @@ token attribute.
 import re
 import sys
 import unicodedata
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordonnance.druglink import default_lexicon
+from ordonnance.druglink import default_equivalence_markers, default_lexicon
 from ordonnance.ocr import BoundingBox, OcrLine
 from ordonnance.textnorm import (
     NormalizedText,
     Token,
+    load_stopwords,
     make_sentence,
     normalize_text,
+    read_word_list,
     sentence_from_text,
-    strip_accents,
     tokenize,
 )
 
@@ -186,7 +188,6 @@ def oracle_tokenize(s):
 
 
 def assert_same_as_oracle(raw):
-    assert strip_accents(raw) == "".join(_map_strip_accents(list(raw), range(len(raw)))[0]), raw
     norm = normalize_text(raw)
     assert norm == oracle_normalize_text(raw), raw
     assert tokenize(norm.text) == oracle_tokenize(norm.text), raw
@@ -225,19 +226,39 @@ class TestAgainstOracles:
         assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
-class TestStripAccents:
-    def test_french_accents(self):
-        assert strip_accents("céfpodoxime à jeûn").lower() == "cefpodoxime a jeun"
+# The shipped word lists as they were read before one reader served both.
+SHIPPED_STOPWORDS = frozenset(
+    """
+    a afin ainsi alors au aussi autre autres aux avoir bien c ca car ce ceci cela celle
+    celles celui cependant ces cet cette ceux chacun chacune chez comme comment d dans de
+    deja depuis des donc dont du elle elles en encore entre est et etre eux faire fait ici
+    il ils j jamais je jusque l la le les leur leurs lors lorsque lui m ma mais mal me meme
+    memes mes moins mon n neanmoins ni nos notre nous on or ou parfois peu plus pourquoi
+    pourtant puisque qu quand que quel quelle quelles quelque quelques quels qui quoi rien s
+    sa se ses si son sont souvent t ta tandis te tes ton toujours tous tout toute toutefois
+    toutes tres trop tu un une vers vos votre vous y
+    """.split()
+)
+SHIPPED_MARKERS = frozenset({"ou", "equivalent", "soit"})
 
-    def test_empty(self):
-        assert strip_accents("") == ""
 
-    def test_no_accents_identity(self):
-        assert strip_accents("DOLIPRANE") == "DOLIPRANE"
+class TestReadWordList:
+    @staticmethod
+    def shipped(name):
+        return resources.files("ordonnance.data").joinpath(name)
 
-    @given(FRENCH)
-    def test_idempotent(self, s):
-        assert strip_accents(strip_accents(s)) == strip_accents(s)
+    def test_shipped_stopwords(self):
+        path = self.shipped("stopwords_fr.txt")
+        assert len(SHIPPED_STOPWORDS) == 133
+        assert read_word_list(path.read_text("utf-8")) == load_stopwords(str(path)) == SHIPPED_STOPWORDS
+
+    def test_shipped_markers(self):
+        text = self.shipped("equivalence_markers.txt").read_text("utf-8")
+        assert read_word_list(text) == default_equivalence_markers() == SHIPPED_MARKERS
+
+    def test_comments_blank_lines_and_folding(self):
+        text = "# a comment line\n\n   \nÉquivalent  # trailing comment\nOU\n#\nsoit"
+        assert read_word_list(text) == {"equivalent", "ou", "soit"}
 
 
 class TestUnifyNumbers:
@@ -277,7 +298,8 @@ class TestUnifyNumbers:
         # unification only edits spaces and separators around digits, so the
         # letters are those of the folded text and the digits those of s
         out = self.unify(s)
-        assert [c for c in out if c.isalpha()] == [c for c in strip_accents(s).lower() if c.isalpha()]
+        folded = "".join(_map_strip_accents(s, range(len(s)))[0]).lower()
+        assert [c for c in out if c.isalpha()] == [c for c in folded if c.isalpha()]
         assert [c for c in out if c.isdigit()] == [c for c in s if c.isdigit()]
 
 
