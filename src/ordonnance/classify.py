@@ -318,6 +318,8 @@ def load_model(path) -> ClassifierModel:
         header = json.loads(header_line)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise SchemaError(f"{path}: bad model header: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: bad model header: JSON nests too deeply to decode") from exc
     magic = header.get("magic") if isinstance(header, dict) else None
     if magic == _DENSE_MAGIC:
         raise SchemaError(f"{path}: dense model file of an earlier release; retrain the model")

@@ -89,7 +89,10 @@ def _load_config(path: str | None) -> dict:
         return {}
     with _failing_as("config"):
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except RecursionError as exc:
+                raise SchemaError(f"{path}: JSON nests too deeply to decode") from exc
         if not isinstance(cfg, dict):
             raise SchemaError(f"{path}: expected a JSON object")
         for key in _PATH_KEYS:

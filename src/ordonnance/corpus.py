@@ -262,6 +262,8 @@ def read_jsonl(path) -> list[AnnotatedSentence]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise SchemaError(f"{path}:{line_no}: JSON nests too deeply to decode") from exc
             if not isinstance(obj, dict):
                 raise SchemaError(f"{path}:{line_no}: expected a JSON object")
             try:

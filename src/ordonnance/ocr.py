@@ -14,11 +14,16 @@ Payload schema::
 All coordinates are fractions of the page size in [0, 1]; values within
 1e-6 of a bound are clamped. ``words`` is optional per line.
 
-Word boxes are validated and nothing more: each must follow the schema and
+Word boxes are validated, then dropped: each must follow the schema and
 have valid geometry, and the word texts must reassemble the line text, or
-the document is refused with ``SchemaError``. They are kept on
-``OcrLine.words`` but no later stage reads them; every stage works on the
-line text and the line box.
+the document is refused. Only the word texts are kept, on ``OcrLine.words``;
+every later stage works on the line text and the line box.
+
+Each line is first put through one tight check (`_checked_line`) that
+accepts the common case: exact floats already inside the page, nothing to
+clamp. Any other line, valid or not, goes to `_parse_line`, the only code
+that clamps a coordinate or raises a line's error, so a line parses to the
+same value, or fails with the same error, whichever path it takes.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class OcrLine:
     raw_text: str
     bbox: BoundingBox
     page: int
-    words: tuple[tuple[str, BoundingBox], ...] = field(default=())
+    words: tuple[str, ...] = field(default=())  # word texts; their boxes are validated, not kept
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,10 @@ def _require(obj: dict, key: str, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{where}.{key}: expected number, got {type(value).__name__}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range, which json accepts
+            raise GeometryError(f"{where}.{key}: integer too large for a coordinate") from None
     if kind is int and isinstance(value, bool):
         raise SchemaError(f"{where}.{key}: expected int, got bool")
     if not isinstance(value, kind):
@@ -134,19 +142,58 @@ def _parse_line(obj: Any, pages: int, idx: int) -> OcrLine:
         raise SchemaError(f"{where}.text: empty after whitespace trim")
     bbox = _parse_bbox(_require(obj, "bbox", dict, where), f"{where}.bbox")
 
-    words: list[tuple[str, BoundingBox]] = []
+    words: list[str] = []
     raw_words = obj.get("words", [])
     if not isinstance(raw_words, list):
         raise SchemaError(f"{where}.words: expected list")
     for w_idx, w in enumerate(raw_words):
         w_where = f"{where}.words[{w_idx}]"
-        w_text = _require(w, "text", str, w_where)
-        w_bbox = _parse_bbox(_require(w, "bbox", dict, w_where), f"{w_where}.bbox")
-        words.append((w_text, w_bbox))
-    if words:
-        joined = " ".join(w for w, _ in words)
-        if joined.split() != text.split():
-            raise SchemaError(f"{where}: word texts do not reassemble the line text")
+        words.append(_require(w, "text", str, w_where))
+        _parse_bbox(_require(w, "bbox", dict, w_where), f"{w_where}.bbox")
+    if words and " ".join(words).split() != text.split():
+        raise SchemaError(f"{where}: word texts do not reassemble the line text")
+    return OcrLine(line_id=line_id, raw_text=text, bbox=bbox, page=page, words=tuple(words))
+
+
+def _inside(box: dict) -> bool:
+    """True when the box holds four exact floats inside the page, so nothing to clamp."""
+    left, top, width, height = box["left"], box["top"], box["width"], box["height"]
+    # With width and height positive, far edges <= 1 keep every value in [0, 1].
+    return (
+        type(left) is float and type(top) is float and type(width) is float and type(height) is float
+        and left >= 0.0 and top >= 0.0 and width > 0.0 and height > 0.0
+        and left + width <= 1.0 and top + height <= 1.0
+    )
+
+
+def _checked_line(obj: Any, pages: int) -> OcrLine | None:
+    """The line when it passes every test of `_parse_line` with nothing to clamp, else None.
+
+    Raises nothing: a missing key, or a value that is not a dict where one
+    is indexed, ends the check with None like any failed test.
+    """
+    try:
+        line_id, page, text, box = obj["id"], obj["page"], obj["text"], obj["bbox"]
+        if not (
+            type(line_id) is str and type(text) is str and type(page) is int
+            and 1 <= page <= pages and text.strip() and _inside(box)
+        ):
+            return None
+        raw_words = obj.get("words", [])
+        if type(raw_words) is not list:
+            return None
+        words = [w["text"] for w in raw_words]
+        # Equal to the line's tokens, the texts reassemble it and are all str;
+        # texts that reassemble it some other way (a space inside one) are
+        # left to `_parse_line`.
+        if words and words != text.split():
+            return None
+        for w in raw_words:
+            if not _inside(w["bbox"]):
+                return None
+    except (KeyError, TypeError):
+        return None
+    bbox = BoundingBox(box["left"], box["top"], box["width"], box["height"])
     return OcrLine(line_id=line_id, raw_text=text, bbox=bbox, page=page, words=tuple(words))
 
 
@@ -159,8 +206,10 @@ def parse_ocr_document(payload: bytes | str) -> OcrDocument:
     """
     try:
         data = json.loads(payload)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to convert
         raise SchemaError(f"payload is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("payload JSON nests too deeply to decode") from exc
     if not isinstance(data, dict):
         raise SchemaError("top-level payload must be a JSON object")
 
@@ -172,7 +221,7 @@ def parse_ocr_document(payload: bytes | str) -> OcrDocument:
     if not raw_lines:
         raise EmptyDocument(f"document {doc_id!r} has no lines")
 
-    lines = [_parse_line(obj, pages, i) for i, obj in enumerate(raw_lines)]
+    lines = [_checked_line(obj, pages) or _parse_line(obj, pages, i) for i, obj in enumerate(raw_lines)]
     seen: set[str] = set()
     for line in lines:
         if line.line_id in seen:

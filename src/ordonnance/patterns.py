@@ -271,6 +271,8 @@ def load_patterns(path) -> PatternSet:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise PatternError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise PatternError(f"{path}: JSON nests too deeply to decode") from exc
     return parse_patterns(data)
 
 

@@ -185,10 +185,15 @@ def _one_lower_pattern(word):
     return json.dumps([{"id": "p1", "label": "FREQUENCY", "specs": [{"lower": word}]}], ensure_ascii=False)
 
 
-def _fixture_with_nan_top(path):
+def _fixture_with_line_box(path, field, value):
     data = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    data["lines"][0]["bbox"]["top"] = float("nan")
+    data["lines"][0]["bbox"][field] = value
     return _write(path, json.dumps(data))  # json writes the non-standard NaN token
+
+
+def _deeply_nested(key, depth=200_000):
+    """A JSON object whose one value nests lists deeper than the decoder recurses."""
+    return '{"%s": %s%s}' % (key, "[" * depth, "]" * depth)
 
 
 def _raise_runtime_error(text, runtime):
@@ -261,8 +266,32 @@ ERROR_CASES = [
         2, "config", None, id="config-gap-factor-nan",
     ),
     pytest.param(
-        lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_nan_top(d / "nan.json")],
+        lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_line_box(d / "nan.json", "top", float("nan"))],
         2, "GeometryError", None, id="line-box-top-nan",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_line_box(d / "big.json", "left", 10**400)],
+        2, "GeometryError", None, id="line-box-left-beyond-the-float-range",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--model", str(m), "--input", _write(d / "deep.json", _deeply_nested("doc_id"))],
+        2, "SchemaError", None, id="payload-nested-too-deeply",
+    ),
+    pytest.param(
+        lambda m, d: _extract(m, "--config", _write(d / "config.json", _deeply_nested("threshold"))),
+        2, "config", None, id="config-nested-too-deeply",
+    ),
+    pytest.param(
+        lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _deeply_nested("id"))),
+        2, "patterns", None, id="patterns-nested-too-deeply",
+    ),
+    pytest.param(
+        lambda m, d: ["eval", "--gold", _write(d / "gold.jsonl", _deeply_nested("text") + "\n")],
+        2, "gold", None, id="gold-line-nested-too-deeply",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _write(d / "m.bin", _deeply_nested("magic") + "\n")],
+        2, "model", None, id="model-header-nested-too-deeply",
     ),
     pytest.param(
         lambda m, d: _extract(m, "--out", str(d / "missing" / "record.json")),

@@ -1,14 +1,18 @@
 import json
+import random
 
 import pytest
 
-from ordonnance.errors import EmptyDocument, GeometryError, SchemaError
+from ordonnance import ocr
+from ordonnance.errors import EmptyDocument, GeometryError, OrdonnanceError, SchemaError
 from ordonnance.ocr import (
     BoundingBox,
     OcrLine,
     parse_ocr_document,
     reading_order_key,
 )
+
+from conftest import DATA_DIR
 
 
 def payload(lines, doc_id="doc", pages=1):
@@ -65,7 +69,8 @@ def test_out_of_bounds_coordinate():
 BOX_FIELDS = ("left", "top", "width", "height")
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+# 10**400 is valid JSON, an integer beyond the float range
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "huge-int"])
 @pytest.mark.parametrize("field", BOX_FIELDS)
 def test_non_finite_line_box_coordinate_is_geometry_error(field, value):
     text = payload([line(**{field: value})])  # json writes NaN and Infinity, and parses them back
@@ -73,7 +78,7 @@ def test_non_finite_line_box_coordinate_is_geometry_error(field, value):
         parse_ocr_document(text)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"])
 @pytest.mark.parametrize("field", BOX_FIELDS)
 def test_non_finite_word_box_coordinate_is_geometry_error(field, value):
     box = {"left": 0.1, "top": 0.2, "width": 0.2, "height": 0.03, field: value}
@@ -113,6 +118,12 @@ def test_word_box_beyond_the_page_names_the_word(overflow):
 def test_far_edge_within_the_clamp_tolerance_is_accepted():
     doc = parse_ocr_document(payload([line(left=0.5, width=0.5 + 5e-7, top=0.5, height=0.5 + 5e-7)]))
     assert (doc.lines[0].bbox.right, doc.lines[0].bbox.bottom) == (1.0 + 5e-7, 1.0 + 5e-7)
+
+
+def test_deep_nesting_is_schema_error():
+    depth = 200_000
+    with pytest.raises(SchemaError, match="nests too deeply"):
+        parse_ocr_document('{"doc_id": ' + "[" * depth + "]" * depth + "}")
 
 
 def test_near_bound_values_clamped():
@@ -156,6 +167,13 @@ def test_not_json():
         parse_ocr_document(b"{nope")
 
 
+def test_integer_literal_too_long_to_convert_is_schema_error():
+    # json refuses to convert an integer literal of more than 4,300 digits
+    text = payload([line()]).replace('"left": 0.1', '"left": ' + "1" * 5000)
+    with pytest.raises(SchemaError, match="^payload is not valid JSON: Exceeds the limit"):
+        parse_ocr_document(text)
+
+
 def test_words_must_reassemble_text():
     words = [
         {"text": "DOLIPRANE", "bbox": {"left": 0.1, "top": 0.2, "width": 0.2, "height": 0.03}},
@@ -164,7 +182,7 @@ def test_words_must_reassemble_text():
     with pytest.raises(SchemaError):
         parse_ocr_document(payload([line(words=words)]))
     ok = parse_ocr_document(payload([line(text="DOLIPRANE 500", words=words)]))
-    assert len(ok.lines[0].words) == 2
+    assert ok.lines[0].words == ("DOLIPRANE", "500")
 
 
 def test_reading_order_key_values():
@@ -176,3 +194,127 @@ def test_sort_is_a_permutation():
     lines = [line(id=f"l{i}", top=0.9 - i * 0.1) for i in range(9)]
     doc = parse_ocr_document(payload(lines))
     assert sorted(ln.line_id for ln in doc.lines) == sorted(l["id"] for l in lines)
+
+
+# ---- the tight per-line check against the full parse ------------------------
+
+
+def _fixture_with_word_boxes() -> dict:
+    """The 7-drug fixture, each line given one box per word inside its line box."""
+    data = json.loads((DATA_DIR / "ocr_fixture_7drugs.json").read_text(encoding="utf-8"))
+    for ln in data["lines"]:
+        box, texts = ln["bbox"], ln["text"].split()
+        step = box["width"] / len(texts)
+        ln["words"] = [
+            {"text": text, "bbox": {"left": box["left"] + i * step, "top": box["top"],
+                                    "width": 0.9 * step, "height": box["height"]}}
+            for i, text in enumerate(texts)
+        ]
+    return data
+
+
+FIXTURE = _fixture_with_word_boxes()
+FIXTURE_TEXT = json.dumps(FIXTURE)
+
+
+def _parse(text: str):
+    """The parsed document, or the type and message of the error raised."""
+    try:
+        return parse_ocr_document(text)
+    except OrdonnanceError as exc:
+        return type(exc), str(exc)
+
+
+def _box_sites(data) -> list[dict]:
+    """Every box of the payload: each line box, then its word boxes."""
+    return [box for ln in data["lines"] for box in [ln["bbox"], *(w["bbox"] for w in ln["words"])]]
+
+
+def _drop(obj, key):
+    del obj[key]
+
+
+PARTNER = {"left": "width", "width": "left", "top": "height", "height": "top"}
+
+# One single-field change each: applied to (the dict holding it, its key).
+BOX_CHANGES = {
+    "drop": _drop,
+    "int-0": lambda obj, key: obj.update({key: 0}),
+    "int-1": lambda obj, key: obj.update({key: 1}),
+    "bool": lambda obj, key: obj.update({key: True}),
+    "str": lambda obj, key: obj.update({key: str(obj[key])}),
+    "none": lambda obj, key: obj.update({key: None}),
+    "below-0-within-clamp": lambda obj, key: obj.update({key: -1e-7}),
+    "above-1-within-clamp": lambda obj, key: obj.update({key: 1 + 1e-7}),
+    "far-edge-within-clamp": lambda obj, key: obj.update({key: 1 + 1e-7 - obj[PARTNER[key]]}),
+    "above-1": lambda obj, key: obj.update({key: 1.5}),
+    "nan": lambda obj, key: obj.update({key: float("nan")}),
+    "inf": lambda obj, key: obj.update({key: float("inf")}),
+    "huge-int": lambda obj, key: obj.update({key: 10**400}),
+}
+
+WORD_TEXT_CHANGES = {
+    "drop": lambda w: _drop(w, "text"),
+    "appended-letter": lambda w: w.update(text=w["text"] + "x"),
+    "empty": lambda w: w.update(text=""),
+    "leading-space": lambda w: w.update(text=" " + w["text"]),
+    "split-in-two": lambda w: w.update(text=w["text"][:1] + " " + w["text"][1:]),
+    "int": lambda w: w.update(text=5),
+    "none": lambda w: w.update(text=None),
+}
+
+LINE_CHANGES = {
+    "id-int": lambda ln: ln.update(id=7),
+    "page-0": lambda ln: ln.update(page=0),
+    "page-2": lambda ln: ln.update(page=2),
+    "page-true": lambda ln: ln.update(page=True),
+    "page-float": lambda ln: ln.update(page=1.0),
+    "text-blank": lambda ln: ln.update(text="  "),
+    "text-extra-space": lambda ln: ln.update(text=" " + ln["text"].replace(" ", "  ") + "\t"),
+    "bbox-list": lambda ln: ln.update(bbox=[0.1, 0.1, 0.1, 0.1]),
+    "words-none": lambda ln: ln.update(words=None),
+    "words-empty": lambda ln: ln.update(words=[]),
+    "words-dropped": lambda ln: _drop(ln, "words"),
+    "word-a-string": lambda ln: ln["words"].__setitem__(0, "x"),
+}
+
+
+def _same_as_the_full_parse(data, monkeypatch):
+    text = json.dumps(data)
+    fast = _parse(text)
+    with monkeypatch.context() as m:
+        m.setattr(ocr, "_checked_line", lambda obj, pages: None)
+        full = _parse(text)
+    assert fast == full
+
+
+def test_the_tight_check_accepts_every_fixture_line_as_the_full_parse_does():
+    for i, obj in enumerate(FIXTURE["lines"]):
+        assert ocr._checked_line(obj, FIXTURE["pages"]) == ocr._parse_line(obj, FIXTURE["pages"], i)
+
+
+@pytest.mark.parametrize("name", BOX_CHANGES)
+def test_a_changed_box_field_parses_or_fails_as_the_full_parse_does(name, monkeypatch):
+    rng = random.Random(name)
+    n_sites = len(_box_sites(FIXTURE))
+    for _ in range(60):
+        data = json.loads(FIXTURE_TEXT)
+        BOX_CHANGES[name](_box_sites(data)[rng.randrange(n_sites)], rng.choice(BOX_FIELDS))
+        _same_as_the_full_parse(data, monkeypatch)
+
+
+@pytest.mark.parametrize("change", WORD_TEXT_CHANGES.values(), ids=WORD_TEXT_CHANGES.keys())
+def test_a_changed_word_text_parses_or_fails_as_the_full_parse_does(change, monkeypatch):
+    for i, ln in enumerate(FIXTURE["lines"]):
+        for j in range(len(ln["words"])):
+            data = json.loads(FIXTURE_TEXT)
+            change(data["lines"][i]["words"][j])
+            _same_as_the_full_parse(data, monkeypatch)
+
+
+@pytest.mark.parametrize("change", LINE_CHANGES.values(), ids=LINE_CHANGES.keys())
+def test_a_changed_line_field_parses_or_fails_as_the_full_parse_does(change, monkeypatch):
+    for i in range(len(FIXTURE["lines"])):
+        data = json.loads(FIXTURE_TEXT)
+        change(data["lines"][i])
+        _same_as_the_full_parse(data, monkeypatch)
