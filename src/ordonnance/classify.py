@@ -24,11 +24,14 @@ differ from it at some integers), so every value equals the spelled-out
 per-line ``count / norm`` bit for bit.
 
 Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
-labels, the feature config, ``n_cols``), then raw little-endian bytes: the
-``n_cols`` sorted hashed ids as int64, the (n_cols, labels) weight block as
-float64, and the bias as float64. It round-trips bit-exactly. The dense
-format of earlier releases (magic ``ordonnance-classifier``) is refused
-with ``SchemaError``; retrain to get a current model.
+featurizer version, the labels, the feature config, ``n_cols``), then raw
+little-endian bytes: the ``n_cols`` sorted hashed ids as int64, the
+(n_cols, labels) weight block as float64, and the bias as float64. It
+round-trips bit-exactly. The dense format of earlier releases (magic
+``ordonnance-classifier``) is refused with ``SchemaError``; retrain to get a
+current model. ``load_model`` is where a model file is checked: it compares
+the header's version with ``FEATURE_VERSION`` once and refuses a stale model
+with ``VersionMismatch``, so ``predict`` checks nothing at run time.
 """
 
 from __future__ import annotations
@@ -43,14 +46,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateCorpus, SchemaError, VersionMismatch
+from .errors import DegenerateCorpus, SchemaError, VersionMismatch, decode_json
 from .textnorm import Sentence
 
 CLASS_LABELS = ("DRUG", "POSOLOGY", "USELESS")
 
-# Bump when featurize() changes incompatibly; models remember the version
-# they were trained with and refuse to run under a different one.
+# Bump when featurize() changes incompatibly. Each model file records the
+# version it was trained with, and load_model refuses any other.
 FEATURE_VERSION = "fh1"
+
+# The learning rate at epoch e is learning_rate / (1 + LR_DECAY * e).
+LR_DECAY = 0.01
 
 _MODEL_MAGIC = "ordonnance-classifier-2"
 _DENSE_MAGIC = "ordonnance-classifier"  # earlier releases' dense format, refused
@@ -71,6 +77,8 @@ class FeatureConfig:
         # featurize builds n-grams of length 1 and up
         if not 1 <= self.ngram_min <= self.ngram_max:
             raise ValueError(f"need 1 <= ngram_min <= ngram_max, got {self.ngram_min}, {self.ngram_max}")
+        if self.hash_dim < 1:
+            raise ValueError(f"need hash_dim >= 1, got {self.hash_dim}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,6 @@ class TrainConfig:
     # reach the margin within the epoch budget
     epochs: int = 200
     learning_rate: float = 5.0
-    lr_decay: float = 0.01
     seed: int = 42
     holdout_fraction: float = 0.1
     features: FeatureConfig = field(default_factory=FeatureConfig)
@@ -90,6 +97,9 @@ class TrainConfig:
         # a zero or negative step never leaves the untrained model; nan or inf ruins it
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        # written so that nan, for which every comparison is false, fails it
+        if not 0 <= self.holdout_fraction < 1:
+            raise ValueError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,6 @@ class ClassifierModel:
     ids: np.ndarray  # (n_cols,) int64 hashed feature ids, strictly increasing
     weights: np.ndarray  # (n_cols, n_labels): row r holds the weights of ids[r]
     bias: np.ndarray  # (n_labels,)
-    version: str = FEATURE_VERSION
     holdout_accuracy: float | None = None
 
 
@@ -244,7 +253,7 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
     bias = np.zeros(len(labels))
     logits = np.empty((n, len(labels)))
     for epoch in range(config.epochs):
-        lr = config.learning_rate / (1.0 + config.lr_decay * epoch)
+        lr = config.learning_rate / (1.0 + LR_DECAY * epoch)
         for k, w in enumerate(weights):
             logits[:, k] = np.bincount(rows, vals * w[cols], minlength=n)
         grad = (_softmax(logits + bias) - y) / n
@@ -272,10 +281,6 @@ def predict(
     ``featurize`` of its document; without it the sentence is featurized
     alone, with the same result bit for bit.
     """
-    if model.version != FEATURE_VERSION:
-        raise VersionMismatch(
-            f"model featurizer {model.version!r} != runtime {FEATURE_VERSION!r}"
-        )
     if features is None:
         _, keys, values = featurize((sentence,), model.config)
     else:
@@ -294,7 +299,7 @@ def predict(
 def save_model(model: ClassifierModel, path) -> None:
     header = {
         "magic": _MODEL_MAGIC,
-        "version": model.version,
+        "version": FEATURE_VERSION,
         "labels": list(model.labels),
         "ngram_min": model.config.ngram_min,
         "ngram_max": model.config.ngram_max,
@@ -314,12 +319,7 @@ def load_model(path) -> ClassifierModel:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    try:
-        header = json.loads(header_line)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise SchemaError(f"{path}: bad model header: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"{path}: bad model header: JSON nests too deeply to decode") from exc
+    header = decode_json(header_line, f"{path}: model header", SchemaError)
     magic = header.get("magic") if isinstance(header, dict) else None
     if magic == _DENSE_MAGIC:
         raise SchemaError(f"{path}: dense model file of an earlier release; retrain the model")
@@ -329,32 +329,31 @@ def load_model(path) -> ClassifierModel:
         value = header.get(name)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise SchemaError(f"{path}: model header field {name!r} is missing or not a {kind.__name__}")
+    if header["version"] != FEATURE_VERSION:
+        raise VersionMismatch(f"{path}: model featurizer {header['version']!r} != runtime {FEATURE_VERSION!r}")
     labels = tuple(header["labels"])
     if labels != CLASS_LABELS:  # train writes no other label list
         raise SchemaError(f"{path}: model labels must be {list(CLASS_LABELS)}, got {list(labels)}")
-    dim = header["hash_dim"]
+    try:
+        config = FeatureConfig(**{name: header[name] for name in ("ngram_min", "ngram_max", "hash_dim")})
+    except ValueError as exc:
+        raise SchemaError(f"{path}: model header: {exc}") from exc
     n_cols = header["n_cols"]
-    if dim < 1 or n_cols < 0 or not 1 <= header["ngram_min"] <= header["ngram_max"]:
-        raise SchemaError(f"{path}: model header needs hash_dim >= 1, n_cols >= 0 and 1 <= ngram_min <= ngram_max")
+    if n_cols < 0:
+        raise SchemaError(f"{path}: model header needs n_cols >= 0, got {n_cols}")
     n_weights = n_cols * len(labels)
     expected = (n_cols + n_weights + len(labels)) * 8
     if len(blob) != expected:
         raise SchemaError(f"{path}: model payload has {len(blob)} bytes, expected {expected}")
     ids = np.frombuffer(blob, dtype="<i8", count=n_cols).astype(np.int64)
-    if n_cols and (ids[0] < 0 or ids[-1] >= dim or not np.all(ids[1:] > ids[:-1])):
+    if n_cols and (ids[0] < 0 or ids[-1] >= config.hash_dim or not np.all(ids[1:] > ids[:-1])):
         raise SchemaError(f"{path}: model ids must be strictly increasing in [0, hash_dim)")
     flat = np.frombuffer(blob, dtype="<f8", offset=n_cols * 8).astype(np.float64)
-    config = FeatureConfig(
-        ngram_min=header["ngram_min"],
-        ngram_max=header["ngram_max"],
-        hash_dim=dim,
-    )
     return ClassifierModel(
         config=config,
         labels=labels,
         ids=ids,
         weights=flat[:n_weights].reshape(n_cols, len(labels)),
         bias=flat[n_weights:],
-        version=header["version"],
         holdout_accuracy=header.get("holdout_accuracy"),
     )

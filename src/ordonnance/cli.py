@@ -1,15 +1,22 @@
 """Command line interface.
 
 Subcommands: extract, gen-corpus, train, eval, lexicon-check. stdout carries
-only the data artifact; diagnostics go to stderr. A JSON config file can
-pre-set any option (--config); explicit flags win over the config file.
+only the data artifact; diagnostics go to stderr. ``extract`` and ``eval``
+take a JSON config file (--config) whose keys may pre-set ``model``,
+``lexicon``, ``patterns``, ``stopwords`` and ``threshold``, and set the
+``LinkConfig`` fields ``section_gap_factor``, ``drug_gap_factor`` and
+``overlap_fraction``; any other key is refused. Explicit flags win over the
+config file.
 
-One rule (`_exit_code`) gives every error its exit code: 2 for a bad value
-in a file, flag or payload, 3 for a file that cannot be read or written,
-4 for anything else. Each error is reported as one JSON line on stderr,
-``{"error": {"type": ..., "message": ...}}``, never as a traceback. Click's
-own usage errors (an unknown option, a value out of its range) keep Click's
-message and exit 2.
+Each input is checked where it enters, by the loader that reads it; a loader
+raises an ``OrdonnanceError`` for a bad value, and lets the ``OSError`` of a
+file it cannot open escape. One rule (`_exit_code`) then gives every error
+its exit code: 3 for an ``OSError`` (a file that cannot be read or written),
+2 for a bad value in a file, flag or payload (an ``OrdonnanceError``,
+``ValueError`` or ``TypeError``), 4 for anything else. Each error is
+reported as one JSON line on stderr, ``{"error": {"type": ..., "message":
+...}}``, never as a traceback. Click's own usage errors (an unknown option,
+a value out of its range) keep Click's message and exit 2.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from . import __version__
 from .classify import TrainConfig, FeatureConfig, load_model, save_model, train
 from .corpus import CorpusSpec, generate, noisify, read_jsonl, write_jsonl
 from .druglink import DEFAULT_THRESHOLD, build_lexicon, default_lexicon_path
-from .errors import OrdonnanceError, SchemaError
+from .errors import OrdonnanceError, SchemaError, decode_json
 from .linking import LinkConfig, record_to_dict, dumps_canonical
 from .metrics import format_table, report_to_json, score
 from .ocr import parse_ocr_document
@@ -45,7 +52,7 @@ _CLICK_EXCEPTIONS = (click.ClickException, click.exceptions.Exit, click.Abort)
 
 def _exit_code(exc: BaseException) -> int:
     """3 when a file could not be read or written, 2 for a bad value, else 4."""
-    if isinstance(exc, OSError) or isinstance(exc.__cause__, OSError):
+    if isinstance(exc, OSError):
         return _EXIT_MISSING
     if isinstance(exc, (OrdonnanceError, ValueError, TypeError)):
         return _EXIT_SCHEMA
@@ -82,22 +89,24 @@ def _resolve(ctx_config: dict, key: str, value, default):
 
 # Config keys naming a file. `open` would take an integer as a file descriptor.
 _PATH_KEYS = ("model", "lexicon", "patterns", "stopwords")
+_LINK_KEYS = tuple(f.name for f in dataclasses.fields(LinkConfig))  # unset ones keep LinkConfig's defaults
+_CONFIG_KEYS = (*_PATH_KEYS, "threshold", *_LINK_KEYS)
 
 
 def _load_config(path: str | None) -> dict:
+    """The options a --config file sets; SchemaError for a file that breaks its rules."""
     if path is None:
         return {}
-    with _failing_as("config"):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except RecursionError as exc:
-                raise SchemaError(f"{path}: JSON nests too deeply to decode") from exc
-        if not isinstance(cfg, dict):
-            raise SchemaError(f"{path}: expected a JSON object")
-        for key in _PATH_KEYS:
-            if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
-                raise SchemaError(f"{path}: {key!r} must be a non-empty file path, got {cfg[key]!r}")
+    with open(path, "rb") as fh:
+        cfg = decode_json(fh.read(), path, SchemaError)
+    if not isinstance(cfg, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise SchemaError(f"{path}: unknown config keys {unknown}; accepted keys are {list(_CONFIG_KEYS)}")
+    for key in _PATH_KEYS:
+        if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
+            raise SchemaError(f"{path}: {key!r} must be a non-empty file path, got {cfg[key]!r}")
     return cfg
 
 
@@ -120,7 +129,6 @@ def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Ru
         pats = default_patterns() if patterns_path is None else load_patterns(patterns_path)
     with _failing_as("stopwords"):
         stops = load_stopwords(_resolve(config, "stopwords", stopwords, _default_stopwords_path()))
-    link_fields = dataclasses.fields(LinkConfig)  # unset ones keep LinkConfig's defaults
     with _failing_as("config"):
         return Runtime(
             model=clf,
@@ -128,7 +136,7 @@ def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Ru
             patterns=pats,
             stopwords=stops,
             threshold=_resolve(config, "threshold", threshold, DEFAULT_THRESHOLD),
-            link_config=LinkConfig(**{f.name: config[f.name] for f in link_fields if f.name in config}),
+            link_config=LinkConfig(**{key: config[key] for key in _LINK_KEYS if key in config}),
         )
 
 
@@ -182,7 +190,8 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
     --out; inputs whose file names would collide are refused before
     anything is read or written.
     """
-    cfg = _load_config(config)
+    with _failing_as("config"):
+        cfg = _load_config(config)
     runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
     if len(inputs) > 1:
         if not out:
@@ -307,7 +316,8 @@ def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, 
         with _failing_as("predictions"):
             pred_spans = [list(r.spans) for r in read_jsonl(predictions)]
     else:
-        cfg = _load_config(config)
+        with _failing_as("config"):
+            cfg = _load_config(config)
         runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
         pred_spans = [annotate_text(row.text, runtime) for row in gold_rows]
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .druglink import build_lexicon
-from .errors import SchemaError, TemplateError
+from .errors import SchemaError, TemplateError, decode_json
 
 POSOLOGY_SLOTS = ("dose", "frequency", "duration", "comment")
 
@@ -251,24 +251,34 @@ def write_jsonl(sentences, path) -> None:
             fh.write("\n")
 
 
+def _span(obj, text: str, where: str) -> tuple[str, int, int]:
+    """A span of ``text``: a string kind and int offsets with 0 <= start < end <= len(text)."""
+    if isinstance(obj, dict):
+        kind, start, end = obj.get("kind"), obj.get("start"), obj.get("end")
+        # `type(...) is int` refuses a bool, a float and a string offset alike
+        if isinstance(kind, str) and type(start) is int and type(end) is int and 0 <= start < end <= len(text):
+            return kind, start, end
+    raise SchemaError(f"{where}: needs a string 'kind' and integers 0 <= 'start' < 'end' <= {len(text)}")
+
+
 def read_jsonl(path) -> list[AnnotatedSentence]:
+    """The records of a corpus, gold or predictions file, each checked against the schema.
+
+    A record is an object with string ``text`` and ``label`` and an optional
+    list of ``spans``; any other line is a SchemaError naming ``path:line``.
+    """
     out: list[AnnotatedSentence] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
-            except RecursionError as exc:
-                raise SchemaError(f"{path}:{line_no}: JSON nests too deeply to decode") from exc
+            where = f"{path}:{line_no}"
+            obj = decode_json(line, where, SchemaError)
             if not isinstance(obj, dict):
-                raise SchemaError(f"{path}:{line_no}: expected a JSON object")
-            try:
-                spans = tuple((s["kind"], int(s["start"]), int(s["end"])) for s in obj.get("spans", []))
-                out.append(AnnotatedSentence(text=obj["text"], label=obj["label"], spans=spans))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}:{line_no}: bad record: {exc}") from exc
+                raise SchemaError(f"{where}: expected a JSON object")
+            text, label, spans = obj.get("text"), obj.get("label"), obj.get("spans", [])
+            if not (isinstance(text, str) and isinstance(label, str) and isinstance(spans, list)):
+                raise SchemaError(f"{where}: needs a string 'text', a string 'label' and a list of 'spans'")
+            checked = tuple(_span(s, text, f"{where}: spans[{j}]") for j, s in enumerate(spans))
+            out.append(AnnotatedSentence(text=text, label=label, spans=checked))
     return out

@@ -78,11 +78,7 @@ class DrugMention:
 
 def build_lexicon(path) -> DrugLexicon:
     """Load and index a lexicon CSV; names are normalized with the text pipeline."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise FileError(f"cannot read lexicon {path}: {exc}") from exc
-    with fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one JSON-decode rule.
+
+Every JSON input (an OCR payload, a pattern file, a corpus line, a model
+header, a config file) is decoded by `decode_json`, which turns any failure
+to decode into the caller's typed error. The file loaders read bytes, so
+invalid UTF-8 meets the same rule as a syntax error or an integer literal too
+long to convert. A file that cannot be opened is left as the ``OSError`` that
+``open`` raises.
+"""
+
+import json
 
 
 class OrdonnanceError(Exception):
@@ -30,7 +40,7 @@ class VersionMismatch(OrdonnanceError):
 
 
 class FileError(OrdonnanceError):
-    """A required data file is unreadable or malformed."""
+    """A data file is malformed (one that cannot be opened raises OSError)."""
 
 
 class DuplicateId(FileError):
@@ -51,3 +61,13 @@ class AlignmentError(OrdonnanceError):
 
 class OrderError(OrdonnanceError):
     """Geometric precondition violated (expected box A above box B)."""
+
+
+def decode_json(data: str | bytes, where, error: type[OrdonnanceError]):
+    """The decoded JSON value of ``data``; ``error`` naming ``where`` when it does not decode."""
+    try:
+        return json.loads(data)
+    except RecursionError as exc:
+        raise error(f"{where}: JSON nests too deeply to decode") from exc
+    except ValueError as exc:  # bad syntax, invalid UTF-8, or an integer too long to convert
+        raise error(f"{where}: not valid JSON: {exc}") from exc

@@ -28,11 +28,10 @@ same value, or fails with the same error, whichever path it takes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import EmptyDocument, GeometryError, SchemaError
+from .errors import EmptyDocument, GeometryError, SchemaError, decode_json
 
 _EPS = 1e-6
 
@@ -204,12 +203,7 @@ def parse_ocr_document(payload: bytes | str) -> OcrDocument:
     boxes, EmptyDocument when there are no lines. Never drops a line
     silently.
     """
-    try:
-        data = json.loads(payload)
-    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to convert
-        raise SchemaError(f"payload is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError("payload JSON nests too deeply to decode") from exc
+    data = decode_json(payload, "payload", SchemaError)
     if not isinstance(data, dict):
         raise SchemaError("top-level payload must be a JSON object")
 

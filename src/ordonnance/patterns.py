@@ -54,7 +54,7 @@ from importlib import resources
 from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import PatternError
+from .errors import PatternError, decode_json
 from .textnorm import Sentence, Token, normalize_text, tokenize
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
@@ -266,14 +266,8 @@ def parse_patterns(data) -> PatternSet:
 
 
 def load_patterns(path) -> PatternSet:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PatternError(f"{path}: not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise PatternError(f"{path}: JSON nests too deeply to decode") from exc
-    return parse_patterns(data)
+    with open(path, "rb") as fh:
+        return parse_patterns(decode_json(fh.read(), path, PatternError))
 
 
 @lru_cache(maxsize=1)

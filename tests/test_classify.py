@@ -8,6 +8,7 @@ import pytest
 
 from ordonnance.classify import (
     CLASS_LABELS,
+    LR_DECAY,
     ClassifierModel,
     FeatureConfig,
     SentenceClass,
@@ -99,7 +100,7 @@ def oracle_train(corpus, config):
     weights = {key: [0.0] * len(CLASS_LABELS) for row in rows for key, _ in row}
     bias = np.zeros(len(CLASS_LABELS))
     for epoch in range(config.epochs):
-        lr = config.learning_rate / (1.0 + config.lr_decay * epoch)
+        lr = config.learning_rate / (1.0 + LR_DECAY * epoch)
         logits = []
         for row in rows:
             sums = [0.0] * len(CLASS_LABELS)
@@ -260,6 +261,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
 
+    @pytest.mark.parametrize("holdout_fraction", [-0.5, 1.0, 1.5, math.nan])
+    def test_holdout_fraction_outside_zero_to_one_raises(self, holdout_fraction):
+        with pytest.raises(ValueError, match="holdout_fraction"):
+            TrainConfig(holdout_fraction=holdout_fraction)
+
     def test_stores_exactly_the_columns_its_features_touch(self):
         corpus = toy_corpus()
         model = train(corpus, TOY_CONFIG)
@@ -317,18 +323,6 @@ class TestPredict:
             assert abs(sum(p.scores.values()) - 1.0) < 1e-6
             assert all(v >= 0 for v in p.scores.values())
             assert max(p.scores, key=p.scores.get) == p.label
-
-    def test_version_mismatch(self, model):
-        stale = ClassifierModel(
-            config=model.config,
-            labels=model.labels,
-            ids=model.ids,
-            weights=model.weights,
-            bias=model.bias,
-            version="fh0",
-        )
-        with pytest.raises(VersionMismatch):
-            predict(stale, sent("doliprane 1000 mg"))
 
     def test_no_known_feature_gives_the_softmax_of_the_bias(self, model):
         text = "zq"  # shorter than an n-gram: its only feature is the word
@@ -425,6 +419,12 @@ class TestModelFile:
         loaded = load_model(tmp_path / "model.bin")
         for s, _ in toy_corpus():
             assert predict(model, s) == predict(loaded, s)
+
+    def test_stale_feature_version_is_refused_at_load(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(_model_file(_header(version="fh0"), [3, 7], 2 * 3 + 3))
+        with pytest.raises(VersionMismatch, match="'fh0' != runtime 'fh1'"):
+            load_model(path)
 
     def test_minimal_file_loads(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from ordonnance import cli
 from ordonnance.cli import main
+from ordonnance.corpus import read_jsonl
 
 from conftest import DATA_DIR
 
@@ -181,6 +182,17 @@ def _model_file_with_labels(path, labels):
     return str(path)
 
 
+def _stale_model_file(model_file, path):
+    """The model file with the header of a model trained by an earlier featurizer."""
+    header, _, payload = model_file.read_bytes().partition(b"\n")
+    path.write_bytes(json.dumps({**json.loads(header), "version": "fh0"}).encode("utf-8") + b"\n" + payload)
+    return str(path)
+
+
+def _gold(path, record):
+    return _write(path, json.dumps(record) + "\n")
+
+
 def _one_lower_pattern(word):
     return json.dumps([{"id": "p1", "label": "FREQUENCY", "specs": [{"lower": word}]}], ensure_ascii=False)
 
@@ -316,6 +328,36 @@ ERROR_CASES = [
         2, "gold", None, id="gold-line-is-a-json-string",
     ),
     pytest.param(
+        lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", {"text": 5, "label": "DRUG"})],
+        2, "gold", None, id="gold-text-a-number",
+    ),
+    pytest.param(
+        lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", {**_CORPUS[0], "spans": [
+            {"kind": "DRUG", "start": 0.9, "end": 9.0}]})],
+        2, "gold", None, id="gold-span-float-offsets",
+    ),
+    pytest.param(
+        lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", {**_CORPUS[0], "spans": [
+            {"kind": "DRUG", "start": "0", "end": "9"}]})],
+        2, "gold", None, id="gold-span-string-offsets",
+    ),
+    pytest.param(
+        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"treshold": 0.99, "drug_gap_factr": 9}')),
+        2, "config", None, id="config-unknown-keys",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _stale_model_file(m, d / "stale.bin")],
+        2, "model", None, id="extract-stale-model",
+    ),
+    pytest.param(
+        lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]), "--model", _stale_model_file(m, d / "stale.bin")],
+        2, "model", None, id="eval-stale-model",
+    ),
+    pytest.param(
+        lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "m.bin"), "--epochs", "2", "--holdout", "nan"],
+        2, "config", None, id="train-holdout-nan",
+    ),
+    pytest.param(
         lambda m, d: ["eval", "--model", str(m), "--gold", _write(d / "gold.jsonl", json.dumps(_CORPUS[0]) + "\n")],
         4, "internal", "annotate_text", id="eval-internal-error",
     ),
@@ -332,6 +374,12 @@ def test_every_error_exits_with_its_code_and_one_json_line(
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == code, result.stderr
     assert [e["type"] for e in _error(result)] == [kind]
+
+
+def test_unknown_config_keys_are_named(run, tmp_path):
+    path = _write(tmp_path / "config.json", '{"treshold": 0.99, "drug_gap_factr": 9, "threshold": 0.9}')
+    (error,) = _error(run("--input", str(FIXTURE), "--config", path))
+    assert "['drug_gap_factr', 'treshold']" in error["message"]
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -369,6 +417,15 @@ def test_out_of_range_noise_is_a_usage_error(tmp_path, noise):
     assert result.exit_code == 2
     assert "Invalid value" in result.stderr
     assert not (tmp_path / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("noise", ["0", "0.1", "0.3"])
+def test_generated_corpus_reads_back(tmp_path, noise):
+    path = tmp_path / "corpus.jsonl"
+    args = ["gen-corpus", "--n-drug", "200", "--n-posology", "200", "--n-useless", "200", "--out", str(path)]
+    assert CliRunner().invoke(main, [*args, "--noise", noise]).exit_code == 0
+    rows = read_jsonl(path)
+    assert len(rows) == 600 and sum(len(row.spans) for row in rows) >= 400
 
 
 def test_zero_noise_writes_the_clean_corpus(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ordonnance.corpus import (
@@ -149,16 +151,34 @@ class TestJsonl:
             read_jsonl(path)
 
     @pytest.mark.parametrize(
-        "line",
-        ['"doliprane 1000 mg"', '[1, 2]', '{"text": "x", "label": "DOSE", "spans": [{"kind": "DOSE", "start": "a", "end": 1}]}'],
-        ids=["string", "list", "non-integer-offset"],
+        "record",
+        [
+            "doliprane 1000 mg",
+            [1, 2],
+            {"text": "x", "label": "DOSE", "spans": [{"kind": "DOSE", "start": "a", "end": 1}]},
+            {"text": 5, "label": "DRUG"},
+            {"text": "x"},
+            {"text": "x", "label": 1},
+            {"text": "x", "label": "DRUG", "spans": {"kind": "DRUG", "start": 0, "end": 1}},
+            {"text": "x", "label": "DRUG", "spans": [["DRUG", 0, 1]]},
+            {"text": "doliprane", "label": "DRUG", "spans": [{"kind": "DRUG", "start": 0.9, "end": 9}]},
+            {"text": "doliprane", "label": "DRUG", "spans": [{"kind": "DRUG", "start": "0", "end": "9"}]},
+            {"text": "doliprane", "label": "DRUG", "spans": [{"kind": "DRUG", "start": False, "end": True}]},
+            {"text": "doliprane", "label": "DRUG", "spans": [{"kind": 1, "start": 0, "end": 9}]},
+            {"text": "doliprane", "label": "DRUG", "spans": [{"kind": "DRUG", "start": -1, "end": 9}]},
+            {"text": "doliprane", "label": "DRUG", "spans": [{"kind": "DRUG", "start": 4, "end": 4}]},
+            {"text": "doliprane", "label": "DRUG", "spans": [{"kind": "DRUG", "start": 0, "end": 10}]},
+        ],
+        ids=["string", "list", "non-integer-offset", "numeric-text", "no-label", "numeric-label", "spans-an-object",
+             "span-a-list", "float-offset", "string-offsets", "bool-offsets", "numeric-kind", "negative-start",
+             "empty-span", "end-beyond-text"],
     )
-    def test_rejects_a_record_that_is_not_an_object_of_the_schema(self, tmp_path, line):
+    def test_rejects_a_record_that_is_not_an_object_of_the_schema(self, tmp_path, record):
         from ordonnance.errors import SchemaError
 
         path = tmp_path / "bad.jsonl"
-        path.write_text(line + "\n")
-        with pytest.raises(SchemaError):
+        path.write_text('{"text": "x", "label": "DRUG"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match=r"bad\.jsonl:2: "):
             read_jsonl(path)
 
 

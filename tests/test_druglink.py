@@ -97,7 +97,7 @@ class TestBuildLexicon:
             build_lexicon(write_lexicon(tmp_path, []))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileError):
+        with pytest.raises(OSError):
             build_lexicon(tmp_path / "absent.csv")
 
     def test_bad_header(self, tmp_path):

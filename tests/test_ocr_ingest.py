@@ -170,7 +170,7 @@ def test_not_json():
 def test_integer_literal_too_long_to_convert_is_schema_error():
     # json refuses to convert an integer literal of more than 4,300 digits
     text = payload([line()]).replace('"left": 0.1', '"left": ' + "1" * 5000)
-    with pytest.raises(SchemaError, match="^payload is not valid JSON: Exceeds the limit"):
+    with pytest.raises(SchemaError, match="^payload: not valid JSON: Exceeds the limit"):
         parse_ocr_document(text)
 
 
