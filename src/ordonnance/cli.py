@@ -6,7 +6,8 @@ take a JSON config file (--config) whose keys may pre-set ``model``,
 ``lexicon``, ``patterns``, ``stopwords`` and ``threshold``, and set the
 ``LinkConfig`` fields ``section_gap_factor``, ``drug_gap_factor`` and
 ``overlap_fraction``; any other key is refused. Explicit flags win over the
-config file.
+config file. ``eval --predictions`` runs no pipeline, but its config file is
+checked all the same.
 
 Each input is checked where it enters, by the loader that reads it; a loader
 raises an ``OrdonnanceError`` for a bad value, and lets the ``OSError`` of a
@@ -31,9 +32,9 @@ import click
 
 from . import __version__
 from .classify import TrainConfig, FeatureConfig, load_model, save_model, train
-from .corpus import CorpusSpec, generate, noisify, read_jsonl, write_jsonl
+from .corpus import CorpusSpec, generate, noisify, read_jsonl, read_jsonl_lines, write_jsonl
 from .druglink import DEFAULT_THRESHOLD, build_lexicon, default_lexicon_path
-from .errors import OrdonnanceError, SchemaError, decode_json
+from .errors import AlignmentError, OrdonnanceError, SchemaError, decode_json
 from .linking import LinkConfig, record_to_dict, dumps_canonical
 from .metrics import format_table, report_to_json, score
 from .ocr import parse_ocr_document
@@ -295,6 +296,22 @@ def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, h
     click.echo(json.dumps(metrics), err=True)
 
 
+def _read_predictions(path, gold_rows) -> list[list]:
+    """Each predictions record's spans, checked against the gold text the record is aligned with.
+
+    Records align with the gold sentences by position; ``score`` refuses
+    files of different lengths.
+    """
+    records = read_jsonl_lines(path)
+    for (where, record), row in zip(records, gold_rows):
+        for j, (_, _, end) in enumerate(record.spans):
+            if end > len(row.text):
+                raise AlignmentError(
+                    f"{where}: spans[{j}] ends at {end}, beyond its gold text of {len(row.text)} characters"
+                )
+    return [list(record.spans) for _, record in records]
+
+
 @main.command("eval")
 @click.option("--gold", required=True, help="Gold JSONL with entity spans.")
 @click.option("--predictions", default=None,
@@ -311,13 +328,13 @@ def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, 
     """Score extraction quality against a gold corpus."""
     with _failing_as("gold"):
         gold_rows = read_jsonl(gold)
+    with _failing_as("config"):
+        cfg = _load_config(config)
 
     if predictions is not None:
         with _failing_as("predictions"):
-            pred_spans = [list(r.spans) for r in read_jsonl(predictions)]
+            pred_spans = _read_predictions(predictions, gold_rows)
     else:
-        with _failing_as("config"):
-            cfg = _load_config(config)
         runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
         pred_spans = [annotate_text(row.text, runtime) for row in gold_rows]
 

@@ -262,12 +262,18 @@ def _span(obj, text: str, where: str) -> tuple[str, int, int]:
 
 
 def read_jsonl(path) -> list[AnnotatedSentence]:
-    """The records of a corpus, gold or predictions file, each checked against the schema.
+    """The records of a corpus, gold or predictions file, each checked against the schema."""
+    return [record for _, record in read_jsonl_lines(path)]
+
+
+def read_jsonl_lines(path) -> list[tuple[str, AnnotatedSentence]]:
+    """``(path:line, record)`` for each record of a JSONL file, checked against the schema.
 
     A record is an object with string ``text`` and ``label`` and an optional
     list of ``spans``; any other line is a SchemaError naming ``path:line``.
+    Blank lines are skipped.
     """
-    out: list[AnnotatedSentence] = []
+    out: list[tuple[str, AnnotatedSentence]] = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -280,5 +286,5 @@ def read_jsonl(path) -> list[AnnotatedSentence]:
             if not (isinstance(text, str) and isinstance(label, str) and isinstance(spans, list)):
                 raise SchemaError(f"{where}: needs a string 'text', a string 'label' and a list of 'spans'")
             checked = tuple(_span(s, text, f"{where}: spans[{j}]") for j, s in enumerate(spans))
-            out.append(AnnotatedSentence(text=text, label=label, spans=checked))
+            out.append((where, AnnotatedSentence(text=text, label=label, spans=checked)))
     return out

@@ -29,12 +29,13 @@ Lexicon CSV format: header ``id,name``, UTF-8, one drug per row.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 from . import kernels
-from .errors import DuplicateId, EmptyLexicon, FileError
+from .errors import DuplicateId, EmptyLexicon, FileError, read_utf8
 from .textnorm import Sentence, normalize_text, read_word_list, tokenize
 
 DEFAULT_THRESHOLD = 0.72
@@ -78,7 +79,7 @@ class DrugMention:
 
 def build_lexicon(path) -> DrugLexicon:
     """Load and index a lexicon CSV; names are normalized with the text pipeline."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_utf8(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

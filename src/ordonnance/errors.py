@@ -1,11 +1,13 @@
-"""Exception hierarchy shared across the package, and the one JSON-decode rule.
+"""Exception hierarchy shared across the package, and the one rule per input encoding.
 
 Every JSON input (an OCR payload, a pattern file, a corpus line, a model
 header, a config file) is decoded by `decode_json`, which turns any failure
 to decode into the caller's typed error. The file loaders read bytes, so
 invalid UTF-8 meets the same rule as a syntax error or an integer literal too
-long to convert. A file that cannot be opened is left as the ``OSError`` that
-``open`` raises.
+long to convert. Every plain-text data file (a lexicon, a stopword list) is
+read by `read_utf8`, which refuses invalid UTF-8 as a ``FileError`` naming
+the file and line. A file that cannot be opened is left as the ``OSError``
+that ``open`` raises.
 """
 
 import json
@@ -71,3 +73,14 @@ def decode_json(data: str | bytes, where, error: type[OrdonnanceError]):
         raise error(f"{where}: JSON nests too deeply to decode") from exc
     except ValueError as exc:  # bad syntax, invalid UTF-8, or an integer too long to convert
         raise error(f"{where}: not valid JSON: {exc}") from exc
+
+
+def read_utf8(path) -> str:
+    """The text of the file at ``path``; FileError naming ``path:line`` when it is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileError(f"{path}:{line}: not valid UTF-8: {exc.reason} at byte {exc.start}") from None

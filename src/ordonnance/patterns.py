@@ -10,27 +10,30 @@ right after each match.
 
 A PatternSet is compiled once, when it is built. Its specs are deduplicated
 on their constraints (the quantifier is not part of a spec's identity; the
-shipped set's 498 spec instances are 118 distinct specs), each pattern
-becomes a tuple of spec ids, and the patterns of every label are indexed
-together by their first spec id (31 distinct first specs in the shipped
-set). Patterns whose first spec is optional ("?" or "*") are tried at every
-position. Matching always tries all four labels (there is no label
-selection); overlaps are then resolved per label.
+shipped set's 498 spec instances are 118 distinct specs). The fixed-length
+patterns (every op "1", 158 of the shipped 161) are merged into one prefix
+trie keyed by spec id: a node is a spec-id prefix, its edges lead to the
+next specs, and a pattern is accepted at the node its whole sequence leads
+to (284 nodes below the root for 482 spec slots in the shipped set). All
+four labels share the trie; overlaps are then resolved per label.
 
+``find_all`` walks the trie once from each position, one level per token,
+so a shared prefix is decided once per start. The root's edges are the
+first specs (31 shipped).
 A first spec is scannable when its only constraint is a regex with no
-groups, default flags and no global inline flag group such as "(?u)". The
-scannable first specs (30 of the shipped 31) are compiled into one scanner,
-so one C-level regex call per token decides all of them; every other first
-spec is decided by ``match_token``, the one definition of a spec holding.
+groups, default flags and no global inline flag group such as "(?u)"; the
+scannable ones (30 shipped) are compiled into one scanner, so one C-level
+regex call per token decides all of them. Every other edge is decided by its
+spec's own compiled regex (``fullmatch``) when the spec is a bare regex, and
+by ``match_token``, the one definition of a spec holding, otherwise. An edge
+is tested at most once per token, and no new regex is compiled at build
+beyond the scanner. A pattern's resume rule is checked at its accepting
+node.
 
-Per sentence of n tokens, each (distinct spec, token) pair is decided at
-most once, by the scanner or on demand by ``match_token``. One sweep visits
-each position once for every label and tries only the patterns whose first
-spec holds there. A pattern whose ops are all "1" is walked directly, one
-check per spec; a pattern with a quantifier runs a DP over reachable
-positions, each spec consuming at most MAX_REPS tokens. On the POSOLOGY
-lines of generated prescriptions (about 8 tokens) this comes to one scanner
-call and about 7 ``match_token`` calls per token.
+A pattern with a quantifier runs a DP over reachable positions, each spec
+consuming at most MAX_REPS tokens. It hangs at the depth-1 node of its first
+spec, or at the root when that spec is optional, and it alone decides its
+specs through a per-sentence memo filled on demand.
 
 Pattern file format (JSON list)::
 
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import compress
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PatternError, decode_json
 from .textnorm import Sentence, Token, normalize_text, tokenize
@@ -100,12 +103,12 @@ class MatchSpan:
     text: str
 
 
-class _Compiled(NamedTuple):
-    """One pattern as the matcher walks it."""
+class _Node(NamedTuple):
+    """A trie node: one spec-id prefix of the fixed-length patterns."""
 
-    pattern: TokenPattern
-    spec_ids: tuple[int, ...]  # indices into PatternSet.specs
-    bounds: tuple[tuple[int, int], ...] | None  # per-spec (lo, hi); None: every op is "1"
+    edges: tuple  # (bare regex or None, spec, child) per next spec
+    accepts: tuple[TokenPattern, ...]  # fixed-length patterns whose whole sequence ends here
+    quantified: tuple  # (pattern, spec ids, per-spec (lo, hi)) of quantified patterns tried here
 
 
 # A global inline flag group such as "(?u)". It passes the flags test when it
@@ -113,14 +116,18 @@ class _Compiled(NamedTuple):
 _GLOBAL_FLAGS_RE = re.compile(r"\(\?[aiLmsux]+\)")
 
 
+def _bare_regex(spec: TokenSpec) -> "re.Pattern[str] | None":
+    """The spec's regex when it is the spec's only constraint, else None."""
+    if spec.lower is None and spec.is_digit is None and spec.like_num is None:
+        return spec.regex
+    return None
+
+
 def _scannable(spec: TokenSpec) -> bool:
     """True iff the spec is a bare regex that the first-spec scanner can embed."""
-    regex = spec.regex
+    regex = _bare_regex(spec)
     return (
         regex is not None
-        and spec.lower is None
-        and spec.is_digit is None
-        and spec.like_num is None
         and regex.groups == 0
         and regex.flags == re.UNICODE
         and _GLOBAL_FLAGS_RE.search(regex.pattern) is None
@@ -131,9 +138,10 @@ class PatternSet:
     """Immutable collection of patterns, compiled once.
 
     ``specs`` holds each distinct spec once (the quantifier is not part of a
-    spec's identity). ``index`` maps a first spec id to the compiled patterns
-    that start with it, over every label; ``always`` holds the patterns whose
-    first spec is optional, which are tried at every position.
+    spec's identity). ``root`` is the trie of the fixed-length patterns; the
+    root's edges for the scannable first specs are left out of it and kept in
+    ``scanned``, aligned with ``scan_ids``. A quantified pattern hangs at the
+    depth-1 node of its first spec, or at the root when that spec is optional.
 
     ``scanner`` decides every scannable first spec of a token in one call:
     group k captures the token text exactly when ``scan_ids[k]`` holds.
@@ -149,8 +157,7 @@ class PatternSet:
 
         ids: dict[tuple, int] = {}
         specs: list[TokenSpec] = []
-        self.index: dict[int, list[_Compiled]] = {}
-        self.always: list[_Compiled] = []
+        root: list = [{}, [], []]  # a node while building: [{spec id: child}, accepts, quantified]
         for p in self.patterns:
             spec_ids = []
             for spec in p.specs:
@@ -161,24 +168,40 @@ class PatternSet:
                     specs.append(spec)
                 spec_ids.append(sid)
             ops = [spec.op for spec in p.specs]
-            bounds = None if set(ops) == {"1"} else tuple(_OP_BOUNDS[op] for op in ops)
-            entry = _Compiled(p, tuple(spec_ids), bounds)
-            if ops[0] in ("?", "*"):
-                self.always.append(entry)
+            fixed = set(ops) == {"1"}
+            if fixed:
+                path = spec_ids
+            else:  # a quantified pattern hangs where its first spec is decided
+                path = spec_ids[:1] if ops[0] in ("1", "+") else []
+            node = root
+            for sid in path:
+                child = node[0].get(sid)
+                if child is None:
+                    child = node[0][sid] = [{}, [], []]
+                node = child
+            if fixed:
+                node[1].append(p)
             else:
-                self.index.setdefault(spec_ids[0], []).append(entry)
+                node[2].append((p, tuple(spec_ids), tuple(_OP_BOUNDS[op] for op in ops)))
         self.specs: tuple[TokenSpec, ...] = tuple(specs)
 
-        self.scan_ids: tuple[int, ...] = tuple(sid for sid in self.index if _scannable(specs[sid]))
-        self.scan_slot: dict[int, int] = {sid: k for k, sid in enumerate(self.scan_ids)}
+        def freeze(node: list) -> _Node:
+            edges, accepts, quantified = node
+            return _Node(
+                tuple([(_bare_regex(specs[sid]), specs[sid], freeze(child)) for sid, child in edges.items()]),
+                tuple(accepts),
+                tuple(quantified),
+            )
+
+        self.scan_ids: tuple[int, ...] = tuple(sid for sid in root[0] if _scannable(specs[sid]))
+        self.scanned: tuple[_Node, ...] = tuple(freeze(root[0].pop(sid)) for sid in self.scan_ids)
+        self.root: _Node = freeze(root)
         # (?:(?=(p)\Z))? captures the whole token iff p fullmatches it, and
         # matches the empty string otherwise, so every slot is tried at 0.
         # Tokens are never empty, so a slot is truthy exactly when it holds.
         self.scanner = re.compile(
             "".join(f"(?:(?=({specs[sid].regex.pattern})\\Z))?" for sid in self.scan_ids)
         )
-        self._scanned = tuple(self.index[sid] for sid in self.scan_ids)
-        self._checked = tuple((sid, group) for sid, group in self.index.items() if sid not in self.scan_slot)
 
     def scan(self, token: Token) -> tuple[str | None, ...]:
         """Slot k is not None iff first spec ``scan_ids[k]`` holds for the token."""
@@ -290,47 +313,21 @@ def match_token(spec: TokenSpec, token: Token) -> bool:
     return True
 
 
-def _memo_holds(
+def _longest_end(
     patterns: PatternSet,
     tokens: Sequence[Token],
-    rows: Sequence[tuple[str | None, ...]],
-) -> Callable[[int, int], bool]:
-    """``holds(spec_id, pos)``, decided at most once per pair.
-
-    A scannable first spec is read from the token's scanner row; every other
-    spec is decided by ``match_token``.
-    """
-    specs = patterns.specs
-    slot = patterns.scan_slot
-    n = len(tokens)
-    memo: list[bool | None] = [None] * (len(specs) * n)
-
-    def holds(sid: int, pos: int) -> bool:
-        i = sid * n + pos
-        held = memo[i]
-        if held is None:
-            k = slot.get(sid)
-            if k is None:
-                held = memo[i] = match_token(specs[sid], tokens[pos])
-            else:
-                held = memo[i] = rows[pos][k] is not None
-        return held
-
-    return holds
-
-
-def _longest_end(
+    memo: dict[tuple[int, int], bool],
     spec_ids: Sequence[int],
     bounds: Sequence[tuple[int, int]],
-    holds: Callable[[int, int], bool],
-    n: int,
     start: int,
 ) -> int:
     """Maximum end index reachable by consuming all specs from ``start``, else -1.
 
     A DP over the set of reachable positions, one spec at a time; each spec
     consumes between its bounds of consecutive tokens that satisfy it.
+    ``memo`` keeps each (spec id, position) decision for the sentence.
     """
+    n = len(tokens)
     reach = {start}
     for sid, (lo, hi) in zip(spec_ids, bounds):
         nxt: set[int] = set()
@@ -338,7 +335,12 @@ def _longest_end(
             if lo == 0:
                 nxt.add(pos)
             k = 0
-            while k < hi and pos + k < n and holds(sid, pos + k):
+            while k < hi and pos + k < n:
+                held = memo.get((sid, pos + k))
+                if held is None:
+                    held = memo[sid, pos + k] = match_token(patterns.specs[sid], tokens[pos + k])
+                if not held:
+                    break
                 k += 1
                 if k >= lo:
                     nxt.add(pos + k)
@@ -346,50 +348,6 @@ def _longest_end(
             return -1
         reach = nxt
     return max(reach)
-
-
-def _sweep(
-    patterns: PatternSet,
-    rows: Sequence[tuple[str | None, ...]],
-    holds: Callable[[int, int], bool],
-) -> list[tuple[int, int, TokenPattern]]:
-    """Each pattern's non-overlapping longest matches, as (start, end, pattern).
-
-    Positions are visited once, left to right, for every label; at each one
-    only the patterns whose first spec holds are tried. A pattern is not
-    tried again before the end of its last match, which is each pattern's
-    own scan; as that depends on no other pattern, the order of the patterns
-    at a position does not change what is found.
-    """
-    n = len(rows)
-    checked = patterns._checked
-    always = patterns.always
-    found: list[tuple[int, int, TokenPattern]] = []
-    resume: dict[str, int] = {}  # pattern id -> end of its last match
-    for pos in range(n):
-        groups = list(compress(patterns._scanned, rows[pos]))
-        groups += [group for sid, group in checked if holds(sid, pos)]
-        groups.append(always)
-        for group in groups:
-            for pattern, spec_ids, bounds in group:
-                if resume.get(pattern.pattern_id, 0) > pos:
-                    continue
-                if bounds is None:
-                    end = pos + len(spec_ids)
-                    if end > n:
-                        continue
-                    j = 1
-                    while j < len(spec_ids) and holds(spec_ids[j], pos + j):
-                        j += 1
-                    if j < len(spec_ids):
-                        continue
-                else:
-                    end = _longest_end(spec_ids, bounds, holds, n, pos)
-                    if end <= pos:
-                        continue
-                found.append((pos, end, pattern))
-                resume[pattern.pattern_id] = end
-    return found
 
 
 def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
@@ -401,8 +359,33 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
     """
     tokens = sentence.tokens
     n = len(tokens)
-    rows = [patterns.scan(token) for token in tokens]
-    found = _sweep(patterns, rows, _memo_holds(patterns, tokens, rows))
+    found: list[tuple[int, int, TokenPattern]] = []
+    resume: dict[str, int] = {}  # pattern id -> end of its last match
+    memo: dict[tuple[int, int], bool] = {}  # the quantified patterns' decisions
+    for pos, token in enumerate(tokens):
+        level = [patterns.root]  # the trie nodes that tokens[pos:end] lead to
+        below = list(compress(patterns.scanned, patterns.scan(token)))
+        end = pos
+        while level:
+            ahead = tokens[end] if end < n else None
+            for edges, accepts, quantified in level:
+                for pattern in accepts:
+                    if resume.get(pattern.pattern_id, 0) <= pos:
+                        found.append((pos, end, pattern))
+                        resume[pattern.pattern_id] = end
+                for pattern, spec_ids, bounds in quantified:
+                    if resume.get(pattern.pattern_id, 0) <= pos:
+                        stop = _longest_end(patterns, tokens, memo, spec_ids, bounds, pos)
+                        if stop > pos:
+                            found.append((pos, stop, pattern))
+                            resume[pattern.pattern_id] = stop
+                if ahead is not None:
+                    text = ahead.text
+                    for regex, spec, child in edges:
+                        if regex.fullmatch(text) if regex is not None else match_token(spec, ahead):
+                            below.append(child)
+            level, below = below, []
+            end += 1
     found.sort(key=lambda c: (c[0] - c[1], c[0], c[2].pattern_id))
     taken = {label: bytearray(n) for label in LABELS}
     kept: list[MatchSpan] = []

@@ -29,6 +29,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import read_utf8
 from .ocr import BoundingBox, OcrLine
 
 # A token is a run of characters that are neither whitespace nor punctuation
@@ -189,8 +190,7 @@ def read_word_list(text: str) -> frozenset[str]:
 
 def load_stopwords(path) -> frozenset[str]:
     """Load the stopword file (see ``read_word_list``)."""
-    with open(path, encoding="utf-8") as fh:
-        return read_word_list(fh.read())
+    return read_word_list(read_utf8(path))
 
 
 def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sentence | None:

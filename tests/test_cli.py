@@ -193,6 +193,22 @@ def _gold(path, record):
     return _write(path, json.dumps(record) + "\n")
 
 
+# A predictions record whose span lies inside its own text but beyond the
+# gold sentence it is aligned with (_CORPUS[0], 17 characters).
+_BEYOND_GOLD = {"text": "doliprane 1000 mg, comprime secable", "label": "DRUG",
+                "spans": [{"kind": "DRUG", "start": 20, "end": 30}]}
+
+
+def _eval_predictions(d, prediction, *args):
+    return ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]),
+            "--predictions", _gold(d / "pred.jsonl", prediction), *args]
+
+
+def _latin1(path, text):
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
 def _one_lower_pattern(word):
     return json.dumps([{"id": "p1", "label": "FREQUENCY", "specs": [{"lower": word}]}], ensure_ascii=False)
 
@@ -361,6 +377,22 @@ ERROR_CASES = [
         lambda m, d: ["eval", "--model", str(m), "--gold", _write(d / "gold.jsonl", json.dumps(_CORPUS[0]) + "\n")],
         4, "internal", "annotate_text", id="eval-internal-error",
     ),
+    pytest.param(
+        lambda m, d: _eval_predictions(d, _BEYOND_GOLD), 2, "predictions", None, id="prediction-span-beyond-gold-text",
+    ),
+    pytest.param(
+        lambda m, d: _eval_predictions(d, _CORPUS[0], "--config", _write(d / "config.json", '{"treshold": 1}')),
+        2, "config", None, id="eval-predictions-unknown-config-key",
+    ),
+    pytest.param(
+        lambda m, d: ["lexicon-check", "--lexicon", _latin1(d / "lex.csv", "id,name\nA1,Paracétamol\n")],
+        2, "lexicon", None, id="lexicon-not-utf8",
+    ),
+    pytest.param(
+        lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "m.bin"),
+                      "--stopwords", _latin1(d / "stop.txt", "le\nà\n")],
+        2, "stopwords", None, id="stopwords-not-utf8",
+    ),
 ]
 
 
@@ -374,6 +406,24 @@ def test_every_error_exits_with_its_code_and_one_json_line(
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == code, result.stderr
     assert [e["type"] for e in _error(result)] == [kind]
+
+
+def test_prediction_span_beyond_its_gold_text_names_its_line(tmp_path):
+    gold = _write(tmp_path / "gold.jsonl", "".join(json.dumps(row) + "\n" for row in _CORPUS[:2]))
+    pred = _write(tmp_path / "pred.jsonl", json.dumps(_CORPUS[0]) + "\n\n" + json.dumps(_BEYOND_GOLD) + "\n")
+    result = CliRunner().invoke(main, ["eval", "--gold", gold, "--predictions", pred])
+    assert result.exit_code == 2, result.stderr
+    (error,) = _error(result)
+    assert error["message"] == f"{pred}:3: spans[0] ends at 30, beyond its gold text of 14 characters"
+
+
+def test_predictions_are_scored_with_a_valid_config(tmp_path):
+    record = _gold(tmp_path / "gold.jsonl", {**_CORPUS[0], "spans": [{"kind": "DRUG", "start": 0, "end": 9}]})
+    config = _write(tmp_path / "config.json", '{"threshold": 0.9}')
+    args = ["eval", "--gold", record, "--predictions", record, "--mode", "exact-span", "--config", config]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["totals"]["recall"] == 1.0
 
 
 def test_unknown_config_keys_are_named(run, tmp_path):

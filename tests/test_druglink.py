@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -105,6 +106,18 @@ class TestBuildLexicon:
         path.write_text("drug,title\nA,B\n")
         with pytest.raises(FileError):
             build_lexicon(path)
+
+    def test_invalid_utf8_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("id,name\nA1,DOLIPRANE 500\n\nA2,Paracétamol 1 g\n".encode("latin-1"))
+        with pytest.raises(FileError, match=re.escape(f"{path}:4: not valid UTF-8")):
+            build_lexicon(path)
+
+    def test_crlf_rows_read_as_lf_rows(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"id,name\r\nA1,DOLIPRANE 500\r\nA2,\"SPASFON\r\n80\"\r\n")
+        lex = build_lexicon(path)
+        assert [(e.drug_id, e.name) for e in lex.entries] == [("A1", "DOLIPRANE 500"), ("A2", "SPASFON\r\n80")]
 
     def test_first_token_index_groups_names(self, tmp_path):
         rows = [("A1", "DOLIPRANE 500"), ("B1", "SPASFON 80"), ("A2", "DOLIPRANE 1000")]

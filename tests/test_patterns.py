@@ -1,6 +1,9 @@
+import dataclasses
+import json
 import random
 import re
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -225,6 +228,23 @@ def compiled_find_all(pats: PatternSet, sentence) -> list[tuple[int, int, str, s
     return [(sp.start_token, sp.end_token, sp.label, sp.pattern_id) for sp in find_all(pats, sentence)]
 
 
+def trie_nodes(pats: PatternSet) -> dict:
+    """Every trie node below the root, by the spec-id path that leads to it."""
+    sid_of = {id(spec): sid for sid, spec in enumerate(pats.specs)}
+    nodes = {}
+
+    def visit(path, node):
+        nodes[path] = node
+        for _, spec, child in node.edges:
+            visit(path + (sid_of[id(spec)],), child)
+
+    for sid, child in zip(pats.scan_ids, pats.scanned):
+        visit((sid,), child)
+    for _, spec, child in pats.root.edges:
+        visit((sid_of[id(spec)],), child)
+    return nodes
+
+
 def corpus_sentences(noise: float) -> list:
     spec = CorpusSpec(n_drug=40, n_posology=120, n_useless=40, seed=3, lexicon_path=default_lexicon_path())
     texts = [noisify(a, noise, i).text for i, a in enumerate(generate(spec))]
@@ -243,26 +263,38 @@ class TestCompiledMatcher:
             {"id": "b", "label": "FREQUENCY", "specs": [{"like_num": True, "op": "+"}, {"lower": "cp", "op": "?"}]},
         ])
         assert len(pats.specs) == 2
-        (dose, frequency) = pats.index[0]
-        assert (dose.pattern.label, frequency.pattern.label) == ("DOSE", "FREQUENCY")
-        assert dose.spec_ids == frequency.spec_ids == (0, 1)
+        nodes = trie_nodes(pats)
+        assert set(nodes) == {(0,), (0, 1)}
+        assert nodes[0, 1].accepts == (pats.patterns[0],)
+        ((frequency, spec_ids, _),) = nodes[0,].quantified
+        assert frequency.label == "FREQUENCY" and spec_ids == (0, 1)
 
     def test_patterns_are_indexed_by_first_spec(self):
         def constraints(spec):
             return spec.lower, spec.regex, spec.is_digit, spec.like_num
 
         pats = default_patterns()
-        assert not pats.always  # no shipped pattern starts with an optional spec
-        assert len(pats.index) == 31
+        assert not pats.root.quantified  # no shipped pattern starts with an optional spec
+        assert len(pats.scanned) + len(pats.root.edges) == 31
+        nodes = trie_nodes(pats)
+        assert len(nodes) == 284  # for 482 spec slots of the 158 fixed-length patterns
         indexed = []
-        for sid, group in pats.index.items():
-            for entry in group:
-                assert entry.spec_ids[0] == sid
-                assert [constraints(pats.specs[i]) for i in entry.spec_ids] == [
-                    constraints(spec) for spec in entry.pattern.specs
-                ]
-                indexed.append(entry.pattern)
+        for path, node in nodes.items():
+            for p in node.accepts:
+                assert [constraints(pats.specs[i]) for i in path] == [constraints(spec) for spec in p.specs]
+                indexed.append(p)
+            for p, spec_ids, _ in node.quantified:
+                assert path == spec_ids[:1]
+                assert [constraints(pats.specs[i]) for i in spec_ids] == [constraints(spec) for spec in p.specs]
+                indexed.append(p)
+            for regex, spec, _ in node.edges:
+                bare = spec.lower is None and spec.is_digit is None and spec.like_num is None
+                assert regex is (spec.regex if bare else None)
         assert sorted(p.pattern_id for p in indexed) == sorted(p.pattern_id for p in pats.patterns)
+        # one pair of shipped patterns has the same spec sequence
+        assert [[p.label for p in node.accepts] for node in nodes.values() if len(node.accepts) > 1] == [
+            ["DOSE", "FREQUENCY"]
+        ]
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_default_set_equals_brute_force_on_generated_corpus(self, noise):
@@ -302,42 +334,122 @@ class TestCompiledMatcher:
                 for i in range(rng.randint(2, 6))
             ]
             pats = parse_patterns(data)
-            leading_optional += len(pats.always)
+            leading_optional += len(pats.root.quantified)
             shared += len(pats.specs) < sum(len(p.specs) for p in pats.patterns)
             for _ in range(3):
                 s = raw_sent(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
                 assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
         assert leading_optional > 50 and shared > 100
 
-    def test_each_spec_is_checked_at_most_once_per_token(self, monkeypatch):
-        pats = default_patterns()
-        distinct = {id(spec) for spec in pats.specs}
-        calls: Counter = Counter()  # (spec, token) -> decisions, by match_token or the scanner
+    def test_trie_shaped_pattern_sets_equal_brute_force(self):
+        """Patterns grown from two stems, so the trie merges every shape it can.
+
+        A pattern is a stem, a strict prefix of one, a stem extended, a stem
+        with one spec quantified, or a stem with an optional first spec, under
+        one of two labels; stems share specs, so patterns share prefixes.
+        """
+        rng = random.Random(23)
+        vocab = ["1", "2", "cp", "mg", "matin", "et", "soir", "X", "x"]
+        fixed = [
+            {"like_num": True},
+            {"is_digit": True},
+            {"regex": "[0-9]+"},
+            {"regex": "m.*"},
+            {"regex": "(?i)x"},  # a bare regex that the scanner leaves out
+            {"lower": ["cp", "mg"]},
+            {"lower": ["matin", "soir"]},
+            {"lower": ["et"]},
+        ]
+        stressed: Counter = Counter()
+        for trial in range(200):
+            stems = [[rng.choice(fixed) for _ in range(rng.randint(1, 3))] for _ in range(2)]
+            data = []
+            for i in range(rng.randint(3, 8)):
+                specs = [dict(spec) for spec in rng.choice(stems)]
+                shape = rng.choice(("stem", "prefix", "extend", "quantify", "optional-first"))
+                if shape == "prefix":
+                    specs = specs[: rng.randint(1, len(specs))]
+                elif shape == "extend":
+                    specs += [dict(rng.choice(fixed)) for _ in range(rng.randint(1, 2))]
+                elif shape == "quantify":
+                    rng.choice(specs)["op"] = rng.choice("?+*")
+                elif shape == "optional-first":
+                    specs[0]["op"] = rng.choice("?*")
+                data.append({"id": f"t{trial}-{i}", "label": rng.choice(("DOSE", "FREQUENCY")), "specs": specs})
+            pats = parse_patterns(data)
+
+            nodes = trie_nodes(pats)
+            labels_below: dict = {}
+            for path, node in nodes.items():
+                for k in range(1, len(path) + 1):
+                    labels_below.setdefault(path[:k], set()).update(p.label for p in node.accepts)
+            stressed["shared prefix, two labels"] += any(len(labels) > 1 for labels in labels_below.values())
+            stressed["strict prefix"] += any(node.accepts and node.edges for node in nodes.values())
+            stressed["same sequence"] += any(len(node.accepts) > 1 for node in nodes.values())
+            stressed["quantified beside fixed"] += any(
+                node.quantified and (node.accepts or node.edges) for node in nodes.values()
+            )
+            stressed["optional first"] += bool(pats.root.quantified)
+            for _ in range(4):
+                s = raw_sent(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 10))))
+                assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
+        assert min(stressed.values()) > 40 and len(stressed) == 5, stressed
+
+    def test_each_trie_edge_is_tested_at_most_once_per_token(self, monkeypatch):
+        """Every decision counted: the scanner, an edge's regex, ``match_token``.
+
+        Each edge gets its own spec copy and a counting regex, so a decision
+        is charged to the edge that made it; the quantified patterns' DP
+        decides the shared specs through its memo.
+        """
+        pats = parse_patterns(json.loads(resources.files("ordonnance.data").joinpath("patterns_fr.json").read_text()))
+        decided: Counter = Counter()  # (edge, token) or (DP spec, token) -> decisions
         scanned: Counter = Counter()  # token -> scanner calls
+        by_text: Counter = Counter()  # (edge, token text) -> regex decisions
         real = patterns_module.match_token
         real_scan = PatternSet.scan
 
+        class CountingRegex:
+            def __init__(self, regex, edge):
+                self.regex, self.edge = regex, edge
+
+            def fullmatch(self, text):
+                by_text[self.edge, text] += 1
+                return self.regex.fullmatch(text)
+
+        def instrument(node):
+            edges = []
+            for regex, spec, child in node.edges:
+                spec = dataclasses.replace(spec)  # equal, but its own object: the edge's key
+                edges.append((None if regex is None else CountingRegex(regex, id(spec)), spec, instrument(child)))
+            return node._replace(edges=tuple(edges))
+
         def counting(spec, token):
-            calls[id(spec), id(token)] += 1
+            decided[id(spec), id(token)] += 1
             return real(spec, token)
 
         def counting_scan(self, token):
             scanned[id(token)] += 1
-            for sid in self.scan_ids:
-                calls[id(self.specs[sid]), id(token)] += 1
             return real_scan(self, token)
 
+        pats.scanned = tuple(map(instrument, pats.scanned))
+        pats.root = instrument(pats.root)
         monkeypatch.setattr(patterns_module, "match_token", counting)
         monkeypatch.setattr(PatternSet, "scan", counting_scan)
         assert len(pats.scan_ids) == 30
+        quantified = 0
         for s in corpus_sentences(0.1)[40:80]:  # posology sentences
-            calls.clear()
+            decided.clear()
             scanned.clear()
+            by_text.clear()
             find_all(pats, s)
-            assert calls, s.match_text
-            assert max(calls.values()) == 1, s.match_text
-            assert {spec for spec, _ in calls} <= distinct
+            assert decided and by_text, s.match_text
+            assert max(decided.values()) == 1, s.match_text
+            texts = Counter(token.text for token in s.tokens)
+            assert all(count <= texts[text] for (_, text), count in by_text.items()), s.match_text
             assert scanned == Counter(id(token) for token in s.tokens), s.match_text
+            quantified += any(spec in map(id, pats.specs) for spec, _ in decided)
+        assert quantified
 
 
 class TestFirstSpecScanner:
@@ -372,7 +484,7 @@ class TestFirstSpecScanner:
 
     def test_scannable_rule(self):
         pats = self.first_specs()
-        scanned = {entry.pattern.pattern_id for sid in pats.scan_ids for entry in pats.index[sid]}
+        scanned = {p.pattern_id for node in pats.scanned for p in node.accepts}
         assert scanned == set(self.SCANNED)
 
     def test_regex_compiled_with_a_flag_is_left_out(self):
@@ -397,8 +509,8 @@ class TestFirstSpecScanner:
             {"id": "d", "label": "DOSE", "specs": [{"regex": "[0-9]+"}, {"lower": "cp"}]},
             {"id": "f", "label": "FREQUENCY", "specs": [{"regex": "[0-9]+"}, {"regex": "x"}]},
         ])
-        (sid,) = pats.scan_ids
-        assert [entry.pattern.label for entry in pats.index[sid]] == ["DOSE", "FREQUENCY"]
+        (node,) = pats.scanned
+        assert [child.accepts[0].label for _, _, child in node.edges] == ["DOSE", "FREQUENCY"]
         spans = find_all(pats, raw_sent("2 cp 3 x"))
         assert [(sp.label, sp.text) for sp in spans] == [("DOSE", "2 cp"), ("FREQUENCY", "3 x")]
 
@@ -418,11 +530,12 @@ class TestFirstSpecScanner:
                 for i in range(rng.randint(2, 7))
             ]
             pats = parse_patterns(data)
-            leading_optional += len(pats.always)
-            left_out += len(pats.index) - len(pats.scan_ids)
-            scanned_later += any(
-                sid in pats.scan_slot for group in pats.index.values() for entry in group for sid in entry.spec_ids[1:]
-            )
+            leading_optional += len(pats.root.quantified)
+            left_out += len(pats.root.edges)
+            nodes = trie_nodes(pats)  # a scannable spec below depth 1, fixed or in a DP
+            deep = {path[-1] for path in nodes if len(path) > 1}
+            deep.update(sid for node in nodes.values() for _, spec_ids, _ in node.quantified for sid in spec_ids[1:])
+            scanned_later += not deep.isdisjoint(pats.scan_ids)
             for _ in range(3):
                 s = raw_sent(" ".join(rng.choice(self.VOCAB) for _ in range(rng.randint(1, 9))))
                 assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
@@ -452,6 +565,14 @@ class TestFindAll:
         spans = find_all(self.make_set(p1, p2), sent("1 cp"))
         assert len(spans) == 1
         assert spans[0].pattern_id == "a"
+
+    def test_a_pattern_resumes_after_its_own_last_match(self):
+        # "x x" matches at 1 and would match again at 2, inside its own match:
+        # only the first is its match, and "a x" outranks that one
+        head = pattern("head", "DOSE", {"lower": ["a"]}, {"lower": ["x"]})
+        pair = pattern("pair", "DOSE", {"lower": ["x"]}, {"lower": ["x"]})
+        spans = find_all(self.make_set(head, pair), raw_sent("a x x x"))
+        assert [(s.pattern_id, s.start_token, s.end_token) for s in spans] == [("head", 0, 2)]
 
     def test_cross_label_overlap_kept(self):
         p1 = pattern("d", "DOSE", {"regex": "[0-9](?:-[0-9]){1,3}"})

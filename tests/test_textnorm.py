@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordonnance.druglink import default_equivalence_markers, default_lexicon
+from ordonnance.errors import FileError
 from ordonnance.ocr import BoundingBox, OcrLine
 from ordonnance.textnorm import (
     NormalizedText,
@@ -255,6 +256,12 @@ class TestReadWordList:
     def test_shipped_markers(self):
         text = self.shipped("equivalence_markers.txt").read_text("utf-8")
         assert read_word_list(text) == default_equivalence_markers() == SHIPPED_MARKERS
+
+    def test_invalid_utf8_stopwords_name_the_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("le\nla\nà\n".encode("latin-1"))
+        with pytest.raises(FileError, match=re.escape(f"{path}:3: not valid UTF-8")):
+            load_stopwords(path)
 
     def test_comments_blank_lines_and_folding(self):
         text = "# a comment line\n\n   \nÉquivalent  # trailing comment\nOU\n#\nsoit"
