@@ -55,6 +55,10 @@ CLASS_LABELS = ("DRUG", "POSOLOGY", "USELESS")
 # version it was trained with, and load_model refuses any other.
 FEATURE_VERSION = "fh1"
 
+# featurize hashes character n-grams of these lengths; load_model refuses other values.
+NGRAM_MIN = 3
+NGRAM_MAX = 5
+
 # The learning rate at epoch e is learning_rate / (1 + LR_DECAY * e).
 LR_DECAY = 0.01
 
@@ -69,14 +73,9 @@ _HEADER_FIELDS = {
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    ngram_min: int = 3
-    ngram_max: int = 5
     hash_dim: int = 2**18
 
     def __post_init__(self):
-        # featurize builds n-grams of length 1 and up
-        if not 1 <= self.ngram_min <= self.ngram_max:
-            raise ValueError(f"need 1 <= ngram_min <= ngram_max, got {self.ngram_min}, {self.ngram_max}")
         if self.hash_dim < 1:
             raise ValueError(f"need hash_dim >= 1, got {self.hash_dim}")
 
@@ -170,10 +169,10 @@ def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[n
             lengths = [len(texts[k]) for k in ascii_rows]
             base = np.repeat(np.array(ascii_rows, dtype=np.int64) * stride, lengths)
             left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))  # bytes to the line's end
-        for n in range(1, min(config.ngram_max, len(data)) + 1):
+        for n in range(1, min(NGRAM_MAX, len(data)) + 1):
             gathered = _gram_table(n).take(data[: len(data) - n + 1])
             crcs = gathered if n == 1 else gathered ^ crcs[1:]
-            if n >= config.ngram_min:
+            if n >= NGRAM_MIN:
                 if one:
                     parts.append(crcs % dim)
                 else:
@@ -185,7 +184,7 @@ def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[n
     for k, text in enumerate(texts):
         row = k * stride
         if not text.isascii():
-            for n in range(config.ngram_min, min(config.ngram_max, len(text)) + 1):
+            for n in range(NGRAM_MIN, min(NGRAM_MAX, len(text)) + 1):
                 seed = _seed(f"c{n}|")
                 for i in range(len(text) - n + 1):
                     keys.append(row + crc32(text[i : i + n].encode("utf-8"), seed) % dim)
@@ -301,8 +300,8 @@ def save_model(model: ClassifierModel, path) -> None:
         "magic": _MODEL_MAGIC,
         "version": FEATURE_VERSION,
         "labels": list(model.labels),
-        "ngram_min": model.config.ngram_min,
-        "ngram_max": model.config.ngram_max,
+        "ngram_min": NGRAM_MIN,
+        "ngram_max": NGRAM_MAX,
         "hash_dim": model.config.hash_dim,
         "n_cols": len(model.ids),
         "holdout_accuracy": model.holdout_accuracy,
@@ -334,8 +333,10 @@ def load_model(path) -> ClassifierModel:
     labels = tuple(header["labels"])
     if labels != CLASS_LABELS:  # train writes no other label list
         raise SchemaError(f"{path}: model labels must be {list(CLASS_LABELS)}, got {list(labels)}")
+    if (ngrams := (header["ngram_min"], header["ngram_max"])) != (NGRAM_MIN, NGRAM_MAX):
+        raise SchemaError(f"{path}: model header needs ngram_min, ngram_max {NGRAM_MIN}, {NGRAM_MAX}, got {ngrams}")
     try:
-        config = FeatureConfig(**{name: header[name] for name in ("ngram_min", "ngram_max", "hash_dim")})
+        config = FeatureConfig(hash_dim=header["hash_dim"])
     except ValueError as exc:
         raise SchemaError(f"{path}: model header: {exc}") from exc
     n_cols = header["n_cols"]

@@ -6,7 +6,9 @@ take a JSON config file (--config) whose keys may pre-set ``model``,
 ``lexicon``, ``patterns``, ``stopwords`` and ``threshold``, and set the
 ``LinkConfig`` fields ``section_gap_factor``, ``drug_gap_factor`` and
 ``overlap_fraction``; any other key is refused. Explicit flags win over the
-config file. ``eval --predictions`` runs no pipeline, but its config file is
+config file. ``eval --predictions`` runs no pipeline, so it refuses the
+pipeline's flags (--model, --lexicon, --patterns, --stopwords, --threshold)
+as a usage error; its config file, which may serve ``extract`` too, is
 checked all the same.
 
 Each input is checked where it enters, by the loader that reads it; a loader
@@ -326,6 +328,10 @@ def _read_predictions(path, gold_rows) -> list[list]:
 @click.option("--config", default=None)
 def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, mode, fmt, config):
     """Score extraction quality against a gold corpus."""
+    pipeline_flags = zip((*_PATH_KEYS, "threshold"), (model, lexicon, patterns, stopwords, threshold))
+    ignored = [f"--{key}" for key, value in pipeline_flags if value is not None]
+    if predictions is not None and ignored:
+        _fail(_EXIT_SCHEMA, "usage", f"{', '.join(ignored)} cannot be used with --predictions, which runs no pipeline")
     with _failing_as("gold"):
         gold_rows = read_jsonl(gold)
     with _failing_as("config"):

@@ -121,11 +121,6 @@ def default_lexicon_path() -> str:
     return str(resources.files("ordonnance.data").joinpath("lexicon_demo.csv"))
 
 
-@lru_cache(maxsize=1)
-def default_lexicon() -> DrugLexicon:
-    return build_lexicon(default_lexicon_path())
-
-
 def _candidate_indices(lexicon: DrugLexicon, token: str) -> tuple[int, ...]:
     hit = lexicon.first_token_index.get(token)
     if hit:

@@ -17,18 +17,19 @@ next specs, and a pattern is accepted at the node its whole sequence leads
 to (284 nodes below the root for 482 spec slots in the shipped set). All
 four labels share the trie; overlaps are then resolved per label.
 
+Each distinct spec is compiled once into one test on a token's text, truthy
+exactly when ``match_token`` (the one definition of a spec holding) holds: a
+bare regex's ``fullmatch``, a ``lower``-only spec's set membership, a test
+that always holds for a wildcard, else ``match_token`` bound to the spec.
+Every trie edge and every DP step decides its spec by one call of its test.
+The root's scannable first specs (a bare regex with no groups, default flags
+and no global inline flag group such as "(?u)"; 30 of the 31 shipped) are
+decided together by one scanner call per token instead. No regex is
+compiled at build beyond the scanner.
+
 ``find_all`` walks the trie once from each position, one level per token,
-so a shared prefix is decided once per start. The root's edges are the
-first specs (31 shipped).
-A first spec is scannable when its only constraint is a regex with no
-groups, default flags and no global inline flag group such as "(?u)"; the
-scannable ones (30 shipped) are compiled into one scanner, so one C-level
-regex call per token decides all of them. Every other edge is decided by its
-spec's own compiled regex (``fullmatch``) when the spec is a bare regex, and
-by ``match_token``, the one definition of a spec holding, otherwise. An edge
-is tested at most once per token, and no new regex is compiled at build
-beyond the scanner. A pattern's resume rule is checked at its accepting
-node.
+so a shared prefix is decided once per start and an edge is tested at most
+once per token. A pattern's resume rule is checked at its accepting node.
 
 A pattern with a quantifier runs a DP over reachable positions, each spec
 consuming at most MAX_REPS tokens. It hangs at the depth-1 node of its first
@@ -42,9 +43,10 @@ Pattern file format (JSON list)::
                  "like_num": bool, "op": "1"|"?"|"+"|"*"}]}]
 
 All spec fields are optional; "op" defaults to "1". Regexes are anchored
-(full-token match). Tokens are compared through their normalized ``lower``
-text, so a "lower" word must be one token of normalized text (no accent,
-no capital, no space); any other word is refused, as it could never match.
+(full-token match). A "lower" word is compared with the normalized token
+text, its own lower case, so it must be one token of normalized text (no
+accent, no capital, no space); any other word is refused, as it could never
+match. "is_digit" means ASCII digits; "like_num" "1", "1.5" or "1/2" shapes.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import PatternError, decode_json
-from .textnorm import Sentence, Token, normalize_text, tokenize
+from .textnorm import Sentence, normalize_text, tokenize
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 
@@ -68,6 +70,8 @@ MAX_REPS = 10
 
 _OP_BOUNDS = {"1": (1, 1), "?": (0, 1), "+": (1, MAX_REPS), "*": (0, MAX_REPS)}
 
+_LIKE_NUM_RE = re.compile(r"\d+(?:\.\d+)?|\d+/\d+")
+
 
 @dataclass(frozen=True)
 class TokenSpec:
@@ -76,15 +80,6 @@ class TokenSpec:
     is_digit: bool | None = None
     like_num: bool | None = None
     op: str = "1"
-
-    @property
-    def is_wildcard(self) -> bool:
-        return (
-            self.lower is None
-            and self.regex is None
-            and self.is_digit is None
-            and self.like_num is None
-        )
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ class MatchSpan:
 class _Node(NamedTuple):
     """A trie node: one spec-id prefix of the fixed-length patterns."""
 
-    edges: tuple  # (bare regex or None, spec, child) per next spec
+    edges: tuple  # (compiled test, spec id, child) per next spec
     accepts: tuple[TokenPattern, ...]  # fixed-length patterns whose whole sequence ends here
     quantified: tuple  # (pattern, spec ids, per-spec (lo, hi)) of quantified patterns tried here
 
@@ -116,18 +111,27 @@ class _Node(NamedTuple):
 _GLOBAL_FLAGS_RE = re.compile(r"\(\?[aiLmsux]+\)")
 
 
-def _bare_regex(spec: TokenSpec) -> "re.Pattern[str] | None":
-    """The spec's regex when it is the spec's only constraint, else None."""
-    if spec.lower is None and spec.is_digit is None and spec.like_num is None:
-        return spec.regex
-    return None
+def _any_text(text: str) -> bool:
+    """The compiled test of a wildcard spec: every token satisfies it."""
+    return True
+
+
+def _compile_test(spec: TokenSpec) -> Callable[[str], object]:
+    """One test on a token's text, truthy exactly when ``match_token`` holds for the spec."""
+    if spec.is_digit is None and spec.like_num is None:
+        if spec.lower is None:
+            return _any_text if spec.regex is None else spec.regex.fullmatch
+        if spec.regex is None:
+            return spec.lower.__contains__
+    return partial(match_token, spec)
 
 
 def _scannable(spec: TokenSpec) -> bool:
     """True iff the spec is a bare regex that the first-spec scanner can embed."""
-    regex = _bare_regex(spec)
+    regex = spec.regex
     return (
         regex is not None
+        and (spec.lower, spec.is_digit, spec.like_num) == (None, None, None)
         and regex.groups == 0
         and regex.flags == re.UNICODE
         and _GLOBAL_FLAGS_RE.search(regex.pattern) is None
@@ -138,9 +142,10 @@ class PatternSet:
     """Immutable collection of patterns, compiled once.
 
     ``specs`` holds each distinct spec once (the quantifier is not part of a
-    spec's identity). ``root`` is the trie of the fixed-length patterns; the
-    root's edges for the scannable first specs are left out of it and kept in
-    ``scanned``, aligned with ``scan_ids``. A quantified pattern hangs at the
+    spec's identity), and ``tests`` its compiled test (``_compile_test``).
+    ``root`` is the trie of the fixed-length patterns; the root's edges for
+    the scannable first specs are left out of it and kept in ``scanned``,
+    aligned with ``scan_ids``. A quantified pattern hangs at the
     depth-1 node of its first spec, or at the root when that spec is optional.
 
     ``scanner`` decides every scannable first spec of a token in one call:
@@ -184,11 +189,12 @@ class PatternSet:
             else:
                 node[2].append((p, tuple(spec_ids), tuple(_OP_BOUNDS[op] for op in ops)))
         self.specs: tuple[TokenSpec, ...] = tuple(specs)
+        self.tests: tuple[Callable[[str], object], ...] = tuple(map(_compile_test, specs))
 
         def freeze(node: list) -> _Node:
             edges, accepts, quantified = node
             return _Node(
-                tuple([(_bare_regex(specs[sid]), specs[sid], freeze(child)) for sid, child in edges.items()]),
+                tuple([(self.tests[sid], sid, freeze(child)) for sid, child in edges.items()]),
                 tuple(accepts),
                 tuple(quantified),
             )
@@ -203,17 +209,17 @@ class PatternSet:
             "".join(f"(?:(?=({specs[sid].regex.pattern})\\Z))?" for sid in self.scan_ids)
         )
 
-    def scan(self, token: Token) -> tuple[str | None, ...]:
-        """Slot k is not None iff first spec ``scan_ids[k]`` holds for the token."""
-        return self.scanner.match(token.text).groups()
+    def scan(self, text: str) -> tuple[str | None, ...]:
+        """Slot k is not None iff first spec ``scan_ids[k]`` holds for a token of this text."""
+        return self.scanner.match(text).groups()
 
 
 def _is_token_lower(word: str) -> bool:
-    """True iff some token's ``lower`` can equal ``word``: it is normalized and one whole token."""
+    """True iff some token's text can equal ``word``: it is normalized and one whole token."""
     if normalize_text(word).text != word:
         return False
     tokens = tokenize(word)
-    return len(tokens) == 1 and tokens[0].text == tokens[0].lower == word
+    return len(tokens) == 1 and tokens[0].text == word
 
 
 def _parse_spec(obj: dict, where: str) -> TokenSpec:
@@ -259,7 +265,7 @@ def _parse_spec(obj: dict, where: str) -> TokenSpec:
         like_num=obj.get("like_num"),
         op=op,
     )
-    if spec.is_wildcard and op == "1":
+    if op == "1" and _compile_test(spec) is _any_text:
         # an unconstrained single token is almost always an authoring mistake;
         # wildcards must be opted into with an explicit quantifier
         raise PatternError(f"{where}: unconstrained spec requires an explicit quantifier")
@@ -300,22 +306,25 @@ def default_patterns() -> PatternSet:
     return parse_patterns(json.loads(text))
 
 
-def match_token(spec: TokenSpec, token: Token) -> bool:
-    """True iff every constraint present on the spec holds for the token."""
-    if spec.lower is not None and token.lower not in spec.lower:
+def match_token(spec: TokenSpec, text: str) -> bool:
+    """True iff every constraint present on the spec holds for a token of this text.
+
+    ``is_digit`` and ``like_num`` are worked out only when the spec asks.
+    """
+    if spec.lower is not None and text not in spec.lower:
         return False
-    if spec.regex is not None and spec.regex.fullmatch(token.text) is None:
+    if spec.regex is not None and spec.regex.fullmatch(text) is None:
         return False
-    if spec.is_digit is not None and token.is_digit != spec.is_digit:
+    if spec.is_digit is not None and (text.isdigit() and text.isascii()) != spec.is_digit:
         return False
-    if spec.like_num is not None and token.like_num != spec.like_num:
+    if spec.like_num is not None and (_LIKE_NUM_RE.fullmatch(text) is not None) != spec.like_num:
         return False
     return True
 
 
 def _longest_end(
-    patterns: PatternSet,
-    tokens: Sequence[Token],
+    tests: Sequence[Callable[[str], object]],
+    texts: Sequence[str],
     memo: dict[tuple[int, int], bool],
     spec_ids: Sequence[int],
     bounds: Sequence[tuple[int, int]],
@@ -327,7 +336,7 @@ def _longest_end(
     consumes between its bounds of consecutive tokens that satisfy it.
     ``memo`` keeps each (spec id, position) decision for the sentence.
     """
-    n = len(tokens)
+    n = len(texts)
     reach = {start}
     for sid, (lo, hi) in zip(spec_ids, bounds):
         nxt: set[int] = set()
@@ -338,7 +347,7 @@ def _longest_end(
             while k < hi and pos + k < n:
                 held = memo.get((sid, pos + k))
                 if held is None:
-                    held = memo[sid, pos + k] = match_token(patterns.specs[sid], tokens[pos + k])
+                    held = memo[sid, pos + k] = bool(tests[sid](texts[pos + k]))
                 if not held:
                     break
                 k += 1
@@ -358,16 +367,17 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
     different labels may overlap freely.
     """
     tokens = sentence.tokens
-    n = len(tokens)
+    texts = [token.text for token in tokens]
+    n = len(texts)
     found: list[tuple[int, int, TokenPattern]] = []
     resume: dict[str, int] = {}  # pattern id -> end of its last match
     memo: dict[tuple[int, int], bool] = {}  # the quantified patterns' decisions
-    for pos, token in enumerate(tokens):
+    for pos, text in enumerate(texts):
         level = [patterns.root]  # the trie nodes that tokens[pos:end] lead to
-        below = list(compress(patterns.scanned, patterns.scan(token)))
+        below = list(compress(patterns.scanned, patterns.scan(text)))
         end = pos
         while level:
-            ahead = tokens[end] if end < n else None
+            ahead = texts[end] if end < n else None
             for edges, accepts, quantified in level:
                 for pattern in accepts:
                     if resume.get(pattern.pattern_id, 0) <= pos:
@@ -375,14 +385,13 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
                         resume[pattern.pattern_id] = end
                 for pattern, spec_ids, bounds in quantified:
                     if resume.get(pattern.pattern_id, 0) <= pos:
-                        stop = _longest_end(patterns, tokens, memo, spec_ids, bounds, pos)
+                        stop = _longest_end(patterns.tests, texts, memo, spec_ids, bounds, pos)
                         if stop > pos:
                             found.append((pos, stop, pattern))
                             resume[pattern.pattern_id] = stop
                 if ahead is not None:
-                    text = ahead.text
-                    for regex, spec, child in edges:
-                        if regex.fullmatch(text) if regex is not None else match_token(spec, ahead):
+                    for test, _, child in edges:
+                        if test(ahead):
                             below.append(child)
             level, below = below, []
             end += 1

@@ -4,7 +4,7 @@ import pytest
 
 from ordonnance.classify import TrainConfig, save_model, train
 from ordonnance.corpus import CorpusSpec, generate, noisify
-from ordonnance.druglink import default_lexicon, default_lexicon_path
+from ordonnance.druglink import build_lexicon, default_lexicon_path
 from ordonnance.patterns import default_patterns
 from ordonnance.pipeline import Runtime
 from ordonnance.textnorm import load_stopwords, sentence_from_text
@@ -29,7 +29,7 @@ def patterns():
 
 @pytest.fixture(scope="session")
 def lexicon():
-    return default_lexicon()
+    return build_lexicon(default_lexicon_path())
 
 
 @pytest.fixture(scope="session")

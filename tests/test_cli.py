@@ -426,6 +426,18 @@ def test_predictions_are_scored_with_a_valid_config(tmp_path):
     assert json.loads(result.stdout)["totals"]["recall"] == 1.0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--model", "model.bin"), ("--lexicon", "lex.csv"), ("--patterns", "patterns.json"),
+    ("--stopwords", "stop.txt"), ("--threshold", "0.9"),
+])
+def test_pipeline_flags_are_refused_next_to_predictions(tmp_path, flag, value):
+    # --predictions runs no pipeline: a pipeline flag would be silently ignored
+    result = CliRunner().invoke(main, _eval_predictions(tmp_path, _CORPUS[0], flag, value))
+    assert result.exit_code == 2, result.stderr
+    (error,) = _error(result)
+    assert error == {"type": "usage", "message": f"{flag} cannot be used with --predictions, which runs no pipeline"}
+
+
 def test_unknown_config_keys_are_named(run, tmp_path):
     path = _write(tmp_path / "config.json", '{"treshold": 0.99, "drug_gap_factr": 9, "threshold": 0.9}')
     (error,) = _error(run("--input", str(FIXTURE), "--config", path))

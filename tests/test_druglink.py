@@ -9,7 +9,7 @@ from ordonnance.druglink import (
     DrugMention,
     LexiconEntry,
     build_lexicon,
-    default_lexicon,
+    default_lexicon_path,
     detect_drug,
     mention_token_window,
     split_combined_line,
@@ -208,7 +208,7 @@ class TestDetectDrug:
         # norm_name lives in the same space as the sentence window, so a line
         # that is exactly a lexicon name links to that entry at score 1.0,
         # and a posology suffix after the name is split off whole.
-        lexicon = default_lexicon()
+        lexicon = build_lexicon(default_lexicon_path())
         suffix = " 1 comprime le soir"
         for entry in lexicon.entries:
             m = detect_drug(sentence_from_text(entry.name), lexicon)

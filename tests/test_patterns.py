@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -7,7 +8,6 @@ from importlib import resources
 
 import pytest
 
-from ordonnance import patterns as patterns_module
 from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import PatternError
@@ -47,8 +47,10 @@ def pattern(pid, label, *specs):
 
 
 class TestMatchToken:
+    """``match_token`` on a token's text; it alone works out ``is_digit`` and ``like_num``."""
+
     def tok(self, text):
-        return sent(text).tokens[0]
+        return sent(text).tokens[0].text
 
     def test_lower_set_membership(self):
         p = pattern("x", "DOSE", {"lower": ["cp", "comprime"]})
@@ -58,11 +60,13 @@ class TestMatchToken:
     def test_is_digit_rejects_decimal(self):
         p = pattern("x", "DOSE", {"is_digit": True})
         assert not match_token(p.specs[0], self.tok("1.5"))
+        assert not match_token(p.specs[0], self.tok("1/2"))
         assert match_token(p.specs[0], self.tok("15"))
 
     def test_like_num_accepts_decimal(self):
         p = pattern("x", "DOSE", {"like_num": True})
         assert match_token(p.specs[0], self.tok("1.5"))
+        assert match_token(p.specs[0], self.tok("1/2"))
 
     def test_constraints_are_conjunctive(self):
         p = pattern("x", "DOSE", {"regex": "[0-9]+", "is_digit": False})
@@ -72,6 +76,27 @@ class TestMatchToken:
         p = pattern("x", "DOSE", {"like_num": False})
         assert match_token(p.specs[0], self.tok("matin"))
         assert not match_token(p.specs[0], self.tok("12"))
+
+    def test_is_digit_implies_like_num(self):
+        is_digit, like_num = pattern("x", "DOSE", {"is_digit": True}, {"like_num": True}).specs
+        texts = [t.text for t in tokenize("12 0.5 1/2 abc a1 12/04/2021")]
+        assert any(match_token(is_digit, text) for text in texts)
+        for text in texts:
+            if match_token(is_digit, text):
+                assert match_token(like_num, text)
+
+    def test_is_digit_is_ascii_digits_only(self):
+        # Arabic-Indic three and fullwidth one are decimal digits, not ASCII ones
+        is_digit, like_num = pattern("x", "DOSE", {"is_digit": True}, {"like_num": True}).specs
+        for text in ("\u0663", "\uff11", "1\u0663"):
+            assert text.isdigit() and not match_token(is_digit, text), text
+            assert match_token(like_num, text), text
+
+    def test_lower_words_are_compared_with_the_text(self):
+        # normalized text is its own lower case, so a lower word equals the token text
+        p = pattern("x", "DOSE", {"lower": ["cp"]})
+        assert match_token(p.specs[0], self.tok("CP"))
+        assert not match_token(p.specs[0], "CP")
 
 
 class TestFindMatches:
@@ -145,7 +170,7 @@ def brute_force_reach(p: TokenPattern, sentence, start: int) -> set[int]:
         for k in range(lo, hi + 1):
             if pos + k > len(tokens):
                 break
-            if not all(match_token(p.specs[si], tokens[pos + x]) for x in range(k)):
+            if not all(match_token(p.specs[si], tokens[pos + x].text) for x in range(k)):
                 break  # a longer run cannot match if this prefix does not
             out |= ends(si + 1, pos + k)
         return out
@@ -230,18 +255,17 @@ def compiled_find_all(pats: PatternSet, sentence) -> list[tuple[int, int, str, s
 
 def trie_nodes(pats: PatternSet) -> dict:
     """Every trie node below the root, by the spec-id path that leads to it."""
-    sid_of = {id(spec): sid for sid, spec in enumerate(pats.specs)}
     nodes = {}
 
     def visit(path, node):
         nodes[path] = node
-        for _, spec, child in node.edges:
-            visit(path + (sid_of[id(spec)],), child)
+        for _, sid, child in node.edges:
+            visit(path + (sid,), child)
 
     for sid, child in zip(pats.scan_ids, pats.scanned):
         visit((sid,), child)
-    for _, spec, child in pats.root.edges:
-        visit((sid_of[id(spec)],), child)
+    for _, sid, child in pats.root.edges:
+        visit((sid,), child)
     return nodes
 
 
@@ -256,6 +280,38 @@ class TestCompiledMatcher:
         pats = default_patterns()
         assert sum(len(p.specs) for p in pats.patterns) == 498
         assert len(pats.specs) == 118
+
+    def test_each_spec_compiles_to_one_test_on_the_text(self):
+        pats = default_patterns()
+        kinds = Counter()
+        for spec, test in zip(pats.specs, pats.tests):
+            if spec.regex is not None and test == spec.regex.fullmatch:
+                kinds["regex"] += 1
+            elif spec.lower is not None and test == spec.lower.__contains__:
+                kinds["lower"] += 1
+        # every shipped spec is a bare regex or lower words alone
+        assert sum(kinds.values()) == len(pats.specs) and kinds["lower"] > 0, kinds
+        texts = {t.text for s in corpus_sentences(0.1) for t in s.tokens}
+        for spec, test in zip(pats.specs, pats.tests):
+            for text in texts:
+                assert bool(test(text)) == match_token(spec, text), (spec, text)
+
+    def test_wildcard_spec_is_decided_by_its_compiled_test(self):
+        pats = parse_patterns([
+            {"id": "gap", "label": "DOSE", "specs": [{"like_num": True}, {"op": "?"}, {"lower": "cp"}]},
+            {"id": "lead", "label": "COMMENT", "specs": [{"op": "+"}, {"lower": "si"}]},
+        ])
+        wildcards = [sid for sid, spec in enumerate(pats.specs) if spec == TokenSpec(op=spec.op)]
+        assert len(wildcards) == 1
+        (test,) = [pats.tests[sid] for sid in wildcards]
+        s = raw_sent("1 x cp 2 cp un si")
+        assert all(test(t.text) for t in s.tokens)
+        # the "+" wildcard leads "lead", so it is a root edge as well as a DP step
+        assert set(wildcards) < {sid for _, sid, _ in pats.root.edges}
+        assert compiled_find_all(pats, s) == brute_force_find_all(pats, s)
+        assert [(sp.pattern_id, sp.text) for sp in find_all(pats, s)] == [
+            ("gap", "1 x cp"), ("lead", "1 x cp 2 cp un si"), ("gap", "2 cp")
+        ]
 
     def test_quantifier_is_not_part_of_a_spec(self):
         pats = parse_patterns([
@@ -287,9 +343,8 @@ class TestCompiledMatcher:
                 assert path == spec_ids[:1]
                 assert [constraints(pats.specs[i]) for i in spec_ids] == [constraints(spec) for spec in p.specs]
                 indexed.append(p)
-            for regex, spec, _ in node.edges:
-                bare = spec.lower is None and spec.is_digit is None and spec.like_num is None
-                assert regex is (spec.regex if bare else None)
+            for test, sid, _ in node.edges:
+                assert test is pats.tests[sid]
         assert sorted(p.pattern_id for p in indexed) == sorted(p.pattern_id for p in pats.patterns)
         # one pair of shipped patterns has the same spec sequence
         assert [[p.label for p in node.accepts] for node in nodes.values() if len(node.accepts) > 1] == [
@@ -396,59 +451,56 @@ class TestCompiledMatcher:
         assert min(stressed.values()) > 40 and len(stressed) == 5, stressed
 
     def test_each_trie_edge_is_tested_at_most_once_per_token(self, monkeypatch):
-        """Every decision counted: the scanner, an edge's regex, ``match_token``.
+        """Every decision counted: the scanner, each edge's test, each DP spec's test.
 
-        Each edge gets its own spec copy and a counting regex, so a decision
-        is charged to the edge that made it; the quantified patterns' DP
-        decides the shared specs through its memo.
+        Each edge gets its own counting test, so a decision is charged to the
+        edge that made it; the quantified patterns' DP decides through
+        ``tests``, each wrapped too. Each token text is a distinct object, so
+        a decision is charged to the token it was made on.
         """
         pats = parse_patterns(json.loads(resources.files("ordonnance.data").joinpath("patterns_fr.json").read_text()))
-        decided: Counter = Counter()  # (edge, token) or (DP spec, token) -> decisions
-        scanned: Counter = Counter()  # token -> scanner calls
-        by_text: Counter = Counter()  # (edge, token text) -> regex decisions
-        real = patterns_module.match_token
+        decided: Counter = Counter()  # (edge or DP spec, token text object) -> decisions
+        scanned: Counter = Counter()  # token text object -> scanner calls
         real_scan = PatternSet.scan
+        edge_ids = itertools.count()
 
-        class CountingRegex:
-            def __init__(self, regex, edge):
-                self.regex, self.edge = regex, edge
+        class Text(str):
+            """A token text with an identity of its own."""
 
-            def fullmatch(self, text):
-                by_text[self.edge, text] += 1
-                return self.regex.fullmatch(text)
+        def counting(test, key):
+            def decide(text):
+                decided[key, id(text)] += 1
+                return test(text)
+
+            return decide
 
         def instrument(node):
-            edges = []
-            for regex, spec, child in node.edges:
-                spec = dataclasses.replace(spec)  # equal, but its own object: the edge's key
-                edges.append((None if regex is None else CountingRegex(regex, id(spec)), spec, instrument(child)))
-            return node._replace(edges=tuple(edges))
+            edges = tuple(
+                (counting(test, ("edge", next(edge_ids))), sid, instrument(child)) for test, sid, child in node.edges
+            )
+            return node._replace(edges=edges)
 
-        def counting(spec, token):
-            decided[id(spec), id(token)] += 1
-            return real(spec, token)
-
-        def counting_scan(self, token):
-            scanned[id(token)] += 1
-            return real_scan(self, token)
+        def counting_scan(self, text):
+            scanned[id(text)] += 1
+            return real_scan(self, text)
 
         pats.scanned = tuple(map(instrument, pats.scanned))
         pats.root = instrument(pats.root)
-        monkeypatch.setattr(patterns_module, "match_token", counting)
+        pats.tests = tuple(counting(test, ("dp", sid)) for sid, test in enumerate(pats.tests))
         monkeypatch.setattr(PatternSet, "scan", counting_scan)
         assert len(pats.scan_ids) == 30
         quantified = 0
         for s in corpus_sentences(0.1)[40:80]:  # posology sentences
+            s = dataclasses.replace(s, tokens=tuple(t._replace(text=Text(t.text)) for t in s.tokens))
+            texts = {id(t.text) for t in s.tokens}
             decided.clear()
             scanned.clear()
-            by_text.clear()
             find_all(pats, s)
-            assert decided and by_text, s.match_text
+            assert any(kind == "edge" for (kind, _), _ in decided), s.match_text
             assert max(decided.values()) == 1, s.match_text
-            texts = Counter(token.text for token in s.tokens)
-            assert all(count <= texts[text] for (_, text), count in by_text.items()), s.match_text
-            assert scanned == Counter(id(token) for token in s.tokens), s.match_text
-            quantified += any(spec in map(id, pats.specs) for spec, _ in decided)
+            assert {text for _, text in decided} <= texts, s.match_text
+            assert scanned == Counter(texts), s.match_text
+            quantified += any(kind == "dp" for (kind, _), _ in decided)
         assert quantified
 
 
@@ -496,12 +548,12 @@ class TestFirstSpecScanner:
     def test_scanner_row_equals_match_token(self):
         pats = self.first_specs()
         for token in raw_sent(" ".join(self.VOCAB)).tokens:
-            row = pats.scan(token)
+            row = pats.scan(token.text)
             assert len(row) == len(pats.scan_ids)
             for k, sid in enumerate(pats.scan_ids):
                 spec = pats.specs[sid]
                 held = spec.regex.fullmatch(token.text) is not None
-                assert (row[k] is not None) == held == match_token(spec, token), (spec.regex.pattern, token.text)
+                assert (row[k] is not None) == held == match_token(spec, token.text), (spec.regex.pattern, token.text)
                 assert bool(row[k]) == held
 
     def test_one_regex_starting_patterns_of_two_labels(self):
