@@ -104,11 +104,9 @@ def link(doc_id: str, lines: list[ClassifiedLine], config: LinkConfig = LinkConf
     Every posology extraction lands exactly once: under a drug or in
     ``orphans``. Drug lines whose lexicon link failed are listed in
     ``unmatched_drug_lines``. Input order does not matter; reading order is
-    re-derived from the geometry.
+    re-derived from the geometry, with the line id breaking a tie of boxes.
     """
-    ordered = sorted(
-        lines, key=lambda ln: (ln.page, ln.bbox.top, ln.bbox.left)
-    )
+    ordered = sorted(lines, key=lambda ln: (ln.page, ln.bbox.top, ln.bbox.left, ln.line_id))
     record = PrescriptionRecord(doc_id=doc_id)
     all_sections: list[_Section] = []
 

@@ -2,7 +2,9 @@
 
 Parses the minimal line-level OCR JSON payload (text plus page-relative
 bounding geometry, optionally word boxes) into an immutable document whose
-lines are sorted into reading order: page ascending, then top, then left.
+lines are sorted into reading order: page ascending, then top, then left,
+then line id, so two lines with the same box take the same order whatever
+their order in the payload.
 
 Payload schema::
 
@@ -80,9 +82,9 @@ class OcrDocument:
     lines: tuple[OcrLine, ...]
 
 
-def reading_order_key(line: OcrLine) -> tuple[int, float, float]:
-    """Sort key placing lines in reading order; stable for equal keys."""
-    return (line.page, line.bbox.top, line.bbox.left)
+def reading_order_key(line: OcrLine) -> tuple[int, float, float, str]:
+    """Sort key placing lines in reading order; a total order, as line ids are unique."""
+    return (line.page, line.bbox.top, line.bbox.left, line.line_id)
 
 
 def _clamp(value: float) -> float:

@@ -22,14 +22,28 @@ exactly when ``match_token`` (the one definition of a spec holding) holds: a
 bare regex's ``fullmatch``, a ``lower``-only spec's set membership, a test
 that always holds for a wildcard, else ``match_token`` bound to the spec.
 Every trie edge and every DP step decides its spec by one call of its test.
-The root's scannable first specs (a bare regex with no groups, default flags
-and no global inline flag group such as "(?u)"; 30 of the 31 shipped) are
-decided together by one scanner call per token instead. No regex is
-compiled at build beyond the scanner.
 
-``find_all`` walks the trie once from each position, one level per token,
-so a shared prefix is decided once per start and an edge is tested at most
-once per token. A pattern's resume rule is checked at its accepting node.
+``find_all`` walks a lazy DFA built over the trie, the subset construction
+of RE2 (Cox, "Regular Expression Matching in the Wild", 2010) over token
+tests instead of bytes. A state is the interned tuple of trie nodes that
+one token sequence leads to, the start state being the root alone; it
+carries the flattened accepts and quantified patterns of its nodes and a
+dict from token text to the next state (None when no node is reached).
+Whether a spec holds depends on the token text alone, so a transition
+holds for every sentence. A miss tests each edge of the state's nodes once
+on the text, interns the children reached and stores the transition. From
+each position the walk follows one transition per token; a warm walk makes
+no edge test at all. A pattern's resume rule is checked where the state
+accepts it.
+
+The cache belongs to the PatternSet and grows as new token texts arrive.
+As in RE2 it is bounded: once MAX_TRANSITIONS transitions are stored, the
+next miss flushes it whole and the walk goes on from the states it holds.
+The gain is reuse across sentences and documents: posology lines draw on a
+small vocabulary, so a long-lived process (a batch ``extract``, ``eval``, a
+server) soon walks warm, while a one-document CLI run starts cold and gains
+nothing. Threads sharing a set may repeat a miss's work but never change a
+match, as a transition depends on nothing but its state's nodes and the text.
 
 A pattern with a quantifier runs a DP over reachable positions, each spec
 consuming at most MAX_REPS tokens. It hangs at the depth-1 node of its first
@@ -56,8 +70,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib import resources
-from itertools import compress
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import PatternError, decode_json
 from .textnorm import Sentence, normalize_text, tokenize
@@ -67,6 +80,10 @@ LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 # STAR/PLUS are bounded so adversarial patterns always terminate;
 # prescription phrases never repeat a token class this often.
 MAX_REPS = 10
+
+# Transitions the DFA cache holds before it is flushed whole, as RE2 does.
+# The benchmark pools need about 2,300; one transition holds about 70 bytes.
+MAX_TRANSITIONS = 10_000
 
 _OP_BOUNDS = {"1": (1, 1), "?": (0, 1), "+": (1, MAX_REPS), "*": (0, MAX_REPS)}
 
@@ -98,17 +115,33 @@ class MatchSpan:
     text: str
 
 
-class _Node(NamedTuple):
-    """A trie node: one spec-id prefix of the fixed-length patterns."""
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """A trie node: one spec-id prefix of the fixed-length patterns.
+
+    A node compares and hashes by identity, so a state's node tuple interns
+    at the cost of its length, not of the subtrie below it.
+    """
 
     edges: tuple  # (compiled test, spec id, child) per next spec
     accepts: tuple[TokenPattern, ...]  # fixed-length patterns whose whole sequence ends here
     quantified: tuple  # (pattern, spec ids, per-spec (lo, hi)) of quantified patterns tried here
 
 
-# A global inline flag group such as "(?u)". It passes the flags test when it
-# repeats a default flag, and it cannot sit mid-pattern inside the scanner.
-_GLOBAL_FLAGS_RE = re.compile(r"\(\?[aiLmsux]+\)")
+class _State:
+    """A DFA state: the trie nodes that one token sequence leads to, interned per PatternSet.
+
+    ``accepts`` and ``quantified`` flatten those of its nodes; ``next`` maps a
+    token text to the state after it, None when no node is reached.
+    """
+
+    __slots__ = ("nodes", "accepts", "quantified", "next")
+
+    def __init__(self, nodes: tuple[_Node, ...]):
+        self.nodes = nodes
+        self.accepts = tuple(p for node in nodes for p in node.accepts)
+        self.quantified = tuple(q for node in nodes for q in node.quantified)
+        self.next: dict[str, _State | None] = {}
 
 
 def _any_text(text: str) -> bool:
@@ -126,30 +159,19 @@ def _compile_test(spec: TokenSpec) -> Callable[[str], object]:
     return partial(match_token, spec)
 
 
-def _scannable(spec: TokenSpec) -> bool:
-    """True iff the spec is a bare regex that the first-spec scanner can embed."""
-    regex = spec.regex
-    return (
-        regex is not None
-        and (spec.lower, spec.is_digit, spec.like_num) == (None, None, None)
-        and regex.groups == 0
-        and regex.flags == re.UNICODE
-        and _GLOBAL_FLAGS_RE.search(regex.pattern) is None
-    )
-
-
 class PatternSet:
     """Immutable collection of patterns, compiled once.
 
     ``specs`` holds each distinct spec once (the quantifier is not part of a
     spec's identity), and ``tests`` its compiled test (``_compile_test``).
-    ``root`` is the trie of the fixed-length patterns; the root's edges for
-    the scannable first specs are left out of it and kept in ``scanned``,
-    aligned with ``scan_ids``. A quantified pattern hangs at the
-    depth-1 node of its first spec, or at the root when that spec is optional.
+    ``root`` is the trie of the fixed-length patterns. A quantified pattern
+    hangs at the depth-1 node of its first spec, or at the root when that
+    spec is optional.
 
-    ``scanner`` decides every scannable first spec of a token in one call:
-    group k captures the token text exactly when ``scan_ids[k]`` holds.
+    The set also owns its DFA cache (``_start``, the start state, and
+    ``_states``, the intern table of states by their nodes), so two sets
+    never share a state. The cache is the one thing in the set that changes
+    after build.
     """
 
     def __init__(self, patterns: Iterable[TokenPattern]):
@@ -199,19 +221,34 @@ class PatternSet:
                 tuple(quantified),
             )
 
-        self.scan_ids: tuple[int, ...] = tuple(sid for sid in root[0] if _scannable(specs[sid]))
-        self.scanned: tuple[_Node, ...] = tuple(freeze(root[0].pop(sid)) for sid in self.scan_ids)
         self.root: _Node = freeze(root)
-        # (?:(?=(p)\Z))? captures the whole token iff p fullmatches it, and
-        # matches the empty string otherwise, so every slot is tried at 0.
-        # Tokens are never empty, so a slot is truthy exactly when it holds.
-        self.scanner = re.compile(
-            "".join(f"(?:(?=({specs[sid].regex.pattern})\\Z))?" for sid in self.scan_ids)
-        )
+        self._flush()
 
-    def scan(self, text: str) -> tuple[str | None, ...]:
-        """Slot k is not None iff first spec ``scan_ids[k]`` holds for a token of this text."""
-        return self.scanner.match(text).groups()
+    def _flush(self) -> None:
+        """Empty the DFA cache: the start state alone, with no transition."""
+        self._start = _State((self.root,))
+        self._states: dict[tuple[_Node, ...], _State] = {self._start.nodes: self._start}
+        self._transitions = 0
+
+    def _advance(self, state: _State, text: str) -> _State | None:
+        """A cache miss: the state after ``state`` on a token of this text, or None when no node is reached.
+
+        The transition is worked out from the state's nodes, so it is the
+        same whether or not the cache was flushed meanwhile; it is stored
+        unless a flush dropped ``state``.
+        """
+        nodes = tuple([child for node in state.nodes for test, _, child in node.edges if test(text)])
+        if self._transitions >= MAX_TRANSITIONS:
+            self._flush()
+        nxt = None
+        if nodes:
+            nxt = self._states.get(nodes)
+            if nxt is None:
+                nxt = self._states[nodes] = _State(nodes)
+        if self._states.get(state.nodes) is state:
+            state.next[text] = nxt
+            self._transitions += 1
+        return nxt
 
 
 def _is_token_lower(word: str) -> bool:
@@ -372,28 +409,29 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
     found: list[tuple[int, int, TokenPattern]] = []
     resume: dict[str, int] = {}  # pattern id -> end of its last match
     memo: dict[tuple[int, int], bool] = {}  # the quantified patterns' decisions
-    for pos, text in enumerate(texts):
-        level = [patterns.root]  # the trie nodes that tokens[pos:end] lead to
-        below = list(compress(patterns.scanned, patterns.scan(text)))
+    for pos in range(n):
+        state = patterns._start  # its nodes are those that tokens[pos:end] lead to
         end = pos
-        while level:
-            ahead = texts[end] if end < n else None
-            for edges, accepts, quantified in level:
-                for pattern in accepts:
-                    if resume.get(pattern.pattern_id, 0) <= pos:
-                        found.append((pos, end, pattern))
-                        resume[pattern.pattern_id] = end
-                for pattern, spec_ids, bounds in quantified:
-                    if resume.get(pattern.pattern_id, 0) <= pos:
-                        stop = _longest_end(patterns.tests, texts, memo, spec_ids, bounds, pos)
-                        if stop > pos:
-                            found.append((pos, stop, pattern))
-                            resume[pattern.pattern_id] = stop
-                if ahead is not None:
-                    for test, _, child in edges:
-                        if test(ahead):
-                            below.append(child)
-            level, below = below, []
+        while True:
+            for pattern in state.accepts:
+                if resume.get(pattern.pattern_id, 0) <= pos:
+                    found.append((pos, end, pattern))
+                    resume[pattern.pattern_id] = end
+            for pattern, spec_ids, bounds in state.quantified:
+                if resume.get(pattern.pattern_id, 0) <= pos:
+                    stop = _longest_end(patterns.tests, texts, memo, spec_ids, bounds, pos)
+                    if stop > pos:
+                        found.append((pos, stop, pattern))
+                        resume[pattern.pattern_id] = stop
+            if end == n:
+                break
+            text = texts[end]
+            try:
+                state = state.next[text]
+            except KeyError:
+                state = patterns._advance(state, text)
+            if state is None:
+                break
             end += 1
     found.sort(key=lambda c: (c[0] - c[1], c[0], c[2].pattern_id))
     taken = {label: bytearray(n) for label in LABELS}

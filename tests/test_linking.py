@@ -104,7 +104,7 @@ def test_chain_attaches_within_the_section_gap_limit(height, gap, attached):
 
 
 def _prescription() -> list[ClassifiedLine]:
-    """Two pages: chains, an aligned line, an unlinked drug line and an orphan."""
+    """Two pages: chains, an aligned line, an unlinked drug line, an orphan and two drug lines with one box."""
     return [
         useless("header", box(0.02)),
         drug("d1", box(0.1)),
@@ -118,6 +118,8 @@ def _prescription() -> list[ClassifiedLine]:
         posology("far", box(0.8)),
         drug("d4", box(0.1), page=2),
         posology("p4", box(0.12), page=2),
+        drug("d5", box(0.5), page=2),
+        drug("d6", box(0.5), page=2),
         useless("footer", box(0.9), page=2),
     ]
 
@@ -129,9 +131,12 @@ def test_shuffled_input_gives_the_same_record():
         "d2": ["p2"],
         "d3": ["p3"],
         "d4": ["p4"],
+        "d5": [],
+        "d6": [],
     }
     assert expected["orphans"][0]["line_id"] == "far"
     assert expected["unmatched_drug_lines"] == ["x"]
+    assert [d["line_id"] for d in expected["drugs"]][-2:] == ["d5", "d6"]  # a tie of boxes goes by line id
     for seed in range(5):
         lines = _prescription()
         random.Random(seed).shuffle(lines)

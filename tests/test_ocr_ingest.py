@@ -187,7 +187,7 @@ def test_words_must_reassemble_text():
 
 def test_reading_order_key_values():
     ln = OcrLine("x", "text", BoundingBox(0.1, 0.3, 0.2, 0.02), page=1)
-    assert reading_order_key(ln) == (1, 0.3, 0.1)
+    assert reading_order_key(ln) == (1, 0.3, 0.1, "x")
 
 
 def test_sort_is_a_permutation():

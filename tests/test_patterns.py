@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from collections import Counter
 from importlib import resources
 
@@ -250,7 +251,13 @@ def brute_force_find_all(pats: PatternSet, sentence) -> list[tuple[int, int, str
 
 
 def compiled_find_all(pats: PatternSet, sentence) -> list[tuple[int, int, str, str]]:
-    return [(sp.start_token, sp.end_token, sp.label, sp.pattern_id) for sp in find_all(pats, sentence)]
+    """find_all's matches from an empty cache, checked equal to a warm repeat that makes no miss."""
+    pats._flush()
+    cold = [(sp.start_token, sp.end_token, sp.label, sp.pattern_id) for sp in find_all(pats, sentence)]
+    transitions = pats._transitions
+    warm = [(sp.start_token, sp.end_token, sp.label, sp.pattern_id) for sp in find_all(pats, sentence)]
+    assert pats._transitions == transitions and warm == cold, sentence.match_text
+    return cold
 
 
 def trie_nodes(pats: PatternSet) -> dict:
@@ -262,8 +269,6 @@ def trie_nodes(pats: PatternSet) -> dict:
         for _, sid, child in node.edges:
             visit(path + (sid,), child)
 
-    for sid, child in zip(pats.scan_ids, pats.scanned):
-        visit((sid,), child)
     for _, sid, child in pats.root.edges:
         visit((sid,), child)
     return nodes
@@ -331,7 +336,7 @@ class TestCompiledMatcher:
 
         pats = default_patterns()
         assert not pats.root.quantified  # no shipped pattern starts with an optional spec
-        assert len(pats.scanned) + len(pats.root.edges) == 31
+        assert len(pats.root.edges) == 31
         nodes = trie_nodes(pats)
         assert len(nodes) == 284  # for 482 spec slots of the 158 fixed-length patterns
         indexed = []
@@ -410,7 +415,7 @@ class TestCompiledMatcher:
             {"is_digit": True},
             {"regex": "[0-9]+"},
             {"regex": "m.*"},
-            {"regex": "(?i)x"},  # a bare regex that the scanner leaves out
+            {"regex": "(?i)x"},
             {"lower": ["cp", "mg"]},
             {"lower": ["matin", "soir"]},
             {"lower": ["et"]},
@@ -450,67 +455,83 @@ class TestCompiledMatcher:
                 assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
         assert min(stressed.values()) > 40 and len(stressed) == 5, stressed
 
-    def test_each_trie_edge_is_tested_at_most_once_per_token(self, monkeypatch):
-        """Every decision counted: the scanner, each edge's test, each DP spec's test.
+    def test_each_transition_is_worked_out_once_then_reused(self, monkeypatch):
+        """Every decision counted: each miss, each edge's test, each DP spec's test.
 
-        Each edge gets its own counting test, so a decision is charged to the
-        edge that made it; the quantified patterns' DP decides through
-        ``tests``, each wrapped too. Each token text is a distinct object, so
-        a decision is charged to the token it was made on.
+        From an empty cache, a (state, token text) transition is worked out
+        at most once over the whole batch, by testing each edge of the
+        state's nodes once; a warm repeat of the batch makes no miss and no
+        edge test. The quantified patterns' DP decides through ``tests``, each
+        wrapped too; each token text is a distinct object, so a DP decision is
+        charged to the token it was made on, at most once per sentence.
         """
         pats = parse_patterns(json.loads(resources.files("ordonnance.data").joinpath("patterns_fr.json").read_text()))
-        decided: Counter = Counter()  # (edge or DP spec, token text object) -> decisions
-        scanned: Counter = Counter()  # token text object -> scanner calls
-        real_scan = PatternSet.scan
+        edge_tests: Counter = Counter()  # edge -> tests in the current miss
+        misses: Counter = Counter()  # (state, token text) -> misses
+        decided: Counter = Counter()  # (DP spec, token text object) -> decisions in the current sentence
+        real_advance = PatternSet._advance
         edge_ids = itertools.count()
 
         class Text(str):
             """A token text with an identity of its own."""
 
-        def counting(test, key):
+        def counting_edge(test, key):
             def decide(text):
-                decided[key, id(text)] += 1
+                edge_tests[key] += 1
+                return test(text)
+
+            decide.key = key
+            return decide
+
+        def counting_dp(test, sid):
+            def decide(text):
+                decided[sid, id(text)] += 1
                 return test(text)
 
             return decide
 
         def instrument(node):
-            edges = tuple(
-                (counting(test, ("edge", next(edge_ids))), sid, instrument(child)) for test, sid, child in node.edges
-            )
-            return node._replace(edges=edges)
+            edges = tuple((counting_edge(test, next(edge_ids)), sid, instrument(child)) for test, sid, child in node.edges)
+            return dataclasses.replace(node, edges=edges)
 
-        def counting_scan(self, text):
-            scanned[id(text)] += 1
-            return real_scan(self, text)
+        def counting_advance(self, state, text):
+            misses[state, text] += 1
+            edge_tests.clear()
+            nxt = real_advance(self, state, text)
+            assert edge_tests == Counter(test.key for node in state.nodes for test, _, _ in node.edges), text
+            return nxt
 
-        pats.scanned = tuple(map(instrument, pats.scanned))
         pats.root = instrument(pats.root)
-        pats.tests = tuple(counting(test, ("dp", sid)) for sid, test in enumerate(pats.tests))
-        monkeypatch.setattr(PatternSet, "scan", counting_scan)
-        assert len(pats.scan_ids) == 30
+        pats.tests = tuple(counting_dp(test, sid) for sid, test in enumerate(pats.tests))
+        pats._flush()
+        monkeypatch.setattr(PatternSet, "_advance", counting_advance)
+        batch = [
+            dataclasses.replace(s, tokens=tuple(t._replace(text=Text(t.text)) for t in s.tokens))
+            for s in corpus_sentences(0.1)[40:80]  # posology sentences
+        ]
         quantified = 0
-        for s in corpus_sentences(0.1)[40:80]:  # posology sentences
-            s = dataclasses.replace(s, tokens=tuple(t._replace(text=Text(t.text)) for t in s.tokens))
-            texts = {id(t.text) for t in s.tokens}
+        for s in batch:
             decided.clear()
-            scanned.clear()
             find_all(pats, s)
-            assert any(kind == "edge" for (kind, _), _ in decided), s.match_text
-            assert max(decided.values()) == 1, s.match_text
-            assert {text for _, text in decided} <= texts, s.match_text
-            assert scanned == Counter(texts), s.match_text
-            quantified += any(kind == "dp" for (kind, _), _ in decided)
+            assert max(decided.values(), default=0) <= 1, s.match_text
+            quantified += bool(decided)
         assert quantified
+        assert misses and max(misses.values()) == 1
+        assert len(misses) == pats._transitions
+        misses.clear()
+        edge_tests.clear()
+        for s in batch:
+            find_all(pats, s)
+        assert not misses and not edge_tests
 
 
 class TestFirstSpecScanner:
-    """The scanner decides a first spec exactly as ``match_token`` does."""
+    """The first-spec scan: the start state's transitions decide first specs of every kind as ``match_token`` does."""
 
-    # First specs the scanner must leave to match_token: a regex with a group
-    # (a backreference or a named group), a flag other than the default, a
-    # global inline flag group, or a constraint besides the regex.
-    LEFT_OUT = {
+    # A regex with a group (a backreference or a named group), a flag other
+    # than the default, a global inline flag group, a constraint besides the
+    # regex, and bare regexes.
+    FIRSTS = {
         "backreference": {"regex": r"([0-9])\1"},
         "named-group": {"regex": "(?P<unit>cp|mg)"},
         "ignorecase-flag": {"regex": "(?i)cp"},
@@ -520,8 +541,6 @@ class TestFirstSpecScanner:
         "is-digit": {"is_digit": True},
         "like-num": {"like_num": True},
         "lower": {"lower": ["cp", "matin"]},
-    }
-    SCANNED = {
         "digits": {"regex": "[0-9]+"},
         "alternation": {"regex": "m.*|cp"},
         "scoped-flag": {"regex": "(?i:cp)"},
@@ -529,49 +548,27 @@ class TestFirstSpecScanner:
     }
     VOCAB = ["11", "12", "1", "2", "1.5", "cp", "CP", "Cp", "mg", "m", "matin", "et", "x"]
 
-    def first_specs(self):
-        return parse_patterns(
-            [{"id": name, "label": "DOSE", "specs": [spec]} for name, spec in {**self.LEFT_OUT, **self.SCANNED}.items()]
-        )
-
-    def test_scannable_rule(self):
-        pats = self.first_specs()
-        scanned = {p.pattern_id for node in pats.scanned for p in node.accepts}
-        assert scanned == set(self.SCANNED)
-
-    def test_regex_compiled_with_a_flag_is_left_out(self):
+    def test_regex_compiled_with_a_flag_matches_as_compiled(self):
         spec = TokenSpec(regex=re.compile("cp", re.IGNORECASE))
         pats = PatternSet([TokenPattern("i", "DOSE", (spec,))])
-        assert pats.scan_ids == ()
         assert [sp.text for sp in find_all(pats, raw_sent("CP cp mg"))] == ["CP", "cp"]
-
-    def test_scanner_row_equals_match_token(self):
-        pats = self.first_specs()
-        for token in raw_sent(" ".join(self.VOCAB)).tokens:
-            row = pats.scan(token.text)
-            assert len(row) == len(pats.scan_ids)
-            for k, sid in enumerate(pats.scan_ids):
-                spec = pats.specs[sid]
-                held = spec.regex.fullmatch(token.text) is not None
-                assert (row[k] is not None) == held == match_token(spec, token.text), (spec.regex.pattern, token.text)
-                assert bool(row[k]) == held
 
     def test_one_regex_starting_patterns_of_two_labels(self):
         pats = parse_patterns([
             {"id": "d", "label": "DOSE", "specs": [{"regex": "[0-9]+"}, {"lower": "cp"}]},
             {"id": "f", "label": "FREQUENCY", "specs": [{"regex": "[0-9]+"}, {"regex": "x"}]},
         ])
-        (node,) = pats.scanned
+        ((_, _, node),) = pats.root.edges
         assert [child.accepts[0].label for _, _, child in node.edges] == ["DOSE", "FREQUENCY"]
         spans = find_all(pats, raw_sent("2 cp 3 x"))
         assert [(sp.label, sp.text) for sp in spans] == [("DOSE", "2 cp"), ("FREQUENCY", "3 x")]
 
     def test_random_first_specs_equal_brute_force(self):
         rng = random.Random(11)
-        firsts = list(self.LEFT_OUT.values()) + list(self.SCANNED.values())
+        firsts = list(self.FIRSTS.values())
         firsts += [{"lower": ["et"], "op": "?"}, {"regex": "[0-9]+", "op": "*"}, {"regex": "m.*|cp", "op": "?"}]
         later = firsts + [{"regex": "[0-9]+", "op": "+"}, {"lower": ["cp"], "op": "*"}]
-        leading_optional = left_out = scanned_later = 0
+        leading_optional = root_edges = first_later = 0
         for trial in range(200):
             data = [
                 {
@@ -583,15 +580,15 @@ class TestFirstSpecScanner:
             ]
             pats = parse_patterns(data)
             leading_optional += len(pats.root.quantified)
-            left_out += len(pats.root.edges)
-            nodes = trie_nodes(pats)  # a scannable spec below depth 1, fixed or in a DP
+            root_edges += len(pats.root.edges)
+            nodes = trie_nodes(pats)  # a first spec below depth 1, fixed or in a DP
             deep = {path[-1] for path in nodes if len(path) > 1}
             deep.update(sid for node in nodes.values() for _, spec_ids, _ in node.quantified for sid in spec_ids[1:])
-            scanned_later += not deep.isdisjoint(pats.scan_ids)
+            first_later += not deep.isdisjoint(sid for _, sid, _ in pats.root.edges)
             for _ in range(3):
                 s = raw_sent(" ".join(rng.choice(self.VOCAB) for _ in range(rng.randint(1, 9))))
                 assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
-        assert leading_optional > 50 and left_out > 300 and scanned_later > 50
+        assert leading_optional > 50 and root_edges > 500 and first_later > 80, (leading_optional, root_edges, first_later)
 
 
 class TestFindAll:
@@ -633,6 +630,53 @@ class TestFindAll:
         assert len(spans) == 2
         assert {s.label for s in spans} == {"DOSE", "FREQUENCY"}
         assert spans[0].start_token == spans[1].start_token
+
+
+def shipped_data() -> list:
+    return json.loads(resources.files("ordonnance.data").joinpath("patterns_fr.json").read_text())
+
+
+class TestDfaCache:
+    """The DFA cache changes how often edges are tested, never a match."""
+
+    @staticmethod
+    def matches(pats, sentences) -> list:
+        return [[(sp.start_token, sp.end_token, sp.pattern_id) for sp in find_all(pats, s)] for s in sentences]
+
+    def test_a_cap_of_one_an_unbounded_cache_and_flushes_give_the_same_matches(self, monkeypatch):
+        sentences = corpus_sentences(0.1)
+        flushes: Counter = Counter()
+        real_flush = PatternSet._flush
+
+        def counting_flush(self):
+            flushes[self] += 1
+            real_flush(self)
+
+        monkeypatch.setattr(PatternSet, "_flush", counting_flush)
+        got, flushed = {}, {}
+        for cap in (1, 40, sys.maxsize):
+            monkeypatch.setattr("ordonnance.patterns.MAX_TRANSITIONS", cap)
+            pats = parse_patterns(shipped_data())
+            got[cap] = []
+            for s in sentences:
+                got[cap] += self.matches(pats, [s])
+                assert pats._transitions <= cap
+            flushed[cap] = flushes[pats] - 1  # the first flush builds the empty cache
+        assert got[1] == got[40] == got[sys.maxsize]
+        assert sum(map(bool, got[1])) >= 120
+        assert flushed[1] > flushed[40] > 10 and flushed[sys.maxsize] == 0, flushed
+
+    def test_two_sets_never_share_states(self):
+        sentences = corpus_sentences(0.0)
+        first, second = parse_patterns(shipped_data()), parse_patterns(shipped_data())
+        assert self.matches(first, sentences) == self.matches(second, sentences)
+        for pats, other in ((first, second), (second, first)):
+            own = {id(state) for state in pats._states.values()}
+            assert len(own) > 100 and own.isdisjoint(id(state) for state in other._states.values())
+            other_nodes = {node for state in other._states.values() for node in state.nodes}
+            for state in pats._states.values():
+                assert all(nxt is None or id(nxt) in own for nxt in state.next.values())
+                assert other_nodes.isdisjoint(state.nodes)
 
 
 class TestPatternFile:

@@ -52,6 +52,17 @@ def _with_orphan() -> dict:
     return payload
 
 
+def _with_tied_boxes(swapped: bool) -> dict:
+    """The fixture with SPASFON's drug line given TAHOR's box, the two lines swapped in the payload or not."""
+    payload = copy.deepcopy(FIXTURE)
+    lines = payload["lines"]
+    i, j = ([ln["id"] for ln in lines].index(line_id) for line_id in ("drug-5", "drug-6"))
+    lines[j]["bbox"] = dict(lines[i]["bbox"])
+    if swapped:
+        lines[i], lines[j] = lines[j], lines[i]
+    return payload
+
+
 class TestGoldenRecord:
     def test_fixture_links_all_seven_drugs_with_their_posology(self, runtime):
         record = record_to_dict(extract_document(_doc(FIXTURE), runtime))
@@ -97,6 +108,16 @@ def test_every_extraction_lands_exactly_once(runtime, payload):
     landed.update(id(e) for e in record.orphans)
     assert produced and all(n == 1 for n in produced.values())
     assert landed == produced
+
+
+def test_lines_with_tied_boxes_give_the_same_record_in_either_payload_order(runtime):
+    records = [
+        dumps_canonical(record_to_dict(extract_document(_doc(_with_tied_boxes(swapped)), runtime)))
+        for swapped in (False, True)
+    ]
+    assert records[0] == records[1]
+    drugs = [d["line_id"] for d in json.loads(records[0])["drugs"]]
+    assert drugs.index("drug-5") + 1 == drugs.index("drug-6")
 
 
 def test_far_posology_line_becomes_an_orphan(runtime):
