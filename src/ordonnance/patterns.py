@@ -115,7 +115,7 @@ class MatchSpan:
     text: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Node:
     """A trie node: one spec-id prefix of the fixed-length patterns.
 
@@ -233,9 +233,8 @@ class PatternSet:
     def _advance(self, state: _State, text: str) -> _State | None:
         """A cache miss: the state after ``state`` on a token of this text, or None when no node is reached.
 
-        The transition is worked out from the state's nodes, so it is the
-        same whether or not the cache was flushed meanwhile; it is stored
-        unless a flush dropped ``state``.
+        The transition depends on nothing but the state's nodes and the text,
+        so it also holds for a state that a flush dropped mid-walk.
         """
         nodes = tuple([child for node in state.nodes for test, _, child in node.edges if test(text)])
         if self._transitions >= MAX_TRANSITIONS:
@@ -245,9 +244,8 @@ class PatternSet:
             nxt = self._states.get(nodes)
             if nxt is None:
                 nxt = self._states[nodes] = _State(nodes)
-        if self._states.get(state.nodes) is state:
-            state.next[text] = nxt
-            self._transitions += 1
+        state.next[text] = nxt
+        self._transitions += 1
         return nxt
 
 
