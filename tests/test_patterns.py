@@ -274,6 +274,10 @@ def trie_nodes(pats: PatternSet) -> dict:
     return nodes
 
 
+def shipped_data() -> list:
+    return json.loads(resources.files("ordonnance.data").joinpath("patterns_fr.json").read_text())
+
+
 def corpus_sentences(noise: float) -> list:
     spec = CorpusSpec(n_drug=40, n_posology=120, n_useless=40, seed=3, lexicon_path=default_lexicon_path())
     texts = [noisify(a, noise, i).text for i, a in enumerate(generate(spec))]
@@ -465,7 +469,7 @@ class TestCompiledMatcher:
         wrapped too; each token text is a distinct object, so a DP decision is
         charged to the token it was made on, at most once per sentence.
         """
-        pats = parse_patterns(json.loads(resources.files("ordonnance.data").joinpath("patterns_fr.json").read_text()))
+        pats = parse_patterns(shipped_data())
         edge_tests: Counter = Counter()  # edge -> tests in the current miss
         misses: Counter = Counter()  # (state, token text) -> misses
         decided: Counter = Counter()  # (DP spec, token text object) -> decisions in the current sentence
@@ -630,10 +634,6 @@ class TestFindAll:
         assert len(spans) == 2
         assert {s.label for s in spans} == {"DOSE", "FREQUENCY"}
         assert spans[0].start_token == spans[1].start_token
-
-
-def shipped_data() -> list:
-    return json.loads(resources.files("ordonnance.data").joinpath("patterns_fr.json").read_text())
 
 
 class TestDfaCache:
