@@ -8,6 +8,16 @@ when it clears the acceptance threshold. A sentence with no candidate above
 the threshold yields no mention, which is how badly OCR'd or misclassified
 lines get ignored instead of mislinked.
 
+A token that is no first-token key, and has at least five characters, takes
+the candidates of every key within one edit of it. Those keys are found by a
+pigeonhole filter (Wu & Manber 1992): one edit leaves either the token's
+first ``(n - 1) // 2`` characters or its last ``n // 2`` untouched, as the two
+parts do not overlap, so a key within one edit starts with the first part or
+ends with the second. ``bisect`` finds the keys with that prefix in the
+sorted keys and those with that suffix in the sorted reversed keys; each hit
+is verified with ``kernels.levenshtein_leq1``. The candidates are the same,
+in the same order, as those of a loop over every key.
+
 Scoring skips only work that cannot change the result, by three exact rules:
 
 - a window equal to the name scores 1.0 without calling the kernel, as
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -63,8 +74,18 @@ class LexiconEntry:
 
 @dataclass(frozen=True)
 class DrugLexicon:
+    """Entries with their first-token index.
+
+    ``first_token_index`` maps each first name token to its entry positions,
+    in file order. ``sorted_keys`` holds its keys sorted, and
+    ``reversed_keys`` each key spelt backwards, sorted: the two probes of the
+    fuzzy lookup.
+    """
+
     entries: tuple[LexiconEntry, ...]
     first_token_index: dict[str, tuple[int, ...]]
+    sorted_keys: tuple[str, ...]
+    reversed_keys: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -114,6 +135,8 @@ def build_lexicon(path) -> DrugLexicon:
     return DrugLexicon(
         entries=tuple(entries),
         first_token_index={k: tuple(v) for k, v in index.items()},
+        sorted_keys=tuple(sorted(index)),
+        reversed_keys=tuple(sorted(k[::-1] for k in index)),
     )
 
 
@@ -125,12 +148,24 @@ def _candidate_indices(lexicon: DrugLexicon, token: str) -> tuple[int, ...]:
     hit = lexicon.first_token_index.get(token)
     if hit:
         return hit
-    if len(token) < _FUZZY_MIN_LEN:
+    n = len(token)
+    if n < _FUZZY_MIN_LEN:
         return ()
+    near: list[str] = []
+    heads, head = lexicon.sorted_keys, token[: (n - 1) // 2]
+    at = bisect_left(heads, head)
+    while at < len(heads) and heads[at].startswith(head):
+        near.append(heads[at])
+        at += 1
+    tails, tail = lexicon.reversed_keys, token[-(n // 2) :][::-1]
+    at = bisect_left(tails, tail)
+    while at < len(tails) and tails[at].startswith(tail):
+        near.append(tails[at][::-1])
+        at += 1
     fuzzy: list[int] = []
-    for key, idxs in lexicon.first_token_index.items():
+    for key in set(near):
         if kernels.levenshtein_leq1(token, key):
-            fuzzy.extend(idxs)
+            fuzzy.extend(lexicon.first_token_index[key])
     return tuple(sorted(fuzzy))
 
 
@@ -179,16 +214,13 @@ def detect_drug(
         for idx in _candidate_indices(lexicon, tokens[trigger].text):
             entry = lexicon.entries[idx]
             name = entry.norm_name
-            end = min(trigger + len(entry.norm_tokens), n)
-            window = match_text[start : tokens[end - 1].end]
-            if window == name:
-                score = 1.0
-            else:
-                la, lb = len(name), len(window)
-                floor = threshold if best is None else max(threshold, best[0])
-                if 2.0 * min(la, lb) / (la + lb) < floor:
-                    continue  # cannot reach the threshold or the best score
-                score = kernels.similarity(name, window)
+            stop = tokens[min(trigger + len(entry.norm_tokens), n) - 1].end
+            la, lb = len(name), stop - start
+            floor = threshold if best is None else max(threshold, best[0])
+            if 2.0 * min(la, lb) / (la + lb) < floor:
+                continue  # cannot reach the threshold or the best score
+            window = match_text[start:stop]
+            score = 1.0 if window == name else kernels.similarity(name, window)
             key = (score, -trigger, len(name))
             if (
                 best is None

@@ -1,3 +1,4 @@
+import csv
 import pathlib
 
 import pytest
@@ -13,6 +14,35 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 # Desk-scale training setup shared by the acceptance suite and CLI tests.
 DESK_SPEC = dict(n_drug=1500, n_posology=1500, n_useless=1500, seed=42)
+
+# The big lexicon: every first name token of the demo lexicon (its stem),
+# with each lab, dose and form; 174 x 6 x 3 x 3 = 9,396 entries.
+BIG_LABS = ("ARROW", "BIOGARAN", "CRISTERS", "EG", "SANDOZ", "TEVA")
+BIG_DOSES = ("5 mg", "100 mg", "1 g")
+BIG_FORMS = ("comprimé", "gélule", "solution buvable")
+
+
+def big_lexicon_rows() -> list[tuple[str, str]]:
+    """(id, name) rows of a deterministic lexicon of about 9k entries, built without a download."""
+    stems = sorted(build_lexicon(default_lexicon_path()).first_token_index)
+    names = [
+        f"{stem.upper()} {lab} {dose}, {form}"
+        for stem in stems
+        for lab in BIG_LABS
+        for dose in BIG_DOSES
+        for form in BIG_FORMS
+    ]
+    return [(f"BIG{n:05d}", name) for n, name in enumerate(names)]
+
+
+def write_big_lexicon(path) -> pathlib.Path:
+    """Write the big lexicon as a lexicon CSV; also run from CI to feed the CLI."""
+    path = pathlib.Path(path)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "name"])
+        writer.writerows(big_lexicon_rows())
+    return path
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +60,16 @@ def patterns():
 @pytest.fixture(scope="session")
 def lexicon():
     return build_lexicon(default_lexicon_path())
+
+
+@pytest.fixture(scope="session")
+def big_lexicon_path(tmp_path_factory):
+    return write_big_lexicon(tmp_path_factory.mktemp("lexicon") / "big.csv")
+
+
+@pytest.fixture(scope="session")
+def big_lexicon(big_lexicon_path):
+    return build_lexicon(big_lexicon_path)
 
 
 @pytest.fixture(scope="session")

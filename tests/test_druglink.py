@@ -1,5 +1,7 @@
 import random
 import re
+import string
+from collections import Counter
 
 import pytest
 
@@ -9,18 +11,20 @@ from ordonnance.druglink import (
     DrugMention,
     LexiconEntry,
     build_lexicon,
+    _candidate_indices,
     default_lexicon_path,
     detect_drug,
     mention_token_window,
     split_combined_line,
     starts_with_equivalence_marker,
 )
+from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.errors import DuplicateId, EmptyLexicon, FileError
 from ordonnance.kernels import similarity
 from ordonnance.posology import extract_posology
 from ordonnance.textnorm import sentence_from_text
 
-from test_kernels import oracle_similarity
+from test_kernels import _edit_distance, oracle_similarity, reference_similarity
 
 
 def oracle_detect_drug(sentence, lexicon, threshold=0.72):
@@ -28,7 +32,8 @@ def oracle_detect_drug(sentence, lexicon, threshold=0.72):
 
     Candidates are the entries whose first name token equals the sentence
     token, or, when none does and the token has at least five characters,
-    those within one edit of it, in lexicon order.
+    those within one edit of it, in lexicon order. Scores come from
+    ``reference_similarity``, so the oracle shares no code with the kernel.
     """
     tokens = sentence.tokens
     n = len(tokens)
@@ -42,7 +47,7 @@ def oracle_detect_drug(sentence, lexicon, threshold=0.72):
             entry = lexicon.entries[idx]
             end = min(trigger + len(entry.norm_tokens), n)
             window = sentence.match_text[tokens[trigger].start : tokens[end - 1].end]
-            score = kernels.similarity(entry.norm_name, window)
+            score = reference_similarity(entry.norm_name, window)
             key = (score, -trigger, len(entry.norm_name))
             if best is None or key > best[0][:3] or (key == best[0][:3] and entry.drug_id < best[0][3]):
                 best = ((*key, entry.drug_id), entry, trigger, window)
@@ -57,6 +62,51 @@ def oracle_detect_drug(sentence, lexicon, threshold=0.72):
         score=score,
         trigger_token_index=trigger,
     )
+
+
+def brute_force_candidates(lexicon, token, keys=None):
+    """The first-token lookup spelt out, with no filter.
+
+    A key gives its own entries. A token of at least five characters that is
+    no key gives the entries of every key within one edit, sorted. ``keys``
+    narrows the loop to keys known to hold every answer; by default it is
+    every key.
+    """
+    hit = lexicon.first_token_index.get(token)
+    if hit:
+        return hit
+    if len(token) < 5:
+        return ()
+    keys = lexicon.first_token_index if keys is None else keys
+    return tuple(
+        sorted(i for key in keys if kernels.levenshtein_leq1(token, key) for i in lexicon.first_token_index[key])
+    )
+
+
+EDIT_ALPHABET = string.ascii_lowercase + string.digits + "-é"
+
+
+def single_edits(key):
+    """Every substitution, insertion and deletion of one character of key, over EDIT_ALPHABET."""
+    for i in range(len(key) + 1):
+        for ch in EDIT_ALPHABET:
+            yield key[:i] + ch + key[i:]
+            if i < len(key):
+                yield key[:i] + ch + key[i + 1 :]
+        if i < len(key):
+            yield key[:i] + key[i + 1 :]
+
+
+def random_tokens(lexicon, count, seed):
+    """Random strings, and splices of one key's start with another's end."""
+    rng = random.Random(seed)
+    keys = sorted(lexicon.first_token_index)
+    tokens = []
+    for _ in range(count):
+        tokens.append("".join(rng.choice(EDIT_ALPHABET) for _ in range(rng.randint(3, 14))))
+        a, b = rng.choice(keys), rng.choice(keys)
+        tokens.append(a[: rng.randint(1, len(a))] + b[rng.randint(0, len(b) - 1) :])
+    return tokens
 
 
 def write_lexicon(tmp_path, rows, name="lex.csv"):
@@ -125,6 +175,67 @@ class TestBuildLexicon:
         # entry positions per first token, in file order
         assert lex.first_token_index == {"doliprane": (0, 2), "spasfon": (1,)}
         assert [lex.entries[i].drug_id for i in lex.first_token_index["doliprane"]] == ["A1", "A2"]
+
+
+class TestFuzzyLookup:
+    """The pigeonhole lookup gives the candidates of the brute-force loop, in its order."""
+
+    def test_every_key(self, lexicon, big_lexicon):
+        for lex in (lexicon, big_lexicon):
+            for key, idxs in lex.first_token_index.items():
+                assert _candidate_indices(lex, key) == brute_force_candidates(lex, key) == idxs, key
+
+    def test_every_single_edit_of_every_key(self, lexicon):
+        # A key within one edit of an edit of ``key`` is within two edits of
+        # ``key``, so the loop over those keys misses no answer. A sample is
+        # checked against the loop over every key too. Two keys are at least
+        # as many edits apart as the longer has characters the other lacks.
+        keys = list(lexicon.first_token_index)
+        chars = {key: Counter(key) for key in keys}
+        near = {
+            key: [
+                k
+                for k in keys
+                if max(len(k), len(key)) - (chars[k] & chars[key]).total() <= 2 and _edit_distance(key, k) <= 2
+            ]
+            for key in keys
+        }
+        rng = random.Random(23)
+        tokens = fuzzy = 0
+        for key in keys:
+            for token in set(single_edits(key)):
+                got = _candidate_indices(lexicon, token)
+                assert got == brute_force_candidates(lexicon, token, near[key]), (key, token)
+                if rng.random() < 0.02:
+                    assert got == brute_force_candidates(lexicon, token), (key, token)
+                tokens += 1
+                fuzzy += bool(got) and token not in lexicon.first_token_index
+        assert tokens > 100_000 and fuzzy > 30_000
+
+    def test_five_character_tokens_against_the_four_character_key(self, lexicon):
+        (short,) = [key for key in lexicon.first_token_index if len(key) == 4]
+        idxs = lexicon.first_token_index[short]
+        for token in {e for e in single_edits(short) if len(e) == 5}:
+            got = _candidate_indices(lexicon, token)
+            assert got == brute_force_candidates(lexicon, token), token
+            assert set(idxs) <= set(got), token
+        for token in {e for e in single_edits(short) if len(e) < 5} - {short}:
+            assert _candidate_indices(lexicon, token) == (), token  # too short to be fuzzy
+
+    def test_random_tokens(self, lexicon, big_lexicon):
+        tokens = random_tokens(lexicon, 600, seed=29)
+        hits = 0
+        for lex in (lexicon, big_lexicon):
+            for token in tokens:
+                got = _candidate_indices(lex, token)
+                assert got == brute_force_candidates(lex, token), token
+                hits += bool(got)
+        assert hits > 100
+
+    def test_single_edits_on_the_big_lexicon(self, big_lexicon):
+        for key in sorted(big_lexicon.first_token_index)[::30]:
+            for token in set(single_edits(key)):
+                assert _candidate_indices(big_lexicon, token) == brute_force_candidates(big_lexicon, token), token
 
 
 class TestDetectDrug:
@@ -300,6 +411,18 @@ class TestAgainstUnprunedOracle:
                 assert got == oracle_detect_drug(s, lexicon, threshold), (text, threshold)
                 linked += got is not None
         assert linked > 1000  # the comparison covers real links, not only None
+
+    def test_noisy_lines_on_the_big_lexicon(self, big_lexicon, big_lexicon_path):
+        spec = CorpusSpec(n_drug=50, n_posology=10, n_useless=10, seed=5, lexicon_path=str(big_lexicon_path))
+        linked = 0
+        for i, row in enumerate(generate(spec)):
+            s = sentence_from_text(noisify(row, 0.1, 5_000 + i).text)
+            if s is None:
+                continue
+            got = detect_drug(s, big_lexicon)
+            assert got == oracle_detect_drug(s, big_lexicon), s.match_text
+            linked += got is not None
+        assert linked > 40
 
     def test_fuzzy_only_first_token(self, lexicon):
         s = sentence_from_text("d0liprane 1000 mg, comprime")
