@@ -13,10 +13,11 @@ the candidates of every key within one edit of it. Those keys are found by a
 pigeonhole filter (Wu & Manber 1992): one edit leaves either the token's
 first ``(n - 1) // 2`` characters or its last ``n // 2`` untouched, as the two
 parts do not overlap, so a key within one edit starts with the first part or
-ends with the second. ``bisect`` finds the keys with that prefix in the
-sorted keys and those with that suffix in the sorted reversed keys; each hit
-is verified with ``kernels.levenshtein_leq1``. The candidates are the same,
-in the same order, as those of a loop over every key.
+ends with the second. ``bisect`` finds the keys with that start among the
+keys sorted, and those with that end among the keys sorted by their
+reversal; each hit is verified with ``kernels.levenshtein_leq1``. The
+candidates are the same, in the same order, as those of a loop over every
+key. The two orders are tuples of the index's own key strings.
 
 Scoring skips only work that cannot change the result, by three exact rules:
 
@@ -77,15 +78,15 @@ class DrugLexicon:
     """Entries with their first-token index.
 
     ``first_token_index`` maps each first name token to its entry positions,
-    in file order. ``sorted_keys`` holds its keys sorted, and
-    ``reversed_keys`` each key spelt backwards, sorted: the two probes of the
-    fuzzy lookup.
+    in file order. The fuzzy lookup probes its keys in two orders: sorted
+    (``sorted_keys``), so keys with a common start are adjacent, and sorted
+    by their reversal (``keys_by_ending``), so keys with a common end are.
     """
 
     entries: tuple[LexiconEntry, ...]
     first_token_index: dict[str, tuple[int, ...]]
     sorted_keys: tuple[str, ...]
-    reversed_keys: tuple[str, ...]
+    keys_by_ending: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,10 @@ class DrugMention:
     surface_text: str
     score: float
     trigger_token_index: int
+
+
+def _backwards(text: str) -> str:
+    return text[::-1]
 
 
 def build_lexicon(path) -> DrugLexicon:
@@ -136,7 +141,7 @@ def build_lexicon(path) -> DrugLexicon:
         entries=tuple(entries),
         first_token_index={k: tuple(v) for k, v in index.items()},
         sorted_keys=tuple(sorted(index)),
-        reversed_keys=tuple(sorted(k[::-1] for k in index)),
+        keys_by_ending=tuple(sorted(index, key=_backwards)),
     )
 
 
@@ -157,10 +162,10 @@ def _candidate_indices(lexicon: DrugLexicon, token: str) -> tuple[int, ...]:
     while at < len(heads) and heads[at].startswith(head):
         near.append(heads[at])
         at += 1
-    tails, tail = lexicon.reversed_keys, token[-(n // 2) :][::-1]
-    at = bisect_left(tails, tail)
-    while at < len(tails) and tails[at].startswith(tail):
-        near.append(tails[at][::-1])
+    tails, tail = lexicon.keys_by_ending, token[-(n // 2) :]
+    at = bisect_left(tails, tail[::-1], key=_backwards)
+    while at < len(tails) and tails[at].endswith(tail):
+        near.append(tails[at])
         at += 1
     fuzzy: list[int] = []
     for key in set(near):
