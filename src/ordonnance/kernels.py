@@ -2,7 +2,7 @@
 
 ``similarity`` scores a lexicon name against a sentence window. It is the
 longest-contiguous-match ratio, found by a bit-parallel search (after
-Allison & Dix 1986 and Hyyro 2004) over Python ints used as bit vectors:
+Allison & Dix 1986 and Hyyrö 2004) over Python ints used as bit vectors:
 
 - the match matrix of the two strings is one int, bit ``i * stride + j``
   set when ``a[i] == b[j]``, with ``stride = len(b) + 1``. The spare column

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from ordonnance import kernels
+from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import (
     DrugLexicon,
     DrugMention,
@@ -18,7 +19,6 @@ from ordonnance.druglink import (
     split_combined_line,
     starts_with_equivalence_marker,
 )
-from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.errors import DuplicateId, EmptyLexicon, FileError
 from ordonnance.kernels import similarity
 from ordonnance.posology import extract_posology
@@ -203,10 +203,10 @@ class TestFuzzyLookup:
         rng = random.Random(23)
         tokens = fuzzy = 0
         for key in keys:
-            for token in set(single_edits(key)):
+            for token in sorted(set(single_edits(key))):
                 got = _candidate_indices(lexicon, token)
                 assert got == brute_force_candidates(lexicon, token, near[key]), (key, token)
-                if rng.random() < 0.02:
+                if rng.random() < 0.01:
                     assert got == brute_force_candidates(lexicon, token), (key, token)
                 tokens += 1
                 fuzzy += bool(got) and token not in lexicon.first_token_index
@@ -413,7 +413,7 @@ class TestAgainstUnprunedOracle:
         assert linked > 1000  # the comparison covers real links, not only None
 
     def test_noisy_lines_on_the_big_lexicon(self, big_lexicon, big_lexicon_path):
-        spec = CorpusSpec(n_drug=50, n_posology=10, n_useless=10, seed=5, lexicon_path=str(big_lexicon_path))
+        spec = CorpusSpec(n_drug=30, n_posology=5, n_useless=5, seed=5, lexicon_path=str(big_lexicon_path))
         linked = 0
         for i, row in enumerate(generate(spec)):
             s = sentence_from_text(noisify(row, 0.1, 5_000 + i).text)
@@ -422,7 +422,7 @@ class TestAgainstUnprunedOracle:
             got = detect_drug(s, big_lexicon)
             assert got == oracle_detect_drug(s, big_lexicon), s.match_text
             linked += got is not None
-        assert linked > 40
+        assert linked > 25
 
     def test_fuzzy_only_first_token(self, lexicon):
         s = sentence_from_text("d0liprane 1000 mg, comprime")

@@ -191,7 +191,7 @@ ACCENTED = st.text(alphabet="aeéèêàçœ €1-", max_size=40)
 NON_ASCII = st.text(alphabet="aß€한中ΣЖ\u0301\u00a0😀𝔸 1", max_size=40)
 OVER_64 = st.text(alphabet="abcdefgh ", min_size=65, max_size=128)
 OVER_128 = st.text(alphabet="abcdefghijklmnop é", min_size=129, max_size=160)
-REFERENCE_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
+REFERENCE_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
 
 
 class TestAgainstReference:
