@@ -207,7 +207,7 @@ class TestAgainstReference:
         self.assert_same(a, b)
 
     def test_every_pair_of_short_strings(self):
-        strings = _exhaustive("ab1", 3) + _exhaustive("ab", 4)[15:]
+        strings = _exhaustive("ab1", 3) + [s for s in _exhaustive("ab", 4) if len(s) == 4]
         for a in strings:
             for b in strings:
                 self.assert_same(a, b)
