@@ -10,45 +10,43 @@ right after each match.
 
 A PatternSet is compiled once, when it is built. Its specs are deduplicated
 on their constraints (the quantifier is not part of a spec's identity; the
-shipped set's 498 spec instances are 118 distinct specs). The fixed-length
-patterns (every op "1", 158 of the shipped 161) are merged into one prefix
-trie keyed by spec id: a node is a spec-id prefix, its edges lead to the
-next specs, and a pattern is accepted at the node its whole sequence leads
-to (284 nodes below the root for 482 spec slots in the shipped set). All
-four labels share the trie; overlaps are then resolved per label.
+shipped set's 498 spec instances are 118 distinct specs). Each distinct spec
+is compiled once into one test on a token's text, truthy exactly when
+``match_token`` (the one definition of a spec holding) holds: a bare regex's
+``fullmatch``, a ``lower``-only spec's set membership, a test that always
+holds for a wildcard, else ``match_token`` bound to the spec.
 
-Each distinct spec is compiled once into one test on a token's text, truthy
-exactly when ``match_token`` (the one definition of a spec holding) holds: a
-bare regex's ``fullmatch``, a ``lower``-only spec's set membership, a test
-that always holds for a wildcard, else ``match_token`` bound to the spec.
-Every trie edge and every DP step decides its spec by one call of its test.
+Every pattern, fixed-length or quantified, compiles to its own chain NFA,
+built backwards from its accept: one node per (spec, repetitions taken), up
+to the spec's bound, each with (test, next node) edges. A node whose spec
+has had its least number of tokens also carries the edges and accept of
+what may follow, the epsilon closure folded in at build time. The root's
+edges enter every chain, the nodes that one spec enters merged into one, so
+a root miss makes one test per distinct first spec. A zero-length accept is
+never placed on the root.
 
-``find_all`` walks a lazy DFA built over the trie, the subset construction
-of RE2 (Cox, "Regular Expression Matching in the Wild", 2010) over token
-tests instead of bytes. A state is the interned tuple of trie nodes that
+``find_all`` walks a lazy DFA over these nodes, the subset construction of
+RE2 (Cox, "Regular Expression Matching in the Wild", 2010) over token tests
+instead of bytes. A state is the interned tuple of the distinct nodes that
 one token sequence leads to, the start state being the root alone; it
-carries the flattened accepts and quantified patterns of its nodes and a
-dict from token text to the next state (None when no node is reached).
-Whether a spec holds depends on the token text alone, so a transition
-holds for every sentence. A miss tests each edge of the state's nodes once
-on the text, interns the children reached and stores the transition. From
-each position the walk follows one transition per token; a warm walk makes
-no edge test at all. A pattern's resume rule is checked where the state
-accepts it.
+carries the patterns its nodes accept and a dict from token text to the
+next state (None when no node is reached). Whether a spec holds depends on
+the token text alone, so a transition holds for every sentence. A miss
+tests each edge of the state's nodes once on the text, interns the children
+reached and stores the transition; a warm walk follows one transition per
+token and makes no edge test. A pattern keeps its longest match per start.
 
 The cache belongs to the PatternSet and grows as new token texts arrive.
 As in RE2 it is bounded: once MAX_TRANSITIONS transitions are stored, the
 next miss flushes it whole and the walk goes on from the states it holds.
-The gain is reuse across sentences and documents: posology lines draw on a
-small vocabulary, so a long-lived process (a batch ``extract``, ``eval``, a
-server) soon walks warm, while a one-document CLI run starts cold and gains
-nothing. Threads sharing a set may repeat a miss's work but never change a
-match, as a transition depends on nothing but its state's nodes and the text.
+Posology lines draw on a small vocabulary, so a long-lived process (a batch
+``extract``, ``eval``, a server) soon walks warm, while a one-document CLI
+run starts cold. Threads sharing a set may repeat a miss's work but never
+change a match, as a transition depends only on its state's nodes and text.
 
-A pattern with a quantifier runs a DP over reachable positions, each spec
-consuming at most MAX_REPS tokens. It hangs at the depth-1 node of its first
-spec, or at the root when that spec is optional, and it alone decides its
-specs through a per-sentence memo filled on demand.
+A pattern holds at most MAX_SPECS specs (the shipped ones at most 6): a run
+of optional specs folds each closure into the nodes before it, so a chain's
+edges grow with the square of its length, and a miss tests them all.
 
 Pattern file format (JSON list)::
 
@@ -70,7 +68,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import PatternError, decode_json
 from .textnorm import Sentence, normalize_text, tokenize
@@ -81,9 +79,13 @@ LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 # prescription phrases never repeat a token class this often.
 MAX_REPS = 10
 
+# Specs a pattern may hold, so the chains' folded closures stay small.
+MAX_SPECS = 16
+
 # Transitions the DFA cache holds before it is flushed whole, as RE2 does.
-# A pass over the 200 rx-typical benchmark documents stores 1,650 of them in
-# 249 states, about 165 KB, so the cap bounds the cache near 1 MB.
+# A pass over the 200 rx-typical benchmark documents stores 1,674 of them in
+# 257 states, about 205 KB with their key texts, so the cap bounds the cache
+# near 1.2 MB.
 MAX_TRANSITIONS = 10_000
 
 _OP_BOUNDS = {"1": (1, 1), "?": (0, 1), "+": (1, MAX_REPS), "*": (0, MAX_REPS)}
@@ -118,30 +120,28 @@ class MatchSpan:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class _Node:
-    """A trie node: one spec-id prefix of the fixed-length patterns.
+    """An NFA node: a pattern after some repetitions of one of its specs, or such nodes merged below the root.
 
     A node compares and hashes by identity, so a state's node tuple interns
-    at the cost of its length, not of the subtrie below it.
+    at the cost of its length, not of the chain after it.
     """
 
-    edges: tuple  # (compiled test, spec id, child) per next spec
-    accepts: tuple[TokenPattern, ...]  # fixed-length patterns whose whole sequence ends here
-    quantified: tuple  # (pattern, spec ids, per-spec (lo, hi)) of quantified patterns tried here
+    edges: tuple  # (compiled test, child) per spec this node may take a token of next
+    accepts: tuple[TokenPattern, ...]  # patterns whose whole sequence may end here
 
 
 class _State:
-    """A DFA state: the trie nodes that one token sequence leads to, interned per PatternSet.
+    """A DFA state: the distinct nodes that one token sequence leads to, interned per PatternSet.
 
-    ``accepts`` and ``quantified`` flatten those of its nodes; ``next`` maps a
+    ``accepts`` holds each pattern its nodes accept once; ``next`` maps a
     token text to the state after it, None when no node is reached.
     """
 
-    __slots__ = ("nodes", "accepts", "quantified", "next")
+    __slots__ = ("nodes", "accepts", "next")
 
     def __init__(self, nodes: tuple[_Node, ...]):
         self.nodes = nodes
-        self.accepts = tuple(p for node in nodes for p in node.accepts)
-        self.quantified = tuple(q for node in nodes for q in node.quantified)
+        self.accepts = tuple(dict.fromkeys(p for node in nodes for p in node.accepts))
         self.next: dict[str, _State | None] = {}
 
 
@@ -165,9 +165,7 @@ class PatternSet:
 
     ``specs`` holds each distinct spec once (the quantifier is not part of a
     spec's identity), and ``tests`` its compiled test (``_compile_test``).
-    ``root`` is the trie of the fixed-length patterns. A quantified pattern
-    hangs at the depth-1 node of its first spec, or at the root when that
-    spec is optional.
+    ``root`` is the NFA's start node: its edges enter every pattern's chain.
 
     The set also owns its DFA cache (``_start``, the start state, and
     ``_states``, the intern table of states by their nodes), so two sets
@@ -182,47 +180,41 @@ class PatternSet:
             if p.pattern_id in seen:
                 raise PatternError(f"duplicate pattern id {p.pattern_id!r}")
             seen.add(p.pattern_id)
+            if len(p.specs) > MAX_SPECS:
+                raise PatternError(f"pattern {p.pattern_id!r} has {len(p.specs)} specs, more than {MAX_SPECS}")
 
         ids: dict[tuple, int] = {}
         specs: list[TokenSpec] = []
-        root: list = [{}, [], []]  # a node while building: [{spec id: child}, accepts, quantified]
+        tests: list[Callable[[str], object]] = []
+        entries: dict[Callable[[str], object], list[_Node]] = {}  # a first spec's test -> the nodes it enters
         for p in self.patterns:
-            spec_ids = []
-            for spec in p.specs:
+            edges, accepts = (), (p,)  # what may follow the specs chained so far
+            for spec in reversed(p.specs):
                 key = (spec.lower, spec.regex, spec.is_digit, spec.like_num)
                 sid = ids.get(key)
                 if sid is None:
                     sid = ids[key] = len(specs)
                     specs.append(spec)
-                spec_ids.append(sid)
-            ops = [spec.op for spec in p.specs]
-            fixed = set(ops) == {"1"}
-            if fixed:
-                path = spec_ids
-            else:  # a quantified pattern hangs where its first spec is decided
-                path = spec_ids[:1] if ops[0] in ("1", "+") else []
-            node = root
-            for sid in path:
-                child = node[0].get(sid)
-                if child is None:
-                    child = node[0][sid] = [{}, [], []]
-                node = child
-            if fixed:
-                node[1].append(p)
-            else:
-                node[2].append((p, tuple(spec_ids), tuple(_OP_BOUNDS[op] for op in ops)))
+                    tests.append(_compile_test(spec))
+                test = tests[sid]
+                lo, hi = _OP_BOUNDS[spec.op]
+                node = _Node(edges, accepts)  # after hi repetitions: only what follows
+                for _ in range(hi - 1):  # after fewer: a repetition more, or what follows (every lo is 0 or 1)
+                    node = _Node(((test, node),) + edges, accepts)
+                if lo:
+                    edges, accepts = ((test, node),), ()
+                else:
+                    edges = ((test, node),) + edges
+            for test, node in edges:  # a zero-length accept is left out
+                entries.setdefault(test, []).append(node)
         self.specs: tuple[TokenSpec, ...] = tuple(specs)
-        self.tests: tuple[Callable[[str], object], ...] = tuple(map(_compile_test, specs))
-
-        def freeze(node: list) -> _Node:
-            edges, accepts, quantified = node
-            return _Node(
-                tuple([(self.tests[sid], sid, freeze(child)) for sid, child in edges.items()]),
-                tuple(accepts),
-                tuple(quantified),
-            )
-
-        self.root: _Node = freeze(root)
+        self.tests: tuple[Callable[[str], object], ...] = tuple(tests)
+        # the nodes one first spec enters merge into one, their edges and accepts together
+        merged = [
+            _Node(tuple(e for n in ns for e in n.edges), tuple(a for n in ns for a in n.accepts))
+            for ns in entries.values()
+        ]
+        self.root = _Node(tuple(zip(entries, merged)), ())
         self._flush()
 
     def _flush(self) -> None:
@@ -237,7 +229,8 @@ class PatternSet:
         The transition depends on nothing but the state's nodes and the text,
         so it also holds for a state that a flush dropped mid-walk.
         """
-        nodes = tuple([child for node in state.nodes for test, _, child in node.edges if test(text)])
+        # two nodes may share a child, so each child reached is kept once, in order
+        nodes = tuple(dict.fromkeys([child for node in state.nodes for test, child in node.edges if test(text)]))
         if self._transitions >= MAX_TRANSITIONS:
             self._flush()
         nxt = None
@@ -358,43 +351,6 @@ def match_token(spec: TokenSpec, text: str) -> bool:
     return True
 
 
-def _longest_end(
-    tests: Sequence[Callable[[str], object]],
-    texts: Sequence[str],
-    memo: dict[tuple[int, int], bool],
-    spec_ids: Sequence[int],
-    bounds: Sequence[tuple[int, int]],
-    start: int,
-) -> int:
-    """Maximum end index reachable by consuming all specs from ``start``, else -1.
-
-    A DP over the set of reachable positions, one spec at a time; each spec
-    consumes between its bounds of consecutive tokens that satisfy it.
-    ``memo`` keeps each (spec id, position) decision for the sentence.
-    """
-    n = len(texts)
-    reach = {start}
-    for sid, (lo, hi) in zip(spec_ids, bounds):
-        nxt: set[int] = set()
-        for pos in reach:
-            if lo == 0:
-                nxt.add(pos)
-            k = 0
-            while k < hi and pos + k < n:
-                held = memo.get((sid, pos + k))
-                if held is None:
-                    held = memo[sid, pos + k] = bool(tests[sid](texts[pos + k]))
-                if not held:
-                    break
-                k += 1
-                if k >= lo:
-                    nxt.add(pos + k)
-        if not nxt:
-            return -1
-        reach = nxt
-    return max(reach)
-
-
 def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
     """Union of matches over patterns, with per-label overlap resolution.
 
@@ -406,32 +362,24 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
     texts = [token.text for token in tokens]
     n = len(texts)
     found: list[tuple[int, int, TokenPattern]] = []
-    resume: dict[str, int] = {}  # pattern id -> end of its last match
-    memo: dict[tuple[int, int], bool] = {}  # the quantified patterns' decisions
+    last: dict[str, int] = {}  # pattern id -> index in found of its last match
     for pos in range(n):
         state = patterns._start  # its nodes are those that tokens[pos:end] lead to
-        end = pos
-        while True:
-            for pattern in state.accepts:
-                if resume.get(pattern.pattern_id, 0) <= pos:
-                    found.append((pos, end, pattern))
-                    resume[pattern.pattern_id] = end
-            for pattern, spec_ids, bounds in state.quantified:
-                if resume.get(pattern.pattern_id, 0) <= pos:
-                    stop = _longest_end(patterns.tests, texts, memo, spec_ids, bounds, pos)
-                    if stop > pos:
-                        found.append((pos, stop, pattern))
-                        resume[pattern.pattern_id] = stop
-            if end == n:
-                break
-            text = texts[end]
+        for end in range(pos + 1, n + 1):
+            text = texts[end - 1]
             try:
                 state = state.next[text]
             except KeyError:
                 state = patterns._advance(state, text)
             if state is None:
                 break
-            end += 1
+            for pattern in state.accepts:
+                i = last.get(pattern.pattern_id)
+                if i is None or found[i][1] <= pos:  # its first match, or one resumed after the last
+                    last[pattern.pattern_id] = len(found)
+                    found.append((pos, end, pattern))
+                elif found[i][0] == pos:  # a longer match from the same start
+                    found[i] = (pos, end, pattern)
     found.sort(key=lambda c: (c[0] - c[1], c[0], c[2].pattern_id))
     taken = {label: bytearray(n) for label in LABELS}
     kept: list[MatchSpan] = []

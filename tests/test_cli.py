@@ -61,6 +61,16 @@ def test_invalid_json_patterns_file_is_a_schema_error(run, tmp_path):
     assert [e["type"] for e in _error(result)] == ["patterns"]
 
 
+def test_patterns_file_with_an_over_long_pattern_is_a_schema_error(run, tmp_path):
+    bad = tmp_path / "patterns.json"
+    specs = [{"like_num": True}] * 17  # one more than patterns.MAX_SPECS
+    bad.write_text(json.dumps([{"id": "long", "label": "DOSE", "specs": specs}]), encoding="utf-8")
+    result = run("--input", str(FIXTURE), "--patterns", str(bad))
+    assert result.exit_code == 2
+    (error,) = _error(result)
+    assert error["type"] == "patterns" and "'long' has 17 specs" in error["message"], error
+
+
 def test_missing_patterns_file_is_a_missing_file(run, tmp_path):
     result = run("--input", str(FIXTURE), "--patterns", str(tmp_path / "absent.json"))
     assert result.exit_code == 3

@@ -8,6 +8,8 @@ from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import default_lexicon_path
@@ -15,6 +17,7 @@ from ordonnance.errors import PatternError
 from ordonnance.patterns import (
     LABELS,
     MAX_REPS,
+    MAX_SPECS,
     PatternSet,
     TokenPattern,
     TokenSpec,
@@ -260,18 +263,37 @@ def compiled_find_all(pats: PatternSet, sentence) -> list[tuple[int, int, str, s
     return cold
 
 
-def trie_nodes(pats: PatternSet) -> dict:
-    """Every trie node below the root, by the spec-id path that leads to it."""
-    nodes = {}
+def accept_paths(pats: PatternSet) -> Counter:
+    """(spec-id path from the root, pattern id) of every accept, counted once per NFA path to it."""
+    sid_of = {id(test): sid for sid, test in enumerate(pats.tests)}
+    paths: Counter = Counter()
 
     def visit(path, node):
-        nodes[path] = node
-        for _, sid, child in node.edges:
-            visit(path + (sid,), child)
+        paths.update((path, p.pattern_id) for p in node.accepts)
+        for test, child in node.edges:
+            visit(path + (sid_of[id(test)],), child)
 
-    for _, sid, child in pats.root.edges:
-        visit((sid,), child)
-    return nodes
+    visit((), pats.root)
+    return paths
+
+
+def constraints(spec: TokenSpec) -> tuple:
+    """A spec's identity within a PatternSet: its constraints, not its quantifier."""
+    return spec.lower, spec.regex, spec.is_digit, spec.like_num
+
+
+def is_fixed(p: TokenPattern) -> bool:
+    return all(spec.op == "1" for spec in p.specs)
+
+
+def spec_paths(pats: PatternSet, p: TokenPattern) -> set:
+    """The spec-id sequences ``p`` matches, each optional spec taken or not and "+"/"*" at most twice."""
+    sid_of = {constraints(spec): sid for sid, spec in enumerate(pats.specs)}
+    reps = {"1": (1,), "?": (0, 1), "+": (1, 2), "*": (0, 1, 2)}
+    return {
+        sum(((sid_of[constraints(spec)],) * k for spec, k in zip(p.specs, counts)), ())
+        for counts in itertools.product(*(reps[spec.op] for spec in p.specs))
+    } - {()}
 
 
 def shipped_data() -> list:
@@ -315,8 +337,8 @@ class TestCompiledMatcher:
         (test,) = [pats.tests[sid] for sid in wildcards]
         s = raw_sent("1 x cp 2 cp un si")
         assert all(test(t.text) for t in s.tokens)
-        # the "+" wildcard leads "lead", so it is a root edge as well as a DP step
-        assert set(wildcards) < {sid for _, sid, _ in pats.root.edges}
+        # the "+" wildcard leads "lead", so its test is a root edge as well as a later edge of "gap"
+        assert test in {t for t, _ in pats.root.edges}
         assert compiled_find_all(pats, s) == brute_force_find_all(pats, s)
         assert [(sp.pattern_id, sp.text) for sp in find_all(pats, s)] == [
             ("gap", "1 x cp"), ("lead", "1 x cp 2 cp un si"), ("gap", "2 cp")
@@ -328,37 +350,31 @@ class TestCompiledMatcher:
             {"id": "b", "label": "FREQUENCY", "specs": [{"like_num": True, "op": "+"}, {"lower": "cp", "op": "?"}]},
         ])
         assert len(pats.specs) == 2
-        nodes = trie_nodes(pats)
-        assert set(nodes) == {(0,), (0, 1)}
-        assert nodes[0, 1].accepts == (pats.patterns[0],)
-        ((frequency, spec_ids, _),) = nodes[0,].quantified
-        assert frequency.label == "FREQUENCY" and spec_ids == (0, 1)
+        # one root edge for the shared first spec; each chain reuses both specs' tests
+        assert len(pats.root.edges) == 1
+        paths = accept_paths(pats)
+        assert {path for path, pid in paths if pid == "a"} == spec_paths(pats, pats.patterns[0])
+        s = raw_sent("1 cp 2 3 x")
+        assert compiled_find_all(pats, s) == brute_force_find_all(pats, s)
+        assert [(sp.pattern_id, sp.text) for sp in find_all(pats, s)] == [("a", "1 cp"), ("b", "1 cp"), ("b", "2 3")]
 
     def test_patterns_are_indexed_by_first_spec(self):
-        def constraints(spec):
-            return spec.lower, spec.regex, spec.is_digit, spec.like_num
-
         pats = default_patterns()
-        assert not pats.root.quantified  # no shipped pattern starts with an optional spec
-        assert len(pats.root.edges) == 31
-        nodes = trie_nodes(pats)
-        assert len(nodes) == 284  # for 482 spec slots of the 158 fixed-length patterns
-        indexed = []
-        for path, node in nodes.items():
-            for p in node.accepts:
-                assert [constraints(pats.specs[i]) for i in path] == [constraints(spec) for spec in p.specs]
-                indexed.append(p)
-            for p, spec_ids, _ in node.quantified:
-                assert path == spec_ids[:1]
-                assert [constraints(pats.specs[i]) for i in spec_ids] == [constraints(spec) for spec in p.specs]
-                indexed.append(p)
-            for test, sid, _ in node.edges:
-                assert test is pats.tests[sid]
-        assert sorted(p.pattern_id for p in indexed) == sorted(p.pattern_id for p in pats.patterns)
+        assert not any(p.specs[0].op in "?*" for p in pats.patterns)  # no shipped pattern starts optional
+        # one root edge per distinct first spec, whose node merges every chain that spec enters
+        assert len(pats.root.edges) == len({constraints(p.specs[0]) for p in pats.patterns}) == 31
+        roots = [test for test, _ in pats.root.edges]
+        assert len(set(map(id, roots))) == 31 and all(any(test is t for t in pats.tests) for test in roots)
+        paths = accept_paths(pats)
+        # every pattern is accepted at the end of each spec sequence it matches, and nowhere else
+        assert set(paths) == {(path, p.pattern_id) for p in pats.patterns for path in spec_paths(pats, p)}
+        assert max(paths.values()) == 1 and len(paths) == 158 + 3 * 2
         # one pair of shipped patterns has the same spec sequence
-        assert [[p.label for p in node.accepts] for node in nodes.values() if len(node.accepts) > 1] == [
-            ["DOSE", "FREQUENCY"]
-        ]
+        labels = {p.pattern_id: p.label for p in pats.patterns}
+        by_path: dict = {}
+        for path, pid in sorted(paths):
+            by_path.setdefault(path, []).append(labels[pid])
+        assert [v for v in by_path.values() if len(v) > 1] == [["DOSE", "FREQUENCY"]]
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_default_set_equals_brute_force_on_generated_corpus(self, noise):
@@ -398,7 +414,7 @@ class TestCompiledMatcher:
                 for i in range(rng.randint(2, 6))
             ]
             pats = parse_patterns(data)
-            leading_optional += len(pats.root.quantified)
+            leading_optional += sum(p.specs[0].op in "?*" for p in pats.patterns)
             shared += len(pats.specs) < sum(len(p.specs) for p in pats.patterns)
             for _ in range(3):
                 s = raw_sent(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
@@ -406,7 +422,7 @@ class TestCompiledMatcher:
         assert leading_optional > 50 and shared > 100
 
     def test_trie_shaped_pattern_sets_equal_brute_force(self):
-        """Patterns grown from two stems, so the trie merges every shape it can.
+        """Patterns grown from two stems, so their chains share every prefix shape they can.
 
         A pattern is a stem, a strict prefix of one, a stem extended, a stem
         with one spec quantified, or a stem with an optional first spec, under
@@ -442,42 +458,35 @@ class TestCompiledMatcher:
                 data.append({"id": f"t{trial}-{i}", "label": rng.choice(("DOSE", "FREQUENCY")), "specs": specs})
             pats = parse_patterns(data)
 
-            nodes = trie_nodes(pats)
-            labels_below: dict = {}
-            for path, node in nodes.items():
-                for k in range(1, len(path) + 1):
-                    labels_below.setdefault(path[:k], set()).update(p.label for p in node.accepts)
-            stressed["shared prefix, two labels"] += any(len(labels) > 1 for labels in labels_below.values())
-            stressed["strict prefix"] += any(node.accepts and node.edges for node in nodes.values())
-            stressed["same sequence"] += any(len(node.accepts) > 1 for node in nodes.values())
+            sequences = [(tuple(map(constraints, p.specs)), p.label) for p in pats.patterns if is_fixed(p)]
+            quantified = [p for p in pats.patterns if not is_fixed(p)]
+            pairs = list(itertools.permutations(sequences, 2))
+            stressed["shared prefix, two labels"] += any(a[0][0] == b[0][0] and a[1] != b[1] for a, b in pairs)
+            stressed["strict prefix"] += any(len(a[0]) < len(b[0]) and b[0][: len(a[0])] == a[0] for a, b in pairs)
+            stressed["same sequence"] += any(a[0] == b[0] for a, b in pairs)
             stressed["quantified beside fixed"] += any(
-                node.quantified and (node.accepts or node.edges) for node in nodes.values()
+                q.specs[0].op in "1+" and constraints(q.specs[0]) == seq[0] for q in quantified for seq, _ in sequences
             )
-            stressed["optional first"] += bool(pats.root.quantified)
+            stressed["optional first"] += any(p.specs[0].op in "?*" for p in pats.patterns)
             for _ in range(4):
                 s = raw_sent(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 10))))
                 assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
         assert min(stressed.values()) > 40 and len(stressed) == 5, stressed
 
     def test_each_transition_is_worked_out_once_then_reused(self, monkeypatch):
-        """Every decision counted: each miss, each edge's test, each DP spec's test.
+        """Every decision counted: each miss and each edge's test.
 
-        From an empty cache, a (state, token text) transition is worked out
-        at most once over the whole batch, by testing each edge of the
-        state's nodes once; a warm repeat of the batch makes no miss and no
-        edge test. The quantified patterns' DP decides through ``tests``, each
-        wrapped too; each token text is a distinct object, so a DP decision is
-        charged to the token it was made on, at most once per sentence.
+        Every decision is an edge test inside a miss. From an empty cache, a
+        (state, token text) transition is worked out at most once over the
+        whole batch, by testing each edge of the state's nodes once; a warm
+        repeat of the batch makes no miss and no edge test.
         """
         pats = parse_patterns(shipped_data())
         edge_tests: Counter = Counter()  # edge -> tests in the current miss
         misses: Counter = Counter()  # (state, token text) -> misses
-        decided: Counter = Counter()  # (DP spec, token text object) -> decisions in the current sentence
         real_advance = PatternSet._advance
         edge_ids = itertools.count()
-
-        class Text(str):
-            """A token text with an identity of its own."""
+        copies: dict = {}  # id of a node -> its instrumented copy, so shared children stay shared
 
         def counting_edge(test, key):
             def decide(text):
@@ -487,39 +496,25 @@ class TestCompiledMatcher:
             decide.key = key
             return decide
 
-        def counting_dp(test, sid):
-            def decide(text):
-                decided[sid, id(text)] += 1
-                return test(text)
-
-            return decide
-
         def instrument(node):
-            edges = tuple((counting_edge(test, next(edge_ids)), sid, instrument(child)) for test, sid, child in node.edges)
-            return dataclasses.replace(node, edges=edges)
+            if id(node) not in copies:
+                edges = tuple((counting_edge(test, next(edge_ids)), instrument(child)) for test, child in node.edges)
+                copies[id(node)] = dataclasses.replace(node, edges=edges)
+            return copies[id(node)]
 
         def counting_advance(self, state, text):
             misses[state, text] += 1
             edge_tests.clear()
             nxt = real_advance(self, state, text)
-            assert edge_tests == Counter(test.key for node in state.nodes for test, _, _ in node.edges), text
+            assert edge_tests == Counter(test.key for node in state.nodes for test, _ in node.edges), text
             return nxt
 
         pats.root = instrument(pats.root)
-        pats.tests = tuple(counting_dp(test, sid) for sid, test in enumerate(pats.tests))
         pats._flush()
         monkeypatch.setattr(PatternSet, "_advance", counting_advance)
-        batch = [
-            dataclasses.replace(s, tokens=tuple(t._replace(text=Text(t.text)) for t in s.tokens))
-            for s in corpus_sentences(0.1)[40:80]  # posology sentences
-        ]
-        quantified = 0
+        batch = corpus_sentences(0.1)[40:80]  # posology sentences
         for s in batch:
-            decided.clear()
             find_all(pats, s)
-            assert max(decided.values(), default=0) <= 1, s.match_text
-            quantified += bool(decided)
-        assert quantified
         assert misses and max(misses.values()) == 1
         assert len(misses) == pats._transitions
         misses.clear()
@@ -562,8 +557,9 @@ class TestFirstSpecScanner:
             {"id": "d", "label": "DOSE", "specs": [{"regex": "[0-9]+"}, {"lower": "cp"}]},
             {"id": "f", "label": "FREQUENCY", "specs": [{"regex": "[0-9]+"}, {"regex": "x"}]},
         ])
-        ((_, _, node),) = pats.root.edges
-        assert [child.accepts[0].label for _, _, child in node.edges] == ["DOSE", "FREQUENCY"]
+        # one root edge: its node merges both chains, one edge into each pattern's accept
+        ((_, node),) = pats.root.edges
+        assert [child.accepts[0].label for _, child in node.edges] == ["DOSE", "FREQUENCY"]
         spans = find_all(pats, raw_sent("2 cp 3 x"))
         assert [(sp.label, sp.text) for sp in spans] == [("DOSE", "2 cp"), ("FREQUENCY", "3 x")]
 
@@ -583,16 +579,45 @@ class TestFirstSpecScanner:
                 for i in range(rng.randint(2, 7))
             ]
             pats = parse_patterns(data)
-            leading_optional += len(pats.root.quantified)
+            leading_optional += sum(p.specs[0].op in "?*" for p in pats.patterns)
             root_edges += len(pats.root.edges)
-            nodes = trie_nodes(pats)  # a first spec below depth 1, fixed or in a DP
-            deep = {path[-1] for path in nodes if len(path) > 1}
-            deep.update(sid for node in nodes.values() for _, spec_ids, _ in node.quantified for sid in spec_ids[1:])
-            first_later += not deep.isdisjoint(sid for _, sid, _ in pats.root.edges)
+            # a spec that starts one pattern and comes later in one
+            later_specs = {constraints(spec) for p in pats.patterns for spec in p.specs[1:]}
+            first_later += not later_specs.isdisjoint(constraints(p.specs[0]) for p in pats.patterns)
             for _ in range(3):
                 s = raw_sent(" ".join(rng.choice(self.VOCAB) for _ in range(rng.randint(1, 9))))
                 assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
         assert leading_optional > 50 and root_edges > 500 and first_later > 80, (leading_optional, root_edges, first_later)
+
+
+# Constraints of a drawn spec; {} is the wildcard, which needs a quantifier.
+DRAWN_CONSTRAINTS = [{"lower": ["cp", "mg"]}, {"lower": ["x"]}, {"like_num": True}, {"regex": "m.*"}, {}]
+
+
+@st.composite
+def drawn_specs(draw) -> dict:
+    spec = dict(draw(st.sampled_from(DRAWN_CONSTRAINTS)))
+    spec["op"] = draw(st.sampled_from("1?+*" if spec else "?+*"))
+    return spec
+
+
+DRAWN_PATTERN_SETS = st.lists(
+    st.tuples(st.sampled_from(("DOSE", "FREQUENCY")), st.lists(drawn_specs(), min_size=1, max_size=4)),
+    min_size=1,
+    max_size=4,
+).map(lambda pats: [{"id": f"p{i}", "label": label, "specs": specs} for i, (label, specs) in enumerate(pats)])
+DRAWN_WORDS = st.lists(st.sampled_from(["1", "2", "cp", "mg", "x", "matin", "et"]), min_size=1, max_size=14)
+
+
+class TestMatcherProperty:
+    """``find_all`` over drawn pattern sets (every op, wildcards, two labels) equals the brute-force oracle."""
+
+    @given(DRAWN_PATTERN_SETS, DRAWN_WORDS)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_find_all_equals_brute_force(self, data, words):
+        pats = parse_patterns(data)
+        s = raw_sent(" ".join(words))
+        assert compiled_find_all(pats, s) == brute_force_find_all(pats, s)
 
 
 class TestFindAll:
@@ -666,6 +691,20 @@ class TestDfaCache:
         assert sum(map(bool, got[1])) >= 120
         assert flushed[1] > flushed[40] > 10 and flushed[sys.maxsize] == 0, flushed
 
+    def test_a_state_holds_each_node_once(self):
+        # the chains of "x? x? x*" share children: without deduplication a
+        # state would hold a node once per path to it, doubling per optional spec
+        pats = parse_patterns([
+            {"id": "xs", "label": "DOSE", "specs": [
+                {"lower": "x", "op": "?"}, {"lower": "x", "op": "?"}, {"lower": "x", "op": "*"}, {"lower": "cp"}
+            ]}
+        ])
+        s = raw_sent("x " * 20 + "cp")
+        assert compiled_find_all(pats, s) == brute_force_find_all(pats, s) == [(8, 21, "DOSE", "xs")]
+        for state in pats._states.values():
+            assert len(set(state.nodes)) == len(state.nodes) <= 3
+        assert pats._transitions <= 30
+
     def test_two_sets_never_share_states(self):
         sentences = corpus_sentences(0.0)
         first, second = parse_patterns(shipped_data()), parse_patterns(shipped_data())
@@ -715,6 +754,23 @@ class TestPatternFile:
     def test_lower_word_that_no_token_can_equal_rejected(self, word):
         with pytest.raises(PatternError, match="never matches"):
             parse_patterns([{"id": "a", "label": "FREQUENCY", "specs": [{"lower": ["soir", word]}]}])
+
+    def test_pattern_of_max_specs_loads(self):
+        specs = [{"like_num": True, "op": "*"}] * MAX_SPECS
+        pats = parse_patterns([{"id": "long", "label": "DOSE", "specs": specs}])
+        assert MAX_SPECS == 16 and len(pats.patterns[0].specs) == 16
+        assert [sp.text for sp in find_all(pats, raw_sent("1 2 3 cp 4"))] == ["1 2 3", "4"]
+
+    def test_pattern_over_max_specs_rejected(self):
+        specs = [{"like_num": True, "op": "*"}] * (MAX_SPECS + 1)
+        with pytest.raises(PatternError, match="'too-long' has 17 specs"):
+            parse_patterns([
+                {"id": "ok", "label": "DOSE", "specs": specs[:1]},
+                {"id": "too-long", "label": "DOSE", "specs": specs},
+            ])
+        spec = TokenSpec(like_num=True)
+        with pytest.raises(PatternError, match="'direct' has 17 specs"):
+            PatternSet([TokenPattern("direct", "DOSE", (spec,) * 17)])
 
     def test_op_defaults_to_one(self):
         p = parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"like_num": True}]}]).patterns[0]
