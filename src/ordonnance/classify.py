@@ -10,8 +10,17 @@ The model keeps only the weight columns of the hashed ids that training
 features touched: no other column of the (labels, hash_dim) space ever
 moves from zero. Training runs in that compact column space with numpy
 alone, summing each logit and each gradient column with ``np.bincount`` in
-row order. ``predict`` gathers the rows of a line's known ids and takes one
-dot product.
+row order. Scoring sums the same way: the lines of a batch are looked up in
+the model's ids in one ``searchsorted``, each label's logits are one
+``np.bincount`` over the batch's terms in row order, and one softmax runs
+over the (lines, labels) block. A line's scores therefore depend neither on
+the BLAS build nor on the other lines of its batch; a lone line is a batch
+of one.
+
+``predict`` stays a per-line call, because ``perfbench`` times this layer
+by wrapping ``pipeline.predict`` once per line. A document's lines share a
+``LineBatch``: the first ``predict`` on it scores them all, inside that
+call's span, and later calls look their line up.
 
 ``featurize`` hashes a batch of lines (a document, a training corpus) at
 once and returns three flat arrays ``(line, ids, values)``, sorted by line
@@ -31,7 +40,8 @@ round-trips bit-exactly. The dense format of earlier releases (magic
 ``ordonnance-classifier``) is refused with ``SchemaError``; retrain to get a
 current model. ``load_model`` is where a model file is checked: it compares
 the header's version with ``FEATURE_VERSION`` once and refuses a stale model
-with ``VersionMismatch``, so ``predict`` checks nothing at run time.
+with ``VersionMismatch``, and it refuses non-finite weights or bias with
+``SchemaError``, so ``predict`` checks nothing at run time.
 """
 
 from __future__ import annotations
@@ -262,37 +272,57 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
 
     model = ClassifierModel(config=feats, labels=labels, ids=ids, weights=np.ascontiguousarray(weights.T), bias=bias)
     if holdout_idx:
-        correct = sum(
-            1 for i in holdout_idx if predict(model, corpus[i][0]).label == corpus[i][1]
-        )
+        classes = _score(model, [corpus[i][0] for i in holdout_idx])
+        correct = sum(1 for i, c in zip(holdout_idx, classes) if c.label == corpus[i][1])
         model.holdout_accuracy = correct / len(holdout_idx)
     return model
 
 
-def predict(
-    model: ClassifierModel,
-    sentence: Sentence | str,
-    features: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SentenceClass:
+class LineBatch:
+    """The lines of one document, scored together by the first ``predict`` on any of them."""
+
+    __slots__ = ("sentences", "_classes")
+
+    def __init__(self, sentences: Sequence[Sentence]):
+        self.sentences = sentences
+        self._classes: dict[int, SentenceClass] | None = None  # by id() of the sentence
+
+
+def predict(model: ClassifierModel, sentence: Sentence | str, batch: LineBatch | None = None) -> SentenceClass:
     """Class scores for one sentence; a valid probability simplex always.
 
-    ``features`` is the sentence's ``(ids, values)`` slice of a batch
-    ``featurize`` of its document; without it the sentence is featurized
-    alone, with the same result bit for bit.
+    ``batch`` is the sentence's document: the first call on it scores every
+    line of the batch, later calls return their own line's result. Without
+    it the sentence is scored as a batch of one, with the same result bit
+    for bit.
     """
-    if features is None:
-        _, keys, values = featurize((sentence,), model.config)
-    else:
-        keys, values = features
-    logits = model.bias
+    if batch is None:
+        return _score(model, (sentence,))[0]
+    if batch._classes is None:
+        batch._classes = dict(zip(map(id, batch.sentences), _score(model, batch.sentences)))
+    return batch._classes[id(sentence)]
+
+
+def _score(model: ClassifierModel, lines: Sequence[Sentence | str]) -> list[SentenceClass]:
+    """Each line's class scores: one featurize, one id lookup, a bincount per label, one softmax."""
+    line, keys, values = featurize(lines, model.config)
+    n = len(lines)
+    logits = np.zeros((n, len(model.labels)))
     if len(model.ids):
-        # A key the model lacks would add +0.0 to every logit: drop it.
         rows = model.ids.searchsorted(keys)
-        known = model.ids.take(rows, mode="clip") == keys
-        logits = values[known] @ model.weights[rows[known]] + logits
-    probs = _softmax(logits)
-    best = int(np.argmax(probs))
-    return SentenceClass(label=model.labels[best], scores=dict(zip(model.labels, probs.tolist())))
+        # A key the model lacks has weight zero: with the finite weights
+        # load_model admits, its terms are +-0.0, which leave a bincount sum
+        # (never -0.0) exactly as it was.
+        values = values * (model.ids.take(rows, mode="clip") == keys)
+        terms = model.weights.take(rows, axis=0, mode="clip") * values[:, None]
+        for k in range(len(model.labels)):
+            logits[:, k] = np.bincount(line, terms[:, k], minlength=n)
+    probs = _softmax(logits + model.bias)
+    labels = model.labels
+    return [
+        SentenceClass(label=labels[best], scores=dict(zip(labels, p)))
+        for best, p in zip(probs.argmax(axis=1).tolist(), probs.tolist())
+    ]
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -350,6 +380,8 @@ def load_model(path) -> ClassifierModel:
     if n_cols and (ids[0] < 0 or ids[-1] >= config.hash_dim or not np.all(ids[1:] > ids[:-1])):
         raise SchemaError(f"{path}: model ids must be strictly increasing in [0, hash_dim)")
     flat = np.frombuffer(blob, dtype="<f8", offset=n_cols * 8).astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise SchemaError(f"{path}: model weights and bias must be finite numbers")
     return ClassifierModel(
         config=config,
         labels=labels,

@@ -5,21 +5,20 @@ geometric link -> record. Also provides the sentence-level annotation used
 by the evaluation harness, with predicted spans projected back into the raw
 text's character space so they are directly comparable to gold spans.
 
-A document's sentences are featurized in one ``classify.featurize`` call;
-``predict`` then runs once per line on that line's slice of the arrays.
-Both are looked up at call time (``featurize`` through its module), so
-wrappers installed on ``classify.featurize`` or on this module's
-``predict`` see every call.
+``predict`` runs once per line. A document's lines share one
+``classify.LineBatch``, so the first line's ``predict`` featurizes and
+scores the whole document in one pass and the others look their result
+up; bare text is a batch of one. ``predict`` and ``classify.featurize``
+are looked up at call time (``featurize`` through its module), so wrappers
+installed on ``classify.featurize`` or on this module's ``predict`` see
+every call, and the scoring happens inside a ``predict`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import classify
-from .classify import ClassifierModel, predict
+from .classify import ClassifierModel, LineBatch, predict
 from .druglink import (
     DEFAULT_THRESHOLD,
     DrugLexicon,
@@ -59,18 +58,16 @@ class Runtime:
             raise ValueError(f"threshold must be a number in [0, 1], got {t!r}")
 
 
-def classify_sentence(
-    sentence: Sentence, runtime: Runtime, features: tuple[np.ndarray, np.ndarray] | None = None
-) -> ClassifiedLine:
+def classify_sentence(sentence: Sentence, runtime: Runtime, batch: LineBatch | None = None) -> ClassifiedLine:
     """Classify one line and run drug linking or posology extraction on it.
 
-    ``features`` is the line's ``(ids, values)`` from a batch featurize; the
-    line is featurized alone without it. A DRUG line that links carries its
-    mention; when posology follows the name on the same line (a combined
-    line), the remainder's extraction is kept if it found entities. A
-    POSOLOGY line carries its extraction.
+    ``batch`` holds the line among the other lines of its document (see
+    ``classify.predict``); the line is scored alone without it. A DRUG line
+    that links carries its mention; when posology follows the name on the
+    same line (a combined line), the remainder's extraction is kept if it
+    found entities. A POSOLOGY line carries its extraction.
     """
-    label = predict(runtime.model, sentence, features).label
+    label = predict(runtime.model, sentence, batch).label
     mention = None
     extraction = None
     if label == "DRUG":
@@ -127,12 +124,8 @@ def classify_lines(doc: OcrDocument, runtime: Runtime) -> list[ClassifiedLine]:
         sentence = make_sentence(line, runtime.stopwords)
         if sentence is not None:  # None: single-character OCR debris
             sentences.append(sentence)
-    rows, ids, values = classify.featurize(sentences, runtime.model.config)
-    bounds = rows.searchsorted(np.arange(len(sentences) + 1)).tolist()
-    classified = [
-        classify_sentence(sentence, runtime, (ids[a:b], values[a:b]))
-        for sentence, a, b in zip(sentences, bounds, bounds[1:])
-    ]
+    batch = LineBatch(sentences)
+    classified = [classify_sentence(sentence, runtime, batch) for sentence in sentences]
 
     for i in range(1, len(classified)):
         cur, prev = classified[i], classified[i - 1]

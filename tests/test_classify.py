@@ -5,12 +5,15 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordonnance.classify import (
     CLASS_LABELS,
     LR_DECAY,
     ClassifierModel,
     FeatureConfig,
+    LineBatch,
     SentenceClass,
     TrainConfig,
     featurize,
@@ -360,10 +363,19 @@ class TestTrainedPredictions:
         assert trained_model.holdout_accuracy >= 0.93
 
     def test_document_features_give_the_same_scores_bit_for_bit(self, trained_model, noisy_sentences):
-        line, ids, values = featurize(noisy_sentences, trained_model.config)
-        bounds = line.searchsorted(np.arange(len(noisy_sentences) + 1)).tolist()
-        for s, a, b in zip(noisy_sentences, bounds, bounds[1:]):
-            assert predict(trained_model, s, (ids[a:b], values[a:b])) == predict(trained_model, s)
+        batch = LineBatch(noisy_sentences)
+        for s in noisy_sentences:
+            assert predict(trained_model, s, batch) == predict(trained_model, s)
+
+    @given(st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_a_line_scores_the_same_in_any_batch(self, trained_model, noisy_sentences, data):
+        # unique indices in drawn order: any subset, in any permutation
+        picked = data.draw(st.lists(st.integers(0, len(noisy_sentences) - 1), min_size=1, max_size=40, unique=True))
+        lines = [noisy_sentences[i] for i in picked]
+        batch = LineBatch(lines)
+        for s in reversed(lines):  # the first call on the batch scores it, whichever line asks
+            assert predict(trained_model, s, batch) == predict(trained_model, s)
 
     def test_gathered_dot_product_matches_the_dense_oracle(self, trained_model, noisy_sentences):
         for s in noisy_sentences:
@@ -384,9 +396,11 @@ def _header(drop=(), **changes) -> dict:
     return header
 
 
-def _model_file(header, ids, n_floats) -> bytes:
+def _model_file(header, ids, floats) -> bytes:
+    """A model file: the header line, the ids, then ``floats`` zeros or the listed floats."""
     ids = np.asarray(ids, dtype="<i8").tobytes()
-    return json.dumps(header).encode("utf-8") + b"\n" + ids + bytes(8 * n_floats)
+    payload = bytes(8 * floats) if isinstance(floats, int) else np.asarray(floats, dtype="<f8").tobytes()
+    return json.dumps(header).encode("utf-8") + b"\n" + ids + payload
 
 
 class TestModelFile:
@@ -428,9 +442,9 @@ class TestModelFile:
         assert model.ids.tolist() == [3, 7] and model.weights.shape == (2, 3) and model.bias.shape == (3,)
 
     # Each row breaks one thing in _HEADER or its payload (the n_cols ids, then
-    # n_floats zeros for the weight block and bias) and names the check that
-    # must reject it. Wherever it can, the rest is sized and valued so that
-    # every other check passes.
+    # n_floats zeros, or the listed floats, for the weight block and bias) and
+    # names the check that must reject it. Wherever it can, the rest is sized
+    # and valued so that every other check passes.
     @pytest.mark.parametrize(
         "header, ids, n_floats, message",
         [
@@ -452,12 +466,14 @@ class TestModelFile:
             (_HEADER, [-1, 3], 9, "strictly increasing"),
             (_HEADER, [3, 16], 9, "strictly increasing"),
             (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 3 * 16 + 3, "dense model file"),
+            (_HEADER, [3, 7], [0.0] * 4 + [math.nan] + [0.0] * 4, "weights and bias must be finite"),
+            (_HEADER, [3, 7], [0.0] * 8 + [-math.inf], "weights and bias must be finite"),
         ],
         ids=["not-an-object", "no-labels", "labels-not-a-list", "labels-empty", "labels-unknown",
              "labels-repeated", "hash-dim-a-string", "hash-dim-zero", "no-n-cols", "n-cols-negative", "ngram-min-zero",
              "ngram-min-above-max",
              "payload-one-float-short", "ids-decreasing", "ids-repeated", "id-negative", "id-at-hash-dim",
-             "earlier-dense-format"],
+             "earlier-dense-format", "weight-nan", "bias-infinite"],
     )
     def test_bad_header_is_a_schema_error(self, tmp_path, header, ids, n_floats, message):
         path = tmp_path / "model.bin"

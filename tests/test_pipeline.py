@@ -174,16 +174,19 @@ class TestClassifyCalls:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"featurize": [], "predict": []}
+        """The calls in order: ("predict", sentence) on entry, ("return", sentence) on exit, ("featurize", lines)."""
+        seen = []
         featurize, predict = classify.featurize, pipeline.predict
 
         def counting_featurize(lines, config):
-            seen["featurize"].append(list(lines))
+            seen.append(("featurize", list(lines)))
             return featurize(lines, config)
 
         def counting_predict(model, sentence, *rest):
-            seen["predict"].append((sentence, *rest))
-            return predict(model, sentence, *rest)
+            seen.append(("predict", sentence))
+            result = predict(model, sentence, *rest)
+            seen.append(("return", sentence))
+            return result
 
         monkeypatch.setattr(classify, "featurize", counting_featurize)
         monkeypatch.setattr(pipeline, "predict", counting_predict)
@@ -191,15 +194,25 @@ class TestClassifyCalls:
 
     def test_a_document_is_featurized_once_and_predicted_per_line(self, runtime, calls):
         lines = classify_lines(_doc(FIXTURE), runtime)
-        (batch,) = calls["featurize"]
-        assert [s.line_id for s in batch] == [ln.line_id for ln in lines]
-        assert [call[0] for call in calls["predict"]] == batch
-        assert all(isinstance(call[1], tuple) for call in calls["predict"])  # the line's slice of the batch
+        sentences = [s for kind, s in calls if kind == "predict"]
+        assert [s.line_id for s in sentences] == [ln.line_id for ln in lines]
+        # The whole document is featurized inside the first line's predict;
+        # every later predict only looks its line up.
+        first, *rest = sentences
+        assert calls[:3] == [("predict", first), ("featurize", sentences), ("return", first)]
+        assert calls[3:] == [event for s in rest for event in (("predict", s), ("return", s))]
+
+    def test_a_document_of_debris_calls_neither(self, runtime, calls):
+        payload = copy.deepcopy(FIXTURE)
+        for ln in payload["lines"]:
+            ln["text"] = "x"
+        assert classify_lines(_doc(payload), runtime) == [] and calls == []
 
     def test_bare_text_featurizes_its_one_line(self, runtime, calls):
         annotate_text("DOLIPRANE 1000 mg", runtime)
-        (call,) = calls["predict"]
-        assert call[1] is None and [len(batch) for batch in calls["featurize"]] == [1]
+        sentence = calls[0][1]
+        assert sentence.match_text == "doliprane 1000 mg"
+        assert calls == [("predict", sentence), ("featurize", [sentence]), ("return", sentence)]
 
     def test_batched_lines_classify_as_each_line_alone(self, runtime):
         doc = _doc(FIXTURE)
