@@ -23,14 +23,16 @@ by wrapping ``pipeline.predict`` once per line. A document's lines share a
 call's span, and later calls look their line up.
 
 ``featurize`` hashes a batch of lines (a document, a training corpus) at
-once and returns three flat arrays ``(line, ids, values)``, sorted by line
-and then by id. CRC-32 is affine over GF(2), so the CRC of a fixed-length
-window is a constant XOR one table entry per byte (``_gram_table``): the
-n-grams of every ASCII line cost one gather and one XOR per n over the
-batch's bytes. Counts come from one ``np.unique``; each line's norm is the
-Python float power ``sum_sq ** 0.5`` (``math.sqrt`` and ``np.sqrt``
-differ from it at some integers), so every value equals the spelled-out
-per-line ``count / norm`` bit for bit.
+once and returns three flat arrays ``(line, ids, values)``, sorted by id
+and then by line, so scoring looks its keys up in ascending order (about
+half the cost of line order) while each line's entries, in increasing id
+order, add up in every ``bincount`` sum as before. CRC-32 is affine over
+GF(2), so the CRC of a fixed-length window is a constant XOR one table
+entry per byte (``_gram_table``): the n-grams of every ASCII line cost one
+gather and one XOR per n over the batch's bytes. Counts come from one
+``np.unique``; each line's norm is the Python float power ``sum_sq **
+0.5`` (``math.sqrt`` and ``np.sqrt`` differ from it at some integers), so
+every value equals the spelled-out per-line ``count / norm`` bit for bit.
 
 Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
 featurizer version, the labels, the feature config, ``n_cols``), then raw
@@ -159,25 +161,25 @@ def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[n
     """Hashed feature vectors of many lines: char n-grams plus word unigrams, L2-normalized.
 
     Returns ``(line, ids, values)``: flat int64, int64 and float64 arrays
-    sorted by line index, then by feature id, so line ``k``'s ids are
-    strictly increasing and a line without features has no entries. The
-    n-gram ``g`` of length n hashes to ``crc32(f"c{n}|{g}".encode()) %
-    hash_dim`` and the word ``w`` to ``crc32(f"w|{w}".encode()) %
-    hash_dim``; no window crosses from one line into the next. The ASCII
-    lines are hashed together as one byte buffer; other lines are encoded
-    gram by gram.
+    sorted by feature id, then by line index, so ``ids`` never decreases,
+    line ``k``'s ids are strictly increasing and a line without features
+    has no entries. The n-gram ``g`` of length n hashes to
+    ``crc32(f"c{n}|{g}".encode()) % hash_dim`` and the word ``w`` to
+    ``crc32(f"w|{w}".encode()) % hash_dim``; no window crosses from one line
+    into the next. The ASCII lines are hashed together as one byte buffer;
+    other lines are encoded gram by gram.
     """
     texts = [s.feature_text if isinstance(s, Sentence) else s for s in lines]
     dim = config.hash_dim
-    stride = min(dim, 1 << 32)  # above every CRC-32 id: line * stride + id is unique
-    one = len(texts) == 1  # a lone line needs no masks and no per-line norms
+    n_lines = len(texts)  # an entry's key is id * n_lines + line: unique, and in id order
+    one = n_lines == 1  # a lone line needs no masks and no per-line norms
     parts = []
     ascii_rows = [k for k, text in enumerate(texts) if text.isascii()]
     if ascii_rows:
         data = np.frombuffer("".join([texts[k] for k in ascii_rows]).encode("ascii"), dtype=np.uint8)
         if not one:
             lengths = [len(texts[k]) for k in ascii_rows]
-            base = np.repeat(np.array(ascii_rows, dtype=np.int64) * stride, lengths)
+            rows = np.repeat(np.array(ascii_rows, dtype=np.int64), lengths)
             left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))  # bytes to the line's end
         for n in range(1, min(NGRAM_MAX, len(data)) + 1):
             gathered = _gram_table(n).take(data[: len(data) - n + 1])
@@ -187,19 +189,18 @@ def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[n
                     parts.append(crcs % dim)
                 else:
                     inside = left[: len(crcs)] >= n
-                    parts.append(base[: len(crcs)][inside] + crcs[inside] % dim)
+                    parts.append(crcs[inside] % dim * n_lines + rows[: len(crcs)][inside])
     keys = []
     crc32 = zlib.crc32
     word_seed = _seed("w|")
     for k, text in enumerate(texts):
-        row = k * stride
         if not text.isascii():
             for n in range(NGRAM_MIN, min(NGRAM_MAX, len(text)) + 1):
                 seed = _seed(f"c{n}|")
                 for i in range(len(text) - n + 1):
-                    keys.append(row + crc32(text[i : i + n].encode("utf-8"), seed) % dim)
+                    keys.append(crc32(text[i : i + n].encode("utf-8"), seed) % dim * n_lines + k)
         for word in text.split():
-            keys.append(row + crc32(word.encode("utf-8"), word_seed) % dim)
+            keys.append(crc32(word.encode("utf-8"), word_seed) % dim * n_lines + k)
     parts.append(np.array(keys, dtype=np.int64))
     unique, counts = np.unique(np.concatenate(parts), return_counts=True)
     if one:
@@ -207,8 +208,8 @@ def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[n
         ids = unique
         norm = float(counts @ counts) ** 0.5
     else:
-        line, ids = np.divmod(unique, stride)
-        sum_sq = np.bincount(line, counts * counts, minlength=len(texts))
+        ids, line = np.divmod(unique, n_lines)
+        sum_sq = np.bincount(line, counts * counts, minlength=n_lines)
         norm = np.array([s**0.5 for s in sum_sq.tolist()])[line]
     return line, ids, counts / norm
 
@@ -246,8 +247,8 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
 
     feats = config.features
     n = len(train_idx)
-    # The nonzeros in row order, each row's keys sorted: the order in which
-    # every logit and every gradient column is summed.
+    # The nonzeros in key order, each row's keys sorted and each key's rows
+    # sorted: the order in which every logit and every gradient column is summed.
     rows, keys, vals = featurize([corpus[i][0] for i in train_idx], feats)
     # Only the columns a feature touches ever move from zero; train just those.
     ids, cols = np.unique(keys, return_inverse=True)

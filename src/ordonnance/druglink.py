@@ -128,7 +128,7 @@ def build_lexicon(path) -> DrugLexicon:
                 raise DuplicateId(f"{path}:{row_no}: duplicate id {drug_id!r}")
             seen.add(drug_id)
             norm = normalize_text(name).text
-            tokens = tuple(t.text for t in tokenize(norm))
+            tokens = tokenize(norm)[0]
             if not tokens:
                 raise FileError(f"{path}:{row_no}: name normalizes to nothing")
             entries.append(LexiconEntry(drug_id=drug_id, name=name, norm_name=norm, norm_tokens=tokens))
@@ -178,16 +178,12 @@ def mention_token_window(sentence: Sentence, mention: DrugMention) -> tuple[int,
     """Token range [start, end) the mention's name occupies in the sentence.
 
     ``surface_text`` is the ``match_text`` slice from the trigger token's
-    start to the end of the window's last token, so the window ends at the
-    last token that ends within it.
+    start to the end of the window's last token, and only whitespace lies
+    between two tokens, so the window ends before the first token that
+    starts at or after the slice's end.
     """
-    tokens = sentence.tokens
     start = mention.trigger_token_index
-    stop = tokens[start].start + len(mention.surface_text)
-    end = start + 1
-    while end < len(tokens) and tokens[end].end <= stop:
-        end += 1
-    return start, end
+    return start, bisect_left(sentence.starts, sentence.starts[start] + len(mention.surface_text), start + 1)
 
 
 def detect_drug(
@@ -207,6 +203,7 @@ def detect_drug(
     threshold can only turn a mention into None, never change its identity.
     """
     tokens = sentence.tokens
+    char_span = sentence.char_span
     match_text = sentence.match_text
     best: tuple[float, int, int, str] | None = None  # (score, -trigger, len(norm_name), drug_id)
     best_entry: LexiconEntry | None = None
@@ -215,11 +212,11 @@ def detect_drug(
     for trigger in range(min(3, n)):
         if best is not None and best[0] == 1.0:
             break  # a later trigger can neither beat nor tie a full match
-        start = tokens[trigger].start
-        for idx in _candidate_indices(lexicon, tokens[trigger].text):
+        start = sentence.starts[trigger]
+        for idx in _candidate_indices(lexicon, tokens[trigger]):
             entry = lexicon.entries[idx]
             name = entry.norm_name
-            stop = tokens[min(trigger + len(entry.norm_tokens), n) - 1].end
+            stop = char_span(trigger, min(trigger + len(entry.norm_tokens), n))[1]
             la, lb = len(name), stop - start
             floor = threshold if best is None else max(threshold, best[0])
             if 2.0 * min(la, lb) / (la + lb) < floor:
@@ -237,12 +234,12 @@ def detect_drug(
                 best_trigger = trigger
     if best is None or best_entry is None or best[0] < threshold:
         return None
-    end = min(best_trigger + len(best_entry.norm_tokens), n)
+    lo, hi = char_span(best_trigger, min(best_trigger + len(best_entry.norm_tokens), n))
     return DrugMention(
         line_id=sentence.line_id,
         drug_id=best_entry.drug_id,
         lexicon_name=best_entry.name,
-        surface_text=sentence.match_text[tokens[best_trigger].start : tokens[end - 1].end],
+        surface_text=match_text[lo:hi],
         score=best[0],
         trigger_token_index=best_trigger,
     )
@@ -253,26 +250,19 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
 
     Combined lines carry the drug name first and the posology after it; the
     remainder keeps the line's geometry so downstream linking still works.
-    The remainder may be empty (no tokens). Its ``feature_text`` is empty:
-    a remainder goes to posology extraction and is never classified.
+    The remainder may be empty (no tokens); else its tokens are the line's
+    after the window, their starts shifted to its own ``match_text``. Its
+    ``feature_text`` is empty: a remainder goes to posology extraction and is
+    never classified.
     """
     _, end = mention_token_window(sentence, mention)
-    tokens = sentence.tokens
-    if end >= len(tokens):
-        return Sentence(
-            line_id=sentence.line_id,
-            match_text="",
-            feature_text="",
-            tokens=(),
-            bbox=sentence.bbox,
-            page=sentence.page,
-        )
-    base = tokens[end].start
+    base = sentence.starts[end] if end < len(sentence.tokens) else len(sentence.match_text)
     return Sentence(
         line_id=sentence.line_id,
         match_text=sentence.match_text[base:],
         feature_text="",
-        tokens=tuple(t._replace(start=t.start - base, end=t.end - base) for t in tokens[end:]),
+        tokens=sentence.tokens[end:],
+        starts=tuple([start - base for start in sentence.starts[end:]]),
         bbox=sentence.bbox,
         page=sentence.page,
         origins=sentence.origins[base:],
@@ -292,4 +282,4 @@ def starts_with_equivalence_marker(sentence: Sentence) -> bool:
     Prescriptions often list a substitute drug on the next line introduced by
     such a marker; only the first of the pair should be kept.
     """
-    return bool(sentence.tokens) and sentence.tokens[0].text in default_equivalence_markers()
+    return bool(sentence.tokens) and sentence.tokens[0] in default_equivalence_markers()

@@ -32,9 +32,10 @@ one token sequence leads to, the start state being the root alone; it
 carries the patterns its nodes accept and a dict from token text to the
 next state (None when no node is reached). Whether a spec holds depends on
 the token text alone, so a transition holds for every sentence. A miss
-tests each edge of the state's nodes once on the text, interns the children
-reached and stores the transition; a warm walk follows one transition per
-token and makes no edge test. A pattern keeps its longest match per start.
+runs each distinct test on the state's edges once on the text, interns the
+children reached and stores the transition; a warm walk follows one
+transition per token and makes no edge test. A pattern keeps its longest
+match per start.
 
 The cache belongs to the PatternSet and grows as new token texts arrive.
 As in RE2 it is bounded: once MAX_TRANSITIONS transitions are stored, the
@@ -46,7 +47,7 @@ change a match, as a transition depends only on its state's nodes and text.
 
 A pattern holds at most MAX_SPECS specs (the shipped ones at most 6): a run
 of optional specs folds each closure into the nodes before it, so a chain's
-edges grow with the square of its length, and a miss tests them all.
+edges grow with the square of its length, and a miss walks them all.
 
 Pattern file format (JSON list)::
 
@@ -229,8 +230,11 @@ class PatternSet:
         The transition depends on nothing but the state's nodes and the text,
         so it also holds for a state that a flush dropped mid-walk.
         """
-        # two nodes may share a child, so each child reached is kept once, in order
-        nodes = tuple(dict.fromkeys([child for node in state.nodes for test, child in node.edges if test(text)]))
+        # A run of one quantified spec repeats its test in every folded closure,
+        # so each distinct test runs once. Two nodes may share a child, so each
+        # child reached is kept once, in order.
+        held = {test for test in dict.fromkeys(t for node in state.nodes for t, _ in node.edges) if test(text)}
+        nodes = tuple(dict.fromkeys([child for node in state.nodes for test, child in node.edges if test in held]))
         if self._transitions >= MAX_TRANSITIONS:
             self._flush()
         nxt = None
@@ -247,8 +251,7 @@ def _is_token_lower(word: str) -> bool:
     """True iff some token's text can equal ``word``: it is normalized and one whole token."""
     if normalize_text(word).text != word:
         return False
-    tokens = tokenize(word)
-    return len(tokens) == 1 and tokens[0].text == word
+    return tokenize(word)[0] == (word,)
 
 
 def _parse_spec(obj: dict, where: str) -> TokenSpec:
@@ -358,8 +361,7 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
     earliest start, then the lexically smallest pattern id). Spans of
     different labels may overlap freely.
     """
-    tokens = sentence.tokens
-    texts = [token.text for token in tokens]
+    texts = sentence.tokens
     n = len(texts)
     found: list[tuple[int, int, TokenPattern]] = []
     last: dict[str, int] = {}  # pattern id -> index in found of its last match
@@ -388,13 +390,14 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
         if any(used[start:end]):
             continue
         used[start:end] = b"\x01" * (end - start)
+        lo, hi = sentence.char_span(start, end)
         kept.append(
             MatchSpan(
                 pattern_id=pattern.pattern_id,
                 label=pattern.label,
                 start_token=start,
                 end_token=end,
-                text=sentence.match_text[tokens[start].start : tokens[end - 1].end],
+                text=sentence.match_text[lo:hi],
             )
         )
     kept.sort(key=lambda s: (s.start_token, s.end_token, s.label, s.pattern_id))

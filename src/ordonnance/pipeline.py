@@ -96,14 +96,13 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
     if sentence is None:
         return []
     line = classify_sentence(sentence, runtime)
-    tokens = sentence.tokens
     spans: list[Span] = []
     base = 0  # offset of the extraction's text in the sentence's match_text
     if line.mention is not None:
         w0, w1 = mention_token_window(sentence, line.mention)
-        spans.append(("DRUG", tokens[w0].start, tokens[w1 - 1].end))
+        spans.append(("DRUG", *sentence.char_span(w0, w1)))
         if line.extraction is not None:
-            base = tokens[w1].start
+            base = sentence.starts[w1]
     if line.extraction is not None:
         spans.extend(
             (e.kind, base + e.char_start, base + e.char_end) for e in line.extraction.entities

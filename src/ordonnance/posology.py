@@ -37,16 +37,10 @@ def extract_posology(sentence: Sentence, patterns: PatternSet) -> PosologyExtrac
     """
     spans = find_all(patterns, sentence)
     entities = tuple(
-        PosologyEntity(
-            kind=s.label,
-            text=s.text,
-            char_start=sentence.tokens[s.start_token].start,
-            char_end=sentence.tokens[s.end_token - 1].end,
-        )
-        for s in spans
+        PosologyEntity(s.label, s.text, *sentence.char_span(s.start_token, s.end_token)) for s in spans
     )
     covered = set()
     for s in spans:
         covered.update(range(s.start_token, s.end_token))
-    residual = " ".join(t.text for i, t in enumerate(sentence.tokens) if i not in covered)
+    residual = " ".join(t for i, t in enumerate(sentence.tokens) if i not in covered)
     return PosologyExtraction(line_id=sentence.line_id, entities=entities, residual_text=residual)

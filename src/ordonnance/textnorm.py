@@ -21,9 +21,10 @@ Regex ``\\s`` equals ``str.isspace()`` at every code point, so whitespace
 splits the same way in both functions. The tests keep the earlier
 four-pass normalizer and chunk tokenizer as oracles.
 
-A token is its text and its span: what a pattern spec tests on it is worked
-out from the text by the pattern engine. Normalized text is its own lower
-case at every code point.
+A token is its text and its span: a ``Sentence`` holds the texts and their
+starts as two flat tuples, and ``Sentence.char_span`` adds a text's length.
+What a pattern spec tests on it is worked out from the text by the pattern
+engine. Normalized text is its own lower case at every code point.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import read_utf8
 from .ocr import BoundingBox, OcrLine
@@ -53,26 +53,23 @@ _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 _NUMBER_GAP_RE = re.compile(r"(?<=[0-9])(?: ?([.,]) ?| )(?=[0-9])")
 
 
-class Token(NamedTuple):
-    """One token of normalized text and its [start, end) span; immutable and hashed by value."""
-
-    text: str
-    start: int
-    end: int
-
-
 @dataclass(frozen=True)
 class Sentence:
-    """A normalized OCR line ready for classification and matching."""
+    """A normalized OCR line ready for classification and matching: its token texts and their starts."""
 
     line_id: str
     match_text: str
     feature_text: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
+    starts: tuple[int, ...]  # each token's offset in match_text
     bbox: BoundingBox
     page: int
     # raw-text index of each match_text character (see NormalizedText)
     origins: tuple[int, ...] = ()
+
+    def char_span(self, start: int, end: int) -> tuple[int, int]:
+        """The [start, end) character span in ``match_text`` of the tokens ``start`` to ``end - 1``."""
+        return self.starts[start], self.starts[end - 1] + len(self.tokens[end - 1])
 
 
 @dataclass(frozen=True)
@@ -155,13 +152,22 @@ def normalize_text(raw: str) -> NormalizedText:
     return NormalizedText("".join(out), tuple(out_origins))
 
 
-def tokenize(s: str) -> list[Token]:
-    """Split normalized text into tokens.
+def tokenize(s: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Split normalized text into tokens: their texts and their start offsets.
 
     Whitespace separates chunks; punctuation (.,;:()/ ) is split off except
-    for "." and "/" between digits, so "1.5" and "1/2" stay whole.
+    for "." and "/" between digits, so "1.5" and "1/2" stay whole. Only
+    whitespace lies between two tokens, so each starts where its text is
+    first found from the previous token's end.
     """
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(s)]
+    texts = tuple(_TOKEN_RE.findall(s))
+    starts = []
+    at = 0  # the previous token's end
+    for text in texts:
+        at = s.find(text, at)
+        starts.append(at)
+        at += len(text)
+    return texts, tuple(starts)
 
 
 def read_word_list(text: str) -> frozenset[str]:
@@ -182,17 +188,18 @@ def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sen
     than two characters; such fragments are OCR debris.
     """
     norm = normalize_text(line.raw_text)
-    tokens = tokenize(norm.text)
+    tokens, starts = tokenize(norm.text)
     if not tokens:
         return None
-    if len(tokens) == 1 and len(tokens[0].text) < 2:
+    if len(tokens) == 1 and len(tokens[0]) < 2:
         return None
-    feature_text = " ".join(t.text for t in tokens if t.text not in stopwords)
+    feature_text = " ".join(t for t in tokens if t not in stopwords)
     return Sentence(
         line_id=line.line_id,
         match_text=norm.text,
         feature_text=feature_text,
-        tokens=tuple(tokens),
+        tokens=tokens,
+        starts=starts,
         bbox=line.bbox,
         page=line.page,
         origins=norm.origins,

@@ -139,11 +139,15 @@ def noisy_sentences(stopwords):
 
 
 def split_lines(n_lines, line, ids, values):
-    """The batch arrays cut into one (ids, values) list pair per line, after checking their order."""
+    """The batch arrays cut into one (ids, values) list pair per line, after checking their order.
+
+    The entries come sorted by id, then by line: ids ascending, and within
+    one id the lines strictly ascending.
+    """
     assert line.dtype == ids.dtype == np.int64 and values.dtype == np.float64
     assert len(line) == len(ids) == len(values)
-    keys = line.tolist()
-    assert keys == sorted(keys) and all(0 <= k < n_lines for k in keys)
+    keys = list(zip(ids.tolist(), line.tolist()))
+    assert all(a < b for a, b in zip(keys, keys[1:])) and all(0 <= k < n_lines for _, k in keys)
     out = []
     for k in range(n_lines):
         mine = line == k

@@ -36,11 +36,13 @@ def sent(text):
 
 def raw_sent(text):
     """Sentence over the exact token stream of ``text``, no normalization."""
+    tokens, starts = tokenize(text)
     return Sentence(
         line_id="raw",
         match_text=text,
         feature_text=text,
-        tokens=tuple(tokenize(text)),
+        tokens=tokens,
+        starts=starts,
         bbox=BoundingBox(0.0, 0.0, 1.0, 0.02),
         page=1,
     )
@@ -54,7 +56,7 @@ class TestMatchToken:
     """``match_token`` on a token's text; it alone works out ``is_digit`` and ``like_num``."""
 
     def tok(self, text):
-        return sent(text).tokens[0].text
+        return sent(text).tokens[0]
 
     def test_lower_set_membership(self):
         p = pattern("x", "DOSE", {"lower": ["cp", "comprime"]})
@@ -83,7 +85,7 @@ class TestMatchToken:
 
     def test_is_digit_implies_like_num(self):
         is_digit, like_num = pattern("x", "DOSE", {"is_digit": True}, {"like_num": True}).specs
-        texts = [t.text for t in tokenize("12 0.5 1/2 abc a1 12/04/2021")]
+        texts, _ = tokenize("12 0.5 1/2 abc a1 12/04/2021")
         assert any(match_token(is_digit, text) for text in texts)
         for text in texts:
             if match_token(is_digit, text):
@@ -174,7 +176,7 @@ def brute_force_reach(p: TokenPattern, sentence, start: int) -> set[int]:
         for k in range(lo, hi + 1):
             if pos + k > len(tokens):
                 break
-            if not all(match_token(p.specs[si], tokens[pos + x].text) for x in range(k)):
+            if not all(match_token(p.specs[si], tokens[pos + x]) for x in range(k)):
                 break  # a longer run cannot match if this prefix does not
             out |= ends(si + 1, pos + k)
         return out
@@ -322,7 +324,7 @@ class TestCompiledMatcher:
                 kinds["lower"] += 1
         # every shipped spec is a bare regex or lower words alone
         assert sum(kinds.values()) == len(pats.specs) and kinds["lower"] > 0, kinds
-        texts = {t.text for s in corpus_sentences(0.1) for t in s.tokens}
+        texts = {t for s in corpus_sentences(0.1) for t in s.tokens}
         for spec, test in zip(pats.specs, pats.tests):
             for text in texts:
                 assert bool(test(text)) == match_token(spec, text), (spec, text)
@@ -336,7 +338,7 @@ class TestCompiledMatcher:
         assert len(wildcards) == 1
         (test,) = [pats.tests[sid] for sid in wildcards]
         s = raw_sent("1 x cp 2 cp un si")
-        assert all(test(t.text) for t in s.tokens)
+        assert all(test(t) for t in s.tokens)
         # the "+" wildcard leads "lead", so its test is a root edge as well as a later edge of "gap"
         assert test in {t for t, _ in pats.root.edges}
         assert compiled_find_all(pats, s) == brute_force_find_all(pats, s)
@@ -704,6 +706,31 @@ class TestDfaCache:
         for state in pats._states.values():
             assert len(set(state.nodes)) == len(state.nodes) <= 3
         assert pats._transitions <= 30
+
+    def test_a_miss_runs_each_distinct_test_once(self, monkeypatch):
+        # 16 "like_num*" specs compile to one test, which every folded closure
+        # repeats: a miss walks hundreds of edges but decides the text once
+        calls = []
+        monkeypatch.setattr(
+            "ordonnance.patterns.match_token", lambda spec, text: calls.append(text) or match_token(spec, text)
+        )
+        specs = [{"like_num": True, "op": "*"}] * MAX_SPECS
+        pats = parse_patterns([{"id": "long", "label": "DOSE", "specs": specs}])
+        assert len(pats.tests) == 1
+        per_miss = []  # (calls made, distinct tests on the state's edges)
+        advance = pats._advance
+
+        def counting_advance(state, text):
+            before = len(calls)
+            nxt = advance(state, text)
+            per_miss.append((len(calls) - before, len({test for node in state.nodes for test, _ in node.edges})))
+            return nxt
+
+        monkeypatch.setattr(pats, "_advance", counting_advance)
+        s = raw_sent(" ".join(str(i) for i in range(41)))
+        assert [(sp.start_token, sp.end_token) for sp in find_all(pats, s)] == [(0, 41)]
+        assert len(per_miss) > 800 and all(made == distinct for made, distinct in per_miss)
+        assert len(calls) == sum(distinct for _, distinct in per_miss) <= len(per_miss)
 
     def test_two_sets_never_share_states(self):
         sentences = corpus_sentences(0.0)

@@ -6,8 +6,11 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordonnance import classify, pipeline, textnorm
+from ordonnance.errors import OrdonnanceError
 from ordonnance.linking import dumps_canonical, link, record_to_dict
 from ordonnance.ocr import parse_ocr_document
 from ordonnance.pipeline import Runtime, annotate_text, classify_lines, classify_sentence, extract_document
@@ -31,6 +34,16 @@ GOLDEN = {
 
 def _doc(payload: dict):
     return parse_ocr_document(json.dumps(payload).encode("utf-8"))
+
+
+def _extractions_and_landings(payload: dict, runtime) -> tuple[Counter, Counter]:
+    """How often each posology extraction is produced by a line, and how often it lands in the record."""
+    lines = classify_lines(_doc(payload), runtime)
+    record = link(payload["doc_id"], lines, runtime.link_config)
+    produced = Counter(id(ln.extraction) for ln in lines if ln.extraction is not None)
+    landed = Counter(id(e) for _, extractions in record.drugs for e in extractions)
+    landed.update(id(e) for e in record.orphans)
+    return produced, landed
 
 
 def _with_line_after(after_id: str, line_id: str, text: str, top: float) -> dict:
@@ -101,11 +114,7 @@ class TestGoldenRecord:
     ids=["fixture", "orphan", "combined-line", "equivalent"],
 )
 def test_every_extraction_lands_exactly_once(runtime, payload):
-    lines = classify_lines(_doc(payload), runtime)
-    record = link(payload["doc_id"], lines, runtime.link_config)
-    produced = Counter(id(ln.extraction) for ln in lines if ln.extraction is not None)
-    landed = Counter(id(e) for _, extractions in record.drugs for e in extractions)
-    landed.update(id(e) for e in record.orphans)
+    produced, landed = _extractions_and_landings(payload, runtime)
     assert produced and all(n == 1 for n in produced.values())
     assert landed == produced
 
@@ -118,6 +127,79 @@ def test_lines_with_tied_boxes_give_the_same_record_in_either_payload_order(runt
     assert records[0] == records[1]
     drugs = [d["line_id"] for d in json.loads(records[0])["drugs"]]
     assert drugs.index("drug-5") + 1 == drugs.index("drug-6")
+
+
+# What a scanned line may carry that the fixture's lines do not: NBSP, narrow
+# NBSP, tab, accents and a ligature, case mappings that grow, a combining
+# accent, non-BMP characters, split-off punctuation and digits.
+UNICODE_BITS = st.text(alphabet="\u00a0\u202f\téÈçœßİ\u0301\U0001d7d8\U0001f48a.,;:()/0123", min_size=1, max_size=6)
+
+# Edits that keep a payload valid, and edits that make it invalid.
+VALID_EDITS = ("keep", "unicode", "tie", "top-left", "bottom-right")
+INVALID_EDITS = ("blank", "overflow", "page-out", "same-id")
+
+
+@st.composite
+def payloads(draw, edits=VALID_EDITS):
+    """A payload of the fixture's lines, each kept or edited: unicode text, a tied box, a box at the page bounds."""
+    picks = draw(st.lists(st.integers(0, len(FIXTURE["lines"]) - 1), min_size=1, max_size=15, unique=True))
+    pages = draw(st.integers(1, 2))
+    lines = []
+    for i in picks:
+        line = copy.deepcopy(FIXTURE["lines"][i])
+        line["page"] = draw(st.integers(1, pages))
+        box = line["bbox"]
+        edit = draw(st.sampled_from(edits))
+        if edit == "unicode":
+            at = draw(st.integers(0, len(line["text"])))
+            line["text"] = line["text"][:at] + draw(UNICODE_BITS) + line["text"][at:]
+        elif edit == "tie" and lines:
+            line["bbox"] = dict(draw(st.sampled_from(lines))["bbox"])
+        elif edit == "top-left":
+            box["left"] = box["top"] = 0.0
+        elif edit == "bottom-right":
+            box["left"], box["top"] = 1.0 - box["width"], 1.0 - box["height"]
+        elif edit == "blank":
+            line["text"] = " \u00a0\t"
+        elif edit == "overflow":
+            box["left"] = 1.0 - box["width"] / 2
+        elif edit == "page-out":
+            line["page"] = pages + 1
+        elif edit == "same-id" and lines:
+            line["id"] = lines[-1]["id"]
+        lines.append(line)
+    return {"doc_id": "drawn", "pages": pages, "lines": lines}
+
+
+def _record_bytes(payload: dict, runtime) -> bytes:
+    return dumps_canonical(record_to_dict(extract_document(_doc(payload), runtime)))
+
+
+class TestWholePayloadProperties:
+    """Properties of parse plus extract over payloads drawn from the fixture's lines."""
+
+    @given(payloads(edits=VALID_EDITS + INVALID_EDITS))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_a_record_or_a_typed_error(self, runtime, payload):
+        try:
+            record = _record_bytes(payload, runtime)
+        except OrdonnanceError:
+            return
+        assert json.loads(record)["doc_id"] == "drawn"
+
+    @given(st.data(), payloads())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_a_permutation_and_a_repeat_give_the_same_bytes(self, runtime, data, payload):
+        record = _record_bytes(payload, runtime)
+        assert _record_bytes(payload, runtime) == record
+        shuffled = dict(payload, lines=data.draw(st.permutations(payload["lines"])))
+        assert _record_bytes(shuffled, runtime) == record
+
+    @given(payloads())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_every_extraction_lands_exactly_once(self, runtime, payload):
+        produced, landed = _extractions_and_landings(payload, runtime)
+        assert all(n == 1 for n in produced.values()) and landed == produced
 
 
 def test_far_posology_line_becomes_an_orphan(runtime):

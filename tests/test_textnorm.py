@@ -21,7 +21,6 @@ from ordonnance.errors import FileError
 from ordonnance.ocr import BoundingBox, OcrLine
 from ordonnance.textnorm import (
     NormalizedText,
-    Token,
     load_stopwords,
     make_sentence,
     normalize_text,
@@ -173,18 +172,26 @@ def _split_chunk(chunk, base):
 
 
 def oracle_tokenize(s):
+    """The (text, start, end) triple of every token of s."""
     return [
-        Token(text=text, start=start, end=end)
+        (text, start, end)
         for m in re.finditer(r"\S+", s)
         for text, start, end in _split_chunk(m.group(), m.start())
     ]
 
 
+def triples(s):
+    """tokenize's texts and starts as (text, start, end) triples, after checking their types."""
+    texts, starts = tokenize(s)
+    assert type(texts) is tuple and type(starts) is tuple and len(texts) == len(starts)
+    return [(text, start, start + len(text)) for text, start in zip(texts, starts)]
+
+
 def assert_same_as_oracle(raw):
     norm = normalize_text(raw)
     assert norm == oracle_normalize_text(raw), raw
-    assert tokenize(norm.text) == oracle_tokenize(norm.text), raw
-    assert tokenize(raw) == oracle_tokenize(raw), raw
+    assert triples(norm.text) == oracle_tokenize(norm.text), raw
+    assert triples(raw) == oracle_tokenize(raw), raw
 
 
 class TestAgainstOracles:
@@ -302,43 +309,59 @@ class TestUnifyNumbers:
         assert [c for c in out if c.isdigit()] == [c for c in s if c.isdigit()]
 
 
+# whitespace of several kinds, the split-off punctuation, digits, accented
+# and non-BMP characters: the text tokenize may meet, normalized or not
+TOKEN_TEXT = st.text(
+    alphabet=" \t\u00a0\n.,;:()/0123456789abeéèçœ\U0001d7d8\U0001f48a\U00020000",
+    max_size=40,
+)
+
+
 class TestTokenize:
     def test_basic_split(self):
-        tokens = tokenize("1 cp matin et soir")
-        assert [t.text for t in tokens] == ["1", "cp", "matin", "et", "soir"]
+        texts, _ = tokenize("1 cp matin et soir")
+        assert texts == ("1", "cp", "matin", "et", "soir")
 
     def test_decimal_stays_whole(self):
-        (tok,) = tokenize("1.5")
-        assert tok == ("1.5", 0, 3)
+        assert tokenize("1.5") == (("1.5",), (0,))
 
     def test_fraction_stays_whole(self):
-        (tok,) = tokenize("1/2")
-        assert tok == ("1/2", 0, 3)
+        assert tokenize("1/2") == (("1/2",), (0,))
 
     def test_punctuation_split_off(self):
-        assert [t.text for t in tokenize("(matin)")] == ["(", "matin", ")"]
+        assert tokenize("(matin)") == (("(", "matin", ")"), (0, 1, 6))
 
     def test_offsets_point_into_text(self):
         text = "1 cp, matin"
-        for t in tokenize(text):
-            assert text[t.start : t.end] == t.text
+        for t, start, end in triples(text):
+            assert text[start:end] == t
 
     def test_token_is_immutable_and_hashed_by_value(self):
-        (tok,) = tokenize("12")
-        assert Token._fields == ("text", "start", "end")
-        for name in Token._fields:
-            with pytest.raises(AttributeError):
-                setattr(tok, name, getattr(tok, name))
-        same = Token(text="12", start=0, end=2)
-        assert same == tok and hash(same) == hash(tok) and len({tok, same}) == 1
-        assert same._replace(start=1) != tok
+        # the texts and starts are tuples, so a Sentence built from them is frozen all the way down
+        tokens = tokenize("1 cp")
+        assert tokens == (("1", "cp"), (0, 2)) and hash(tokens) == hash((("1", "cp"), (0, 2)))
+        s = sentence_from_text("1 cp")
+        assert (s.tokens, s.starts) == tokens
+        with pytest.raises(AttributeError):
+            s.starts = (0, 1)
+
+    @given(TOKEN_TEXT)
+    @settings(max_examples=300, derandomize=True)
+    def test_starts_found_from_the_previous_end_equal_the_oracle(self, s):
+        got = triples(s)
+        assert got == oracle_tokenize(s)
+        ends = [0]
+        for t, start, end in got:
+            assert s[start : start + len(t)] == t
+            assert s[ends[-1] : start].isspace() or ends[-1] == start  # only whitespace between two tokens
+            ends.append(end)
+        assert s[ends[-1] :].isspace() or ends[-1] == len(s)
 
     @given(FRENCH)
     @settings(max_examples=200)
     def test_stable_under_rejoin(self, s):
-        norm = normalize_text(s).text
-        tokens = [t.text for t in tokenize(norm)]
-        again = [t.text for t in tokenize(" ".join(tokens))]
+        tokens, _ = tokenize(normalize_text(s).text)
+        again, _ = tokenize(" ".join(tokens))
         assert tokens == again
 
 
@@ -391,4 +414,4 @@ class TestMakeSentence:
 
     def test_tokens_rebuild_match_text_up_to_spaces(self):
         s = sentence_from_text("prendre 1/2 comprimé (matin), à jeûn")
-        assert "".join(t.text for t in s.tokens) == s.match_text.replace(" ", "")
+        assert "".join(s.tokens) == s.match_text.replace(" ", "")
