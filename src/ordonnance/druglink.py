@@ -249,8 +249,8 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
     """Sentence covering the tokens after the matched name window.
 
     Combined lines carry the drug name first and the posology after it; the
-    remainder keeps the line's geometry so downstream linking still works.
-    The remainder may be empty (no tokens); else its tokens are the line's
+    remainder keeps the line's id, so its extraction names its line. The
+    remainder may be empty (no tokens); else its tokens are the line's
     after the window, their starts shifted to its own ``match_text``. Its
     ``feature_text`` is empty: a remainder goes to posology extraction and is
     never classified.
@@ -263,8 +263,6 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
         feature_text="",
         tokens=sentence.tokens[end:],
         starts=tuple([start - base for start in sentence.starts[end:]]),
-        bbox=sentence.bbox,
-        page=sentence.page,
         origins=sentence.origins[base:],
     )
 

@@ -17,10 +17,12 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from .druglink import DrugMention
 from .errors import OrderError
-from .ocr import BoundingBox
+from .ocr import BoundingBox, reading_order_key
 from .posology import PosologyExtraction
 
 _FALLBACK_MEDIAN_HEIGHT = 0.02
@@ -88,12 +90,11 @@ def _horizontal_overlap(a: BoundingBox, b: BoundingBox) -> float:
 
 
 class _Section:
-    __slots__ = ("order", "line", "mention", "extractions", "last_bbox")
+    __slots__ = ("order", "line", "extractions", "last_bbox")
 
-    def __init__(self, order: int, line: ClassifiedLine, mention: DrugMention):
-        self.order = order
+    def __init__(self, order: int, line: ClassifiedLine):
+        self.order = order  # index among the drug sections of its page
         self.line = line
-        self.mention = mention
         self.extractions: list[PosologyExtraction] = []
         self.last_bbox: BoundingBox | None = None  # last assigned posology line
 
@@ -104,15 +105,13 @@ def link(doc_id: str, lines: list[ClassifiedLine], config: LinkConfig = LinkConf
     Every posology extraction lands exactly once: under a drug or in
     ``orphans``. Drug lines whose lexicon link failed are listed in
     ``unmatched_drug_lines``. Input order does not matter; reading order is
-    re-derived from the geometry, with the line id breaking a tie of boxes.
+    re-derived from the geometry with ``ocr.reading_order_key``, the line id
+    breaking a tie of boxes. Drugs are listed in reading order, each with
+    the extractions that land under it.
     """
-    ordered = sorted(lines, key=lambda ln: (ln.page, ln.bbox.top, ln.bbox.left, ln.line_id))
     record = PrescriptionRecord(doc_id=doc_id)
-    all_sections: list[_Section] = []
-
-    pages = sorted({ln.page for ln in ordered})
-    for page in pages:
-        page_lines = [ln for ln in ordered if ln.page == page]
+    for _, group in groupby(sorted(lines, key=reading_order_key), key=attrgetter("page")):
+        page_lines = list(group)
         heights = [ln.bbox.height for ln in page_lines]
         median_h = statistics.median(heights) if len(heights) >= 3 else _FALLBACK_MEDIAN_HEIGHT
 
@@ -122,12 +121,13 @@ def link(doc_id: str, lines: list[ClassifiedLine], config: LinkConfig = LinkConf
                 if ln.mention is None:
                     record.unmatched_drug_lines.append(ln.line_id)
                 else:
-                    section = _Section(len(all_sections) + len(sections), ln, ln.mention)
+                    section = _Section(len(sections), ln)
                     if ln.extraction is not None and ln.extraction.entities:
                         # combined drug+posology line: its remainder belongs to itself
                         section.extractions.append(ln.extraction)
                         section.last_bbox = ln.bbox
                     sections.append(section)
+                    record.drugs.append((ln.mention, section.extractions))
 
         for ln in page_lines:
             if ln.label != "POSOLOGY" or ln.extraction is None:
@@ -138,10 +138,6 @@ def link(doc_id: str, lines: list[ClassifiedLine], config: LinkConfig = LinkConf
             else:
                 target.extractions.append(ln.extraction)
                 target.last_bbox = ln.bbox
-        all_sections.extend(sections)
-
-    for section in all_sections:
-        record.drugs.append((section.mention, section.extractions))
     return record
 
 

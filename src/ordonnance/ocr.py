@@ -83,7 +83,7 @@ class OcrDocument:
 
 
 def reading_order_key(line: OcrLine) -> tuple[int, float, float, str]:
-    """Sort key placing lines in reading order; a total order, as line ids are unique."""
+    """Sort key placing lines, OCR or classified, in reading order; a total order, as line ids are unique."""
     return (line.page, line.bbox.top, line.bbox.left, line.line_id)
 
 

@@ -22,6 +22,7 @@ from .classify import ClassifierModel, LineBatch, predict
 from .druglink import (
     DEFAULT_THRESHOLD,
     DrugLexicon,
+    DrugMention,
     detect_drug,
     mention_token_window,
     split_combined_line,
@@ -30,7 +31,7 @@ from .druglink import (
 from .linking import ClassifiedLine, LinkConfig, PrescriptionRecord, link
 from .ocr import OcrDocument
 from .patterns import PatternSet
-from .posology import extract_posology
+from .posology import PosologyExtraction, extract_posology
 from .textnorm import NormalizedText, Sentence, make_sentence, sentence_from_text
 
 # Not called here. It stays bound because perfbench/spans.py wraps the
@@ -58,14 +59,17 @@ class Runtime:
             raise ValueError(f"threshold must be a number in [0, 1], got {t!r}")
 
 
-def classify_sentence(sentence: Sentence, runtime: Runtime, batch: LineBatch | None = None) -> ClassifiedLine:
+def classify_sentence(
+    sentence: Sentence, runtime: Runtime, batch: LineBatch | None = None
+) -> tuple[str, DrugMention | None, PosologyExtraction | None]:
     """Classify one line and run drug linking or posology extraction on it.
 
-    ``batch`` holds the line among the other lines of its document (see
-    ``classify.predict``); the line is scored alone without it. A DRUG line
-    that links carries its mention; when posology follows the name on the
-    same line (a combined line), the remainder's extraction is kept if it
-    found entities. A POSOLOGY line carries its extraction.
+    Returns the line's ``(label, mention, extraction)``. ``batch`` holds the
+    line among the other lines of its document (see ``classify.predict``);
+    the line is scored alone without it. A DRUG line that links carries its
+    mention; when posology follows the name on the same line (a combined
+    line), the remainder's extraction is kept if it found entities. A
+    POSOLOGY line carries its extraction.
     """
     label = predict(runtime.model, sentence, batch).label
     mention = None
@@ -80,14 +84,7 @@ def classify_sentence(sentence: Sentence, runtime: Runtime, batch: LineBatch | N
                     extraction = combined
     elif label == "POSOLOGY":
         extraction = extract_posology(sentence, runtime.patterns)
-    return ClassifiedLine(
-        line_id=sentence.line_id,
-        page=sentence.page,
-        bbox=sentence.bbox,
-        label=label,
-        mention=mention,
-        extraction=extraction,
-    )
+    return label, mention, extraction
 
 
 def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
@@ -95,18 +92,16 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
     sentence = sentence_from_text(raw_text, runtime.stopwords)
     if sentence is None:
         return []
-    line = classify_sentence(sentence, runtime)
+    _, mention, extraction = classify_sentence(sentence, runtime)
     spans: list[Span] = []
     base = 0  # offset of the extraction's text in the sentence's match_text
-    if line.mention is not None:
-        w0, w1 = mention_token_window(sentence, line.mention)
+    if mention is not None:
+        w0, w1 = mention_token_window(sentence, mention)
         spans.append(("DRUG", *sentence.char_span(w0, w1)))
-        if line.extraction is not None:
+        if extraction is not None:
             base = sentence.starts[w1]
-    if line.extraction is not None:
-        spans.extend(
-            (e.kind, base + e.char_start, base + e.char_end) for e in line.extraction.entities
-        )
+    if extraction is not None:
+        spans.extend((e.kind, base + e.char_start, base + e.char_end) for e in extraction.entities)
     norm = NormalizedText(sentence.match_text, sentence.origins)
     return [(kind, *norm.to_raw_span(start, end)) for kind, start, end in spans]
 
@@ -114,32 +109,37 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
 def classify_lines(doc: OcrDocument, runtime: Runtime) -> list[ClassifiedLine]:
     """Per-line classification and extraction, before geometric linking.
 
-    A linked drug line that opens with an equivalence marker ("ou ...")
-    right below another linked drug line names a substitute, so it becomes
-    EQUIVALENT and only the first drug of the pair is kept.
+    Each line keeps its ``OcrLine``'s id, page and box. A linked drug line
+    that opens with an equivalence marker ("ou ...") right below another
+    linked drug line names a substitute, so it becomes EQUIVALENT, with no
+    mention or extraction, and only the first drug of the pair is kept. The
+    line above is compared as relabelled: an EQUIVALENT line has no mention.
     """
-    sentences: list[Sentence] = []
-    for line in doc.lines:
-        sentence = make_sentence(line, runtime.stopwords)
-        if sentence is not None:  # None: single-character OCR debris
-            sentences.append(sentence)
-    batch = LineBatch(sentences)
-    classified = [classify_sentence(sentence, runtime, batch) for sentence in sentences]
-
-    for i in range(1, len(classified)):
-        cur, prev = classified[i], classified[i - 1]
+    # make_sentence gives None for single-character OCR debris
+    kept = [(line, s) for line in doc.lines if (s := make_sentence(line, runtime.stopwords)) is not None]
+    batch = LineBatch([sentence for _, sentence in kept])
+    classified = []
+    above = None  # the previous line's mention, after relabelling
+    for line, sentence in kept:
+        label, mention, extraction = classify_sentence(sentence, runtime, batch)
         if (
-            cur.mention is not None
-            and prev.mention is not None
-            and cur.mention.drug_id != prev.mention.drug_id
-            and starts_with_equivalence_marker(sentences[i])
+            mention is not None
+            and above is not None
+            and mention.drug_id != above.drug_id
+            and starts_with_equivalence_marker(sentence)
         ):
-            classified[i] = ClassifiedLine(
-                line_id=cur.line_id,
-                page=cur.page,
-                bbox=cur.bbox,
-                label="EQUIVALENT",
+            label, mention, extraction = "EQUIVALENT", None, None
+        classified.append(
+            ClassifiedLine(
+                line_id=line.line_id,
+                page=line.page,
+                bbox=line.bbox,
+                label=label,
+                mention=mention,
+                extraction=extraction,
             )
+        )
+        above = mention
     return classified
 
 

@@ -24,7 +24,8 @@ four-pass normalizer and chunk tokenizer as oracles.
 A token is its text and its span: a ``Sentence`` holds the texts and their
 starts as two flat tuples, and ``Sentence.char_span`` adds a text's length.
 What a pattern spec tests on it is worked out from the text by the pattern
-engine. Normalized text is its own lower case at every code point.
+engine. Normalized text is its own lower case at every code point. A
+``Sentence`` carries no geometry: that stays on the ``OcrLine``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .errors import read_utf8
-from .ocr import BoundingBox, OcrLine
+from .ocr import OcrLine
 
 # A token is a run of characters that are neither whitespace nor punctuation
 # (.,;:()/), where "." and "/" between two digits also count, so decimal
@@ -55,15 +56,13 @@ _NUMBER_GAP_RE = re.compile(r"(?<=[0-9])(?: ?([.,]) ?| )(?=[0-9])")
 
 @dataclass(frozen=True)
 class Sentence:
-    """A normalized OCR line ready for classification and matching: its token texts and their starts."""
+    """A normalized line's text, token texts and token starts, for classification and matching; no geometry."""
 
     line_id: str
     match_text: str
     feature_text: str
     tokens: tuple[str, ...]
     starts: tuple[int, ...]  # each token's offset in match_text
-    bbox: BoundingBox
-    page: int
     # raw-text index of each match_text character (see NormalizedText)
     origins: tuple[int, ...] = ()
 
@@ -181,13 +180,9 @@ def load_stopwords(path) -> frozenset[str]:
     return read_word_list(read_utf8(path))
 
 
-def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sentence | None:
-    """Normalize and tokenize an OCR line.
-
-    Returns None (dropped) when the line reduces to a single token shorter
-    than two characters; such fragments are OCR debris.
-    """
-    norm = normalize_text(line.raw_text)
+def _sentence(line_id: str, raw: str, stopwords: frozenset[str]) -> Sentence | None:
+    """Normalize and tokenize one line's raw text; None for OCR debris (see ``make_sentence``)."""
+    norm = normalize_text(raw)
     tokens, starts = tokenize(norm.text)
     if not tokens:
         return None
@@ -195,20 +190,24 @@ def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sen
         return None
     feature_text = " ".join(t for t in tokens if t not in stopwords)
     return Sentence(
-        line_id=line.line_id,
+        line_id=line_id,
         match_text=norm.text,
         feature_text=feature_text,
         tokens=tokens,
         starts=starts,
-        bbox=line.bbox,
-        page=line.page,
         origins=norm.origins,
     )
 
 
-_TEXT_BOX = BoundingBox(0.0, 0.0, 1.0, 0.02)
+def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sentence | None:
+    """Normalize and tokenize an OCR line's text.
+
+    Returns None (dropped) when the line reduces to a single token shorter
+    than two characters; such fragments are OCR debris.
+    """
+    return _sentence(line.line_id, line.raw_text, stopwords)
 
 
 def sentence_from_text(text: str, stopwords: frozenset[str] = frozenset()) -> Sentence | None:
-    """A Sentence from bare text: line "text" on page 1, with a placeholder box."""
-    return make_sentence(OcrLine(line_id="text", raw_text=text, bbox=_TEXT_BOX, page=1), stopwords)
+    """A Sentence from bare text, with line id "text"; None for debris, as ``make_sentence``."""
+    return _sentence("text", text, stopwords)

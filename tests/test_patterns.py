@@ -26,7 +26,6 @@ from ordonnance.patterns import (
     match_token,
     parse_patterns,
 )
-from ordonnance.ocr import BoundingBox
 from ordonnance.textnorm import Sentence, sentence_from_text, tokenize
 
 
@@ -43,8 +42,6 @@ def raw_sent(text):
         feature_text=text,
         tokens=tokens,
         starts=starts,
-        bbox=BoundingBox(0.0, 0.0, 1.0, 0.02),
-        page=1,
     )
 
 

@@ -46,9 +46,9 @@ def _extractions_and_landings(payload: dict, runtime) -> tuple[Counter, Counter]
     return produced, landed
 
 
-def _with_line_after(after_id: str, line_id: str, text: str, top: float) -> dict:
-    """The fixture with one more line, placed after ``after_id`` in document order."""
-    payload = copy.deepcopy(FIXTURE)
+def _with_line_after(after_id: str, line_id: str, text: str, top: float, base: dict = FIXTURE) -> dict:
+    """``base`` (the fixture by default) with one more line, placed after ``after_id`` in document order."""
+    payload = copy.deepcopy(base)
     lines = payload["lines"]
     i = [ln["id"] for ln in lines].index(after_id)
     new = dict(lines[i], id=line_id, text=text, bbox=dict(lines[i]["bbox"], top=top))
@@ -301,7 +301,7 @@ class TestClassifyCalls:
         alone = [
             classify_sentence(s, runtime) for line in doc.lines if (s := make_sentence(line, runtime.stopwords))
         ]
-        assert classify_lines(doc, runtime) == alone
+        assert [(ln.label, ln.mention, ln.extraction) for ln in classify_lines(doc, runtime)] == alone
 
 
 @pytest.mark.parametrize("threshold", [0, 0.72, 1.0, 1])
@@ -322,3 +322,36 @@ def test_equivalent_drug_line_is_collapsed(runtime):
     assert labels["eq-1"] == "EQUIVALENT"
     record = record_to_dict(extract_document(_doc(payload), runtime))
     assert [d["line_id"] for d in record["drugs"]] == list(GOLDEN)
+
+
+def test_a_substitute_after_an_equivalent_line_is_compared_with_that_line(runtime):
+    # The rule looks at the previous line as relabelled: an EQUIVALENT line
+    # has no mention, so the line below it stays DRUG. Whether a chain of
+    # substitutes should collapse is left open; this pins today's rule.
+    payload = _with_line_after("drug-2", "eq-1", "ou SPASFON 80 mg, comprimé enrobé", 0.30)
+    payload = _with_line_after("drug-2", "eq-2", "ou TAHOR 10 mg, comprimé pelliculé", 0.31, payload)
+    labels = {ln.line_id: ln.label for ln in classify_lines(_doc(payload), runtime)}
+    assert (labels["drug-2"], labels["eq-1"], labels["eq-2"]) == ("DRUG", "EQUIVALENT", "DRUG")
+
+
+def test_each_classified_line_carries_the_geometry_of_its_own_ocr_line(runtime):
+    # Two pages, with a debris line ("x", dropped before classification)
+    # after every line: a join that paired lines by position would shift
+    # a box onto a neighbour.
+    payload = copy.deepcopy(FIXTURE)
+    payload["pages"] = 2
+    lines = []
+    for ln in payload["lines"]:
+        for page in (1, 2):
+            line = dict(ln, id=f"{ln['id']}-p{page}", page=page)
+            below = dict(ln["bbox"], top=ln["bbox"]["top"] + 0.01)
+            lines += [line, dict(line, id=f"x-{line['id']}", text="x", bbox=below)]
+    payload["lines"] = lines
+    doc = _doc(payload)
+    ocr_lines = {ln.line_id: ln for ln in doc.lines}
+    classified = classify_lines(doc, runtime)
+    assert [ln.line_id for ln in classified] == [ln.line_id for ln in doc.lines if ln.raw_text != "x"]
+    assert {ln.page for ln in classified} == {1, 2}
+    for ln in classified:
+        own = ocr_lines[ln.line_id]
+        assert (ln.page, ln.bbox) == (own.page, own.bbox)
