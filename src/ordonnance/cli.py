@@ -364,6 +364,7 @@ def cmd_lexicon_check(lexicon):
         "path": str(path),
         "entries": len(lex.entries),
         "first_token_keys": len(lex.first_token_index),
+        "max_first_token_bucket": max(map(len, lex.first_token_index.values())),
         "max_name_tokens": max(len(e.norm_tokens) for e in lex.entries),
     }
     click.echo(json.dumps(stats, indent=2))

@@ -5,9 +5,10 @@ header, a config file) is decoded by `decode_json`, which turns any failure
 to decode into the caller's typed error. The file loaders read bytes, so
 invalid UTF-8 meets the same rule as a syntax error or an integer literal too
 long to convert. Every plain-text data file (a lexicon, a stopword list) is
-read by `read_utf8`, which refuses invalid UTF-8 as a ``FileError`` naming
-the file and line. A file that cannot be opened is left as the ``OSError``
-that ``open`` raises.
+read by `read_utf8`, which drops one leading byte-order mark, as ``json.loads``
+does for JSON bytes, and refuses invalid UTF-8 as a ``FileError`` naming the
+file and line. A file that cannot be opened is left as the ``OSError`` that
+``open`` raises.
 """
 
 import json
@@ -76,11 +77,15 @@ def decode_json(data: str | bytes, where, error: type[OrdonnanceError]):
 
 
 def read_utf8(path) -> str:
-    """The text of the file at ``path``; FileError naming ``path:line`` when it is not valid UTF-8."""
+    """The text of the file at ``path`` less one leading BOM; FileError naming ``path:line`` when it is not valid UTF-8.
+
+    The BOM is dropped after decoding, so the offset of an invalid byte counts
+    from the start of the file, as the line does.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FileError(f"{path}:{line}: not valid UTF-8: {exc.reason} at byte {exc.start}") from None

@@ -11,10 +11,8 @@ right after each match.
 A PatternSet is compiled once, when it is built. Its specs are deduplicated
 on their constraints (the quantifier is not part of a spec's identity; the
 shipped set's 498 spec instances are 118 distinct specs). Each distinct spec
-is compiled once into one test on a token's text, truthy exactly when
-``match_token`` (the one definition of a spec holding) holds: a bare regex's
-``fullmatch``, a ``lower``-only spec's set membership, a test that always
-holds for a wildcard, else ``match_token`` bound to the spec.
+gets one test on a token's text: ``match_token`` (the one definition of a
+spec holding) bound to the spec.
 
 Every pattern, fixed-length or quantified, compiles to its own chain NFA,
 built backwards from its accept: one node per (spec, repetitions taken), up
@@ -29,13 +27,14 @@ never placed on the root.
 RE2 (Cox, "Regular Expression Matching in the Wild", 2010) over token tests
 instead of bytes. A state is the interned tuple of the distinct nodes that
 one token sequence leads to, the start state being the root alone; it
-carries the patterns its nodes accept and a dict from token text to the
-next state (None when no node is reached). Whether a spec holds depends on
-the token text alone, so a transition holds for every sentence. A miss
-runs each distinct test on the state's edges once on the text, interns the
-children reached and stores the transition; a warm walk follows one
-transition per token and makes no edge test. A pattern keeps its longest
-match per start.
+carries the patterns its nodes accept, its moves, and a dict from token text
+to the next state (None when no node is reached). The moves are built once,
+when the state is interned: each distinct test on its nodes' edges, with the
+children it leads to, each kept once. Whether a spec holds depends on the
+token text alone, so a transition holds for every sentence. A miss runs each
+of the state's tests once on the text, interns the children of those that
+hold and stores the transition; a warm walk follows one transition per token
+and makes no test. A pattern keeps its longest match per start.
 
 The cache belongs to the PatternSet and grows as new token texts arrive.
 As in RE2 it is bounded: once MAX_TRANSITIONS transitions are stored, the
@@ -46,8 +45,8 @@ run starts cold. Threads sharing a set may repeat a miss's work but never
 change a match, as a transition depends only on its state's nodes and text.
 
 A pattern holds at most MAX_SPECS specs (the shipped ones at most 6): a run
-of optional specs folds each closure into the nodes before it, so a chain's
-edges grow with the square of its length, and a miss walks them all.
+of optional specs folds each closure into the nodes before it, so the edges
+that the build makes grow with the square of a chain's length.
 
 Pattern file format (JSON list)::
 
@@ -67,8 +66,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
+from types import MethodType
 from typing import Callable, Iterable
 
 from .errors import PatternError, decode_json
@@ -85,8 +85,8 @@ MAX_SPECS = 16
 
 # Transitions the DFA cache holds before it is flushed whole, as RE2 does.
 # A pass over the 200 rx-typical benchmark documents stores 1,674 of them in
-# 257 states, about 205 KB with their key texts, so the cap bounds the cache
-# near 1.2 MB.
+# 257 states, about 235 KB with their key texts and the states' moves, so the
+# cap bounds the cache near 1.4 MB.
 MAX_TRANSITIONS = 10_000
 
 _OP_BOUNDS = {"1": (1, 1), "?": (0, 1), "+": (1, MAX_REPS), "*": (0, MAX_REPS)}
@@ -127,45 +127,40 @@ class _Node:
     at the cost of its length, not of the chain after it.
     """
 
-    edges: tuple  # (compiled test, child) per spec this node may take a token of next
+    edges: tuple  # (test, child) per spec this node may take a token of next
     accepts: tuple[TokenPattern, ...]  # patterns whose whole sequence may end here
 
 
 class _State:
     """A DFA state: the distinct nodes that one token sequence leads to, interned per PatternSet.
 
-    ``accepts`` holds each pattern its nodes accept once; ``next`` maps a
-    token text to the state after it, None when no node is reached.
+    ``accepts`` holds each pattern its nodes accept once; ``moves`` pairs
+    each distinct test on the nodes' edges with the children it leads to,
+    each kept once; ``next`` maps a token text to the state after it, None
+    when no node is reached.
     """
 
-    __slots__ = ("nodes", "accepts", "next")
+    __slots__ = ("nodes", "accepts", "moves", "next")
 
     def __init__(self, nodes: tuple[_Node, ...]):
         self.nodes = nodes
-        self.accepts = tuple(dict.fromkeys(p for node in nodes for p in node.accepts))
+        # by identity: a pattern's value hash would hash each of its specs
+        self.accepts = tuple({id(p): p for node in nodes for p in node.accepts}.values())
+        # A run of one quantified spec repeats its test in every folded closure,
+        # and two nodes may share a child.
+        moves: dict[Callable[[str], bool], dict[_Node, None]] = {}
+        for node in nodes:
+            for test, child in node.edges:
+                moves.setdefault(test, {})[child] = None
+        self.moves = tuple((test, tuple(children)) for test, children in moves.items())
         self.next: dict[str, _State | None] = {}
-
-
-def _any_text(text: str) -> bool:
-    """The compiled test of a wildcard spec: every token satisfies it."""
-    return True
-
-
-def _compile_test(spec: TokenSpec) -> Callable[[str], object]:
-    """One test on a token's text, truthy exactly when ``match_token`` holds for the spec."""
-    if spec.is_digit is None and spec.like_num is None:
-        if spec.lower is None:
-            return _any_text if spec.regex is None else spec.regex.fullmatch
-        if spec.regex is None:
-            return spec.lower.__contains__
-    return partial(match_token, spec)
 
 
 class PatternSet:
     """Immutable collection of patterns, compiled once.
 
     ``specs`` holds each distinct spec once (the quantifier is not part of a
-    spec's identity), and ``tests`` its compiled test (``_compile_test``).
+    spec's identity), and ``tests`` its test, ``match_token`` bound to it.
     ``root`` is the NFA's start node: its edges enter every pattern's chain.
 
     The set also owns its DFA cache (``_start``, the start state, and
@@ -186,8 +181,8 @@ class PatternSet:
 
         ids: dict[tuple, int] = {}
         specs: list[TokenSpec] = []
-        tests: list[Callable[[str], object]] = []
-        entries: dict[Callable[[str], object], list[_Node]] = {}  # a first spec's test -> the nodes it enters
+        tests: list[Callable[[str], bool]] = []
+        entries: dict[Callable[[str], bool], list[_Node]] = {}  # a first spec's test -> the nodes it enters
         for p in self.patterns:
             edges, accepts = (), (p,)  # what may follow the specs chained so far
             for spec in reversed(p.specs):
@@ -196,7 +191,7 @@ class PatternSet:
                 if sid is None:
                     sid = ids[key] = len(specs)
                     specs.append(spec)
-                    tests.append(_compile_test(spec))
+                    tests.append(MethodType(match_token, spec))
                 test = tests[sid]
                 lo, hi = _OP_BOUNDS[spec.op]
                 node = _Node(edges, accepts)  # after hi repetitions: only what follows
@@ -209,7 +204,7 @@ class PatternSet:
             for test, node in edges:  # a zero-length accept is left out
                 entries.setdefault(test, []).append(node)
         self.specs: tuple[TokenSpec, ...] = tuple(specs)
-        self.tests: tuple[Callable[[str], object], ...] = tuple(tests)
+        self.tests: tuple[Callable[[str], bool], ...] = tuple(tests)
         # the nodes one first spec enters merge into one, their edges and accepts together
         merged = [
             _Node(tuple(e for n in ns for e in n.edges), tuple(a for n in ns for a in n.accepts))
@@ -230,11 +225,8 @@ class PatternSet:
         The transition depends on nothing but the state's nodes and the text,
         so it also holds for a state that a flush dropped mid-walk.
         """
-        # A run of one quantified spec repeats its test in every folded closure,
-        # so each distinct test runs once. Two nodes may share a child, so each
-        # child reached is kept once, in order.
-        held = {test for test in dict.fromkeys(t for node in state.nodes for t, _ in node.edges) if test(text)}
-        nodes = tuple(dict.fromkeys([child for node in state.nodes for test, child in node.edges if test in held]))
+        # each child is entered by one spec's test, so no two moves share one
+        nodes = tuple(child for test, children in state.moves if test(text) for child in children)
         if self._transitions >= MAX_TRANSITIONS:
             self._flush()
         nxt = None
@@ -297,7 +289,7 @@ def _parse_spec(obj: dict, where: str) -> TokenSpec:
         like_num=obj.get("like_num"),
         op=op,
     )
-    if op == "1" and _compile_test(spec) is _any_text:
+    if op == "1" and spec.lower is None and spec.regex is None and spec.is_digit is None and spec.like_num is None:
         # an unconstrained single token is almost always an authoring mistake;
         # wildcards must be opted into with an explicit quantifier
         raise PatternError(f"{where}: unconstrained spec requires an explicit quantifier")

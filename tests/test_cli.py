@@ -454,6 +454,16 @@ def test_unknown_config_keys_are_named(run, tmp_path):
     assert "['drug_gap_factr', 'treshold']" in error["message"]
 
 
+@pytest.mark.parametrize("which, entries, bucket", [("demo", 217, 4), ("big", 9_396, 54)])
+def test_lexicon_check_reports_the_largest_first_token_bucket(big_lexicon_path, which, entries, bucket):
+    # the most names one first token holds, which sets the cost of detect_drug
+    args = ["lexicon-check"] + (["--lexicon", str(big_lexicon_path)] if which == "big" else [])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    stats = json.loads(result.stdout)
+    assert (stats["entries"], stats["max_first_token_bucket"]) == (entries, bucket), stats
+
+
 def test_importing_the_cli_loads_no_scipy():
     src = pathlib.Path(cli.__file__).parents[1]
     code = "import sys, ordonnance.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

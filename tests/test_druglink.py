@@ -1,3 +1,4 @@
+import codecs
 import random
 import re
 import string
@@ -161,6 +162,21 @@ class TestBuildLexicon:
         path = tmp_path / "latin1.csv"
         path.write_bytes("id,name\nA1,DOLIPRANE 500\n\nA2,Paracétamol 1 g\n".encode("latin-1"))
         with pytest.raises(FileError, match=re.escape(f"{path}:4: not valid UTF-8")):
+            build_lexicon(path)
+
+    def test_a_leading_bom_is_dropped(self, tmp_path):
+        text = "id,name\nA1,DOLIPRANE 500\nA2,Paracétamol 1 g\n".encode("utf-8")
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        bom.write_bytes(codecs.BOM_UTF8 + text)
+        assert build_lexicon(bom).entries == build_lexicon(plain).entries
+
+    def test_invalid_utf8_after_a_bom_names_its_own_line_and_byte(self, tmp_path):
+        path = tmp_path / "bom-latin1.csv"
+        data = codecs.BOM_UTF8 + "id,name\nA1,DOLIPRANE 500\nA2,Paracétamol 1 g\n".encode("latin-1")
+        path.write_bytes(data)
+        # the offset counts the BOM, as the line count does
+        with pytest.raises(FileError, match=re.escape(f"{path}:3: not valid UTF-8") + f".* at byte {data.index(0xE9)}$"):
             build_lexicon(path)
 
     def test_crlf_rows_read_as_lf_rows(self, tmp_path):

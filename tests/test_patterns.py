@@ -312,19 +312,20 @@ class TestCompiledMatcher:
         assert len(pats.specs) == 118
 
     def test_each_spec_compiles_to_one_test_on_the_text(self):
+        # one test per distinct spec, and it is the one definition of a spec holding
         pats = default_patterns()
-        kinds = Counter()
+        assert len(pats.tests) == len(pats.specs) == len(set(map(id, pats.tests)))
         for spec, test in zip(pats.specs, pats.tests):
-            if spec.regex is not None and test == spec.regex.fullmatch:
-                kinds["regex"] += 1
-            elif spec.lower is not None and test == spec.lower.__contains__:
-                kinds["lower"] += 1
-        # every shipped spec is a bare regex or lower words alone
-        assert sum(kinds.values()) == len(pats.specs) and kinds["lower"] > 0, kinds
-        texts = {t for s in corpus_sentences(0.1) for t in s.tokens}
-        for spec, test in zip(pats.specs, pats.tests):
-            for text in texts:
-                assert bool(test(text)) == match_token(spec, text), (spec, text)
+            assert test.__func__ is match_token and test.__self__ is spec, (spec, test)
+        # every edge of the NFA carries one of them
+        edge_tests, seen, todo = set(), set(), [pats.root]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                edge_tests.update(id(test) for test, _ in node.edges)
+                todo.extend(child for _, child in node.edges)
+        assert edge_tests == set(map(id, pats.tests))
 
     def test_wildcard_spec_is_decided_by_its_compiled_test(self):
         pats = parse_patterns([
@@ -728,6 +729,33 @@ class TestDfaCache:
         assert [(sp.start_token, sp.end_token) for sp in find_all(pats, s)] == [(0, 41)]
         assert len(per_miss) > 800 and all(made == distinct for made, distinct in per_miss)
         assert len(calls) == sum(distinct for _, distinct in per_miss) <= len(per_miss)
+
+    @staticmethod
+    def assert_moves_group_edges(pats):
+        """Each state's moves list each distinct test on its nodes' edges once, with the children it leads to, each once."""
+        for state in pats._states.values():
+            grouped: dict = {}
+            for node in state.nodes:
+                for test, child in node.edges:
+                    grouped.setdefault(test, []).append(child)
+            assert [test for test, _ in state.moves] == list(grouped)
+            for test, children in state.moves:
+                assert children == tuple(dict.fromkeys(grouped[test]))
+            # a node is entered by one spec's test, so no two moves lead to one child
+            reached = [child for _, children in state.moves for child in children]
+            assert len(set(reached)) == len(reached)
+
+    def test_each_state_groups_its_moves_once(self):
+        pats = parse_patterns(shipped_data())
+        self.matches(pats, corpus_sentences(0.1))
+        assert len(pats._states) > 100
+        self.assert_moves_group_edges(pats)
+        long = parse_patterns([{"id": "long", "label": "DOSE", "specs": [{"like_num": True, "op": "*"}] * MAX_SPECS}])
+        find_all(long, raw_sent(" ".join(str(i) for i in range(20))))
+        # hundreds of folded edges per state, one move
+        assert all(len(state.moves) == 1 for state in long._states.values())
+        assert max(sum(len(node.edges) for node in state.nodes) for state in long._states.values()) > 100
+        self.assert_moves_group_edges(long)
 
     def test_two_sets_never_share_states(self):
         sentences = corpus_sentences(0.0)

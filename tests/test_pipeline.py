@@ -138,17 +138,52 @@ UNICODE_BITS = st.text(alphabet="\u00a0\u202f\téÈçœßİ\u0301\U0001d7d8\U000
 VALID_EDITS = ("keep", "unicode", "tie", "top-left", "bottom-right")
 INVALID_EDITS = ("blank", "overflow", "page-out", "same-id")
 
+# Word boxes a line may carry: none, one per word of its text (what the
+# rx-druglist-noisy payloads carry), words that reassemble the text with a
+# space inside one, and words that do not reassemble it (invalid).
+VALID_WORDS = ("none", "boxes", "joined")
+INVALID_WORDS = ("mismatch",)
+
+# The vertical steps of a stacked layout: within a block, and between blocks.
+STACK_GAPS = (0.006, 0.02)
+
+
+def _word_boxes(text: str, box: dict, kind: str) -> list[dict]:
+    """Word boxes over the line's box, each as wide as its share of the text's characters."""
+    words, at = [], 0
+    for word in text.split():
+        start = text.index(word, at)
+        at = start + len(word)
+        left = box["left"] + box["width"] * start / len(text)
+        width = box["width"] * len(word) / len(text)
+        words.append({"text": word, "bbox": dict(box, left=left, width=width)})
+    if kind == "joined" and len(words) > 1:
+        words[:2] = [{"text": words[0]["text"] + " " + words[1]["text"], "bbox": words[0]["bbox"]}]
+    elif kind == "mismatch":
+        words[0]["text"] += "x"
+    return words
+
 
 @st.composite
-def payloads(draw, edits=VALID_EDITS):
-    """A payload of the fixture's lines, each kept or edited: unicode text, a tied box, a box at the page bounds."""
+def payloads(draw, edits=VALID_EDITS, words=VALID_WORDS):
+    """A payload of the fixture's lines on 1 to 4 pages, some of them empty, each line kept or edited.
+
+    Lines keep their fixture boxes, or are stacked down their page in blocks
+    as generated documents are. A line may be edited (unicode text, a tied
+    box, a box at the page bounds) and may carry word boxes.
+    """
     picks = draw(st.lists(st.integers(0, len(FIXTURE["lines"]) - 1), min_size=1, max_size=15, unique=True))
-    pages = draw(st.integers(1, 2))
+    pages = draw(st.integers(1, 4))
+    stacked = draw(st.booleans())
+    tops = [0.05] * (pages + 1)  # per page, the top of the next stacked line
     lines = []
     for i in picks:
         line = copy.deepcopy(FIXTURE["lines"][i])
-        line["page"] = draw(st.integers(1, pages))
+        line["page"] = page = draw(st.integers(1, pages))
         box = line["bbox"]
+        if stacked:
+            box["top"] = tops[page]
+            tops[page] += box["height"] + draw(st.sampled_from(STACK_GAPS))
         edit = draw(st.sampled_from(edits))
         if edit == "unicode":
             at = draw(st.integers(0, len(line["text"])))
@@ -167,6 +202,9 @@ def payloads(draw, edits=VALID_EDITS):
             line["page"] = pages + 1
         elif edit == "same-id" and lines:
             line["id"] = lines[-1]["id"]
+        kind = draw(st.sampled_from(words))
+        if kind != "none" and line["text"].split():
+            line["words"] = _word_boxes(line["text"], line["bbox"], kind)
         lines.append(line)
     return {"doc_id": "drawn", "pages": pages, "lines": lines}
 
@@ -178,7 +216,7 @@ def _record_bytes(payload: dict, runtime) -> bytes:
 class TestWholePayloadProperties:
     """Properties of parse plus extract over payloads drawn from the fixture's lines."""
 
-    @given(payloads(edits=VALID_EDITS + INVALID_EDITS))
+    @given(payloads(edits=VALID_EDITS + INVALID_EDITS, words=VALID_WORDS + INVALID_WORDS))
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_a_record_or_a_typed_error(self, runtime, payload):
         try:

@@ -7,6 +7,7 @@ one-pass code must agree with them exactly, in text, origins and token
 spans.
 """
 
+import codecs
 import re
 import sys
 import unicodedata
@@ -261,6 +262,11 @@ class TestReadWordList:
         path.write_bytes("le\nla\nà\n".encode("latin-1"))
         with pytest.raises(FileError, match=re.escape(f"{path}:3: not valid UTF-8")):
             load_stopwords(path)
+
+    def test_a_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(codecs.BOM_UTF8 + "le\nla\nà\n".encode("utf-8"))
+        assert load_stopwords(path) == read_word_list("le\nla\nà\n") == {"le", "la", "a"}
 
     def test_comments_blank_lines_and_folding(self):
         text = "# a comment line\n\n   \nÉquivalent  # trailing comment\nOU\n#\nsoit"
