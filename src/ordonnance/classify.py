@@ -6,16 +6,17 @@ descent on cross-entropy. The decision the classifier makes is lexical
 the stopword-filtered text plus word unigrams carry the signal. Training is
 deterministic for a fixed seed and epoch budget.
 
-The model keeps only the weight columns of the hashed ids that training
-features touched: no other column of the (labels, hash_dim) space ever
-moves from zero. Training runs in that compact column space with numpy
-alone, summing each logit and each gradient column with ``np.bincount`` in
-row order. Scoring sums the same way: the lines of a batch are looked up in
-the model's ids in one ``searchsorted``, each label's logits are one
-``np.bincount`` over the batch's terms in row order, and one softmax runs
-over the (lines, labels) block. A line's scores therefore depend neither on
-the BLAS build nor on the other lines of its batch; a lone line is a batch
-of one.
+The model holds what training learned and the ``hash_dim`` its features
+were hashed with; its labels are always ``CLASS_LABELS``. It keeps only the
+weight columns of the hashed ids that training features touched: no other
+column of the (labels, hash_dim) space ever moves from zero. Training runs
+in that compact column space with numpy alone, summing each logit and each
+gradient column with ``np.bincount`` in row order. Scoring sums the same
+way: the lines of a batch are looked up in the model's ids in one
+``searchsorted``, each label's logits are one ``np.bincount`` over the
+batch's terms in row order, and one softmax runs over the (lines, labels)
+block. A line's scores therefore depend neither on the BLAS build nor on
+the other lines of its batch; a lone line is a batch of one.
 
 ``predict`` stays a per-line call, because ``perfbench`` times this layer
 by wrapping ``pipeline.predict`` once per line. A document's lines share a
@@ -35,7 +36,8 @@ gather and one XOR per n over the batch's bytes. Counts come from one
 every value equals the spelled-out per-line ``count / norm`` bit for bit.
 
 Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
-featurizer version, the labels, the feature config, ``n_cols``), then raw
+featurizer version, the labels, ``hash_dim``, the n-gram bounds,
+``n_cols``, the holdout accuracy), then raw
 little-endian bytes: the ``n_cols`` sorted hashed ids as int64, the
 (n_cols, labels) weight block as float64, and the bias as float64. It
 round-trips bit-exactly. The dense format of earlier releases (magic
@@ -53,7 +55,7 @@ import json
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -84,15 +86,6 @@ _HEADER_FIELDS = {
 
 
 @dataclass(frozen=True)
-class FeatureConfig:
-    hash_dim: int = 2**18
-
-    def __post_init__(self):
-        if self.hash_dim < 1:
-            raise ValueError(f"need hash_dim >= 1, got {self.hash_dim}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     # full-batch descent over L2-normalized features needs a large step to
     # reach the margin within the epoch budget
@@ -100,17 +93,24 @@ class TrainConfig:
     learning_rate: float = 5.0
     seed: int = 42
     holdout_fraction: float = 0.1
-    features: FeatureConfig = field(default_factory=FeatureConfig)
+    hash_dim: int = 2**18
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        # a zero or negative step never leaves the untrained model; nan or inf ruins it
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        for name in ("epochs", "hash_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        # random.Random(None) would seed from the system and train differently each time
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        lr, holdout = self.learning_rate, self.holdout_fraction
+        # A bool would pass as 0 or 1. A zero or negative step never leaves the
+        # untrained model; nan or inf ruins it, and fails `0 < lr < inf`.
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
         # written so that nan, for which every comparison is false, fails it
-        if not 0 <= self.holdout_fraction < 1:
-            raise ValueError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
+        if isinstance(holdout, bool) or not isinstance(holdout, (int, float)) or not 0 <= holdout < 1:
+            raise ValueError(f"holdout_fraction must be a number in [0, 1), got {holdout!r}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ class SentenceClass:
 
 @dataclass
 class ClassifierModel:
-    config: FeatureConfig
-    labels: tuple[str, ...]
+    hash_dim: int
     ids: np.ndarray  # (n_cols,) int64 hashed feature ids, strictly increasing
     weights: np.ndarray  # (n_cols, n_labels): row r holds the weights of ids[r]
     bias: np.ndarray  # (n_labels,)
@@ -157,7 +156,7 @@ def _gram_table(n: int) -> np.ndarray:
     return table
 
 
-def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def featurize(lines: Sequence[Sentence | str], hash_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hashed feature vectors of many lines: char n-grams plus word unigrams, L2-normalized.
 
     Returns ``(line, ids, values)``: flat int64, int64 and float64 arrays
@@ -170,7 +169,6 @@ def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[n
     other lines are encoded gram by gram.
     """
     texts = [s.feature_text if isinstance(s, Sentence) else s for s in lines]
-    dim = config.hash_dim
     n_lines = len(texts)  # an entry's key is id * n_lines + line: unique, and in id order
     one = n_lines == 1  # a lone line needs no masks and no per-line norms
     parts = []
@@ -186,10 +184,10 @@ def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[n
             crcs = gathered if n == 1 else gathered ^ crcs[1:]
             if n >= NGRAM_MIN:
                 if one:
-                    parts.append(crcs % dim)
+                    parts.append(crcs % hash_dim)
                 else:
                     inside = left[: len(crcs)] >= n
-                    parts.append(crcs[inside] % dim * n_lines + rows[: len(crcs)][inside])
+                    parts.append(crcs[inside] % hash_dim * n_lines + rows[: len(crcs)][inside])
     keys = []
     crc32 = zlib.crc32
     word_seed = _seed("w|")
@@ -198,9 +196,9 @@ def featurize(lines: Sequence[Sentence | str], config: FeatureConfig) -> tuple[n
             for n in range(NGRAM_MIN, min(NGRAM_MAX, len(text)) + 1):
                 seed = _seed(f"c{n}|")
                 for i in range(len(text) - n + 1):
-                    keys.append(crc32(text[i : i + n].encode("utf-8"), seed) % dim * n_lines + k)
+                    keys.append(crc32(text[i : i + n].encode("utf-8"), seed) % hash_dim * n_lines + k)
         for word in text.split():
-            keys.append(crc32(word.encode("utf-8"), word_seed) % dim * n_lines + k)
+            keys.append(crc32(word.encode("utf-8"), word_seed) % hash_dim * n_lines + k)
     parts.append(np.array(keys, dtype=np.int64))
     unique, counts = np.unique(np.concatenate(parts), return_counts=True)
     if one:
@@ -229,11 +227,11 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
     """
     if not corpus:
         raise DegenerateCorpus("empty corpus")
-    labels = tuple(sorted({label for _, label in corpus}))
-    missing = set(CLASS_LABELS) - set(labels)
+    labels = {label for _, label in corpus}
+    missing = set(CLASS_LABELS) - labels
     if missing:
         raise DegenerateCorpus(f"corpus lacks classes: {sorted(missing)}")
-    unknown = set(labels) - set(CLASS_LABELS)
+    unknown = labels - set(CLASS_LABELS)
     if unknown:
         raise DegenerateCorpus(f"unknown labels in corpus: {sorted(unknown)}")
 
@@ -245,23 +243,22 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
     if not train_idx:
         raise DegenerateCorpus("holdout fraction leaves no training data")
 
-    feats = config.features
     n = len(train_idx)
     # The nonzeros in key order, each row's keys sorted and each key's rows
     # sorted: the order in which every logit and every gradient column is summed.
-    rows, keys, vals = featurize([corpus[i][0] for i in train_idx], feats)
+    rows, keys, vals = featurize([corpus[i][0] for i in train_idx], config.hash_dim)
     # Only the columns a feature touches ever move from zero; train just those.
     ids, cols = np.unique(keys, return_inverse=True)
-    label_pos = {label: j for j, label in enumerate(labels)}
-    y = np.zeros((n, len(labels)))
+    label_pos = {label: j for j, label in enumerate(CLASS_LABELS)}
+    y = np.zeros((n, len(CLASS_LABELS)))
     for row, i in enumerate(train_idx):
         y[row, label_pos[corpus[i][1]]] = 1.0
 
     # bincount adds its weights one by one in input order, so each sum is
     # the same sequence of float additions for any numpy build.
-    weights = np.zeros((len(labels), len(ids)))  # row k: the weights of label k
-    bias = np.zeros(len(labels))
-    logits = np.empty((n, len(labels)))
+    weights = np.zeros((len(CLASS_LABELS), len(ids)))  # row k: the weights of label k
+    bias = np.zeros(len(CLASS_LABELS))
+    logits = np.empty((n, len(CLASS_LABELS)))
     for epoch in range(config.epochs):
         lr = config.learning_rate / (1.0 + LR_DECAY * epoch)
         for k, w in enumerate(weights):
@@ -271,7 +268,7 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
             weights[k] -= lr * np.bincount(cols, vals * g[rows], minlength=len(ids))
         bias -= lr * grad.sum(axis=0)
 
-    model = ClassifierModel(config=feats, labels=labels, ids=ids, weights=np.ascontiguousarray(weights.T), bias=bias)
+    model = ClassifierModel(hash_dim=config.hash_dim, ids=ids, weights=np.ascontiguousarray(weights.T), bias=bias)
     if holdout_idx:
         classes = _score(model, [corpus[i][0] for i in holdout_idx])
         correct = sum(1 for i, c in zip(holdout_idx, classes) if c.label == corpus[i][1])
@@ -306,9 +303,9 @@ def predict(model: ClassifierModel, sentence: Sentence | str, batch: LineBatch |
 
 def _score(model: ClassifierModel, lines: Sequence[Sentence | str]) -> list[SentenceClass]:
     """Each line's class scores: one featurize, one id lookup, a bincount per label, one softmax."""
-    line, keys, values = featurize(lines, model.config)
+    line, keys, values = featurize(lines, model.hash_dim)
     n = len(lines)
-    logits = np.zeros((n, len(model.labels)))
+    logits = np.zeros((n, len(CLASS_LABELS)))
     if len(model.ids):
         rows = model.ids.searchsorted(keys)
         # A key the model lacks has weight zero: with the finite weights
@@ -316,12 +313,11 @@ def _score(model: ClassifierModel, lines: Sequence[Sentence | str]) -> list[Sent
         # (never -0.0) exactly as it was.
         values = values * (model.ids.take(rows, mode="clip") == keys)
         terms = model.weights.take(rows, axis=0, mode="clip") * values[:, None]
-        for k in range(len(model.labels)):
+        for k in range(len(CLASS_LABELS)):
             logits[:, k] = np.bincount(line, terms[:, k], minlength=n)
     probs = _softmax(logits + model.bias)
-    labels = model.labels
     return [
-        SentenceClass(label=labels[best], scores=dict(zip(labels, p)))
+        SentenceClass(label=CLASS_LABELS[best], scores=dict(zip(CLASS_LABELS, p)))
         for best, p in zip(probs.argmax(axis=1).tolist(), probs.tolist())
     ]
 
@@ -330,10 +326,10 @@ def save_model(model: ClassifierModel, path) -> None:
     header = {
         "magic": _MODEL_MAGIC,
         "version": FEATURE_VERSION,
-        "labels": list(model.labels),
+        "labels": list(CLASS_LABELS),
         "ngram_min": NGRAM_MIN,
         "ngram_max": NGRAM_MAX,
-        "hash_dim": model.config.hash_dim,
+        "hash_dim": model.hash_dim,
         "n_cols": len(model.ids),
         "holdout_accuracy": model.holdout_accuracy,
     }
@@ -361,33 +357,30 @@ def load_model(path) -> ClassifierModel:
             raise SchemaError(f"{path}: model header field {name!r} is missing or not a {kind.__name__}")
     if header["version"] != FEATURE_VERSION:
         raise VersionMismatch(f"{path}: model featurizer {header['version']!r} != runtime {FEATURE_VERSION!r}")
-    labels = tuple(header["labels"])
-    if labels != CLASS_LABELS:  # train writes no other label list
-        raise SchemaError(f"{path}: model labels must be {list(CLASS_LABELS)}, got {list(labels)}")
+    if tuple(header["labels"]) != CLASS_LABELS:  # train writes no other label list
+        raise SchemaError(f"{path}: model labels must be {list(CLASS_LABELS)}, got {header['labels']}")
     if (ngrams := (header["ngram_min"], header["ngram_max"])) != (NGRAM_MIN, NGRAM_MAX):
         raise SchemaError(f"{path}: model header needs ngram_min, ngram_max {NGRAM_MIN}, {NGRAM_MAX}, got {ngrams}")
-    try:
-        config = FeatureConfig(hash_dim=header["hash_dim"])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: model header: {exc}") from exc
+    hash_dim = header["hash_dim"]
+    if hash_dim < 1:
+        raise SchemaError(f"{path}: model header: need hash_dim >= 1, got {hash_dim}")
     n_cols = header["n_cols"]
     if n_cols < 0:
         raise SchemaError(f"{path}: model header needs n_cols >= 0, got {n_cols}")
-    n_weights = n_cols * len(labels)
-    expected = (n_cols + n_weights + len(labels)) * 8
+    n_weights = n_cols * len(CLASS_LABELS)
+    expected = (n_cols + n_weights + len(CLASS_LABELS)) * 8
     if len(blob) != expected:
         raise SchemaError(f"{path}: model payload has {len(blob)} bytes, expected {expected}")
     ids = np.frombuffer(blob, dtype="<i8", count=n_cols).astype(np.int64)
-    if n_cols and (ids[0] < 0 or ids[-1] >= config.hash_dim or not np.all(ids[1:] > ids[:-1])):
+    if n_cols and (ids[0] < 0 or ids[-1] >= hash_dim or not np.all(ids[1:] > ids[:-1])):
         raise SchemaError(f"{path}: model ids must be strictly increasing in [0, hash_dim)")
     flat = np.frombuffer(blob, dtype="<f8", offset=n_cols * 8).astype(np.float64)
     if not np.isfinite(flat).all():
         raise SchemaError(f"{path}: model weights and bias must be finite numbers")
     return ClassifierModel(
-        config=config,
-        labels=labels,
+        hash_dim=hash_dim,
         ids=ids,
-        weights=flat[:n_weights].reshape(n_cols, len(labels)),
+        weights=flat[:n_weights].reshape(n_cols, len(CLASS_LABELS)),
         bias=flat[n_weights:],
         holdout_accuracy=header.get("holdout_accuracy"),
     )

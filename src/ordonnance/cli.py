@@ -33,10 +33,10 @@ import sys
 import click
 
 from . import __version__
-from .classify import TrainConfig, FeatureConfig, load_model, save_model, train
+from .classify import TrainConfig, load_model, save_model, train
 from .corpus import CorpusSpec, generate, noisify, read_jsonl, read_jsonl_lines, write_jsonl
 from .druglink import DEFAULT_THRESHOLD, build_lexicon, default_lexicon_path
-from .errors import AlignmentError, OrdonnanceError, SchemaError, decode_json
+from .errors import AlignmentError, OrdonnanceError, SchemaError, data_path, decode_json
 from .linking import LinkConfig, record_to_dict, dumps_canonical
 from .metrics import format_table, report_to_json, score
 from .ocr import parse_ocr_document
@@ -113,12 +113,6 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _default_stopwords_path() -> str:
-    from importlib import resources
-
-    return str(resources.files("ordonnance.data").joinpath("stopwords_fr.txt"))
-
-
 def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Runtime:
     model_path = _resolve(config, "model", model, None)
     if model_path is None:
@@ -131,7 +125,7 @@ def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Ru
     with _failing_as("patterns"):
         pats = default_patterns() if patterns_path is None else load_patterns(patterns_path)
     with _failing_as("stopwords"):
-        stops = load_stopwords(_resolve(config, "stopwords", stopwords, _default_stopwords_path()))
+        stops = load_stopwords(_resolve(config, "stopwords", stopwords, data_path("stopwords_fr.txt")))
     with _failing_as("config"):
         return Runtime(
             model=clf,
@@ -274,12 +268,12 @@ def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, h
             learning_rate=learning_rate,
             seed=seed,
             holdout_fraction=holdout,
-            features=FeatureConfig(hash_dim=hash_dim),
+            hash_dim=hash_dim,
         )
     with _failing_as("corpus"):
         rows = read_jsonl(corpus_path)
     with _failing_as("stopwords"):
-        stops = load_stopwords(stopwords or _default_stopwords_path())
+        stops = load_stopwords(stopwords or data_path("stopwords_fr.txt"))
     corpus = []
     for row in rows:
         sentence = sentence_from_text(row.text, stops)

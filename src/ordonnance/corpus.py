@@ -19,10 +19,9 @@ import random
 import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 
 from .druglink import build_lexicon
-from .errors import SchemaError, TemplateError, decode_json
+from .errors import SchemaError, TemplateError, data_path, decode_json
 
 POSOLOGY_SLOTS = ("dose", "frequency", "duration", "comment")
 
@@ -67,8 +66,10 @@ class AnnotatedSentence:
 
 @lru_cache(maxsize=1)
 def default_templates() -> dict:
-    text = resources.files("ordonnance.data").joinpath("templates_fr.json").read_text("utf-8")
-    return json.loads(text)
+    """The sentence templates shipped with the package (data/templates_fr.json), read once."""
+    path = data_path("templates_fr.json")
+    with open(path, "rb") as fh:
+        return decode_json(fh.read(), path, TemplateError)
 
 
 def _fill(template: str, rng: random.Random, pools: dict) -> str:

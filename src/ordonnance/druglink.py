@@ -44,10 +44,9 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from . import kernels
-from .errors import DuplicateId, EmptyLexicon, FileError, read_utf8
+from .errors import DuplicateId, EmptyLexicon, FileError, data_path, read_utf8
 from .textnorm import Sentence, normalize_text, read_word_list, tokenize
 
 DEFAULT_THRESHOLD = 0.72
@@ -118,7 +117,8 @@ def build_lexicon(path) -> DrugLexicon:
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) < 2:
+            # an unquoted comma in a name makes a third cell: refused, not cut short
+            if len(row) != 2:
                 raise FileError(f"{path}:{row_no}: expected 2 columns")
             drug_id = row[0].strip()
             name = row[1].strip()
@@ -146,7 +146,7 @@ def build_lexicon(path) -> DrugLexicon:
 
 
 def default_lexicon_path() -> str:
-    return str(resources.files("ordonnance.data").joinpath("lexicon_demo.csv"))
+    return data_path("lexicon_demo.csv")
 
 
 def _candidate_indices(lexicon: DrugLexicon, token: str) -> tuple[int, ...]:
@@ -270,8 +270,7 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
 @lru_cache(maxsize=1)
 def default_equivalence_markers() -> frozenset[str]:
     """The shipped markers (data/equivalence_markers.txt), read once."""
-    text = resources.files("ordonnance.data").joinpath("equivalence_markers.txt").read_text("utf-8")
-    return read_word_list(text)
+    return read_word_list(read_utf8(data_path("equivalence_markers.txt")))
 
 
 def starts_with_equivalence_marker(sentence: Sentence) -> bool:

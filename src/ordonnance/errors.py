@@ -8,10 +8,13 @@ long to convert. Every plain-text data file (a lexicon, a stopword list) is
 read by `read_utf8`, which drops one leading byte-order mark, as ``json.loads``
 does for JSON bytes, and refuses invalid UTF-8 as a ``FileError`` naming the
 file and line. A file that cannot be opened is left as the ``OSError`` that
-``open`` raises.
+``open`` raises. The files shipped with the package are found by
+`data_path` and read by the loader a user file of the same kind goes
+through, so they meet the same rules.
 """
 
 import json
+from importlib import resources
 
 
 class OrdonnanceError(Exception):
@@ -74,6 +77,11 @@ def decode_json(data: str | bytes, where, error: type[OrdonnanceError]):
         raise error(f"{where}: JSON nests too deeply to decode") from exc
     except ValueError as exc:  # bad syntax, invalid UTF-8, or an integer too long to convert
         raise error(f"{where}: not valid JSON: {exc}") from exc
+
+
+def data_path(name: str) -> str:
+    """The path of the file ``name`` shipped in ``ordonnance/data``."""
+    return str(resources.files("ordonnance.data").joinpath(name))
 
 
 def read_utf8(path) -> str:

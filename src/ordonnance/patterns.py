@@ -63,15 +63,13 @@ match. "is_digit" means ASCII digits; "like_num" "1", "1.5" or "1/2" shapes.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from types import MethodType
 from typing import Callable, Iterable
 
-from .errors import PatternError, decode_json
+from .errors import PatternError, data_path, decode_json
 from .textnorm import Sentence, normalize_text, tokenize
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
@@ -326,8 +324,7 @@ def load_patterns(path) -> PatternSet:
 @lru_cache(maxsize=1)
 def default_patterns() -> PatternSet:
     """The pattern set shipped with the package (data/patterns_fr.json)."""
-    text = resources.files("ordonnance.data").joinpath("patterns_fr.json").read_text("utf-8")
-    return parse_patterns(json.loads(text))
+    return load_patterns(data_path("patterns_fr.json"))
 
 
 def match_token(spec: TokenSpec, text: str) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from ordonnance.classify import TrainConfig, save_model, train
 from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import build_lexicon, default_lexicon_path
+from ordonnance.errors import data_path
 from ordonnance.patterns import default_patterns
 from ordonnance.pipeline import Runtime
 from ordonnance.textnorm import load_stopwords, sentence_from_text
@@ -47,9 +48,7 @@ def write_big_lexicon(path) -> pathlib.Path:
 
 @pytest.fixture(scope="session")
 def stopwords():
-    from importlib import resources
-
-    return load_stopwords(str(resources.files("ordonnance.data").joinpath("stopwords_fr.txt")))
+    return load_stopwords(data_path("stopwords_fr.txt"))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from ordonnance.classify import (
     CLASS_LABELS,
     LR_DECAY,
     ClassifierModel,
-    FeatureConfig,
     LineBatch,
     SentenceClass,
     TrainConfig,
@@ -53,18 +52,18 @@ def toy_corpus():
     return corpus
 
 
-TOY_CONFIG = TrainConfig(epochs=300, features=FeatureConfig(hash_dim=2**14), holdout_fraction=0.0)
+TOY_CONFIG = TrainConfig(epochs=300, hash_dim=2**14, holdout_fraction=0.0)
 
 
-def oracle_featurize(text, config):
+def oracle_featurize(text, hash_dim):
     """featurize as specified: each feature string built, encoded and hashed whole."""
     counts = {}
     for n in range(3, 6):  # character 3- to 5-grams
         for i in range(len(text) - n + 1):
-            idx = zlib.crc32(f"c{n}|{text[i : i + n]}".encode("utf-8")) % config.hash_dim
+            idx = zlib.crc32(f"c{n}|{text[i : i + n]}".encode("utf-8")) % hash_dim
             counts[idx] = counts.get(idx, 0.0) + 1.0
     for word in text.split():
-        idx = zlib.crc32(f"w|{word}".encode("utf-8")) % config.hash_dim
+        idx = zlib.crc32(f"w|{word}".encode("utf-8")) % hash_dim
         counts[idx] = counts.get(idx, 0.0) + 1.0
     norm = sum(v * v for v in counts.values()) ** 0.5
     return {k: v / norm for k, v in counts.items()} if norm > 0 else counts
@@ -72,14 +71,14 @@ def oracle_featurize(text, config):
 
 def oracle_predict(model, text):
     """predict on the dense (labels, hash_dim) weights, one column at a time."""
-    dense = np.zeros((len(model.labels), model.config.hash_dim))
+    dense = np.zeros((len(CLASS_LABELS), model.hash_dim))
     dense[:, model.ids] = model.weights.T
     logits = model.bias.copy()
-    for k, v in oracle_featurize(text, model.config).items():
+    for k, v in oracle_featurize(text, model.hash_dim).items():
         logits += dense[:, k] * v
     exp = np.exp(logits - logits.max())
     probs = exp / exp.sum()
-    return SentenceClass(model.labels[int(np.argmax(probs))], dict(zip(model.labels, probs.tolist())))
+    return SentenceClass(CLASS_LABELS[int(np.argmax(probs))], dict(zip(CLASS_LABELS, probs.tolist())))
 
 
 def softmax(logits):
@@ -97,7 +96,7 @@ def oracle_train(corpus, config):
     order = list(range(len(corpus)))
     random.Random(config.seed).shuffle(order)
     train_idx = order[: len(order) - int(len(corpus) * config.holdout_fraction)]
-    rows = [sorted(oracle_featurize(corpus[i][0].feature_text, config.features).items()) for i in train_idx]
+    rows = [sorted(oracle_featurize(corpus[i][0].feature_text, config.hash_dim).items()) for i in train_idx]
     y = np.array([[float(corpus[i][1] == label) for label in CLASS_LABELS] for i in train_idx])
     n = len(rows)
     weights = {key: [0.0] * len(CLASS_LABELS) for row in rows for key, _ in row}
@@ -157,11 +156,11 @@ def split_lines(n_lines, line, ids, values):
     return out
 
 
-def assert_equals_oracle(texts, config):
+def assert_equals_oracle(texts, hash_dim):
     """Per line, the batch holds the oracle's features with their keys sorted, values bit for bit."""
-    got = split_lines(len(texts), *featurize(texts, config))
+    got = split_lines(len(texts), *featurize(texts, hash_dim))
     for text, (ids, values) in zip(texts, got):
-        want = sorted(oracle_featurize(text, config).items())
+        want = sorted(oracle_featurize(text, hash_dim).items())
         assert ids == [k for k, _ in want], text
         assert values == [v for _, v in want], text
 
@@ -170,61 +169,59 @@ def assert_equals_oracle(texts, config):
 # newline inside, non-ASCII after accent stripping, and ASCII around them.
 MIXED = ["", "zq", "1 cp matin et soir", "œdème 5 µg/kg à 37°", "a", "ab\ncd ef", "\n", "doliprane 1000 mg",
          "è", "x y", "abc\n", "pendant 10 jours"]
-CONFIGS = [FeatureConfig(), FeatureConfig(hash_dim=97)]
+HASH_DIM = TrainConfig().hash_dim
+HASH_DIMS = pytest.mark.parametrize("hash_dim", [HASH_DIM, 97], ids=["config0", "config1"])
 
 
 class TestFeaturize:
     def test_empty_text_is_zero_vector(self):
-        line, ids, values = featurize([""], FeatureConfig())
+        line, ids, values = featurize([""], HASH_DIM)
         assert len(line) == len(ids) == len(values) == 0
-        assert all(len(a) == 0 for a in featurize([], FeatureConfig()))
+        assert all(len(a) == 0 for a in featurize([], HASH_DIM))
 
     def test_deterministic(self):
-        cfg = FeatureConfig()
-        a = featurize(["doliprane 1000 mg", "1 cp"], cfg)
-        b = featurize(["doliprane 1000 mg", "1 cp"], cfg)
+        a = featurize(["doliprane 1000 mg", "1 cp"], HASH_DIM)
+        b = featurize(["doliprane 1000 mg", "1 cp"], HASH_DIM)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_shared_ngrams_between_variants(self):
-        (a, _), (b, _) = split_lines(2, *featurize(["doliprane 1000 mg", "doliprane 500 mg"], FeatureConfig()))
+        (a, _), (b, _) = split_lines(2, *featurize(["doliprane 1000 mg", "doliprane 500 mg"], HASH_DIM))
         assert set(a) & set(b)  # all the name n-grams coincide
 
     def test_l2_normalized(self):
-        _, _, values = featurize(["1 cp matin et soir"], FeatureConfig())
+        _, _, values = featurize(["1 cp matin et soir"], HASH_DIM)
         assert abs(float(values @ values) - 1.0) < 1e-9
 
     def test_equals_the_spelled_out_hash_with_keys_sorted(self, noisy_sentences):
-        cfg = FeatureConfig()
         texts = [s.feature_text for s in noisy_sentences]
         assert len(texts) == 200
-        assert_equals_oracle(texts, cfg)
+        assert_equals_oracle(texts, HASH_DIM)
         # a Sentence is hashed by its feature_text
-        assert all(np.array_equal(x, y) for x, y in zip(featurize(noisy_sentences, cfg), featurize(texts, cfg)))
+        assert all(np.array_equal(x, y) for x, y in zip(featurize(noisy_sentences, HASH_DIM), featurize(texts, HASH_DIM)))
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_non_ascii_text_hashes_its_utf8_bytes(self, config):
+    @HASH_DIMS
+    def test_non_ascii_text_hashes_its_utf8_bytes(self, hash_dim):
         text = sent("œdème 5 µg/kg à 37°").feature_text
         assert not text.isascii()  # accent stripping keeps œ, µ and °
-        assert_equals_oracle([text], config)
+        assert_equals_oracle([text], hash_dim)
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_mixed_batch_hashes_each_line_on_its_own(self, config):
-        assert_equals_oracle(MIXED, config)
+    @HASH_DIMS
+    def test_mixed_batch_hashes_each_line_on_its_own(self, hash_dim):
+        assert_equals_oracle(MIXED, hash_dim)
         for text in MIXED:
-            assert_equals_oracle([text], config)
+            assert_equals_oracle([text], hash_dim)
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_no_window_crosses_a_line_boundary(self, config):
+    @HASH_DIMS
+    def test_no_window_crosses_a_line_boundary(self, hash_dim):
         # Joined, "ab" + "cd" would give the gram "abc"; apart neither line has one.
-        (ids_ab, _), (ids_cd, _) = split_lines(2, *featurize(["ab", "cd"], config))
-        alone = [featurize([t], config)[1].tolist() for t in ("ab", "cd")]
+        (ids_ab, _), (ids_cd, _) = split_lines(2, *featurize(["ab", "cd"], hash_dim))
+        alone = [featurize([t], hash_dim)[1].tolist() for t in ("ab", "cd")]
         assert [ids_ab, ids_cd] == alone
 
     def test_a_lone_line_equals_its_row_in_a_batch(self, noisy_sentences):
-        cfg = FeatureConfig()
-        batch = split_lines(len(noisy_sentences), *featurize(noisy_sentences, cfg))
+        batch = split_lines(len(noisy_sentences), *featurize(noisy_sentences, HASH_DIM))
         for sentence, (ids, values) in zip(noisy_sentences, batch):
-            line, alone_ids, alone_values = featurize([sentence], cfg)
+            line, alone_ids, alone_values = featurize([sentence], HASH_DIM)
             assert not line.any()
             assert alone_ids.tolist() == ids and alone_values.tolist() == values
 
@@ -237,8 +234,8 @@ class TestFeaturize:
         counts[text] = 1  # the one word
         sum_sq = sum(c * c for c in counts.values())
         assert sum_sq == 327_694 and math.sqrt(sum_sq) != sum_sq**0.5
-        assert_equals_oracle([text], FeatureConfig())
-        assert_equals_oracle([text, "1 cp"], FeatureConfig())
+        assert_equals_oracle([text], HASH_DIM)
+        assert_equals_oracle([text, "1 cp"], HASH_DIM)
 
 
 class TestTrain:
@@ -253,17 +250,29 @@ class TestTrain:
         with pytest.raises(DegenerateCorpus):
             train(corpus, TOY_CONFIG)
 
-    @pytest.mark.parametrize("epochs", [0, -3])
+    # A float epoch count or hash_dim would fail inside train; a bool would
+    # train on its value (hash_dim=True gives one bucket).
+    @pytest.mark.parametrize("epochs", [0, -3, 2.5, True])
     def test_fewer_than_one_epoch_raises(self, epochs):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=epochs)
 
-    @pytest.mark.parametrize("learning_rate", [0.0, -5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("hash_dim", [0, -1, 64.5, True])
+    def test_hash_dim_not_an_int_of_at_least_one_raises(self, hash_dim):
+        with pytest.raises(ValueError, match="hash_dim"):
+            TrainConfig(hash_dim=hash_dim)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True])
+    def test_seed_not_an_int_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -5.0, math.nan, math.inf, True, "5"])
     def test_learning_rate_not_finite_and_positive_raises(self, learning_rate):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
 
-    @pytest.mark.parametrize("holdout_fraction", [-0.5, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("holdout_fraction", [-0.5, 1.0, 1.5, math.nan, False])
     def test_holdout_fraction_outside_zero_to_one_raises(self, holdout_fraction):
         with pytest.raises(ValueError, match="holdout_fraction"):
             TrainConfig(holdout_fraction=holdout_fraction)
@@ -271,7 +280,7 @@ class TestTrain:
     def test_stores_exactly_the_columns_its_features_touch(self):
         corpus = toy_corpus()
         model = train(corpus, TOY_CONFIG)
-        touched = np.unique(featurize([s for s, _ in corpus], TOY_CONFIG.features)[1]).tolist()
+        touched = np.unique(featurize([s for s, _ in corpus], TOY_CONFIG.hash_dim)[1]).tolist()
         assert model.ids.dtype == np.int64 and model.ids.tolist() == touched
         assert model.weights.shape == (len(touched), len(CLASS_LABELS))
 
@@ -280,7 +289,7 @@ class TestTrain:
         rows = [noisify(row, 0.1, 7_000 + i) for i, row in enumerate(generate(spec))]
         corpus = [(s, row.label) for row in rows if (s := sentence_from_text(row.text, stopwords)) is not None]
         assert len(corpus) == 60
-        config = TrainConfig(epochs=4, features=FeatureConfig(hash_dim=2**10))
+        config = TrainConfig(epochs=4, hash_dim=2**10)
         model = train(corpus, config)
         ids, weights, bias = oracle_train(corpus, config)
         assert np.array_equal(model.ids, ids)
@@ -328,22 +337,21 @@ class TestPredict:
 
     def test_no_known_feature_gives_the_softmax_of_the_bias(self, model):
         text = "zq"  # shorter than an n-gram: its only feature is the word
-        (key,) = featurize([text], model.config)[1].tolist()
+        (key,) = featurize([text], model.hash_dim)[1].tolist()
         assert key not in model.ids
-        assert predict(model, text).scores == dict(zip(model.labels, softmax(model.bias).tolist()))
+        assert predict(model, text).scores == dict(zip(CLASS_LABELS, softmax(model.bias).tolist()))
 
     def test_model_without_columns_gives_the_softmax_of_the_bias(self, model, tmp_path):
         empty = ClassifierModel(
-            config=model.config,
-            labels=model.labels,
+            hash_dim=model.hash_dim,
             ids=np.empty(0, dtype=np.int64),
-            weights=np.empty((0, len(model.labels))),
+            weights=np.empty((0, len(CLASS_LABELS))),
             bias=np.array([0.5, -1.0, 0.25]),
         )
         save_model(empty, tmp_path / "model.bin")
         loaded = load_model(tmp_path / "model.bin")
         assert loaded.ids.shape == (0,) and loaded.weights.shape == (0, 3)
-        expected = dict(zip(model.labels, softmax(empty.bias).tolist()))
+        expected = dict(zip(CLASS_LABELS, softmax(empty.bias).tolist()))
         for text in ["doliprane 1000 mg", ""]:
             assert predict(loaded, text).scores == expected
 
@@ -416,8 +424,7 @@ class TestModelFile:
         assert loaded.ids.dtype == np.int64 and np.array_equal(loaded.ids, model.ids)
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.bias, model.bias)
-        assert loaded.labels == model.labels
-        assert loaded.config == model.config
+        assert loaded.hash_dim == model.hash_dim
         save_model(loaded, tmp_path / "model2.bin")
         assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "model2.bin").read_bytes()
 

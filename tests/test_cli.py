@@ -251,6 +251,10 @@ ERROR_CASES = [
         3, "lexicon", None, id="lexicon-check-absent-file",
     ),
     pytest.param(
+        lambda m, d: ["lexicon-check", "--lexicon", _write(d / "extra.csv", "id,name\n1,DOLIPRANE 1000 mg, comprime\n")],
+        2, "lexicon", None, id="lexicon-check-extra-cell",
+    ),
+    pytest.param(
         lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "m.bin"), "--stopwords", str(d / "absent.txt")],
         3, "stopwords", None, id="train-absent-stopwords",
     ),

@@ -179,6 +179,18 @@ class TestBuildLexicon:
         with pytest.raises(FileError, match=re.escape(f"{path}:3: not valid UTF-8") + f".* at byte {data.index(0xE9)}$"):
             build_lexicon(path)
 
+    def test_a_row_of_three_cells_is_refused(self, tmp_path):
+        # an unquoted comma would otherwise cut the name short at "DOLIPRANE 1000 mg"
+        path = tmp_path / "extra.csv"
+        path.write_text("id,name\nA0,SPASFON 80\n1,DOLIPRANE 1000 mg, comprime\n", encoding="utf-8")
+        with pytest.raises(FileError, match=re.escape(f"{path}:3: expected 2 columns")):
+            build_lexicon(path)
+
+    def test_a_quoted_comma_stays_in_the_name(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('id,name\n1,"DOLIPRANE 1000 mg, comprime"\n', encoding="utf-8")
+        assert [(e.drug_id, e.name) for e in build_lexicon(path).entries] == [("1", "DOLIPRANE 1000 mg, comprime")]
+
     def test_crlf_rows_read_as_lf_rows(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes(b"id,name\r\nA1,DOLIPRANE 500\r\nA2,\"SPASFON\r\n80\"\r\n")

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordonnance import classify, pipeline, textnorm
+from ordonnance.corpus import CorpusSpec, generate, noisify
+from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import OrdonnanceError
 from ordonnance.linking import dumps_canonical, link, record_to_dict
 from ordonnance.ocr import parse_ocr_document
@@ -134,6 +136,14 @@ def test_lines_with_tied_boxes_give_the_same_record_in_either_payload_order(runt
 # accent, non-BMP characters, split-off punctuation and digits.
 UNICODE_BITS = st.text(alphabet="\u00a0\u202f\téÈçœßİ\u0301\U0001d7d8\U0001f48a.,;:()/0123", min_size=1, max_size=6)
 
+# Generated drug and posology sentences, clean and at OCR noise 0.1 (fixed
+# seeds), that a drawn line may carry in place of its fixture text: they reach
+# far more lexicon names and posology phrasings than the fixture's lines.
+_GENERATED = generate(CorpusSpec(n_drug=60, n_posology=60, n_useless=0, seed=23, lexicon_path=default_lexicon_path()))
+GENERATED_TEXTS = tuple(s.text for s in _GENERATED) + tuple(
+    noisify(s, 0.1, 23_000 + i).text for i, s in enumerate(_GENERATED)
+)
+
 # Edits that keep a payload valid, and edits that make it invalid.
 VALID_EDITS = ("keep", "unicode", "tie", "top-left", "bottom-right")
 INVALID_EDITS = ("blank", "overflow", "page-out", "same-id")
@@ -168,9 +178,10 @@ def _word_boxes(text: str, box: dict, kind: str) -> list[dict]:
 def payloads(draw, edits=VALID_EDITS, words=VALID_WORDS):
     """A payload of the fixture's lines on 1 to 4 pages, some of them empty, each line kept or edited.
 
-    Lines keep their fixture boxes, or are stacked down their page in blocks
-    as generated documents are. A line may be edited (unicode text, a tied
-    box, a box at the page bounds) and may carry word boxes.
+    A line keeps its fixture text or carries a generated drug or posology
+    sentence. Lines keep their fixture boxes, or are stacked down their page
+    in blocks as generated documents are. A line may be edited (unicode text,
+    a tied box, a box at the page bounds) and may carry word boxes.
     """
     picks = draw(st.lists(st.integers(0, len(FIXTURE["lines"]) - 1), min_size=1, max_size=15, unique=True))
     pages = draw(st.integers(1, 4))
@@ -179,6 +190,8 @@ def payloads(draw, edits=VALID_EDITS, words=VALID_WORDS):
     lines = []
     for i in picks:
         line = copy.deepcopy(FIXTURE["lines"][i])
+        if draw(st.booleans()):
+            line["text"] = draw(st.sampled_from(GENERATED_TEXTS))
         line["page"] = page = draw(st.integers(1, pages))
         box = line["bbox"]
         if stacked:
@@ -214,7 +227,7 @@ def _record_bytes(payload: dict, runtime) -> bytes:
 
 
 class TestWholePayloadProperties:
-    """Properties of parse plus extract over payloads drawn from the fixture's lines."""
+    """Properties of parse plus extract over payloads drawn from the fixture's lines and generated sentences."""
 
     @given(payloads(edits=VALID_EDITS + INVALID_EDITS, words=VALID_WORDS + INVALID_WORDS))
     @settings(max_examples=80, derandomize=True, deadline=None)
