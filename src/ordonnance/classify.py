@@ -56,7 +56,7 @@ import math
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,8 +113,9 @@ class TrainConfig:
             raise ValueError(f"holdout_fraction must be a number in [0, 1), got {holdout!r}")
 
 
-@dataclass(frozen=True)
-class SentenceClass:
+class SentenceClass(NamedTuple):
+    """A line's label and its score per label; a named tuple, as one is built per line (see the package docstring)."""
+
     label: str
     scores: dict[str, float]
 
@@ -317,7 +318,7 @@ def _score(model: ClassifierModel, lines: Sequence[Sentence | str]) -> list[Sent
             logits[:, k] = np.bincount(line, terms[:, k], minlength=n)
     probs = _softmax(logits + model.bias)
     return [
-        SentenceClass(label=CLASS_LABELS[best], scores=dict(zip(CLASS_LABELS, p)))
+        SentenceClass(CLASS_LABELS[best], dict(zip(CLASS_LABELS, p)))
         for best, p in zip(probs.argmax(axis=1).tolist(), probs.tolist())
     ]
 

@@ -44,6 +44,7 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernels
 from .errors import DuplicateId, EmptyLexicon, FileError, data_path, read_utf8
@@ -88,8 +89,7 @@ class DrugLexicon:
     keys_by_ending: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DrugMention:
+class DrugMention(NamedTuple):
     line_id: str
     drug_id: str
     lexicon_name: str
@@ -114,7 +114,10 @@ def build_lexicon(path) -> DrugLexicon:
             raise FileError(f"{path}: expected header 'id,name', got {header!r}")
         entries: list[LexiconEntry] = []
         seen: set[str] = set()
-        for row_no, row in enumerate(reader, start=2):
+        read = reader.line_num  # file lines read so far
+        for row in reader:
+            # a quoted name may span lines: a row is named by the file line it starts on
+            row_no, read = read + 1, reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue
             # an unquoted comma in a name makes a third cell: refused, not cut short
@@ -235,14 +238,7 @@ def detect_drug(
     if best is None or best_entry is None or best[0] < threshold:
         return None
     lo, hi = char_span(best_trigger, min(best_trigger + len(best_entry.norm_tokens), n))
-    return DrugMention(
-        line_id=sentence.line_id,
-        drug_id=best_entry.drug_id,
-        lexicon_name=best_entry.name,
-        surface_text=match_text[lo:hi],
-        score=best[0],
-        trigger_token_index=best_trigger,
-    )
+    return DrugMention(sentence.line_id, best_entry.drug_id, best_entry.name, match_text[lo:hi], best[0], best_trigger)
 
 
 def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
@@ -257,14 +253,9 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
     """
     _, end = mention_token_window(sentence, mention)
     base = sentence.starts[end] if end < len(sentence.tokens) else len(sentence.match_text)
-    return Sentence(
-        line_id=sentence.line_id,
-        match_text=sentence.match_text[base:],
-        feature_text="",
-        tokens=sentence.tokens[end:],
-        starts=tuple([start - base for start in sentence.starts[end:]]),
-        origins=sentence.origins[base:],
-    )
+    starts = tuple([start - base for start in sentence.starts[end:]])
+    origins = sentence.origins[base:]
+    return Sentence(sentence.line_id, sentence.match_text[base:], "", sentence.tokens[end:], starts, origins)
 
 
 @lru_cache(maxsize=1)

@@ -19,6 +19,7 @@ import statistics
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 from .druglink import DrugMention
 from .errors import OrderError
@@ -44,8 +45,7 @@ class LinkConfig:
             raise ValueError("overlap_fraction must be <= 1")
 
 
-@dataclass(frozen=True)
-class ClassifiedLine:
+class ClassifiedLine(NamedTuple):
     """One OCR line after classification and extraction, ready for linking."""
 
     line_id: str

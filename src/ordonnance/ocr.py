@@ -4,7 +4,10 @@ Parses the minimal line-level OCR JSON payload (text plus page-relative
 bounding geometry, optionally word boxes) into an immutable document whose
 lines are sorted into reading order: page ascending, then top, then left,
 then line id, so two lines with the same box take the same order whatever
-their order in the payload.
+their order in the payload. The document is a frozen dataclass, built once;
+each ``OcrLine`` and its ``BoundingBox`` are named tuples, built positionally
+(see the package docstring). ``BoundingBox`` checks its geometry in
+``__new__``, before it builds the tuple.
 
 Payload schema::
 
@@ -30,32 +33,43 @@ same value, or fails with the same error, whichever path it takes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from .errors import EmptyDocument, GeometryError, SchemaError, decode_json
 
 _EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in page-relative fractions."""
+class _Box(NamedTuple):
+    """The fields of ``BoundingBox``; a NamedTuple body may not define ``__new__``, a subclass may."""
 
     left: float
     top: float
     width: float
     height: float
 
-    def __post_init__(self):
+
+class BoundingBox(_Box):
+    """Axis-aligned box in page-relative fractions."""
+
+    __slots__ = ()
+
+    def __new__(cls, left: float, top: float, width: float, height: float):
         # Each test is written so that NaN, for which every comparison is
         # false, fails it.
-        if not (self.width > 0 and self.height > 0):
-            raise GeometryError(f"degenerate box: width={self.width}, height={self.height}")
-        if not (self.left >= 0 and self.top >= 0):
-            raise GeometryError(f"negative origin: left={self.left}, top={self.top}")
-        if not (self.left + self.width <= 1 + _EPS and self.top + self.height <= 1 + _EPS):
+        if not (width > 0 and height > 0):
+            raise GeometryError(f"degenerate box: width={width}, height={height}")
+        if not (left >= 0 and top >= 0):
+            raise GeometryError(f"negative origin: left={left}, top={top}")
+        if not (left + width <= 1 + _EPS and top + height <= 1 + _EPS):
             raise GeometryError("box extends beyond page bounds")
+        return tuple.__new__(cls, (left, top, width, height))
+
+    @classmethod
+    def _make(cls, iterable) -> BoundingBox:
+        """Build through the checks, as ``_replace`` does too; the named tuple's own ``_make`` skips them."""
+        return cls(*iterable)
 
     @property
     def right(self) -> float:
@@ -66,13 +80,12 @@ class BoundingBox:
         return self.top + self.height
 
 
-@dataclass(frozen=True)
-class OcrLine:
+class OcrLine(NamedTuple):
     line_id: str
     raw_text: str
     bbox: BoundingBox
     page: int
-    words: tuple[str, ...] = field(default=())  # word texts; their boxes are validated, not kept
+    words: tuple[str, ...] = ()  # word texts; their boxes are validated, not kept
 
 
 @dataclass(frozen=True)
@@ -153,7 +166,7 @@ def _parse_line(obj: Any, pages: int, idx: int) -> OcrLine:
         _parse_bbox(_require(w, "bbox", dict, w_where), f"{w_where}.bbox")
     if words and " ".join(words).split() != text.split():
         raise SchemaError(f"{where}: word texts do not reassemble the line text")
-    return OcrLine(line_id=line_id, raw_text=text, bbox=bbox, page=page, words=tuple(words))
+    return OcrLine(line_id, text, bbox, page, tuple(words))
 
 
 def _inside(box: dict) -> bool:
@@ -195,7 +208,7 @@ def _checked_line(obj: Any, pages: int) -> OcrLine | None:
     except (KeyError, TypeError):
         return None
     bbox = BoundingBox(box["left"], box["top"], box["width"], box["height"])
-    return OcrLine(line_id=line_id, raw_text=text, bbox=bbox, page=page, words=tuple(words))
+    return OcrLine(line_id, text, bbox, page, tuple(words))
 
 
 def parse_ocr_document(payload: bytes | str) -> OcrDocument:

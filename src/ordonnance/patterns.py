@@ -67,7 +67,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MethodType
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import PatternError, data_path, decode_json
 from .textnorm import Sentence, normalize_text, tokenize
@@ -108,8 +108,7 @@ class TokenPattern:
     specs: tuple[TokenSpec, ...]
 
 
-@dataclass(frozen=True)
-class MatchSpan:
+class MatchSpan(NamedTuple):
     pattern_id: str
     label: str
     start_token: int
@@ -380,14 +379,6 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
             continue
         used[start:end] = b"\x01" * (end - start)
         lo, hi = sentence.char_span(start, end)
-        kept.append(
-            MatchSpan(
-                pattern_id=pattern.pattern_id,
-                label=pattern.label,
-                start_token=start,
-                end_token=end,
-                text=sentence.match_text[lo:hi],
-            )
-        )
+        kept.append(MatchSpan(pattern.pattern_id, pattern.label, start, end, sentence.match_text[lo:hi]))
     kept.sort(key=lambda s: (s.start_token, s.end_token, s.label, s.pattern_id))
     return kept

@@ -129,16 +129,7 @@ def classify_lines(doc: OcrDocument, runtime: Runtime) -> list[ClassifiedLine]:
             and starts_with_equivalence_marker(sentence)
         ):
             label, mention, extraction = "EQUIVALENT", None, None
-        classified.append(
-            ClassifiedLine(
-                line_id=line.line_id,
-                page=line.page,
-                bbox=line.bbox,
-                label=label,
-                mention=mention,
-                extraction=extraction,
-            )
-        )
+        classified.append(ClassifiedLine(line.line_id, line.page, line.bbox, label, mention, extraction))
         above = mention
     return classified
 

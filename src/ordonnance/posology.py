@@ -7,14 +7,13 @@ as entities; an entity's kind is its pattern's label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .patterns import PatternSet, find_all
 from .textnorm import Sentence
 
 
-@dataclass(frozen=True)
-class PosologyEntity:
+class PosologyEntity(NamedTuple):
     kind: str
     text: str
     # character offsets of the span in the sentence's match_text
@@ -22,8 +21,7 @@ class PosologyEntity:
     char_end: int
 
 
-@dataclass(frozen=True)
-class PosologyExtraction:
+class PosologyExtraction(NamedTuple):
     line_id: str
     entities: tuple[PosologyEntity, ...]
     residual_text: str
@@ -43,4 +41,4 @@ def extract_posology(sentence: Sentence, patterns: PatternSet) -> PosologyExtrac
     for s in spans:
         covered.update(range(s.start_token, s.end_token))
     residual = " ".join(t for i, t in enumerate(sentence.tokens) if i not in covered)
-    return PosologyExtraction(line_id=sentence.line_id, entities=entities, residual_text=residual)
+    return PosologyExtraction(sentence.line_id, entities, residual)

@@ -25,14 +25,16 @@ A token is its text and its span: a ``Sentence`` holds the texts and their
 starts as two flat tuples, and ``Sentence.char_span`` adds a text's length.
 What a pattern spec tests on it is worked out from the text by the pattern
 engine. Normalized text is its own lower case at every code point. A
-``Sentence`` carries no geometry: that stays on the ``OcrLine``.
+``Sentence`` carries no geometry: that stays on the ``OcrLine``. One is built
+for every line, so ``Sentence`` and ``NormalizedText`` are named tuples,
+built positionally (see the package docstring).
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import read_utf8
 from .ocr import OcrLine
@@ -54,8 +56,7 @@ _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 _NUMBER_GAP_RE = re.compile(r"(?<=[0-9])(?: ?([.,]) ?| )(?=[0-9])")
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """A normalized line's text, token texts and token starts, for classification and matching; no geometry."""
 
     line_id: str
@@ -71,8 +72,7 @@ class Sentence:
         return self.starts[start], self.starts[end - 1] + len(self.tokens[end - 1])
 
 
-@dataclass(frozen=True)
-class NormalizedText:
+class NormalizedText(NamedTuple):
     """Normalized string plus per-character provenance into the raw string."""
 
     text: str
@@ -189,14 +189,7 @@ def _sentence(line_id: str, raw: str, stopwords: frozenset[str]) -> Sentence | N
     if len(tokens) == 1 and len(tokens[0]) < 2:
         return None
     feature_text = " ".join(t for t in tokens if t not in stopwords)
-    return Sentence(
-        line_id=line_id,
-        match_text=norm.text,
-        feature_text=feature_text,
-        tokens=tokens,
-        starts=starts,
-        origins=norm.origins,
-    )
+    return Sentence(line_id, norm.text, feature_text, tokens, starts, norm.origins)
 
 
 def make_sentence(line: OcrLine, stopwords: frozenset[str] = frozenset()) -> Sentence | None:

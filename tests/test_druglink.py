@@ -186,6 +186,22 @@ class TestBuildLexicon:
         with pytest.raises(FileError, match=re.escape(f"{path}:3: expected 2 columns")):
             build_lexicon(path)
 
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            ("D2,a,b", FileError, "expected 2 columns"),
+            ("D2,", FileError, "empty id or name"),
+            ("D1,DOLIPRANE", DuplicateId, "duplicate id 'D1'"),
+            ("D2,\u0301", FileError, "name normalizes to nothing"),
+        ],
+        ids=["columns", "empty-cell", "duplicate-id", "empty-name"],
+    )
+    def test_a_bad_row_after_a_two_line_name_is_named_by_its_own_first_line(self, tmp_path, row, error, message):
+        path = tmp_path / "two-line.csv"
+        path.write_text(f'id,name\nD1,"doli\nprane"\n{row}\n', encoding="utf-8")
+        with pytest.raises(error, match="^" + re.escape(f"{path}:4: {message}") + "$"):
+            build_lexicon(path)
+
     def test_a_quoted_comma_stays_in_the_name(self, tmp_path):
         path = tmp_path / "quoted.csv"
         path.write_text('id,name\n1,"DOLIPRANE 1000 mg, comprime"\n', encoding="utf-8")

@@ -136,13 +136,24 @@ def test_lines_with_tied_boxes_give_the_same_record_in_either_payload_order(runt
 # accent, non-BMP characters, split-off punctuation and digits.
 UNICODE_BITS = st.text(alphabet="\u00a0\u202f\téÈçœßİ\u0301\U0001d7d8\U0001f48a.,;:()/0123", min_size=1, max_size=6)
 
-# Generated drug and posology sentences, clean and at OCR noise 0.1 (fixed
-# seeds), that a drawn line may carry in place of its fixture text: they reach
-# far more lexicon names and posology phrasings than the fixture's lines.
-_GENERATED = generate(CorpusSpec(n_drug=60, n_posology=60, n_useless=0, seed=23, lexicon_path=default_lexicon_path()))
-GENERATED_TEXTS = tuple(s.text for s in _GENERATED) + tuple(
-    noisify(s, 0.1, 23_000 + i).text for i, s in enumerate(_GENERATED)
-)
+# Generated sentences, clean and at OCR noise 0.1 (fixed seeds), that a drawn
+# line may carry in place of its fixture text: they reach far more lexicon
+# names and posology phrasings than the fixture's lines. Besides drug,
+# posology and boilerplate (USELESS) lines there are combined lines, a drug
+# line followed by a posology line on one line, which reach
+# `split_combined_line` and its remainder.
+_GENERATED = generate(CorpusSpec(n_drug=60, n_posology=60, n_useless=30, seed=23, lexicon_path=default_lexicon_path()))
+
+
+def _texts(label: str) -> tuple[str, ...]:
+    """The generated sentences of one label, clean and then noisy."""
+    sentences = [s for s in _GENERATED if s.label == label]
+    return tuple(s.text for s in sentences) + tuple(noisify(s, 0.1, 23_000 + i).text for i, s in enumerate(sentences))
+
+
+_DRUG, _POSOLOGY, _USELESS = map(_texts, ("DRUG", "POSOLOGY", "USELESS"))
+_COMBINED = tuple(f"{drug} {posology}" for drug, posology in zip(_DRUG, _POSOLOGY))  # both clean or both noisy
+GENERATED_TEXTS = _DRUG + _POSOLOGY + _COMBINED + _USELESS
 
 # Edits that keep a payload valid, and edits that make it invalid.
 VALID_EDITS = ("keep", "unicode", "tie", "top-left", "bottom-right")
@@ -178,10 +189,11 @@ def _word_boxes(text: str, box: dict, kind: str) -> list[dict]:
 def payloads(draw, edits=VALID_EDITS, words=VALID_WORDS):
     """A payload of the fixture's lines on 1 to 4 pages, some of them empty, each line kept or edited.
 
-    A line keeps its fixture text or carries a generated drug or posology
-    sentence. Lines keep their fixture boxes, or are stacked down their page
-    in blocks as generated documents are. A line may be edited (unicode text,
-    a tied box, a box at the page bounds) and may carry word boxes.
+    A line keeps its fixture text or carries a generated drug, posology,
+    combined or USELESS line. Lines keep their fixture boxes, or are
+    stacked down their page in blocks as generated documents are. A line
+    may be edited (unicode text, a tied box, a box at the page bounds) and
+    may carry word boxes.
     """
     picks = draw(st.lists(st.integers(0, len(FIXTURE["lines"]) - 1), min_size=1, max_size=15, unique=True))
     pages = draw(st.integers(1, 4))
