@@ -6,6 +6,7 @@ qualify). Otherwise it attaches to the nearest drug line above it, provided
 the chain gap stays under threshold: the gap to the drug line itself for the
 first posology of a section, then to the previous posology line of the same
 section. Everything else is surfaced as an orphan rather than force-linked.
+A tie goes to the first of the drug lines in reading order.
 
 Distances are measured in units of the page's median line height, so the
 thresholds hold regardless of scan resolution or font size.
@@ -78,11 +79,7 @@ def horizontally_aligned(a: BoundingBox, b: BoundingBox, overlap_fraction: float
 
 
 def _horizontal_distance(a: BoundingBox, b: BoundingBox) -> float:
-    if a.right < b.left:
-        return b.left - a.right
-    if b.right < a.left:
-        return a.left - b.right
-    return 0.0
+    return max(0.0, b.left - a.right, a.left - b.right)
 
 
 def _horizontal_overlap(a: BoundingBox, b: BoundingBox) -> float:
@@ -90,10 +87,9 @@ def _horizontal_overlap(a: BoundingBox, b: BoundingBox) -> float:
 
 
 class _Section:
-    __slots__ = ("order", "line", "extractions", "last_bbox")
+    __slots__ = ("line", "extractions", "last_bbox")
 
-    def __init__(self, order: int, line: ClassifiedLine):
-        self.order = order  # index among the drug sections of its page
+    def __init__(self, line: ClassifiedLine):
         self.line = line
         self.extractions: list[PosologyExtraction] = []
         self.last_bbox: BoundingBox | None = None  # last assigned posology line
@@ -121,7 +117,7 @@ def link(doc_id: str, lines: list[ClassifiedLine], config: LinkConfig = LinkConf
                 if ln.mention is None:
                     record.unmatched_drug_lines.append(ln.line_id)
                 else:
-                    section = _Section(len(sections), ln)
+                    section = _Section(ln)
                     if ln.extraction is not None and ln.extraction.entities:
                         # combined drug+posology line: its remainder belongs to itself
                         section.extractions.append(ln.extraction)
@@ -147,14 +143,13 @@ def _assign(
     median_h: float,
     config: LinkConfig,
 ) -> _Section | None:
+    # ``sections`` are in reading order and ``min`` keeps the first of equal
+    # keys, so a tie goes to the first drug line in reading order.
     aligned = [
         s for s in sections if horizontally_aligned(s.line.bbox, ln.bbox, config.overlap_fraction)
     ]
     if aligned:
-        return min(
-            aligned,
-            key=lambda s: (_horizontal_distance(s.line.bbox, ln.bbox), s.order),
-        )
+        return min(aligned, key=lambda s: _horizontal_distance(s.line.bbox, ln.bbox))
 
     above = [s for s in sections if s.line.bbox.top <= ln.bbox.top]
     if not above:
@@ -164,7 +159,6 @@ def _assign(
         key=lambda s: (
             vertical_gap(s.line.bbox, ln.bbox),
             -_horizontal_overlap(s.line.bbox, ln.bbox),
-            s.order,
         ),
     )
     if nearest.last_bbox is None:

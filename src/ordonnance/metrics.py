@@ -1,11 +1,15 @@
 """Precision / recall / F1 scoring over gold-annotated sentences.
 
-Two counting modes. EXACT_SPAN treats an annotation as correct only when a
-predicted span matches a gold span's label and character range exactly.
-TOKEN scores per-token label agreement: a token is credited to a label when
-any span of that label covers it, on either side. In both modes a
-prediction with the wrong label counts once as a false positive for the
-predicted label and once as a false negative for the gold label.
+Both modes count by one rule. A sentence's gold and predicted spans each
+become a set of units, and a label's true positives, false positives and
+false negatives are its units in both sets, in the predicted set only and
+in the gold set only. In EXACT_SPAN mode a unit is the span itself (label
+and character range); in TOKEN mode it is a ``(label, token index)`` pair
+for each ``\\S+`` token of the gold text that a span of that label
+overlaps. So duplicate spans count once, and a prediction with the wrong
+label counts once as a false positive for the predicted label and once as
+a false negative for the gold label. Every label of any span is reported,
+also one whose spans cover no token.
 
 Conventions: precision and recall define 0/0 as 1, F1 defines 0/0 as 0.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import AlignmentError
@@ -57,15 +61,16 @@ def _token_intervals(text: str) -> list[tuple[int, int]]:
     return [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
 
 
-def _covered(intervals: list[tuple[int, int]], spans: list[Span], label: str) -> set[int]:
-    hit: set[int] = set()
+def _units(spans: list[Span], tokens: list[tuple[int, int]] | None) -> set[tuple]:
+    """The spans themselves when ``tokens`` is None (EXACT_SPAN), else ``(label, i)`` per token i a span overlaps."""
+    if tokens is None:
+        return set(spans)
+    units = set()
     for kind, start, end in spans:
-        if kind != label:
-            continue
-        for i, (ts, te) in enumerate(intervals):
-            if ts < end and start < te:
-                hit.add(i)
-    return hit
+        for i, (token_start, token_end) in enumerate(tokens):
+            if token_start < end and start < token_end:
+                units.add((kind, i))
+    return units
 
 
 def score(
@@ -84,34 +89,21 @@ def score(
     if len(gold) != len(predicted):
         raise AlignmentError(f"{len(gold)} gold sentences vs {len(predicted)} predictions")
 
-    labels = sorted(
-        {s[0] for spans in predicted for s in spans}
-        | {s[0] for g in gold for s in _gold_spans(g)}
-    )
-    counts = {label: [0, 0, 0] for label in labels}  # tp, fp, fn
-
+    counts: dict[str, list[int]] = {}  # label -> [tp, fp, fn]
     for g, pred in zip(gold, predicted):
-        gold_spans = _gold_spans(g)
+        gold_spans = [(kind, start, end) for kind, start, end in g.spans]
         pred_spans = list(pred)
-        if mode == "EXACT_SPAN":
-            gold_set = set(gold_spans)
-            pred_set = set(pred_spans)
-            for span in gold_set & pred_set:
-                counts[span[0]][0] += 1
-            for span in pred_set - gold_set:
-                counts[span[0]][1] += 1
-            for span in gold_set - pred_set:
-                counts[span[0]][2] += 1
-        else:
-            intervals = _token_intervals(g.text)
-            for label in labels:
-                g_hit = _covered(intervals, gold_spans, label)
-                p_hit = _covered(intervals, pred_spans, label)
-                counts[label][0] += len(g_hit & p_hit)
-                counts[label][1] += len(p_hit - g_hit)
-                counts[label][2] += len(g_hit - p_hit)
+        for span in gold_spans + pred_spans:
+            counts.setdefault(span[0], [0, 0, 0])
+        tokens = _token_intervals(g.text) if mode == "TOKEN" else None
+        gold_units = _units(gold_spans, tokens)
+        pred_units = _units(pred_spans, tokens)
+        matched = gold_units & pred_units
+        for column, units in enumerate((matched, pred_units - gold_units, gold_units - pred_units)):
+            for unit in units:
+                counts[unit[0]][column] += 1
 
-    per_label = {label: _label_score(*counts[label]) for label in labels}
+    per_label = {label: _label_score(*counts[label]) for label in sorted(counts)}
     totals = _label_score(
         sum(c[0] for c in counts.values()),
         sum(c[1] for c in counts.values()),
@@ -120,26 +112,9 @@ def score(
     return EvalReport(per_label=per_label, totals=totals, mode=mode)
 
 
-def _gold_spans(sentence) -> list[Span]:
-    return [(kind, start, end) for kind, start, end in sentence.spans]
-
-
 def report_to_dict(report: EvalReport) -> dict:
-    def row(s: LabelScore) -> dict:
-        return {
-            "tp": s.tp,
-            "fp": s.fp,
-            "fn": s.fn,
-            "precision": s.precision,
-            "recall": s.recall,
-            "f1": s.f1,
-        }
-
-    return {
-        "mode": report.mode,
-        "per_label": {label: row(s) for label, s in sorted(report.per_label.items())},
-        "totals": row(report.totals),
-    }
+    """The report as plain dicts: ``mode``, ``per_label`` (label -> row) and ``totals``."""
+    return asdict(report)
 
 
 _DISPLAY = {

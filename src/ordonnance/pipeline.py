@@ -32,7 +32,7 @@ from .linking import ClassifiedLine, LinkConfig, PrescriptionRecord, link
 from .ocr import OcrDocument
 from .patterns import PatternSet
 from .posology import PosologyExtraction, extract_posology
-from .textnorm import NormalizedText, Sentence, make_sentence, sentence_from_text
+from .textnorm import Sentence, make_sentence, sentence_from_text
 
 # Not called here. It stays bound because perfbench/spans.py wraps the
 # textnorm layer functions by their names in this module.
@@ -102,8 +102,7 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
             base = sentence.starts[w1]
     if extraction is not None:
         spans.extend((e.kind, base + e.char_start, base + e.char_end) for e in extraction.entities)
-    norm = NormalizedText(sentence.match_text, sentence.origins)
-    return [(kind, *norm.to_raw_span(start, end)) for kind, start, end in spans]
+    return [(kind, *sentence.to_raw_span(start, end)) for kind, start, end in spans]
 
 
 def classify_lines(doc: OcrDocument, runtime: Runtime) -> list[ClassifiedLine]:

@@ -8,8 +8,9 @@ classifier). Removing stopwords before matching would destroy phrases like
 "2 fois par jour", hence the split.
 
 `normalize_text` additionally returns, for every character of the
-normalized text, the index of the raw character it came from, so that a
-span of the normalized text can be projected back onto the raw text.
+normalized text, the index of the raw character it came from. A
+``Sentence`` keeps these origins, and ``Sentence.to_raw_span`` projects a
+span of its ``match_text`` back onto the raw text.
 
 `read_word_list` reads the shipped word lists (stopwords, equivalence
 markers), each entry folded by `normalize_text` like the text it is matched in.
@@ -57,7 +58,11 @@ _NUMBER_GAP_RE = re.compile(r"(?<=[0-9])(?: ?([.,]) ?| )(?=[0-9])")
 
 
 class Sentence(NamedTuple):
-    """A normalized line's text, token texts and token starts, for classification and matching; no geometry."""
+    """A normalized line's text, token texts and token starts, for classification and matching; no geometry.
+
+    ``origins`` maps each ``match_text`` character to its raw-text index, and
+    ``to_raw_span`` projects a span of ``match_text`` to raw offsets through it.
+    """
 
     line_id: str
     match_text: str
@@ -71,18 +76,20 @@ class Sentence(NamedTuple):
         """The [start, end) character span in ``match_text`` of the tokens ``start`` to ``end - 1``."""
         return self.starts[start], self.starts[end - 1] + len(self.tokens[end - 1])
 
-
-class NormalizedText(NamedTuple):
-    """Normalized string plus per-character provenance into the raw string."""
-
-    text: str
-    origins: tuple[int, ...]
-
     def to_raw_span(self, start: int, end: int) -> tuple[int, int]:
-        """Project a [start, end) span of the normalized text back to raw offsets."""
+        """Project a [start, end) span of ``match_text`` back to raw-text offsets."""
         if start >= end:
             raise ValueError(f"empty span ({start}, {end})")
         return (self.origins[start], self.origins[end - 1] + 1)
+
+
+class NormalizedText(NamedTuple):
+    """What ``normalize_text`` returns: the normalized string and, per character,
+    its index in the raw string. The ``Sentence`` built from it keeps the
+    origins and projects spans to raw offsets (``Sentence.to_raw_span``)."""
+
+    text: str
+    origins: tuple[int, ...]
 
 
 def _fold_char(ch: str) -> str:

@@ -8,6 +8,7 @@ on stderr, never a traceback.
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -108,6 +109,48 @@ def test_bad_document_does_not_sink_the_batch(run, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["ocr_fixture_7drugs.record.json"]
     record = json.loads((out / "ocr_fixture_7drugs.record.json").read_text(encoding="utf-8"))
     assert len(record["drugs"]) == 7
+
+
+_TABLE_DRUG_RE = re.compile(r"  (?P<name>.+)  \[(?P<drug_id>[^\]]+)\]  score=(?P<score>\d\.\d{3})")
+
+
+def test_extract_table_lists_the_json_record_of_the_same_run(run):
+    record = json.loads(run("--input", str(FIXTURE)).stdout)
+    result = run("--input", str(FIXTURE), "--format", "table")
+    assert result.exit_code == 0, result.stderr
+    document, *lines = result.stdout.splitlines()
+    assert document == f"document: {record['doc_id']}"
+    # the fixture's record has no orphan and no unlinked drug line
+    expected = []
+    for drug in record["drugs"]:
+        expected.append(("drug", drug["name"], drug["drug_id"], f"{drug['score']:.3f}"))
+        expected += [("entity", e["kind"], e["text"]) for p in drug["posologies"] for e in p["entities"]]
+    got = []
+    for line in lines:
+        if line.startswith("      "):
+            got.append(("entity", *line.split(None, 1)))
+        else:
+            m = _TABLE_DRUG_RE.fullmatch(line)
+            assert m, line
+            got.append(("drug", m["name"], m["drug_id"], m["score"]))
+    assert got == expected
+    assert sum(kind == "drug" for kind, *_ in got) == 7
+    assert sum(kind == "entity" for kind, *_ in got) > 7
+
+
+def test_two_inputs_in_table_format_write_one_record_txt_each(run, tmp_path):
+    payload = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    payload["lines"].reverse()
+    second = _write(tmp_path / "second.json", json.dumps(payload))
+    single = run("--input", str(FIXTURE), "--format", "table")
+    assert single.exit_code == 0, single.stderr
+    out = tmp_path / "out"
+    result = run("--input", str(FIXTURE), "--input", second, "--out", str(out), "--format", "table")
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == ""
+    assert sorted(p.name for p in out.iterdir()) == ["ocr_fixture_7drugs.record.txt", "second.record.txt"]
+    for name in ("ocr_fixture_7drugs.record.txt", "second.record.txt"):
+        assert (out / name).read_text(encoding="utf-8") == single.stdout
 
 
 def test_several_inputs_need_an_out_directory(run):
@@ -438,6 +481,21 @@ def test_predictions_are_scored_with_a_valid_config(tmp_path):
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.stderr
     assert json.loads(result.stdout)["totals"]["recall"] == 1.0
+
+
+@pytest.mark.parametrize("mode", ["token", "exact-span"])
+def test_gold_scored_against_itself_ends_the_table_with_a_perfect_total(tmp_path, mode):
+    spans = [{"kind": "DOSE", "start": 0, "end": 10}, {"kind": "FREQUENCY", "start": 11, "end": 16}]
+    record = _gold(tmp_path / "gold.jsonl", {"text": "1 comprime matin", "label": "POSOLOGY", "spans": spans})
+    result = CliRunner().invoke(main, ["eval", "--gold", record, "--predictions", record, "--mode", mode,
+                                       "--format", "table"])
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "Label      F-measure  Precision  Recall",
+        "Dose       100.00     100.00     100.00",
+        "Frequency  100.00     100.00     100.00",
+        "TOTAL      100.00     100.00     100.00",
+    ]
 
 
 @pytest.mark.parametrize("flag, value", [

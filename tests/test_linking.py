@@ -69,6 +69,33 @@ def test_aligned_posology_goes_to_the_horizontally_nearest_drug(left, owner):
     assert orphans(record) == []
 
 
+@pytest.mark.parametrize(
+    "left_top, right_top, owner", [(0.1, 0.105, "left"), (0.105, 0.1, "right")], ids=["left-first", "right-first"]
+)
+def test_aligned_posology_equally_near_two_drugs_goes_to_the_first_in_reading_order(left_top, right_top, owner):
+    # Both drugs are aligned with p and 0.125 from it horizontally (all edges
+    # are exact binary fractions); the higher one comes first in reading order.
+    lines = [
+        drug("left", box(left_top, left=0.0, width=0.25)),  # right edge 0.25
+        drug("right", box(right_top, left=0.75, width=0.25)),  # left edge 0.75
+        posology("p", box(0.1, left=0.375, width=0.25)),  # edges 0.375 and 0.625
+    ]
+    for order in (lines, lines[::-1]):
+        record = link("doc", order)
+        assert owners(record)[owner] == ["p"]
+        assert orphans(record) == []
+
+
+def test_posology_below_two_side_by_side_drugs_with_equal_gap_and_overlap_goes_to_the_left_one():
+    lines = [
+        drug("left", box(0.1, left=0.0, width=0.5)),
+        drug("right", box(0.1, left=0.5, width=0.5)),
+        posology("p", box(0.1 + 2 * H, left=0.25, width=0.5)),  # overlaps each drug by 0.25
+    ]
+    for order in (lines, lines[::-1]):
+        assert owners(link("doc", order)) == {"left": ["p"], "right": []}
+
+
 @pytest.mark.parametrize("height", [0.01, 0.03], ids=["small-font", "large-font"])
 @pytest.mark.parametrize(
     "gap, drug_gap_factor, attached",

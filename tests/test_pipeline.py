@@ -313,6 +313,33 @@ class TestAnnotateText:
         assert len(annotate_text(text, runtime)) == 4
         assert calls == [text]
 
+    def test_one_normalized_text_per_sentence_built_inside_normalize_text(self, runtime, noisy_texts, monkeypatch):
+        inside = []  # the texts normalize_text is working on
+        built = []  # for each NormalizedText built: whether normalize_text was running
+
+        def normalizing(raw):
+            inside.append(raw)
+            try:
+                return normalize(raw)
+            finally:
+                inside.pop()
+
+        def building(*fields):
+            built.append(bool(inside))
+            return normalized_text(*fields)
+
+        normalize, normalized_text = textnorm.normalize_text, textnorm.NormalizedText
+        monkeypatch.setattr(textnorm, "normalize_text", normalizing)
+        monkeypatch.setattr(textnorm, "NormalizedText", building)
+        # also catch a copy built through the pipeline's own binding of the name
+        monkeypatch.setattr(pipeline, "NormalizedText", building, raising=False)
+        texts = ["DOLIPRANE 1 000 mg, comprimé 2 gélules le matin à jeun", *noisy_texts[::25]]
+        assert all(textnorm.sentence_from_text(t) is not None for t in texts)
+        built.clear()
+        spans = [annotate_text(t, runtime) for t in texts]
+        assert len(spans[0]) == 4
+        assert built == [True] * len(texts)
+
 
 class TestClassifyCalls:
     """Where the classifier is called: perfbench wraps these names to time the layer."""

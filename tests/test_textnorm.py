@@ -399,11 +399,14 @@ class TestNormalizeText:
 
     def test_span_projection_round_trip(self):
         raw = "À JEÛN 1 000 mg"
-        n = normalize_text(raw)
-        assert n.text == "a jeun 1000 mg"
-        start = n.text.index("1000")
-        raw_span = n.to_raw_span(start, start + 4)
+        s = sentence_from_text(raw)
+        assert s.match_text == "a jeun 1000 mg"
+        assert s.origins == normalize_text(raw).origins
+        start = s.match_text.index("1000")
+        raw_span = s.to_raw_span(start, start + 4)
         assert raw[raw_span[0] : raw_span[1]] == "1 000"
+        with pytest.raises(ValueError, match="empty span"):
+            s.to_raw_span(start, start)
 
 
 class TestMakeSentence:
