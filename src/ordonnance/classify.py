@@ -15,8 +15,10 @@ gradient column with ``np.bincount`` in row order. Scoring sums the same
 way: the lines of a batch are looked up in the model's ids in one
 ``searchsorted``, each label's logits are one ``np.bincount`` over the
 batch's terms in row order, and one softmax runs over the (lines, labels)
-block. A line's scores therefore depend neither on the BLAS build nor on
-the other lines of its batch; a lone line is a batch of one.
+block, taking each exp with ``math.exp`` (see ``_softmax``). A line's scores
+and a trained model's bytes therefore depend neither on the BLAS build nor
+on numpy's CPU dispatch, and a line's scores not on the other lines of its
+batch; a lone line is a batch of one.
 
 ``predict`` stays a per-line call, because ``perfbench`` times this layer
 by wrapping ``pipeline.predict`` once per line. A document's lines share a
@@ -214,8 +216,16 @@ def featurize(lines: Sequence[Sentence | str], hash_dim: int) -> tuple[np.ndarra
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax whose every exp is ``math.exp``, so it is the same on every CPU.
+
+    ``np.exp`` picks a kernel for the CPU at run time (AVX-512 or not), and
+    the kernels differ in the last bits, which would train a different model
+    file on each. The max, the sums and the division are exact or summed in
+    a fixed order, so they stay numpy.
+    """
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
+    exp = np.fromiter(map(math.exp, shifted.ravel().tolist()), dtype=np.float64, count=shifted.size)
+    exp = exp.reshape(shifted.shape)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 

@@ -51,8 +51,15 @@ class CorpusSpec:
     lexicon_path: str
 
     def __post_init__(self):
-        if min(self.n_drug, self.n_posology, self.n_useless) < 0:
-            raise ValueError("counts must be non-negative")
+        # A bool would pass as 0 or 1, a float fails inside generate, and NaN
+        # slips past `< 0`, as every comparison with it is false.
+        for name in ("n_drug", "n_posology", "n_useless"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+        # random.Random(None) would seed from the system and give a different corpus each time
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.n_drug + self.n_posology + self.n_useless < 1:
             raise ValueError("at least one sentence must be requested")
 
@@ -160,9 +167,9 @@ def _gen_useless(rng: random.Random, templates: dict) -> AnnotatedSentence:
     return AnnotatedSentence(text=text, label="USELESS")
 
 
-def generate(spec: CorpusSpec, templates: dict | None = None) -> list[AnnotatedSentence]:
-    """Deterministic corpus for a spec: exact class counts, gold spans recorded."""
-    templates = templates if templates is not None else default_templates()
+def generate(spec: CorpusSpec) -> list[AnnotatedSentence]:
+    """Deterministic corpus for a spec, from the shipped templates: exact class counts, gold spans recorded."""
+    templates = default_templates()
     lexicon = build_lexicon(spec.lexicon_path)
     names = [e.name for e in lexicon.entries]
     markers = templates["drug"]["suffix_markers"]

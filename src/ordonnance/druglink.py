@@ -242,20 +242,19 @@ def detect_drug(
 
 
 def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
-    """Sentence covering the tokens after the matched name window.
+    """Token view of the line after the matched name window.
 
-    Combined lines carry the drug name first and the posology after it; the
-    remainder keeps the line's id, so its extraction names its line. The
-    remainder may be empty (no tokens); else its tokens are the line's
-    after the window, their starts shifted to its own ``match_text``. Its
-    ``feature_text`` is empty: a remainder goes to posology extraction and is
-    never classified.
+    Combined lines carry the drug name first and the posology after it. The
+    view is the same line, with the same id, ``match_text`` and ``origins``,
+    holding only the tokens after the window and their starts in that
+    ``match_text``, so its extraction's offsets index the line. It may hold
+    no tokens. Its ``feature_text`` is empty: a remainder goes to posology
+    extraction and is never classified.
     """
     _, end = mention_token_window(sentence, mention)
-    base = sentence.starts[end] if end < len(sentence.tokens) else len(sentence.match_text)
-    starts = tuple([start - base for start in sentence.starts[end:]])
-    origins = sentence.origins[base:]
-    return Sentence(sentence.line_id, sentence.match_text[base:], "", sentence.tokens[end:], starts, origins)
+    return Sentence(
+        sentence.line_id, sentence.match_text, "", sentence.tokens[end:], sentence.starts[end:], sentence.origins
+    )
 
 
 @lru_cache(maxsize=1)

@@ -173,6 +173,12 @@ def _assign(
 
 
 def record_to_dict(record: PrescriptionRecord) -> dict:
+    """The record as plain JSON data.
+
+    An entity's ``start`` and ``end`` index the ``match_text`` of the line
+    named by its extraction's ``line_id`` (the normalized line text), also
+    on a combined line, where they fall after the drug name.
+    """
     return {
         "doc_id": record.doc_id,
         "drugs": [

@@ -94,14 +94,10 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
         return []
     _, mention, extraction = classify_sentence(sentence, runtime)
     spans: list[Span] = []
-    base = 0  # offset of the extraction's text in the sentence's match_text
     if mention is not None:
-        w0, w1 = mention_token_window(sentence, mention)
-        spans.append(("DRUG", *sentence.char_span(w0, w1)))
-        if extraction is not None:
-            base = sentence.starts[w1]
+        spans.append(("DRUG", *sentence.char_span(*mention_token_window(sentence, mention))))
     if extraction is not None:
-        spans.extend((e.kind, base + e.char_start, base + e.char_end) for e in extraction.entities)
+        spans.extend((e.kind, e.char_start, e.char_end) for e in extraction.entities)
     return [(kind, *sentence.to_raw_span(start, end)) for kind, start, end in spans]
 
 

@@ -16,7 +16,8 @@ from .textnorm import Sentence
 class PosologyEntity(NamedTuple):
     kind: str
     text: str
-    # character offsets of the span in the sentence's match_text
+    # character offsets of the span in the line's match_text (a combined
+    # line's remainder is a view of its line, so they index the whole line)
     char_start: int
     char_end: int
 

@@ -46,6 +46,21 @@ def write_big_lexicon(path) -> pathlib.Path:
     return path
 
 
+def avx512_dispatch_names() -> list[str]:
+    """numpy's AVX-512 dispatch targets that this CPU has; also run from CI.
+
+    They are the names in numpy's dispatch list that contain "512" or equal
+    "X86_V4" and that its CPU feature map marks available. Naming them in
+    ``NPY_DISABLE_CPU_FEATURES`` makes numpy run its AVX2 or baseline kernels.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    available = umath.__cpu_features__
+    return [name for name in umath.__cpu_dispatch__ if ("512" in name or name == "X86_V4") and available.get(name)]
+
+
 @pytest.fixture(scope="session")
 def stopwords():
     return load_stopwords(data_path("stopwords_fr.txt"))

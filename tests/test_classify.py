@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordonnance import classify
 from ordonnance.classify import (
     CLASS_LABELS,
     LR_DECAY,
@@ -25,6 +30,8 @@ from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import DegenerateCorpus, SchemaError, VersionMismatch
 from ordonnance.textnorm import sentence_from_text
+
+from conftest import avx512_dispatch_names
 
 
 def sent(text):
@@ -91,7 +98,8 @@ def oracle_train(corpus, config):
 
     Each logit and each gradient entry starts at 0.0 and adds its terms in
     row order, each row's keys ascending. Only the softmax and the bias step
-    are numpy, written as train writes them.
+    are numpy, written as train writes them, except that each exp of the
+    softmax is a ``math.exp`` call, as in train.
     """
     order = list(range(len(corpus)))
     random.Random(config.seed).shuffle(order)
@@ -111,7 +119,8 @@ def oracle_train(corpus, config):
                     sums[k] += value * weights[key][k]
             logits.append(sums)
         logits = np.array(logits) + bias
-        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        exp = np.array([[math.exp(v) for v in row] for row in shifted.tolist()])
         grad = (exp / exp.sum(axis=-1, keepdims=True) - y) / n
         sums = {key: [0.0] * len(CLASS_LABELS) for key in weights}
         for i, row in enumerate(rows):
@@ -320,6 +329,31 @@ class TestTrain:
         m2 = train(renamed, TOY_CONFIG)
         for s, _ in corpus[:10]:
             assert perm[predict(m1, s).label] == predict(m2, s).label
+
+
+def train_small_model(path) -> None:
+    """Train and save a 300-sentence, 10-epoch model over 4,096 hashed ids."""
+    spec = CorpusSpec(n_drug=100, n_posology=100, n_useless=100, seed=42, lexicon_path=default_lexicon_path())
+    corpus = [(s, row.label) for row in generate(spec) if (s := sentence_from_text(row.text)) is not None]
+    save_model(train(corpus, TrainConfig(epochs=10, hash_dim=4096)), path)
+
+
+def test_a_model_trains_to_the_same_bytes_without_avx512(tmp_path):
+    # numpy's exp kernels differ in the last bits between CPU dispatch levels,
+    # so training takes every exp with math.exp and the file is the same on every CPU
+    names = avx512_dispatch_names()
+    if not names:
+        pytest.skip("numpy dispatches no AVX-512 kernel on this CPU")
+    train_small_model(tmp_path / "here.bin")
+    paths = [str(pathlib.Path(classify.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")])),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(names),
+    }
+    code = "import sys; from test_classify import train_small_model; train_small_model(sys.argv[1])"
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "there.bin")], env=env, check=True)
+    assert (tmp_path / "there.bin").read_bytes() == (tmp_path / "here.bin").read_bytes()
 
 
 class TestPredict:

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from ordonnance import corpus
 from ordonnance.corpus import (
     AnnotatedSentence,
     CorpusSpec,
@@ -72,7 +74,7 @@ class TestGenerate:
         for s in generate(spec(n_useless=30, seed=5)):
             assert s.spans == ()
 
-    def test_unknown_slot_raises(self):
+    def test_unknown_slot_raises(self, monkeypatch):
         templates = {
             "drug": {"suffix_markers": ["nr"]},
             "posology": {"intros": ["prendre"], "dose": ["{nope} cp"],
@@ -80,14 +82,29 @@ class TestGenerate:
                          "comment": ["a jeun"]},
             "useless": {"templates": ["bonjour"]},
         }
+        monkeypatch.setattr(corpus, "default_templates", lambda: templates)
         with pytest.raises(TemplateError):
-            generate(spec(n_posology=50, seed=1), templates)
+            generate(spec(n_posology=50, seed=1))
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):
             CorpusSpec(n_drug=-1, n_posology=0, n_useless=0, seed=1, lexicon_path="x")
         with pytest.raises(ValueError):
             CorpusSpec(n_drug=0, n_posology=0, n_useless=0, seed=1, lexicon_path="x")
+
+    # n_drug=True made one sentence, n_drug=2.5 failed inside generate with a
+    # TypeError, NaN passed, and seed=None gave a different corpus on each run
+    @pytest.mark.parametrize("field", ["n_drug", "n_posology", "n_useless"])
+    @pytest.mark.parametrize("value", [-1, True, 2.5, math.nan, "3", None])
+    def test_a_count_not_an_int_of_at_least_zero_raises_naming_its_field(self, field, value):
+        counts = {"n_drug": 1, "n_posology": 1, "n_useless": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            CorpusSpec(**counts, seed=1, lexicon_path="x")
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, math.nan, "1"])
+    def test_seed_not_an_int_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            CorpusSpec(n_drug=1, n_posology=0, n_useless=0, seed=seed, lexicon_path="x")
 
 
 class TestNoisify:

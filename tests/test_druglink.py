@@ -362,9 +362,11 @@ class TestDetectDrug:
     def test_every_bundled_name_links_to_itself_exactly(self):
         # norm_name lives in the same space as the sentence window, so a line
         # that is exactly a lexicon name links to that entry at score 1.0,
-        # and a posology suffix after the name is split off whole.
+        # and the remainder of a posology suffix after the name holds the
+        # suffix's tokens whole, at their places in the line.
         lexicon = build_lexicon(default_lexicon_path())
         suffix = " 1 comprime le soir"
+        suffix_tokens, suffix_starts = tokenize(suffix.strip())
         for entry in lexicon.entries:
             m = detect_drug(sentence_from_text(entry.name), lexicon)
             assert m is not None, entry.name
@@ -372,7 +374,11 @@ class TestDetectDrug:
             combined = sentence_from_text(entry.name + suffix)
             m = detect_drug(combined, lexicon)
             assert m is not None and m.drug_id == entry.drug_id, entry.name
-            assert split_combined_line(combined, m).match_text == suffix.strip(), entry.name
+            remainder = split_combined_line(combined, m)
+            at = len(combined.match_text) - len(suffix.strip())
+            assert remainder.tokens == suffix_tokens, entry.name
+            assert remainder.starts == tuple(at + start for start in suffix_starts), entry.name
+            assert remainder.match_text == combined.match_text, entry.name
 
     def test_detection_is_total(self, lex):
         for text in ["doliprane", "x", "doliprane doliprane doliprane", "1000 mg"]:
@@ -389,18 +395,20 @@ class TestSplitCombinedLine:
         return build_lexicon(write_lexicon(tmp_path, [("CIS1", "DOLIPRANE 1000 mg")]))
 
     def test_remainder_after_name(self, lex):
+        # a view of the line: its text and origins, the tokens after the name at their own starts
         s = sentence_from_text("doliprane 1000 mg 1 cp matin")
         m = detect_drug(s, lex)
         remainder = split_combined_line(s, m)
-        assert remainder.match_text == "1 cp matin"
-        assert remainder.line_id == s.line_id
-        assert (remainder.tokens, remainder.starts) == tokenize("1 cp matin")
+        assert (remainder.line_id, remainder.match_text, remainder.origins) == (s.line_id, s.match_text, s.origins)
+        assert remainder.feature_text == ""
+        assert (remainder.tokens, remainder.starts) == (("1", "cp", "matin"), (18, 20, 23))
+        assert remainder.match_text[remainder.starts[0] :] == "1 cp matin"
 
     def test_whole_sentence_name_gives_empty_remainder(self, lex):
         s = sentence_from_text("doliprane 1000 mg")
         m = detect_drug(s, lex)
         remainder = split_combined_line(s, m)
-        assert remainder.match_text == ""
+        assert remainder.match_text == s.match_text
         assert remainder.tokens == remainder.starts == ()
 
     def test_remainder_feeds_posology(self, lex, patterns):

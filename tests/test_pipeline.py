@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 
 from ordonnance import classify, pipeline, textnorm
 from ordonnance.corpus import CorpusSpec, generate, noisify
-from ordonnance.druglink import default_lexicon_path
+from ordonnance.druglink import build_lexicon, default_lexicon_path, detect_drug, split_combined_line
 from ordonnance.errors import OrdonnanceError
-from ordonnance.linking import dumps_canonical, link, record_to_dict
-from ordonnance.ocr import parse_ocr_document
+from ordonnance.linking import ClassifiedLine, LinkConfig, dumps_canonical, link, record_to_dict
+from ordonnance.ocr import BoundingBox, parse_ocr_document
 from ordonnance.pipeline import Runtime, annotate_text, classify_lines, classify_sentence, extract_document
-from ordonnance.textnorm import make_sentence
+from ordonnance.posology import extract_posology
+from ordonnance.textnorm import make_sentence, normalize_text, sentence_from_text
 
 from conftest import DATA_DIR
+from test_druglink import write_lexicon
 
 FIXTURE = json.loads((DATA_DIR / "ocr_fixture_7drugs.json").read_text(encoding="utf-8"))
 
@@ -263,6 +265,30 @@ class TestWholePayloadProperties:
     def test_every_extraction_lands_exactly_once(self, runtime, payload):
         produced, landed = _extractions_and_landings(payload, runtime)
         assert all(n == 1 for n in produced.values()) and landed == produced
+
+    @given(payloads())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_every_record_entity_slices_its_own_line(self, runtime, payload):
+        # a combined line's entities too: their offsets index the whole line's match_text
+        raw = {line["id"]: line["text"] for line in payload["lines"]}
+        record = json.loads(_record_bytes(payload, runtime))
+        extractions = [p for d in record["drugs"] for p in d["posologies"]] + record["orphans"]
+        for extraction in extractions:
+            text = normalize_text(raw[extraction["line_id"]]).text
+            for e in extraction["entities"]:
+                assert text[e["start"] : e["end"]] == e["text"]
+
+
+def test_a_combined_line_records_offsets_in_its_own_line(tmp_path, patterns):
+    lexicon = build_lexicon(write_lexicon(tmp_path, [("CIS1", "DOLIPRANE 1000 mg, comprimé")]))
+    sentence = sentence_from_text("Doliprane 1000 mg, comprimé : 2 cp par jour")
+    mention = detect_drug(sentence, lexicon)
+    extraction = extract_posology(split_combined_line(sentence, mention), patterns)
+    line = ClassifiedLine(sentence.line_id, 1, BoundingBox(0.1, 0.1, 0.8, 0.03), "DRUG", mention, extraction)
+    record = record_to_dict(link("doc", [line], LinkConfig()))
+    [dose] = [e for e in record["drugs"][0]["posologies"][0]["entities"] if e["kind"] == "DOSE"]
+    assert (dose["text"], dose["start"], dose["end"]) == ("2 cp", 30, 34)
+    assert sentence.match_text[30:34] == "2 cp"
 
 
 def test_far_posology_line_becomes_an_orphan(runtime):
