@@ -19,7 +19,11 @@ its exit code: 3 for an ``OSError`` (a file that cannot be read or written),
 ``ValueError`` or ``TypeError``), 4 for anything else. Each error is
 reported as one JSON line on stderr, ``{"error": {"type": ..., "message":
 ...}}``, never as a traceback. Click's own usage errors (an unknown option,
-a value out of its range) keep Click's message and exit 2.
+a value of the wrong type) keep Click's message and exit 2. The CLI states
+no range of its own: a flag's help gives its range, and the record or
+function that takes the value checks it, so a value out of range is that
+record's JSON error (``config`` for ``train``, ``corpus`` for
+``gen-corpus``).
 """
 
 from __future__ import annotations
@@ -230,8 +234,7 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
 @click.option("--n-useless", type=int, required=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--lexicon", default=None, help="Drug lexicon CSV (default: bundled demo lexicon).")
-@click.option("--noise", type=click.FloatRange(0, 0.3), default=0.0, show_default=True,
-              help="OCR noise rate in [0, 0.3].")
+@click.option("--noise", type=float, default=0.0, show_default=True, help="OCR noise rate in [0, 0.3].")
 @click.option("--out", required=True, help="Output JSONL path.")
 def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
     """Generate a labeled synthetic corpus (JSON Lines)."""
@@ -244,7 +247,7 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
             lexicon_path=lexicon or default_lexicon_path(),
         )
         sentences = generate(spec)
-        if noise > 0:
+        if noise:  # noisify refuses a rate outside [0, 0.3]
             sentences = [noisify(s, noise, seed * 1_000_003 + i) for i, s in enumerate(sentences)]
         write_jsonl(sentences, out)
     click.echo(f"wrote {n_drug + n_posology + n_useless} sentences to {out}", err=True)
@@ -255,13 +258,13 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
 @click.option("--model", "model_path", required=True, help="Where to write the model file.")
 @click.option("--stopwords", default=None)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--epochs", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--learning-rate", type=click.FloatRange(0, min_open=True), default=5.0, show_default=True)
-@click.option("--hash-dim", type=click.IntRange(min=1), default=2**18, show_default=True)
-@click.option("--holdout", type=click.FloatRange(0, 1, max_open=True), default=0.1, show_default=True)
+@click.option("--epochs", type=int, default=200, show_default=True, help="Training epochs, at least 1.")
+@click.option("--learning-rate", type=float, default=5.0, show_default=True, help="Step size, a finite number > 0.")
+@click.option("--hash-dim", type=int, default=2**18, show_default=True, help="Feature hash width, at least 1.")
+@click.option("--holdout", type=float, default=0.1, show_default=True, help="Held-out fraction in [0, 1).")
 def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, hash_dim, holdout):
     """Train the sentence classifier on a JSONL corpus."""
-    # FloatRange lets nan and inf through; TrainConfig refuses them.
+    # TrainConfig checks every setting's range.
     with _failing_as("config"):
         config = TrainConfig(
             epochs=epochs,

@@ -42,6 +42,13 @@ _CONFUSION = {"0": "O", "O": "0", "o": "0", "1": "l", "l": "1"}
 _DIGITS = "0123456789"
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless seed is an int (not a bool)."""
+    # random.Random(None) would seed from the system and give a different text each time
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     n_drug: int
@@ -57,9 +64,7 @@ class CorpusSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
-        # random.Random(None) would seed from the system and give a different corpus each time
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.n_drug + self.n_posology + self.n_useless < 1:
             raise ValueError("at least one sentence must be requested")
 
@@ -197,8 +202,10 @@ def noisify(sentence: AnnotatedSentence, rate: float, seed: int) -> AnnotatedSen
     loss, 0/O or 1/l confusion, a space inserted between two digits, or a
     dropped comma/period). Span offsets are corrected for length changes.
     """
-    if not 0 <= rate <= 0.3:
-        raise ValueError(f"rate {rate} outside [0, 0.3]")
+    # a bool would pass as 0 or 1, and NaN fails every comparison
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 0.3:
+        raise ValueError(f"rate must be a number in [0, 0.3], got {rate!r}")
+    _check_seed(seed)
     rng = random.Random(seed)
     text = sentence.text
     protected = set()

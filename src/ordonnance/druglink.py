@@ -208,12 +208,12 @@ def detect_drug(
     tokens = sentence.tokens
     char_span = sentence.char_span
     match_text = sentence.match_text
-    best: tuple[float, int, int, str] | None = None  # (score, -trigger, len(norm_name), drug_id)
-    best_entry: LexiconEntry | None = None
-    best_trigger = -1
+    # The winner so far: (rank, entry, window start, window stop). The least
+    # rank (-score, trigger, -len(norm_name), drug_id) is the tie rule above.
+    best: tuple[tuple[float, int, int, str], LexiconEntry, int, int] | None = None
     n = len(tokens)
     for trigger in range(min(3, n)):
-        if best is not None and best[0] == 1.0:
+        if best is not None and best[0][0] == -1.0:
             break  # a later trigger can neither beat nor tie a full match
         start = sentence.starts[trigger]
         for idx in _candidate_indices(lexicon, tokens[trigger]):
@@ -221,24 +221,18 @@ def detect_drug(
             name = entry.norm_name
             stop = char_span(trigger, min(trigger + len(entry.norm_tokens), n))[1]
             la, lb = len(name), stop - start
-            floor = threshold if best is None else max(threshold, best[0])
+            floor = threshold if best is None else max(threshold, -best[0][0])
             if 2.0 * min(la, lb) / (la + lb) < floor:
                 continue  # cannot reach the threshold or the best score
             window = match_text[start:stop]
             score = 1.0 if window == name else kernels.similarity(name, window)
-            key = (score, -trigger, len(name))
-            if (
-                best is None
-                or key > best[:3]
-                or (key == best[:3] and entry.drug_id < best[3])
-            ):
-                best = (score, -trigger, len(name), entry.drug_id)
-                best_entry = entry
-                best_trigger = trigger
-    if best is None or best_entry is None or best[0] < threshold:
+            rank = (-score, trigger, -la, entry.drug_id)
+            if best is None or rank < best[0]:
+                best = (rank, entry, start, stop)
+    if best is None or -best[0][0] < threshold:
         return None
-    lo, hi = char_span(best_trigger, min(best_trigger + len(best_entry.norm_tokens), n))
-    return DrugMention(sentence.line_id, best_entry.drug_id, best_entry.name, match_text[lo:hi], best[0], best_trigger)
+    (neg_score, trigger, _, _), entry, start, stop = best
+    return DrugMention(sentence.line_id, entry.drug_id, entry.name, match_text[start:stop], -neg_score, trigger)
 
 
 def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:

@@ -40,11 +40,10 @@ from typing import NamedTuple
 from .errors import read_utf8
 from .ocr import OcrLine
 
-# A token is a run of characters that are neither whitespace nor punctuation
-# (.,;:()/), where "." and "/" between two digits also count, so decimal
-# points and fractions like 1/2 stay whole; any other punctuation character
-# is a token of its own.
-_TOKEN_RE = re.compile(r"(?:[^\s.,;:()/]|(?<=[0-9])[./](?=[0-9]))+|[.,;:()/]")
+# A token is a word run (no whitespace, no .,;:()/), or several joined by a
+# "." or "/" between two digits, so decimal points and fractions like 1/2
+# stay whole; any other punctuation character is a token of its own.
+_TOKEN_RE = re.compile(r"[^\s.,;:()/]+(?:(?<=[0-9])[./](?=[0-9])[^\s.,;:()/]+)*|[.,;:()/]")
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -162,18 +161,15 @@ def tokenize(s: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Split normalized text into tokens: their texts and their start offsets.
 
     Whitespace separates chunks; punctuation (.,;:()/ ) is split off except
-    for "." and "/" between digits, so "1.5" and "1/2" stay whole. Only
-    whitespace lies between two tokens, so each starts where its text is
-    first found from the previous token's end.
+    for "." and "/" between digits, so "1.5" and "1/2" stay whole. One regex
+    pass yields each token with its start.
     """
-    texts = tuple(_TOKEN_RE.findall(s))
-    starts = []
-    at = 0  # the previous token's end
-    for text in texts:
-        at = s.find(text, at)
-        starts.append(at)
-        at += len(text)
-    return texts, tuple(starts)
+    texts: list[str] = []
+    starts: list[int] = []
+    for m in _TOKEN_RE.finditer(s):
+        texts.append(m.group())
+        starts.append(m.start())
+    return tuple(texts), tuple(starts)
 
 
 def read_word_list(text: str) -> frozenset[str]:

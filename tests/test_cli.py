@@ -539,15 +539,14 @@ def test_importing_the_cli_loads_no_scipy():
     [("--hash-dim", "0"), ("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3"),
      ("--learning-rate", "0"), ("--learning-rate", "-5"), ("--learning-rate", "nan"), ("--learning-rate", "inf")],
 )
-def test_out_of_range_train_flag_is_a_usage_error(tmp_path, flag, value):
+def test_out_of_range_train_flag_is_a_config_error(tmp_path, flag, value):
+    # the CLI states no range: TrainConfig checks each, and reports it as JSON
     args = ["train", "--input", _corpus(tmp_path), "--model", str(tmp_path / "m.bin"), "--epochs", "2", flag, value]
     result = CliRunner().invoke(main, args)
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 2
-    if value in ("nan", "inf"):  # FloatRange lets them through; TrainConfig refuses them
-        assert [e["type"] for e in _error(result)] == ["config"]
-    else:
-        assert "Invalid value" in result.stderr
+    assert [e["type"] for e in _error(result)] == ["config"]
+    assert flag[2:].replace("-", "_") in _error(result)[0]["message"]  # names the setting
     assert not (tmp_path / "m.bin").exists()
 
 
@@ -555,11 +554,13 @@ def _gen_corpus(out, *args):
     return ["gen-corpus", "--n-drug", "2", "--n-posology", "2", "--n-useless", "2", "--out", str(out), *args]
 
 
-@pytest.mark.parametrize("noise", ["-1", "0.31"])
-def test_out_of_range_noise_is_a_usage_error(tmp_path, noise):
+@pytest.mark.parametrize("noise", ["-1", "0.31", "nan"])
+def test_out_of_range_noise_is_a_corpus_error(tmp_path, noise):
+    # noisify checks the rate, and the error is reported as JSON
     result = CliRunner().invoke(main, _gen_corpus(tmp_path / "corpus.jsonl", "--noise", noise))
     assert result.exit_code == 2
-    assert "Invalid value" in result.stderr
+    assert [e["type"] for e in _error(result)] == ["corpus"]
+    assert "rate" in _error(result)[0]["message"]
     assert not (tmp_path / "corpus.jsonl").exists()
 
 

@@ -117,6 +117,24 @@ class TestNoisify:
         with pytest.raises(ValueError):
             noisify(s, 0.5, seed=1)
 
+    @pytest.mark.parametrize("rate", [-0.1, 0.31, True, False, math.nan, math.inf, "0.1", None])
+    def test_rate_not_a_number_in_range_raises(self, rate):
+        s = AnnotatedSentence(text="doliprane", label="DRUG")
+        with pytest.raises(ValueError, match="rate"):
+            noisify(s, rate, seed=1)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, 1.0, True, math.nan, "1"])
+    def test_seed_not_an_int_raises(self, seed):
+        # seed None drew from the system: 20 calls gave 20 different texts
+        s = AnnotatedSentence(text="doliprane 1000 mg, comprime secable", label="DRUG")
+        with pytest.raises(ValueError, match="seed must be an int"):
+            noisify(s, 0.3, seed)
+
+    def test_rate_edges_and_int_rate_are_accepted(self):
+        s = AnnotatedSentence(text="doliprane 1000", label="DRUG")
+        assert noisify(s, 0, seed=1) == noisify(s, 0.0, seed=1) == s
+        assert noisify(s, 0.3, seed=1).label == "DRUG"  # the upper edge is in range
+
     def test_edit_distance_bounded(self):
         s = AnnotatedSentence(text="doliprane 1000", label="DRUG")
         out = noisify(s, 0.1, seed=3)

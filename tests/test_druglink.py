@@ -65,6 +65,44 @@ def oracle_detect_drug(sentence, lexicon, threshold=0.72):
     )
 
 
+def oracle_pruned_detect_drug(sentence, lexicon, threshold=0.72):
+    """The earlier ``detect_drug``: the same pruning, with the winner held in three variables.
+
+    Its rank, entry and trigger are kept apart, a better candidate is found by
+    a three-clause test, and the winner's window is computed a second time.
+    """
+    tokens = sentence.tokens
+    char_span = sentence.char_span
+    match_text = sentence.match_text
+    best = None  # (score, -trigger, len(norm_name), drug_id)
+    best_entry = None
+    best_trigger = -1
+    n = len(tokens)
+    for trigger in range(min(3, n)):
+        if best is not None and best[0] == 1.0:
+            break
+        start = sentence.starts[trigger]
+        for idx in _candidate_indices(lexicon, tokens[trigger]):
+            entry = lexicon.entries[idx]
+            name = entry.norm_name
+            stop = char_span(trigger, min(trigger + len(entry.norm_tokens), n))[1]
+            la, lb = len(name), stop - start
+            floor = threshold if best is None else max(threshold, best[0])
+            if 2.0 * min(la, lb) / (la + lb) < floor:
+                continue
+            window = match_text[start:stop]
+            score = 1.0 if window == name else kernels.similarity(name, window)
+            key = (score, -trigger, len(name))
+            if best is None or key > best[:3] or (key == best[:3] and entry.drug_id < best[3]):
+                best = (score, -trigger, len(name), entry.drug_id)
+                best_entry = entry
+                best_trigger = trigger
+    if best is None or best_entry is None or best[0] < threshold:
+        return None
+    lo, hi = char_span(best_trigger, min(best_trigger + len(best_entry.norm_tokens), n))
+    return DrugMention(sentence.line_id, best_entry.drug_id, best_entry.name, match_text[lo:hi], best[0], best_trigger)
+
+
 def brute_force_candidates(lexicon, token, keys=None):
     """The first-token lookup spelt out, with no filter.
 
@@ -510,3 +548,35 @@ class TestAgainstUnprunedOracle:
         m = detect_drug(s, lex)
         assert (m.drug_id, m.score, m.trigger_token_index) == ("B", 1.0, 1)
         assert m == oracle_detect_drug(s, lex)
+
+
+class TestAgainstEarlierLoop:
+    """The one-record winner returns exactly the mention of the earlier three-variable loop."""
+
+    THRESHOLDS = (0.0, 0.72, 0.99, 1.0)
+
+    @pytest.mark.parametrize("which, seed", [("lexicon", 61), ("big_lexicon", 62)])
+    def test_noisy_lines_at_every_threshold(self, request, big_lexicon_path, which, seed):
+        lexicon = request.getfixturevalue(which)
+        path = str(big_lexicon_path) if which == "big_lexicon" else default_lexicon_path()
+        spec = CorpusSpec(n_drug=80, n_posology=10, n_useless=10, seed=seed, lexicon_path=path)
+        linked = 0
+        for i, row in enumerate(generate(spec)):
+            s = sentence_from_text(noisify(row, 0.2, seed * 1_000 + i).text)
+            if s is None:
+                continue
+            for threshold in self.THRESHOLDS:
+                got = detect_drug(s, lexicon, threshold)
+                assert got == oracle_pruned_detect_drug(s, lexicon, threshold), (s.match_text, threshold)
+                linked += got is not None
+        assert linked > 100  # the comparison covers real links, not only None
+
+    def test_full_match_on_a_later_trigger_at_threshold_one(self, tmp_path):
+        # "doliprana" links A below 1.0, so the line is not settled and the
+        # later "spasfon" is still probed, although max(threshold, best
+        # score) is already 1.0: only the best score ends the search
+        lex = build_lexicon(write_lexicon(tmp_path, [("A", "DOLIPRANE"), ("B", "SPASFON")]))
+        s = sentence_from_text("Doliprana Spasfon")
+        m = detect_drug(s, lex, 1.0)
+        assert (m.drug_id, m.score, m.trigger_token_index, m.surface_text) == ("B", 1.0, 1, "spasfon")
+        assert m == oracle_pruned_detect_drug(s, lex, 1.0) == oracle_detect_drug(s, lex, 1.0)

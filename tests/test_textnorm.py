@@ -8,6 +8,7 @@ spans.
 """
 
 import codecs
+import itertools
 import re
 import sys
 import unicodedata
@@ -362,6 +363,15 @@ class TestTokenize:
             assert s[ends[-1] : start].isspace() or ends[-1] == start  # only whitespace between two tokens
             ends.append(end)
         assert s[ends[-1] :].isspace() or ends[-1] == len(s)
+
+    def test_every_short_string_equals_the_oracle(self):
+        # every string of up to 4 characters over a digit, a letter, the two
+        # separators kept between digits, two split off, and two whitespaces
+        alphabet = "1a./,( \t"
+        for n in range(5):
+            for chars in itertools.product(alphabet, repeat=n):
+                s = "".join(chars)
+                assert triples(s) == oracle_tokenize(s), s
 
     @given(FRENCH)
     @settings(max_examples=200)
