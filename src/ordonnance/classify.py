@@ -62,7 +62,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCorpus, SchemaError, VersionMismatch, decode_json
+from .errors import DegenerateCorpus, SchemaError, VersionMismatch, check_int, check_number, decode_json
 from .textnorm import Sentence
 
 CLASS_LABELS = ("DRUG", "POSOLOGY", "USELESS")
@@ -98,21 +98,13 @@ class TrainConfig:
     hash_dim: int = 2**18
 
     def __post_init__(self):
-        for name in ("epochs", "hash_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        check_int("epochs", self.epochs, 1)
+        check_int("hash_dim", self.hash_dim, 1)
         # random.Random(None) would seed from the system and train differently each time
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
-        lr, holdout = self.learning_rate, self.holdout_fraction
-        # A bool would pass as 0 or 1. A zero or negative step never leaves the
-        # untrained model; nan or inf ruins it, and fails `0 < lr < inf`.
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
-            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
-        # written so that nan, for which every comparison is false, fails it
-        if isinstance(holdout, bool) or not isinstance(holdout, (int, float)) or not 0 <= holdout < 1:
-            raise ValueError(f"holdout_fraction must be a number in [0, 1), got {holdout!r}")
+        check_int("seed", self.seed)
+        # a zero or negative step never leaves the untrained model; inf ruins it
+        check_number("learning_rate", self.learning_rate, 0, math.inf, open_low=True, open_high=True)
+        check_number("holdout_fraction", self.holdout_fraction, 0, 1, open_high=True)
 
 
 class SentenceClass(NamedTuple):

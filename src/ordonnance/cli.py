@@ -158,6 +158,20 @@ def _record_table(record_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _runtime_options(command):
+    """The flags ``extract`` and ``eval`` share: the artifacts a Runtime is built from, and --config."""
+    for decorate in reversed((
+        click.option("--model", default=None, help="Trained classifier model file."),
+        click.option("--lexicon", default=None, help="Drug lexicon CSV (id,name)."),
+        click.option("--patterns", default=None, help="Posology pattern file (JSON)."),
+        click.option("--stopwords", default=None, help="Stopword list file."),
+        click.option("--threshold", type=float, default=None, help="Drug link acceptance threshold."),
+        click.option("--config", default=None, help="JSON config file with defaults for these options."),
+    )):
+        command = decorate(command)
+    return command
+
+
 class _Main(click.Group):
     """Group that reports an error no command caught as JSON, never a traceback."""
 
@@ -175,13 +189,8 @@ def main():
 @main.command("extract")
 @click.option("--input", "inputs", multiple=True, required=True, help="OCR JSON payload(s).")
 @click.option("--out", default=None, help="Output file, or directory with several inputs.")
-@click.option("--model", default=None, help="Trained classifier model file.")
-@click.option("--lexicon", default=None, help="Drug lexicon CSV (id,name).")
-@click.option("--patterns", default=None, help="Posology pattern file (JSON).")
-@click.option("--stopwords", default=None, help="Stopword list file.")
-@click.option("--threshold", type=float, default=None, help="Drug link acceptance threshold.")
+@_runtime_options
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True)
-@click.option("--config", default=None, help="JSON config file with defaults for these options.")
 def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt, config):
     """Run the full pipeline over OCR JSON and emit prescription records.
 
@@ -315,22 +324,23 @@ def _read_predictions(path, gold_rows) -> list[list]:
 @click.option("--gold", required=True, help="Gold JSONL with entity spans.")
 @click.option("--predictions", default=None,
               help="Predicted JSONL to score instead of running the pipeline.")
-@click.option("--model", default=None)
-@click.option("--lexicon", default=None)
-@click.option("--patterns", default=None)
-@click.option("--stopwords", default=None)
-@click.option("--threshold", type=float, default=None)
+@_runtime_options
 @click.option("--mode", type=click.Choice(["token", "exact-span"]), default="token", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True)
-@click.option("--config", default=None)
 def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, mode, fmt, config):
-    """Score extraction quality against a gold corpus."""
+    """Score extraction quality against a gold corpus.
+
+    A gold file with no records is refused: with nothing to score, every
+    figure would read 1.0.
+    """
     pipeline_flags = zip((*_PATH_KEYS, "threshold"), (model, lexicon, patterns, stopwords, threshold))
     ignored = [f"--{key}" for key, value in pipeline_flags if value is not None]
     if predictions is not None and ignored:
         _fail(_EXIT_SCHEMA, "usage", f"{', '.join(ignored)} cannot be used with --predictions, which runs no pipeline")
     with _failing_as("gold"):
         gold_rows = read_jsonl(gold)
+        if not gold_rows:
+            raise SchemaError(f"{gold}: no records to score")
     with _failing_as("config"):
         cfg = _load_config(config)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .druglink import build_lexicon
-from .errors import SchemaError, TemplateError, data_path, decode_json
+from .errors import SchemaError, TemplateError, check_int, check_number, data_path, decode_json
 
 POSOLOGY_SLOTS = ("dose", "frequency", "duration", "comment")
 
@@ -42,13 +42,6 @@ _CONFUSION = {"0": "O", "O": "0", "o": "0", "1": "l", "l": "1"}
 _DIGITS = "0123456789"
 
 
-def _check_seed(seed) -> None:
-    """ValueError unless seed is an int (not a bool)."""
-    # random.Random(None) would seed from the system and give a different text each time
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"seed must be an int, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     n_drug: int
@@ -58,13 +51,10 @@ class CorpusSpec:
     lexicon_path: str
 
     def __post_init__(self):
-        # A bool would pass as 0 or 1, a float fails inside generate, and NaN
-        # slips past `< 0`, as every comparison with it is false.
         for name in ("n_drug", "n_posology", "n_useless"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
-        _check_seed(self.seed)
+            check_int(name, getattr(self, name), 0)
+        # random.Random(None) would seed from the system and give a different text each time
+        check_int("seed", self.seed)
         if self.n_drug + self.n_posology + self.n_useless < 1:
             raise ValueError("at least one sentence must be requested")
 
@@ -202,10 +192,8 @@ def noisify(sentence: AnnotatedSentence, rate: float, seed: int) -> AnnotatedSen
     loss, 0/O or 1/l confusion, a space inserted between two digits, or a
     dropped comma/period). Span offsets are corrected for length changes.
     """
-    # a bool would pass as 0 or 1, and NaN fails every comparison
-    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate <= 0.3:
-        raise ValueError(f"rate must be a number in [0, 0.3], got {rate!r}")
-    _check_seed(seed)
+    check_number("rate", rate, 0, 0.3)
+    check_int("seed", seed)
     rng = random.Random(seed)
     text = sentence.text
     protected = set()

@@ -254,7 +254,8 @@ def split_combined_line(sentence: Sentence, mention: DrugMention) -> Sentence:
 @lru_cache(maxsize=1)
 def default_equivalence_markers() -> frozenset[str]:
     """The shipped markers (data/equivalence_markers.txt), read once."""
-    return read_word_list(read_utf8(data_path("equivalence_markers.txt")))
+    path = data_path("equivalence_markers.txt")
+    return read_word_list(read_utf8(path), path)
 
 
 def starts_with_equivalence_marker(sentence: Sentence) -> bool:

@@ -11,6 +11,10 @@ file and line. A file that cannot be opened is left as the ``OSError`` that
 ``open`` raises. The files shipped with the package are found by
 `data_path` and read by the loader a user file of the same kind goes
 through, so they meet the same rules.
+
+Every numeric setting is checked by `check_int` or `check_number`, which
+raise a ``ValueError`` naming the setting and the value; both refuse a bool,
+which would pass as 0 or 1, and `check_number` fails NaN.
 """
 
 import json
@@ -77,6 +81,26 @@ def decode_json(data: str | bytes, where, error: type[OrdonnanceError]):
         raise error(f"{where}: JSON nests too deeply to decode") from exc
     except ValueError as exc:  # bad syntax, invalid UTF-8, or an integer too long to convert
         raise error(f"{where}: not valid JSON: {exc}") from exc
+
+
+def check_int(name: str, value, least: int | None = None) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int, not a bool, and at least ``least`` when given."""
+    if isinstance(value, int) and not isinstance(value, bool) and (least is None or value >= least):
+        return
+    rule = "an int" if least is None else f"an int >= {least}"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_number(name: str, value, low, high, *, open_low: bool = False, open_high: bool = False) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int or float, not a bool, between ``low`` and ``high``.
+
+    A bound is excluded when its ``open_`` flag is set; NaN fails both comparisons.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if (low < value if open_low else low <= value) and (value < high if open_high else value <= high):
+            return
+    interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+    raise ValueError(f"{name} must be a number in {interval}, got {value!r}")
 
 
 def data_path(name: str) -> str:

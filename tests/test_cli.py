@@ -12,12 +12,15 @@ import re
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from ordonnance import cli
 from ordonnance.cli import main
+from ordonnance.classify import load_model
 from ordonnance.corpus import read_jsonl
+from ordonnance.druglink import DEFAULT_THRESHOLD, default_lexicon_path
 
 from conftest import DATA_DIR
 
@@ -579,3 +582,107 @@ def test_zero_noise_writes_the_clean_corpus(tmp_path):
     result = CliRunner().invoke(main, _gen_corpus(zero, "--noise", "0"))
     assert result.exit_code == 0, result.stderr
     assert zero.read_bytes() == clean.read_bytes()
+
+
+# ---- config shape, missing model, table rows, train output, empty gold, word lists
+
+
+def test_a_config_file_holding_a_list_is_a_config_error(run, tmp_path):
+    path = _write(tmp_path / "config.json", '["threshold", 0.9]')
+    result = run("--input", str(FIXTURE), "--config", path)
+    assert result.exit_code == 2
+    (error,) = _error(result)
+    assert error == {"type": "config", "message": f"{path}: expected a JSON object"}
+
+
+def test_extract_without_a_model_is_a_missing_model():
+    result = CliRunner().invoke(main, ["extract", "--input", str(FIXTURE)])
+    assert result.exit_code == 3
+    (error,) = _error(result)
+    assert error == {"type": "model", "message": "no model file given (--model)"}
+
+
+def test_extract_table_lists_orphans_and_unlinked_drug_lines(run, tmp_path):
+    # Without TAHOR in the lexicon its drug line links to nothing, and a tiny
+    # drug gap leaves every posology line unattached.
+    with open(default_lexicon_path(), encoding="utf-8") as fh:
+        lexicon = _write(tmp_path / "lexicon.csv", "".join(row for row in fh if "TAHOR" not in row))
+    config = _write(tmp_path / "config.json", '{"drug_gap_factor": 0.01}')
+    record = json.loads(run("--input", str(FIXTURE), "--lexicon", lexicon, "--config", config).stdout)
+    assert record["unmatched_drug_lines"] == ["drug-5"] and len(record["orphans"]) == 4
+    result = run("--input", str(FIXTURE), "--lexicon", lexicon, "--config", config, "--format", "table")
+    assert result.exit_code == 0, result.stderr
+    lines = result.stdout.splitlines()
+    orphan_rows = [f"      {e['kind']:<10} {e['text']}" for p in record["orphans"] for e in p["entities"]]
+    start = lines.index("  (unattached posology)")
+    assert lines[start + 1:] == [*orphan_rows, "  unlinked drug lines: drug-5"]
+
+
+def test_train_reports_one_json_line_and_writes_a_model_that_loads(tmp_path):
+    path = tmp_path / "m.bin"
+    args = ["train", "--input", _corpus(tmp_path), "--model", str(path), "--epochs", "3", "--hash-dim", "64", "--seed", "5"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line) == {"sentences": len(_CORPUS), "holdout_accuracy": load_model(path).holdout_accuracy,
+                                "epochs": 3, "seed": 5}
+    assert load_model(path).hash_dim == 64
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "predictions"])
+def test_a_gold_file_with_no_records_is_a_gold_error(tmp_path, mode):
+    # score counts 0 of 0 as F1 1.0, so an empty gold file would pass as perfect
+    gold = _write(tmp_path / "gold.jsonl", "\n  \n\n")
+    rest = ["--model", str(tmp_path / "absent.bin")] if mode == "pipeline" else ["--predictions", gold]
+    result = CliRunner().invoke(main, ["eval", "--gold", gold, *rest])
+    assert result.exit_code == 2, result.stderr
+    (error,) = _error(result)
+    assert error == {"type": "gold", "message": f"{gold}: no records to score"}  # before any model is read
+
+
+@pytest.mark.parametrize("command", ["extract", "train"])
+def test_a_stopword_entry_of_two_words_is_a_stopwords_error(model_file, tmp_path, command):
+    stops = _write(tmp_path / "stop.txt", "le\npar jour\n")
+    if command == "extract":
+        args = _extract(model_file, "--stopwords", stops)
+    else:
+        args = ["train", "--input", _corpus(tmp_path), "--model", str(tmp_path / "m.bin"), "--stopwords", stops]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    (error,) = _error(result)
+    assert error["type"] == "stopwords" and error["message"].startswith(f"{stops}:2: 'par jour' is not one token")
+
+
+# ---- the flags extract and eval share -----------------------------------------
+
+SHARED_FLAGS = ("model", "lexicon", "patterns", "stopwords", "threshold", "config")
+
+
+def test_extract_and_eval_declare_the_shared_flags_alike():
+    def help_records(name):
+        command = main.commands[name]
+        ctx = click.Context(command)
+        return {p.name: p.get_help_record(ctx) for p in command.params if p.name in SHARED_FLAGS}
+
+    assert help_records("extract") == help_records("eval")
+    assert sorted(help_records("eval")) == sorted(SHARED_FLAGS)
+    assert all(text for _, text in help_records("eval").values())
+
+
+def test_an_explicit_lexicon_flag_wins_over_the_config_file(run, tmp_path):
+    config = _write(tmp_path / "config.json", json.dumps({"lexicon": str(tmp_path / "absent.csv")}))
+    plain = run("--input", str(FIXTURE))
+    result = run("--input", str(FIXTURE), "--config", config, "--lexicon", default_lexicon_path())
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == plain.stdout
+    assert run("--input", str(FIXTURE), "--config", config).exit_code == 3  # the config's own lexicon is absent
+
+
+def test_an_explicit_threshold_flag_wins_over_the_config_file(run, tmp_path):
+    config = _write(tmp_path / "config.json", '{"threshold": 5}')
+    plain = run("--input", str(FIXTURE))
+    result = run("--input", str(FIXTURE), "--config", config, "--threshold", str(DEFAULT_THRESHOLD))
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == plain.stdout
+    assert [e["type"] for e in _error(run("--input", str(FIXTURE), "--config", config))] == ["config"]

@@ -86,6 +86,18 @@ class TestGenerate:
         with pytest.raises(TemplateError):
             generate(spec(n_posology=50, seed=1))
 
+    # a brace never closed, and a slot whose every fill is itself, which the guard stops after 20 fills
+    @pytest.mark.parametrize("template, message", [
+        ("bonjour {", "unbalanced brace in template 'bonjour {'"),
+        ("{templates}", "unresolvable template '{templates}'"),
+    ], ids=["unbalanced-brace", "more-than-20-fills"])
+    def test_a_template_that_never_resolves_is_named(self, monkeypatch, template, message):
+        templates = {**corpus.default_templates(), "useless": {"templates": [template]}}
+        monkeypatch.setattr(corpus, "default_templates", lambda: templates)
+        with pytest.raises(TemplateError) as info:
+            generate(spec(n_useless=1, seed=1))
+        assert str(info.value) == message
+
     def test_counts_validation(self):
         with pytest.raises(ValueError):
             CorpusSpec(n_drug=-1, n_posology=0, n_useless=0, seed=1, lexicon_path="x")

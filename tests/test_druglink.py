@@ -186,6 +186,20 @@ class TestBuildLexicon:
         with pytest.raises(EmptyLexicon):
             build_lexicon(write_lexicon(tmp_path, []))
 
+    def test_an_empty_file_is_named(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(EmptyLexicon, match="^" + re.escape(f"{path}: empty file") + "$"):
+            build_lexicon(path)
+
+    def test_blank_rows_are_skipped_and_still_counted(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("id,name\nA1,DOLIPRANE 500\n\n  ,  \nA2,SPASFON 80\nA3,\n", encoding="utf-8")
+        with pytest.raises(FileError, match="^" + re.escape(f"{path}:6: empty id or name") + "$"):
+            build_lexicon(path)
+        path.write_text("id,name\nA1,DOLIPRANE 500\n\n  ,  \nA2,SPASFON 80\n", encoding="utf-8")
+        assert [e.drug_id for e in build_lexicon(path).entries] == ["A1", "A2"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             build_lexicon(tmp_path / "absent.csv")

@@ -5,22 +5,27 @@ error, worded ``<where>: not valid JSON: <reason>`` or ``<where>: JSON nests
 too deeply to decode``, whatever the reason: invalid UTF-8, an integer
 literal too long to convert, nesting deeper than the decoder recurses, or
 truncated JSON. The files shipped with the package go through the same
-loaders as user files.
+loaders as user files. Every numeric setting is checked by `check_int` or
+`check_number`, and refuses a value with a ``ValueError`` naming the setting,
+its rule and the value.
 """
 
 import json
+import math
 import sys
 from importlib import resources
 
 import pytest
 
 from ordonnance import cli
-from ordonnance.classify import load_model
-from ordonnance.corpus import default_templates, read_jsonl
+from ordonnance.classify import TrainConfig, load_model
+from ordonnance.corpus import AnnotatedSentence, CorpusSpec, default_templates, noisify, read_jsonl
 from ordonnance.druglink import default_equivalence_markers, default_lexicon_path
-from ordonnance.errors import PatternError, SchemaError, data_path
+from ordonnance.errors import PatternError, SchemaError, check_int, check_number, data_path
+from ordonnance.linking import LinkConfig
 from ordonnance.ocr import parse_ocr_document
 from ordonnance.patterns import default_patterns, load_patterns, parse_patterns
+from ordonnance.pipeline import Runtime
 from ordonnance.textnorm import read_word_list
 
 LOADERS = [
@@ -62,4 +67,72 @@ def test_each_shipped_file_loads_as_its_text_read_on_its_own():
     assert default_lexicon_path() == data_path("lexicon_demo.csv")
     assert default_templates() == json.loads(shipped("templates_fr.json"))
     assert default_patterns().patterns == parse_patterns(json.loads(shipped("patterns_fr.json"))).patterns
-    assert default_equivalence_markers() == read_word_list(shipped("equivalence_markers.txt"))
+    assert default_equivalence_markers() == read_word_list(shipped("equivalence_markers.txt"), "markers")
+
+
+
+# ---- the one rule for a numeric setting ---------------------------------------
+
+SETTING_GRID = (-1, 0, 0.3, 0.31, 0.5, 1, 1.5, 2, True, False, math.nan, math.inf, -math.inf, "1", None)
+
+_SENTENCE = AnnotatedSentence("1 cp par jour", "POSOLOGY")
+
+
+def _spec(**field):
+    return CorpusSpec(**{"n_drug": 1, "n_posology": 1, "n_useless": 1, "seed": 0, "lexicon_path": "x", **field})
+
+
+# Each setting's name, the call that takes it, and the grid values it accepts:
+# exactly those that each record's own hand-written check accepted before
+# `check_int` and `check_number` took over.
+SETTINGS = [
+    pytest.param("epochs", lambda v: TrainConfig(epochs=v), [1, 2], id="TrainConfig.epochs"),
+    pytest.param("hash_dim", lambda v: TrainConfig(hash_dim=v), [1, 2], id="TrainConfig.hash_dim"),
+    pytest.param("seed", lambda v: TrainConfig(seed=v), [-1, 0, 1, 2], id="TrainConfig.seed"),
+    pytest.param("learning_rate", lambda v: TrainConfig(learning_rate=v), [0.3, 0.31, 0.5, 1, 1.5, 2],
+                 id="TrainConfig.learning_rate"),
+    pytest.param("holdout_fraction", lambda v: TrainConfig(holdout_fraction=v), [0, 0.3, 0.31, 0.5],
+                 id="TrainConfig.holdout_fraction"),
+    pytest.param("section_gap_factor", lambda v: LinkConfig(section_gap_factor=v), [0.3, 0.31, 0.5, 1, 1.5, 2],
+                 id="LinkConfig.section_gap_factor"),
+    pytest.param("drug_gap_factor", lambda v: LinkConfig(drug_gap_factor=v), [0.3, 0.31, 0.5, 1, 1.5, 2],
+                 id="LinkConfig.drug_gap_factor"),
+    pytest.param("overlap_fraction", lambda v: LinkConfig(overlap_fraction=v), [0.3, 0.31, 0.5, 1],
+                 id="LinkConfig.overlap_fraction"),
+    pytest.param("threshold", lambda v: Runtime(model=None, lexicon=None, patterns=None, threshold=v),
+                 [0, 0.3, 0.31, 0.5, 1], id="Runtime.threshold"),
+    pytest.param("n_drug", lambda v: _spec(n_drug=v), [0, 1, 2], id="CorpusSpec.n_drug"),
+    pytest.param("n_posology", lambda v: _spec(n_posology=v), [0, 1, 2], id="CorpusSpec.n_posology"),
+    pytest.param("n_useless", lambda v: _spec(n_useless=v), [0, 1, 2], id="CorpusSpec.n_useless"),
+    pytest.param("seed", lambda v: _spec(seed=v), [-1, 0, 1, 2], id="CorpusSpec.seed"),
+    pytest.param("rate", lambda v: noisify(_SENTENCE, v, 0), [0, 0.3], id="noisify.rate"),
+    pytest.param("seed", lambda v: noisify(_SENTENCE, 0.1, v), [-1, 0, 1, 2], id="noisify.seed"),
+]
+
+
+@pytest.mark.parametrize("name, make, accepted", SETTINGS)
+def test_each_setting_accepts_the_grid_values_it_always_accepted(name, make, accepted):
+    took = []
+    for value in SETTING_GRID:
+        try:
+            make(value)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{name} must be ") and str(exc).endswith(f", got {value!r}")
+        else:
+            took.append(value)
+    # `==` would let True stand for 1 and False for 0
+    assert [(type(v), v) for v in took] == [(type(v), v) for v in accepted]
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: check_int("n", 0, 1), "n must be an int >= 1, got 0"),
+    (lambda: check_int("n", 1.0), "n must be an int, got 1.0"),
+    (lambda: check_number("x", 0, 0, math.inf, open_low=True, open_high=True), "x must be a number in (0, inf), got 0"),
+    (lambda: check_number("x", 1, 0, 1, open_high=True), "x must be a number in [0, 1), got 1"),
+    (lambda: check_number("x", 0, 0, 1, open_low=True), "x must be a number in (0, 1], got 0"),
+    (lambda: check_number("x", math.nan, 0, 1), "x must be a number in [0, 1], got nan"),
+])
+def test_a_refused_setting_is_named_with_its_rule_and_value(check, message):
+    with pytest.raises(ValueError) as info:
+        check()
+    assert str(info.value) == message

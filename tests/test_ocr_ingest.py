@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -120,6 +121,44 @@ def test_far_edge_within_the_clamp_tolerance_is_accepted():
     assert (doc.lines[0].bbox.right, doc.lines[0].bbox.bottom) == (1.0 + 5e-7, 1.0 + 5e-7)
 
 
+def oracle_parse_bbox(obj, where):
+    """`ocr._parse_bbox` before it left its extent and far-edge tests to ``BoundingBox``."""
+    left = ocr._require(obj, "left", float, where)
+    top = ocr._require(obj, "top", float, where)
+    width = ocr._require(obj, "width", float, where)
+    height = ocr._require(obj, "height", float, where)
+    for name, v in (("left", left), ("top", top), ("width", width), ("height", height)):
+        if not -ocr._EPS <= v <= 1 + ocr._EPS:
+            raise GeometryError(f"{where}.{name}: {v} outside [-1e-6, 1+1e-6]")
+    if width <= 0 or height <= 0:
+        raise GeometryError(f"{where}: non-positive extent (width={width}, height={height})")
+    left, top, width, height = ocr._clamp(left), ocr._clamp(top), ocr._clamp(width), ocr._clamp(height)
+    if not (left + width <= 1 + ocr._EPS and top + height <= 1 + ocr._EPS):
+        raise GeometryError(f"{where}: box extends beyond page bounds")
+    return BoundingBox(left, top, width, height)
+
+
+def _box_or_error(parse, obj):
+    try:
+        return repr(tuple(parse(obj, "b")))  # repr tells -0.0 from 0.0
+    except OrdonnanceError as exc:
+        return type(exc), str(exc)
+
+
+# Each side of every bound and of the clamp tolerance, the ints 0 and 1, and NaN.
+EDGE_VALUES = (-2e-6, -5e-7, -0.0, 0, 5e-7, 0.5, 0.5000005, 0.9999995, 1, 1.0000005, 1.000002, float("nan"))
+
+
+def test_box_geometry_decided_by_bounding_box_agrees_with_the_old_parse():
+    for coords in itertools.product(EDGE_VALUES, repeat=4):
+        obj = dict(zip(BOX_FIELDS, coords))
+        new, old = _box_or_error(ocr._parse_bbox, obj), _box_or_error(oracle_parse_bbox, obj)
+        if isinstance(old, tuple) and "non-positive extent" in old[1]:
+            assert new[0] is GeometryError and new[1].startswith("b: degenerate box: "), (coords, new)
+        else:
+            assert new == old, coords
+
+
 def test_deep_nesting_is_schema_error():
     depth = 200_000
     with pytest.raises(SchemaError, match="nests too deeply"):
@@ -129,6 +168,16 @@ def test_deep_nesting_is_schema_error():
 def test_near_bound_values_clamped():
     doc = parse_ocr_document(payload([line(left=-5e-7, top=0.2, width=0.5, height=0.03)]))
     assert doc.lines[0].bbox.left == 0.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "top-level payload must be a JSON object"),
+    (json.dumps({"doc_id": "doc", "pages": 0, "lines": [line()]}), "document.pages: 0 is not positive"),
+], ids=["top-level-list", "zero-pages"])
+def test_a_bad_document_header_is_a_schema_error_naming_its_field(text, message):
+    with pytest.raises(SchemaError) as info:
+        parse_ocr_document(text)
+    assert str(info.value) == message
 
 
 def test_empty_document():

@@ -807,6 +807,34 @@ class TestPatternFile:
         with pytest.raises(PatternError, match="never matches"):
             parse_patterns([{"id": "a", "label": "FREQUENCY", "specs": [{"lower": ["soir", word]}]}])
 
+    # each refusal of one spec, the second of its pattern's specs, as the pattern file's author sees it
+    @pytest.mark.parametrize("spec, message", [
+        ("soir", "patterns[0].specs[1]: spec must be an object"),
+        ({"like_num": True, "case": "lower"}, "patterns[0].specs[1]: unknown spec fields ['case']"),
+        ({"lower": []}, "patterns[0].specs[1].lower: expected string or non-empty string list"),
+        ({"lower": ["soir", 5]}, "patterns[0].specs[1].lower: expected string or non-empty string list"),
+        ({"regex": 5}, "patterns[0].specs[1].regex: expected string"),
+        ({"is_digit": "yes"}, "patterns[0].specs[1].is_digit: expected boolean"),
+        ({"like_num": 1}, "patterns[0].specs[1].like_num: expected boolean"),
+        ({"like_num": True, "op": "{2}"}, "patterns[0].specs[1].op: '{2}' not one of 1 ? + *"),
+    ], ids=["not-an-object", "unknown-field", "lower-empty-list", "lower-not-strings", "regex-not-a-string",
+            "is-digit-not-a-boolean", "like-num-not-a-boolean", "unknown-op"])
+    def test_a_bad_spec_is_named_by_its_place(self, spec, message):
+        with pytest.raises(PatternError) as info:
+            parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"like_num": True}, spec]}])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("data, message", [
+        ({"id": "a", "label": "DOSE", "specs": [{"like_num": True}]}, "pattern file must contain a JSON list"),
+        ([{"id": "a", "label": "DOSE", "specs": [{"like_num": True}]}, "b"], "patterns[1]: expected object"),
+        ([{"label": "DOSE", "specs": [{"like_num": True}]}], "patterns[0].id: expected non-empty string"),
+        ([{"id": "", "label": "DOSE", "specs": [{"like_num": True}]}], "patterns[0].id: expected non-empty string"),
+    ], ids=["not-a-list", "pattern-not-an-object", "id-missing", "id-empty"])
+    def test_a_bad_pattern_file_is_named_by_its_place(self, data, message):
+        with pytest.raises(PatternError) as info:
+            parse_patterns(data)
+        assert str(info.value) == message
+
     def test_pattern_of_max_specs_loads(self):
         specs = [{"like_num": True, "op": "*"}] * MAX_SPECS
         pats = parse_patterns([{"id": "long", "label": "DOSE", "specs": specs}])

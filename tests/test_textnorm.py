@@ -23,6 +23,7 @@ from ordonnance.errors import FileError
 from ordonnance.ocr import BoundingBox, OcrLine
 from ordonnance.textnorm import (
     NormalizedText,
+    is_one_token,
     load_stopwords,
     make_sentence,
     normalize_text,
@@ -252,11 +253,11 @@ class TestReadWordList:
     def test_shipped_stopwords(self):
         path = self.shipped("stopwords_fr.txt")
         assert len(SHIPPED_STOPWORDS) == 133
-        assert read_word_list(path.read_text("utf-8")) == load_stopwords(str(path)) == SHIPPED_STOPWORDS
+        assert read_word_list(path.read_text("utf-8"), "stopwords") == load_stopwords(str(path)) == SHIPPED_STOPWORDS
 
     def test_shipped_markers(self):
         text = self.shipped("equivalence_markers.txt").read_text("utf-8")
-        assert read_word_list(text) == default_equivalence_markers() == SHIPPED_MARKERS
+        assert read_word_list(text, "markers") == default_equivalence_markers() == SHIPPED_MARKERS
 
     def test_invalid_utf8_stopwords_name_the_file_and_line(self, tmp_path):
         path = tmp_path / "latin1.txt"
@@ -267,11 +268,23 @@ class TestReadWordList:
     def test_a_leading_bom_is_dropped(self, tmp_path):
         path = tmp_path / "bom.txt"
         path.write_bytes(codecs.BOM_UTF8 + "le\nla\nà\n".encode("utf-8"))
-        assert load_stopwords(path) == read_word_list("le\nla\nà\n") == {"le", "la", "a"}
+        assert load_stopwords(path) == read_word_list("le\nla\nà\n", "list") == {"le", "la", "a"}
 
     def test_comments_blank_lines_and_folding(self):
         text = "# a comment line\n\n   \nÉquivalent  # trailing comment\nOU\n#\nsoit"
-        assert read_word_list(text) == {"equivalent", "ou", "soit"}
+        assert read_word_list(text, "list") == {"equivalent", "ou", "soit"}
+
+    # two words, an abbreviation split at its periods, and a lone accent that normalizes to nothing
+    @pytest.mark.parametrize("entry", ["par jour", "c.-a-d.", "\u0301"])
+    def test_an_entry_that_is_not_one_token_names_the_file_and_line(self, tmp_path, entry):
+        path = tmp_path / "stopwords.txt"
+        path.write_text(f"# comment\nle\n{entry}  # never matched\nsoir\n", "utf-8")
+        with pytest.raises(FileError, match=re.escape(f"{path}:3: {entry!r} is not one token")):
+            load_stopwords(path)
+
+    def test_every_shipped_entry_is_one_token(self):
+        assert all(is_one_token(word) for word in SHIPPED_STOPWORDS | SHIPPED_MARKERS)
+        assert not is_one_token("par jour") and not is_one_token("")
 
 
 class TestUnifyNumbers:
