@@ -5,11 +5,12 @@ only the data artifact; diagnostics go to stderr. ``extract`` and ``eval``
 take a JSON config file (--config) whose keys may pre-set ``model``,
 ``lexicon``, ``patterns``, ``stopwords`` and ``threshold``, and set the
 ``LinkConfig`` fields ``section_gap_factor``, ``drug_gap_factor`` and
-``overlap_fraction``; any other key is refused. Explicit flags win over the
-config file. ``eval --predictions`` runs no pipeline, so it refuses the
-pipeline's flags (--model, --lexicon, --patterns, --stopwords, --threshold)
-as a usage error; its config file, which may serve ``extract`` too, is
-checked all the same.
+``overlap_fraction``; any other key is refused. Each setting resolves in one
+step: the flags given are laid over the config file, and a key still unset
+is the shipped default. ``eval --predictions`` runs no pipeline, so it
+refuses the pipeline's flags (--model, --lexicon, --patterns, --stopwords,
+--threshold) as a usage error; its config file, which may serve ``extract``
+too, is checked all the same.
 
 Each input is checked where it enters, by the loader that reads it; a loader
 raises an ``OrdonnanceError`` for a bad value, and lets the ``OSError`` of a
@@ -44,7 +45,7 @@ from .errors import AlignmentError, OrdonnanceError, SchemaError, data_path, dec
 from .linking import LinkConfig, record_to_dict, dumps_canonical
 from .metrics import format_table, report_to_json, score
 from .ocr import parse_ocr_document
-from .patterns import default_patterns, load_patterns
+from .patterns import load_patterns
 from .pipeline import Runtime, annotate_text, extract_document
 from .textnorm import load_stopwords, sentence_from_text
 
@@ -86,18 +87,11 @@ def _failing_as(kind: str):
         _fail(_exit_code(exc), kind, str(exc))
 
 
-def _resolve(ctx_config: dict, key: str, value, default):
-    if value is not None:
-        return value
-    if key in ctx_config:
-        return ctx_config[key]
-    return default
-
-
 # Config keys naming a file. `open` would take an integer as a file descriptor.
 _PATH_KEYS = ("model", "lexicon", "patterns", "stopwords")
 _LINK_KEYS = tuple(f.name for f in dataclasses.fields(LinkConfig))  # unset ones keep LinkConfig's defaults
-_CONFIG_KEYS = (*_PATH_KEYS, "threshold", *_LINK_KEYS)
+_FLAG_KEYS = (*_PATH_KEYS, "threshold")  # the runtime flags, in declaration order
+_CONFIG_KEYS = (*_FLAG_KEYS, *_LINK_KEYS)
 
 
 def _load_config(path: str | None) -> dict:
@@ -117,27 +111,32 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _build_runtime(config, model, lexicon, patterns, stopwords, threshold) -> Runtime:
-    model_path = _resolve(config, "model", model, None)
-    if model_path is None:
+def _settings(flags: dict) -> dict:
+    """The --config file's settings with each runtime flag that was given laid over them."""
+    settings = _load_config(flags["config"])
+    settings.update((key, flags[key]) for key in _FLAG_KEYS if flags[key] is not None)
+    return settings
+
+
+def _build_runtime(settings: dict) -> Runtime:
+    if "model" not in settings:
         _fail(_EXIT_MISSING, "model", "no model file given (--model)")
     with _failing_as("model"):
-        clf = load_model(model_path)
+        clf = load_model(settings["model"])
     with _failing_as("lexicon"):
-        lex = build_lexicon(_resolve(config, "lexicon", lexicon, default_lexicon_path()))
-    patterns_path = _resolve(config, "patterns", patterns, None)
+        lex = build_lexicon(settings.get("lexicon", default_lexicon_path()))
     with _failing_as("patterns"):
-        pats = default_patterns() if patterns_path is None else load_patterns(patterns_path)
+        pats = load_patterns(settings.get("patterns", data_path("patterns_fr.json")))
     with _failing_as("stopwords"):
-        stops = load_stopwords(_resolve(config, "stopwords", stopwords, data_path("stopwords_fr.txt")))
+        stops = load_stopwords(settings.get("stopwords", data_path("stopwords_fr.txt")))
     with _failing_as("config"):
         return Runtime(
             model=clf,
             lexicon=lex,
             patterns=pats,
             stopwords=stops,
-            threshold=_resolve(config, "threshold", threshold, DEFAULT_THRESHOLD),
-            link_config=LinkConfig(**{key: config[key] for key in _LINK_KEYS if key in config}),
+            threshold=settings.get("threshold", DEFAULT_THRESHOLD),
+            link_config=LinkConfig(**{key: settings[key] for key in _LINK_KEYS if key in settings}),
         )
 
 
@@ -191,7 +190,7 @@ def main():
 @click.option("--out", default=None, help="Output file, or directory with several inputs.")
 @_runtime_options
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True)
-def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt, config):
+def cmd_extract(inputs, out, fmt, **flags):
     """Run the full pipeline over OCR JSON and emit prescription records.
 
     Every input is processed: a failing one is reported on stderr and the
@@ -201,8 +200,8 @@ def cmd_extract(inputs, out, model, lexicon, patterns, stopwords, threshold, fmt
     anything is read or written.
     """
     with _failing_as("config"):
-        cfg = _load_config(config)
-    runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
+        settings = _settings(flags)
+    runtime = _build_runtime(settings)
     if len(inputs) > 1:
         if not out:
             _fail(_EXIT_SCHEMA, "usage", "--out directory is required with several inputs")
@@ -327,14 +326,13 @@ def _read_predictions(path, gold_rows) -> list[list]:
 @_runtime_options
 @click.option("--mode", type=click.Choice(["token", "exact-span"]), default="token", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json", show_default=True)
-def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, mode, fmt, config):
+def cmd_eval(gold, predictions, mode, fmt, **flags):
     """Score extraction quality against a gold corpus.
 
     A gold file with no records is refused: with nothing to score, every
     figure would read 1.0.
     """
-    pipeline_flags = zip((*_PATH_KEYS, "threshold"), (model, lexicon, patterns, stopwords, threshold))
-    ignored = [f"--{key}" for key, value in pipeline_flags if value is not None]
+    ignored = [f"--{key}" for key in _FLAG_KEYS if flags[key] is not None]
     if predictions is not None and ignored:
         _fail(_EXIT_SCHEMA, "usage", f"{', '.join(ignored)} cannot be used with --predictions, which runs no pipeline")
     with _failing_as("gold"):
@@ -342,13 +340,13 @@ def cmd_eval(gold, predictions, model, lexicon, patterns, stopwords, threshold, 
         if not gold_rows:
             raise SchemaError(f"{gold}: no records to score")
     with _failing_as("config"):
-        cfg = _load_config(config)
+        settings = _settings(flags)
 
     if predictions is not None:
         with _failing_as("predictions"):
             pred_spans = _read_predictions(predictions, gold_rows)
     else:
-        runtime = _build_runtime(cfg, model, lexicon, patterns, stopwords, threshold)
+        runtime = _build_runtime(settings)
         pred_spans = [annotate_text(row.text, runtime) for row in gold_rows]
 
     mode_name = "TOKEN" if mode == "token" else "EXACT_SPAN"
@@ -372,7 +370,7 @@ def cmd_lexicon_check(lexicon):
         "entries": len(lex.entries),
         "first_token_keys": len(lex.first_token_index),
         "max_first_token_bucket": max(map(len, lex.first_token_index.values())),
-        "max_name_tokens": max(len(e.norm_tokens) for e in lex.entries),
+        "max_name_tokens": max(e.n_tokens for e in lex.entries),
     }
     click.echo(json.dumps(stats, indent=2))
 

@@ -64,23 +64,26 @@ class LexiconEntry:
     ``norm_name`` is ``normalize_text(name).text``: the same cleaning as
     ``Sentence.match_text``, with punctuation spacing kept as written
     ("doliprane 1000 mg, comprime", not "... mg , comprime").
-    ``norm_tokens`` are the token texts of ``tokenize(norm_name)``.
+    ``n_tokens`` is the number of tokens of ``tokenize(norm_name)``: the
+    length of the sentence window the name is scored against.
     """
 
     drug_id: str
     name: str
     norm_name: str
-    norm_tokens: tuple[str, ...]
+    n_tokens: int
 
 
 @dataclass(frozen=True)
 class DrugLexicon:
     """Entries with their first-token index.
 
-    ``first_token_index`` maps each first name token to its entry positions,
-    in file order. The fuzzy lookup probes its keys in two orders: sorted
-    (``sorted_keys``), so keys with a common start are adjacent, and sorted
-    by their reversal (``keys_by_ending``), so keys with a common end are.
+    ``first_token_index`` maps the first token of each name's
+    ``tokenize(norm_name)`` to its entry positions, in file order; it is
+    filled as the rows are read. The fuzzy lookup probes its keys in two
+    orders: sorted (``sorted_keys``), so keys with a common start are
+    adjacent, and sorted by their reversal (``keys_by_ending``), so keys
+    with a common end are.
     """
 
     entries: tuple[LexiconEntry, ...]
@@ -113,6 +116,7 @@ def build_lexicon(path) -> DrugLexicon:
         if [h.strip().lower() for h in header] != ["id", "name"]:
             raise FileError(f"{path}: expected header 'id,name', got {header!r}")
         entries: list[LexiconEntry] = []
+        index: dict[str, list[int]] = {}
         seen: set[str] = set()
         read = reader.line_num  # file lines read so far
         for row in reader:
@@ -134,12 +138,10 @@ def build_lexicon(path) -> DrugLexicon:
             tokens = tokenize(norm)[0]
             if not tokens:
                 raise FileError(f"{path}:{row_no}: name normalizes to nothing")
-            entries.append(LexiconEntry(drug_id=drug_id, name=name, norm_name=norm, norm_tokens=tokens))
+            index.setdefault(tokens[0], []).append(len(entries))
+            entries.append(LexiconEntry(drug_id=drug_id, name=name, norm_name=norm, n_tokens=len(tokens)))
     if not entries:
         raise EmptyLexicon(f"{path}: no entries")
-    index: dict[str, list[int]] = {}
-    for i, entry in enumerate(entries):
-        index.setdefault(entry.norm_tokens[0], []).append(i)
     return DrugLexicon(
         entries=tuple(entries),
         first_token_index={k: tuple(v) for k, v in index.items()},
@@ -219,7 +221,7 @@ def detect_drug(
         for idx in _candidate_indices(lexicon, tokens[trigger]):
             entry = lexicon.entries[idx]
             name = entry.norm_name
-            stop = char_span(trigger, min(trigger + len(entry.norm_tokens), n))[1]
+            stop = char_span(trigger, min(trigger + entry.n_tokens, n))[1]
             la, lb = len(name), stop - start
             floor = threshold if best is None else max(threshold, -best[0][0])
             if 2.0 * min(la, lb) / (la + lb) < floor:

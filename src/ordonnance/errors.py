@@ -14,7 +14,8 @@ through, so they meet the same rules.
 
 Every numeric setting is checked by `check_int` or `check_number`, which
 raise a ``ValueError`` naming the setting and the value; both refuse a bool,
-which would pass as 0 or 1, and `check_number` fails NaN.
+which would pass as 0 or 1, and `check_number` fails NaN and an int that no
+float can hold, which would fail later in float arithmetic.
 """
 
 import json
@@ -97,6 +98,10 @@ def check_number(name: str, value, low, high, *, open_low: bool = False, open_hi
     A bound is excluded when its ``open_`` flag is set; NaN fails both comparisons.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a number a float can hold, got {value!r}") from None
         if (low < value if open_low else low <= value) and (value < high if open_high else value <= high):
             return
     interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"

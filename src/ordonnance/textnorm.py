@@ -34,6 +34,7 @@ built positionally (see the package docstring).
 
 from __future__ import annotations
 
+import io
 import re
 import unicodedata
 from typing import NamedTuple
@@ -181,12 +182,16 @@ def is_one_token(text: str) -> bool:
 def read_word_list(text: str, where) -> frozenset[str]:
     """The normalized words of a word list: one per line, '#' starts a comment.
 
-    A word is compared with one token's text, so an entry that normalizes to
-    anything but one token (two words, a split abbreviation, nothing) is a
-    FileError naming ``where`` and the line, as it could never match.
+    A line ends at a line feed, a carriage return and line feed, or a lone
+    carriage return, so lines are numbered as the lexicon reader numbers its
+    rows; a form feed or another Unicode line separator is whitespace within
+    its line. A word is compared with one token's text, so an entry that
+    normalizes to anything but one token (two words, a split abbreviation,
+    nothing) is a FileError naming ``where`` and the line, as it could never
+    match.
     """
     words = set()
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(io.StringIO(text, newline=""), 1):
         entry = line.split("#", 1)[0].strip()
         if not entry:
             continue

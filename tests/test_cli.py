@@ -21,6 +21,7 @@ from ordonnance.cli import main
 from ordonnance.classify import load_model
 from ordonnance.corpus import read_jsonl
 from ordonnance.druglink import DEFAULT_THRESHOLD, default_lexicon_path
+from ordonnance.errors import data_path
 
 from conftest import DATA_DIR
 
@@ -422,6 +423,10 @@ ERROR_CASES = [
         2, "config", None, id="config-unknown-keys",
     ),
     pytest.param(
+        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"drug_gap_factor": %s}' % ("9" * 400))),
+        2, "config", None, id="config-number-beyond-the-float-range",
+    ),
+    pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _stale_model_file(m, d / "stale.bin")],
         2, "model", None, id="extract-stale-model",
     ),
@@ -519,14 +524,15 @@ def test_unknown_config_keys_are_named(run, tmp_path):
     assert "['drug_gap_factr', 'treshold']" in error["message"]
 
 
-@pytest.mark.parametrize("which, entries, bucket", [("demo", 217, 4), ("big", 9_396, 54)])
-def test_lexicon_check_reports_the_largest_first_token_bucket(big_lexicon_path, which, entries, bucket):
+@pytest.mark.parametrize("which, entries, bucket, name_tokens", [("demo", 217, 4, 13), ("big", 9_396, 54, 7)])
+def test_lexicon_check_reports_the_largest_first_token_bucket(big_lexicon_path, which, entries, bucket, name_tokens):
     # the most names one first token holds, which sets the cost of detect_drug
     args = ["lexicon-check"] + (["--lexicon", str(big_lexicon_path)] if which == "big" else [])
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.stderr
     stats = json.loads(result.stdout)
     assert (stats["entries"], stats["max_first_token_bucket"]) == (entries, bucket), stats
+    assert stats["max_name_tokens"] == name_tokens, stats  # the longest sentence window detect_drug scores
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -670,19 +676,94 @@ def test_extract_and_eval_declare_the_shared_flags_alike():
     assert all(text for _, text in help_records("eval").values())
 
 
-def test_an_explicit_lexicon_flag_wins_over_the_config_file(run, tmp_path):
-    config = _write(tmp_path / "config.json", json.dumps({"lexicon": str(tmp_path / "absent.csv")}))
-    plain = run("--input", str(FIXTURE))
-    result = run("--input", str(FIXTURE), "--config", config, "--lexicon", default_lexicon_path())
-    assert result.exit_code == 0, result.stderr
-    assert result.stdout == plain.stdout
-    assert run("--input", str(FIXTURE), "--config", config).exit_code == 3  # the config's own lexicon is absent
+# ---- each runtime setting: the flag, else the config file, else the shipped default
+
+RUNTIME_KEYS = ("model", "lexicon", "patterns", "stopwords", "threshold")
+
+# A config file's bad value of each key is reported as this error type and exit code.
+_BAD_SETTING_ERROR = {
+    "model": ("model", 3), "lexicon": ("lexicon", 3), "patterns": ("patterns", 3), "stopwords": ("stopwords", 3),
+    "threshold": ("config", 2),
+}
 
 
-def test_an_explicit_threshold_flag_wins_over_the_config_file(run, tmp_path):
-    config = _write(tmp_path / "config.json", '{"threshold": 5}')
-    plain = run("--input", str(FIXTURE))
-    result = run("--input", str(FIXTURE), "--config", config, "--threshold", str(DEFAULT_THRESHOLD))
+def _shipped_setting(key, model_file):
+    """The value ``key`` takes when nothing sets it; the model, which has none, is the trained one."""
+    return {
+        "model": str(model_file), "lexicon": default_lexicon_path(), "patterns": data_path("patterns_fr.json"),
+        "stopwords": data_path("stopwords_fr.txt"), "threshold": DEFAULT_THRESHOLD,
+    }[key]
+
+
+def _bad_setting(key, tmp_path):
+    return 5 if key == "threshold" else str(tmp_path / f"absent-{key}")
+
+
+def _runtime_args(command, model_file, tmp_path, key=None):
+    """``command`` over the fixture or a small gold file, with the trained model unless ``key`` is the model."""
+    model = [] if key == "model" else ["--model", str(model_file)]
+    if command == "extract":
+        return ["extract", "--input", str(FIXTURE), *model]
+    return ["eval", "--gold", _corpus(tmp_path), *model]
+
+
+def _config(tmp_path, settings):
+    return _write(tmp_path / "config.json", json.dumps(settings))
+
+
+@pytest.mark.parametrize("key", RUNTIME_KEYS)
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_an_explicit_flag_wins_over_the_config_file(model_file, tmp_path, command, key):
+    plain = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path))
+    config = _config(tmp_path, {key: _bad_setting(key, tmp_path)})
+    flag = [f"--{key}", str(_shipped_setting(key, model_file))]
+    result = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path, key) + ["--config", config, *flag])
     assert result.exit_code == 0, result.stderr
     assert result.stdout == plain.stdout
-    assert [e["type"] for e in _error(run("--input", str(FIXTURE), "--config", config))] == ["config"]
+
+
+@pytest.mark.parametrize("key", RUNTIME_KEYS)
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_a_key_set_only_in_the_config_file_is_taken(model_file, tmp_path, command, key):
+    args = _runtime_args(command, model_file, tmp_path, key)
+    result = CliRunner().invoke(main, args + ["--config", _config(tmp_path, {key: _bad_setting(key, tmp_path)})])
+    kind, code = _BAD_SETTING_ERROR[key]
+    assert result.exit_code == code, result.stderr
+    assert [e["type"] for e in _error(result)] == [kind]
+    plain = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path))
+    config = _config(tmp_path, {key: _shipped_setting(key, model_file)})
+    result = CliRunner().invoke(main, args + ["--config", config])
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("key", RUNTIME_KEYS)
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_a_key_set_nowhere_takes_the_shipped_default(model_file, tmp_path, command, key):
+    args = _runtime_args(command, model_file, tmp_path, key)
+    result = CliRunner().invoke(main, args)
+    if key == "model":
+        assert result.exit_code == 3
+        assert _error(result) == [{"type": "model", "message": "no model file given (--model)"}]
+        return
+    assert result.exit_code == 0, result.stderr
+    explicit = CliRunner().invoke(main, args + [f"--{key}", str(_shipped_setting(key, model_file))])
+    assert result.stdout == explicit.stdout
+
+
+_ALL_PIPELINE_FLAGS = {"--model": "m", "--lexicon": "l", "--patterns": "p", "--stopwords": "x", "--threshold": "0.5"}
+
+
+@pytest.mark.parametrize("typed, listed", [
+    (("--threshold", "--stopwords", "--model"), "--model, --stopwords, --threshold"),
+    (("--model", "--stopwords", "--threshold"), "--model, --stopwords, --threshold"),
+    (tuple(reversed(_ALL_PIPELINE_FLAGS)), ", ".join(_ALL_PIPELINE_FLAGS)),
+    (("--patterns", "--threshold", "--model", "--stopwords", "--lexicon"), ", ".join(_ALL_PIPELINE_FLAGS)),
+])
+def test_the_predictions_conflict_lists_the_flags_in_declaration_order(tmp_path, typed, listed):
+    args = [arg for flag in typed for arg in (flag, _ALL_PIPELINE_FLAGS[flag])]
+    result = CliRunner().invoke(main, _eval_predictions(tmp_path, _CORPUS[0], *args))
+    assert result.exit_code == 2, result.stderr
+    assert _error(result) == [
+        {"type": "usage", "message": f"{listed} cannot be used with --predictions, which runs no pipeline"}
+    ]

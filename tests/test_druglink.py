@@ -28,6 +28,11 @@ from ordonnance.textnorm import sentence_from_text, tokenize
 from test_kernels import _edit_distance, oracle_similarity, reference_similarity
 
 
+def name_tokens(entry):
+    """The entry's name tokens, worked out afresh from its ``norm_name``."""
+    return tokenize(entry.norm_name)[0]
+
+
 def oracle_detect_drug(sentence, lexicon, threshold=0.72):
     """Unpruned detection: score every candidate of each of the first three tokens.
 
@@ -41,12 +46,12 @@ def oracle_detect_drug(sentence, lexicon, threshold=0.72):
     best = None  # (score, -trigger, len(norm_name), drug_id), entry, trigger
     for trigger in range(min(3, n)):
         text = tokens[trigger]
-        idxs = [i for i, e in enumerate(lexicon.entries) if e.norm_tokens[0] == text]
+        idxs = [i for i, e in enumerate(lexicon.entries) if name_tokens(e)[0] == text]
         if not idxs and len(text) >= 5:
-            idxs = [i for i, e in enumerate(lexicon.entries) if kernels.levenshtein_leq1(text, e.norm_tokens[0])]
+            idxs = [i for i, e in enumerate(lexicon.entries) if kernels.levenshtein_leq1(text, name_tokens(e)[0])]
         for idx in idxs:
             entry = lexicon.entries[idx]
-            end = min(trigger + len(entry.norm_tokens), n)
+            end = min(trigger + len(name_tokens(entry)), n)
             window = sentence.match_text[starts[trigger] : starts[end - 1] + len(tokens[end - 1])]
             score = reference_similarity(entry.norm_name, window)
             key = (score, -trigger, len(entry.norm_name))
@@ -85,7 +90,7 @@ def oracle_pruned_detect_drug(sentence, lexicon, threshold=0.72):
         for idx in _candidate_indices(lexicon, tokens[trigger]):
             entry = lexicon.entries[idx]
             name = entry.norm_name
-            stop = char_span(trigger, min(trigger + len(entry.norm_tokens), n))[1]
+            stop = char_span(trigger, min(trigger + len(name_tokens(entry)), n))[1]
             la, lb = len(name), stop - start
             floor = threshold if best is None else max(threshold, best[0])
             if 2.0 * min(la, lb) / (la + lb) < floor:
@@ -99,7 +104,7 @@ def oracle_pruned_detect_drug(sentence, lexicon, threshold=0.72):
                 best_trigger = trigger
     if best is None or best_entry is None or best[0] < threshold:
         return None
-    lo, hi = char_span(best_trigger, min(best_trigger + len(best_entry.norm_tokens), n))
+    lo, hi = char_span(best_trigger, min(best_trigger + len(name_tokens(best_entry)), n))
     return DrugMention(sentence.line_id, best_entry.drug_id, best_entry.name, match_text[lo:hi], best[0], best_trigger)
 
 
@@ -180,7 +185,8 @@ class TestBuildLexicon:
         lex = build_lexicon(write_lexicon(tmp_path, [("A1", "DOLIPRANE 1000 mg, comprimé")]))
         assert "doliprane" in lex.first_token_index
         assert lex.entries[0].norm_name == "doliprane 1000 mg, comprime"
-        assert lex.entries[0].norm_tokens == ("doliprane", "1000", "mg", ",", "comprime")
+        assert name_tokens(lex.entries[0]) == ("doliprane", "1000", "mg", ",", "comprime")
+        assert lex.entries[0].n_tokens == 5
 
     def test_empty_lexicon(self, tmp_path):
         with pytest.raises(EmptyLexicon):
@@ -271,6 +277,18 @@ class TestBuildLexicon:
         # entry positions per first token, in file order
         assert lex.first_token_index == {"doliprane": (0, 2), "spasfon": (1,)}
         assert [lex.entries[i].drug_id for i in lex.first_token_index["doliprane"]] == ["A1", "A2"]
+
+    @pytest.mark.parametrize("which", ["lexicon", "big_lexicon"])
+    def test_one_pass_index_equals_a_two_pass_rebuild(self, request, which):
+        lex = request.getfixturevalue(which)
+        index = {}
+        for i, entry in enumerate(lex.entries):
+            index.setdefault(name_tokens(entry)[0], []).append(i)
+        assert lex.first_token_index == {key: tuple(idxs) for key, idxs in index.items()}
+        assert list(lex.first_token_index) == list(index)  # keys in order of first appearance
+        assert lex.sorted_keys == tuple(sorted(index))
+        assert lex.keys_by_ending == tuple(sorted(index, key=lambda key: key[::-1]))
+        assert [entry.n_tokens for entry in lex.entries] == [len(name_tokens(entry)) for entry in lex.entries]
 
 
 class TestFuzzyLookup:

@@ -73,7 +73,8 @@ def test_each_shipped_file_loads_as_its_text_read_on_its_own():
 
 # ---- the one rule for a numeric setting ---------------------------------------
 
-SETTING_GRID = (-1, 0, 0.3, 0.31, 0.5, 1, 1.5, 2, True, False, math.nan, math.inf, -math.inf, "1", None)
+# 10**400 and -10**400 are ints that no float can hold.
+SETTING_GRID = (-1, 0, 0.3, 0.31, 0.5, 1, 1.5, 2, True, False, math.nan, math.inf, -math.inf, "1", None, 10**400, -10**400)
 
 _SENTENCE = AnnotatedSentence("1 cp par jour", "POSOLOGY")
 
@@ -84,11 +85,12 @@ def _spec(**field):
 
 # Each setting's name, the call that takes it, and the grid values it accepts:
 # exactly those that each record's own hand-written check accepted before
-# `check_int` and `check_number` took over.
+# `check_int` and `check_number` took over, less the ints no float can hold,
+# which a number setting now refuses. An int setting still takes them.
 SETTINGS = [
-    pytest.param("epochs", lambda v: TrainConfig(epochs=v), [1, 2], id="TrainConfig.epochs"),
-    pytest.param("hash_dim", lambda v: TrainConfig(hash_dim=v), [1, 2], id="TrainConfig.hash_dim"),
-    pytest.param("seed", lambda v: TrainConfig(seed=v), [-1, 0, 1, 2], id="TrainConfig.seed"),
+    pytest.param("epochs", lambda v: TrainConfig(epochs=v), [1, 2, 10**400], id="TrainConfig.epochs"),
+    pytest.param("hash_dim", lambda v: TrainConfig(hash_dim=v), [1, 2, 10**400], id="TrainConfig.hash_dim"),
+    pytest.param("seed", lambda v: TrainConfig(seed=v), [-1, 0, 1, 2, 10**400, -10**400], id="TrainConfig.seed"),
     pytest.param("learning_rate", lambda v: TrainConfig(learning_rate=v), [0.3, 0.31, 0.5, 1, 1.5, 2],
                  id="TrainConfig.learning_rate"),
     pytest.param("holdout_fraction", lambda v: TrainConfig(holdout_fraction=v), [0, 0.3, 0.31, 0.5],
@@ -101,12 +103,12 @@ SETTINGS = [
                  id="LinkConfig.overlap_fraction"),
     pytest.param("threshold", lambda v: Runtime(model=None, lexicon=None, patterns=None, threshold=v),
                  [0, 0.3, 0.31, 0.5, 1], id="Runtime.threshold"),
-    pytest.param("n_drug", lambda v: _spec(n_drug=v), [0, 1, 2], id="CorpusSpec.n_drug"),
-    pytest.param("n_posology", lambda v: _spec(n_posology=v), [0, 1, 2], id="CorpusSpec.n_posology"),
-    pytest.param("n_useless", lambda v: _spec(n_useless=v), [0, 1, 2], id="CorpusSpec.n_useless"),
-    pytest.param("seed", lambda v: _spec(seed=v), [-1, 0, 1, 2], id="CorpusSpec.seed"),
+    pytest.param("n_drug", lambda v: _spec(n_drug=v), [0, 1, 2, 10**400], id="CorpusSpec.n_drug"),
+    pytest.param("n_posology", lambda v: _spec(n_posology=v), [0, 1, 2, 10**400], id="CorpusSpec.n_posology"),
+    pytest.param("n_useless", lambda v: _spec(n_useless=v), [0, 1, 2, 10**400], id="CorpusSpec.n_useless"),
+    pytest.param("seed", lambda v: _spec(seed=v), [-1, 0, 1, 2, 10**400, -10**400], id="CorpusSpec.seed"),
     pytest.param("rate", lambda v: noisify(_SENTENCE, v, 0), [0, 0.3], id="noisify.rate"),
-    pytest.param("seed", lambda v: noisify(_SENTENCE, 0.1, v), [-1, 0, 1, 2], id="noisify.seed"),
+    pytest.param("seed", lambda v: noisify(_SENTENCE, 0.1, v), [-1, 0, 1, 2, 10**400, -10**400], id="noisify.seed"),
 ]
 
 
@@ -131,8 +133,17 @@ def test_each_setting_accepts_the_grid_values_it_always_accepted(name, make, acc
     (lambda: check_number("x", 1, 0, 1, open_high=True), "x must be a number in [0, 1), got 1"),
     (lambda: check_number("x", 0, 0, 1, open_low=True), "x must be a number in (0, 1], got 0"),
     (lambda: check_number("x", math.nan, 0, 1), "x must be a number in [0, 1], got nan"),
+    (lambda: check_number("x", 2**1024, 0, math.inf, open_low=True, open_high=True),
+     f"x must be a number a float can hold, got {2**1024}"),
+    (lambda: check_number("x", -(10**400), 0, 1), f"x must be a number a float can hold, got {-(10**400)}"),
 ])
 def test_a_refused_setting_is_named_with_its_rule_and_value(check, message):
     with pytest.raises(ValueError) as info:
         check()
     assert str(info.value) == message
+
+
+def test_the_largest_int_a_float_can_hold_is_a_number():
+    largest = int(sys.float_info.max)
+    check_number("x", largest, 0, math.inf, open_low=True, open_high=True)
+    check_number("x", -largest, -math.inf, 0)

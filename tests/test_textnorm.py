@@ -282,6 +282,26 @@ class TestReadWordList:
         with pytest.raises(FileError, match=re.escape(f"{path}:3: {entry!r} is not one token")):
             load_stopwords(path)
 
+    # Lines end at "\n", "\r\n" or a lone "\r", as the lexicon reader's rows do;
+    # a form feed or a Unicode line separator is whitespace inside its line.
+    @pytest.mark.parametrize("text, number, entry", [
+        ("le\x0cpar jour\n", 1, "le\x0cpar jour"),
+        ("le\x0cpar\n", 1, "le\x0cpar"),
+        ("le\npar jour\nsoir\n", 2, "par jour"),
+        ("le\rla\r\npar jour\rsoir", 3, "par jour"),
+    ])
+    def test_lines_are_numbered_as_the_lexicon_reader_numbers_them(self, text, number, entry):
+        with pytest.raises(FileError, match="^" + re.escape(f"list:{number}: {entry!r} is not one token")):
+            read_word_list(text, "list")
+
+    def test_lines_ended_by_a_lone_carriage_return_load(self):
+        assert read_word_list("le\rla\r\nde\r# comment\rdu", "list") == {"le", "la", "de", "du"}
+
+    def test_shipped_lists_hold_no_other_line_separator(self):
+        for name in ("stopwords_fr.txt", "equivalence_markers.txt"):
+            text = self.shipped(name).read_text("utf-8")
+            assert not set(text) & set("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), name
+
     def test_every_shipped_entry_is_one_token(self):
         assert all(is_one_token(word) for word in SHIPPED_STOPWORDS | SHIPPED_MARKERS)
         assert not is_one_token("par jour") and not is_one_token("")
