@@ -6,48 +6,51 @@ descent on cross-entropy. The decision the classifier makes is lexical
 the stopword-filtered text plus word unigrams carry the signal. Training is
 deterministic for a fixed seed and epoch budget.
 
-The model holds what training learned and the ``hash_dim`` its features
-were hashed with; its labels are always ``CLASS_LABELS``. It keeps only the
-weight columns of the hashed ids that training features touched: no other
-column of the (labels, hash_dim) space ever moves from zero. Training runs
-in that compact column space with numpy alone, summing each logit and each
-gradient column with ``np.bincount`` in row order. Scoring sums the same
-way: the lines of a batch are looked up in the model's ids in one
-``searchsorted``, each label's logits are one ``np.bincount`` over the
-batch's terms in row order, and one softmax runs over the (lines, labels)
-block, taking each exp with ``math.exp`` (see ``_softmax``). A line's scores
-and a trained model's bytes therefore depend neither on the BLAS build nor
-on numpy's CPU dispatch, and a line's scores not on the other lines of its
-batch; a lone line is a batch of one.
+The featurizer is fixed: its labels, n-gram bounds and hash width are the
+constants ``CLASS_LABELS``, ``NGRAM_MIN``/``NGRAM_MAX`` and ``HASH_DIM``, so
+the model holds only what training learned. It keeps only the weight columns
+of the hashed ids that training features touched: no other column of the
+(labels, HASH_DIM) space ever moves from zero. Training runs in that compact
+column space with numpy alone, summing each logit and each gradient column
+with ``np.bincount`` in row order. Scoring sums the same way: the lines of a
+batch are looked up in the model's ids in one ``searchsorted``, each label's
+logits are one ``np.bincount`` over the batch's terms in row order, and one
+softmax runs over the (lines, labels) block, taking each exp with
+``math.exp`` (see ``_softmax``). A line's scores and a trained model's bytes
+therefore depend neither on the BLAS build nor on numpy's CPU dispatch, and
+a line's scores not on the other lines of its batch; a lone line is a batch
+of one.
 
 ``predict`` stays a per-line call, because ``perfbench`` times this layer
 by wrapping ``pipeline.predict`` once per line. A document's lines share a
 ``LineBatch``: the first ``predict`` on it scores them all, inside that
 call's span, and later calls look their line up.
 
-``featurize`` hashes a batch of lines (a document, a training corpus) at
-once and returns three flat arrays ``(line, ids, values)``, sorted by id
-and then by line, so scoring looks its keys up in ascending order (about
-half the cost of line order) while each line's entries, in increasing id
-order, add up in every ``bincount`` sum as before. CRC-32 is affine over
-GF(2), so the CRC of a fixed-length window is a constant XOR one table
-entry per byte (``_gram_table``): the n-grams of every ASCII line cost one
-gather and one XOR per n over the batch's bytes. Counts come from one
-``np.unique``; each line's norm is the Python float power ``sum_sq **
-0.5`` (``math.sqrt`` and ``np.sqrt`` differ from it at some integers), so
-every value equals the spelled-out per-line ``count / norm`` bit for bit.
+``featurize`` hashes the feature texts of a batch of lines (a document, a
+training corpus) at once and returns three flat arrays ``(line, ids,
+values)``, sorted by id and then by line, so scoring looks its keys up in
+ascending order (about half the cost of line order) while each line's
+entries, in increasing id order, add up in every ``bincount`` sum as before.
+CRC-32 is affine over GF(2), so the CRC of a fixed-length window is a
+constant XOR one table entry per byte (``_gram_table``): the n-grams of
+every ASCII line cost one gather and one XOR per n over the batch's bytes.
+Counts come from one ``np.unique``; each line's norm is the Python float
+power ``sum_sq ** 0.5`` (``math.sqrt`` and ``np.sqrt`` differ from it at
+some integers), so every value equals the spelled-out per-line ``count /
+norm`` bit for bit.
 
 Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
-featurizer version, the labels, ``hash_dim``, the n-gram bounds,
-``n_cols``, the holdout accuracy), then raw
+featurizer version, the featurizer's fixed values ``labels``, ``hash_dim``,
+``ngram_min`` and ``ngram_max``, ``n_cols``, the holdout accuracy), then raw
 little-endian bytes: the ``n_cols`` sorted hashed ids as int64, the
 (n_cols, labels) weight block as float64, and the bias as float64. It
-round-trips bit-exactly. The dense format of earlier releases (magic
-``ordonnance-classifier``) is refused with ``SchemaError``; retrain to get a
-current model. ``load_model`` is where a model file is checked: it compares
-the header's version with ``FEATURE_VERSION`` once and refuses a stale model
-with ``VersionMismatch``, and it refuses non-finite weights or bias with
-``SchemaError``, so ``predict`` checks nothing at run time.
+round-trips bit-exactly. ``load_model`` is where a model file is checked:
+it refuses a header whose version is not ``FEATURE_VERSION`` with
+``VersionMismatch``, and with ``SchemaError`` one whose featurizer fields
+are not the constants (``_FEATURIZER``: a model hashed at another width
+too), the dense format of earlier releases (magic ``ordonnance-classifier``)
+and non-finite weights or bias; retrain to get a current model. So
+``predict`` checks nothing at run time.
 """
 
 from __future__ import annotations
@@ -71,9 +74,10 @@ CLASS_LABELS = ("DRUG", "POSOLOGY", "USELESS")
 # version it was trained with, and load_model refuses any other.
 FEATURE_VERSION = "fh1"
 
-# featurize hashes character n-grams of these lengths; load_model refuses other values.
+# featurize hashes character n-grams of these lengths, and words, into HASH_DIM buckets.
 NGRAM_MIN = 3
 NGRAM_MAX = 5
+HASH_DIM = 2**18
 
 # The learning rate at epoch e is learning_rate / (1 + LR_DECAY * e).
 LR_DECAY = 0.01
@@ -81,10 +85,9 @@ LR_DECAY = 0.01
 _MODEL_MAGIC = "ordonnance-classifier-2"
 _DENSE_MAGIC = "ordonnance-classifier"  # earlier releases' dense format, refused
 
-# Model header fields load_model needs, with their JSON types.
-_HEADER_FIELDS = {
-    "labels": list, "hash_dim": int, "ngram_min": int, "ngram_max": int, "version": str, "n_cols": int,
-}
+# The featurizer's fixed values: save_model writes them into the model
+# header, and load_model refuses a header that differs in any of them.
+_FEATURIZER = {"labels": list(CLASS_LABELS), "hash_dim": HASH_DIM, "ngram_min": NGRAM_MIN, "ngram_max": NGRAM_MAX}
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,9 @@ class TrainConfig:
     learning_rate: float = 5.0
     seed: int = 42
     holdout_fraction: float = 0.1
-    hash_dim: int = 2**18
 
     def __post_init__(self):
         check_int("epochs", self.epochs, 1)
-        check_int("hash_dim", self.hash_dim, 1)
         # random.Random(None) would seed from the system and train differently each time
         check_int("seed", self.seed)
         # a zero or negative step never leaves the untrained model; inf ruins it
@@ -116,7 +117,6 @@ class SentenceClass(NamedTuple):
 
 @dataclass
 class ClassifierModel:
-    hash_dim: int
     ids: np.ndarray  # (n_cols,) int64 hashed feature ids, strictly increasing
     weights: np.ndarray  # (n_cols, n_labels): row r holds the weights of ids[r]
     bias: np.ndarray  # (n_labels,)
@@ -151,19 +151,18 @@ def _gram_table(n: int) -> np.ndarray:
     return table
 
 
-def featurize(lines: Sequence[Sentence | str], hash_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hashed feature vectors of many lines: char n-grams plus word unigrams, L2-normalized.
+def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hashed feature vectors of many feature texts: char n-grams plus word unigrams, L2-normalized.
 
     Returns ``(line, ids, values)``: flat int64, int64 and float64 arrays
     sorted by feature id, then by line index, so ``ids`` never decreases,
     line ``k``'s ids are strictly increasing and a line without features
     has no entries. The n-gram ``g`` of length n hashes to
-    ``crc32(f"c{n}|{g}".encode()) % hash_dim`` and the word ``w`` to
-    ``crc32(f"w|{w}".encode()) % hash_dim``; no window crosses from one line
+    ``crc32(f"c{n}|{g}".encode()) % HASH_DIM`` and the word ``w`` to
+    ``crc32(f"w|{w}".encode()) % HASH_DIM``; no window crosses from one line
     into the next. The ASCII lines are hashed together as one byte buffer;
     other lines are encoded gram by gram.
     """
-    texts = [s.feature_text if isinstance(s, Sentence) else s for s in lines]
     n_lines = len(texts)  # an entry's key is id * n_lines + line: unique, and in id order
     one = n_lines == 1  # a lone line needs no masks and no per-line norms
     parts = []
@@ -179,10 +178,10 @@ def featurize(lines: Sequence[Sentence | str], hash_dim: int) -> tuple[np.ndarra
             crcs = gathered if n == 1 else gathered ^ crcs[1:]
             if n >= NGRAM_MIN:
                 if one:
-                    parts.append(crcs % hash_dim)
+                    parts.append(crcs % HASH_DIM)
                 else:
                     inside = left[: len(crcs)] >= n
-                    parts.append(crcs[inside] % hash_dim * n_lines + rows[: len(crcs)][inside])
+                    parts.append(crcs[inside] % HASH_DIM * n_lines + rows[: len(crcs)][inside])
     keys = []
     crc32 = zlib.crc32
     word_seed = _seed("w|")
@@ -191,9 +190,9 @@ def featurize(lines: Sequence[Sentence | str], hash_dim: int) -> tuple[np.ndarra
             for n in range(NGRAM_MIN, min(NGRAM_MAX, len(text)) + 1):
                 seed = _seed(f"c{n}|")
                 for i in range(len(text) - n + 1):
-                    keys.append(crc32(text[i : i + n].encode("utf-8"), seed) % hash_dim * n_lines + k)
+                    keys.append(crc32(text[i : i + n].encode("utf-8"), seed) % HASH_DIM * n_lines + k)
         for word in text.split():
-            keys.append(crc32(word.encode("utf-8"), word_seed) % hash_dim * n_lines + k)
+            keys.append(crc32(word.encode("utf-8"), word_seed) % HASH_DIM * n_lines + k)
     parts.append(np.array(keys, dtype=np.int64))
     unique, counts = np.unique(np.concatenate(parts), return_counts=True)
     if one:
@@ -221,7 +220,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = TrainConfig()) -> ClassifierModel:
+def train(corpus: Sequence[tuple[Sentence, str]], config: TrainConfig = TrainConfig()) -> ClassifierModel:
     """Fit the linear model; deterministic for a fixed config.
 
     The corpus is shuffled with the config seed and split; the tail
@@ -249,7 +248,7 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
     n = len(train_idx)
     # The nonzeros in key order, each row's keys sorted and each key's rows
     # sorted: the order in which every logit and every gradient column is summed.
-    rows, keys, vals = featurize([corpus[i][0] for i in train_idx], config.hash_dim)
+    rows, keys, vals = featurize([corpus[i][0].feature_text for i in train_idx])
     # Only the columns a feature touches ever move from zero; train just those.
     ids, cols = np.unique(keys, return_inverse=True)
     label_pos = {label: j for j, label in enumerate(CLASS_LABELS)}
@@ -271,9 +270,9 @@ def train(corpus: Sequence[tuple[Sentence | str, str]], config: TrainConfig = Tr
             weights[k] -= lr * np.bincount(cols, vals * g[rows], minlength=len(ids))
         bias -= lr * grad.sum(axis=0)
 
-    model = ClassifierModel(hash_dim=config.hash_dim, ids=ids, weights=np.ascontiguousarray(weights.T), bias=bias)
+    model = ClassifierModel(ids=ids, weights=np.ascontiguousarray(weights.T), bias=bias)
     if holdout_idx:
-        classes = _score(model, [corpus[i][0] for i in holdout_idx])
+        classes = _score(model, [corpus[i][0].feature_text for i in holdout_idx])
         correct = sum(1 for i, c in zip(holdout_idx, classes) if c.label == corpus[i][1])
         model.holdout_accuracy = correct / len(holdout_idx)
     return model
@@ -289,7 +288,7 @@ class LineBatch:
         self._classes: dict[int, SentenceClass] | None = None  # by id() of the sentence
 
 
-def predict(model: ClassifierModel, sentence: Sentence | str, batch: LineBatch | None = None) -> SentenceClass:
+def predict(model: ClassifierModel, sentence: Sentence, batch: LineBatch | None = None) -> SentenceClass:
     """Class scores for one sentence; a valid probability simplex always.
 
     ``batch`` is the sentence's document: the first call on it scores every
@@ -298,16 +297,17 @@ def predict(model: ClassifierModel, sentence: Sentence | str, batch: LineBatch |
     for bit.
     """
     if batch is None:
-        return _score(model, (sentence,))[0]
+        return _score(model, (sentence.feature_text,))[0]
     if batch._classes is None:
-        batch._classes = dict(zip(map(id, batch.sentences), _score(model, batch.sentences)))
+        texts = [s.feature_text for s in batch.sentences]
+        batch._classes = dict(zip(map(id, batch.sentences), _score(model, texts)))
     return batch._classes[id(sentence)]
 
 
-def _score(model: ClassifierModel, lines: Sequence[Sentence | str]) -> list[SentenceClass]:
-    """Each line's class scores: one featurize, one id lookup, a bincount per label, one softmax."""
-    line, keys, values = featurize(lines, model.hash_dim)
-    n = len(lines)
+def _score(model: ClassifierModel, texts: Sequence[str]) -> list[SentenceClass]:
+    """Each feature text's class scores: one featurize, one id lookup, a bincount per label, one softmax."""
+    line, keys, values = featurize(texts)
+    n = len(texts)
     logits = np.zeros((n, len(CLASS_LABELS)))
     if len(model.ids):
         rows = model.ids.searchsorted(keys)
@@ -329,10 +329,7 @@ def save_model(model: ClassifierModel, path) -> None:
     header = {
         "magic": _MODEL_MAGIC,
         "version": FEATURE_VERSION,
-        "labels": list(CLASS_LABELS),
-        "ngram_min": NGRAM_MIN,
-        "ngram_max": NGRAM_MAX,
-        "hash_dim": model.hash_dim,
+        **_FEATURIZER,
         "n_cols": len(model.ids),
         "holdout_accuracy": model.holdout_accuracy,
     }
@@ -354,34 +351,28 @@ def load_model(path) -> ClassifierModel:
         raise SchemaError(f"{path}: dense model file of an earlier release; retrain the model")
     if magic != _MODEL_MAGIC:
         raise SchemaError(f"{path}: not a classifier model file")
-    for name, kind in _HEADER_FIELDS.items():
+    if (version := header.get("version")) != FEATURE_VERSION:
+        raise VersionMismatch(f"{path}: model featurizer {version!r} != runtime {FEATURE_VERSION!r}")
+    for name, fixed in _FEATURIZER.items():
         value = header.get(name)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise SchemaError(f"{path}: model header field {name!r} is missing or not a {kind.__name__}")
-    if header["version"] != FEATURE_VERSION:
-        raise VersionMismatch(f"{path}: model featurizer {header['version']!r} != runtime {FEATURE_VERSION!r}")
-    if tuple(header["labels"]) != CLASS_LABELS:  # train writes no other label list
-        raise SchemaError(f"{path}: model labels must be {list(CLASS_LABELS)}, got {header['labels']}")
-    if (ngrams := (header["ngram_min"], header["ngram_max"])) != (NGRAM_MIN, NGRAM_MAX):
-        raise SchemaError(f"{path}: model header needs ngram_min, ngram_max {NGRAM_MIN}, {NGRAM_MAX}, got {ngrams}")
-    hash_dim = header["hash_dim"]
-    if hash_dim < 1:
-        raise SchemaError(f"{path}: model header: need hash_dim >= 1, got {hash_dim}")
-    n_cols = header["n_cols"]
-    if n_cols < 0:
-        raise SchemaError(f"{path}: model header needs n_cols >= 0, got {n_cols}")
+        if type(value) is not type(fixed) or value != fixed:  # a float 3.0 would compare equal to 3
+            raise SchemaError(
+                f"{path}: model header field {name!r} must be {fixed!r}, got {value!r}; retrain the model"
+            )
+    n_cols = header.get("n_cols")
+    if type(n_cols) is not int or n_cols < 0:
+        raise SchemaError(f"{path}: model header field 'n_cols' must be an int >= 0, got {n_cols!r}")
     n_weights = n_cols * len(CLASS_LABELS)
     expected = (n_cols + n_weights + len(CLASS_LABELS)) * 8
     if len(blob) != expected:
         raise SchemaError(f"{path}: model payload has {len(blob)} bytes, expected {expected}")
     ids = np.frombuffer(blob, dtype="<i8", count=n_cols).astype(np.int64)
-    if n_cols and (ids[0] < 0 or ids[-1] >= hash_dim or not np.all(ids[1:] > ids[:-1])):
-        raise SchemaError(f"{path}: model ids must be strictly increasing in [0, hash_dim)")
+    if n_cols and (ids[0] < 0 or ids[-1] >= HASH_DIM or not np.all(ids[1:] > ids[:-1])):
+        raise SchemaError(f"{path}: model ids must be strictly increasing in [0, {HASH_DIM})")
     flat = np.frombuffer(blob, dtype="<f8", offset=n_cols * 8).astype(np.float64)
     if not np.isfinite(flat).all():
         raise SchemaError(f"{path}: model weights and bias must be finite numbers")
     return ClassifierModel(
-        hash_dim=hash_dim,
         ids=ids,
         weights=flat[:n_weights].reshape(n_cols, len(CLASS_LABELS)),
         bias=flat[n_weights:],

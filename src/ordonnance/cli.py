@@ -10,7 +10,11 @@ step: the flags given are laid over the config file, and a key still unset
 is the shipped default. ``eval --predictions`` runs no pipeline, so it
 refuses the pipeline's flags (--model, --lexicon, --patterns, --stopwords,
 --threshold) as a usage error; its config file, which may serve ``extract``
-too, is checked all the same.
+too, is checked all the same. ``train`` sets only the descent (--seed,
+--epochs, --learning-rate, --holdout): the featurizer, its hash width
+included, is fixed (see ``classify``). A model file is loaded before the
+pipeline runs on any input, so one that ``load_model`` refuses (another
+featurizer version or hash width) is a ``model`` error with exit 2.
 
 Each input is checked where it enters, by the loader that reads it; a loader
 raises an ``OrdonnanceError`` for a bad value, and lets the ``OSError`` of a
@@ -268,19 +272,12 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--epochs", type=int, default=200, show_default=True, help="Training epochs, at least 1.")
 @click.option("--learning-rate", type=float, default=5.0, show_default=True, help="Step size, a finite number > 0.")
-@click.option("--hash-dim", type=int, default=2**18, show_default=True, help="Feature hash width, at least 1.")
 @click.option("--holdout", type=float, default=0.1, show_default=True, help="Held-out fraction in [0, 1).")
-def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, hash_dim, holdout):
+def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, holdout):
     """Train the sentence classifier on a JSONL corpus."""
     # TrainConfig checks every setting's range.
     with _failing_as("config"):
-        config = TrainConfig(
-            epochs=epochs,
-            learning_rate=learning_rate,
-            seed=seed,
-            holdout_fraction=holdout,
-            hash_dim=hash_dim,
-        )
+        config = TrainConfig(epochs=epochs, learning_rate=learning_rate, seed=seed, holdout_fraction=holdout)
     with _failing_as("corpus"):
         rows = read_jsonl(corpus_path)
     with _failing_as("stopwords"):

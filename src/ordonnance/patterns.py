@@ -69,11 +69,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MethodType
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import PatternError, data_path, decode_json
+from .errors import PatternError, decode_json
 from .textnorm import Sentence, is_one_token, normalize_text
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
@@ -320,12 +319,6 @@ def parse_patterns(data) -> PatternSet:
 def load_patterns(path) -> PatternSet:
     with open(path, "rb") as fh:
         return parse_patterns(decode_json(fh.read(), path, PatternError))
-
-
-@lru_cache(maxsize=1)
-def default_patterns() -> PatternSet:
-    """The pattern set shipped with the package (data/patterns_fr.json)."""
-    return load_patterns(data_path("patterns_fr.json"))
 
 
 def match_token(spec: TokenSpec, text: str) -> bool:

@@ -7,7 +7,7 @@ from ordonnance.classify import TrainConfig, save_model, train
 from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import build_lexicon, default_lexicon_path
 from ordonnance.errors import data_path
-from ordonnance.patterns import default_patterns
+from ordonnance.patterns import load_patterns
 from ordonnance.pipeline import Runtime
 from ordonnance.textnorm import load_stopwords, sentence_from_text
 
@@ -68,7 +68,7 @@ def stopwords():
 
 @pytest.fixture(scope="session")
 def patterns():
-    return default_patterns()
+    return load_patterns(data_path("patterns_fr.json"))
 
 
 @pytest.fixture(scope="session")

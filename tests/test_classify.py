@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ordonnance import classify
 from ordonnance.classify import (
     CLASS_LABELS,
+    HASH_DIM,
     LR_DECAY,
     ClassifierModel,
     LineBatch,
@@ -59,29 +60,29 @@ def toy_corpus():
     return corpus
 
 
-TOY_CONFIG = TrainConfig(epochs=300, hash_dim=2**14, holdout_fraction=0.0)
+TOY_CONFIG = TrainConfig(epochs=300, holdout_fraction=0.0)
 
 
-def oracle_featurize(text, hash_dim):
+def oracle_featurize(text):
     """featurize as specified: each feature string built, encoded and hashed whole."""
     counts = {}
     for n in range(3, 6):  # character 3- to 5-grams
         for i in range(len(text) - n + 1):
-            idx = zlib.crc32(f"c{n}|{text[i : i + n]}".encode("utf-8")) % hash_dim
+            idx = zlib.crc32(f"c{n}|{text[i : i + n]}".encode("utf-8")) % HASH_DIM
             counts[idx] = counts.get(idx, 0.0) + 1.0
     for word in text.split():
-        idx = zlib.crc32(f"w|{word}".encode("utf-8")) % hash_dim
+        idx = zlib.crc32(f"w|{word}".encode("utf-8")) % HASH_DIM
         counts[idx] = counts.get(idx, 0.0) + 1.0
     norm = sum(v * v for v in counts.values()) ** 0.5
     return {k: v / norm for k, v in counts.items()} if norm > 0 else counts
 
 
 def oracle_predict(model, text):
-    """predict on the dense (labels, hash_dim) weights, one column at a time."""
-    dense = np.zeros((len(CLASS_LABELS), model.hash_dim))
+    """predict on the dense (labels, HASH_DIM) weights, one column at a time."""
+    dense = np.zeros((len(CLASS_LABELS), HASH_DIM))
     dense[:, model.ids] = model.weights.T
     logits = model.bias.copy()
-    for k, v in oracle_featurize(text, model.hash_dim).items():
+    for k, v in oracle_featurize(text).items():
         logits += dense[:, k] * v
     exp = np.exp(logits - logits.max())
     probs = exp / exp.sum()
@@ -104,7 +105,7 @@ def oracle_train(corpus, config):
     order = list(range(len(corpus)))
     random.Random(config.seed).shuffle(order)
     train_idx = order[: len(order) - int(len(corpus) * config.holdout_fraction)]
-    rows = [sorted(oracle_featurize(corpus[i][0].feature_text, config.hash_dim).items()) for i in train_idx]
+    rows = [sorted(oracle_featurize(corpus[i][0].feature_text).items()) for i in train_idx]
     y = np.array([[float(corpus[i][1] == label) for label in CLASS_LABELS] for i in train_idx])
     n = len(rows)
     weights = {key: [0.0] * len(CLASS_LABELS) for row in rows for key, _ in row}
@@ -165,11 +166,11 @@ def split_lines(n_lines, line, ids, values):
     return out
 
 
-def assert_equals_oracle(texts, hash_dim):
+def assert_equals_oracle(texts):
     """Per line, the batch holds the oracle's features with their keys sorted, values bit for bit."""
-    got = split_lines(len(texts), *featurize(texts, hash_dim))
+    got = split_lines(len(texts), *featurize(texts))
     for text, (ids, values) in zip(texts, got):
-        want = sorted(oracle_featurize(text, hash_dim).items())
+        want = sorted(oracle_featurize(text).items())
         assert ids == [k for k, _ in want], text
         assert values == [v for _, v in want], text
 
@@ -178,59 +179,53 @@ def assert_equals_oracle(texts, hash_dim):
 # newline inside, non-ASCII after accent stripping, and ASCII around them.
 MIXED = ["", "zq", "1 cp matin et soir", "œdème 5 µg/kg à 37°", "a", "ab\ncd ef", "\n", "doliprane 1000 mg",
          "è", "x y", "abc\n", "pendant 10 jours"]
-HASH_DIM = TrainConfig().hash_dim
-HASH_DIMS = pytest.mark.parametrize("hash_dim", [HASH_DIM, 97], ids=["config0", "config1"])
 
 
 class TestFeaturize:
     def test_empty_text_is_zero_vector(self):
-        line, ids, values = featurize([""], HASH_DIM)
+        line, ids, values = featurize([""])
         assert len(line) == len(ids) == len(values) == 0
-        assert all(len(a) == 0 for a in featurize([], HASH_DIM))
+        assert all(len(a) == 0 for a in featurize([]))
 
     def test_deterministic(self):
-        a = featurize(["doliprane 1000 mg", "1 cp"], HASH_DIM)
-        b = featurize(["doliprane 1000 mg", "1 cp"], HASH_DIM)
+        a = featurize(["doliprane 1000 mg", "1 cp"])
+        b = featurize(["doliprane 1000 mg", "1 cp"])
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_shared_ngrams_between_variants(self):
-        (a, _), (b, _) = split_lines(2, *featurize(["doliprane 1000 mg", "doliprane 500 mg"], HASH_DIM))
+        (a, _), (b, _) = split_lines(2, *featurize(["doliprane 1000 mg", "doliprane 500 mg"]))
         assert set(a) & set(b)  # all the name n-grams coincide
 
     def test_l2_normalized(self):
-        _, _, values = featurize(["1 cp matin et soir"], HASH_DIM)
+        _, _, values = featurize(["1 cp matin et soir"])
         assert abs(float(values @ values) - 1.0) < 1e-9
 
     def test_equals_the_spelled_out_hash_with_keys_sorted(self, noisy_sentences):
         texts = [s.feature_text for s in noisy_sentences]
         assert len(texts) == 200
-        assert_equals_oracle(texts, HASH_DIM)
-        # a Sentence is hashed by its feature_text
-        assert all(np.array_equal(x, y) for x, y in zip(featurize(noisy_sentences, HASH_DIM), featurize(texts, HASH_DIM)))
+        assert_equals_oracle(texts)
 
-    @HASH_DIMS
-    def test_non_ascii_text_hashes_its_utf8_bytes(self, hash_dim):
+    def test_non_ascii_text_hashes_its_utf8_bytes(self):
         text = sent("œdème 5 µg/kg à 37°").feature_text
         assert not text.isascii()  # accent stripping keeps œ, µ and °
-        assert_equals_oracle([text], hash_dim)
+        assert_equals_oracle([text])
 
-    @HASH_DIMS
-    def test_mixed_batch_hashes_each_line_on_its_own(self, hash_dim):
-        assert_equals_oracle(MIXED, hash_dim)
+    def test_mixed_batch_hashes_each_line_on_its_own(self):
+        assert_equals_oracle(MIXED)
         for text in MIXED:
-            assert_equals_oracle([text], hash_dim)
+            assert_equals_oracle([text])
 
-    @HASH_DIMS
-    def test_no_window_crosses_a_line_boundary(self, hash_dim):
+    def test_no_window_crosses_a_line_boundary(self):
         # Joined, "ab" + "cd" would give the gram "abc"; apart neither line has one.
-        (ids_ab, _), (ids_cd, _) = split_lines(2, *featurize(["ab", "cd"], hash_dim))
-        alone = [featurize([t], hash_dim)[1].tolist() for t in ("ab", "cd")]
+        (ids_ab, _), (ids_cd, _) = split_lines(2, *featurize(["ab", "cd"]))
+        alone = [featurize([t])[1].tolist() for t in ("ab", "cd")]
         assert [ids_ab, ids_cd] == alone
 
     def test_a_lone_line_equals_its_row_in_a_batch(self, noisy_sentences):
-        batch = split_lines(len(noisy_sentences), *featurize(noisy_sentences, HASH_DIM))
-        for sentence, (ids, values) in zip(noisy_sentences, batch):
-            line, alone_ids, alone_values = featurize([sentence], HASH_DIM)
+        texts = [s.feature_text for s in noisy_sentences]
+        batch = split_lines(len(texts), *featurize(texts))
+        for text, (ids, values) in zip(texts, batch):
+            line, alone_ids, alone_values = featurize([text])
             assert not line.any()
             assert alone_ids.tolist() == ids and alone_values.tolist() == values
 
@@ -243,8 +238,8 @@ class TestFeaturize:
         counts[text] = 1  # the one word
         sum_sq = sum(c * c for c in counts.values())
         assert sum_sq == 327_694 and math.sqrt(sum_sq) != sum_sq**0.5
-        assert_equals_oracle([text], HASH_DIM)
-        assert_equals_oracle([text, "1 cp"], HASH_DIM)
+        assert_equals_oracle([text])
+        assert_equals_oracle([text, "1 cp"])
 
 
 class TestTrain:
@@ -259,17 +254,12 @@ class TestTrain:
         with pytest.raises(DegenerateCorpus):
             train(corpus, TOY_CONFIG)
 
-    # A float epoch count or hash_dim would fail inside train; a bool would
-    # train on its value (hash_dim=True gives one bucket).
+    # A float epoch count would fail inside train; a bool would train on its
+    # value (epochs=True gives one epoch).
     @pytest.mark.parametrize("epochs", [0, -3, 2.5, True])
     def test_fewer_than_one_epoch_raises(self, epochs):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=epochs)
-
-    @pytest.mark.parametrize("hash_dim", [0, -1, 64.5, True])
-    def test_hash_dim_not_an_int_of_at_least_one_raises(self, hash_dim):
-        with pytest.raises(ValueError, match="hash_dim"):
-            TrainConfig(hash_dim=hash_dim)
 
     @pytest.mark.parametrize("seed", [None, 1.5, True])
     def test_seed_not_an_int_raises(self, seed):
@@ -289,7 +279,7 @@ class TestTrain:
     def test_stores_exactly_the_columns_its_features_touch(self):
         corpus = toy_corpus()
         model = train(corpus, TOY_CONFIG)
-        touched = np.unique(featurize([s for s, _ in corpus], TOY_CONFIG.hash_dim)[1]).tolist()
+        touched = np.unique(featurize([s.feature_text for s, _ in corpus])[1]).tolist()
         assert model.ids.dtype == np.int64 and model.ids.tolist() == touched
         assert model.weights.shape == (len(touched), len(CLASS_LABELS))
 
@@ -298,7 +288,7 @@ class TestTrain:
         rows = [noisify(row, 0.1, 7_000 + i) for i, row in enumerate(generate(spec))]
         corpus = [(s, row.label) for row in rows if (s := sentence_from_text(row.text, stopwords)) is not None]
         assert len(corpus) == 60
-        config = TrainConfig(epochs=4, hash_dim=2**10)
+        config = TrainConfig(epochs=4)
         model = train(corpus, config)
         ids, weights, bias = oracle_train(corpus, config)
         assert np.array_equal(model.ids, ids)
@@ -332,10 +322,10 @@ class TestTrain:
 
 
 def train_small_model(path) -> None:
-    """Train and save a 300-sentence, 10-epoch model over 4,096 hashed ids."""
+    """Train and save a 300-sentence, 10-epoch model."""
     spec = CorpusSpec(n_drug=100, n_posology=100, n_useless=100, seed=42, lexicon_path=default_lexicon_path())
     corpus = [(s, row.label) for row in generate(spec) if (s := sentence_from_text(row.text)) is not None]
-    save_model(train(corpus, TrainConfig(epochs=10, hash_dim=4096)), path)
+    save_model(train(corpus, TrainConfig(epochs=10)), path)
 
 
 def test_a_model_trains_to_the_same_bytes_without_avx512(tmp_path):
@@ -370,14 +360,13 @@ class TestPredict:
             assert max(p.scores, key=p.scores.get) == p.label
 
     def test_no_known_feature_gives_the_softmax_of_the_bias(self, model):
-        text = "zq"  # shorter than an n-gram: its only feature is the word
-        (key,) = featurize([text], model.hash_dim)[1].tolist()
+        s = sent("zq")  # shorter than an n-gram: its only feature is the word
+        (key,) = featurize([s.feature_text])[1].tolist()
         assert key not in model.ids
-        assert predict(model, text).scores == dict(zip(CLASS_LABELS, softmax(model.bias).tolist()))
+        assert predict(model, s).scores == dict(zip(CLASS_LABELS, softmax(model.bias).tolist()))
 
     def test_model_without_columns_gives_the_softmax_of_the_bias(self, model, tmp_path):
         empty = ClassifierModel(
-            hash_dim=model.hash_dim,
             ids=np.empty(0, dtype=np.int64),
             weights=np.empty((0, len(CLASS_LABELS))),
             bias=np.array([0.5, -1.0, 0.25]),
@@ -386,8 +375,8 @@ class TestPredict:
         loaded = load_model(tmp_path / "model.bin")
         assert loaded.ids.shape == (0,) and loaded.weights.shape == (0, 3)
         expected = dict(zip(CLASS_LABELS, softmax(empty.bias).tolist()))
-        for text in ["doliprane 1000 mg", ""]:
-            assert predict(loaded, text).scores == expected
+        for text in ["doliprane 1000 mg", "zq"]:
+            assert predict(loaded, sent(text)).scores == expected
 
 
 class TestTrainedPredictions:
@@ -431,7 +420,7 @@ class TestTrainedPredictions:
 
 
 # A valid header with two columns, for the bad-file table.
-_HEADER = {"magic": "ordonnance-classifier-2", "labels": list(CLASS_LABELS), "hash_dim": 16, "ngram_min": 3,
+_HEADER = {"magic": "ordonnance-classifier-2", "labels": list(CLASS_LABELS), "hash_dim": HASH_DIM, "ngram_min": 3,
            "ngram_max": 5, "version": "fh1", "n_cols": 2}
 
 
@@ -458,7 +447,6 @@ class TestModelFile:
         assert loaded.ids.dtype == np.int64 and np.array_equal(loaded.ids, model.ids)
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.bias, model.bias)
-        assert loaded.hash_dim == model.hash_dim
         save_model(loaded, tmp_path / "model2.bin")
         assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "model2.bin").read_bytes()
 
@@ -494,29 +482,32 @@ class TestModelFile:
         "header, ids, n_floats, message",
         [
             (["ordonnance-classifier-2"], [3, 7], 9, "not a classifier model file"),
-            (_header(drop=["labels"]), [3, 7], 9, "'labels' is missing"),
-            (_header(labels="DRUG"), [3, 7], 2 * 4 + 4, "'labels' is missing or not a list"),
-            (_header(labels=[]), [3, 7], 0, r"model labels must be \['DRUG', 'POSOLOGY', 'USELESS'\], got \[\]"),
-            (_header(labels=["A", "B", "C"]), [3, 7], 9, "model labels must be"),
-            (_header(labels=["DRUG", "DRUG", "USELESS"]), [3, 7], 9, "model labels must be"),
-            (_header(hash_dim="16"), [3, 7], 9, "'hash_dim' is missing or not a int"),
-            (_header(hash_dim=0, n_cols=0), [], 3, "hash_dim >= 1"),
-            (_header(drop=["n_cols"]), [3, 7], 9, "'n_cols' is missing"),
-            (_header(n_cols=-1), [], 0, "n_cols >= 0"),
-            (_header(ngram_min=0), [3, 7], 9, r"needs ngram_min, ngram_max 3, 5, got \(0, 5\)"),
-            (_header(ngram_min=6), [3, 7], 9, r"needs ngram_min, ngram_max 3, 5, got \(6, 5\)"),
+            (_header(drop=["labels"]), [3, 7], 9, "'labels' must be .*, got None"),
+            (_header(labels="DRUG"), [3, 7], 2 * 4 + 4, "'labels' must be .*, got 'DRUG'"),
+            (_header(labels=[]), [3, 7], 0,
+             r"'labels' must be \['DRUG', 'POSOLOGY', 'USELESS'\], got \[\]; retrain the model"),
+            (_header(labels=["A", "B", "C"]), [3, 7], 9, "'labels' must be"),
+            (_header(labels=["DRUG", "DRUG", "USELESS"]), [3, 7], 9, "'labels' must be"),
+            (_header(hash_dim=str(HASH_DIM)), [3, 7], 9, "'hash_dim' must be 262144, got '262144'"),
+            (_header(hash_dim=10**30), [3, 7], 9, "'hash_dim' must be 262144, got 1000000000000000000000000000000"),
+            (_header(hash_dim=4096), [3, 7], 9, "'hash_dim' must be 262144, got 4096; retrain the model"),
+            (_header(drop=["n_cols"]), [3, 7], 9, "'n_cols' must be an int >= 0, got None"),
+            (_header(n_cols=-1), [], 0, "'n_cols' must be an int >= 0, got -1"),
+            (_header(ngram_min=0), [3, 7], 9, "'ngram_min' must be 3, got 0"),
+            (_header(ngram_min=3.0), [3, 7], 9, r"'ngram_min' must be 3, got 3\.0"),
+            (_header(ngram_min=6), [3, 7], 9, "'ngram_min' must be 3, got 6"),
             (_HEADER, [3, 7], 8, "payload has 80 bytes, expected 88"),
             (_HEADER, [7, 3], 9, "strictly increasing"),
             (_HEADER, [3, 3], 9, "strictly increasing"),
             (_HEADER, [-1, 3], 9, "strictly increasing"),
-            (_HEADER, [3, 16], 9, "strictly increasing"),
+            (_HEADER, [3, HASH_DIM], 9, "strictly increasing"),
             (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 3 * 16 + 3, "dense model file"),
             (_HEADER, [3, 7], [0.0] * 4 + [math.nan] + [0.0] * 4, "weights and bias must be finite"),
             (_HEADER, [3, 7], [0.0] * 8 + [-math.inf], "weights and bias must be finite"),
         ],
         ids=["not-an-object", "no-labels", "labels-not-a-list", "labels-empty", "labels-unknown",
-             "labels-repeated", "hash-dim-a-string", "hash-dim-zero", "no-n-cols", "n-cols-negative", "ngram-min-zero",
-             "ngram-min-above-max",
+             "labels-repeated", "hash-dim-a-string", "hash-dim-beyond-int64", "hash-dim-another-width", "no-n-cols",
+             "n-cols-negative", "ngram-min-zero", "ngram-min-a-float", "ngram-min-above-max",
              "payload-one-float-short", "ids-decreasing", "ids-repeated", "id-negative", "id-at-hash-dim",
              "earlier-dense-format", "weight-nan", "bias-infinite"],
     )

@@ -234,15 +234,15 @@ def _dense_model_file(path):
 def _model_file_with_labels(path, labels):
     """A current-format model file without columns, with the given labels."""
     header = {"magic": "ordonnance-classifier-2", "version": "fh1", "labels": labels,
-              "ngram_min": 3, "ngram_max": 5, "hash_dim": 16, "n_cols": 0, "holdout_accuracy": None}
+              "ngram_min": 3, "ngram_max": 5, "hash_dim": 2**18, "n_cols": 0, "holdout_accuracy": None}
     path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + bytes(8 * len(labels)))
     return str(path)
 
 
-def _stale_model_file(model_file, path):
-    """The model file with the header of a model trained by an earlier featurizer."""
+def _model_file_with(model_file, path, **fields):
+    """The model file with the given header fields changed: an earlier featurizer, another hash width."""
     header, _, payload = model_file.read_bytes().partition(b"\n")
-    path.write_bytes(json.dumps({**json.loads(header), "version": "fh0"}).encode("utf-8") + b"\n" + payload)
+    path.write_bytes(json.dumps({**json.loads(header), **fields}).encode("utf-8") + b"\n" + payload)
     return str(path)
 
 
@@ -312,7 +312,7 @@ ERROR_CASES = [
     ),
     pytest.param(
         lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "missing" / "m.bin"),
-                      "--epochs", "2", "--hash-dim", "64"],
+                      "--epochs", "2"],
         3, "model", None, id="train-model-in-missing-dir",
     ),
     pytest.param(
@@ -427,12 +427,35 @@ ERROR_CASES = [
         2, "config", None, id="config-number-beyond-the-float-range",
     ),
     pytest.param(
-        lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _stale_model_file(m, d / "stale.bin")],
+        lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _model_file_with(m, d / "stale.bin", version="fh0")],
         2, "model", None, id="extract-stale-model",
     ),
     pytest.param(
-        lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]), "--model", _stale_model_file(m, d / "stale.bin")],
+        lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]),
+                      "--model", _model_file_with(m, d / "stale.bin", version="fh0")],
         2, "model", None, id="eval-stale-model",
+    ),
+    # A model hashed at another width is refused before any input is read
+    # (the input file does not exist); 10**30 once failed each line with an OverflowError.
+    pytest.param(
+        lambda m, d: ["extract", "--input", str(d / "absent.json"),
+                      "--model", _model_file_with(m, d / "wide.bin", hash_dim=10**30)],
+        2, "model", None, id="extract-model-hash-dim-beyond-int64",
+    ),
+    pytest.param(
+        lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]),
+                      "--model", _model_file_with(m, d / "wide.bin", hash_dim=10**30)],
+        2, "model", None, id="eval-model-hash-dim-beyond-int64",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--input", str(d / "absent.json"),
+                      "--model", _model_file_with(m, d / "narrow.bin", hash_dim=64)],
+        2, "model", None, id="extract-model-another-hash-width",
+    ),
+    pytest.param(
+        lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]),
+                      "--model", _model_file_with(m, d / "narrow.bin", hash_dim=64)],
+        2, "model", None, id="eval-model-another-hash-width",
     ),
     pytest.param(
         lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "m.bin"), "--epochs", "2", "--holdout", "nan"],
@@ -545,7 +568,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--hash-dim", "0"), ("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3"),
+    [("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3"),
      ("--learning-rate", "0"), ("--learning-rate", "-5"), ("--learning-rate", "nan"), ("--learning-rate", "inf")],
 )
 def test_out_of_range_train_flag_is_a_config_error(tmp_path, flag, value):
@@ -626,14 +649,23 @@ def test_extract_table_lists_orphans_and_unlinked_drug_lines(run, tmp_path):
 
 def test_train_reports_one_json_line_and_writes_a_model_that_loads(tmp_path):
     path = tmp_path / "m.bin"
-    args = ["train", "--input", _corpus(tmp_path), "--model", str(path), "--epochs", "3", "--hash-dim", "64", "--seed", "5"]
+    args = ["train", "--input", _corpus(tmp_path), "--model", str(path), "--epochs", "3", "--seed", "5"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.stderr
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert json.loads(line) == {"sentences": len(_CORPUS), "holdout_accuracy": load_model(path).holdout_accuracy,
                                 "epochs": 3, "seed": 5}
-    assert load_model(path).hash_dim == 64
+
+
+def test_train_has_no_hash_dim_flag(tmp_path):
+    # the featurizer's hash width is fixed, so the flag is Click's unknown-option usage error
+    assert "--hash-dim" not in CliRunner().invoke(main, ["train", "--help"]).stdout
+    args = ["train", "--input", _corpus(tmp_path), "--model", str(tmp_path / "m.bin"), "--hash-dim", "64"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--hash-dim" in result.stderr  # worded by Click's version
+    assert not (tmp_path / "m.bin").exists()
 
 
 @pytest.mark.parametrize("mode", ["pipeline", "predictions"])

@@ -21,7 +21,6 @@ from ordonnance.patterns import (
     PatternSet,
     TokenPattern,
     TokenSpec,
-    default_patterns,
     find_all,
     match_token,
     parse_patterns,
@@ -224,8 +223,8 @@ class TestBruteForceEquivalence:
             got = [(sp.start_token, sp.end_token) for sp in find_all(PatternSet((p,)), s)]
             assert got == brute_force_spans(p, s), (specs, words)
 
-    def test_every_span_revalidates(self):
-        pats = default_patterns()
+    def test_every_span_revalidates(self, patterns):
+        pats = patterns
         s = sent("1 comprime matin et soir pendant 10 jours si douleur")
         for p in pats.patterns:
             for sp in find_all(PatternSet((p,)), s):
@@ -306,14 +305,14 @@ def corpus_sentences(noise: float) -> list:
 
 
 class TestCompiledMatcher:
-    def test_default_set_dedupes_to_distinct_specs(self):
-        pats = default_patterns()
+    def test_default_set_dedupes_to_distinct_specs(self, patterns):
+        pats = patterns
         assert sum(len(p.specs) for p in pats.patterns) == 498
         assert len(pats.specs) == 118
 
-    def test_each_spec_compiles_to_one_test_on_the_text(self):
+    def test_each_spec_compiles_to_one_test_on_the_text(self, patterns):
         # one test per distinct spec, and it is the one definition of a spec holding
-        pats = default_patterns()
+        pats = patterns
         assert len(pats.tests) == len(pats.specs) == len(set(map(id, pats.tests)))
         for spec, test in zip(pats.specs, pats.tests):
             assert test.__func__ is match_token and test.__self__ is spec, (spec, test)
@@ -358,8 +357,8 @@ class TestCompiledMatcher:
         assert compiled_find_all(pats, s) == brute_force_find_all(pats, s)
         assert [(sp.pattern_id, sp.text) for sp in find_all(pats, s)] == [("a", "1 cp"), ("b", "1 cp"), ("b", "2 3")]
 
-    def test_patterns_are_indexed_by_first_spec(self):
-        pats = default_patterns()
+    def test_patterns_are_indexed_by_first_spec(self, patterns):
+        pats = patterns
         assert not any(p.specs[0].op in "?*" for p in pats.patterns)  # no shipped pattern starts optional
         # one root edge per distinct first spec, whose node merges every chain that spec enters
         assert len(pats.root.edges) == len({constraints(p.specs[0]) for p in pats.patterns}) == 31
@@ -377,8 +376,8 @@ class TestCompiledMatcher:
         assert [v for v in by_path.values() if len(v) > 1] == [["DOSE", "FREQUENCY"]]
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
-    def test_default_set_equals_brute_force_on_generated_corpus(self, noise):
-        pats = default_patterns()
+    def test_default_set_equals_brute_force_on_generated_corpus(self, noise, patterns):
+        pats = patterns
         sentences = corpus_sentences(noise)
         assert len(sentences) >= 190
         matched = 0
@@ -771,8 +770,8 @@ class TestDfaCache:
 
 
 class TestPatternFile:
-    def test_default_set_loads_with_inventory(self):
-        per_label = Counter(p.label for p in default_patterns().patterns)
+    def test_default_set_loads_with_inventory(self, patterns):
+        per_label = Counter(p.label for p in patterns.patterns)
         for label in LABELS:
             assert per_label[label] >= 40, label
 

@@ -372,13 +372,13 @@ class TestClassifyCalls:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The calls in order: ("predict", sentence) on entry, ("return", sentence) on exit, ("featurize", lines)."""
+        """The calls in order: ("predict", sentence) on entry, ("return", sentence) on exit, ("featurize", texts)."""
         seen = []
         featurize, predict = classify.featurize, pipeline.predict
 
-        def counting_featurize(lines, config):
-            seen.append(("featurize", list(lines)))
-            return featurize(lines, config)
+        def counting_featurize(texts):
+            seen.append(("featurize", list(texts)))
+            return featurize(texts)
 
         def counting_predict(model, sentence, *rest):
             seen.append(("predict", sentence))
@@ -397,7 +397,8 @@ class TestClassifyCalls:
         # The whole document is featurized inside the first line's predict;
         # every later predict only looks its line up.
         first, *rest = sentences
-        assert calls[:3] == [("predict", first), ("featurize", sentences), ("return", first)]
+        texts = [s.feature_text for s in sentences]
+        assert calls[:3] == [("predict", first), ("featurize", texts), ("return", first)]
         assert calls[3:] == [event for s in rest for event in (("predict", s), ("return", s))]
 
     def test_a_document_of_debris_calls_neither(self, runtime, calls):
@@ -410,7 +411,7 @@ class TestClassifyCalls:
         annotate_text("DOLIPRANE 1000 mg", runtime)
         sentence = calls[0][1]
         assert sentence.match_text == "doliprane 1000 mg"
-        assert calls == [("predict", sentence), ("featurize", [sentence]), ("return", sentence)]
+        assert calls == [("predict", sentence), ("featurize", [sentence.feature_text]), ("return", sentence)]
 
     def test_batched_lines_classify_as_each_line_alone(self, runtime):
         doc = _doc(FIXTURE)
