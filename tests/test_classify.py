@@ -276,6 +276,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="holdout_fraction"):
             TrainConfig(holdout_fraction=holdout_fraction)
 
+    def test_hash_width_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="hash_dim"):
+            TrainConfig(hash_dim=64)
+
     def test_stores_exactly_the_columns_its_features_touch(self):
         corpus = toy_corpus()
         model = train(corpus, TOY_CONFIG)
@@ -462,6 +466,14 @@ class TestModelFile:
         for s, _ in toy_corpus():
             assert predict(model, s) == predict(loaded, s)
 
+    def test_header_holds_the_featurizer_constants(self, tmp_path):
+        model = train(toy_corpus(), TOY_CONFIG)
+        save_model(model, tmp_path / "model.bin")
+        header = json.loads((tmp_path / "model.bin").read_bytes().partition(b"\n")[0])
+        assert header == {"magic": "ordonnance-classifier-2", "version": "fh1",
+                          "labels": ["DRUG", "POSOLOGY", "USELESS"], "hash_dim": 2**18, "ngram_min": 3,
+                          "ngram_max": 5, "n_cols": len(model.ids), "holdout_accuracy": model.holdout_accuracy}
+
     def test_stale_feature_version_is_refused_at_load(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(_model_file(_header(version="fh0"), [3, 7], 2 * 3 + 3))
@@ -491,11 +503,13 @@ class TestModelFile:
             (_header(hash_dim=str(HASH_DIM)), [3, 7], 9, "'hash_dim' must be 262144, got '262144'"),
             (_header(hash_dim=10**30), [3, 7], 9, "'hash_dim' must be 262144, got 1000000000000000000000000000000"),
             (_header(hash_dim=4096), [3, 7], 9, "'hash_dim' must be 262144, got 4096; retrain the model"),
+            (_header(drop=["hash_dim"]), [3, 7], 9, "'hash_dim' must be 262144, got None"),
             (_header(drop=["n_cols"]), [3, 7], 9, "'n_cols' must be an int >= 0, got None"),
             (_header(n_cols=-1), [], 0, "'n_cols' must be an int >= 0, got -1"),
             (_header(ngram_min=0), [3, 7], 9, "'ngram_min' must be 3, got 0"),
             (_header(ngram_min=3.0), [3, 7], 9, r"'ngram_min' must be 3, got 3\.0"),
             (_header(ngram_min=6), [3, 7], 9, "'ngram_min' must be 3, got 6"),
+            (_header(ngram_max=6), [3, 7], 9, "'ngram_max' must be 5, got 6"),
             (_HEADER, [3, 7], 8, "payload has 80 bytes, expected 88"),
             (_HEADER, [7, 3], 9, "strictly increasing"),
             (_HEADER, [3, 3], 9, "strictly increasing"),
@@ -506,10 +520,10 @@ class TestModelFile:
             (_HEADER, [3, 7], [0.0] * 8 + [-math.inf], "weights and bias must be finite"),
         ],
         ids=["not-an-object", "no-labels", "labels-not-a-list", "labels-empty", "labels-unknown",
-             "labels-repeated", "hash-dim-a-string", "hash-dim-beyond-int64", "hash-dim-another-width", "no-n-cols",
-             "n-cols-negative", "ngram-min-zero", "ngram-min-a-float", "ngram-min-above-max",
-             "payload-one-float-short", "ids-decreasing", "ids-repeated", "id-negative", "id-at-hash-dim",
-             "earlier-dense-format", "weight-nan", "bias-infinite"],
+             "labels-repeated", "hash-dim-a-string", "hash-dim-beyond-int64", "hash-dim-another-width", "no-hash-dim",
+             "no-n-cols", "n-cols-negative", "ngram-min-zero", "ngram-min-a-float", "ngram-min-above-max",
+             "ngram-max-six", "payload-one-float-short", "ids-decreasing", "ids-repeated", "id-negative",
+             "id-at-hash-dim", "earlier-dense-format", "weight-nan", "bias-infinite"],
     )
     def test_bad_header_is_a_schema_error(self, tmp_path, header, ids, n_floats, message):
         path = tmp_path / "model.bin"
