@@ -6,10 +6,10 @@ frequency, duration, comment) attached by page geometry.
 
 Records come in two kinds. A record built for every line or span
 (``OcrLine``, ``BoundingBox``, ``Sentence``, ``NormalizedText``,
-``SentenceClass``, ``DrugMention``, ``MatchSpan``, ``PosologyEntity``,
-``PosologyExtraction``, ``ClassifiedLine``) is a ``typing.NamedTuple``, built
-positionally on the per-line paths: a frozen dataclass sets each field
-through ``object.__setattr__`` and costs three to four times as much to build.
+``SentenceClass``, ``DrugMention``, ``MatchSpan``, ``PosologyExtraction``,
+``ClassifiedLine``) is a ``typing.NamedTuple``, built positionally on the
+per-line paths: a frozen dataclass sets each field through
+``object.__setattr__`` and costs three to four times as much to build.
 A record built once per run or per document (lexicon, patterns, model,
 configs, ``OcrDocument``, ``PrescriptionRecord``, ``Runtime``) stays a
 dataclass. Either kind is immutable where it was, and code reads a record's

@@ -197,7 +197,7 @@ def _extraction_to_dict(extraction: PosologyExtraction) -> dict:
     return {
         "line_id": extraction.line_id,
         "entities": [
-            {"kind": e.kind, "text": e.text, "start": e.char_start, "end": e.char_end}
+            {"kind": e.label, "text": e.text, "start": e.char_start, "end": e.char_end}
             for e in extraction.entities
         ],
         "residual": extraction.residual_text,

@@ -9,10 +9,10 @@ otherwise swallow). Matches of one pattern never overlap; scanning resumes
 right after each match.
 
 A PatternSet is compiled once, when it is built. Its specs are deduplicated
-on their constraints (the quantifier is not part of a spec's identity; the
-shipped set's 498 spec instances are 118 distinct specs). Each distinct spec
-gets one test on a token's text: ``match_token`` (the one definition of a
-spec holding) bound to the spec.
+on their word list and regex (the quantifier is not part of a spec's
+identity; the shipped set's 498 spec instances are 118 distinct specs). Each
+distinct spec gets one test on a token's text: ``match_token`` (the one
+definition of a spec holding) bound to the spec.
 
 Every pattern, fixed-length or quantified, compiles to its own chain NFA,
 built backwards from its accept: one node per (spec, repetitions taken), up
@@ -55,14 +55,14 @@ that the build makes grow with the square of a chain's length.
 Pattern file format (JSON list)::
 
     [{"id": str, "label": "DOSE"|"FREQUENCY"|"DURATION"|"COMMENT",
-      "specs": [{"lower": str|[str], "regex": str, "is_digit": bool,
-                 "like_num": bool, "op": "1"|"?"|"+"|"*"}]}]
+      "specs": [{"lower": str|[str], "regex": str, "op": "1"|"?"|"+"|"*"}]}]
 
-All spec fields are optional; "op" defaults to "1". Regexes are anchored
-(full-token match). A "lower" word is compared with the normalized token
-text, its own lower case, so it must be one token of normalized text (no
-accent, no capital, no space); any other word is refused, as it could never
-match. "is_digit" means ASCII digits; "like_num" "1", "1.5" or "1/2" shapes.
+All spec fields are optional; "op" defaults to "1". A spec tests a token's
+text against "regex", anchored (full-token match), and against "lower", a
+word list; a spec with both holds when both do. A number is a regex, such as
+"[0-9]+". A "lower" word is compared with the normalized token text, its own
+lower case, so it must be one token of normalized text (no accent, no
+capital, no space); any other word is refused, as it could never match.
 """
 
 from __future__ import annotations
@@ -92,15 +92,11 @@ MAX_TRANSITIONS = 10_000
 
 _OP_BOUNDS = {"1": (1, 1), "?": (0, 1), "+": (1, MAX_REPS), "*": (0, MAX_REPS)}
 
-_LIKE_NUM_RE = re.compile(r"\d+(?:\.\d+)?|\d+/\d+")
-
 
 @dataclass(frozen=True)
 class TokenSpec:
     lower: frozenset[str] | None = None
     regex: "re.Pattern[str] | None" = None
-    is_digit: bool | None = None
-    like_num: bool | None = None
     op: str = "1"
 
 
@@ -112,11 +108,19 @@ class TokenPattern:
 
 
 class MatchSpan(NamedTuple):
+    """A kept match of one pattern: its tokens [start_token, end_token) and their text.
+
+    ``char_start`` and ``char_end`` index the sentence's ``match_text``; on a
+    combined line's remainder, a view of its line, they index the whole line.
+    """
+
     pattern_id: str
     label: str
     start_token: int
     end_token: int
     text: str
+    char_start: int
+    char_end: int
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -186,7 +190,7 @@ class PatternSet:
         for p in self.patterns:
             edges, accepts = (), (p,)  # what may follow the specs chained so far
             for spec in reversed(p.specs):
-                key = (spec.lower, spec.regex, spec.is_digit, spec.like_num)
+                key = (spec.lower, spec.regex)
                 sid = ids.get(key)
                 if sid is None:
                     sid = ids[key] = len(specs)
@@ -247,7 +251,7 @@ def _is_token_lower(word: str) -> bool:
 def _parse_spec(obj: dict, where: str) -> TokenSpec:
     if not isinstance(obj, dict):
         raise PatternError(f"{where}: spec must be an object")
-    unknown = set(obj) - {"lower", "regex", "is_digit", "like_num", "op"}
+    unknown = set(obj) - {"lower", "regex", "op"}
     if unknown:
         raise PatternError(f"{where}: unknown spec fields {sorted(unknown)}")
 
@@ -272,26 +276,15 @@ def _parse_spec(obj: dict, where: str) -> TokenSpec:
         except re.error as exc:
             raise PatternError(f"{where}.regex: {exc}") from exc
 
-    for flag in ("is_digit", "like_num"):
-        if flag in obj and not isinstance(obj[flag], bool):
-            raise PatternError(f"{where}.{flag}: expected boolean")
-
     op = obj.get("op", "1")
     if op not in _OP_BOUNDS:
         raise PatternError(f"{where}.op: {op!r} not one of 1 ? + *")
 
-    spec = TokenSpec(
-        lower=lower,
-        regex=regex,
-        is_digit=obj.get("is_digit"),
-        like_num=obj.get("like_num"),
-        op=op,
-    )
-    if op == "1" and spec.lower is None and spec.regex is None and spec.is_digit is None and spec.like_num is None:
+    if op == "1" and lower is None and regex is None:
         # an unconstrained single token is almost always an authoring mistake;
         # wildcards must be opted into with an explicit quantifier
         raise PatternError(f"{where}: unconstrained spec requires an explicit quantifier")
-    return spec
+    return TokenSpec(lower=lower, regex=regex, op=op)
 
 
 def parse_patterns(data) -> PatternSet:
@@ -322,19 +315,10 @@ def load_patterns(path) -> PatternSet:
 
 
 def match_token(spec: TokenSpec, text: str) -> bool:
-    """True iff every constraint present on the spec holds for a token of this text.
-
-    ``is_digit`` and ``like_num`` are worked out only when the spec asks.
-    """
+    """True iff every constraint present on the spec holds for a token of this text."""
     if spec.lower is not None and text not in spec.lower:
         return False
-    if spec.regex is not None and spec.regex.fullmatch(text) is None:
-        return False
-    if spec.is_digit is not None and (text.isdigit() and text.isascii()) != spec.is_digit:
-        return False
-    if spec.like_num is not None and (_LIKE_NUM_RE.fullmatch(text) is not None) != spec.like_num:
-        return False
-    return True
+    return spec.regex is None or spec.regex.fullmatch(text) is not None
 
 
 def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
@@ -374,6 +358,7 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
             continue
         used[start:end] = b"\x01" * (end - start)
         lo, hi = sentence.char_span(start, end)
-        kept.append(MatchSpan(pattern.pattern_id, pattern.label, start, end, sentence.match_text[lo:hi]))
+        text = sentence.match_text[lo:hi]
+        kept.append(MatchSpan(pattern.pattern_id, pattern.label, start, end, text, lo, hi))
     kept.sort(key=lambda s: (s.start_token, s.end_token, s.label, s.pattern_id))
     return kept

@@ -96,7 +96,7 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
     if mention is not None:
         spans.append(("DRUG", *sentence.char_span(*mention_token_window(sentence, mention))))
     if extraction is not None:
-        spans.extend((e.kind, e.char_start, e.char_end) for e in extraction.entities)
+        spans.extend((e.label, e.char_start, e.char_end) for e in extraction.entities)
     return [(kind, *sentence.to_raw_span(start, end)) for kind, start, end in spans]
 
 

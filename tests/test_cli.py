@@ -68,12 +68,12 @@ def test_invalid_json_patterns_file_is_a_schema_error(run, tmp_path):
 
 def test_patterns_file_with_an_over_long_pattern_is_a_schema_error(run, tmp_path):
     bad = tmp_path / "patterns.json"
-    specs = [{"like_num": True}] * 17  # one more than patterns.MAX_SPECS
+    specs = [{"regex": "[0-9]+"}] * 17  # one more than patterns.MAX_SPECS
     bad.write_text(json.dumps([{"id": "long", "label": "DOSE", "specs": specs}]), encoding="utf-8")
     result = run("--input", str(FIXTURE), "--patterns", str(bad))
     assert result.exit_code == 2
     (error,) = _error(result)
-    assert error["type"] == "patterns" and "'long' has 17 specs" in error["message"], error
+    assert error["type"] == "patterns" and "'long' has 17 specs, more than 16" in error["message"], error
 
 
 def test_missing_patterns_file_is_a_missing_file(run, tmp_path):

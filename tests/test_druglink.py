@@ -485,7 +485,7 @@ class TestSplitCombinedLine:
         s = sentence_from_text("doliprane 1000 mg 1 cp matin")
         m = detect_drug(s, lex)
         ext = extract_posology(split_combined_line(s, m), patterns)
-        assert {(e.kind, e.text) for e in ext.entities} == {("DOSE", "1 cp"), ("FREQUENCY", "matin")}
+        assert {(e.label, e.text) for e in ext.entities} == {("DOSE", "1 cp"), ("FREQUENCY", "matin")}
 
     def test_window_matches_name_tokens(self, lex):
         s = sentence_from_text("doliprane 1000 mg 1 cp")

@@ -44,12 +44,16 @@ def raw_sent(text):
     )
 
 
+# A number token, "1", "1.5" or "1/2": the spec these tests use for "a number".
+NUMBER = {"regex": "[0-9]+(?:[./][0-9]+)?"}
+
+
 def pattern(pid, label, *specs):
     return parse_patterns([{"id": pid, "label": label, "specs": [dict(s) for s in specs]}]).patterns[0]
 
 
 class TestMatchToken:
-    """``match_token`` on a token's text; it alone works out ``is_digit`` and ``like_num``."""
+    """``match_token`` on a token's text."""
 
     def tok(self, text):
         return sent(text).tokens[0]
@@ -59,40 +63,26 @@ class TestMatchToken:
         assert match_token(p.specs[0], self.tok("cp"))
         assert not match_token(p.specs[0], self.tok("gelule"))
 
-    def test_is_digit_rejects_decimal(self):
-        p = pattern("x", "DOSE", {"is_digit": True})
-        assert not match_token(p.specs[0], self.tok("1.5"))
-        assert not match_token(p.specs[0], self.tok("1/2"))
-        assert match_token(p.specs[0], self.tok("15"))
-
-    def test_like_num_accepts_decimal(self):
-        p = pattern("x", "DOSE", {"like_num": True})
-        assert match_token(p.specs[0], self.tok("1.5"))
-        assert match_token(p.specs[0], self.tok("1/2"))
-
     def test_constraints_are_conjunctive(self):
-        p = pattern("x", "DOSE", {"regex": "[0-9]+", "is_digit": False})
-        assert not match_token(p.specs[0], self.tok("12"))
+        # a spec with a regex and a word list holds where both do
+        p = pattern("x", "DOSE", {"regex": "[a-z]+", "lower": ["cp", "12"]})
+        assert match_token(p.specs[0], self.tok("cp"))
+        assert not match_token(p.specs[0], self.tok("12"))  # a listed word the regex refuses
+        assert not match_token(p.specs[0], self.tok("mg"))  # the regex holds, the word is not listed
 
-    def test_negative_boolean_constraint(self):
-        p = pattern("x", "DOSE", {"like_num": False})
-        assert match_token(p.specs[0], self.tok("matin"))
-        assert not match_token(p.specs[0], self.tok("12"))
+    def test_regex_is_anchored_to_the_whole_token(self):
+        p = pattern("x", "DOSE", {"regex": "[0-9]+"})
+        assert match_token(p.specs[0], self.tok("15"))
+        for text in ("1.5", "a1", "15mg"):
+            assert not match_token(p.specs[0], self.tok(text)), text
 
-    def test_is_digit_implies_like_num(self):
-        is_digit, like_num = pattern("x", "DOSE", {"is_digit": True}, {"like_num": True}).specs
-        texts, _ = tokenize("12 0.5 1/2 abc a1 12/04/2021")
-        assert any(match_token(is_digit, text) for text in texts)
-        for text in texts:
-            if match_token(is_digit, text):
-                assert match_token(like_num, text)
-
-    def test_is_digit_is_ascii_digits_only(self):
-        # Arabic-Indic three and fullwidth one are decimal digits, not ASCII ones
-        is_digit, like_num = pattern("x", "DOSE", {"is_digit": True}, {"like_num": True}).specs
-        for text in ("\u0663", "\uff11", "1\u0663"):
-            assert text.isdigit() and not match_token(is_digit, text), text
-            assert match_token(like_num, text), text
+    def test_a_number_is_a_regex(self):
+        # the decimal and fraction shapes a number token takes, and ASCII digits only
+        p = pattern("x", "DOSE", NUMBER)
+        for text in ("15", "1.5", "1/2"):
+            assert match_token(p.specs[0], self.tok(text)), text
+        for text in ("matin", "\u0663", "\uff11", "12/04/2021"):
+            assert not match_token(p.specs[0], text), text
 
     def test_lower_words_are_compared_with_the_text(self):
         # normalized text is its own lower case, so a lower word equals the token text
@@ -103,14 +93,14 @@ class TestMatchToken:
 
 class TestFindMatches:
     def test_simple_sequence(self):
-        p = pattern("x", "DOSE", {"like_num": True}, {"lower": ["cp"]})
+        p = pattern("x", "DOSE", NUMBER, {"lower": ["cp"]})
         spans = find_all(PatternSet((p,)), sent("prendre 1 cp matin"))
         assert len(spans) == 1
         assert spans[0].text == "1 cp"
         assert (spans[0].start_token, spans[0].end_token) == (1, 3)
 
     def test_greedy_plus_takes_longest(self):
-        p = pattern("x", "DOSE", {"like_num": True, "op": "+"})
+        p = pattern("x", "DOSE", {**NUMBER, "op": "+"})
         spans = find_all(PatternSet((p,)), raw_sent("1 2 3 fin"))
         assert len(spans) == 1
         assert spans[0].text == "1 2 3"
@@ -120,7 +110,7 @@ class TestFindMatches:
             "x",
             "DURATION",
             {"lower": ["pendant"]},
-            {"like_num": True},
+            NUMBER,
             {"regex": "jours?|semaines?|mois"},
         )
         s = sent("pendant 10 jours")
@@ -129,13 +119,13 @@ class TestFindMatches:
         assert spans[0].text == "pendant 10 jours"
 
     def test_backtracking_lets_later_specs_match(self):
-        p = pattern("x", "DOSE", {"like_num": True, "op": "+"}, {"is_digit": True})
+        p = pattern("x", "DOSE", {**NUMBER, "op": "+"}, NUMBER)
         spans = find_all(PatternSet((p,)), raw_sent("1 2 3"))
         assert len(spans) == 1
         assert (spans[0].start_token, spans[0].end_token) == (0, 3)
 
     def test_matches_do_not_overlap_and_resume_after_end(self):
-        p = pattern("x", "DOSE", {"like_num": True}, {"lower": ["cp"]})
+        p = pattern("x", "DOSE", NUMBER, {"lower": ["cp"]})
         spans = find_all(PatternSet((p,)), sent("1 cp puis 2 cp"))
         assert [sp.text for sp in spans] == ["1 cp", "2 cp"]
 
@@ -145,13 +135,13 @@ class TestFindMatches:
         assert find_all(PatternSet((p,)), sent("matin , midi"))[0].text == "matin , midi"
 
     def test_star_bounded(self):
-        p = pattern("x", "DOSE", {"like_num": True}, {"lower": ["x"], "op": "*"})
+        p = pattern("x", "DOSE", NUMBER, {"lower": ["x"], "op": "*"})
         text = "1 " + " ".join(["x"] * (MAX_REPS + 3))
         spans = find_all(PatternSet((p,)), sent(text))
         assert spans[0].end_token == 1 + MAX_REPS
 
     def test_spans_disjoint_sorted(self):
-        p = pattern("x", "DOSE", {"like_num": True})
+        p = pattern("x", "DOSE", NUMBER)
         spans = find_all(PatternSet((p,)), raw_sent("1 a 2 b 3"))
         starts = [sp.start_token for sp in spans]
         assert starts == sorted(starts)
@@ -201,13 +191,13 @@ class TestBruteForceEquivalence:
         rng = random.Random(99)
         vocab = ["1", "2", "cp", "mg", "matin", "et"]
         spec_pool = [
-            {"like_num": True},
-            {"is_digit": True},
+            NUMBER,
+            {"regex": "[0-9]+"},
             {"lower": ["cp", "mg"]},
             {"lower": ["matin"]},
             {"regex": "m.*"},
             {"lower": ["et"], "op": "?"},
-            {"like_num": True, "op": "+"},
+            {**NUMBER, "op": "+"},
             {"lower": ["cp"], "op": "*"},
             {"regex": "[a-z]+", "op": "?"},
         ]
@@ -277,7 +267,7 @@ def accept_paths(pats: PatternSet) -> Counter:
 
 def constraints(spec: TokenSpec) -> tuple:
     """A spec's identity within a PatternSet: its constraints, not its quantifier."""
-    return spec.lower, spec.regex, spec.is_digit, spec.like_num
+    return spec.lower, spec.regex
 
 
 def is_fixed(p: TokenPattern) -> bool:
@@ -328,7 +318,7 @@ class TestCompiledMatcher:
 
     def test_wildcard_spec_is_decided_by_its_compiled_test(self):
         pats = parse_patterns([
-            {"id": "gap", "label": "DOSE", "specs": [{"like_num": True}, {"op": "?"}, {"lower": "cp"}]},
+            {"id": "gap", "label": "DOSE", "specs": [NUMBER, {"op": "?"}, {"lower": "cp"}]},
             {"id": "lead", "label": "COMMENT", "specs": [{"op": "+"}, {"lower": "si"}]},
         ])
         wildcards = [sid for sid, spec in enumerate(pats.specs) if spec == TokenSpec(op=spec.op)]
@@ -343,10 +333,21 @@ class TestCompiledMatcher:
             ("gap", "1 x cp"), ("lead", "1 x cp 2 cp un si"), ("gap", "2 cp")
         ]
 
+    def test_a_spec_is_its_word_list_and_regex(self):
+        # the same regex with another word list is another spec; with another quantifier it is not
+        pats = parse_patterns([
+            {"id": "a", "label": "DOSE", "specs": [{"regex": "[a-z]+"}, {"regex": "[a-z]+", "op": "*"}]},
+            {"id": "b", "label": "DOSE", "specs": [{"regex": "[a-z]+", "lower": ["cp"]}]},
+        ])
+        assert len(pats.specs) == len(pats.tests) == 2
+        assert {constraints(spec) for spec in pats.specs} == {
+            (None, re.compile("[a-z]+")), (frozenset({"cp"}), re.compile("[a-z]+"))
+        }
+
     def test_quantifier_is_not_part_of_a_spec(self):
         pats = parse_patterns([
-            {"id": "a", "label": "DOSE", "specs": [{"like_num": True}, {"lower": ["cp"]}]},
-            {"id": "b", "label": "FREQUENCY", "specs": [{"like_num": True, "op": "+"}, {"lower": "cp", "op": "?"}]},
+            {"id": "a", "label": "DOSE", "specs": [NUMBER, {"lower": ["cp"]}]},
+            {"id": "b", "label": "FREQUENCY", "specs": [{**NUMBER, "op": "+"}, {"lower": "cp", "op": "?"}]},
         ])
         assert len(pats.specs) == 2
         # one root edge for the shared first spec; each chain reuses both specs' tests
@@ -391,13 +392,13 @@ class TestCompiledMatcher:
         rng = random.Random(7)
         vocab = ["1", "2", "cp", "mg", "matin", "et", "soir"]
         spec_pool = [
-            {"like_num": True},
-            {"is_digit": True},
+            NUMBER,
+            {"regex": "[0-9]+"},
             {"lower": ["cp", "mg"]},
             {"lower": ["matin", "soir"]},
             {"regex": "m.*"},
             {"lower": ["et"], "op": "?"},
-            {"like_num": True, "op": "+"},
+            {**NUMBER, "op": "+"},
             {"lower": ["cp"], "op": "*"},
             {"regex": "[a-z]+", "op": "?"},
             {"lower": ["matin", "soir"], "op": "+"},
@@ -430,8 +431,8 @@ class TestCompiledMatcher:
         rng = random.Random(23)
         vocab = ["1", "2", "cp", "mg", "matin", "et", "soir", "X", "x"]
         fixed = [
-            {"like_num": True},
-            {"is_digit": True},
+            NUMBER,
+            {"regex": "[0-9]"},
             {"regex": "[0-9]+"},
             {"regex": "m.*"},
             {"regex": "(?i)x"},
@@ -527,8 +528,8 @@ class TestFirstSpecScanner:
     """The first-spec scan: the start state's transitions decide first specs of every kind as ``match_token`` does."""
 
     # A regex with a group (a backreference or a named group), a flag other
-    # than the default, a global inline flag group, a constraint besides the
-    # regex, and bare regexes.
+    # than the default, a global inline flag group, a word list besides the
+    # regex, a word list alone, and bare regexes.
     FIRSTS = {
         "backreference": {"regex": r"([0-9])\1"},
         "named-group": {"regex": "(?P<unit>cp|mg)"},
@@ -536,8 +537,7 @@ class TestFirstSpecScanner:
         "default-flag-inline": {"regex": "(?u)cp"},
         "verbose-flag": {"regex": "(?x) c p"},
         "regex-and-lower": {"regex": "[a-z]+", "lower": ["cp", "mg"]},
-        "is-digit": {"is_digit": True},
-        "like-num": {"like_num": True},
+        "number": NUMBER,
         "lower": {"lower": ["cp", "matin"]},
         "digits": {"regex": "[0-9]+"},
         "alternation": {"regex": "m.*|cp"},
@@ -590,7 +590,7 @@ class TestFirstSpecScanner:
 
 
 # Constraints of a drawn spec; {} is the wildcard, which needs a quantifier.
-DRAWN_CONSTRAINTS = [{"lower": ["cp", "mg"]}, {"lower": ["x"]}, {"like_num": True}, {"regex": "m.*"}, {}]
+DRAWN_CONSTRAINTS = [{"lower": ["cp", "mg"]}, {"lower": ["x"]}, NUMBER, {"regex": "m.*"}, {}]
 
 
 @st.composite
@@ -623,22 +623,32 @@ class TestFindAll:
     def make_set(self, *patterns_):
         return PatternSet(patterns_)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_a_span_carries_its_characters(self, noise, patterns):
+        spans = 0
+        for s in corpus_sentences(noise):
+            for sp in find_all(patterns, s):
+                assert (sp.char_start, sp.char_end) == s.char_span(sp.start_token, sp.end_token)
+                assert sp.text == s.match_text[sp.char_start : sp.char_end]
+                spans += 1
+        assert spans >= 200
+
     def test_longest_same_label_wins(self):
-        p1 = pattern("short", "DOSE", {"like_num": True}, {"lower": ["cp"]})
-        p2 = pattern("long", "DOSE", {"like_num": True}, {"lower": ["cp"]}, {"lower": ["matin"]})
+        p1 = pattern("short", "DOSE", NUMBER, {"lower": ["cp"]})
+        p2 = pattern("long", "DOSE", NUMBER, {"lower": ["cp"]}, {"lower": ["matin"]})
         spans = find_all(self.make_set(p1, p2), sent("1 cp matin"))
         assert len(spans) == 1
         assert spans[0].pattern_id == "long"
 
     def test_disjoint_labels_both_kept(self):
-        p1 = pattern("d", "DOSE", {"like_num": True}, {"lower": ["cp"]})
+        p1 = pattern("d", "DOSE", NUMBER, {"lower": ["cp"]})
         p2 = pattern("f", "FREQUENCY", {"lower": ["matin"]}, {"lower": ["et"]}, {"lower": ["soir"]})
         spans = find_all(self.make_set(p1, p2), sent("1 cp matin et soir"))
         assert {s.label for s in spans} == {"DOSE", "FREQUENCY"}
 
     def test_identical_spans_collapse(self):
-        p1 = pattern("a", "DOSE", {"like_num": True}, {"lower": ["cp"]})
-        p2 = pattern("b", "DOSE", {"is_digit": True}, {"lower": ["cp"]})
+        p1 = pattern("a", "DOSE", NUMBER, {"lower": ["cp"]})
+        p2 = pattern("b", "DOSE", {"regex": "[0-9]+"}, {"lower": ["cp"]})
         spans = find_all(self.make_set(p1, p2), sent("1 cp"))
         assert len(spans) == 1
         assert spans[0].pattern_id == "a"
@@ -705,13 +715,13 @@ class TestDfaCache:
         assert pats._transitions <= 30
 
     def test_a_miss_runs_each_distinct_test_once(self, monkeypatch):
-        # 16 "like_num*" specs compile to one test, which every folded closure
+        # 16 "NUMBER*" specs compile to one test, which every folded closure
         # repeats: a miss walks hundreds of edges but decides the text once
         calls = []
         monkeypatch.setattr(
             "ordonnance.patterns.match_token", lambda spec, text: calls.append(text) or match_token(spec, text)
         )
-        specs = [{"like_num": True, "op": "*"}] * MAX_SPECS
+        specs = [{**NUMBER, "op": "*"}] * MAX_SPECS
         pats = parse_patterns([{"id": "long", "label": "DOSE", "specs": specs}])
         assert len(pats.tests) == 1
         per_miss = []  # (calls made, distinct tests on the state's edges)
@@ -749,7 +759,7 @@ class TestDfaCache:
         self.matches(pats, corpus_sentences(0.1))
         assert len(pats._states) > 100
         self.assert_moves_group_edges(pats)
-        long = parse_patterns([{"id": "long", "label": "DOSE", "specs": [{"like_num": True, "op": "*"}] * MAX_SPECS}])
+        long = parse_patterns([{"id": "long", "label": "DOSE", "specs": [{**NUMBER, "op": "*"}] * MAX_SPECS}])
         find_all(long, raw_sent(" ".join(str(i) for i in range(20))))
         # hundreds of folded edges per state, one move
         assert all(len(state.moves) == 1 for state in long._states.values())
@@ -777,15 +787,15 @@ class TestPatternFile:
 
     def test_duplicate_id_rejected(self):
         data = [
-            {"id": "a", "label": "DOSE", "specs": [{"like_num": True}]},
-            {"id": "a", "label": "DOSE", "specs": [{"is_digit": True}]},
+            {"id": "a", "label": "DOSE", "specs": [NUMBER]},
+            {"id": "a", "label": "DOSE", "specs": [{"regex": "[0-9]+"}]},
         ]
         with pytest.raises(PatternError):
             parse_patterns(data)
 
     def test_bad_label_rejected(self):
         with pytest.raises(PatternError):
-            parse_patterns([{"id": "a", "label": "NOPE", "specs": [{"like_num": True}]}])
+            parse_patterns([{"id": "a", "label": "NOPE", "specs": [NUMBER]}])
 
     def test_empty_specs_rejected(self):
         with pytest.raises(PatternError):
@@ -794,8 +804,15 @@ class TestPatternFile:
     def test_wildcard_requires_quantifier(self):
         with pytest.raises(PatternError):
             parse_patterns([{"id": "a", "label": "DOSE", "specs": [{}]}])
-        ok = parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"like_num": True}, {"op": "?"}]}])
+        ok = parse_patterns([{"id": "a", "label": "DOSE", "specs": [NUMBER, {"op": "?"}]}])
         assert len(ok.patterns) == 1
+
+    def test_a_spec_holds_a_word_list_a_regex_and_a_quantifier(self):
+        assert [f.name for f in dataclasses.fields(TokenSpec)] == ["lower", "regex", "op"]
+
+    def test_the_shipped_specs_test_by_regex_or_word_list(self):
+        kinds = Counter(key for p in shipped_data() for spec in p["specs"] for key in spec if key != "op")
+        assert kinds == {"regex": 484, "lower": 14}
 
     def test_bad_regex_rejected(self):
         with pytest.raises(PatternError):
@@ -809,25 +826,25 @@ class TestPatternFile:
     # each refusal of one spec, the second of its pattern's specs, as the pattern file's author sees it
     @pytest.mark.parametrize("spec, message", [
         ("soir", "patterns[0].specs[1]: spec must be an object"),
-        ({"like_num": True, "case": "lower"}, "patterns[0].specs[1]: unknown spec fields ['case']"),
+        ({**NUMBER, "case": "lower"}, "patterns[0].specs[1]: unknown spec fields ['case']"),
         ({"lower": []}, "patterns[0].specs[1].lower: expected string or non-empty string list"),
         ({"lower": ["soir", 5]}, "patterns[0].specs[1].lower: expected string or non-empty string list"),
         ({"regex": 5}, "patterns[0].specs[1].regex: expected string"),
-        ({"is_digit": "yes"}, "patterns[0].specs[1].is_digit: expected boolean"),
-        ({"like_num": 1}, "patterns[0].specs[1].like_num: expected boolean"),
-        ({"like_num": True, "op": "{2}"}, "patterns[0].specs[1].op: '{2}' not one of 1 ? + *"),
+        ({"is_digit": True}, "patterns[0].specs[1]: unknown spec fields ['is_digit']"),
+        ({"like_num": True}, "patterns[0].specs[1]: unknown spec fields ['like_num']"),
+        ({**NUMBER, "op": "{2}"}, "patterns[0].specs[1].op: '{2}' not one of 1 ? + *"),
     ], ids=["not-an-object", "unknown-field", "lower-empty-list", "lower-not-strings", "regex-not-a-string",
-            "is-digit-not-a-boolean", "like-num-not-a-boolean", "unknown-op"])
+            "is-digit-unknown", "like-num-unknown", "unknown-op"])
     def test_a_bad_spec_is_named_by_its_place(self, spec, message):
         with pytest.raises(PatternError) as info:
-            parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"like_num": True}, spec]}])
+            parse_patterns([{"id": "a", "label": "DOSE", "specs": [NUMBER, spec]}])
         assert str(info.value) == message
 
     @pytest.mark.parametrize("data, message", [
-        ({"id": "a", "label": "DOSE", "specs": [{"like_num": True}]}, "pattern file must contain a JSON list"),
-        ([{"id": "a", "label": "DOSE", "specs": [{"like_num": True}]}, "b"], "patterns[1]: expected object"),
-        ([{"label": "DOSE", "specs": [{"like_num": True}]}], "patterns[0].id: expected non-empty string"),
-        ([{"id": "", "label": "DOSE", "specs": [{"like_num": True}]}], "patterns[0].id: expected non-empty string"),
+        ({"id": "a", "label": "DOSE", "specs": [NUMBER]}, "pattern file must contain a JSON list"),
+        ([{"id": "a", "label": "DOSE", "specs": [NUMBER]}, "b"], "patterns[1]: expected object"),
+        ([{"label": "DOSE", "specs": [NUMBER]}], "patterns[0].id: expected non-empty string"),
+        ([{"id": "", "label": "DOSE", "specs": [NUMBER]}], "patterns[0].id: expected non-empty string"),
     ], ids=["not-a-list", "pattern-not-an-object", "id-missing", "id-empty"])
     def test_a_bad_pattern_file_is_named_by_its_place(self, data, message):
         with pytest.raises(PatternError) as info:
@@ -835,22 +852,22 @@ class TestPatternFile:
         assert str(info.value) == message
 
     def test_pattern_of_max_specs_loads(self):
-        specs = [{"like_num": True, "op": "*"}] * MAX_SPECS
+        specs = [{**NUMBER, "op": "*"}] * MAX_SPECS
         pats = parse_patterns([{"id": "long", "label": "DOSE", "specs": specs}])
         assert MAX_SPECS == 16 and len(pats.patterns[0].specs) == 16
         assert [sp.text for sp in find_all(pats, raw_sent("1 2 3 cp 4"))] == ["1 2 3", "4"]
 
     def test_pattern_over_max_specs_rejected(self):
-        specs = [{"like_num": True, "op": "*"}] * (MAX_SPECS + 1)
+        specs = [{**NUMBER, "op": "*"}] * (MAX_SPECS + 1)
         with pytest.raises(PatternError, match="'too-long' has 17 specs"):
             parse_patterns([
                 {"id": "ok", "label": "DOSE", "specs": specs[:1]},
                 {"id": "too-long", "label": "DOSE", "specs": specs},
             ])
-        spec = TokenSpec(like_num=True)
+        spec = TokenSpec(regex=re.compile(NUMBER["regex"]))
         with pytest.raises(PatternError, match="'direct' has 17 specs"):
             PatternSet([TokenPattern("direct", "DOSE", (spec,) * 17)])
 
     def test_op_defaults_to_one(self):
-        p = parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"like_num": True}]}]).patterns[0]
+        p = parse_patterns([{"id": "a", "label": "DOSE", "specs": [NUMBER]}]).patterns[0]
         assert p.specs[0].op == "1"

@@ -1,4 +1,10 @@
+import json
+
+from ordonnance.druglink import detect_drug, split_combined_line
+from ordonnance.linking import record_to_dict
+from ordonnance.ocr import parse_ocr_document
 from ordonnance.patterns import LABELS
+from ordonnance.pipeline import extract_document
 from ordonnance.posology import extract_posology
 from ordonnance.textnorm import sentence_from_text
 
@@ -6,7 +12,7 @@ from ordonnance.textnorm import sentence_from_text
 def test_full_sentence_example(patterns):
     s = sentence_from_text("1 comprime matin et soir pendant 10 jours")
     ext = extract_posology(s, patterns)
-    got = {(e.kind, e.text) for e in ext.entities}
+    got = {(e.label, e.text) for e in ext.entities}
     assert got == {
         ("DOSE", "1 comprime"),
         ("FREQUENCY", "matin et soir"),
@@ -25,7 +31,7 @@ def test_empty_sentence(patterns):
 def test_comment_family(patterns):
     s = sentence_from_text("au moment des repas")
     ext = extract_posology(s, patterns)
-    assert [(e.kind, e.text) for e in ext.entities] == [("COMMENT", "au moment des repas")]
+    assert [(e.label, e.text) for e in ext.entities] == [("COMMENT", "au moment des repas")]
 
 
 def test_entities_sorted_and_typed(patterns):
@@ -33,16 +39,45 @@ def test_entities_sorted_and_typed(patterns):
     ext = extract_posology(s, patterns)
     starts = [e.char_start for e in ext.entities]
     assert starts == sorted(starts)
-    assert all(e.kind in LABELS for e in ext.entities)
+    assert all(e.label in LABELS for e in ext.entities)
     assert ext.residual_text == "prendre"
 
 
-def test_entity_text_matches_char_span(patterns):
-    s = sentence_from_text("1 sachet apres les repas pendant 8 jours")
-    ext = extract_posology(s, patterns)
-    for e in ext.entities:
-        assert s.match_text[e.char_start : e.char_end] == e.text
-    assert ext.line_id == s.line_id
+PLAIN_LINES = [
+    "1 sachet apres les repas pendant 8 jours",
+    "prendre 2 gelules le soir au coucher si douleur",
+    "1-0-1 pendant 3 semaines",
+]
+COMBINED_LINES = [
+    "doliprane 1000 mg 1 cp matin et soir pendant 5 jours",
+    "DOLIPRANE 1000 mg, comprimé 2 comprimés le soir au coucher",
+    "KARDEGIC 75 mg, poudre pour solution buvable 1 sachet au moment des repas",
+]
+
+
+def test_entity_text_matches_char_span(patterns, lexicon):
+    """An entity is the match span: its text, its characters and its tokens agree, and its pattern has its label.
+
+    On a combined line the entities come from the remainder after the drug
+    name, a view of the line, so their characters index the whole line.
+    """
+    by_id = {p.pattern_id: p for p in patterns.patterns}
+    plain = [sentence_from_text(text) for text in PLAIN_LINES]
+    remainders = []
+    for text in COMBINED_LINES:
+        s = sentence_from_text(text)
+        mention = detect_drug(s, lexicon)
+        assert mention is not None, text
+        remainders.append(split_combined_line(s, mention))
+    for s in plain + remainders:
+        ext = extract_posology(s, patterns)
+        assert ext.entities and ext.line_id == s.line_id, s.match_text
+        for e in ext.entities:
+            assert s.match_text[e.char_start : e.char_end] == e.text
+            assert (e.char_start, e.char_end) == s.char_span(e.start_token, e.end_token)
+            assert by_id[e.pattern_id].label == e.label
+    # a remainder's entities fall after the drug name
+    assert all(e.char_start >= r.starts[0] > 0 for r in remainders for e in extract_posology(r, patterns).entities)
 
 
 def test_per_kind_no_token_overlap(patterns):
@@ -51,7 +86,7 @@ def test_per_kind_no_token_overlap(patterns):
     for kind in LABELS:
         seen = set()
         for e in ext.entities:
-            if e.kind != kind:
+            if e.label != kind:
                 continue
             span = set(range(e.char_start, e.char_end))
             assert not span & seen
@@ -69,7 +104,35 @@ def test_elliptical_dose_frequency_shorthand(patterns):
     # morning-noon-evening shorthand yields both a dose and a frequency
     s = sentence_from_text("1-0-1")
     ext = extract_posology(s, patterns)
-    kinds = {e.kind for e in ext.entities}
+    kinds = {e.label for e in ext.entities}
     assert kinds == {"DOSE", "FREQUENCY"}
     spans = {(e.char_start, e.char_end) for e in ext.entities}
     assert len(spans) == 1
+
+
+def test_residual_is_the_tokens_outside_every_entity(patterns, lexicon):
+    # on a combined line only the remainder's tokens can be left over, never the drug name
+    s = sentence_from_text("DOLIPRANE 1000 mg, comprimé prendre 1 cp matin et soir si douleur")
+    ext = extract_posology(split_combined_line(s, detect_drug(s, lexicon)), patterns)
+    assert [e.text for e in ext.entities] == ["1 cp", "matin et soir", "si douleur"]
+    assert ext.residual_text == "prendre"
+
+
+def test_a_record_names_an_entity_kind_by_its_label(runtime):
+    doc = parse_ocr_document(json.dumps({
+        "doc_id": "d",
+        "pages": 1,
+        "lines": [{
+            "id": "l1", "page": 1, "text": "DOLIPRANE 1000 mg, comprimé 1 comprimé matin et soir",
+            "bbox": {"left": 0.1, "top": 0.2, "width": 0.6, "height": 0.02},
+        }],
+    }).encode())
+    record = extract_document(doc, runtime)
+    ((mention, extractions),) = record.drugs
+    (extraction,) = extractions
+    (posology,) = record_to_dict(record)["drugs"][0]["posologies"]
+    assert posology["line_id"] == mention.line_id == "l1"
+    assert posology["entities"] == [
+        {"kind": e.label, "text": e.text, "start": e.char_start, "end": e.char_end} for e in extraction.entities
+    ]
+    assert [e["kind"] for e in posology["entities"]] == ["DOSE", "FREQUENCY"]

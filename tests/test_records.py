@@ -18,18 +18,18 @@ from ordonnance.linking import ClassifiedLine, dumps_canonical, record_to_dict
 from ordonnance.ocr import BoundingBox, OcrLine, parse_ocr_document
 from ordonnance.patterns import MatchSpan
 from ordonnance.pipeline import annotate_text, extract_document
-from ordonnance.posology import PosologyEntity, PosologyExtraction
+from ordonnance.posology import PosologyExtraction
 from ordonnance.textnorm import NormalizedText, Sentence
 
 from conftest import DATA_DIR
 
 BOX = BoundingBox(0.1, 0.2, 0.5, 0.03)
 MENTION = DrugMention("d1", "A1", "DOLIPRANE 1000 mg", "doliprane 1000 mg", 1.0, 0)
-ENTITY = PosologyEntity("DOSE", "1 comprime", 0, 10)
+ENTITY = MatchSpan("dose-cp", "DOSE", 0, 2, "1 comprime", 0, 10)
 EXTRACTION = PosologyExtraction("p1", (ENTITY,), "le matin")
 
-# Each record with a value for every field, in the field order of its earlier
-# frozen-dataclass form, which the positional builds rely on.
+# Each record with a value for every field, in the field order that the
+# positional builds rely on.
 RECORDS = {
     BoundingBox: {"left": 0.1, "top": 0.2, "width": 0.5, "height": 0.03},
     OcrLine: {"line_id": "l1", "raw_text": "DOLIPRANE 1000", "bbox": BOX, "page": 1, "words": ("DOLIPRANE", "1000")},
@@ -44,8 +44,7 @@ RECORDS = {
     NormalizedText: {"text": "doliprane", "origins": tuple(range(9))},
     SentenceClass: {"label": "DRUG", "scores": {"DRUG": 0.8, "POSOLOGY": 0.15, "USELESS": 0.05}},
     DrugMention: MENTION._asdict(),
-    MatchSpan: {"pattern_id": "dose-cp", "label": "DOSE", "start_token": 0, "end_token": 2, "text": "1 comprime"},
-    PosologyEntity: ENTITY._asdict(),
+    MatchSpan: ENTITY._asdict(),
     PosologyExtraction: EXTRACTION._asdict(),
     ClassifiedLine: {
         "line_id": "d1", "page": 1, "bbox": BOX, "label": "DRUG", "mention": MENTION, "extraction": EXTRACTION,
@@ -59,8 +58,7 @@ FIELD_ORDER = {
     NormalizedText: ("text", "origins"),
     SentenceClass: ("label", "scores"),
     DrugMention: ("line_id", "drug_id", "lexicon_name", "surface_text", "score", "trigger_token_index"),
-    MatchSpan: ("pattern_id", "label", "start_token", "end_token", "text"),
-    PosologyEntity: ("kind", "text", "char_start", "char_end"),
+    MatchSpan: ("pattern_id", "label", "start_token", "end_token", "text", "char_start", "char_end"),
     PosologyExtraction: ("line_id", "entities", "residual_text"),
     ClassifiedLine: ("line_id", "page", "bbox", "label", "mention", "extraction"),
 }
