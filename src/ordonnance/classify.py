@@ -12,14 +12,18 @@ the model holds only what training learned. It keeps only the weight columns
 of the hashed ids that training features touched: no other column of the
 (labels, HASH_DIM) space ever moves from zero. Training runs in that compact
 column space with numpy alone, summing each logit and each gradient column
-with ``np.bincount`` in row order. Scoring sums the same way: the lines of a
-batch are looked up in the model's ids in one ``searchsorted``, each label's
-logits are one ``np.bincount`` over the batch's terms in row order, and one
-softmax runs over the (lines, labels) block, taking each exp with
-``math.exp`` (see ``_softmax``). A line's scores and a trained model's bytes
-therefore depend neither on the BLAS build nor on numpy's CPU dispatch, and
-a line's scores not on the other lines of its batch; a lone line is a batch
-of one.
+with ``np.bincount`` in row order. Scoring sums the same way: the model's
+ids are indexed once, when it is built, as a ``HASH_DIM``-bit bitmap with
+the count of ids up to each 64-bit word (a rank directory, see
+``ClassifierModel``), so the keys of a batch find their weight rows with a
+few shifts, gathers and popcounts (``_lookup``) rather than a binary search
+each; the logits of all lines and labels are one ``np.bincount`` over the
+batch's terms, each (line, label) bin adding its terms in entry order; and
+one softmax runs over the (lines, labels) block, taking each exp with
+``math.exp`` (see ``_softmax``). Sorting and popcounts are exact on every
+kernel, so a line's scores and a trained model's bytes depend neither on
+the BLAS build nor on numpy's CPU dispatch, and a line's scores not on the
+other lines of its batch; a lone line is a batch of one.
 
 ``predict`` stays a per-line call, because ``perfbench`` times this layer
 by wrapping ``pipeline.predict`` once per line. A document's lines share a
@@ -28,16 +32,18 @@ call's span, and later calls look their line up.
 
 ``featurize`` hashes the feature texts of a batch of lines (a document, a
 training corpus) at once and returns three flat arrays ``(line, ids,
-values)``, sorted by id and then by line, so scoring looks its keys up in
-ascending order (about half the cost of line order) while each line's
-entries, in increasing id order, add up in every ``bincount`` sum as before.
+values)``, sorted by id and then by line, as the sort that counts them
+leaves them; each line's entries, in increasing id order, add up in every
+``bincount`` sum.
 CRC-32 is affine over GF(2), so the CRC of a fixed-length window is a
-constant XOR one table entry per byte (``_gram_table``): the n-grams of
-every ASCII line cost one gather and one XOR per n over the batch's bytes.
-Counts come from one ``np.unique``; each line's norm is the Python float
-power ``sum_sq ** 0.5`` (``math.sqrt`` and ``np.sqrt`` differ from it at
-some integers), so every value equals the spelled-out per-line ``count /
-norm`` bit for bit.
+constant XOR one table entry per byte (``_gram_table``), and as the tables
+are masked to ``HASH_DIM - 1`` the XOR is the hashed id itself: the n-grams
+of every ASCII line cost one gather and one XOR per n over the batch's
+bytes. Counts come from an in-place sort of the keys and one mask of where
+each run of equal keys starts; each line's norm is the Python float power
+``sum_sq ** 0.5`` (``math.sqrt`` and ``np.sqrt`` differ from it at some
+integers), so every value equals the spelled-out per-line ``count / norm``
+bit for bit.
 
 Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
 featurizer version, the featurizer's fixed values ``labels``, ``hash_dim``,
@@ -48,9 +54,10 @@ round-trips bit-exactly. ``load_model`` is where a model file is checked:
 it refuses a header whose version is not ``FEATURE_VERSION`` with
 ``VersionMismatch``, and with ``SchemaError`` one whose featurizer fields
 are not the constants (``_FEATURIZER``: a model hashed at another width
-too), the dense format of earlier releases (magic ``ordonnance-classifier``)
-and non-finite weights or bias; retrain to get a current model. So
-``predict`` checks nothing at run time.
+too), the dense format of earlier releases (magic ``ordonnance-classifier``),
+a holdout accuracy that is neither null nor a number in [0, 1], and
+non-finite weights or bias; retrain to get a current model. So ``predict``
+checks nothing at run time.
 """
 
 from __future__ import annotations
@@ -115,12 +122,33 @@ class SentenceClass(NamedTuple):
     scores: dict[str, float]
 
 
-@dataclass
 class ClassifierModel:
-    ids: np.ndarray  # (n_cols,) int64 hashed feature ids, strictly increasing
-    weights: np.ndarray  # (n_cols, n_labels): row r holds the weights of ids[r]
-    bias: np.ndarray  # (n_labels,)
-    holdout_accuracy: float | None = None
+    """The trained columns: their hashed ids, held as a rank index, their weights and the bias.
+
+    The ids (strictly increasing, in ``[0, HASH_DIM)``) are indexed once, when
+    the model is built: ``bits`` is a ``HASH_DIM``-bit bitmap of them in 64-bit
+    words, most significant bit first (as ``np.packbits`` packs), and
+    ``rank[w]`` counts the ids in words ``0..w``. ``bits[i >> 6] << (i & 63)``
+    has id ``i``'s bit on top and the ids of its word above ``i`` under it, so
+    ``i`` is an id iff that top bit is set, and then its row is ``rank[i >> 6]``
+    less the set bits of that shifted word.
+    """
+
+    __slots__ = ("bits", "rank", "weights", "bias", "holdout_accuracy")
+
+    def __init__(self, ids: np.ndarray, weights: np.ndarray, bias: np.ndarray, holdout_accuracy: float | None = None):
+        present = np.zeros(HASH_DIM, dtype=bool)
+        present[ids] = True
+        self.bits = np.packbits(present).view(">u8").astype(np.uint64)  # (HASH_DIM // 64,)
+        self.rank = np.cumsum(np.bitwise_count(self.bits), dtype=np.int32)  # (HASH_DIM // 64,)
+        self.weights = weights  # (n_cols, n_labels): row r holds the weights of the r-th smallest id
+        self.bias = bias  # (n_labels,)
+        self.holdout_accuracy = holdout_accuracy
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The (n_cols,) int64 hashed feature ids, strictly increasing, read back from ``bits``."""
+        return np.flatnonzero(np.unpackbits(self.bits.astype(">u8").view(np.uint8))).astype(np.int64, copy=False)
 
 
 @functools.cache
@@ -131,7 +159,7 @@ def _seed(prefix: str) -> int:
 
 @functools.cache
 def _gram_table(n: int) -> np.ndarray:
-    """The 256 int64 entries that extend an (n-1)-gram's CRC to the n-gram's.
+    """The 256 int64 entries that extend an (n-1)-gram's hashed id to the n-gram's.
 
     CRC-32 is affine over GF(2): for a fixed length its value is the CRC of
     zero bytes XOR one share per byte, ``G[t][b] = crc32(bytes([b]) +
@@ -139,14 +167,16 @@ def _gram_table(n: int) -> np.ndarray:
     it. With ``A_n = crc32(bytes(n), _seed(f"c{n}|"))`` the entry for byte
     ``b`` is ``G[n-1][b] ^ A_n ^ A_{n-1}`` (``A_0 = 0``), so that ``H_n[i] =
     table(n)[d[i]] ^ H_{n-1}[i+1]`` is the seeded CRC of the n-gram
-    ``d[i:i+n]`` and the prefix costs nothing.
+    ``d[i:i+n]`` and the prefix costs nothing. Each entry is masked to
+    ``HASH_DIM - 1``: the mask commutes with XOR and ``HASH_DIM`` is a power
+    of two, so ``H_n[i]`` is the n-gram's id ``crc % HASH_DIM`` itself.
     """
     crc32 = zlib.crc32
     shift = crc32(bytes(n)) ^ crc32(bytes(n), _seed(f"c{n}|"))
     if n > 1:
         shift ^= crc32(bytes(n - 1), _seed(f"c{n - 1}|"))
     tail = bytes(n - 1)
-    table = np.array([crc32(bytes((b,)) + tail) ^ shift for b in range(256)], dtype=np.int64)
+    table = np.array([(crc32(bytes((b,)) + tail) ^ shift) & (HASH_DIM - 1) for b in range(256)], dtype=np.int64)
     table.flags.writeable = False  # cached: every caller shares it
     return table
 
@@ -178,10 +208,10 @@ def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             crcs = gathered if n == 1 else gathered ^ crcs[1:]
             if n >= NGRAM_MIN:
                 if one:
-                    parts.append(crcs % HASH_DIM)
+                    parts.append(crcs)
                 else:
                     inside = left[: len(crcs)] >= n
-                    parts.append(crcs[inside] % HASH_DIM * n_lines + rows[: len(crcs)][inside])
+                    parts.append(crcs[inside] * n_lines + rows[: len(crcs)][inside])
     keys = []
     crc32 = zlib.crc32
     word_seed = _seed("w|")
@@ -194,7 +224,14 @@ def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         for word in text.split():
             keys.append(crc32(word.encode("utf-8"), word_seed) % HASH_DIM * n_lines + k)
     parts.append(np.array(keys, dtype=np.int64))
-    unique, counts = np.unique(np.concatenate(parts), return_counts=True)
+    keys = np.concatenate(parts)
+    keys.sort()
+    edge = np.empty(len(keys) + 1, dtype=bool)  # edge[i]: a run of equal keys starts at i, or i is the end
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    unique = keys.take(bounds[:-1])
+    counts = bounds[1:] - bounds[:-1]
     if one:
         line = np.zeros(len(unique), dtype=np.int64)
         ids = unique
@@ -304,20 +341,33 @@ def predict(model: ClassifierModel, sentence: Sentence, batch: LineBatch | None 
     return batch._classes[id(sentence)]
 
 
+def _lookup(model: ClassifierModel, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weight row of each hashed id in ``keys``, and 1 where the model has the id, 0 where not.
+
+    A row is in ``[0, n_cols]``, and means nothing where the hit is 0.
+    """
+    key = keys.view(np.uint64)  # int64 keys against uint64 words would promote to float64 (NEP 50)
+    word_at = key >> 6
+    top = model.bits.take(word_at) << (key & 63)
+    return model.rank.take(word_at) - np.bitwise_count(top), top >> 63
+
+
 def _score(model: ClassifierModel, texts: Sequence[str]) -> list[SentenceClass]:
-    """Each feature text's class scores: one featurize, one id lookup, a bincount per label, one softmax."""
+    """Each feature text's class scores: one featurize, one id lookup, one bincount, one softmax."""
     line, keys, values = featurize(texts)
     n = len(texts)
-    logits = np.zeros((n, len(CLASS_LABELS)))
-    if len(model.ids):
-        rows = model.ids.searchsorted(keys)
+    n_labels = len(CLASS_LABELS)
+    if len(model.weights):
+        rows, hit = _lookup(model, keys)
         # A key the model lacks has weight zero: with the finite weights
         # load_model admits, its terms are +-0.0, which leave a bincount sum
         # (never -0.0) exactly as it was.
-        values = values * (model.ids.take(rows, mode="clip") == keys)
-        terms = model.weights.take(rows, axis=0, mode="clip") * values[:, None]
-        for k in range(len(CLASS_LABELS)):
-            logits[:, k] = np.bincount(line, terms[:, k], minlength=n)
+        terms = model.weights.take(rows, axis=0, mode="clip") * (values * hit)[:, None]
+        # Bin (line, k) adds its line's label-k terms in entry order.
+        cells = (line * n_labels)[:, None] + np.arange(n_labels)
+        logits = np.bincount(cells.ravel(), terms.ravel(), minlength=n * n_labels).reshape(n, n_labels)
+    else:
+        logits = np.zeros((n, n_labels))
     probs = _softmax(logits + model.bias)
     return [
         SentenceClass(CLASS_LABELS[best], dict(zip(CLASS_LABELS, p)))
@@ -330,7 +380,7 @@ def save_model(model: ClassifierModel, path) -> None:
         "magic": _MODEL_MAGIC,
         "version": FEATURE_VERSION,
         **_FEATURIZER,
-        "n_cols": len(model.ids),
+        "n_cols": len(model.weights),
         "holdout_accuracy": model.holdout_accuracy,
     }
     with open(path, "wb") as fh:
@@ -362,6 +412,14 @@ def load_model(path) -> ClassifierModel:
     n_cols = header.get("n_cols")
     if type(n_cols) is not int or n_cols < 0:
         raise SchemaError(f"{path}: model header field 'n_cols' must be an int >= 0, got {n_cols!r}")
+    accuracy = header.get("holdout_accuracy")
+    if accuracy is not None:
+        try:
+            check_number("holdout_accuracy", accuracy, 0, 1)
+        except ValueError:
+            raise SchemaError(
+                f"{path}: model header field 'holdout_accuracy' must be null or a number in [0, 1], got {accuracy!r}"
+            ) from None
     n_weights = n_cols * len(CLASS_LABELS)
     expected = (n_cols + n_weights + len(CLASS_LABELS)) * 8
     if len(blob) != expected:
@@ -376,5 +434,5 @@ def load_model(path) -> ClassifierModel:
         ids=ids,
         weights=flat[:n_weights].reshape(n_cols, len(CLASS_LABELS)),
         bias=flat[n_weights:],
-        holdout_accuracy=header.get("holdout_accuracy"),
+        holdout_accuracy=accuracy,
     )

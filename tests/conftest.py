@@ -53,10 +53,7 @@ def avx512_dispatch_names() -> list[str]:
     "X86_V4" and that its CPU feature map marks available. Naming them in
     ``NPY_DISABLE_CPU_FEATURES`` makes numpy run its AVX2 or baseline kernels.
     """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     available = umath.__cpu_features__
     return [name for name in umath.__cpu_dispatch__ if ("512" in name or name == "X86_V4") and available.get(name)]
 

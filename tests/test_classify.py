@@ -350,6 +350,38 @@ def test_a_model_trains_to_the_same_bytes_without_avx512(tmp_path):
     assert (tmp_path / "there.bin").read_bytes() == (tmp_path / "here.bin").read_bytes()
 
 
+def write_score_bits(model_path, texts_path, out_path) -> None:
+    """Write the float64 scores of ``_score`` on each line alone, then on all lines as one batch."""
+    model = load_model(model_path)
+    texts = json.loads(pathlib.Path(texts_path).read_text(encoding="utf-8"))
+    classes = [c for text in texts for c in classify._score(model, [text])] + classify._score(model, texts)
+    scores = np.array([[c.scores[label] for label in CLASS_LABELS] for c in classes], dtype="<f8")
+    pathlib.Path(out_path).write_bytes(scores.tobytes())
+
+
+def test_scores_are_the_same_bits_without_avx512(tmp_path, model_file, noisy_sentences):
+    # the id lookup sorts keys and counts bits, and numpy dispatches both to
+    # AVX-512 kernels where the CPU has them; the scores must not move
+    names = avx512_dispatch_names()
+    if not names:
+        pytest.skip("numpy dispatches no AVX-512 kernel on this CPU")
+    texts = tmp_path / "texts.json"
+    texts.write_text(json.dumps([s.feature_text for s in noisy_sentences]), encoding="utf-8")
+    write_score_bits(model_file, texts, tmp_path / "here.bin")
+    paths = [str(pathlib.Path(classify.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")])),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(names),
+    }
+    code = "import sys; from test_classify import write_score_bits; write_score_bits(*sys.argv[1:])"
+    subprocess.run([sys.executable, "-c", code, str(model_file), str(texts), str(tmp_path / "there.bin")],
+                   env=env, check=True)
+    here = (tmp_path / "here.bin").read_bytes()
+    assert len(here) == 2 * len(noisy_sentences) * len(CLASS_LABELS) * 8
+    assert (tmp_path / "there.bin").read_bytes() == here
+
+
 class TestPredict:
     @pytest.fixture(scope="class")
     def model(self):
@@ -381,6 +413,76 @@ class TestPredict:
         expected = dict(zip(CLASS_LABELS, softmax(empty.bias).tolist()))
         for text in ["doliprane 1000 mg", "zq"]:
             assert predict(loaded, sent(text)).scores == expected
+
+
+def lookup_oracle(ids, keys):
+    """Each key's row in the sorted ``ids`` by binary search, and whether ``ids`` holds it."""
+    ids, keys = np.asarray(ids, dtype=np.int64), np.asarray(keys, dtype=np.int64)
+    rows = ids.searchsorted(keys)
+    return rows, np.array([row < len(ids) and ids[row] == key for row, key in zip(rows, keys)], dtype=bool)
+
+
+def index_model(ids):
+    ids = np.asarray(sorted(ids), dtype=np.int64)
+    return ClassifierModel(ids=ids, weights=np.zeros((len(ids), len(CLASS_LABELS))), bias=np.zeros(len(CLASS_LABELS)))
+
+
+class TestIdIndex:
+    """The bitmap and rank directory that map a hashed id to its weight row."""
+
+    EDGES = [0, 63, 64, 127, HASH_DIM - 1]  # first and last bit of the first two words, and the last id
+
+    def test_hash_dim_is_a_power_of_two_of_whole_words(self):
+        assert HASH_DIM & (HASH_DIM - 1) == 0 and HASH_DIM % 64 == 0
+
+    def test_index_is_a_bitmap_and_an_int32_count_per_word(self):
+        model = index_model(self.EDGES)
+        assert model.bits.dtype == np.uint64 and model.bits.shape == (HASH_DIM // 64,)
+        assert model.rank.dtype == np.int32 and model.rank.shape == (HASH_DIM // 64,)
+        assert model.rank[0] == 2 and model.rank[1] == 4 and model.rank[-2] == 4 and model.rank[-1] == 5
+
+    def test_word_edges_find_their_rows(self):
+        model = index_model(self.EDGES)
+        rows, hit = classify._lookup(model, np.array(self.EDGES, dtype=np.int64))
+        assert rows.tolist() == [0, 1, 2, 3, 4] and hit.tolist() == [1] * 5
+        assert model.ids.tolist() == self.EDGES
+
+    def test_keys_the_model_lacks_miss_with_a_row_in_range(self):
+        model = index_model(self.EDGES)
+        absent = np.array([1, 62, 65, 126, 128, HASH_DIM - 2], dtype=np.int64)
+        rows, hit = classify._lookup(model, absent)
+        assert hit.tolist() == [0] * len(absent)
+        assert ((rows >= 0) & (rows <= len(self.EDGES))).all()
+
+    def test_empty_model_misses_every_key(self):
+        model = index_model([])
+        assert not model.bits.any() and not model.rank.any() and model.ids.tolist() == []
+        rows, hit = classify._lookup(model, np.array(self.EDGES, dtype=np.int64))
+        assert hit.tolist() == [0] * len(self.EDGES) and rows.tolist() == [0] * len(self.EDGES)
+
+    @given(
+        st.sets(st.integers(0, HASH_DIM - 1), max_size=300),
+        st.lists(st.integers(0, HASH_DIM - 1), max_size=100),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_lookup_agrees_with_binary_search(self, ids, others):
+        model = index_model(ids)
+        keys = sorted(ids | set(others))
+        rows, hit = classify._lookup(model, np.array(keys, dtype=np.int64))
+        want_rows, want_hit = lookup_oracle(sorted(ids), keys)
+        assert hit.astype(bool).tolist() == want_hit.tolist()
+        assert rows[want_hit].tolist() == want_rows[want_hit].tolist()
+        assert model.ids.tolist() == sorted(ids)
+
+    def test_ids_round_trip_through_the_model_file(self, tmp_path):
+        ids = self.EDGES + [1000, 4097]
+        model = index_model(ids)
+        save_model(model, tmp_path / "model.bin")
+        payload = (tmp_path / "model.bin").read_bytes().partition(b"\n")[2]
+        assert np.frombuffer(payload, dtype="<i8", count=len(ids)).tolist() == sorted(ids)
+        loaded = load_model(tmp_path / "model.bin")
+        assert loaded.ids.dtype == np.int64 and loaded.ids.tolist() == sorted(ids)
+        assert np.array_equal(loaded.bits, model.bits) and np.array_equal(loaded.rank, model.rank)
 
 
 class TestTrainedPredictions:
@@ -486,6 +588,16 @@ class TestModelFile:
         model = load_model(path)
         assert model.ids.tolist() == [3, 7] and model.weights.shape == (2, 3) and model.bias.shape == (3,)
 
+    @pytest.mark.parametrize("accuracy", [None, 0, 1, 0.5])
+    def test_holdout_accuracy_null_or_in_unit_range_loads_and_saves_back(self, tmp_path, accuracy):
+        path = tmp_path / "model.bin"
+        path.write_bytes(_model_file(_header(holdout_accuracy=accuracy), [3, 7], 9))
+        model = load_model(path)
+        assert model.holdout_accuracy == accuracy and type(model.holdout_accuracy) is type(accuracy)
+        save_model(model, tmp_path / "again.bin")
+        header = json.loads((tmp_path / "again.bin").read_bytes().partition(b"\n")[0])
+        assert header["holdout_accuracy"] == accuracy
+
     # Each row breaks one thing in _HEADER or its payload (the n_cols ids, then
     # n_floats zeros, or the listed floats, for the weight block and bias) and
     # names the check that must reject it. Wherever it can, the rest is sized
@@ -518,12 +630,17 @@ class TestModelFile:
             (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 3 * 16 + 3, "dense model file"),
             (_HEADER, [3, 7], [0.0] * 4 + [math.nan] + [0.0] * 4, "weights and bias must be finite"),
             (_HEADER, [3, 7], [0.0] * 8 + [-math.inf], "weights and bias must be finite"),
+            (_header(holdout_accuracy="lots"), [3, 7], 9,
+             r"'holdout_accuracy' must be null or a number in \[0, 1\], got 'lots'"),
+            (_header(holdout_accuracy=1.5), [3, 7], 9, r"'holdout_accuracy' .*, got 1\.5"),
+            (_header(holdout_accuracy=True), [3, 7], 9, "'holdout_accuracy' .*, got True"),
         ],
         ids=["not-an-object", "no-labels", "labels-not-a-list", "labels-empty", "labels-unknown",
              "labels-repeated", "hash-dim-a-string", "hash-dim-beyond-int64", "hash-dim-another-width", "no-hash-dim",
              "no-n-cols", "n-cols-negative", "ngram-min-zero", "ngram-min-a-float", "ngram-min-above-max",
              "ngram-max-six", "payload-one-float-short", "ids-decreasing", "ids-repeated", "id-negative",
-             "id-at-hash-dim", "earlier-dense-format", "weight-nan", "bias-infinite"],
+             "id-at-hash-dim", "earlier-dense-format", "weight-nan", "bias-infinite", "holdout-accuracy-a-string",
+             "holdout-accuracy-above-one", "holdout-accuracy-a-bool"],
     )
     def test_bad_header_is_a_schema_error(self, tmp_path, header, ids, n_floats, message):
         path = tmp_path / "model.bin"

@@ -443,6 +443,11 @@ ERROR_CASES = [
         2, "model", None, id="extract-model-hash-dim-beyond-int64",
     ),
     pytest.param(
+        lambda m, d: ["extract", "--input", str(FIXTURE),
+                      "--model", _model_file_with(m, d / "lots.bin", holdout_accuracy="lots")],
+        2, "model", None, id="extract-model-holdout-accuracy-a-string",
+    ),
+    pytest.param(
         lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]),
                       "--model", _model_file_with(m, d / "wide.bin", hash_dim=10**30)],
         2, "model", None, id="eval-model-hash-dim-beyond-int64",
