@@ -86,7 +86,10 @@ NGRAM_MIN = 3
 NGRAM_MAX = 5
 HASH_DIM = 2**18
 
-# The learning rate at epoch e is learning_rate / (1 + LR_DECAY * e).
+# The step size at epoch e is LEARNING_RATE / (1 + LR_DECAY * e). Full-batch
+# descent over L2-normalized features needs a large step to reach the margin
+# within the epoch budget.
+LEARNING_RATE = 5.0
 LR_DECAY = 0.01
 
 _MODEL_MAGIC = "ordonnance-classifier-2"
@@ -99,10 +102,7 @@ _FEATURIZER = {"labels": list(CLASS_LABELS), "hash_dim": HASH_DIM, "ngram_min": 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    # full-batch descent over L2-normalized features needs a large step to
-    # reach the margin within the epoch budget
     epochs: int = 200
-    learning_rate: float = 5.0
     seed: int = 42
     holdout_fraction: float = 0.1
 
@@ -110,8 +110,6 @@ class TrainConfig:
         check_int("epochs", self.epochs, 1)
         # random.Random(None) would seed from the system and train differently each time
         check_int("seed", self.seed)
-        # a zero or negative step never leaves the untrained model; inf ruins it
-        check_number("learning_rate", self.learning_rate, 0, math.inf, open_low=True, open_high=True)
         check_number("holdout_fraction", self.holdout_fraction, 0, 1, open_high=True)
 
 
@@ -299,7 +297,7 @@ def train(corpus: Sequence[tuple[Sentence, str]], config: TrainConfig = TrainCon
     bias = np.zeros(len(CLASS_LABELS))
     logits = np.empty((n, len(CLASS_LABELS)))
     for epoch in range(config.epochs):
-        lr = config.learning_rate / (1.0 + LR_DECAY * epoch)
+        lr = LEARNING_RATE / (1.0 + LR_DECAY * epoch)
         for k, w in enumerate(weights):
             logits[:, k] = np.bincount(rows, vals * w[cols], minlength=n)
         grad = (_softmax(logits + bias) - y) / n

@@ -2,19 +2,19 @@
 
 Subcommands: extract, gen-corpus, train, eval, lexicon-check. stdout carries
 only the data artifact; diagnostics go to stderr. ``extract`` and ``eval``
-take a JSON config file (--config) whose keys may pre-set ``model``,
-``lexicon``, ``patterns``, ``stopwords`` and ``threshold``, and set the
-``LinkConfig`` fields ``section_gap_factor``, ``drug_gap_factor`` and
-``overlap_fraction``; any other key is refused. Each setting resolves in one
-step: the flags given are laid over the config file, and a key still unset
-is the shipped default. ``eval --predictions`` runs no pipeline, so it
-refuses the pipeline's flags (--model, --lexicon, --patterns, --stopwords,
---threshold) as a usage error; its config file, which may serve ``extract``
-too, is checked all the same. ``train`` sets only the descent (--seed,
---epochs, --learning-rate, --holdout): the featurizer, its hash width
-included, is fixed (see ``classify``). A model file is loaded before the
-pipeline runs on any input, so one that ``load_model`` refuses (another
-featurizer version or hash width) is a ``model`` error with exit 2.
+take files, not tuning: the model (--model, required) and the lexicon,
+pattern and stopword files (--lexicon, --patterns, --stopwords), which
+default to the shipped files. They link drugs at
+``druglink.DEFAULT_THRESHOLD`` and lines by ``linking.LinkConfig()``, as the
+library's ``Runtime`` does by default. The stopword list changes the
+classifier's features, and a model file does not record the list it was
+trained with: ``extract`` and ``eval`` must be given the list that ``train``
+used. ``eval --predictions`` runs no pipeline, so it refuses the pipeline's
+flags as a usage error. ``train`` sets only the descent (--seed, --epochs,
+--holdout): the featurizer, its hash width included, and the step size are
+fixed (see ``classify``). A model file is loaded before the pipeline runs on
+any input, so one that ``load_model`` refuses (another featurizer version or
+hash width) is a ``model`` error with exit 2.
 
 Each input is checked where it enters, by the loader that reads it; a loader
 raises an ``OrdonnanceError`` for a bad value, and lets the ``OSError`` of a
@@ -34,7 +34,6 @@ record's JSON error (``config`` for ``train``, ``corpus`` for
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import pathlib
 import sys
@@ -44,9 +43,9 @@ import click
 from . import __version__
 from .classify import TrainConfig, load_model, save_model, train
 from .corpus import CorpusSpec, generate, noisify, read_jsonl, read_jsonl_lines, write_jsonl
-from .druglink import DEFAULT_THRESHOLD, build_lexicon, default_lexicon_path
-from .errors import AlignmentError, OrdonnanceError, SchemaError, data_path, decode_json
-from .linking import LinkConfig, record_to_dict, dumps_canonical
+from .druglink import build_lexicon, default_lexicon_path
+from .errors import AlignmentError, OrdonnanceError, SchemaError, data_path
+from .linking import record_to_dict, dumps_canonical
 from .metrics import format_table, report_to_json, score
 from .ocr import parse_ocr_document
 from .patterns import load_patterns
@@ -91,57 +90,23 @@ def _failing_as(kind: str):
         _fail(_exit_code(exc), kind, str(exc))
 
 
-# Config keys naming a file. `open` would take an integer as a file descriptor.
-_PATH_KEYS = ("model", "lexicon", "patterns", "stopwords")
-_LINK_KEYS = tuple(f.name for f in dataclasses.fields(LinkConfig))  # unset ones keep LinkConfig's defaults
-_FLAG_KEYS = (*_PATH_KEYS, "threshold")  # the runtime flags, in declaration order
-_CONFIG_KEYS = (*_FLAG_KEYS, *_LINK_KEYS)
+# The flags naming the files a Runtime is built from, in declaration order.
+_RUNTIME_FLAGS = ("model", "lexicon", "patterns", "stopwords")
 
 
-def _load_config(path: str | None) -> dict:
-    """The options a --config file sets; SchemaError for a file that breaks its rules."""
-    if path is None:
-        return {}
-    with open(path, "rb") as fh:
-        cfg = decode_json(fh.read(), path, SchemaError)
-    if not isinstance(cfg, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
-    if unknown:
-        raise SchemaError(f"{path}: unknown config keys {unknown}; accepted keys are {list(_CONFIG_KEYS)}")
-    for key in _PATH_KEYS:
-        if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
-            raise SchemaError(f"{path}: {key!r} must be a non-empty file path, got {cfg[key]!r}")
-    return cfg
-
-
-def _settings(flags: dict) -> dict:
-    """The --config file's settings with each runtime flag that was given laid over them."""
-    settings = _load_config(flags["config"])
-    settings.update((key, flags[key]) for key in _FLAG_KEYS if flags[key] is not None)
-    return settings
-
-
-def _build_runtime(settings: dict) -> Runtime:
-    if "model" not in settings:
+def _build_runtime(model, lexicon, patterns, stopwords) -> Runtime:
+    """The Runtime of the given files; a file not given is the shipped one, except the model."""
+    if model is None:
         _fail(_EXIT_MISSING, "model", "no model file given (--model)")
     with _failing_as("model"):
-        clf = load_model(settings["model"])
+        clf = load_model(model)
     with _failing_as("lexicon"):
-        lex = build_lexicon(settings.get("lexicon", default_lexicon_path()))
+        lex = build_lexicon(default_lexicon_path() if lexicon is None else lexicon)
     with _failing_as("patterns"):
-        pats = load_patterns(settings.get("patterns", data_path("patterns_fr.json")))
+        pats = load_patterns(data_path("patterns_fr.json") if patterns is None else patterns)
     with _failing_as("stopwords"):
-        stops = load_stopwords(settings.get("stopwords", data_path("stopwords_fr.txt")))
-    with _failing_as("config"):
-        return Runtime(
-            model=clf,
-            lexicon=lex,
-            patterns=pats,
-            stopwords=stops,
-            threshold=settings.get("threshold", DEFAULT_THRESHOLD),
-            link_config=LinkConfig(**{key: settings[key] for key in _LINK_KEYS if key in settings}),
-        )
+        stops = load_stopwords(data_path("stopwords_fr.txt") if stopwords is None else stopwords)
+    return Runtime(model=clf, lexicon=lex, patterns=pats, stopwords=stops)
 
 
 def _record_table(record_dict: dict) -> str:
@@ -162,14 +127,14 @@ def _record_table(record_dict: dict) -> str:
 
 
 def _runtime_options(command):
-    """The flags ``extract`` and ``eval`` share: the artifacts a Runtime is built from, and --config."""
+    """The flags ``extract`` and ``eval`` share: the files a Runtime is built from."""
     for decorate in reversed((
         click.option("--model", default=None, help="Trained classifier model file."),
         click.option("--lexicon", default=None, help="Drug lexicon CSV (id,name)."),
         click.option("--patterns", default=None, help="Posology pattern file (JSON)."),
-        click.option("--stopwords", default=None, help="Stopword list file."),
-        click.option("--threshold", type=float, default=None, help="Drug link acceptance threshold."),
-        click.option("--config", default=None, help="JSON config file with defaults for these options."),
+        click.option("--stopwords", default=None,
+                     help="Stopword list file (default: the shipped list); must be the one train used, "
+                          "as it changes the classifier's features."),
     )):
         command = decorate(command)
     return command
@@ -203,9 +168,7 @@ def cmd_extract(inputs, out, fmt, **flags):
     --out; inputs whose file names would collide are refused before
     anything is read or written.
     """
-    with _failing_as("config"):
-        settings = _settings(flags)
-    runtime = _build_runtime(settings)
+    runtime = _build_runtime(**flags)
     if len(inputs) > 1:
         if not out:
             _fail(_EXIT_SCHEMA, "usage", "--out directory is required with several inputs")
@@ -268,16 +231,17 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
 @main.command("train")
 @click.option("--input", "corpus_path", required=True, help="Training corpus JSONL.")
 @click.option("--model", "model_path", required=True, help="Where to write the model file.")
-@click.option("--stopwords", default=None)
+@click.option("--stopwords", default=None,
+              help="Stopword list file (default: the shipped list); extract and eval must be given the same "
+                   "one, as it changes the classifier's features.")
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--epochs", type=int, default=200, show_default=True, help="Training epochs, at least 1.")
-@click.option("--learning-rate", type=float, default=5.0, show_default=True, help="Step size, a finite number > 0.")
 @click.option("--holdout", type=float, default=0.1, show_default=True, help="Held-out fraction in [0, 1).")
-def cmd_train(corpus_path, model_path, stopwords, seed, epochs, learning_rate, holdout):
+def cmd_train(corpus_path, model_path, stopwords, seed, epochs, holdout):
     """Train the sentence classifier on a JSONL corpus."""
     # TrainConfig checks every setting's range.
     with _failing_as("config"):
-        config = TrainConfig(epochs=epochs, learning_rate=learning_rate, seed=seed, holdout_fraction=holdout)
+        config = TrainConfig(epochs=epochs, seed=seed, holdout_fraction=holdout)
     with _failing_as("corpus"):
         rows = read_jsonl(corpus_path)
     with _failing_as("stopwords"):
@@ -329,21 +293,19 @@ def cmd_eval(gold, predictions, mode, fmt, **flags):
     A gold file with no records is refused: with nothing to score, every
     figure would read 1.0.
     """
-    ignored = [f"--{key}" for key in _FLAG_KEYS if flags[key] is not None]
+    ignored = [f"--{key}" for key in _RUNTIME_FLAGS if flags[key] is not None]
     if predictions is not None and ignored:
         _fail(_EXIT_SCHEMA, "usage", f"{', '.join(ignored)} cannot be used with --predictions, which runs no pipeline")
     with _failing_as("gold"):
         gold_rows = read_jsonl(gold)
         if not gold_rows:
             raise SchemaError(f"{gold}: no records to score")
-    with _failing_as("config"):
-        settings = _settings(flags)
 
     if predictions is not None:
         with _failing_as("predictions"):
             pred_spans = _read_predictions(predictions, gold_rows)
     else:
-        runtime = _build_runtime(settings)
+        runtime = _build_runtime(**flags)
         pred_spans = [annotate_text(row.text, runtime) for row in gold_rows]
 
     mode_name = "TOKEN" if mode == "token" else "EXACT_SPAN"

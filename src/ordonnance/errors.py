@@ -1,16 +1,16 @@
 """Exception hierarchy shared across the package, and the one rule per input encoding.
 
 Every JSON input (an OCR payload, a pattern file, a corpus line, a model
-header, a config file) is decoded by `decode_json`, which turns any failure
-to decode into the caller's typed error. The file loaders read bytes, so
-invalid UTF-8 meets the same rule as a syntax error or an integer literal too
-long to convert. Every plain-text data file (a lexicon, a stopword list) is
-read by `read_utf8`, which drops one leading byte-order mark, as ``json.loads``
-does for JSON bytes, and refuses invalid UTF-8 as a ``FileError`` naming the
-file and line. A file that cannot be opened is left as the ``OSError`` that
-``open`` raises. The files shipped with the package are found by
-`data_path` and read by the loader a user file of the same kind goes
-through, so they meet the same rules.
+header) is decoded by `decode_json`, which turns any failure to decode into
+the caller's typed error. The file loaders read bytes, so invalid UTF-8 meets
+the same rule as a syntax error or an integer literal too long to convert.
+Every plain-text data file (a lexicon, a stopword list) is read by
+`read_utf8`, which drops one leading byte-order mark, as ``json.loads`` does
+for JSON bytes, and refuses invalid UTF-8 as a ``FileError`` naming the file
+and line. A file that cannot be opened is left as the ``OSError`` that
+``open`` raises. The files shipped with the package are found by `data_path`
+and read by the loader a user file of the same kind goes through, so they
+meet the same rules.
 
 Every numeric setting is checked by `check_int` or `check_number`, which
 raise a ``ValueError`` naming the setting and the value; both refuse a bool,
@@ -117,12 +117,15 @@ def read_utf8(path) -> str:
     """The text of the file at ``path`` less one leading BOM; FileError naming ``path:line`` when it is not valid UTF-8.
 
     The BOM is dropped after decoding, so the offset of an invalid byte counts
-    from the start of the file, as the line does.
+    from the start of the file, as the line does. A line ends at a line feed,
+    a carriage return and line feed, or a lone carriage return, as the
+    lexicon and word-list readers number their lines.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise FileError(f"{path}:{line}: not valid UTF-8: {exc.reason} at byte {exc.start}") from None

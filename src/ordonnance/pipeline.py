@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .classify import ClassifierModel, LineBatch, predict
 from .druglink import (
-    DEFAULT_THRESHOLD,
     DrugLexicon,
     DrugMention,
     detect_drug,
@@ -28,7 +27,6 @@ from .druglink import (
     split_combined_line,
     starts_with_equivalence_marker,
 )
-from .errors import check_number
 from .linking import ClassifiedLine, LinkConfig, PrescriptionRecord, link
 from .ocr import OcrDocument
 from .patterns import PatternSet
@@ -45,17 +43,17 @@ Span = tuple[str, int, int]
 
 @dataclass
 class Runtime:
-    """Loaded artifacts the pipeline needs: model, lexicon, patterns, stopwords."""
+    """Loaded artifacts the pipeline needs: model, lexicon, patterns, stopwords.
+
+    Drugs link at ``druglink.DEFAULT_THRESHOLD``. ``link_config`` is
+    ``LinkConfig()`` wherever the package builds a Runtime.
+    """
 
     model: ClassifierModel
     lexicon: DrugLexicon
     patterns: PatternSet
     stopwords: frozenset[str] = frozenset()
-    threshold: float = DEFAULT_THRESHOLD
     link_config: LinkConfig = field(default_factory=LinkConfig)
-
-    def __post_init__(self):
-        check_number("threshold", self.threshold, 0, 1)
 
 
 def classify_sentence(
@@ -74,7 +72,7 @@ def classify_sentence(
     mention = None
     extraction = None
     if label == "DRUG":
-        mention = detect_drug(sentence, runtime.lexicon, runtime.threshold)
+        mention = detect_drug(sentence, runtime.lexicon)
         if mention is not None:
             remainder = split_combined_line(sentence, mention)
             if remainder.tokens:

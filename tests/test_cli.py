@@ -20,8 +20,12 @@ from ordonnance import cli
 from ordonnance.cli import main
 from ordonnance.classify import load_model
 from ordonnance.corpus import read_jsonl
-from ordonnance.druglink import DEFAULT_THRESHOLD, default_lexicon_path
+from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import data_path
+from ordonnance.linking import dumps_canonical, record_to_dict
+from ordonnance.metrics import report_to_json, score
+from ordonnance.ocr import parse_ocr_document
+from ordonnance.pipeline import annotate_text, extract_document
 
 from conftest import DATA_DIR
 
@@ -80,19 +84,6 @@ def test_missing_patterns_file_is_a_missing_file(run, tmp_path):
     result = run("--input", str(FIXTURE), "--patterns", str(tmp_path / "absent.json"))
     assert result.exit_code == 3
     assert [e["type"] for e in _error(result)] == ["patterns"]
-
-
-@pytest.mark.parametrize(
-    "config",
-    [{"section_gap_factor": -1}, {"overlap_fraction": 2}, {"drug_gap_factor": "wide"}],
-    ids=["negative", "above-one", "wrong-type"],
-)
-def test_out_of_range_link_config_is_a_schema_error(run, tmp_path, config):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    result = run("--input", str(FIXTURE), "--config", str(path))
-    assert result.exit_code == 2
-    assert [e["type"] for e in _error(result)] == ["config"]
 
 
 def test_missing_input_is_a_missing_file(run, tmp_path):
@@ -178,25 +169,6 @@ def test_inputs_writing_the_same_record_are_refused_before_anything_is_written(r
     assert str(first) in error["message"] and str(second) in error["message"]
     assert str(FIXTURE) not in error["message"]
     assert not out.exists()
-
-
-@pytest.mark.parametrize("config, orphans", [({}, 0), ({"drug_gap_factor": 0.01}, 4)], ids=["defaults", "tight-drug-gap"])
-def test_link_config_keys_are_honoured_and_unset_ones_keep_the_defaults(run, tmp_path, config, orphans):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    result = run("--input", str(FIXTURE), "--config", str(path))
-    assert result.exit_code == 0, result.stderr
-    record = json.loads(result.stdout)
-    attached = sum(len(d["posologies"]) for d in record["drugs"])
-    # the fixture's 4 posology lines: within the default section and drug gaps
-    # every one is attached, and none is once the first gap must be tiny
-    assert (attached, len(record["orphans"])) == (4 - orphans, orphans)
-
-
-def test_threshold_of_one_is_accepted(run):
-    result = run("--input", str(FIXTURE), "--threshold", "1.0")
-    assert result.exit_code == 0, result.stderr
-    assert result.stderr == ""
 
 
 # A small corpus with all three classes: enough for `train` to succeed.
@@ -315,27 +287,6 @@ ERROR_CASES = [
                       "--epochs", "2"],
         3, "model", None, id="train-model-in-missing-dir",
     ),
-    pytest.param(
-        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"threshold": "x"}')),
-        2, "config", None, id="config-threshold-not-a-number",
-    ),
-    pytest.param(lambda m, d: _extract(m, "--threshold", "7"), 2, "config", None, id="threshold-above-one"),
-    pytest.param(
-        lambda m, d: ["extract", "--input", str(FIXTURE), "--config", _write(d / "config.json", '{"model": 0}')],
-        2, "config", None, id="config-model-an-integer",
-    ),
-    pytest.param(
-        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"lexicon": 5}')),
-        2, "config", None, id="config-lexicon-an-integer",
-    ),
-    pytest.param(
-        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"patterns": 0}')),
-        2, "config", None, id="config-patterns-zero",
-    ),
-    pytest.param(
-        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"patterns": ""}')),
-        2, "config", None, id="config-patterns-empty",
-    ),
     pytest.param(lambda m, d: _extract(m, "--patterns", ""), 3, "patterns", None, id="patterns-flag-empty"),
     pytest.param(
         lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _one_lower_pattern("Matin"))),
@@ -344,15 +295,6 @@ ERROR_CASES = [
     pytest.param(
         lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _one_lower_pattern("après"))),
         2, "patterns", None, id="patterns-lower-word-with-an-accent",
-    ),
-    pytest.param(
-        lambda m, d: ["eval", "--model", str(m), "--gold", _write(d / "gold.jsonl", json.dumps(_CORPUS[0]) + "\n"),
-                      "--config", _write(d / "config.json", '{"stopwords": null}')],
-        2, "config", None, id="config-stopwords-null",
-    ),
-    pytest.param(
-        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"drug_gap_factor": NaN}')),
-        2, "config", None, id="config-gap-factor-nan",
     ),
     pytest.param(
         lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_line_box(d / "nan.json", "top", float("nan"))],
@@ -365,10 +307,6 @@ ERROR_CASES = [
     pytest.param(
         lambda m, d: ["extract", "--model", str(m), "--input", _write(d / "deep.json", _deeply_nested("doc_id"))],
         2, "SchemaError", None, id="payload-nested-too-deeply",
-    ),
-    pytest.param(
-        lambda m, d: _extract(m, "--config", _write(d / "config.json", _deeply_nested("threshold"))),
-        2, "config", None, id="config-nested-too-deeply",
     ),
     pytest.param(
         lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _deeply_nested("id"))),
@@ -419,14 +357,6 @@ ERROR_CASES = [
         2, "gold", None, id="gold-span-string-offsets",
     ),
     pytest.param(
-        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"treshold": 0.99, "drug_gap_factr": 9}')),
-        2, "config", None, id="config-unknown-keys",
-    ),
-    pytest.param(
-        lambda m, d: _extract(m, "--config", _write(d / "config.json", '{"drug_gap_factor": %s}' % ("9" * 400))),
-        2, "config", None, id="config-number-beyond-the-float-range",
-    ),
-    pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _model_file_with(m, d / "stale.bin", version="fh0")],
         2, "model", None, id="extract-stale-model",
     ),
@@ -474,10 +404,6 @@ ERROR_CASES = [
         lambda m, d: _eval_predictions(d, _BEYOND_GOLD), 2, "predictions", None, id="prediction-span-beyond-gold-text",
     ),
     pytest.param(
-        lambda m, d: _eval_predictions(d, _CORPUS[0], "--config", _write(d / "config.json", '{"treshold": 1}')),
-        2, "config", None, id="eval-predictions-unknown-config-key",
-    ),
-    pytest.param(
         lambda m, d: ["lexicon-check", "--lexicon", _latin1(d / "lex.csv", "id,name\nA1,Paracétamol\n")],
         2, "lexicon", None, id="lexicon-not-utf8",
     ),
@@ -510,15 +436,6 @@ def test_prediction_span_beyond_its_gold_text_names_its_line(tmp_path):
     assert error["message"] == f"{pred}:3: spans[0] ends at 30, beyond its gold text of 14 characters"
 
 
-def test_predictions_are_scored_with_a_valid_config(tmp_path):
-    record = _gold(tmp_path / "gold.jsonl", {**_CORPUS[0], "spans": [{"kind": "DRUG", "start": 0, "end": 9}]})
-    config = _write(tmp_path / "config.json", '{"threshold": 0.9}')
-    args = ["eval", "--gold", record, "--predictions", record, "--mode", "exact-span", "--config", config]
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.stderr
-    assert json.loads(result.stdout)["totals"]["recall"] == 1.0
-
-
 @pytest.mark.parametrize("mode", ["token", "exact-span"])
 def test_gold_scored_against_itself_ends_the_table_with_a_perfect_total(tmp_path, mode):
     spans = [{"kind": "DOSE", "start": 0, "end": 10}, {"kind": "FREQUENCY", "start": 11, "end": 16}]
@@ -536,7 +453,7 @@ def test_gold_scored_against_itself_ends_the_table_with_a_perfect_total(tmp_path
 
 @pytest.mark.parametrize("flag, value", [
     ("--model", "model.bin"), ("--lexicon", "lex.csv"), ("--patterns", "patterns.json"),
-    ("--stopwords", "stop.txt"), ("--threshold", "0.9"),
+    ("--stopwords", "stop.txt"),
 ])
 def test_pipeline_flags_are_refused_next_to_predictions(tmp_path, flag, value):
     # --predictions runs no pipeline: a pipeline flag would be silently ignored
@@ -544,12 +461,6 @@ def test_pipeline_flags_are_refused_next_to_predictions(tmp_path, flag, value):
     assert result.exit_code == 2, result.stderr
     (error,) = _error(result)
     assert error == {"type": "usage", "message": f"{flag} cannot be used with --predictions, which runs no pipeline"}
-
-
-def test_unknown_config_keys_are_named(run, tmp_path):
-    path = _write(tmp_path / "config.json", '{"treshold": 0.99, "drug_gap_factr": 9, "threshold": 0.9}')
-    (error,) = _error(run("--input", str(FIXTURE), "--config", path))
-    assert "['drug_gap_factr', 'treshold']" in error["message"]
 
 
 @pytest.mark.parametrize("which, entries, bucket, name_tokens", [("demo", 217, 4, 13), ("big", 9_396, 54, 7)])
@@ -573,8 +484,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3"),
-     ("--learning-rate", "0"), ("--learning-rate", "-5"), ("--learning-rate", "nan"), ("--learning-rate", "inf")],
+    [("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3")],
 )
 def test_out_of_range_train_flag_is_a_config_error(tmp_path, flag, value):
     # the CLI states no range: TrainConfig checks each, and reports it as JSON
@@ -618,15 +528,7 @@ def test_zero_noise_writes_the_clean_corpus(tmp_path):
     assert zero.read_bytes() == clean.read_bytes()
 
 
-# ---- config shape, missing model, table rows, train output, empty gold, word lists
-
-
-def test_a_config_file_holding_a_list_is_a_config_error(run, tmp_path):
-    path = _write(tmp_path / "config.json", '["threshold", 0.9]')
-    result = run("--input", str(FIXTURE), "--config", path)
-    assert result.exit_code == 2
-    (error,) = _error(result)
-    assert error == {"type": "config", "message": f"{path}: expected a JSON object"}
+# ---- missing model, table rows, train output, empty gold, word lists
 
 
 def test_extract_without_a_model_is_a_missing_model():
@@ -637,14 +539,17 @@ def test_extract_without_a_model_is_a_missing_model():
 
 
 def test_extract_table_lists_orphans_and_unlinked_drug_lines(run, tmp_path):
-    # Without TAHOR in the lexicon its drug line links to nothing, and a tiny
-    # drug gap leaves every posology line unattached.
+    # Without TAHOR in the lexicon its drug line links to nothing, and a
+    # posology line above every drug line has no drug to attach to.
     with open(default_lexicon_path(), encoding="utf-8") as fh:
         lexicon = _write(tmp_path / "lexicon.csv", "".join(row for row in fh if "TAHOR" not in row))
-    config = _write(tmp_path / "config.json", '{"drug_gap_factor": 0.01}')
-    record = json.loads(run("--input", str(FIXTURE), "--lexicon", lexicon, "--config", config).stdout)
+    payload = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    for k, line in enumerate(line for line in payload["lines"] if line["id"].startswith("pos-")):
+        line["bbox"]["top"] = 0.1 + 0.025 * k  # the first drug line's top is 0.2
+    raised = _write(tmp_path / "raised.json", json.dumps(payload))
+    record = json.loads(run("--input", raised, "--lexicon", lexicon).stdout)
     assert record["unmatched_drug_lines"] == ["drug-5"] and len(record["orphans"]) == 4
-    result = run("--input", str(FIXTURE), "--lexicon", lexicon, "--config", config, "--format", "table")
+    result = run("--input", raised, "--lexicon", lexicon, "--format", "table")
     assert result.exit_code == 0, result.stderr
     lines = result.stdout.splitlines()
     orphan_rows = [f"      {e['kind']:<10} {e['text']}" for p in record["orphans"] for e in p["entities"]]
@@ -697,9 +602,9 @@ def test_a_stopword_entry_of_two_words_is_a_stopwords_error(model_file, tmp_path
     assert error["type"] == "stopwords" and error["message"].startswith(f"{stops}:2: 'par jour' is not one token")
 
 
-# ---- the flags extract and eval share -----------------------------------------
+# ---- the flags extract and eval share: files, not tuning -------------------------
 
-SHARED_FLAGS = ("model", "lexicon", "patterns", "stopwords", "threshold", "config")
+SHARED_FLAGS = ("model", "lexicon", "patterns", "stopwords")
 
 
 def test_extract_and_eval_declare_the_shared_flags_alike():
@@ -713,27 +618,67 @@ def test_extract_and_eval_declare_the_shared_flags_alike():
     assert all(text for _, text in help_records("eval").values())
 
 
-# ---- each runtime setting: the flag, else the config file, else the shipped default
+@pytest.mark.parametrize("command, options", [
+    ("extract", ["--input", "--out", "--model", "--lexicon", "--patterns", "--stopwords", "--format"]),
+    ("eval", ["--gold", "--predictions", "--model", "--lexicon", "--patterns", "--stopwords", "--mode", "--format"]),
+    ("train", ["--input", "--model", "--stopwords", "--seed", "--epochs", "--holdout"]),
+])
+def test_each_help_lists_exactly_its_options(command, options):
+    result = CliRunner().invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.stderr
+    assert re.findall(r"^  (--[a-z-]+)", result.stdout, flags=re.M) == [*options, "--help"]
 
-RUNTIME_KEYS = ("model", "lexicon", "patterns", "stopwords", "threshold")
 
-# A config file's bad value of each key is reported as this error type and exit code.
-_BAD_SETTING_ERROR = {
-    "model": ("model", 3), "lexicon": ("lexicon", 3), "patterns": ("patterns", 3), "stopwords": ("stopwords", 3),
-    "threshold": ("config", 2),
-}
+@pytest.mark.parametrize("args", [
+    ["extract", "--input", str(FIXTURE), "--model", "m.bin", "--config", "config.json"],
+    ["extract", "--input", str(FIXTURE), "--model", "m.bin", "--threshold", "0.9"],
+    ["eval", "--gold", "gold.jsonl", "--model", "m.bin", "--config", "config.json"],
+    ["eval", "--gold", "gold.jsonl", "--model", "m.bin", "--threshold", "0.9"],
+    ["train", "--input", "corpus.jsonl", "--model", "m.bin", "--learning-rate", "5"],
+], ids=["extract-config", "extract-threshold", "eval-config", "eval-threshold", "train-learning-rate"])
+def test_tuning_is_not_a_setting(args):
+    # the link threshold, the link rules and the step size are fixed: each
+    # removed flag is Click's unknown-option usage error, before any file is read
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "No such option" in result.stderr and args[-2] in result.stderr  # worded by Click's version
+    assert "Traceback" not in result.stderr
+
+
+# ---- the CLI gives the library's default outputs --------------------------------
+
+
+def test_extract_writes_the_librarys_record(model_file, runtime):
+    # runtime holds the model saved in model_file, and the shipped files. The CLI links at
+    # DEFAULT_THRESHOLD and by LinkConfig(), as a Runtime does by default.
+    result = CliRunner().invoke(main, ["extract", "--model", str(model_file), "--input", str(FIXTURE)])
+    assert result.exit_code == 0, result.stderr
+    record = extract_document(parse_ocr_document(FIXTURE.read_bytes()), runtime)
+    assert result.stdout_bytes == dumps_canonical(record_to_dict(record))
+
+
+@pytest.mark.parametrize("mode, mode_name", [("token", "TOKEN"), ("exact-span", "EXACT_SPAN")])
+def test_eval_writes_the_librarys_report(model_file, runtime, tmp_path, mode, mode_name):
+    gold = tmp_path / "gold.jsonl"
+    noisy = ["--n-drug", "20", "--n-posology", "20", "--n-useless", "20", "--seed", "7", "--noise", "0.1"]
+    assert CliRunner().invoke(main, ["gen-corpus", *noisy, "--out", str(gold)]).exit_code == 0
+    result = CliRunner().invoke(main, ["eval", "--model", str(model_file), "--gold", str(gold), "--mode", mode])
+    assert result.exit_code == 0, result.stderr
+    rows = read_jsonl(gold)
+    report = score(rows, [annotate_text(row.text, runtime) for row in rows], mode=mode_name)
+    assert result.stdout_bytes == report_to_json(report)
+
+
+# ---- each file flag not given takes the shipped file -----------------------------
 
 
 def _shipped_setting(key, model_file):
-    """The value ``key`` takes when nothing sets it; the model, which has none, is the trained one."""
+    """The file ``key`` names when no flag sets it; the model, which has none, is the trained one."""
     return {
         "model": str(model_file), "lexicon": default_lexicon_path(), "patterns": data_path("patterns_fr.json"),
-        "stopwords": data_path("stopwords_fr.txt"), "threshold": DEFAULT_THRESHOLD,
+        "stopwords": data_path("stopwords_fr.txt"),
     }[key]
-
-
-def _bad_setting(key, tmp_path):
-    return 5 if key == "threshold" else str(tmp_path / f"absent-{key}")
 
 
 def _runtime_args(command, model_file, tmp_path, key=None):
@@ -744,37 +689,7 @@ def _runtime_args(command, model_file, tmp_path, key=None):
     return ["eval", "--gold", _corpus(tmp_path), *model]
 
 
-def _config(tmp_path, settings):
-    return _write(tmp_path / "config.json", json.dumps(settings))
-
-
-@pytest.mark.parametrize("key", RUNTIME_KEYS)
-@pytest.mark.parametrize("command", ["extract", "eval"])
-def test_an_explicit_flag_wins_over_the_config_file(model_file, tmp_path, command, key):
-    plain = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path))
-    config = _config(tmp_path, {key: _bad_setting(key, tmp_path)})
-    flag = [f"--{key}", str(_shipped_setting(key, model_file))]
-    result = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path, key) + ["--config", config, *flag])
-    assert result.exit_code == 0, result.stderr
-    assert result.stdout == plain.stdout
-
-
-@pytest.mark.parametrize("key", RUNTIME_KEYS)
-@pytest.mark.parametrize("command", ["extract", "eval"])
-def test_a_key_set_only_in_the_config_file_is_taken(model_file, tmp_path, command, key):
-    args = _runtime_args(command, model_file, tmp_path, key)
-    result = CliRunner().invoke(main, args + ["--config", _config(tmp_path, {key: _bad_setting(key, tmp_path)})])
-    kind, code = _BAD_SETTING_ERROR[key]
-    assert result.exit_code == code, result.stderr
-    assert [e["type"] for e in _error(result)] == [kind]
-    plain = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path))
-    config = _config(tmp_path, {key: _shipped_setting(key, model_file)})
-    result = CliRunner().invoke(main, args + ["--config", config])
-    assert result.exit_code == 0, result.stderr
-    assert result.stdout == plain.stdout
-
-
-@pytest.mark.parametrize("key", RUNTIME_KEYS)
+@pytest.mark.parametrize("key", SHARED_FLAGS)
 @pytest.mark.parametrize("command", ["extract", "eval"])
 def test_a_key_set_nowhere_takes_the_shipped_default(model_file, tmp_path, command, key):
     args = _runtime_args(command, model_file, tmp_path, key)
@@ -788,14 +703,14 @@ def test_a_key_set_nowhere_takes_the_shipped_default(model_file, tmp_path, comma
     assert result.stdout == explicit.stdout
 
 
-_ALL_PIPELINE_FLAGS = {"--model": "m", "--lexicon": "l", "--patterns": "p", "--stopwords": "x", "--threshold": "0.5"}
+_ALL_PIPELINE_FLAGS = {"--model": "m", "--lexicon": "l", "--patterns": "p", "--stopwords": "x"}
 
 
 @pytest.mark.parametrize("typed, listed", [
-    (("--threshold", "--stopwords", "--model"), "--model, --stopwords, --threshold"),
-    (("--model", "--stopwords", "--threshold"), "--model, --stopwords, --threshold"),
+    (("--stopwords", "--model"), "--model, --stopwords"),
+    (("--model", "--stopwords"), "--model, --stopwords"),
     (tuple(reversed(_ALL_PIPELINE_FLAGS)), ", ".join(_ALL_PIPELINE_FLAGS)),
-    (("--patterns", "--threshold", "--model", "--stopwords", "--lexicon"), ", ".join(_ALL_PIPELINE_FLAGS)),
+    (("--patterns", "--model", "--stopwords", "--lexicon"), ", ".join(_ALL_PIPELINE_FLAGS)),
 ])
 def test_the_predictions_conflict_lists_the_flags_in_declaration_order(tmp_path, typed, listed):
     args = [arg for flag in typed for arg in (flag, _ALL_PIPELINE_FLAGS[flag])]

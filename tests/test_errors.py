@@ -17,7 +17,6 @@ from importlib import resources
 
 import pytest
 
-from ordonnance import cli
 from ordonnance.classify import TrainConfig, load_model
 from ordonnance.corpus import AnnotatedSentence, CorpusSpec, default_templates, noisify, read_jsonl
 from ordonnance.druglink import default_equivalence_markers, default_lexicon_path
@@ -25,7 +24,6 @@ from ordonnance.errors import PatternError, SchemaError, check_int, check_number
 from ordonnance.linking import LinkConfig
 from ordonnance.ocr import parse_ocr_document
 from ordonnance.patterns import load_patterns
-from ordonnance.pipeline import Runtime
 from ordonnance.textnorm import read_word_list
 
 LOADERS = [
@@ -33,7 +31,6 @@ LOADERS = [
     pytest.param(load_patterns, PatternError, id="patterns"),
     pytest.param(read_jsonl, SchemaError, id="corpus"),
     pytest.param(load_model, SchemaError, id="model"),
-    pytest.param(cli._load_config, SchemaError, id="config"),
 ]
 
 _DEPTH = 200_000
@@ -89,8 +86,6 @@ def _spec(**field):
 SETTINGS = [
     pytest.param("epochs", lambda v: TrainConfig(epochs=v), [1, 2, 10**400], id="TrainConfig.epochs"),
     pytest.param("seed", lambda v: TrainConfig(seed=v), [-1, 0, 1, 2, 10**400, -10**400], id="TrainConfig.seed"),
-    pytest.param("learning_rate", lambda v: TrainConfig(learning_rate=v), [0.3, 0.31, 0.5, 1, 1.5, 2],
-                 id="TrainConfig.learning_rate"),
     pytest.param("holdout_fraction", lambda v: TrainConfig(holdout_fraction=v), [0, 0.3, 0.31, 0.5],
                  id="TrainConfig.holdout_fraction"),
     pytest.param("section_gap_factor", lambda v: LinkConfig(section_gap_factor=v), [0.3, 0.31, 0.5, 1, 1.5, 2],
@@ -99,8 +94,6 @@ SETTINGS = [
                  id="LinkConfig.drug_gap_factor"),
     pytest.param("overlap_fraction", lambda v: LinkConfig(overlap_fraction=v), [0.3, 0.31, 0.5, 1],
                  id="LinkConfig.overlap_fraction"),
-    pytest.param("threshold", lambda v: Runtime(model=None, lexicon=None, patterns=None, threshold=v),
-                 [0, 0.3, 0.31, 0.5, 1], id="Runtime.threshold"),
     pytest.param("n_drug", lambda v: _spec(n_drug=v), [0, 1, 2, 10**400], id="CorpusSpec.n_drug"),
     pytest.param("n_posology", lambda v: _spec(n_posology=v), [0, 1, 2, 10**400], id="CorpusSpec.n_posology"),
     pytest.param("n_useless", lambda v: _spec(n_useless=v), [0, 1, 2, 10**400], id="CorpusSpec.n_useless"),

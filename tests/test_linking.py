@@ -219,4 +219,4 @@ class TestLinkConfig:
 
     def test_bounds_themselves_are_accepted(self):
         assert LinkConfig(overlap_fraction=1.0).overlap_fraction == 1.0
-        assert LinkConfig(drug_gap_factor=3).drug_gap_factor == 3  # a JSON config gives ints
+        assert LinkConfig(drug_gap_factor=3).drug_gap_factor == 3  # an int is a number

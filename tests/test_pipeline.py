@@ -421,15 +421,11 @@ class TestClassifyCalls:
         assert [(ln.label, ln.mention, ln.extraction) for ln in classify_lines(doc, runtime)] == alone
 
 
-@pytest.mark.parametrize("threshold", [0, 0.72, 1.0, 1])
-def test_runtime_accepts_a_threshold_in_the_unit_interval(runtime, threshold):
-    assert dataclasses.replace(runtime, threshold=threshold).threshold == threshold
-
-
-@pytest.mark.parametrize("threshold", [7, -0.1, float("nan"), "x", None, True])
-def test_runtime_rejects_a_threshold_outside_the_unit_interval(runtime, threshold):
-    with pytest.raises(ValueError, match="threshold"):
-        Runtime(model=runtime.model, lexicon=runtime.lexicon, patterns=runtime.patterns, threshold=threshold)
+def test_the_link_threshold_is_not_a_setting(runtime):
+    # drugs link at druglink.DEFAULT_THRESHOLD; the link rules keep LinkConfig's defaults
+    assert [f.name for f in dataclasses.fields(Runtime)] == ["model", "lexicon", "patterns", "stopwords", "link_config"]
+    with pytest.raises(TypeError, match="threshold"):
+        Runtime(model=runtime.model, lexicon=runtime.lexicon, patterns=runtime.patterns, threshold=0.9)
 
 
 def test_equivalent_drug_line_is_collapsed(runtime):

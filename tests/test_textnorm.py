@@ -265,6 +265,14 @@ class TestReadWordList:
         with pytest.raises(FileError, match=re.escape(f"{path}:3: not valid UTF-8")):
             load_stopwords(path)
 
+    @pytest.mark.parametrize("data", [b"le\rpar\r\xe0\r", b"le\r\npar\r\xe0\n"], ids=["cr", "mixed"])
+    def test_invalid_utf8_after_carriage_returns_names_its_own_line(self, tmp_path, data):
+        # a lone carriage return ends a line, as read_word_list numbers lines
+        path = tmp_path / "cr.txt"
+        path.write_bytes(data)
+        with pytest.raises(FileError, match=re.escape(f"{path}:3: not valid UTF-8")):
+            load_stopwords(path)
+
     def test_a_leading_bom_is_dropped(self, tmp_path):
         path = tmp_path / "bom.txt"
         path.write_bytes(codecs.BOM_UTF8 + "le\nla\nà\n".encode("utf-8"))
