@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -275,6 +276,10 @@ class TestTrain:
     def test_hash_width_is_not_a_setting(self):
         with pytest.raises(TypeError, match="hash_dim"):
             TrainConfig(hash_dim=64)
+
+    def test_the_settings_are_the_descents_alone(self):
+        # the featurizer and the step size are fixed; a TrainConfig sets how long and from where
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == ["epochs", "seed", "holdout_fraction"]
 
     def test_learning_rate_is_not_a_setting(self):
         # the step size is the constant LEARNING_RATE, decayed by LR_DECAY

@@ -484,7 +484,8 @@ def test_importing_the_cli_loads_no_scipy():
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--holdout", "1.5"), ("--holdout", "1"), ("--epochs", "0"), ("--epochs", "-3")],
+    [("--holdout", "1.5"), ("--holdout", "1"), ("--holdout", "-0.1"), ("--holdout", "inf"), ("--epochs", "0"),
+     ("--epochs", "-3")],
 )
 def test_out_of_range_train_flag_is_a_config_error(tmp_path, flag, value):
     # the CLI states no range: TrainConfig checks each, and reports it as JSON
@@ -508,6 +509,18 @@ def test_out_of_range_noise_is_a_corpus_error(tmp_path, noise):
     assert result.exit_code == 2
     assert [e["type"] for e in _error(result)] == ["corpus"]
     assert "rate" in _error(result)[0]["message"]
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-drug", "--n-posology", "--n-useless"])
+def test_a_negative_count_is_a_corpus_error(tmp_path, flag):
+    # CorpusSpec checks each count, and the error is reported as JSON
+    args = _gen_corpus(tmp_path / "corpus.jsonl")
+    args[args.index(flag) + 1] = "-1"
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    (error,) = _error(result)
+    assert error == {"type": "corpus", "message": f"{flag[2:].replace('-', '_')} must be an int >= 0, got -1"}
     assert not (tmp_path / "corpus.jsonl").exists()
 
 
@@ -622,6 +635,8 @@ def test_extract_and_eval_declare_the_shared_flags_alike():
     ("extract", ["--input", "--out", "--model", "--lexicon", "--patterns", "--stopwords", "--format"]),
     ("eval", ["--gold", "--predictions", "--model", "--lexicon", "--patterns", "--stopwords", "--mode", "--format"]),
     ("train", ["--input", "--model", "--stopwords", "--seed", "--epochs", "--holdout"]),
+    ("gen-corpus", ["--n-drug", "--n-posology", "--n-useless", "--seed", "--lexicon", "--noise", "--out"]),
+    ("lexicon-check", ["--lexicon"]),
 ])
 def test_each_help_lists_exactly_its_options(command, options):
     result = CliRunner().invoke(main, [command, "--help"])
@@ -719,3 +734,57 @@ def test_the_predictions_conflict_lists_the_flags_in_declaration_order(tmp_path,
     assert _error(result) == [
         {"type": "usage", "message": f"{listed} cannot be used with --predictions, which runs no pipeline"}
     ]
+
+
+# ---- each file flag given is the file read, and its errors are its own ----------
+
+# The loader of ordonnance.cli that reads each flag's file.
+_LOADERS = {"model": "load_model", "lexicon": "build_lexicon", "patterns": "load_patterns",
+            "stopwords": "load_stopwords"}
+
+
+@pytest.mark.parametrize("key", SHARED_FLAGS)
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_a_flag_given_is_the_file_read(model_file, tmp_path, monkeypatch, command, key):
+    # a copy of the shipped file, given by its flag, is the one loaded and gives the same output
+    copy = tmp_path / f"copy-{key}"
+    copy.write_bytes(pathlib.Path(_shipped_setting(key, model_file)).read_bytes())
+    shipped = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path))
+    assert shipped.exit_code == 0, shipped.stderr
+    read = []
+    load = getattr(cli, _LOADERS[key])
+    monkeypatch.setattr(cli, _LOADERS[key], lambda path: read.append(path) or load(path))
+    result = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path, key) + [f"--{key}", str(copy)])
+    assert result.exit_code == 0, result.stderr
+    assert read == [str(copy)]
+    assert result.stdout == shipped.stdout
+
+
+# A file of each kind that its loader refuses as a bad value: not valid UTF-8.
+_LATIN1_FILES = {
+    "model": '{"magic": "ordonnance-classifier-2", "labels": ["é"]}\n',
+    "lexicon": "id,name\nA1,Paracétamol\n",
+    "patterns": _one_lower_pattern("après"),
+    "stopwords": "le\nà\n",
+}
+
+
+def _bad_file(defect, key, d):
+    if defect == "absent":
+        return str(d / "absent")
+    if defect == "a-directory":
+        (d / "dir").mkdir()
+        return str(d / "dir")
+    return _latin1(d / f"bad-{key}", _LATIN1_FILES[key])
+
+
+@pytest.mark.parametrize("defect, code", [("absent", 3), ("a-directory", 3), ("not-utf8", 2)])
+@pytest.mark.parametrize("key", SHARED_FLAGS)
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_a_bad_file_flag_is_that_files_error(model_file, tmp_path, command, key, defect, code):
+    bad = _bad_file(defect, key, tmp_path)
+    result = CliRunner().invoke(main, _runtime_args(command, model_file, tmp_path, key) + [f"--{key}", bad])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == code, result.stderr
+    (error,) = _error(result)
+    assert error["type"] == key and bad in error["message"], error

@@ -20,7 +20,7 @@ import pytest
 from ordonnance.classify import TrainConfig, load_model
 from ordonnance.corpus import AnnotatedSentence, CorpusSpec, default_templates, noisify, read_jsonl
 from ordonnance.druglink import default_equivalence_markers, default_lexicon_path
-from ordonnance.errors import PatternError, SchemaError, check_int, check_number, data_path
+from ordonnance.errors import FileError, PatternError, SchemaError, check_int, check_number, data_path, read_utf8
 from ordonnance.linking import LinkConfig
 from ordonnance.ocr import parse_ocr_document
 from ordonnance.patterns import load_patterns
@@ -65,6 +65,23 @@ def test_each_shipped_file_loads_as_its_text_read_on_its_own():
     assert default_templates() == json.loads(shipped("templates_fr.json"))
     assert default_equivalence_markers() == read_word_list(shipped("equivalence_markers.txt"), "markers")
 
+
+# ---- the one rule for a plain-text file -----------------------------------------
+
+@pytest.mark.parametrize("data, line, offset", [
+    (b"le\npar\n\xe0\n", 3, 7),
+    (b"le\r\npar\r\n\xe0\r\n", 3, 9),
+    (b"le\rpar\r\xe0\r", 3, 7),
+    (b"le\r\npar\rde\n\xe0\n", 4, 11),
+    (b"\xef\xbb\xbfle\npar\n\xe0\n", 3, 10),
+], ids=["lf", "crlf", "cr", "mixed", "after-a-bom"])
+def test_invalid_utf8_names_its_line_whatever_ends_the_lines(tmp_path, data, line, offset):
+    # a line ends at \n, \r\n or a lone \r; the byte offset counts from the start of the file
+    path = tmp_path / "words.txt"
+    path.write_bytes(data)
+    with pytest.raises(FileError) as info:
+        read_utf8(path)
+    assert str(info.value) == f"{path}:{line}: not valid UTF-8: invalid continuation byte at byte {offset}"
 
 
 # ---- the one rule for a numeric setting ---------------------------------------

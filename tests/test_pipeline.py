@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from ordonnance import classify, pipeline, textnorm
 from ordonnance.corpus import CorpusSpec, generate, noisify
-from ordonnance.druglink import build_lexicon, default_lexicon_path, detect_drug, split_combined_line
+from ordonnance.druglink import (
+    DEFAULT_THRESHOLD,
+    build_lexicon,
+    default_lexicon_path,
+    detect_drug,
+    split_combined_line,
+)
 from ordonnance.errors import OrdonnanceError
 from ordonnance.linking import ClassifiedLine, LinkConfig, dumps_canonical, link, record_to_dict
 from ordonnance.ocr import BoundingBox, parse_ocr_document
@@ -426,6 +432,32 @@ def test_the_link_threshold_is_not_a_setting(runtime):
     assert [f.name for f in dataclasses.fields(Runtime)] == ["model", "lexicon", "patterns", "stopwords", "link_config"]
     with pytest.raises(TypeError, match="threshold"):
         Runtime(model=runtime.model, lexicon=runtime.lexicon, patterns=runtime.patterns, threshold=0.9)
+
+
+@pytest.mark.parametrize("text, linked", [
+    ("DOLIPRANE 1000 mg, comprimé", True),  # the whole name, score 1.0
+    ("KARDEGIC 75 mg, poudre pour", True),  # score 0.761
+    ("MOPRAL 20 mg, gélule", False),  # score 0.690
+    ("KARDEGIC 75 mg, poudre", False),  # score 0.667
+    ("SMECTA 3 g, poudre", False),  # score 0.600
+], ids=["whole-name", "just-above", "just-below", "below", "well-below"])
+def test_a_drug_line_links_at_the_default_threshold(runtime, text, linked):
+    sentence = sentence_from_text(text, runtime.stopwords)
+    label, mention, _ = classify_sentence(sentence, runtime)
+    assert label == "DRUG"
+    assert mention == detect_drug(sentence, runtime.lexicon, DEFAULT_THRESHOLD)
+    assert (mention is not None) == linked
+    assert detect_drug(sentence, runtime.lexicon, 0.5) is not None  # each would link at a lower threshold
+
+
+@pytest.mark.parametrize("config", [LinkConfig(), LinkConfig(section_gap_factor=0.01, drug_gap_factor=0.01)],
+                         ids=["defaults", "tight-gaps"])
+def test_extract_document_links_by_the_runtimes_link_config(runtime, config):
+    doc = _doc(FIXTURE)
+    record = extract_document(doc, dataclasses.replace(runtime, link_config=config))
+    assert record == link(doc.doc_id, classify_lines(doc, runtime), config)
+    # the fixture's posology lies within the default gaps, and beyond gaps of 0.01 line heights
+    assert bool(record.orphans) == (config != LinkConfig())
 
 
 def test_equivalent_drug_line_is_collapsed(runtime):
