@@ -1,12 +1,10 @@
 """Declarative token-pattern matcher.
 
-A pattern is an ordered list of per-token constraint specs, each carrying an
-optional quantifier (1, ?, +, *). Matching scans a sentence left to right;
-at each start position it finds the longest token span that satisfies the
-whole spec sequence (quantifiers are explored greedily with backtracking, so
-a later spec can always claim tokens an earlier unbounded spec would
-otherwise swallow). Matches of one pattern never overlap; scanning resumes
-right after each match.
+A pattern is an ordered list of per-token constraint specs, each taking one
+token ("1", the default) or an optional one ("?"). Matching scans a sentence
+left to right; at each start position it finds the longest token span that
+satisfies the whole spec sequence. Matches of one pattern never overlap;
+scanning resumes right after each match.
 
 A PatternSet is compiled once, when it is built. Its specs are deduplicated
 on their word list and regex (the quantifier is not part of a spec's
@@ -14,18 +12,18 @@ identity; the shipped set's 498 spec instances are 118 distinct specs). Each
 distinct spec gets one test on a token's text: ``match_token`` (the one
 definition of a spec holding) bound to the spec.
 
-Every pattern, fixed-length or quantified, compiles to its own chain NFA,
-built backwards from its accept: one node per (spec, repetitions taken), up
-to the spec's bound, each with (test, next node) edges. A node whose spec
-has had its least number of tokens also carries the edges and accept of
-what may follow, the epsilon closure folded in at build time. The root's
-edges enter every chain, the nodes that one spec enters merged into one. A
-root miss would make one test per distinct first spec without the merge, as
-a state's moves group its tests; the merge earns its place by memory, as
-one node per first spec replaces one per pattern. Without it the shipped
-set held 123.7 KB against 118.5 KB (tracemalloc, median of 7 builds), with
-the same spec tests, DFA states and transitions on 2,000 generated posology
-lines at noise 0.1. A zero-length accept is never placed on the root.
+Every pattern compiles to its own chain NFA, built backwards from its
+accept: one node per spec, the one its token leads to, with (test, next
+node) edges. The node before a "1" spec holds that spec's edge alone; the
+node before a "?" spec also carries the edges and accept of what follows it,
+the epsilon closure folded in at build time. The root's edges enter every
+chain, the nodes that one spec enters merged into one. A root miss would
+make one test per distinct first spec without the merge, as a state's moves
+group its tests; the merge earns its place by memory, as one node per first
+spec replaces one per pattern. Without it the shipped set held 123.7 KB
+against 118.5 KB (tracemalloc, median of 7 builds), with the same spec
+tests, DFA states and transitions on 2,000 generated posology lines at noise
+0.1. A zero-length accept is never placed on the root.
 
 ``find_all`` walks a lazy DFA over these nodes, the subset construction of
 RE2 (Cox, "Regular Expression Matching in the Wild", 2010) over token tests
@@ -49,13 +47,13 @@ run starts cold. Threads sharing a set may repeat a miss's work but never
 change a match, as a transition depends only on its state's nodes and text.
 
 A pattern holds at most MAX_SPECS specs (the shipped ones at most 6): a run
-of optional specs folds each closure into the nodes before it, so the edges
-that the build makes grow with the square of a chain's length.
+of "?" specs folds each closure into the node before it, so the edges that
+the build makes grow with the square of the run's length.
 
 Pattern file format (JSON list)::
 
     [{"id": str, "label": "DOSE"|"FREQUENCY"|"DURATION"|"COMMENT",
-      "specs": [{"lower": str|[str], "regex": str, "op": "1"|"?"|"+"|"*"}]}]
+      "specs": [{"lower": str|[str], "regex": str, "op": "1"|"?"}]}]
 
 All spec fields are optional; "op" defaults to "1". A spec tests a token's
 text against "regex", anchored (full-token match), and against "lower", a
@@ -77,11 +75,7 @@ from .textnorm import Sentence, is_one_token, normalize_text
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 
-# STAR/PLUS are bounded so adversarial patterns always terminate;
-# prescription phrases never repeat a token class this often.
-MAX_REPS = 10
-
-# Specs a pattern may hold, so the chains' folded closures stay small.
+# Specs a pattern may hold, so the folded closures of a run of "?" specs stay small.
 MAX_SPECS = 16
 
 # Transitions the DFA cache holds before it is flushed whole, as RE2 does.
@@ -89,8 +83,6 @@ MAX_SPECS = 16
 # 257 states, about 235 KB with their key texts and the states' moves, so the
 # cap bounds the cache near 1.4 MB.
 MAX_TRANSITIONS = 10_000
-
-_OP_BOUNDS = {"1": (1, 1), "?": (0, 1), "+": (1, MAX_REPS), "*": (0, MAX_REPS)}
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ class MatchSpan(NamedTuple):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class _Node:
-    """An NFA node: a pattern after some repetitions of one of its specs, or such nodes merged below the root.
+    """An NFA node: a pattern after one of its specs, or such nodes merged below the root.
 
     A node compares and hashes by identity, so a state's node tuple interns
     at the cost of its length, not of the chain after it.
@@ -150,8 +142,8 @@ class _State:
         self.nodes = nodes
         # by identity: a pattern's value hash would hash each of its specs
         self.accepts = tuple({id(p): p for node in nodes for p in node.accepts}.values())
-        # A run of one quantified spec repeats its test in every folded closure,
-        # and two nodes may share a child.
+        # Nodes of different patterns share tests, a run of "?" specs repeats
+        # its tests in every folded closure, and two nodes may share a child.
         moves: dict[Callable[[str], bool], dict[_Node, None]] = {}
         for node in nodes:
             for test, child in node.edges:
@@ -175,6 +167,8 @@ class PatternSet:
 
     def __init__(self, patterns: Iterable[TokenPattern]):
         self.patterns: tuple[TokenPattern, ...] = tuple(patterns)
+        if not self.patterns:
+            raise PatternError("a pattern set holds no patterns")
         seen: set[str] = set()
         for p in self.patterns:
             if p.pattern_id in seen:
@@ -196,15 +190,11 @@ class PatternSet:
                     sid = ids[key] = len(specs)
                     specs.append(spec)
                     tests.append(MethodType(match_token, spec))
-                test = tests[sid]
-                lo, hi = _OP_BOUNDS[spec.op]
-                node = _Node(edges, accepts)  # after hi repetitions: only what follows
-                for _ in range(hi - 1):  # after fewer: a repetition more, or what follows (every lo is 0 or 1)
-                    node = _Node(((test, node),) + edges, accepts)
-                if lo:
-                    edges, accepts = ((test, node),), ()
+                edge = (tests[sid], _Node(edges, accepts))  # the spec's token, then what follows
+                if spec.op == "?":
+                    edges = (edge,) + edges  # or straight on to what follows
                 else:
-                    edges = ((test, node),) + edges
+                    edges, accepts = (edge,), ()
             for test, node in edges:  # a zero-length accept is left out
                 entries.setdefault(test, []).append(node)
         self.specs: tuple[TokenSpec, ...] = tuple(specs)
@@ -277,13 +267,12 @@ def _parse_spec(obj: dict, where: str) -> TokenSpec:
             raise PatternError(f"{where}.regex: {exc}") from exc
 
     op = obj.get("op", "1")
-    if op not in _OP_BOUNDS:
-        raise PatternError(f"{where}.op: {op!r} not one of 1 ? + *")
+    if op not in ("1", "?"):
+        raise PatternError(f"{where}.op: {op!r} not one of 1 ?")
 
     if op == "1" and lower is None and regex is None:
-        # an unconstrained single token is almost always an authoring mistake;
-        # wildcards must be opted into with an explicit quantifier
-        raise PatternError(f"{where}: unconstrained spec requires an explicit quantifier")
+        # an unconstrained single token is almost always an authoring mistake
+        raise PatternError(f"{where}: an unconstrained spec must be '?'")
     return TokenSpec(lower=lower, regex=regex, op=op)
 
 

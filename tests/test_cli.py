@@ -80,6 +80,20 @@ def test_patterns_file_with_an_over_long_pattern_is_a_schema_error(run, tmp_path
     assert error["type"] == "patterns" and "'long' has 17 specs, more than 16" in error["message"], error
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "a pattern set holds no patterns"),
+    ([{"id": "xs", "label": "DOSE", "specs": [{"lower": "x", "op": "+"}]}], "patterns[0].specs[0].op: '+' not one of 1 ?"),
+    ([{"id": "xs", "label": "DOSE", "specs": [{"lower": "x", "op": "*"}]}], "patterns[0].specs[0].op: '*' not one of 1 ?"),
+], ids=["no-patterns", "plus-op", "star-op"])
+def test_patterns_file_refused_by_the_set_is_a_schema_error(run, tmp_path, data, message):
+    bad = tmp_path / "patterns.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = run("--input", str(FIXTURE), "--patterns", str(bad))
+    assert result.exit_code == 2 and result.stdout == ""
+    (error,) = _error(result)
+    assert error["type"] == "patterns" and message in error["message"], error
+
+
 def test_missing_patterns_file_is_a_missing_file(run, tmp_path):
     result = run("--input", str(FIXTURE), "--patterns", str(tmp_path / "absent.json"))
     assert result.exit_code == 3

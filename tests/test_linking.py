@@ -130,6 +130,27 @@ def test_chain_attaches_within_the_section_gap_limit(height, gap, attached):
     assert orphans(record) == ([] if attached else ["p2"])
 
 
+@pytest.mark.parametrize("gap, attached", [(0.04, True), (0.06, False)])
+def test_a_page_of_two_lines_measures_gaps_in_the_fallback_height(gap, attached):
+    # Fewer than three lines give no median: the limit is 2.5 x 0.02, not
+    # 2.5 x the lines' own 0.01 height.
+    lines = [drug("d", box(0.1, height=0.01)), posology("p", box(0.11 + gap, height=0.01))]
+    record = link("doc", lines, LinkConfig())
+    assert owners(record)["d"] == (["p"] if attached else [])
+    assert orphans(record) == ([] if attached else ["p"])
+
+
+@pytest.mark.parametrize("top, attached", [(0.21875, True), (0.21875 - 2**-10, False)], ids=["half", "under-half"])
+def test_a_posology_line_overlapping_half_of_a_drug_line_is_aligned(top, attached):
+    # Both lines are 0.0625 high and every edge is a binary fraction: at top
+    # 0.21875 the posology overlaps the drug line by exactly half. It lies
+    # above the drug line, so unaligned it has no drug line above it.
+    lines = [drug("d", box(0.25, height=0.0625)), posology("p", box(top, height=0.0625))]
+    record = link("doc", lines, LinkConfig())
+    assert owners(record)["d"] == (["p"] if attached else [])
+    assert orphans(record) == ([] if attached else ["p"])
+
+
 def _prescription() -> list[ClassifiedLine]:
     """Two pages: chains, an aligned line, an unlinked drug line, an orphan and two drug lines with one box."""
     return [

@@ -121,6 +121,14 @@ def test_far_edge_within_the_clamp_tolerance_is_accepted():
     assert (doc.lines[0].bbox.right, doc.lines[0].bbox.bottom) == (1.0 + 5e-7, 1.0 + 5e-7)
 
 
+# The documented tolerance as literals: the oracle below reads ``ocr._EPS`` itself.
+@pytest.mark.parametrize("value", [1.000002, -2e-6])
+@pytest.mark.parametrize("field", BOX_FIELDS)
+def test_coordinate_beyond_the_clamp_tolerance_names_its_field(field, value):
+    with pytest.raises(GeometryError, match=rf"^lines\[0\]\.bbox\.{field}: {value} outside \[-1e-6, 1\+1e-6\]$"):
+        parse_ocr_document(payload([line(**{field: value})]))
+
+
 def oracle_parse_bbox(obj, where):
     """`ocr._parse_bbox` before it left its extent and far-edge tests to ``BoundingBox``."""
     left = ocr._require(obj, "left", float, where)
@@ -168,6 +176,8 @@ def test_deep_nesting_is_schema_error():
 def test_near_bound_values_clamped():
     doc = parse_ocr_document(payload([line(left=-5e-7, top=0.2, width=0.5, height=0.03)]))
     assert doc.lines[0].bbox.left == 0.0
+    doc = parse_ocr_document(payload([line(left=0.0, top=0.0, width=1 + 5e-7, height=0.03)]))
+    assert doc.lines[0].bbox.width == 1.0
 
 
 @pytest.mark.parametrize("text, message", [
