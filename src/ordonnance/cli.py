@@ -2,14 +2,13 @@
 
 Subcommands: extract, gen-corpus, train, eval, lexicon-check. stdout carries
 only the data artifact; diagnostics go to stderr. ``extract`` and ``eval``
-take files, not tuning: the model (--model, required) and the lexicon,
-pattern and stopword files (--lexicon, --patterns, --stopwords), which
-default to the shipped files. They link drugs at
-``druglink.DEFAULT_THRESHOLD`` and lines by ``linking.LinkConfig()``, as the
-library's ``Runtime`` does by default. The stopword list changes the
-classifier's features, and a model file does not record the list it was
-trained with: ``extract`` and ``eval`` must be given the list that ``train``
-used. ``eval --predictions`` runs no pipeline, so it refuses the pipeline's
+take files, not tuning: the model (--model, required) and the lexicon and
+pattern files (--lexicon, --patterns), which default to the shipped files.
+They link drugs at ``druglink.DEFAULT_THRESHOLD`` and lines by
+``linking.LinkConfig()``, as the library's ``Runtime`` does by default. The
+stopword list changes the classifier's features, and a model file does not
+record it, so ``extract``, ``eval`` and ``train`` all use the shipped list.
+``eval --predictions`` runs no pipeline, so it refuses the pipeline's
 flags as a usage error. ``train`` sets only the descent (--seed, --epochs,
 --holdout): the featurizer, its hash width included, and the step size are
 fixed (see ``classify``). A model file is loaded before the pipeline runs on
@@ -91,10 +90,10 @@ def _failing_as(kind: str):
 
 
 # The flags naming the files a Runtime is built from, in declaration order.
-_RUNTIME_FLAGS = ("model", "lexicon", "patterns", "stopwords")
+_RUNTIME_FLAGS = ("model", "lexicon", "patterns")
 
 
-def _build_runtime(model, lexicon, patterns, stopwords) -> Runtime:
+def _build_runtime(model, lexicon, patterns) -> Runtime:
     """The Runtime of the given files; a file not given is the shipped one, except the model."""
     if model is None:
         _fail(_EXIT_MISSING, "model", "no model file given (--model)")
@@ -105,7 +104,7 @@ def _build_runtime(model, lexicon, patterns, stopwords) -> Runtime:
     with _failing_as("patterns"):
         pats = load_patterns(data_path("patterns_fr.json") if patterns is None else patterns)
     with _failing_as("stopwords"):
-        stops = load_stopwords(data_path("stopwords_fr.txt") if stopwords is None else stopwords)
+        stops = load_stopwords(data_path("stopwords_fr.txt"))
     return Runtime(model=clf, lexicon=lex, patterns=pats, stopwords=stops)
 
 
@@ -132,9 +131,6 @@ def _runtime_options(command):
         click.option("--model", default=None, help="Trained classifier model file."),
         click.option("--lexicon", default=None, help="Drug lexicon CSV (id,name)."),
         click.option("--patterns", default=None, help="Posology pattern file (JSON)."),
-        click.option("--stopwords", default=None,
-                     help="Stopword list file (default: the shipped list); must be the one train used, "
-                          "as it changes the classifier's features."),
     )):
         command = decorate(command)
     return command
@@ -231,13 +227,11 @@ def cmd_gen_corpus(n_drug, n_posology, n_useless, seed, lexicon, noise, out):
 @main.command("train")
 @click.option("--input", "corpus_path", required=True, help="Training corpus JSONL.")
 @click.option("--model", "model_path", required=True, help="Where to write the model file.")
-@click.option("--stopwords", default=None,
-              help="Stopword list file (default: the shipped list); extract and eval must be given the same "
-                   "one, as it changes the classifier's features.")
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--epochs", type=int, default=200, show_default=True, help="Training epochs, at least 1.")
-@click.option("--holdout", type=float, default=0.1, show_default=True, help="Held-out fraction in [0, 1).")
-def cmd_train(corpus_path, model_path, stopwords, seed, epochs, holdout):
+@click.option("--seed", type=int, default=TrainConfig.seed, show_default=True)
+@click.option("--epochs", type=int, default=TrainConfig.epochs, show_default=True, help="Training epochs, at least 1.")
+@click.option("--holdout", type=float, default=TrainConfig.holdout_fraction, show_default=True,
+              help="Held-out fraction in [0, 1).")
+def cmd_train(corpus_path, model_path, seed, epochs, holdout):
     """Train the sentence classifier on a JSONL corpus."""
     # TrainConfig checks every setting's range.
     with _failing_as("config"):
@@ -245,7 +239,7 @@ def cmd_train(corpus_path, model_path, stopwords, seed, epochs, holdout):
     with _failing_as("corpus"):
         rows = read_jsonl(corpus_path)
     with _failing_as("stopwords"):
-        stops = load_stopwords(stopwords or data_path("stopwords_fr.txt"))
+        stops = load_stopwords(data_path("stopwords_fr.txt"))
     corpus = []
     for row in rows:
         sentence = sentence_from_text(row.text, stops)

@@ -20,10 +20,11 @@ the epsilon closure folded in at build time. The root's edges enter every
 chain, the nodes that one spec enters merged into one. A root miss would
 make one test per distinct first spec without the merge, as a state's moves
 group its tests; the merge earns its place by memory, as one node per first
-spec replaces one per pattern. Without it the shipped set held 123.7 KB
-against 118.5 KB (tracemalloc, median of 7 builds), with the same spec
-tests, DFA states and transitions on 2,000 generated posology lines at noise
-0.1. A zero-length accept is never placed on the root.
+spec replaces one per pattern. Without it the shipped set held 192.6 KB
+against 172.0 KB (tracemalloc, median of 5 ``load_patterns`` builds in one
+process), with the same spec tests, DFA states, transitions and matches on
+2,000 generated posology lines at noise 0.1. A zero-length accept is never
+placed on the root.
 
 ``find_all`` walks a lazy DFA over these nodes, the subset construction of
 RE2 (Cox, "Regular Expression Matching in the Wild", 2010) over token tests
@@ -79,9 +80,9 @@ LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 MAX_SPECS = 16
 
 # Transitions the DFA cache holds before it is flushed whole, as RE2 does.
-# A pass over the 200 rx-typical benchmark documents stores 1,674 of them in
-# 257 states, about 235 KB with their key texts and the states' moves, so the
-# cap bounds the cache near 1.4 MB.
+# A pass over the 200 rx-typical benchmark documents (seed 11) stores 1,645 of
+# them in 257 states, about 222 KB by sys.getsizeof with their key texts and
+# the states' moves, so the cap bounds the cache near 1.35 MB.
 MAX_TRANSITIONS = 10_000
 
 

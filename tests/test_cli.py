@@ -18,7 +18,7 @@ from click.testing import CliRunner
 
 from ordonnance import cli
 from ordonnance.cli import main
-from ordonnance.classify import load_model
+from ordonnance.classify import TrainConfig, load_model, save_model, train
 from ordonnance.corpus import read_jsonl
 from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import data_path
@@ -26,6 +26,7 @@ from ordonnance.linking import dumps_canonical, record_to_dict
 from ordonnance.metrics import report_to_json, score
 from ordonnance.ocr import parse_ocr_document
 from ordonnance.pipeline import annotate_text, extract_document
+from ordonnance.textnorm import sentence_from_text
 
 from conftest import DATA_DIR
 
@@ -288,10 +289,6 @@ ERROR_CASES = [
         2, "lexicon", None, id="lexicon-check-extra-cell",
     ),
     pytest.param(
-        lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "m.bin"), "--stopwords", str(d / "absent.txt")],
-        3, "stopwords", None, id="train-absent-stopwords",
-    ),
-    pytest.param(
         lambda m, d: ["gen-corpus", "--n-drug", "1", "--n-posology", "1", "--n-useless", "1",
                       "--out", str(d / "missing" / "corpus.jsonl")],
         3, "corpus", None, id="gen-corpus-out-in-missing-dir",
@@ -421,11 +418,6 @@ ERROR_CASES = [
         lambda m, d: ["lexicon-check", "--lexicon", _latin1(d / "lex.csv", "id,name\nA1,Paracétamol\n")],
         2, "lexicon", None, id="lexicon-not-utf8",
     ),
-    pytest.param(
-        lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "m.bin"),
-                      "--stopwords", _latin1(d / "stop.txt", "le\nà\n")],
-        2, "stopwords", None, id="stopwords-not-utf8",
-    ),
 ]
 
 
@@ -467,7 +459,6 @@ def test_gold_scored_against_itself_ends_the_table_with_a_perfect_total(tmp_path
 
 @pytest.mark.parametrize("flag, value", [
     ("--model", "model.bin"), ("--lexicon", "lex.csv"), ("--patterns", "patterns.json"),
-    ("--stopwords", "stop.txt"),
 ])
 def test_pipeline_flags_are_refused_next_to_predictions(tmp_path, flag, value):
     # --predictions runs no pipeline: a pipeline flag would be silently ignored
@@ -555,7 +546,7 @@ def test_zero_noise_writes_the_clean_corpus(tmp_path):
     assert zero.read_bytes() == clean.read_bytes()
 
 
-# ---- missing model, table rows, train output, empty gold, word lists
+# ---- missing model, table rows, train output, empty gold
 
 
 def test_extract_without_a_model_is_a_missing_model():
@@ -595,6 +586,19 @@ def test_train_reports_one_json_line_and_writes_a_model_that_loads(tmp_path):
                                 "epochs": 3, "seed": 5}
 
 
+def test_train_without_tuning_flags_trains_by_the_default_config(tmp_path, stopwords):
+    # --seed, --epochs and --holdout default to TrainConfig's fields, and the
+    # sentences are read with the shipped stopword list
+    corpus, path, expected = tmp_path / "corpus.jsonl", tmp_path / "m.bin", tmp_path / "expected.bin"
+    args = ["gen-corpus", "--n-drug", "20", "--n-posology", "20", "--n-useless", "20", "--out", str(corpus)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    result = CliRunner().invoke(main, ["train", "--input", str(corpus), "--model", str(path)])
+    assert result.exit_code == 0, result.stderr
+    pairs = [(s, row.label) for row in read_jsonl(corpus) if (s := sentence_from_text(row.text, stopwords)) is not None]
+    save_model(train(pairs, TrainConfig()), expected)
+    assert path.read_bytes() == expected.read_bytes()
+
+
 def test_train_has_no_hash_dim_flag(tmp_path):
     # the featurizer's hash width is fixed, so the flag is Click's unknown-option usage error
     assert "--hash-dim" not in CliRunner().invoke(main, ["train", "--help"]).stdout
@@ -616,22 +620,9 @@ def test_a_gold_file_with_no_records_is_a_gold_error(tmp_path, mode):
     assert error == {"type": "gold", "message": f"{gold}: no records to score"}  # before any model is read
 
 
-@pytest.mark.parametrize("command", ["extract", "train"])
-def test_a_stopword_entry_of_two_words_is_a_stopwords_error(model_file, tmp_path, command):
-    stops = _write(tmp_path / "stop.txt", "le\npar jour\n")
-    if command == "extract":
-        args = _extract(model_file, "--stopwords", stops)
-    else:
-        args = ["train", "--input", _corpus(tmp_path), "--model", str(tmp_path / "m.bin"), "--stopwords", stops]
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 2
-    (error,) = _error(result)
-    assert error["type"] == "stopwords" and error["message"].startswith(f"{stops}:2: 'par jour' is not one token")
-
-
 # ---- the flags extract and eval share: files, not tuning -------------------------
 
-SHARED_FLAGS = ("model", "lexicon", "patterns", "stopwords")
+SHARED_FLAGS = ("model", "lexicon", "patterns")
 
 
 def test_extract_and_eval_declare_the_shared_flags_alike():
@@ -646,9 +637,9 @@ def test_extract_and_eval_declare_the_shared_flags_alike():
 
 
 @pytest.mark.parametrize("command, options", [
-    ("extract", ["--input", "--out", "--model", "--lexicon", "--patterns", "--stopwords", "--format"]),
-    ("eval", ["--gold", "--predictions", "--model", "--lexicon", "--patterns", "--stopwords", "--mode", "--format"]),
-    ("train", ["--input", "--model", "--stopwords", "--seed", "--epochs", "--holdout"]),
+    ("extract", ["--input", "--out", "--model", "--lexicon", "--patterns", "--format"]),
+    ("eval", ["--gold", "--predictions", "--model", "--lexicon", "--patterns", "--mode", "--format"]),
+    ("train", ["--input", "--model", "--seed", "--epochs", "--holdout"]),
     ("gen-corpus", ["--n-drug", "--n-posology", "--n-useless", "--seed", "--lexicon", "--noise", "--out"]),
     ("lexicon-check", ["--lexicon"]),
 ])
@@ -664,10 +655,15 @@ def test_each_help_lists_exactly_its_options(command, options):
     ["eval", "--gold", "gold.jsonl", "--model", "m.bin", "--config", "config.json"],
     ["eval", "--gold", "gold.jsonl", "--model", "m.bin", "--threshold", "0.9"],
     ["train", "--input", "corpus.jsonl", "--model", "m.bin", "--learning-rate", "5"],
-], ids=["extract-config", "extract-threshold", "eval-config", "eval-threshold", "train-learning-rate"])
+    ["extract", "--input", str(FIXTURE), "--model", "m.bin", "--stopwords", "stop.txt"],
+    ["eval", "--gold", "gold.jsonl", "--model", "m.bin", "--stopwords", "stop.txt"],
+    ["train", "--input", "corpus.jsonl", "--model", "m.bin", "--stopwords", "stop.txt"],
+], ids=["extract-config", "extract-threshold", "eval-config", "eval-threshold", "train-learning-rate",
+        "extract-stopwords", "eval-stopwords", "train-stopwords"])
 def test_tuning_is_not_a_setting(args):
-    # the link threshold, the link rules and the step size are fixed: each
-    # removed flag is Click's unknown-option usage error, before any file is read
+    # the link threshold, the link rules, the step size and the stopword list are
+    # fixed: each removed flag is Click's unknown-option usage error, before any
+    # file is read
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit), result.exception
@@ -706,7 +702,6 @@ def _shipped_setting(key, model_file):
     """The file ``key`` names when no flag sets it; the model, which has none, is the trained one."""
     return {
         "model": str(model_file), "lexicon": default_lexicon_path(), "patterns": data_path("patterns_fr.json"),
-        "stopwords": data_path("stopwords_fr.txt"),
     }[key]
 
 
@@ -732,14 +727,14 @@ def test_a_key_set_nowhere_takes_the_shipped_default(model_file, tmp_path, comma
     assert result.stdout == explicit.stdout
 
 
-_ALL_PIPELINE_FLAGS = {"--model": "m", "--lexicon": "l", "--patterns": "p", "--stopwords": "x"}
+_ALL_PIPELINE_FLAGS = {"--model": "m", "--lexicon": "l", "--patterns": "p"}
 
 
 @pytest.mark.parametrize("typed, listed", [
-    (("--stopwords", "--model"), "--model, --stopwords"),
-    (("--model", "--stopwords"), "--model, --stopwords"),
+    (("--patterns", "--model"), "--model, --patterns"),
+    (("--model", "--patterns"), "--model, --patterns"),
     (tuple(reversed(_ALL_PIPELINE_FLAGS)), ", ".join(_ALL_PIPELINE_FLAGS)),
-    (("--patterns", "--model", "--stopwords", "--lexicon"), ", ".join(_ALL_PIPELINE_FLAGS)),
+    (("--patterns", "--model", "--lexicon"), ", ".join(_ALL_PIPELINE_FLAGS)),
 ])
 def test_the_predictions_conflict_lists_the_flags_in_declaration_order(tmp_path, typed, listed):
     args = [arg for flag in typed for arg in (flag, _ALL_PIPELINE_FLAGS[flag])]
@@ -753,8 +748,7 @@ def test_the_predictions_conflict_lists_the_flags_in_declaration_order(tmp_path,
 # ---- each file flag given is the file read, and its errors are its own ----------
 
 # The loader of ordonnance.cli that reads each flag's file.
-_LOADERS = {"model": "load_model", "lexicon": "build_lexicon", "patterns": "load_patterns",
-            "stopwords": "load_stopwords"}
+_LOADERS = {"model": "load_model", "lexicon": "build_lexicon", "patterns": "load_patterns"}
 
 
 @pytest.mark.parametrize("key", SHARED_FLAGS)
@@ -779,7 +773,6 @@ _LATIN1_FILES = {
     "model": '{"magic": "ordonnance-classifier-2", "labels": ["é"]}\n',
     "lexicon": "id,name\nA1,Paracétamol\n",
     "patterns": _one_lower_pattern("après"),
-    "stopwords": "le\nà\n",
 }
 
 

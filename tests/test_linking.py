@@ -96,6 +96,49 @@ def test_posology_below_two_side_by_side_drugs_with_equal_gap_and_overlap_goes_t
         assert owners(link("doc", order)) == {"left": ["p"], "right": []}
 
 
+def test_posology_below_two_side_by_side_drugs_with_equal_gap_goes_to_the_one_it_overlaps_more():
+    # The gap to each drug is one line height; the posology lies under the
+    # right drug only, so the overlap breaks the tie against reading order.
+    h = 2**-6
+    lines = [
+        drug("left", box(0.25, left=0.0, width=0.5, height=h)),
+        drug("right", box(0.25, left=0.5, width=0.5, height=h)),
+        posology("p", box(0.25 + 2 * h, left=0.5, width=0.25, height=h)),
+    ]
+    for order in (lines, lines[::-1]):
+        assert owners(link("doc", order)) == {"left": [], "right": ["p"]}
+
+
+# Lines 2**-6 high under a drug line at 0.25: every edge and every limit of
+# LinkConfig()'s factors is a binary fraction, so a gap of exactly the limit
+# attaches and one 2**-10 wider does not.
+@pytest.mark.parametrize("beyond, attached", [(0, True), (2**-10, False)], ids=["at-limit", "beyond"])
+def test_the_default_first_posology_limit_is_two_and_a_half_line_heights(beyond, attached):
+    h = 2**-6
+    lines = [
+        drug("d", box(0.25, height=h)),
+        posology("p", box(0.25 + h + 2.5 * h + beyond, height=h)),
+        useless("u", box(0.75, height=h)),
+    ]
+    record = link("doc", lines)
+    assert owners(record)["d"] == (["p"] if attached else [])
+    assert orphans(record) == ([] if attached else ["p"])
+
+
+@pytest.mark.parametrize("beyond, attached", [(0, True), (2**-10, False)], ids=["at-limit", "beyond"])
+def test_the_default_chain_limit_is_one_and_a_half_line_heights(beyond, attached):
+    # p1 touches the drug line; p2's gap to p1 is measured against the section limit
+    h = 2**-6
+    lines = [
+        drug("d", box(0.25, height=h)),
+        posology("p1", box(0.25 + h, height=h)),
+        posology("p2", box(0.25 + 2 * h + 1.5 * h + beyond, height=h)),
+    ]
+    record = link("doc", lines)
+    assert owners(record)["d"] == (["p1", "p2"] if attached else ["p1"])
+    assert orphans(record) == ([] if attached else ["p2"])
+
+
 @pytest.mark.parametrize("height", [0.01, 0.03], ids=["small-font", "large-font"])
 @pytest.mark.parametrize(
     "gap, drug_gap_factor, attached",

@@ -244,6 +244,15 @@ def test_words_must_reassemble_text():
     assert ok.lines[0].words == ("DOLIPRANE", "500")
 
 
+def test_words_differing_from_the_text_in_the_first_word_are_refused():
+    words = [
+        {"text": text, "bbox": {"left": left, "top": 0.2, "width": 0.1, "height": 0.03}}
+        for text, left in (("DAFALGAN", 0.1), ("1000", 0.22), ("mg", 0.34))
+    ]
+    with pytest.raises(SchemaError, match="word texts do not reassemble the line text"):
+        parse_ocr_document(payload([line(text="DOLIPRANE 1000 mg", words=words)]))
+
+
 def test_reading_order_key_values():
     ln = OcrLine("x", "text", BoundingBox(0.1, 0.3, 0.2, 0.02), page=1)
     assert reading_order_key(ln) == (1, 0.3, 0.1, "x")

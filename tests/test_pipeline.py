@@ -469,6 +469,16 @@ def test_equivalent_drug_line_is_collapsed(runtime):
     assert [d["line_id"] for d in record["drugs"]] == list(GOLDEN)
 
 
+def test_a_marked_line_naming_the_same_drug_as_the_line_above_stays_a_drug(runtime):
+    # The rule collapses a substitute, another drug: "ou" before the drug
+    # above repeated is no equivalence.
+    payload = _with_line_after("drug-2", "eq-1", "ou MOPRAL 20 mg, gélule gastro-résistante", 0.30)
+    lines = {ln.line_id: ln for ln in classify_lines(_doc(payload), runtime)}
+    for line_id in ("drug-2", "eq-1"):
+        assert lines[line_id].label == "DRUG"
+        assert lines[line_id].mention.drug_id == "61000379"
+
+
 def test_a_substitute_after_an_equivalent_line_is_compared_with_that_line(runtime):
     # The rule looks at the previous line as relabelled: an EQUIVALENT line
     # has no mention, so the line below it stays DRUG. Whether a chain of
