@@ -26,7 +26,7 @@ from ordonnance.linking import dumps_canonical, record_to_dict
 from ordonnance.metrics import report_to_json, score
 from ordonnance.ocr import parse_ocr_document
 from ordonnance.pipeline import annotate_text, extract_document
-from ordonnance.textnorm import sentence_from_text
+from ordonnance.textnorm import load_stopwords, sentence_from_text
 
 from conftest import DATA_DIR
 
@@ -795,3 +795,37 @@ def test_a_bad_file_flag_is_that_files_error(model_file, tmp_path, command, key,
     assert result.exit_code == code, result.stderr
     (error,) = _error(result)
     assert error["type"] == key and bad in error["message"], error
+
+
+# ---- the stopword list is the shipped one, and its errors are its own ------------
+
+
+def _stopword_args(command, model_file, tmp_path):
+    if command == "train":
+        return ["train", "--input", _corpus(tmp_path), "--model", str(tmp_path / "m.bin")]
+    return _runtime_args(command, model_file, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["extract", "eval", "train"])
+def test_each_command_reads_the_shipped_stopword_list(model_file, tmp_path, monkeypatch, command):
+    # no flag names the list: extract and eval classify with the one train used
+    read = []
+    monkeypatch.setattr(cli, "load_stopwords", lambda path: read.append(path) or load_stopwords(path))
+    result = CliRunner().invoke(main, _stopword_args(command, model_file, tmp_path))
+    assert result.exit_code == 0, result.stderr
+    assert read == [data_path("stopwords_fr.txt")]
+
+
+@pytest.mark.parametrize("defect, code", [("absent", 3), ("two-words", 2)])
+@pytest.mark.parametrize("command", ["extract", "eval", "train"])
+def test_a_bad_shipped_stopword_list_is_a_stopwords_error(model_file, tmp_path, monkeypatch, command, defect, code):
+    bad = str(tmp_path / "absent.txt") if defect == "absent" else _write(tmp_path / "stop.txt", "le\npar jour\n")
+    shipped = cli.data_path
+    monkeypatch.setattr(cli, "data_path", lambda name: bad if name == "stopwords_fr.txt" else shipped(name))
+    result = CliRunner().invoke(main, _stopword_args(command, model_file, tmp_path))
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == code, result.stderr
+    (error,) = _error(result)
+    assert error["type"] == "stopwords" and bad in error["message"], error
+    if defect == "two-words":
+        assert error["message"].startswith(f"{bad}:2: 'par jour' is not one token"), error
