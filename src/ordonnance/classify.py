@@ -26,9 +26,9 @@ the BLAS build nor on numpy's CPU dispatch, and a line's scores not on the
 other lines of its batch; a lone line is a batch of one.
 
 ``predict`` stays a per-line call, because ``perfbench`` times this layer
-by wrapping ``pipeline.predict`` once per line. A document's lines share a
-``LineBatch``: the first ``predict`` on it scores them all, inside that
-call's span, and later calls look their line up.
+by wrapping ``pipeline.predict`` once per line. Every line, bare text too,
+is scored in a ``LineBatch``: the first ``predict`` on it scores them all,
+inside that call's span, and later calls look their line up.
 
 ``featurize`` hashes the feature texts of a batch of lines (a document, a
 training corpus) at once and returns three flat arrays ``(line, ids,
@@ -323,16 +323,12 @@ class LineBatch:
         self._classes: dict[int, SentenceClass] | None = None  # by id() of the sentence
 
 
-def predict(model: ClassifierModel, sentence: Sentence, batch: LineBatch | None = None) -> SentenceClass:
-    """Class scores for one sentence; a valid probability simplex always.
+def predict(model: ClassifierModel, sentence: Sentence, batch: LineBatch) -> SentenceClass:
+    """Class scores for one sentence of ``batch``; a valid probability simplex always.
 
-    ``batch`` is the sentence's document: the first call on it scores every
-    line of the batch, later calls return their own line's result. Without
-    it the sentence is scored as a batch of one, with the same result bit
-    for bit.
+    The first call on the batch scores every line of it, later calls return
+    their own line's result.
     """
-    if batch is None:
-        return _score(model, (sentence.feature_text,))[0]
     if batch._classes is None:
         texts = [s.feature_text for s in batch.sentences]
         batch._classes = dict(zip(map(id, batch.sentences), _score(model, texts)))

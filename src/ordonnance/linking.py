@@ -9,7 +9,8 @@ section. Everything else is surfaced as an orphan rather than force-linked.
 A tie goes to the first of the drug lines in reading order.
 
 Distances are measured in units of the page's median line height, so the
-thresholds hold regardless of scan resolution or font size.
+thresholds hold regardless of scan resolution or font size. A page with
+fewer than 3 lines uses ``_FALLBACK_MEDIAN_HEIGHT`` (0.02) instead.
 """
 
 from __future__ import annotations

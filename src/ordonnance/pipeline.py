@@ -5,13 +5,13 @@ geometric link -> record. Also provides the sentence-level annotation used
 by the evaluation harness, with predicted spans projected back into the raw
 text's character space so they are directly comparable to gold spans.
 
-``predict`` runs once per line. A document's lines share one
-``classify.LineBatch``, so the first line's ``predict`` featurizes and
-scores the whole document in one pass and the others look their result
-up; bare text is a batch of one. ``predict`` and ``classify.featurize``
-are looked up at call time (``featurize`` through its module), so wrappers
-installed on ``classify.featurize`` or on this module's ``predict`` see
-every call, and the scoring happens inside a ``predict`` call.
+Every line goes through ``classify_sentences``, which builds one
+``classify.LineBatch`` of a document's kept lines, or of bare text's one
+line, and runs ``predict`` and the linking or posology stages per line:
+the first ``predict`` featurizes and scores the whole batch, and the others
+look their result up. The stages and ``classify.featurize`` are looked up
+at call time, so wrappers installed on them here (``featurize`` on its
+module) see every call, and the scoring happens inside a ``predict`` call.
 """
 
 from __future__ import annotations
@@ -45,43 +45,46 @@ Span = tuple[str, int, int]
 class Runtime:
     """Loaded artifacts the pipeline needs: model, lexicon, patterns, stopwords.
 
-    Drugs link at ``druglink.DEFAULT_THRESHOLD``. ``link_config`` is
-    ``LinkConfig()`` wherever the package builds a Runtime.
+    ``stopwords`` must be the list the model was trained with. Drugs link at
+    ``druglink.DEFAULT_THRESHOLD``, and every Runtime the package builds has
+    ``link_config`` ``LinkConfig()``.
     """
 
     model: ClassifierModel
     lexicon: DrugLexicon
     patterns: PatternSet
-    stopwords: frozenset[str] = frozenset()
+    stopwords: frozenset[str]
     link_config: LinkConfig = field(default_factory=LinkConfig)
 
 
-def classify_sentence(
-    sentence: Sentence, runtime: Runtime, batch: LineBatch | None = None
-) -> tuple[str, DrugMention | None, PosologyExtraction | None]:
-    """Classify one line and run drug linking or posology extraction on it.
+def classify_sentences(
+    sentences: list[Sentence], runtime: Runtime
+) -> list[tuple[str, DrugMention | None, PosologyExtraction | None]]:
+    """Classify lines in one batch and run drug linking or posology extraction on each.
 
-    Returns the line's ``(label, mention, extraction)``. ``batch`` holds the
-    line among the other lines of its document (see ``classify.predict``);
-    the line is scored alone without it. A DRUG line that links carries its
-    mention; when posology follows the name on the same line (a combined
-    line), the remainder's extraction is kept if it found entities. A
-    POSOLOGY line carries its extraction.
+    Returns each line's ``(label, mention, extraction)``. A DRUG line that
+    links carries its mention; when posology follows the name on the same
+    line (a combined line), the remainder's extraction is kept if it found
+    entities. A POSOLOGY line carries its extraction.
     """
-    label = predict(runtime.model, sentence, batch).label
-    mention = None
-    extraction = None
-    if label == "DRUG":
-        mention = detect_drug(sentence, runtime.lexicon)
-        if mention is not None:
-            remainder = split_combined_line(sentence, mention)
-            if remainder.tokens:
-                combined = extract_posology(remainder, runtime.patterns)
-                if combined.entities:
-                    extraction = combined
-    elif label == "POSOLOGY":
-        extraction = extract_posology(sentence, runtime.patterns)
-    return label, mention, extraction
+    batch = LineBatch(sentences)
+    results = []
+    for sentence in sentences:
+        label = predict(runtime.model, sentence, batch).label
+        mention = None
+        extraction = None
+        if label == "DRUG":
+            mention = detect_drug(sentence, runtime.lexicon)
+            if mention is not None:
+                remainder = split_combined_line(sentence, mention)
+                if remainder.tokens:
+                    combined = extract_posology(remainder, runtime.patterns)
+                    if combined.entities:
+                        extraction = combined
+        elif label == "POSOLOGY":
+            extraction = extract_posology(sentence, runtime.patterns)
+        results.append((label, mention, extraction))
+    return results
 
 
 def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
@@ -89,7 +92,7 @@ def annotate_text(raw_text: str, runtime: Runtime) -> list[Span]:
     sentence = sentence_from_text(raw_text, runtime.stopwords)
     if sentence is None:
         return []
-    _, mention, extraction = classify_sentence(sentence, runtime)
+    [(_, mention, extraction)] = classify_sentences([sentence], runtime)
     spans: list[Span] = []
     if mention is not None:
         spans.append(("DRUG", *sentence.char_span(*mention_token_window(sentence, mention))))
@@ -109,11 +112,10 @@ def classify_lines(doc: OcrDocument, runtime: Runtime) -> list[ClassifiedLine]:
     """
     # make_sentence gives None for single-character OCR debris
     kept = [(line, s) for line in doc.lines if (s := make_sentence(line, runtime.stopwords)) is not None]
-    batch = LineBatch([sentence for _, sentence in kept])
+    results = classify_sentences([sentence for _, sentence in kept], runtime)
     classified = []
     above = None  # the previous line's mention, after relabelling
-    for line, sentence in kept:
-        label, mention, extraction = classify_sentence(sentence, runtime, batch)
+    for (line, sentence), (label, mention, extraction) in zip(kept, results):
         if (
             mention is not None
             and above is not None

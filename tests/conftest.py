@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from ordonnance.classify import TrainConfig, save_model, train
-from ordonnance.corpus import CorpusSpec, generate, noisify
+from ordonnance.corpus import AnnotatedSentence, CorpusSpec, generate, noisify
 from ordonnance.druglink import build_lexicon, default_lexicon_path
 from ordonnance.errors import data_path
 from ordonnance.patterns import load_patterns
@@ -44,6 +44,23 @@ def write_big_lexicon(path) -> pathlib.Path:
         writer.writerow(["id", "name"])
         writer.writerows(big_lexicon_rows())
     return path
+
+
+def combined_gold(n: int, seed: int, noise: float) -> list[AnnotatedSentence]:
+    """n gold combined lines, each a drug line and a posology line on one line; also run from CI.
+
+    Line i joins generated drug sentence i and posology sentence i with one
+    of four separators in turn, shifts the posology spans past the join, and
+    at ``noise > 0`` is noised as ``gen-corpus --noise`` noises a sentence.
+    """
+    rows = generate(CorpusSpec(n_drug=n, n_posology=n, n_useless=0, seed=seed, lexicon_path=default_lexicon_path()))
+    lines = []
+    for i, (drug, posology) in enumerate(zip(rows[:n], rows[n:])):
+        head = drug.text + (" ", " : ", " - ", ", ")[i % 4]
+        shifted = tuple((kind, start + len(head), end + len(head)) for kind, start, end in posology.spans)
+        line = AnnotatedSentence(text=head + posology.text, label="DRUG", spans=drug.spans + shifted)
+        lines.append(noisify(line, noise, seed * 1_000_003 + i) if noise > 0 else line)
+    return lines
 
 
 def avx512_dispatch_names() -> list[str]:

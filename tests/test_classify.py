@@ -41,6 +41,11 @@ def sent(text):
     return sentence_from_text(text)
 
 
+def alone(model, sentence):
+    """predict on a batch of the one sentence, as the pipeline scores bare text."""
+    return predict(model, sentence, LineBatch([sentence]))
+
+
 def toy_corpus():
     drugs = ["doliprane 1000 mg", "efferalgan 500 mg", "kardegic 75 mg", "tahor 20 mg",
              "smecta 3 g", "spasfon 80 mg", "mopral 20 mg", "forlax 10 g",
@@ -248,7 +253,7 @@ class TestTrain:
     def test_separable_toy_corpus_reaches_full_accuracy(self):
         corpus = toy_corpus()
         model = train(corpus, TOY_CONFIG)
-        correct = sum(1 for s, label in corpus if predict(model, s).label == label)
+        correct = sum(1 for s, label in corpus if alone(model, s).label == label)
         assert correct == len(corpus)
 
     def test_missing_class_raises(self):
@@ -329,7 +334,7 @@ class TestTrain:
         m1 = train(corpus, TOY_CONFIG)
         m2 = train(renamed, TOY_CONFIG)
         for s, _ in corpus[:10]:
-            assert perm[predict(m1, s).label] == predict(m2, s).label
+            assert perm[alone(m1, s).label] == alone(m2, s).label
 
 
 def train_small_model(path) -> None:
@@ -397,7 +402,7 @@ class TestPredict:
     def test_scores_form_probability_simplex(self, model):
         for text in ["doliprane 1000 mg", "zzz qqq", ""]:
             s = sent(text) or sent("aa bb")
-            p = predict(model, s)
+            p = alone(model, s)
             assert abs(sum(p.scores.values()) - 1.0) < 1e-6
             assert all(v >= 0 for v in p.scores.values())
             assert max(p.scores, key=p.scores.get) == p.label
@@ -406,7 +411,7 @@ class TestPredict:
         s = sent("zq")  # shorter than an n-gram: its only feature is the word
         (key,) = featurize([s.feature_text])[1].tolist()
         assert key not in model.ids
-        assert predict(model, s).scores == dict(zip(CLASS_LABELS, softmax(model.bias).tolist()))
+        assert alone(model, s).scores == dict(zip(CLASS_LABELS, softmax(model.bias).tolist()))
 
     def test_model_without_columns_gives_the_softmax_of_the_bias(self, model, tmp_path):
         empty = ClassifierModel(
@@ -419,7 +424,7 @@ class TestPredict:
         assert loaded.ids.shape == (0,) and loaded.weights.shape == (0, 3)
         expected = dict(zip(CLASS_LABELS, softmax(empty.bias).tolist()))
         for text in ["doliprane 1000 mg", "zq"]:
-            assert predict(loaded, sent(text)).scores == expected
+            assert alone(loaded, sent(text)).scores == expected
 
 
 def lookup_oracle(ids, keys):
@@ -496,15 +501,15 @@ class TestTrainedPredictions:
     """Desk-scale model routes the three sentence families correctly."""
 
     def test_drug_line(self, trained_model):
-        assert predict(trained_model, sent("doliprane 1000 mg comprime")).label == "DRUG"
+        assert alone(trained_model, sent("doliprane 1000 mg comprime")).label == "DRUG"
 
     def test_posology_line(self, trained_model, stopwords):
         s = sentence_from_text("1 cp matin et soir pendant 5 jours", stopwords)
-        assert predict(trained_model, s).label == "POSOLOGY"
+        assert alone(trained_model, s).label == "POSOLOGY"
 
     def test_useless_line(self, trained_model, stopwords):
         s = sentence_from_text("docteur jean dupont cardiologue", stopwords)
-        assert predict(trained_model, s).label == "USELESS"
+        assert alone(trained_model, s).label == "USELESS"
 
     def test_desk_scale_holdout_accuracy(self, trained_model):
         assert trained_model.holdout_accuracy is not None
@@ -513,7 +518,7 @@ class TestTrainedPredictions:
     def test_document_features_give_the_same_scores_bit_for_bit(self, trained_model, noisy_sentences):
         batch = LineBatch(noisy_sentences)
         for s in noisy_sentences:
-            assert predict(trained_model, s, batch) == predict(trained_model, s)
+            assert predict(trained_model, s, batch) == alone(trained_model, s)
 
     @given(st.data())
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -523,11 +528,11 @@ class TestTrainedPredictions:
         lines = [noisy_sentences[i] for i in picked]
         batch = LineBatch(lines)
         for s in reversed(lines):  # the first call on the batch scores it, whichever line asks
-            assert predict(trained_model, s, batch) == predict(trained_model, s)
+            assert predict(trained_model, s, batch) == alone(trained_model, s)
 
     def test_gathered_dot_product_matches_the_dense_oracle(self, trained_model, noisy_sentences):
         for s in noisy_sentences:
-            got, want = predict(trained_model, s), oracle_predict(trained_model, s.feature_text)
+            got, want = alone(trained_model, s), oracle_predict(trained_model, s.feature_text)
             assert got.label == want.label
             assert got.scores == pytest.approx(want.scores, rel=0, abs=1e-12)
 
@@ -573,7 +578,7 @@ class TestModelFile:
         save_model(model, tmp_path / "model.bin")
         loaded = load_model(tmp_path / "model.bin")
         for s, _ in toy_corpus():
-            assert predict(model, s) == predict(loaded, s)
+            assert alone(model, s) == alone(loaded, s)
 
     def test_header_holds_the_featurizer_constants(self, tmp_path):
         model = train(toy_corpus(), TOY_CONFIG)

@@ -602,6 +602,18 @@ class TestAgainstUnprunedOracle:
         assert (m.drug_id, m.score, m.trigger_token_index) == ("B", 1.0, 1)
         assert m == oracle_detect_drug(s, lex)
 
+    def test_a_near_full_match_keeps_probing_later_triggers(self, tmp_path):
+        # E1 is the line with one letter changed in a long name, so it scores
+        # 0.9934 at the first token; only a score of exactly 1.0 settles a
+        # line, so the second token still links E2 in full
+        e2 = ("paracetamol codeine " * 5 + "comprime effervescent secable boite de trente").strip()
+        e1 = "alpha " + e2.replace("boite", "boote")
+        lex = build_lexicon(write_lexicon(tmp_path, [("E1", e1), ("E2", e2)]))
+        s = sentence_from_text("alpha " + e2)
+        m = detect_drug(s, lex)
+        assert (m.drug_id, m.score, m.trigger_token_index) == ("E2", 1.0, 1)
+        assert m == oracle_detect_drug(s, lex)
+
 
 class TestAgainstEarlierLoop:
     """The one-record winner returns exactly the mention of the earlier three-variable loop."""

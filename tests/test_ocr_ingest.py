@@ -57,6 +57,12 @@ def test_page_then_top_then_left_order():
     assert [ln.line_id for ln in doc.lines] == ["p1-up", "p1-left", "p1-right", "p2"]
 
 
+@pytest.mark.parametrize("ids", [("b", "a"), ("a", "b")], ids=["b-first", "a-first"])
+def test_lines_with_the_same_box_are_ordered_by_line_id(ids):
+    doc = parse_ocr_document(payload([line(id=i) for i in ids]))
+    assert [ln.line_id for ln in doc.lines] == ["a", "b"]
+
+
 def test_zero_width_is_geometry_error():
     with pytest.raises(GeometryError):
         parse_ocr_document(payload([line(width=0)]))

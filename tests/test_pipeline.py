@@ -20,12 +20,13 @@ from ordonnance.druglink import (
 )
 from ordonnance.errors import OrdonnanceError
 from ordonnance.linking import ClassifiedLine, LinkConfig, dumps_canonical, link, record_to_dict
+from ordonnance.metrics import score
 from ordonnance.ocr import BoundingBox, parse_ocr_document
-from ordonnance.pipeline import Runtime, annotate_text, classify_lines, classify_sentence, extract_document
+from ordonnance.pipeline import Runtime, annotate_text, classify_lines, classify_sentences, extract_document
 from ordonnance.posology import extract_posology
 from ordonnance.textnorm import make_sentence, normalize_text, sentence_from_text
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, combined_gold
 from test_druglink import write_lexicon
 
 FIXTURE = json.loads((DATA_DIR / "ocr_fixture_7drugs.json").read_text(encoding="utf-8"))
@@ -373,6 +374,35 @@ class TestAnnotateText:
         assert built == [True] * len(texts)
 
 
+class TestCombinedGold:
+    """The gold pool of combined lines: a drug line and its posology written on one line."""
+
+    # TOKEN F1, EXACT_SPAN F1, and DRUG's TOKEN and EXACT_SPAN F1 of the desk
+    # model on 1,000 combined lines (seed 13), by noise rate. A change that
+    # moves them on purpose pins its own figures and says why; the pool itself
+    # only grows.
+    F1 = {
+        0.0: (0.899363, 0.900568, 0.778998, 0.760372),
+        0.1: (0.875794, 0.873832, 0.727205, 0.681672),
+    }
+
+    def test_each_gold_span_slices_the_text_it_came_from(self):
+        rows = generate(CorpusSpec(n_drug=8, n_posology=8, n_useless=0, seed=13, lexicon_path=default_lexicon_path()))
+        for line, drug, posology in zip(combined_gold(8, 13, 0.0), rows[:8], rows[8:]):
+            sources = [(drug.text, span) for span in drug.spans] + [(posology.text, span) for span in posology.spans]
+            assert [(kind, line.text[a:b]) for kind, a, b in line.spans] == [
+                (kind, text[a:b]) for text, (kind, a, b) in sources
+            ]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1], ids=["clean", "noise-0.1"])
+    def test_annotate_text_scores_the_pinned_f1(self, runtime, noise):
+        gold = combined_gold(1000, 13, noise)
+        predicted = [annotate_text(row.text, runtime) for row in gold]
+        token, exact = (score(gold, predicted, mode=mode) for mode in ("TOKEN", "EXACT_SPAN"))
+        figures = (token.totals.f1, exact.totals.f1, token.per_label["DRUG"].f1, exact.per_label["DRUG"].f1)
+        assert tuple(round(f1, 6) for f1 in figures) == self.F1[noise]
+
+
 class TestClassifyCalls:
     """Where the classifier is called: perfbench wraps these names to time the layer."""
 
@@ -422,7 +452,7 @@ class TestClassifyCalls:
     def test_batched_lines_classify_as_each_line_alone(self, runtime):
         doc = _doc(FIXTURE)
         alone = [
-            classify_sentence(s, runtime) for line in doc.lines if (s := make_sentence(line, runtime.stopwords))
+            classify_sentences([s], runtime)[0] for line in doc.lines if (s := make_sentence(line, runtime.stopwords))
         ]
         assert [(ln.label, ln.mention, ln.extraction) for ln in classify_lines(doc, runtime)] == alone
 
@@ -434,6 +464,12 @@ def test_the_link_threshold_is_not_a_setting(runtime):
         Runtime(model=runtime.model, lexicon=runtime.lexicon, patterns=runtime.patterns, threshold=0.9)
 
 
+def test_a_runtime_takes_no_default_stopwords(runtime):
+    # the list shapes every line's features, so it must be the model's own
+    with pytest.raises(TypeError, match="stopwords"):
+        Runtime(model=runtime.model, lexicon=runtime.lexicon, patterns=runtime.patterns)
+
+
 @pytest.mark.parametrize("text, linked", [
     ("DOLIPRANE 1000 mg, comprimé", True),  # the whole name, score 1.0
     ("KARDEGIC 75 mg, poudre pour", True),  # score 0.761
@@ -443,7 +479,7 @@ def test_the_link_threshold_is_not_a_setting(runtime):
 ], ids=["whole-name", "just-above", "just-below", "below", "well-below"])
 def test_a_drug_line_links_at_the_default_threshold(runtime, text, linked):
     sentence = sentence_from_text(text, runtime.stopwords)
-    label, mention, _ = classify_sentence(sentence, runtime)
+    [(label, mention, _)] = classify_sentences([sentence], runtime)
     assert label == "DRUG"
     assert mention == detect_drug(sentence, runtime.lexicon, DEFAULT_THRESHOLD)
     assert (mention is not None) == linked
