@@ -8,7 +8,7 @@ scanning resumes right after each match.
 
 A PatternSet is compiled once, when it is built. Its specs are deduplicated
 on their word list and regex (the quantifier is not part of a spec's
-identity; the shipped set's 498 spec instances are 118 distinct specs). Each
+identity; the shipped set's 235 spec instances are 104 distinct specs). Each
 distinct spec gets one test on a token's text: ``match_token`` (the one
 definition of a spec holding) bound to the spec.
 
@@ -16,15 +16,10 @@ Every pattern compiles to its own chain NFA, built backwards from its
 accept: one node per spec, the one its token leads to, with (test, next
 node) edges. The node before a "1" spec holds that spec's edge alone; the
 node before a "?" spec also carries the edges and accept of what follows it,
-the epsilon closure folded in at build time. The root's edges enter every
-chain, the nodes that one spec enters merged into one. A root miss would
-make one test per distinct first spec without the merge, as a state's moves
-group its tests; the merge earns its place by memory, as one node per first
-spec replaces one per pattern. Without it the shipped set held 192.6 KB
-against 172.0 KB (tracemalloc, median of 5 ``load_patterns`` builds in one
-process), with the same spec tests, DFA states, transitions and matches on
-2,000 generated posology lines at noise 0.1. A zero-length accept is never
-placed on the root.
+the epsilon closure folded in at build time. The root holds every chain's
+entry edges; the start state's moves group them by test, so a root miss
+runs each distinct test on them once. A zero-length accept is never placed
+on the root.
 
 ``find_all`` walks a lazy DFA over these nodes, the subset construction of
 RE2 (Cox, "Regular Expression Matching in the Wild", 2010) over token tests
@@ -62,6 +57,12 @@ word list; a spec with both holds when both do. A number is a regex, such as
 "[0-9]+". A "lower" word is compared with the normalized token text, its own
 lower case, so it must be one token of normalized text (no accent, no
 capital, no space); any other word is refused, as it could never match.
+A pattern or spec with any other field is refused too.
+
+Write one pattern per phrase shape, with the alternatives at one position
+in one spec: a word list, or a regex joining them (words escaped) with a
+top-level "|". A regex must match the whole token, so "cp|cps" holds for
+"cps" but not for "cpx".
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 MAX_SPECS = 16
 
 # Transitions the DFA cache holds before it is flushed whole, as RE2 does.
-# A pass over the 200 rx-typical benchmark documents (seed 11) stores 1,645 of
-# them in 257 states, about 222 KB by sys.getsizeof with their key texts and
-# the states' moves, so the cap bounds the cache near 1.35 MB.
+# A pass over the 200 rx-typical benchmark documents (seed 11) stores 1,127 of
+# them in 181 states, about 178 KB by sys.getsizeof with their key texts and
+# the states' node, accept and move tuples, so the cap bounds the cache near 1.6 MB.
 MAX_TRANSITIONS = 10_000
 
 
@@ -118,7 +119,7 @@ class MatchSpan(NamedTuple):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class _Node:
-    """An NFA node: a pattern after one of its specs, or such nodes merged below the root.
+    """An NFA node: a pattern after one of its specs, or the root.
 
     A node compares and hashes by identity, so a state's node tuple interns
     at the cost of its length, not of the chain after it.
@@ -131,18 +132,18 @@ class _Node:
 class _State:
     """A DFA state: the distinct nodes that one token sequence leads to, interned per PatternSet.
 
-    ``accepts`` holds each pattern its nodes accept once; ``moves`` pairs
-    each distinct test on the nodes' edges with the children it leads to,
-    each kept once; ``next`` maps a token text to the state after it, None
-    when no node is reached.
+    ``accepts`` holds the patterns its nodes accept, a pattern twice when two
+    of its nodes do, as ``find_all`` takes a repeat as it took the first;
+    ``moves`` pairs each distinct test on the nodes' edges with the children
+    it leads to, each kept once; ``next`` maps a token text to the state
+    after it, None when no node is reached.
     """
 
     __slots__ = ("nodes", "accepts", "moves", "next")
 
     def __init__(self, nodes: tuple[_Node, ...]):
         self.nodes = nodes
-        # by identity: a pattern's value hash would hash each of its specs
-        self.accepts = tuple({id(p): p for node in nodes for p in node.accepts}.values())
+        self.accepts = tuple(p for node in nodes for p in node.accepts)
         # Nodes of different patterns share tests, a run of "?" specs repeats
         # its tests in every folded closure, and two nodes may share a child.
         moves: dict[Callable[[str], bool], dict[_Node, None]] = {}
@@ -181,7 +182,7 @@ class PatternSet:
         ids: dict[tuple, int] = {}
         specs: list[TokenSpec] = []
         tests: list[Callable[[str], bool]] = []
-        entries: dict[Callable[[str], bool], list[_Node]] = {}  # a first spec's test -> the nodes it enters
+        entries: list = []  # each chain's entry edges
         for p in self.patterns:
             edges, accepts = (), (p,)  # what may follow the specs chained so far
             for spec in reversed(p.specs):
@@ -196,16 +197,10 @@ class PatternSet:
                     edges = (edge,) + edges  # or straight on to what follows
                 else:
                     edges, accepts = (edge,), ()
-            for test, node in edges:  # a zero-length accept is left out
-                entries.setdefault(test, []).append(node)
+            entries.extend(edges)  # a zero-length accept is left out
         self.specs: tuple[TokenSpec, ...] = tuple(specs)
         self.tests: tuple[Callable[[str], bool], ...] = tuple(tests)
-        # the nodes one first spec enters merge into one, their edges and accepts together
-        merged = [
-            _Node(tuple(e for n in ns for e in n.edges), tuple(a for n in ns for a in n.accepts))
-            for ns in entries.values()
-        ]
-        self.root = _Node(tuple(zip(entries, merged)), ())
+        self.root = _Node(tuple(entries), ())
         self._flush()
 
     def _flush(self) -> None:
@@ -285,6 +280,9 @@ def parse_patterns(data) -> PatternSet:
         where = f"patterns[{i}]"
         if not isinstance(obj, dict):
             raise PatternError(f"{where}: expected object")
+        unknown = set(obj) - {"id", "label", "specs"}
+        if unknown:
+            raise PatternError(f"{where}: unknown pattern fields {sorted(unknown)}")
         pid = obj.get("id")
         if not isinstance(pid, str) or not pid:
             raise PatternError(f"{where}.id: expected non-empty string")

@@ -85,7 +85,8 @@ def test_patterns_file_with_an_over_long_pattern_is_a_schema_error(run, tmp_path
     ([], "a pattern set holds no patterns"),
     ([{"id": "xs", "label": "DOSE", "specs": [{"lower": "x", "op": "+"}]}], "patterns[0].specs[0].op: '+' not one of 1 ?"),
     ([{"id": "xs", "label": "DOSE", "specs": [{"lower": "x", "op": "*"}]}], "patterns[0].specs[0].op: '*' not one of 1 ?"),
-], ids=["no-patterns", "plus-op", "star-op"])
+    ([{"id": "xs", "label": "DOSE", "lable": "DOSE", "specs": [{"lower": "x"}]}], "patterns[0]: unknown pattern fields ['lable']"),
+], ids=["no-patterns", "plus-op", "star-op", "unknown-pattern-field"])
 def test_patterns_file_refused_by_the_set_is_a_schema_error(run, tmp_path, data, message):
     bad = tmp_path / "patterns.json"
     bad.write_text(json.dumps(data), encoding="utf-8")

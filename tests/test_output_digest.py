@@ -7,9 +7,15 @@ refuses, its typed error's type and message; each eval-noisy sentence gives
 its ``annotate_text`` spans. A fourth pool, ``combined-lines``, is the
 7-drug fixture with generated posology phrases appended to some of its drug
 lines, so its records hold combined lines: a drug name and its posology on
-one line, whose entity offsets fall after the name. A sha256 over each
-pool's outputs in order is compared with ``tests/data/output_digest.json``. The digest pins records,
-not the model file; whether it holds on another CPU is not verified.
+one line, whose entity offsets fall after the name. A fifth pool,
+``posology-lines``, is 1,500 generated posology lines and 500 boilerplate
+ones, clean and at noise 0.1, each run through ``extract_posology`` alone:
+its entities' labels, character spans and texts, then its residual text.
+It pins the pattern set's matches on more lines than the records do; pattern
+ids are left out, as no record or eval span holds one. A sha256 over each
+pool's outputs in order is compared with ``tests/data/output_digest.json``.
+The digest pins records, not the model file; whether it holds on another CPU
+is not verified.
 
 A refactor must leave every digest unchanged. A change that alters outputs
 on purpose updates the file with the digests that the failure message
@@ -24,10 +30,12 @@ import sys
 
 import pytest
 
-from ordonnance.corpus import CorpusSpec, generate
+from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import OrdonnanceError
 from ordonnance.pipeline import annotate_text
+from ordonnance.posology import extract_posology
+from ordonnance.textnorm import sentence_from_text
 
 from conftest import DATA_DIR
 
@@ -79,6 +87,19 @@ def _combined_outputs(runtime) -> list[bytes]:
     return outputs
 
 
+def _posology_outputs(runtime) -> list[bytes]:
+    """Entities and residual text of each line, clean, then noised as ``gen-corpus --noise 0.1`` noises it."""
+    seed = DIGEST["seed"]
+    lines = generate(CorpusSpec(0, 1500, 500, seed=seed, lexicon_path=default_lexicon_path()))
+    texts = [s.text for s in lines] + [noisify(s, 0.1, seed * 1_000_003 + i).text for i, s in enumerate(lines)]
+    outputs = []
+    for text in texts:
+        extraction = extract_posology(sentence_from_text(text, runtime.stopwords), runtime.patterns)
+        entities = [[e.label, e.char_start, e.char_end, e.text] for e in extraction.entities]
+        outputs.append((json.dumps([entities, extraction.residual_text]) + "\n").encode("utf-8"))
+    return outputs
+
+
 def _sha256(outputs: list[bytes]) -> str:
     digest = hashlib.sha256()
     for out in outputs:
@@ -92,10 +113,11 @@ def outputs(runtime, tmp_path_factory) -> dict[str, list[bytes]]:
     pools = {name: _document_outputs(name, runtime, work_dir) for name in ("rx-typical", "rx-druglist-noisy")}
     pools["eval-noisy"] = _eval_outputs(runtime)
     pools["combined-lines"] = _combined_outputs(runtime)
+    pools["posology-lines"] = _posology_outputs(runtime)
     return pools
 
 
-@pytest.mark.parametrize("name", ["rx-typical", "rx-druglist-noisy", "eval-noisy", "combined-lines"])
+@pytest.mark.parametrize("name", ["rx-typical", "rx-druglist-noisy", "eval-noisy", "combined-lines", "posology-lines"])
 def test_outputs_match_the_digest(outputs, name):
     got = _sha256(outputs[name])
     assert got == DIGEST["sha256"][name], f"{name}: sha256 {got}"

@@ -275,8 +275,8 @@ def corpus_sentences(noise: float) -> list:
 class TestCompiledMatcher:
     def test_default_set_dedupes_to_distinct_specs(self, patterns):
         pats = patterns
-        assert sum(len(p.specs) for p in pats.patterns) == 498
-        assert len(pats.specs) == 118
+        assert sum(len(p.specs) for p in pats.patterns) == 235
+        assert len(pats.specs) == 104
 
     def test_each_spec_compiles_to_one_test_on_the_text(self, patterns):
         # one test per distinct spec, and it is the one definition of a spec holding
@@ -328,8 +328,8 @@ class TestCompiledMatcher:
             {"id": "b", "label": "FREQUENCY", "specs": [NUMBER, {"lower": "cp", "op": "?"}, {**NUMBER, "op": "?"}]},
         ])
         assert len(pats.specs) == 2
-        # one root edge for the shared first spec; each chain reuses both specs' tests
-        assert len(pats.root.edges) == 1
+        # one root test for the shared first spec, on each chain's entry edge; each chain reuses both specs' tests
+        assert len(pats.root.edges) == 2 and len({test for test, _ in pats.root.edges}) == 1
         paths = accept_paths(pats)
         assert {path for path, pid in paths if pid == "a"} == spec_paths(pats, pats.patterns[0])
         s = raw_sent("1 cp 2 3 x")
@@ -339,20 +339,23 @@ class TestCompiledMatcher:
     def test_patterns_are_indexed_by_first_spec(self, patterns):
         pats = patterns
         assert not any(p.specs[0].op == "?" for p in pats.patterns)  # no shipped pattern starts optional
-        # one root edge per distinct first spec, whose node merges every chain that spec enters
-        assert len(pats.root.edges) == len({constraints(p.specs[0]) for p in pats.patterns}) == 31
+        # one root edge per pattern, and one distinct root test per distinct first spec,
+        # which the start state's moves hold once each
+        assert len(pats.root.edges) == len(pats.patterns) == 65
         roots = [test for test, _ in pats.root.edges]
-        assert len(set(map(id, roots))) == 31 and all(any(test is t for t in pats.tests) for test in roots)
+        assert len(set(map(id, roots))) == len({constraints(p.specs[0]) for p in pats.patterns}) == 33
+        assert all(any(test is t for t in pats.tests) for test in roots)
+        assert [test for test, _ in pats._start.moves] == list(dict.fromkeys(roots))
         paths = accept_paths(pats)
         # every pattern is accepted at the end of each spec sequence it matches, and nowhere else
         assert set(paths) == {(path, p.pattern_id) for p in pats.patterns for path in spec_paths(pats, p)}
-        assert max(paths.values()) == 1 and len(paths) == 158 + 3 * 2
-        # one pair of shipped patterns has the same spec sequence
+        assert max(paths.values()) == 1 and len(paths) == 62 + 3 * 2
+        # no two shipped patterns have the same spec sequence
         labels = {p.pattern_id: p.label for p in pats.patterns}
         by_path: dict = {}
         for path, pid in sorted(paths):
             by_path.setdefault(path, []).append(labels[pid])
-        assert [v for v in by_path.values() if len(v) > 1] == [["DOSE", "FREQUENCY"]]
+        assert [v for v in by_path.values() if len(v) > 1] == []
 
     @pytest.mark.parametrize("noise", [0.0, 0.1])
     def test_default_set_equals_brute_force_on_generated_corpus(self, noise, patterns):
@@ -534,9 +537,11 @@ class TestFirstSpecScanner:
             {"id": "d", "label": "DOSE", "specs": [{"regex": "[0-9]+"}, {"lower": "cp"}]},
             {"id": "f", "label": "FREQUENCY", "specs": [{"regex": "[0-9]+"}, {"regex": "x"}]},
         ])
-        # one root edge: its node merges both chains, one edge into each pattern's accept
-        ((_, node),) = pats.root.edges
-        assert [child.accepts[0].label for _, child in node.edges] == ["DOSE", "FREQUENCY"]
+        # one root test, on each chain's entry edge: the start state's one move enters both chains
+        (dose, _), (freq, _) = pats.root.edges
+        assert dose is freq
+        ((_, children),) = pats._start.moves
+        assert [child.edges[0][1].accepts[0].label for child in children] == ["DOSE", "FREQUENCY"]
         spans = find_all(pats, raw_sent("2 cp 3 x"))
         assert [(sp.label, sp.text) for sp in spans] == [("DOSE", "2 cp"), ("FREQUENCY", "3 x")]
 
@@ -680,15 +685,27 @@ class TestDfaCache:
 
     def test_a_state_holds_each_node_once(self):
         # the chain of "x? x? x? x?" shares children: without deduplication a
-        # state would hold a node once per path to it, doubling per optional spec
+        # state would hold a node once per path to it, doubling per optional spec;
+        # a first "x" enters the four nodes after each "x?" through the root
         pats = parse_patterns([
             {"id": "xs", "label": "DOSE", "specs": [{"lower": "x", "op": "?"}] * 4 + [{"lower": "cp"}]}
         ])
         s = raw_sent("x " * 20 + "cp")
         assert compiled_find_all(pats, s) == brute_force_find_all(pats, s) == [(16, 21, "DOSE", "xs")]
         for state in pats._states.values():
-            assert len(set(state.nodes)) == len(state.nodes) <= 3
+            assert len(set(state.nodes)) == len(state.nodes) <= 4
         assert pats._transitions <= 30
+
+    def test_a_pattern_accepted_twice_in_a_state_matches_once(self):
+        # after "x y", the nodes after each "y?" both accept the pattern
+        pats = parse_patterns([
+            {"id": "xyy", "label": "DOSE", "specs": [{"lower": "x"}] + [{"lower": "y", "op": "?"}] * 2}
+        ])
+        s = raw_sent("x y x y y y x")
+        assert compiled_find_all(pats, s) == brute_force_find_all(pats, s) == [
+            (0, 2, "DOSE", "xyy"), (2, 5, "DOSE", "xyy"), (6, 7, "DOSE", "xyy")
+        ]
+        assert any(len(state.accepts) == 2 for state in pats._states.values())
 
     def test_a_miss_runs_each_distinct_test_once(self, monkeypatch):
         # 16 "NUMBER?" specs compile to one test, which every folded closure
@@ -758,8 +775,7 @@ class TestDfaCache:
 class TestPatternFile:
     def test_default_set_loads_with_inventory(self, patterns):
         per_label = Counter(p.label for p in patterns.patterns)
-        for label in LABELS:
-            assert per_label[label] >= 40, label
+        assert per_label == {"DOSE": 8, "FREQUENCY": 25, "DURATION": 7, "COMMENT": 25}
 
     def test_duplicate_id_rejected(self):
         data = [
@@ -788,7 +804,7 @@ class TestPatternFile:
 
     def test_the_shipped_specs_test_by_regex_or_word_list(self):
         kinds = Counter(key for p in shipped_data() for spec in p["specs"] for key in spec if key != "op")
-        assert kinds == {"regex": 484, "lower": 14}
+        assert kinds == {"regex": 232, "lower": 3}
 
     def test_bad_regex_rejected(self):
         with pytest.raises(PatternError):
@@ -824,7 +840,10 @@ class TestPatternFile:
         ([{"label": "DOSE", "specs": [NUMBER]}], "patterns[0].id: expected non-empty string"),
         ([{"id": "", "label": "DOSE", "specs": [NUMBER]}], "patterns[0].id: expected non-empty string"),
         ([], "a pattern set holds no patterns"),
-    ], ids=["not-a-list", "pattern-not-an-object", "id-missing", "id-empty", "no-patterns"])
+        ([{"id": "a", "lable": "DOSE", "label": "DOSE", "specs": [NUMBER]}], "patterns[0]: unknown pattern fields ['lable']"),
+        ([{"id": "a", "label": "DOSE", "specs": [NUMBER], "op": "?"}], "patterns[0]: unknown pattern fields ['op']"),
+    ], ids=["not-a-list", "pattern-not-an-object", "id-missing", "id-empty", "no-patterns", "lable-unknown",
+            "op-unknown"])
     def test_a_bad_pattern_file_is_named_by_its_place(self, data, message):
         with pytest.raises(PatternError) as info:
             parse_patterns(data)
@@ -850,6 +869,23 @@ class TestPatternFile:
     def test_op_defaults_to_one(self):
         p = parse_patterns([{"id": "a", "label": "DOSE", "specs": [NUMBER]}]).patterns[0]
         assert p.specs[0].op == "1"
+
+    def test_the_shipped_set_states_each_alternative_once(self, patterns):
+        """No two shipped patterns could merge into one.
+
+        Two patterns of one label and length, every spec "1", that differ in
+        one spec match what one pattern does whose spec there joins both
+        alternatives, as long as two of its own matches can never overlap.
+        Every such pair in the shipped set met that condition, so none is
+        kept apart.
+        """
+        mergeable = [
+            (p.pattern_id, q.pattern_id)
+            for p, q in itertools.combinations(filter(is_fixed, patterns.patterns), 2)
+            if p.label == q.label and len(p.specs) == len(q.specs)
+            and sum(constraints(a) != constraints(b) for a, b in zip(p.specs, q.specs)) == 1
+        ]
+        assert mergeable == []
 
     def test_the_shipped_specs_take_one_token_or_an_optional_one(self):
         assert {spec.get("op", "1") for p in shipped_data() for spec in p["specs"]} <= {"1", "?"}
