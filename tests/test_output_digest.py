@@ -12,7 +12,11 @@ one line, whose entity offsets fall after the name. A fifth pool,
 ones, clean and at noise 0.1, each run through ``extract_posology`` alone:
 its entities' labels, character spans and texts, then its residual text.
 It pins the pattern set's matches on more lines than the records do; pattern
-ids are left out, as no record or eval span holds one. A sha256 over each
+ids are left out, as no record or eval span holds one. A sixth pool,
+``class-scores``, is the classifier's output on each eval-noisy sentence,
+scored as ``annotate_text`` scores it (a one-line batch): its label, then
+its three scores in ``CLASS_LABELS`` order as little-endian float64 bytes.
+It pins every bit of the scores, which no record or span holds. A sha256 over each
 pool's outputs in order is compared with ``tests/data/output_digest.json``.
 The digest pins records, not the model file; whether it holds on another CPU
 is not verified.
@@ -26,10 +30,12 @@ import hashlib
 import json
 import pathlib
 import random
+import struct
 import sys
 
 import pytest
 
+from ordonnance.classify import CLASS_LABELS, LineBatch, predict
 from ordonnance.corpus import CorpusSpec, generate, noisify
 from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import OrdonnanceError
@@ -63,6 +69,19 @@ def _document_outputs(name: str, runtime, work_dir) -> list[bytes]:
 def _eval_outputs(runtime) -> list[bytes]:
     sentences = eval_sentences(per_class=harness.WORKLOADS["eval-noisy"].pool // 3, seed=harness.EVAL_SEED)
     return [(json.dumps(annotate_text(s.text, runtime)) + "\n").encode("utf-8") for s in sentences]
+
+
+def _score_outputs(runtime) -> list[bytes]:
+    """Each eval-noisy sentence's label and scores, scored alone; a sentence normalized away gives an empty line."""
+    outputs = []
+    for s in eval_sentences(per_class=harness.WORKLOADS["eval-noisy"].pool // 3, seed=harness.EVAL_SEED):
+        sentence = sentence_from_text(s.text, runtime.stopwords)
+        if sentence is None:
+            outputs.append(b"\n")
+            continue
+        label, scores = predict(runtime.model, sentence, LineBatch([sentence]))
+        outputs.append(f"{label}\n".encode("ascii") + struct.pack("<3d", *(scores[k] for k in CLASS_LABELS)))
+    return outputs
 
 
 def _combined_outputs(runtime) -> list[bytes]:
@@ -112,12 +131,15 @@ def outputs(runtime, tmp_path_factory) -> dict[str, list[bytes]]:
     work_dir = tmp_path_factory.mktemp("docgen")
     pools = {name: _document_outputs(name, runtime, work_dir) for name in ("rx-typical", "rx-druglist-noisy")}
     pools["eval-noisy"] = _eval_outputs(runtime)
+    pools["class-scores"] = _score_outputs(runtime)
     pools["combined-lines"] = _combined_outputs(runtime)
     pools["posology-lines"] = _posology_outputs(runtime)
     return pools
 
 
-@pytest.mark.parametrize("name", ["rx-typical", "rx-druglist-noisy", "eval-noisy", "combined-lines", "posology-lines"])
+@pytest.mark.parametrize(
+    "name", ["rx-typical", "rx-druglist-noisy", "eval-noisy", "class-scores", "combined-lines", "posology-lines"]
+)
 def test_outputs_match_the_digest(outputs, name):
     got = _sha256(outputs[name])
     assert got == DIGEST["sha256"][name], f"{name}: sha256 {got}"
@@ -125,7 +147,7 @@ def test_outputs_match_the_digest(outputs, name):
 
 def test_the_pools_cover_typed_errors_and_every_eval_sentence(outputs):
     assert any(not out.startswith(b"{") for out in outputs["rx-druglist-noisy"])
-    assert len(outputs["eval-noisy"]) == harness.WORKLOADS["eval-noisy"].pool
+    assert len(outputs["eval-noisy"]) == len(outputs["class-scores"]) == harness.WORKLOADS["eval-noisy"].pool
 
 
 def test_the_combined_pool_holds_combined_lines(outputs):
