@@ -18,12 +18,16 @@ the count of ids up to each 64-bit word (a rank directory, see
 ``ClassifierModel``), so the keys of a batch find their weight rows with a
 few shifts, gathers and popcounts (``_lookup``) rather than a binary search
 each; the logits of all lines and labels are one ``np.bincount`` over the
-batch's terms, each (line, label) bin adding its terms in entry order; and
-one softmax runs over the (lines, labels) block, taking each exp with
-``math.exp`` (see ``_softmax``). Sorting and popcounts are exact on every
-kernel, so a line's scores and a trained model's bytes depend neither on
-the BLAS build nor on numpy's CPU dispatch, and a line's scores not on the
-other lines of its batch; a lone line is a batch of one.
+batch's terms, each (line, label) bin adding its terms in entry order. Each
+line's softmax is then a few Python float operations on its row: the row
+max, ``math.exp`` of each logit less it, their sum ``(e0 + e1) + e2`` (the
+order numpy sums a 3-wide row in), each exp over that sum, and the label of
+the first maximal probability, so the scores are those of the array
+``_softmax`` that training runs, bit for bit, without its fixed numpy cost.
+Sorting and popcounts are exact on every kernel, so a line's scores and a
+trained model's bytes depend neither on the BLAS build nor on numpy's CPU
+dispatch, and a line's scores not on the other lines of its batch; a lone
+line is a batch of one.
 
 ``predict`` stays a per-line call, because ``perfbench`` times this layer
 by wrapping ``pipeline.predict`` once per line. Every line, bare text too,
@@ -34,13 +38,18 @@ inside that call's span, and later calls look their line up.
 training corpus) at once and returns three flat arrays ``(line, ids,
 values)``, sorted by id and then by line, as the sort that counts them
 leaves them; each line's entries, in increasing id order, add up in every
-``bincount`` sum.
+``bincount`` sum. An entry's key packs its id and its line into one int64,
+``id << shift | line`` with ``shift = (n_lines - 1).bit_length()``, which
+sorts as ``id * n_lines + line`` does and unpacks with one ``>>`` and one
+``&``; a lone line's shift is 0, so its keys are its ids.
 CRC-32 is affine over GF(2), so the CRC of a fixed-length window is a
-constant XOR one table entry per byte (``_gram_table``), and as the tables
-are masked to ``HASH_DIM - 1`` the XOR is the hashed id itself: the n-grams
-of every ASCII line cost one gather and one XOR per n over the batch's
-bytes. Counts come from an in-place sort of the keys and one mask of where
-each run of equal keys starts; each line's norm is the Python float power
+constant XOR one table entry per byte. The entries of every n-gram length
+are one stacked ``(NGRAM_MAX, 256)`` table (``_gram_table``), masked to
+``HASH_DIM - 1`` so the XOR is the hashed id itself: one gather of the batch's
+bytes, taken along the table's columns, gives every byte's entry at every
+length, and the n-grams of every ASCII line then cost one XOR per n. Counts
+come from an in-place sort of the keys and one mask of where each run of
+equal keys starts; each line's norm is the Python float power
 ``sum_sq ** 0.5`` (``math.sqrt`` and ``np.sqrt`` differ from it at some
 integers), so every value equals the spelled-out per-line ``count / norm``
 bit for bit.
@@ -156,25 +165,29 @@ def _seed(prefix: str) -> int:
 
 
 @functools.cache
-def _gram_table(n: int) -> np.ndarray:
-    """The 256 int64 entries that extend an (n-1)-gram's hashed id to the n-gram's.
+def _gram_table() -> np.ndarray:
+    """The (NGRAM_MAX, 256) int64 entries whose row n - 1 extends an (n-1)-gram's hashed id to the n-gram's.
 
     CRC-32 is affine over GF(2): for a fixed length its value is the CRC of
     zero bytes XOR one share per byte, ``G[t][b] = crc32(bytes([b]) +
     bytes(t)) ^ crc32(bytes(t + 1))`` for byte ``b`` with ``t`` bytes after
-    it. With ``A_n = crc32(bytes(n), _seed(f"c{n}|"))`` the entry for byte
-    ``b`` is ``G[n-1][b] ^ A_n ^ A_{n-1}`` (``A_0 = 0``), so that ``H_n[i] =
-    table(n)[d[i]] ^ H_{n-1}[i+1]`` is the seeded CRC of the n-gram
-    ``d[i:i+n]`` and the prefix costs nothing. Each entry is masked to
-    ``HASH_DIM - 1``: the mask commutes with XOR and ``HASH_DIM`` is a power
-    of two, so ``H_n[i]`` is the n-gram's id ``crc % HASH_DIM`` itself.
+    it. With ``A_n = crc32(bytes(n), _seed(f"c{n}|"))`` the entry of row
+    n - 1 for byte ``b`` is ``G[n-1][b] ^ A_n ^ A_{n-1}`` (``A_0 = 0``), so
+    that ``H_n[i] = table[n - 1][d[i]] ^ H_{n-1}[i+1]`` is the seeded CRC of
+    the n-gram ``d[i:i+n]`` and the prefix costs nothing. Each entry is
+    masked to ``HASH_DIM - 1``: the mask commutes with XOR and ``HASH_DIM``
+    is a power of two, so ``H_n[i]`` is the n-gram's id ``crc % HASH_DIM``
+    itself.
     """
     crc32 = zlib.crc32
-    shift = crc32(bytes(n)) ^ crc32(bytes(n), _seed(f"c{n}|"))
-    if n > 1:
-        shift ^= crc32(bytes(n - 1), _seed(f"c{n - 1}|"))
-    tail = bytes(n - 1)
-    table = np.array([(crc32(bytes((b,)) + tail) ^ shift) & (HASH_DIM - 1) for b in range(256)], dtype=np.int64)
+    table = np.empty((NGRAM_MAX, 256), dtype=np.int64)
+    below = 0  # A_{n-1}
+    for n in range(1, NGRAM_MAX + 1):
+        here = crc32(bytes(n), _seed(f"c{n}|"))
+        offset = crc32(bytes(n)) ^ here ^ below
+        tail = bytes(n - 1)
+        table[n - 1] = [(crc32(bytes((b,)) + tail) ^ offset) & (HASH_DIM - 1) for b in range(256)]
+        below = here
     table.flags.writeable = False  # cached: every caller shares it
     return table
 
@@ -188,11 +201,16 @@ def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     has no entries. The n-gram ``g`` of length n hashes to
     ``crc32(f"c{n}|{g}".encode()) % HASH_DIM`` and the word ``w`` to
     ``crc32(f"w|{w}".encode()) % HASH_DIM``; no window crosses from one line
-    into the next. The ASCII lines are hashed together as one byte buffer;
-    other lines are encoded gram by gram.
+    into the next. The ASCII lines are hashed together as one byte buffer,
+    all n-gram lengths from one gather of the stacked ``_gram_table``; other
+    lines are encoded gram by gram. Entries are counted by sorting keys
+    ``id << shift | line``, where ``shift = (len(texts) - 1).bit_length()``
+    leaves room for every line index, so the keys are unique per (id, line)
+    and sort by id, then line.
     """
-    n_lines = len(texts)  # an entry's key is id * n_lines + line: unique, and in id order
-    one = n_lines == 1  # a lone line needs no masks and no per-line norms
+    n_lines = len(texts)
+    shift = (n_lines - 1).bit_length()  # an entry's key is id << shift | line: unique, and in id order
+    one = n_lines == 1  # a lone line needs no masks and no per-line norms; its key is its id
     parts = []
     ascii_rows = [k for k, text in enumerate(texts) if text.isascii()]
     if ascii_rows:
@@ -201,15 +219,16 @@ def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             lengths = [len(texts[k]) for k in ascii_rows]
             rows = np.repeat(np.array(ascii_rows, dtype=np.int64), lengths)
             left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))  # bytes to the line's end
+        gathered = _gram_table().take(data, axis=1)  # row n - 1: each byte's share of the n-gram it starts
         for n in range(1, min(NGRAM_MAX, len(data)) + 1):
-            gathered = _gram_table(n).take(data[: len(data) - n + 1])
-            crcs = gathered if n == 1 else gathered ^ crcs[1:]
+            share = gathered[n - 1, : len(data) - n + 1]
+            crcs = share if n == 1 else share ^ crcs[1:]
             if n >= NGRAM_MIN:
                 if one:
                     parts.append(crcs)
                 else:
                     inside = left[: len(crcs)] >= n
-                    parts.append(crcs[inside] * n_lines + rows[: len(crcs)][inside])
+                    parts.append(crcs[inside] << shift | rows[: len(crcs)][inside])
     keys = []
     crc32 = zlib.crc32
     word_seed = _seed("w|")
@@ -218,9 +237,9 @@ def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             for n in range(NGRAM_MIN, min(NGRAM_MAX, len(text)) + 1):
                 seed = _seed(f"c{n}|")
                 for i in range(len(text) - n + 1):
-                    keys.append(crc32(text[i : i + n].encode("utf-8"), seed) % HASH_DIM * n_lines + k)
+                    keys.append(crc32(text[i : i + n].encode("utf-8"), seed) % HASH_DIM << shift | k)
         for word in text.split():
-            keys.append(crc32(word.encode("utf-8"), word_seed) % HASH_DIM * n_lines + k)
+            keys.append(crc32(word.encode("utf-8"), word_seed) % HASH_DIM << shift | k)
     parts.append(np.array(keys, dtype=np.int64))
     keys = np.concatenate(parts)
     keys.sort()
@@ -235,7 +254,8 @@ def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         ids = unique
         norm = float(counts @ counts) ** 0.5
     else:
-        ids, line = np.divmod(unique, n_lines)
+        ids = unique >> shift
+        line = unique & ((1 << shift) - 1)
         sum_sq = np.bincount(line, counts * counts, minlength=n_lines)
         norm = np.array([s**0.5 for s in sum_sq.tolist()])[line]
     return line, ids, counts / norm
@@ -247,7 +267,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     ``np.exp`` picks a kernel for the CPU at run time (AVX-512 or not), and
     the kernels differ in the last bits, which would train a different model
     file on each. The max, the sums and the division are exact or summed in
-    a fixed order, so they stay numpy.
+    a fixed order, so they stay numpy. ``train`` runs it on its whole
+    (rows, labels) block; ``_score`` repeats it row by row in Python floats.
     """
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.fromiter(map(math.exp, shifted.ravel().tolist()), dtype=np.float64, count=shifted.size)
@@ -347,7 +368,7 @@ def _lookup(model: ClassifierModel, keys: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _score(model: ClassifierModel, texts: Sequence[str]) -> list[SentenceClass]:
-    """Each feature text's class scores: one featurize, one id lookup, one bincount, one softmax."""
+    """Each feature text's class scores: one featurize, one id lookup, one bincount, then a softmax per row."""
     line, keys, values = featurize(texts)
     n = len(texts)
     n_labels = len(CLASS_LABELS)
@@ -362,11 +383,17 @@ def _score(model: ClassifierModel, texts: Sequence[str]) -> list[SentenceClass]:
         logits = np.bincount(cells.ravel(), terms.ravel(), minlength=n * n_labels).reshape(n, n_labels)
     else:
         logits = np.zeros((n, n_labels))
-    probs = _softmax(logits + model.bias)
-    return [
-        SentenceClass(CLASS_LABELS[best], dict(zip(CLASS_LABELS, p)))
-        for best, p in zip(probs.argmax(axis=1).tolist(), probs.tolist())
-    ]
+    classes = []
+    exp = math.exp
+    for a, b, c in (logits + model.bias).tolist():
+        # _softmax on one row, bit for bit: numpy sums a 3-wide row left to right
+        top = max(a, b, c)
+        ea, eb, ec = exp(a - top), exp(b - top), exp(c - top)
+        total = ea + eb + ec
+        pa, pb, pc = ea / total, eb / total, ec / total
+        best = 0 if pa >= pb and pa >= pc else 1 if pb >= pc else 2  # the first maximum, as argmax picks
+        classes.append(SentenceClass(CLASS_LABELS[best], dict(zip(CLASS_LABELS, (pa, pb, pc)))))
+    return classes
 
 
 def save_model(model: ClassifierModel, path) -> None:

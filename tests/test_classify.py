@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -236,6 +237,12 @@ class TestFeaturize:
             assert not line.any()
             assert alone_ids.tolist() == ids and alone_values.tolist() == values
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 255, 256, 257])
+    def test_equals_the_spelled_out_hash_where_the_key_shift_steps(self, noisy_sentences, size):
+        # a key packs its line into (size - 1).bit_length() low bits: 0 at 1 line, 8 at 256, 9 at 257
+        texts = list(itertools.islice(itertools.cycle(MIXED + [s.feature_text for s in noisy_sentences]), size))
+        assert_equals_oracle(texts)
+
     def test_norm_is_the_python_float_power_not_sqrt(self):
         text = "abcd" * 166
         counts = {}
@@ -425,6 +432,34 @@ class TestPredict:
         expected = dict(zip(CLASS_LABELS, softmax(empty.bias).tolist()))
         for text in ["doliprane 1000 mg", "zq"]:
             assert alone(loaded, sent(text)).scores == expected
+
+
+# One-letter lines: each has one feature, its word, of value 1.0, so a model
+# whose weight row for that word is a drawn row scores the line on those logits.
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_spread = st.tuples(st.floats(-50, 50), st.floats(700, 1000), st.floats(0, 1))
+LOGIT_ROWS = st.one_of(
+    st.tuples(*[st.floats(-10, 10)] * len(CLASS_LABELS)).map(list),  # every exp counts in the sum
+    st.tuples(*[st.floats(-1e4, 1e4)] * len(CLASS_LABELS)).map(list),
+    # ties, which the first maximum breaks
+    st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)).flatmap(lambda t: st.permutations([t[0], t[0], t[1]])),
+    st.floats(-1e4, 1e4).map(lambda x: [x] * len(CLASS_LABELS)),
+    # a spread of 700 or more, where the smaller exps are subnormal or zero
+    _spread.flatmap(lambda t: st.permutations([t[0], t[0] - t[1], t[0] - t[1] * t[2]])),
+)
+
+
+@given(st.lists(LOGIT_ROWS, min_size=1, max_size=len(LETTERS)))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_the_scorer_softmax_is_the_training_softmax_bit_for_bit(rows):
+    texts = list(LETTERS[: len(rows)])
+    line, ids, values = featurize(texts)
+    assert len(set(ids.tolist())) == len(texts) and values.tolist() == [1.0] * len(texts)
+    model = ClassifierModel(ids=ids, weights=np.array([rows[k] for k in line.tolist()]), bias=np.zeros(3))
+    want = classify._softmax(np.array(rows) + 0.0)  # the logits _score sums: 0.0 + 1.0 * w, then + 0.0
+    for got, probs in zip(classify._score(model, texts), want):
+        assert got.label == CLASS_LABELS[int(np.argmax(probs))]
+        assert bits([got.scores[k] for k in CLASS_LABELS]).tolist() == bits(probs).tolist()
 
 
 def lookup_oracle(ids, keys):

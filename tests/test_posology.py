@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ordonnance.druglink import detect_drug, split_combined_line
 from ordonnance.linking import record_to_dict
 from ordonnance.ocr import parse_ocr_document
@@ -108,6 +110,27 @@ def test_elliptical_dose_frequency_shorthand(patterns):
     assert kinds == {"DOSE", "FREQUENCY"}
     spans = {(e.char_start, e.char_end) for e in ext.entities}
     assert len(spans) == 1
+
+
+# Pattern alternatives that no generated line writes: the "gr" unit, "h" after
+# "toutes les", and the "j", "jr" and "jrs" units after "qsp".
+RARE_ALTERNATIVES = [
+    ("500 gr", [("DOSE", 0, 6, "500 gr", "dose-num-unit")]),
+    ("1 cp toutes les h", [
+        ("DOSE", 0, 4, "1 cp", "dose-num-unit"),
+        ("FREQUENCY", 5, 17, "toutes les h", "freq-toutes-les-heures-nuits"),
+    ]),
+    ("qsp 3 j", [("DURATION", 0, 7, "qsp 3 j", "dur-qsp-num-unit")]),
+    ("qsp 10 jr", [("DURATION", 0, 9, "qsp 10 jr", "dur-qsp-num-unit")]),
+    ("qsp 2 jrs", [("DURATION", 0, 9, "qsp 2 jrs", "dur-qsp-num-unit")]),
+]
+
+
+@pytest.mark.parametrize("text, want", RARE_ALTERNATIVES, ids=[text for text, _ in RARE_ALTERNATIVES])
+def test_a_rare_alternative_matches_through_its_pattern(patterns, text, want):
+    ext = extract_posology(sentence_from_text(text), patterns)
+    assert [(e.label, e.char_start, e.char_end, e.text, e.pattern_id) for e in ext.entities] == want
+    assert ext.residual_text == ""
 
 
 def test_residual_is_the_tokens_outside_every_entity(patterns, lexicon):
