@@ -455,7 +455,8 @@ def test_the_scorer_softmax_is_the_training_softmax_bit_for_bit(rows):
     texts = list(LETTERS[: len(rows)])
     line, ids, values = featurize(texts)
     assert len(set(ids.tolist())) == len(texts) and values.tolist() == [1.0] * len(texts)
-    model = ClassifierModel(ids=ids, weights=np.array([rows[k] for k in line.tolist()]), bias=np.zeros(3))
+    weights = np.array([rows[k] for k in line.tolist()])
+    model = ClassifierModel(ids=ids, weights=weights, bias=np.zeros(len(CLASS_LABELS)))
     want = classify._softmax(np.array(rows) + 0.0)  # the logits _score sums: 0.0 + 1.0 * w, then + 0.0
     for got, probs in zip(classify._score(model, texts), want):
         assert got.label == CLASS_LABELS[int(np.argmax(probs))]
