@@ -1,6 +1,6 @@
 """Three-class sentence classifier: DRUG / POSOLOGY / USELESS.
 
-A hashed character n-gram linear model trained by plain full-batch gradient
+A hashed byte n-gram linear model trained by plain full-batch gradient
 descent on cross-entropy. The decision the classifier makes is lexical
 (drug-name lines vs posology phrasing vs boilerplate), so hashed n-grams of
 the stopword-filtered text plus word unigrams carry the signal. Training is
@@ -42,17 +42,19 @@ leaves them; each line's entries, in increasing id order, add up in every
 ``id << shift | line`` with ``shift = (n_lines - 1).bit_length()``, which
 sorts as ``id * n_lines + line`` does and unpacks with one ``>>`` and one
 ``&``; a lone line's shift is 0, so its keys are its ids.
-CRC-32 is affine over GF(2), so the CRC of a fixed-length window is a
-constant XOR one table entry per byte. The entries of every n-gram length
-are one stacked ``(NGRAM_MAX, 256)`` table (``_gram_table``), masked to
-``HASH_DIM - 1`` so the XOR is the hashed id itself: one gather of the batch's
-bytes, taken along the table's columns, gives every byte's entry at every
-length, and the n-grams of every ASCII line then cost one XOR per n. Counts
-come from an in-place sort of the keys and one mask of where each run of
-equal keys starts; each line's norm is the Python float power
-``sum_sq ** 0.5`` (``math.sqrt`` and ``np.sqrt`` differ from it at some
-integers), so every value equals the spelled-out per-line ``count / norm``
-bit for bit.
+A line's n-grams are the ``NGRAM_MIN``- to ``NGRAM_MAX``-byte windows of its
+UTF-8 feature text, none crossing into the next line; in ASCII text, which
+is nearly all of it after accent stripping, a byte is a character. CRC-32 is
+affine over GF(2), so the CRC of a fixed-length window is a constant XOR one
+table entry per byte. The entries of every n-gram length are one stacked
+``(NGRAM_MAX, 256)`` table (``_gram_table``), masked to ``HASH_DIM - 1`` so
+the XOR is the hashed id itself: one gather of the batch's bytes, taken
+along the table's columns, gives every byte's entry at every length, and
+the n-grams of every line then cost one XOR per n. Counts come from an
+in-place sort of the keys and one mask of where each run of equal keys
+starts; each line's norm is the Python float power ``sum_sq ** 0.5``
+(``math.sqrt`` and ``np.sqrt`` differ from it at some integers), so every
+value equals the spelled-out per-line ``count / norm`` bit for bit.
 
 Model file: one JSON header line (magic ``ordonnance-classifier-2``, the
 featurizer version, the featurizer's fixed values ``labels``, ``hash_dim``,
@@ -61,11 +63,11 @@ little-endian bytes: the ``n_cols`` sorted hashed ids as int64, the
 (n_cols, labels) weight block as float64, and the bias as float64. It
 round-trips bit-exactly. ``load_model`` is where a model file is checked:
 it refuses a header whose version is not ``FEATURE_VERSION`` with
-``VersionMismatch``, and with ``SchemaError`` one whose featurizer fields
-are not the constants (``_FEATURIZER``: a model hashed at another width
-too), the dense format of earlier releases (magic ``ordonnance-classifier``),
-a holdout accuracy that is neither null nor a number in [0, 1], and
-non-finite weights or bias; retrain to get a current model. So ``predict``
+``VersionMismatch``, and with ``SchemaError`` a file without the magic (the
+dense format of earlier releases too), one whose featurizer fields are not
+the constants (``_FEATURIZER``: a model hashed at another width too), a
+holdout accuracy that is neither null nor a number in [0, 1], and non-finite
+weights or bias; retrain to get a current model. So ``predict``
 checks nothing at run time.
 """
 
@@ -87,10 +89,12 @@ from .textnorm import Sentence
 CLASS_LABELS = ("DRUG", "POSOLOGY", "USELESS")
 
 # Bump when featurize() changes incompatibly. Each model file records the
-# version it was trained with, and load_model refuses any other.
-FEATURE_VERSION = "fh1"
+# version it was trained with, and load_model refuses any other. fh2 hashes
+# windows of a line's UTF-8 bytes; fh1 hashed windows of its characters,
+# which differ only on text that keeps a non-ASCII character.
+FEATURE_VERSION = "fh2"
 
-# featurize hashes character n-grams of these lengths, and words, into HASH_DIM buckets.
+# featurize hashes byte n-grams of these lengths, and words, into HASH_DIM buckets.
 NGRAM_MIN = 3
 NGRAM_MAX = 5
 HASH_DIM = 2**18
@@ -102,7 +106,6 @@ LEARNING_RATE = 5.0
 LR_DECAY = 0.01
 
 _MODEL_MAGIC = "ordonnance-classifier-2"
-_DENSE_MAGIC = "ordonnance-classifier"  # earlier releases' dense format, refused
 
 # The featurizer's fixed values: save_model writes them into the model
 # header, and load_model refuses a header that differs in any of them.
@@ -193,51 +196,44 @@ def _gram_table() -> np.ndarray:
 
 
 def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hashed feature vectors of many feature texts: char n-grams plus word unigrams, L2-normalized.
+    """Hashed feature vectors of many feature texts: byte n-grams plus word unigrams, L2-normalized.
 
     Returns ``(line, ids, values)``: flat int64, int64 and float64 arrays
     sorted by feature id, then by line index, so ``ids`` never decreases,
     line ``k``'s ids are strictly increasing and a line without features
-    has no entries. The n-gram ``g`` of length n hashes to
-    ``crc32(f"c{n}|{g}".encode()) % HASH_DIM`` and the word ``w`` to
+    has no entries. The n-gram ``g``, the n bytes ``text.encode()[i:i + n]``,
+    hashes to ``crc32(b"c%d|" % n + g) % HASH_DIM`` and the word ``w`` to
     ``crc32(f"w|{w}".encode()) % HASH_DIM``; no window crosses from one line
-    into the next. The ASCII lines are hashed together as one byte buffer,
-    all n-gram lengths from one gather of the stacked ``_gram_table``; other
-    lines are encoded gram by gram. Entries are counted by sorting keys
-    ``id << shift | line``, where ``shift = (len(texts) - 1).bit_length()``
-    leaves room for every line index, so the keys are unique per (id, line)
-    and sort by id, then line.
+    into the next. The lines are hashed together as one UTF-8 byte buffer,
+    all n-gram lengths from one gather of the stacked ``_gram_table``.
+    Entries are counted by sorting keys ``id << shift | line``, where
+    ``shift = (len(texts) - 1).bit_length()`` leaves room for every line
+    index, so the keys are unique per (id, line) and sort by id, then line.
     """
     n_lines = len(texts)
     shift = (n_lines - 1).bit_length()  # an entry's key is id << shift | line: unique, and in id order
     one = n_lines == 1  # a lone line needs no masks and no per-line norms; its key is its id
+    encoded = [text.encode("utf-8") for text in texts]
+    data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    if not one:
+        lengths = [len(b) for b in encoded]
+        rows = np.repeat(np.arange(n_lines), lengths)
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))  # bytes to the line's end
+    gathered = _gram_table().take(data, axis=1)  # row n - 1: each byte's share of the n-gram it starts
     parts = []
-    ascii_rows = [k for k, text in enumerate(texts) if text.isascii()]
-    if ascii_rows:
-        data = np.frombuffer("".join([texts[k] for k in ascii_rows]).encode("ascii"), dtype=np.uint8)
-        if not one:
-            lengths = [len(texts[k]) for k in ascii_rows]
-            rows = np.repeat(np.array(ascii_rows, dtype=np.int64), lengths)
-            left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))  # bytes to the line's end
-        gathered = _gram_table().take(data, axis=1)  # row n - 1: each byte's share of the n-gram it starts
-        for n in range(1, min(NGRAM_MAX, len(data)) + 1):
-            share = gathered[n - 1, : len(data) - n + 1]
-            crcs = share if n == 1 else share ^ crcs[1:]
-            if n >= NGRAM_MIN:
-                if one:
-                    parts.append(crcs)
-                else:
-                    inside = left[: len(crcs)] >= n
-                    parts.append(crcs[inside] << shift | rows[: len(crcs)][inside])
+    for n in range(1, min(NGRAM_MAX, len(data)) + 1):
+        share = gathered[n - 1, : len(data) - n + 1]
+        crcs = share if n == 1 else share ^ crcs[1:]
+        if n >= NGRAM_MIN:
+            if one:
+                parts.append(crcs)
+            else:
+                inside = left[: len(crcs)] >= n
+                parts.append(crcs[inside] << shift | rows[: len(crcs)][inside])
     keys = []
     crc32 = zlib.crc32
     word_seed = _seed("w|")
     for k, text in enumerate(texts):
-        if not text.isascii():
-            for n in range(NGRAM_MIN, min(NGRAM_MAX, len(text)) + 1):
-                seed = _seed(f"c{n}|")
-                for i in range(len(text) - n + 1):
-                    keys.append(crc32(text[i : i + n].encode("utf-8"), seed) % HASH_DIM << shift | k)
         for word in text.split():
             keys.append(crc32(word.encode("utf-8"), word_seed) % HASH_DIM << shift | k)
     parts.append(np.array(keys, dtype=np.int64))
@@ -417,10 +413,7 @@ def load_model(path) -> ClassifierModel:
         header_line = fh.readline()
         blob = fh.read()
     header = decode_json(header_line, f"{path}: model header", SchemaError)
-    magic = header.get("magic") if isinstance(header, dict) else None
-    if magic == _DENSE_MAGIC:
-        raise SchemaError(f"{path}: dense model file of an earlier release; retrain the model")
-    if magic != _MODEL_MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != _MODEL_MAGIC:
         raise SchemaError(f"{path}: not a classifier model file")
     if (version := header.get("version")) != FEATURE_VERSION:
         raise VersionMismatch(f"{path}: model featurizer {version!r} != runtime {FEATURE_VERSION!r}")

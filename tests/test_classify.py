@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ordonnance import classify
 from ordonnance.classify import (
     CLASS_LABELS,
+    FEATURE_VERSION,
     HASH_DIM,
     LEARNING_RATE,
     LR_DECAY,
@@ -72,11 +73,16 @@ TOY_CONFIG = TrainConfig(epochs=300, holdout_fraction=0.0)
 
 
 def oracle_featurize(text):
-    """featurize as specified: each feature string built, encoded and hashed whole."""
+    """featurize as specified: each feature string built and hashed whole.
+
+    An n-gram is a window of n bytes of the UTF-8 text, so a multi-byte
+    character lies in several windows, some of them holding only part of it.
+    """
+    data = text.encode("utf-8")
     counts = {}
-    for n in range(3, 6):  # character 3- to 5-grams
-        for i in range(len(text) - n + 1):
-            idx = zlib.crc32(f"c{n}|{text[i : i + n]}".encode("utf-8")) % HASH_DIM
+    for n in range(3, 6):  # 3- to 5-byte windows
+        for i in range(len(data) - n + 1):
+            idx = zlib.crc32(f"c{n}|".encode("utf-8") + data[i : i + n]) % HASH_DIM
             counts[idx] = counts.get(idx, 0.0) + 1.0
     for word in text.split():
         idx = zlib.crc32(f"w|{word}".encode("utf-8")) % HASH_DIM
@@ -184,9 +190,12 @@ def assert_equals_oracle(texts):
 
 
 # Lines of every kind in one batch: empty, shorter than an n-gram, with a
-# newline inside, non-ASCII after accent stripping, and ASCII around them.
+# newline inside, non-ASCII after accent stripping, a 2-, 3- and 4-byte
+# character (µ, €, 𝄞) at the start or the end of a line, so that a line's
+# windows must end at its last byte, and ASCII around them.
 MIXED = ["", "zq", "1 cp matin et soir", "œdème 5 µg/kg à 37°", "a", "ab\ncd ef", "\n", "doliprane 1000 mg",
-         "è", "x y", "abc\n", "pendant 10 jours"]
+         "è", "x y", "abc\n", "pendant 10 jours", "µg 5", "5 µ", "€ 12", "12 €", "𝄞 do", "sol 𝄞", "µ", "€", "𝄞",
+         "𝄞𝄞"]
 
 
 class TestFeaturize:
@@ -566,6 +575,17 @@ class TestTrainedPredictions:
         for s in reversed(lines):  # the first call on the batch scores it, whichever line asks
             assert predict(trained_model, s, batch) == alone(trained_model, s)
 
+    def test_multi_byte_characters_at_line_edges_score_the_same_alone_and_in_a_document(
+        self, trained_model, noisy_sentences
+    ):
+        edged = [sent(t) for t in ["µg 5 matin et soir", "1 cp matin µ", "€ 12 doliprane", "doliprane 12 €",
+                                   "𝄞 dafalgan 1 g", "smecta 3 g 𝄞"]]
+        assert all(not s.feature_text.isascii() for s in edged)
+        lines = [line for pair in zip(edged, noisy_sentences) for line in pair]
+        batch = LineBatch(lines)
+        for s in edged:
+            assert predict(trained_model, s, batch) == alone(trained_model, s)
+
     def test_gathered_dot_product_matches_the_dense_oracle(self, trained_model, noisy_sentences):
         for s in noisy_sentences:
             got, want = alone(trained_model, s), oracle_predict(trained_model, s.feature_text)
@@ -575,7 +595,7 @@ class TestTrainedPredictions:
 
 # A valid header with two columns, for the bad-file table.
 _HEADER = {"magic": "ordonnance-classifier-2", "labels": list(CLASS_LABELS), "hash_dim": HASH_DIM, "ngram_min": 3,
-           "ngram_max": 5, "version": "fh1", "n_cols": 2}
+           "ngram_max": 5, "version": FEATURE_VERSION, "n_cols": 2}
 
 
 def _header(drop=(), **changes) -> dict:
@@ -620,15 +640,17 @@ class TestModelFile:
         model = train(toy_corpus(), TOY_CONFIG)
         save_model(model, tmp_path / "model.bin")
         header = json.loads((tmp_path / "model.bin").read_bytes().partition(b"\n")[0])
-        assert header == {"magic": "ordonnance-classifier-2", "version": "fh1",
+        assert header == {"magic": "ordonnance-classifier-2", "version": FEATURE_VERSION,
                           "labels": ["DRUG", "POSOLOGY", "USELESS"], "hash_dim": 2**18, "ngram_min": 3,
                           "ngram_max": 5, "n_cols": len(model.ids), "holdout_accuracy": model.holdout_accuracy}
 
     def test_stale_feature_version_is_refused_at_load(self, tmp_path):
+        # fh1 hashed character windows, whose ids differ on text with a non-ASCII character
         path = tmp_path / "model.bin"
-        path.write_bytes(_model_file(_header(version="fh0"), [3, 7], 2 * 3 + 3))
-        with pytest.raises(VersionMismatch, match="'fh0' != runtime 'fh1'"):
-            load_model(path)
+        for stale in ("fh0", "fh1"):
+            path.write_bytes(_model_file(_header(version=stale), [3, 7], 2 * 3 + 3))
+            with pytest.raises(VersionMismatch, match=f"model featurizer '{stale}' != runtime 'fh2'"):
+                load_model(path)
 
     def test_minimal_file_loads(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -675,7 +697,7 @@ class TestModelFile:
             (_HEADER, [3, 3], 9, "strictly increasing"),
             (_HEADER, [-1, 3], 9, "strictly increasing"),
             (_HEADER, [3, HASH_DIM], 9, "strictly increasing"),
-            (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 3 * 16 + 3, "dense model file"),
+            (_header(drop=["n_cols"], magic="ordonnance-classifier"), [], 3 * 16 + 3, "not a classifier model file"),
             (_HEADER, [3, 7], [0.0] * 4 + [math.nan] + [0.0] * 4, "weights and bias must be finite"),
             (_HEADER, [3, 7], [0.0] * 8 + [-math.inf], "weights and bias must be finite"),
             (_header(holdout_accuracy="lots"), [3, 7], 9,

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 
 from ordonnance import cli
 from ordonnance.cli import main
-from ordonnance.classify import TrainConfig, load_model, save_model, train
+from ordonnance.classify import FEATURE_VERSION, TrainConfig, load_model, save_model, train
 from ordonnance.corpus import read_jsonl
 from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import data_path
@@ -221,7 +221,7 @@ def _dense_model_file(path):
 
 def _model_file_with_labels(path, labels):
     """A current-format model file without columns, with the given labels."""
-    header = {"magic": "ordonnance-classifier-2", "version": "fh1", "labels": labels,
+    header = {"magic": "ordonnance-classifier-2", "version": FEATURE_VERSION, "labels": labels,
               "ngram_min": 3, "ngram_max": 5, "hash_dim": 2**18, "n_cols": 0, "holdout_accuracy": None}
     path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + bytes(8 * len(labels)))
     return str(path)
@@ -274,157 +274,166 @@ def _raise_runtime_error(text, runtime):
 
 
 # Each row: CLI arguments built from the model file and a scratch directory,
-# the exit code, the reported error type, and the attribute of ordonnance.cli
-# broken for the run.
+# the exit code, the reported error type, the attribute of ordonnance.cli
+# broken for the run, and a pattern the error message must hold (every model
+# row has one, so it fails on the check its id names) or None.
 ERROR_CASES = [
     pytest.param(
         lambda m, d: _extract(m, "--lexicon", _write(d / "dup.csv", "id,name\nA,doliprane\nA,smecta\n")),
-        2, "lexicon", None, id="duplicate-lexicon-id",
+        2, "lexicon", None, None, id="duplicate-lexicon-id",
     ),
     pytest.param(
         lambda m, d: ["lexicon-check", "--lexicon", str(d / "absent.csv")],
-        3, "lexicon", None, id="lexicon-check-absent-file",
+        3, "lexicon", None, None, id="lexicon-check-absent-file",
     ),
     pytest.param(
         lambda m, d: ["lexicon-check", "--lexicon", _write(d / "extra.csv", "id,name\n1,DOLIPRANE 1000 mg, comprime\n")],
-        2, "lexicon", None, id="lexicon-check-extra-cell",
+        2, "lexicon", None, None, id="lexicon-check-extra-cell",
     ),
     pytest.param(
         lambda m, d: ["gen-corpus", "--n-drug", "1", "--n-posology", "1", "--n-useless", "1",
                       "--out", str(d / "missing" / "corpus.jsonl")],
-        3, "corpus", None, id="gen-corpus-out-in-missing-dir",
+        3, "corpus", None, None, id="gen-corpus-out-in-missing-dir",
     ),
     pytest.param(
         lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "missing" / "m.bin"),
                       "--epochs", "2"],
-        3, "model", None, id="train-model-in-missing-dir",
+        3, "model", None, "No such file or directory", id="train-model-in-missing-dir",
     ),
-    pytest.param(lambda m, d: _extract(m, "--patterns", ""), 3, "patterns", None, id="patterns-flag-empty"),
+    pytest.param(lambda m, d: _extract(m, "--patterns", ""), 3, "patterns", None, None, id="patterns-flag-empty"),
     pytest.param(
         lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _one_lower_pattern("Matin"))),
-        2, "patterns", None, id="patterns-lower-word-with-a-capital",
+        2, "patterns", None, None, id="patterns-lower-word-with-a-capital",
     ),
     pytest.param(
         lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _one_lower_pattern("après"))),
-        2, "patterns", None, id="patterns-lower-word-with-an-accent",
+        2, "patterns", None, None, id="patterns-lower-word-with-an-accent",
     ),
     pytest.param(
         lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_line_box(d / "nan.json", "top", float("nan"))],
-        2, "GeometryError", None, id="line-box-top-nan",
+        2, "GeometryError", None, None, id="line-box-top-nan",
     ),
     pytest.param(
         lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_line_box(d / "big.json", "left", 10**400)],
-        2, "GeometryError", None, id="line-box-left-beyond-the-float-range",
+        2, "GeometryError", None, None, id="line-box-left-beyond-the-float-range",
     ),
     pytest.param(
         lambda m, d: ["extract", "--model", str(m), "--input", _write(d / "deep.json", _deeply_nested("doc_id"))],
-        2, "SchemaError", None, id="payload-nested-too-deeply",
+        2, "SchemaError", None, None, id="payload-nested-too-deeply",
     ),
     pytest.param(
         lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _deeply_nested("id"))),
-        2, "patterns", None, id="patterns-nested-too-deeply",
+        2, "patterns", None, None, id="patterns-nested-too-deeply",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _write(d / "gold.jsonl", _deeply_nested("text") + "\n")],
-        2, "gold", None, id="gold-line-nested-too-deeply",
+        2, "gold", None, None, id="gold-line-nested-too-deeply",
     ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _write(d / "m.bin", _deeply_nested("magic") + "\n")],
-        2, "model", None, id="model-header-nested-too-deeply",
+        2, "model", None, "model header: JSON nests too deeply", id="model-header-nested-too-deeply",
     ),
     pytest.param(
         lambda m, d: _extract(m, "--out", str(d / "missing" / "record.json")),
-        3, "output", None, id="extract-out-in-missing-dir",
+        3, "output", None, None, id="extract-out-in-missing-dir",
     ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE),
-                      "--model", _write(d / "m.bin", '{"magic": "ordonnance-classifier-2"}\n')],
-        2, "model", None, id="model-header-without-labels",
+                      "--model", _write(d / "m.bin", json.dumps({"magic": "ordonnance-classifier-2",
+                                                                 "version": FEATURE_VERSION}) + "\n")],
+        2, "model", None, "model header field 'labels' must be .*, got None", id="model-header-without-labels",
     ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _dense_model_file(d / "dense.bin")],
-        2, "model", None, id="model-file-in-the-earlier-dense-format",
+        2, "model", None, "dense.bin: not a classifier model file", id="model-file-in-the-earlier-dense-format",
     ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE),
                       "--model", _model_file_with_labels(d / "m.bin", ["A", "B", "C"])],
-        2, "model", None, id="model-labels-not-the-three-classes",
+        2, "model", None, r"'labels' must be .*, got \['A', 'B', 'C'\]", id="model-labels-not-the-three-classes",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _write(d / "gold.jsonl", '"doliprane 1000 mg"\n')],
-        2, "gold", None, id="gold-line-is-a-json-string",
+        2, "gold", None, None, id="gold-line-is-a-json-string",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", {"text": 5, "label": "DRUG"})],
-        2, "gold", None, id="gold-text-a-number",
+        2, "gold", None, None, id="gold-text-a-number",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", {**_CORPUS[0], "spans": [
             {"kind": "DRUG", "start": 0.9, "end": 9.0}]})],
-        2, "gold", None, id="gold-span-float-offsets",
+        2, "gold", None, None, id="gold-span-float-offsets",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", {**_CORPUS[0], "spans": [
             {"kind": "DRUG", "start": "0", "end": "9"}]})],
-        2, "gold", None, id="gold-span-string-offsets",
+        2, "gold", None, None, id="gold-span-string-offsets",
     ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _model_file_with(m, d / "stale.bin", version="fh0")],
-        2, "model", None, id="extract-stale-model",
+        2, "model", None, f"model featurizer 'fh0' != runtime '{FEATURE_VERSION}'", id="extract-stale-model",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]),
                       "--model", _model_file_with(m, d / "stale.bin", version="fh0")],
-        2, "model", None, id="eval-stale-model",
+        2, "model", None, f"model featurizer 'fh0' != runtime '{FEATURE_VERSION}'", id="eval-stale-model",
+    ),
+    # fh1 hashed character windows, which differ from byte windows on non-ASCII text
+    pytest.param(
+        lambda m, d: ["extract", "--input", str(FIXTURE), "--model", _model_file_with(m, d / "fh1.bin", version="fh1")],
+        2, "model", None, f"model featurizer 'fh1' != runtime '{FEATURE_VERSION}'", id="extract-character-n-gram-model",
     ),
     # A model hashed at another width is refused before any input is read
     # (the input file does not exist); 10**30 once failed each line with an OverflowError.
     pytest.param(
         lambda m, d: ["extract", "--input", str(d / "absent.json"),
                       "--model", _model_file_with(m, d / "wide.bin", hash_dim=10**30)],
-        2, "model", None, id="extract-model-hash-dim-beyond-int64",
+        2, "model", None, "'hash_dim' must be 262144, got 10{30}", id="extract-model-hash-dim-beyond-int64",
     ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(FIXTURE),
                       "--model", _model_file_with(m, d / "lots.bin", holdout_accuracy="lots")],
-        2, "model", None, id="extract-model-holdout-accuracy-a-string",
+        2, "model", None, r"'holdout_accuracy' must be null or a number in \[0, 1\], got 'lots'",
+        id="extract-model-holdout-accuracy-a-string",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]),
                       "--model", _model_file_with(m, d / "wide.bin", hash_dim=10**30)],
-        2, "model", None, id="eval-model-hash-dim-beyond-int64",
+        2, "model", None, "'hash_dim' must be 262144, got 10{30}", id="eval-model-hash-dim-beyond-int64",
     ),
     pytest.param(
         lambda m, d: ["extract", "--input", str(d / "absent.json"),
                       "--model", _model_file_with(m, d / "narrow.bin", hash_dim=64)],
-        2, "model", None, id="extract-model-another-hash-width",
+        2, "model", None, "'hash_dim' must be 262144, got 64;", id="extract-model-another-hash-width",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _gold(d / "gold.jsonl", _CORPUS[0]),
                       "--model", _model_file_with(m, d / "narrow.bin", hash_dim=64)],
-        2, "model", None, id="eval-model-another-hash-width",
+        2, "model", None, "'hash_dim' must be 262144, got 64;", id="eval-model-another-hash-width",
     ),
     pytest.param(
         lambda m, d: ["train", "--input", _corpus(d), "--model", str(d / "m.bin"), "--epochs", "2", "--holdout", "nan"],
-        2, "config", None, id="train-holdout-nan",
+        2, "config", None, None, id="train-holdout-nan",
     ),
     pytest.param(
         lambda m, d: ["eval", "--model", str(m), "--gold", _write(d / "gold.jsonl", json.dumps(_CORPUS[0]) + "\n")],
-        4, "internal", "annotate_text", id="eval-internal-error",
+        4, "internal", "annotate_text", None, id="eval-internal-error",
     ),
     pytest.param(
-        lambda m, d: _eval_predictions(d, _BEYOND_GOLD), 2, "predictions", None, id="prediction-span-beyond-gold-text",
+        lambda m, d: _eval_predictions(d, _BEYOND_GOLD), 2, "predictions", None, None,
+        id="prediction-span-beyond-gold-text",
     ),
     pytest.param(
         lambda m, d: ["lexicon-check", "--lexicon", _latin1(d / "lex.csv", "id,name\nA1,Paracétamol\n")],
-        2, "lexicon", None, id="lexicon-not-utf8",
+        2, "lexicon", None, None, id="lexicon-not-utf8",
     ),
 ]
 
 
-@pytest.mark.parametrize("make_args, code, kind, broken", ERROR_CASES)
+@pytest.mark.parametrize("make_args, code, kind, broken, message", ERROR_CASES)
 def test_every_error_exits_with_its_code_and_one_json_line(
-    model_file, tmp_path, monkeypatch, make_args, code, kind, broken
+    model_file, tmp_path, monkeypatch, make_args, code, kind, broken, message
 ):
     if broken is not None:
         monkeypatch.setattr(cli, broken, _raise_runtime_error)
@@ -432,6 +441,8 @@ def test_every_error_exits_with_its_code_and_one_json_line(
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == code, result.stderr
     assert [e["type"] for e in _error(result)] == [kind]
+    if message is not None:
+        assert re.search(message, _error(result)[0]["message"]), _error(result)[0]["message"]
 
 
 def test_prediction_span_beyond_its_gold_text_names_its_line(tmp_path):
