@@ -19,16 +19,19 @@ reversal; each hit is verified with ``kernels.levenshtein_leq1``. The
 candidates are the same, in the same order, as those of a loop over every
 key. The two orders are tuples of the index's own key strings.
 
-Scoring skips only work that cannot change the result, by three exact rules:
+Two exact rules keep the kernel off work that cannot change the result:
 
-- a window equal to the name scores 1.0 without calling the kernel, as
-  ``similarity`` returns exactly 1.0 for equal strings;
-- the score is 2M/(la+lb) with M matched characters and M <= min(la, lb),
-  so a candidate whose bound 2*min(la, lb)/(la+lb) is strictly below the
-  threshold or the best score so far is not scored (an equal score can
-  still win on trigger, length or id, so it is scored);
-- once the best score is 1.0, later trigger tokens are not probed: they
-  can neither beat nor tie it.
+- an equal window settles the line. ``similarity`` returns 1.0 for equal
+  strings and only for them, so before any kernel call the probed tokens'
+  candidates are tested, token by token, for a window equal to their name.
+  The first token that holds one settles the line at 1.0, its equal
+  windows ranked by the tie rule of ``detect_drug``: every other window
+  scores below 1.0, and an equal window at a later token loses on position;
+- on a line with no equal window, the score is 2M/(la+lb) with M matched
+  characters and M <= min(la, lb), so a candidate whose bound
+  2*min(la, lb)/(la+lb) is strictly below the threshold or the best score
+  so far is not scored (an equal score can still win on trigger, length or
+  id, so it is scored).
 
 A line opening with an equivalence marker ("ou", "soit", ...) names a
 substitute for the drug above it; the markers are the one shipped word list,
@@ -201,7 +204,9 @@ def detect_drug(
     Each candidate's ``norm_name`` is scored against the slice of the
     sentence's ``match_text`` that starts at the trigger token and spans as
     many tokens as the name has (fewer at the end of the line), so a line
-    that renders a lexicon name exactly scores 1.0 against it.
+    that renders a lexicon name exactly scores 1.0 against it. Such an equal
+    window settles the line: the first trigger token that holds one links
+    it, and the kernel is called only on lines that hold none.
 
     Ties on score prefer the earliest trigger token, then the longest
     normalized lexicon name, then the smallest drug id. Raising the
@@ -214,23 +219,32 @@ def detect_drug(
     # rank (-score, trigger, -len(norm_name), drug_id) is the tie rule above.
     best: tuple[tuple[float, int, int, str], LexiconEntry, int, int] | None = None
     n = len(tokens)
+    probed = []  # (trigger, window start, [(entry, window stop), ...]) per token probed
     for trigger in range(min(3, n)):
-        if best is not None and best[0][0] == -1.0:
-            break  # a later trigger can neither beat nor tie a full match
         start = sentence.starts[trigger]
+        windows = []
         for idx in _candidate_indices(lexicon, tokens[trigger]):
             entry = lexicon.entries[idx]
-            name = entry.norm_name
             stop = char_span(trigger, min(trigger + entry.n_tokens, n))[1]
-            la, lb = len(name), stop - start
-            floor = threshold if best is None else max(threshold, -best[0][0])
-            if 2.0 * min(la, lb) / (la + lb) < floor:
-                continue  # cannot reach the threshold or the best score
-            window = match_text[start:stop]
-            score = 1.0 if window == name else kernels.similarity(name, window)
-            rank = (-score, trigger, -la, entry.drug_id)
-            if best is None or rank < best[0]:
-                best = (rank, entry, start, stop)
+            windows.append((entry, stop))
+            if match_text[start:stop] == entry.norm_name:
+                rank = (-1.0, trigger, -len(entry.norm_name), entry.drug_id)
+                if best is None or rank < best[0]:
+                    best = (rank, entry, start, stop)
+        if best is not None:
+            break  # an equal window settles the line
+        probed.append((trigger, start, windows))
+    if best is None:
+        for trigger, start, windows in probed:
+            for entry, stop in windows:
+                name = entry.norm_name
+                la, lb = len(name), stop - start
+                floor = threshold if best is None else max(threshold, -best[0][0])
+                if 2.0 * min(la, lb) / (la + lb) < floor:
+                    continue  # cannot reach the threshold or the best score
+                rank = (-kernels.similarity(name, match_text[start:stop]), trigger, -la, entry.drug_id)
+                if best is None or rank < best[0]:
+                    best = (rank, entry, start, stop)
     if best is None or -best[0][0] < threshold:
         return None
     (neg_score, trigger, _, _), entry, start, stop = best

@@ -1,5 +1,6 @@
 import codecs
 import functools
+import math
 import random
 import re
 import string
@@ -23,9 +24,12 @@ from ordonnance.druglink import (
 )
 from ordonnance.errors import DuplicateId, EmptyLexicon, FileError
 from ordonnance.kernels import similarity
+from ordonnance.ocr import parse_ocr_document
+from ordonnance.pipeline import classify_lines
 from ordonnance.posology import extract_posology
-from ordonnance.textnorm import sentence_from_text, tokenize
+from ordonnance.textnorm import make_sentence, sentence_from_text, tokenize
 
+from conftest import DATA_DIR
 from test_kernels import _edit_distance, oracle_similarity, reference_similarity
 
 
@@ -167,6 +171,20 @@ def write_lexicon(tmp_path, rows, name="lex.csv"):
         lines.append(f"{rid},{rname}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def similarity_calls(monkeypatch):
+    """The (name, window) pairs ``kernels.similarity`` is called on through its module, as ``detect_drug`` calls it."""
+    calls = []
+    kernel = kernels.similarity
+
+    def counted(a, b):
+        calls.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(kernels, "similarity", counted)
+    return calls
 
 
 class TestSimilarityOp:
@@ -417,8 +435,8 @@ class TestDetectDrug:
         assert detect_drug(sentence_from_text("abx 100"), lex) is None
 
     def test_tie_prefers_longer_name(self, tmp_path):
-        # both candidates share the matched prefix; surface extends past the
-        # short name so both windows score below 1 but identically
+        # the line writes both names exactly from its first token, so both
+        # windows equal their names and the longer name wins the tie
         lex = build_lexicon(
             write_lexicon(tmp_path, [("B", "ZETA 10"), ("A", "ZETA 10 mg retard forte")])
         )
@@ -533,7 +551,8 @@ class TestSimilarityProperties:
 class TestAgainstUnprunedOracle:
     """Pruned detection returns exactly the mention of the unpruned loop."""
 
-    THRESHOLDS = (0.0, 0.5, 0.72, 0.9, 1.0)
+    # the last one is the least float above 1.0: no line links there, an equal window neither
+    THRESHOLDS = (0.0, 0.5, 0.72, 0.9, 1.0, math.nextafter(1.0, 2.0))
 
     def test_bundled_names_with_and_without_posology(self, lexicon):
         for entry in lexicon.entries:
@@ -593,12 +612,14 @@ class TestAgainstUnprunedOracle:
         assert (m.drug_id, m.score, m.trigger_token_index) == ("A", 1.0, 0)
         assert m == oracle_detect_drug(s, lex)
 
-    def test_partial_match_keeps_probing_later_triggers(self, tmp_path):
-        # the misspelt first token links A at 26/28 by one edit; only a full
-        # match settles a line, so the later "spasfon" still wins at 1.0
+    def test_partial_match_keeps_probing_later_triggers(self, tmp_path, similarity_calls):
+        # the misspelt first token would link A at 26/28 by one edit; only a
+        # full match settles a line, so the later "spasfon" still wins at 1.0,
+        # and as its window equals its name nothing is scored
         lex = build_lexicon(write_lexicon(tmp_path, [("A", "ALPHABETAGAMMA"), ("B", "SPASFON")]))
         s = sentence_from_text("alphabetagammx spasfon")
         m = detect_drug(s, lex)
+        assert similarity_calls == []
         assert (m.drug_id, m.score, m.trigger_token_index) == ("B", 1.0, 1)
         assert m == oracle_detect_drug(s, lex)
 
@@ -618,7 +639,7 @@ class TestAgainstUnprunedOracle:
 class TestAgainstEarlierLoop:
     """The one-record winner returns exactly the mention of the earlier three-variable loop."""
 
-    THRESHOLDS = (0.0, 0.72, 0.99, 1.0)
+    THRESHOLDS = (0.0, 0.72, 0.99, 1.0, math.nextafter(1.0, 2.0))
 
     @pytest.mark.parametrize("which, seed", [("lexicon", 61), ("big_lexicon", 62)])
     def test_noisy_lines_at_every_threshold(self, request, big_lexicon_path, which, seed):
@@ -645,3 +666,39 @@ class TestAgainstEarlierLoop:
         m = detect_drug(s, lex, 1.0)
         assert (m.drug_id, m.score, m.trigger_token_index, m.surface_text) == ("B", 1.0, 1, "spasfon")
         assert m == oracle_pruned_detect_drug(s, lex, 1.0) == oracle_detect_drug(s, lex, 1.0)
+
+
+class TestEqualWindowSettles:
+    """A line whose window equals a candidate's name links at 1.0 without a similarity call."""
+
+    def test_the_second_of_two_names_sharing_a_first_token(self, tmp_path, similarity_calls):
+        # the window scored against "doliprane 1000 mg" is 16/17 alike, above
+        # the threshold, so a loop in candidate order would score it first
+        lex = build_lexicon(write_lexicon(tmp_path, [("A", "DOLIPRANE 1000 mg"), ("B", "DOLIPRANE 500 mg")]))
+        s = sentence_from_text("DOLIPRANE 500 mg")
+        m = detect_drug(s, lex)
+        assert similarity_calls == []
+        assert (m.drug_id, m.score, m.trigger_token_index) == ("B", 1.0, 0)
+        assert m == oracle_detect_drug(s, lex)
+
+    def test_the_golden_fixture_links_every_drug_without_a_similarity_call(self, runtime, similarity_calls):
+        doc = parse_ocr_document((DATA_DIR / "ocr_fixture_7drugs.json").read_bytes())
+        mentions = {line.line_id: line.mention for line in classify_lines(doc, runtime) if line.mention is not None}
+        assert similarity_calls == []
+        assert [m.score for m in mentions.values()] == [1.0] * 7
+        for line in doc.lines:
+            if line.line_id in mentions:
+                sentence = make_sentence(line, runtime.stopwords)
+                assert mentions[line.line_id] == oracle_detect_drug(sentence, runtime.lexicon), line.line_id
+
+    def test_big_lexicon_names_written_exactly(self, big_lexicon, similarity_calls):
+        # a clean line on a lexicon of 9,396 names: 54 share each first token
+        by_id = {e.drug_id: e for e in big_lexicon.entries}
+        for entry in random.Random(40).sample(big_lexicon.entries, 150):
+            for text in (entry.name, entry.name + " 1 comprime le soir"):
+                s = sentence_from_text(text)
+                m = detect_drug(s, big_lexicon)
+                assert similarity_calls == [], text
+                assert (m.score, by_id[m.drug_id].norm_name) == (1.0, entry.norm_name), text
+                assert m == oracle_pruned_detect_drug(s, big_lexicon), text
+                similarity_calls.clear()  # the oracle calls the kernel
