@@ -11,6 +11,13 @@ A tie goes to the first of the drug lines in reading order.
 Distances are measured in units of the page's median line height, so the
 thresholds hold regardless of scan resolution or font size. A page with
 fewer than 3 lines uses ``_FALLBACK_MEDIAN_HEIGHT`` (0.02) instead.
+
+Each drug line's edges (top, bottom, left, right, height) are worked out
+once per page, and both gap limits once per page; every (posology line,
+drug line) pair is then a few float comparisons in one loop, which finds
+the aligned winner and the nearest drug line above together. The chain gap
+from a section's last posology line is measured by ``vertical_gap``, so a
+line out of reading order raises its ``OrderError``.
 """
 
 from __future__ import annotations
@@ -69,29 +76,6 @@ def vertical_gap(a: BoundingBox, b: BoundingBox) -> float:
     return max(0.0, b.top - (a.top + a.height))
 
 
-def horizontally_aligned(a: BoundingBox, b: BoundingBox, overlap_fraction: float) -> bool:
-    """True iff the vertical intervals overlap by at least the required fraction."""
-    overlap = min(a.bottom, b.bottom) - max(a.top, b.top)
-    return overlap >= overlap_fraction * min(a.height, b.height)
-
-
-def _horizontal_distance(a: BoundingBox, b: BoundingBox) -> float:
-    return max(0.0, b.left - a.right, a.left - b.right)
-
-
-def _horizontal_overlap(a: BoundingBox, b: BoundingBox) -> float:
-    return max(0.0, min(a.right, b.right) - max(a.left, b.left))
-
-
-class _Section:
-    __slots__ = ("line", "extractions", "last_bbox")
-
-    def __init__(self, line: ClassifiedLine):
-        self.line = line
-        self.extractions: list[PosologyExtraction] = []
-        self.last_bbox: BoundingBox | None = None  # last assigned posology line
-
-
 def link(doc_id: str, lines: list[ClassifiedLine], config: LinkConfig = LinkConfig()) -> PrescriptionRecord:
     """Assign posology extractions to drug mentions by page geometry.
 
@@ -105,68 +89,106 @@ def link(doc_id: str, lines: list[ClassifiedLine], config: LinkConfig = LinkConf
     record = PrescriptionRecord(doc_id=doc_id)
     for _, group in groupby(sorted(lines, key=reading_order_key), key=attrgetter("page")):
         page_lines = list(group)
-        heights = [ln.bbox.height for ln in page_lines]
-        median_h = statistics.median(heights) if len(heights) >= 3 else _FALLBACK_MEDIAN_HEIGHT
+        median_h = (
+            statistics.median([ln.bbox.height for ln in page_lines])
+            if len(page_lines) >= 3
+            else _FALLBACK_MEDIAN_HEIGHT
+        )
+        drug_limit = config.drug_gap_factor * median_h
+        chain_limit = config.section_gap_factor * median_h
 
-        sections: list[_Section] = []
+        # One entry per linked drug line, in reading order: its edges, the
+        # extractions landing under it, and the box of the last posology line
+        # assigned to it (None before the first).
+        edges: list[tuple[float, float, float, float, float]] = []
+        sections: list[list[PosologyExtraction]] = []
+        last: list[BoundingBox | None] = []
         for ln in page_lines:
             if ln.label == "DRUG":
                 if ln.mention is None:
                     record.unmatched_drug_lines.append(ln.line_id)
                 else:
-                    section = _Section(ln)
+                    box = ln.bbox
+                    edges.append((box.top, box.top + box.height, box.left, box.left + box.width, box.height))
+                    extractions = []
                     if ln.extraction is not None and ln.extraction.entities:
                         # combined drug+posology line: its remainder belongs to itself
-                        section.extractions.append(ln.extraction)
-                        section.last_bbox = ln.bbox
-                    sections.append(section)
-                    record.drugs.append((ln.mention, section.extractions))
+                        extractions.append(ln.extraction)
+                        last.append(ln.bbox)
+                    else:
+                        last.append(None)
+                    sections.append(extractions)
+                    record.drugs.append((ln.mention, extractions))
 
         for ln in page_lines:
             if ln.label != "POSOLOGY" or ln.extraction is None:
                 continue
-            target = _assign(ln, sections, median_h, config)
-            if target is None:
+            k = _assign(ln.bbox, edges, last, drug_limit, chain_limit, config.overlap_fraction)
+            if k is None:
                 record.orphans.append(ln.extraction)
             else:
-                target.extractions.append(ln.extraction)
-                target.last_bbox = ln.bbox
+                sections[k].append(ln.extraction)
+                last[k] = ln.bbox
     return record
 
 
 def _assign(
-    ln: ClassifiedLine,
-    sections: list[_Section],
-    median_h: float,
-    config: LinkConfig,
-) -> _Section | None:
-    # ``sections`` are in reading order and ``min`` keeps the first of equal
-    # keys, so a tie goes to the first drug line in reading order.
-    aligned = [
-        s for s in sections if horizontally_aligned(s.line.bbox, ln.bbox, config.overlap_fraction)
-    ]
-    if aligned:
-        return min(aligned, key=lambda s: _horizontal_distance(s.line.bbox, ln.bbox))
+    bbox: BoundingBox,
+    edges: list[tuple[float, float, float, float, float]],
+    last: list[BoundingBox | None],
+    drug_limit: float,
+    chain_limit: float,
+    overlap_fraction: float,
+) -> int | None:
+    """The index of the drug line a posology line of this box goes to, or None.
 
-    above = [s for s in sections if s.line.bbox.top <= ln.bbox.top]
-    if not above:
+    ``edges`` holds each drug line's (top, bottom, left, right, height) in
+    reading order, and ``last`` the box of the last posology line assigned
+    to it. A drug line is aligned when the vertical intervals overlap by at
+    least ``overlap_fraction`` of the smaller of the two heights; the aligned
+    one horizontally nearest wins. With none aligned, the nearest drug line
+    above (least vertical gap, then most horizontal overlap) wins if the gap
+    to it, or to its last posology line, is within its limit. A tie keeps
+    the first drug line in reading order.
+    """
+    top = bbox.top
+    height = bbox.height
+    bottom = top + height
+    left = bbox.left
+    right = left + bbox.width
+    aligned = None
+    aligned_distance = 0.0
+    nearest = None
+    nearest_gap = 0.0
+    # min and max written out: this loop runs for every (posology, drug) pair
+    for k, (d_top, d_bottom, d_left, d_right, d_height) in enumerate(edges):
+        overlap = (bottom if bottom < d_bottom else d_bottom) - (top if top > d_top else d_top)
+        if overlap >= overlap_fraction * (height if height < d_height else d_height):
+            distance = max(0.0, left - d_right, d_left - right)
+            if aligned is None or distance < aligned_distance:
+                aligned, aligned_distance = k, distance
+        elif aligned is None and d_top <= top:
+            gap = top - d_bottom
+            if gap < 0.0:
+                gap = 0.0
+            if nearest is None or gap < nearest_gap:
+                nearest, nearest_gap = k, gap
+            elif gap == nearest_gap:  # the one overlapping the posology line more horizontally
+                if _overlap_width(edges[k], left, right) > _overlap_width(edges[nearest], left, right):
+                    nearest = k
+    if aligned is not None:
+        return aligned
+    if nearest is None:
         return None
-    nearest = min(
-        above,
-        key=lambda s: (
-            vertical_gap(s.line.bbox, ln.bbox),
-            -_horizontal_overlap(s.line.bbox, ln.bbox),
-        ),
-    )
-    if nearest.last_bbox is None:
-        gap = vertical_gap(nearest.line.bbox, ln.bbox)
-        limit = config.drug_gap_factor * median_h
-    else:
-        gap = vertical_gap(nearest.last_bbox, ln.bbox)
-        limit = config.section_gap_factor * median_h
-    if gap <= limit:
-        return nearest
-    return None
+    chained = last[nearest]
+    if chained is None:
+        return nearest if nearest_gap <= drug_limit else None
+    return nearest if vertical_gap(chained, bbox) <= chain_limit else None
+
+
+def _overlap_width(edge: tuple[float, float, float, float, float], left: float, right: float) -> float:
+    """How far a drug line's horizontal interval overlaps [left, right]; 0 when they are apart."""
+    return max(0.0, min(edge[3], right) - max(edge[2], left))
 
 
 def record_to_dict(record: PrescriptionRecord) -> dict:

@@ -34,6 +34,10 @@ of the state's tests once on the text, interns the children of those that
 hold and stores the transition; a warm walk follows one transition per token
 and makes no test. A pattern keeps its longest match per start.
 
+The matches are then resolved per label over plain tuples whose natural
+order is the order of preference (longest, then earliest, then smallest
+pattern id); a ``MatchSpan`` is built only for each match kept, once.
+
 The cache belongs to the PatternSet and grows as new token texts arrive.
 As in RE2 it is bounded: once MAX_TRANSITIONS transitions are stored, the
 next miss flushes it whole and the walk goes on from the states it holds.
@@ -314,11 +318,19 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
 
     Overlapping spans of the same label keep only the longest (ties: the
     earliest start, then the lexically smallest pattern id). Spans of
-    different labels may overlap freely.
+    different labels may overlap freely. The spans come back sorted by start
+    token, then end token, label and pattern id.
+
+    Each match is a plain tuple ``(start - end, start, pattern id, end,
+    label)``, so its natural order is the order of preference; no two
+    matches share a pattern id and a start, so the order never reaches
+    their ends. A match is kept when it overlaps no kept span of its label,
+    and a ``MatchSpan`` is built only for each kept match, once the kept
+    ones are in output order.
     """
     texts = sentence.tokens
     n = len(texts)
-    found: list[tuple[int, int, TokenPattern]] = []
+    found: list[tuple[int, int, str, int, str]] = []
     last: dict[str, int] = {}  # pattern id -> index in found of its last match
     for pos in range(n):
         state = patterns._start  # its nodes are those that tokens[pos:end] lead to
@@ -331,22 +343,29 @@ def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:
             if state is None:
                 break
             for pattern in state.accepts:
-                i = last.get(pattern.pattern_id)
-                if i is None or found[i][1] <= pos:  # its first match, or one resumed after the last
-                    last[pattern.pattern_id] = len(found)
-                    found.append((pos, end, pattern))
-                elif found[i][0] == pos:  # a longer match from the same start
-                    found[i] = (pos, end, pattern)
-    found.sort(key=lambda c: (c[0] - c[1], c[0], c[2].pattern_id))
-    taken = {label: bytearray(n) for label in LABELS}
-    kept: list[MatchSpan] = []
-    for start, end, pattern in found:
-        used = taken[pattern.label]
-        if any(used[start:end]):
-            continue
-        used[start:end] = b"\x01" * (end - start)
-        lo, hi = sentence.char_span(start, end)
-        text = sentence.match_text[lo:hi]
-        kept.append(MatchSpan(pattern.pattern_id, pattern.label, start, end, text, lo, hi))
-    kept.sort(key=lambda s: (s.start_token, s.end_token, s.label, s.pattern_id))
-    return kept
+                pid = pattern.pattern_id
+                i = last.get(pid)
+                if i is None or found[i][3] <= pos:  # its first match, or one resumed after the last
+                    last[pid] = len(found)
+                    found.append((pos - end, pos, pid, end, pattern.label))
+                elif found[i][1] == pos:  # a longer match from the same start
+                    found[i] = (pos - end, pos, pid, end, pattern.label)
+    if not found:
+        return []
+    found.sort()
+    kept: list[tuple[int, int, str, str]] = []
+    for _, start, pid, end, label in found:
+        for s, e, kept_label, _ in kept:
+            if s < end and start < e and kept_label == label:
+                break
+        else:
+            kept.append((start, end, label, pid))
+    kept.sort()
+    starts = sentence.starts
+    match_text = sentence.match_text
+    spans = []
+    for start, end, label, pid in kept:
+        lo = starts[start]
+        hi = starts[end - 1] + len(texts[end - 1])
+        spans.append(MatchSpan(pid, label, start, end, match_text[lo:hi], lo, hi))
+    return spans

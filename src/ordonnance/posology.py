@@ -4,6 +4,8 @@ Runs the pattern set over a sentence classified as posology (or over the
 remainder of a combined drug+posology line) and keeps the surviving match
 spans as its entities: each is a ``patterns.MatchSpan``, whose label is the
 entity's kind and whose pattern id names the pattern that found it.
+The residual text is read off the spans in one pass, as they come sorted
+by start token.
 """
 
 from __future__ import annotations
@@ -27,8 +29,14 @@ def extract_posology(sentence: Sentence, patterns: PatternSet) -> PosologyExtrac
     tokens not covered by any entity's token range, preserving order.
     """
     spans = tuple(find_all(patterns, sentence))
-    covered = set()
+    tokens = sentence.tokens
+    # the spans are sorted by start, so the tokens between the furthest end
+    # so far and the next start are covered by none of them
+    residual: list[str] = []
+    covered_to = 0
     for s in spans:
-        covered.update(range(s.start_token, s.end_token))
-    residual = " ".join(t for i, t in enumerate(sentence.tokens) if i not in covered)
-    return PosologyExtraction(sentence.line_id, spans, residual)
+        residual += tokens[covered_to : s.start_token]
+        if s.end_token > covered_to:
+            covered_to = s.end_token
+    residual += tokens[covered_to:]
+    return PosologyExtraction(sentence.line_id, spans, " ".join(residual))

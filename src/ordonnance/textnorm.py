@@ -18,7 +18,8 @@ and refused unless it is then one token (`is_one_token`).
 
 Both functions make one pass with compiled patterns. Accent stripping and
 lowercasing map each character on its own, so an ASCII line is just
-``raw.lower()`` and only non-ASCII characters are folded one at a time.
+``raw.lower()`` and only non-ASCII characters are folded one at a time,
+through a bounded cache of each character's fold.
 Regex ``\\s`` equals ``str.isspace()`` at every code point, so whitespace
 splits the same way in both functions. The tests keep the earlier
 four-pass normalizer and chunk tokenizer as oracles.
@@ -34,6 +35,7 @@ built positionally (see the package docstring).
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 import unicodedata
@@ -93,8 +95,15 @@ class NormalizedText(NamedTuple):
     origins: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=4096)
 def _fold_char(ch: str) -> str:
-    """Accent stripping (NFD, combining marks dropped), then lowercasing, of one character."""
+    """Accent stripping (NFD, combining marks dropped), then lowercasing, of one character.
+
+    A pure function of the character, so it is cached: a text draws on few
+    non-ASCII characters, and a cached one costs a dict lookup, not an NFD
+    decomposition. The bound keeps a text of many distinct characters from
+    growing the cache without end.
+    """
     return "".join(
         piece.lower() for piece in unicodedata.normalize("NFD", ch) if not unicodedata.combining(piece)
     )

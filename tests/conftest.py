@@ -63,6 +63,12 @@ def combined_gold(n: int, seed: int, noise: float) -> list[AnnotatedSentence]:
     return lines
 
 
+def posology_line_texts(seed: int) -> list[str]:
+    """The digest's posology-lines pool: 1,500 posology and 500 boilerplate lines, clean, then at noise 0.1."""
+    lines = generate(CorpusSpec(0, 1500, 500, seed=seed, lexicon_path=default_lexicon_path()))
+    return [s.text for s in lines] + [noisify(s, 0.1, seed * 1_000_003 + i).text for i, s in enumerate(lines)]
+
+
 def avx512_dispatch_names() -> list[str]:
     """numpy's AVX-512 dispatch targets that this CPU has; also run from CI.
 

@@ -36,14 +36,14 @@ import sys
 import pytest
 
 from ordonnance.classify import CLASS_LABELS, LineBatch, predict
-from ordonnance.corpus import CorpusSpec, generate, noisify
+from ordonnance.corpus import CorpusSpec, generate
 from ordonnance.druglink import default_lexicon_path
 from ordonnance.errors import OrdonnanceError
 from ordonnance.pipeline import annotate_text
 from ordonnance.posology import extract_posology
 from ordonnance.textnorm import sentence_from_text
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, posology_line_texts
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -108,11 +108,8 @@ def _combined_outputs(runtime) -> list[bytes]:
 
 def _posology_outputs(runtime) -> list[bytes]:
     """Entities and residual text of each line, clean, then noised as ``gen-corpus --noise 0.1`` noises it."""
-    seed = DIGEST["seed"]
-    lines = generate(CorpusSpec(0, 1500, 500, seed=seed, lexicon_path=default_lexicon_path()))
-    texts = [s.text for s in lines] + [noisify(s, 0.1, seed * 1_000_003 + i).text for i, s in enumerate(lines)]
     outputs = []
-    for text in texts:
+    for text in posology_line_texts(DIGEST["seed"]):
         extraction = extract_posology(sentence_from_text(text, runtime.stopwords), runtime.patterns)
         entities = [[e.label, e.char_start, e.char_end, e.text] for e in extraction.entities]
         outputs.append((json.dumps([entities, extraction.residual_text]) + "\n").encode("utf-8"))

@@ -24,6 +24,7 @@ from ordonnance.patterns import (
     match_token,
     parse_patterns,
 )
+from ordonnance.posology import extract_posology
 from ordonnance.textnorm import Sentence, sentence_from_text, tokenize
 
 
@@ -600,6 +601,16 @@ class TestMatcherProperty:
         pats = parse_patterns(data)
         s = raw_sent(" ".join(words))
         assert compiled_find_all(pats, s) == brute_force_find_all(pats, s)
+
+    @given(DRAWN_PATTERN_SETS, DRAWN_WORDS)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_residual_is_the_tokens_outside_every_entity(self, data, words):
+        pats = parse_patterns(data)
+        s = raw_sent(" ".join(words))
+        ext = extract_posology(s, pats)
+        assert ext.entities == tuple(find_all(pats, s))
+        covered = {i for e in ext.entities for i in range(e.start_token, e.end_token)}
+        assert ext.residual_text == " ".join(t for i, t in enumerate(s.tokens) if i not in covered)
 
 
 class TestFindAll:

@@ -5,10 +5,12 @@ import pytest
 from ordonnance.druglink import detect_drug, split_combined_line
 from ordonnance.linking import record_to_dict
 from ordonnance.ocr import parse_ocr_document
-from ordonnance.patterns import LABELS
+from ordonnance.patterns import LABELS, PatternSet, find_all
 from ordonnance.pipeline import extract_document
 from ordonnance.posology import extract_posology
 from ordonnance.textnorm import sentence_from_text
+
+from conftest import posology_line_texts
 
 
 def test_full_sentence_example(patterns):
@@ -159,3 +161,46 @@ def test_a_record_names_an_entity_kind_by_its_label(runtime):
         {"kind": e.label, "text": e.text, "start": e.char_start, "end": e.char_end} for e in extraction.entities
     ]
     assert [e["kind"] for e in posology["entities"]] == ["DOSE", "FREQUENCY"]
+
+
+def reference_resolution(matches) -> list[tuple[str, str, int, int]]:
+    """The earlier per-label resolution over (start, end, pattern) matches: (pattern id, label, start, end) kept.
+
+    Candidates are sorted longest first, then by start, then by pattern id,
+    and each is kept unless a token of its range is already taken by its
+    label; the kept ones come back by start, end, label and pattern id.
+    """
+    taken: dict[str, set[int]] = {label: set() for label in LABELS}
+    kept = []
+    for start, end, p in sorted(matches, key=lambda m: (m[0] - m[1], m[0], m[2].pattern_id)):
+        if taken[p.label].isdisjoint(range(start, end)):
+            taken[p.label].update(range(start, end))
+            kept.append((p.pattern_id, p.label, start, end))
+    return sorted(kept, key=lambda k: (k[2], k[3], k[1], k[0]))
+
+
+def residual_of(sentence, entities) -> str:
+    """The tokens outside every entity's token range, in order."""
+    covered = {i for e in entities for i in range(e.start_token, e.end_token)}
+    return " ".join(t for i, t in enumerate(sentence.tokens) if i not in covered)
+
+
+def test_entities_are_the_per_label_resolution_of_every_patterns_own_matches(patterns):
+    """On the digest's posology-lines pool: pattern ids included, which the digest leaves out.
+
+    Each pattern's own matches come from a set of that pattern alone, so no
+    other pattern can hide one; the shipped set's entities must be the
+    reference resolution of their union, and ``find_all``'s spans.
+    """
+    singles = [(p, PatternSet((p,))) for p in patterns.patterns]
+    resolved = 0  # lines on which some same-label overlap was resolved
+    for text in posology_line_texts(11):
+        s = sentence_from_text(text)
+        ext = extract_posology(s, patterns)
+        assert ext.entities == tuple(find_all(patterns, s)), text
+        matches = [(sp.start_token, sp.end_token, p) for p, single in singles for sp in find_all(single, s)]
+        got = [(e.pattern_id, e.label, e.start_token, e.end_token) for e in ext.entities]
+        assert got == reference_resolution(matches), text
+        assert ext.residual_text == residual_of(s, ext.entities), text
+        resolved += len(got) < len(matches)
+    assert resolved >= 1000, resolved

@@ -23,6 +23,7 @@ from ordonnance.errors import FileError
 from ordonnance.ocr import BoundingBox, OcrLine
 from ordonnance.textnorm import (
     NormalizedText,
+    _fold_char,
     is_one_token,
     load_stopwords,
     make_sentence,
@@ -209,7 +210,7 @@ class TestAgainstOracles:
             assert_same_as_oracle(text.upper())
 
     @given(TRICKY)
-    @settings(max_examples=500)
+    @settings(max_examples=500, derandomize=True)
     def test_tricky_alphabet(self, s):
         assert_same_as_oracle(s)
 
@@ -315,6 +316,15 @@ class TestReadWordList:
         assert not is_one_token("par jour") and not is_one_token("")
 
 
+def test_the_cached_accent_fold_equals_the_fold_and_is_bounded():
+    # every Latin, Greek and Cyrillic code point, twice: the second pass reads the cache
+    assert _fold_char.cache_info().maxsize == 4096
+    chars = [chr(code) for code in range(0x80, 0x530)]
+    for _ in range(2):
+        assert [_fold_char(ch) for ch in chars] == [_fold_char.__wrapped__(ch) for ch in chars]
+    assert _fold_char.cache_info().hits >= len(chars)
+
+
 class TestUnifyNumbers:
     """Number unification, the last step of normalize_text."""
 
@@ -415,7 +425,7 @@ class TestTokenize:
                 assert triples(s) == oracle_tokenize(s), s
 
     @given(FRENCH)
-    @settings(max_examples=200)
+    @settings(max_examples=200, derandomize=True)
     def test_stable_under_rejoin(self, s):
         tokens, _ = tokenize(normalize_text(s).text)
         again, _ = tokenize(" ".join(tokens))
