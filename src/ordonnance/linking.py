@@ -56,7 +56,7 @@ class ClassifiedLine(NamedTuple):
     line_id: str
     page: int
     bbox: BoundingBox
-    label: str  # DRUG / POSOLOGY / USELESS
+    label: str  # DRUG / POSOLOGY / USELESS / EQUIVALENT (a substitute drug line, neither attached nor listed)
     mention: DrugMention | None = None
     extraction: PosologyExtraction | None = None  # posology line, or combined-line remainder
 

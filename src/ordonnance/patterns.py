@@ -1,16 +1,17 @@
 """Declarative token-pattern matcher.
 
-A pattern is an ordered list of per-token constraint specs, each taking one
-token ("1", the default) or an optional one ("?"). Matching scans a sentence
-left to right; at each start position it finds the longest token span that
-satisfies the whole spec sequence. Matches of one pattern never overlap;
-scanning resumes right after each match.
+A pattern is an ordered list of per-token specs, each a regex that a
+token's whole text must match, taking one token ("1", the default) or an
+optional one ("?"). Matching scans a sentence left to right; at each start
+position it finds the longest token span that satisfies the whole spec
+sequence. Matches of one pattern never overlap; scanning resumes right
+after each match.
 
 A PatternSet is compiled once, when it is built. Its specs are deduplicated
-on their word list and regex (the quantifier is not part of a spec's
-identity; the shipped set's 235 spec instances are 104 distinct specs). Each
-distinct spec gets one test on a token's text: ``match_token`` (the one
-definition of a spec holding) bound to the spec.
+on their compiled regex, which compares and hashes by value (the quantifier
+is not part of a spec's identity; the shipped set's 235 spec instances are
+104 distinct regexes). Each distinct regex's own ``fullmatch`` is the one
+test on a token's text of every spec that holds it.
 
 Every pattern compiles to its own chain NFA, built backwards from its
 accept: one node per spec, the one its token leads to, with (test, next
@@ -53,31 +54,29 @@ the build makes grow with the square of the run's length.
 Pattern file format (JSON list)::
 
     [{"id": str, "label": "DOSE"|"FREQUENCY"|"DURATION"|"COMMENT",
-      "specs": [{"lower": str|[str], "regex": str, "op": "1"|"?"}]}]
+      "specs": [{"regex": str, "op": "1"|"?"}]}]
 
-All spec fields are optional; "op" defaults to "1". A spec tests a token's
-text against "regex", anchored (full-token match), and against "lower", a
-word list; a spec with both holds when both do. A number is a regex, such as
-"[0-9]+". A "lower" word is compared with the normalized token text, its own
-lower case, so it must be one token of normalized text (no accent, no
-capital, no space); any other word is refused, as it could never match.
-A pattern or spec with any other field is refused too.
+Every spec has a "regex"; "op" defaults to "1". A spec holds for a token
+whose whole text its regex matches (``fullmatch``), so "cp|cps" holds for
+"cps" but not for "cpx". Token text is normalized, so a letter that a regex
+names must be lower-case and unaccented to match. A number is a regex, such as
+"[0-9]+". A token holds no whitespace, so ".*" holds for any token; an
+optional token of any text is {"regex": ".*", "op": "?"}. A pattern or spec
+with any other field is refused.
 
 Write one pattern per phrase shape, with the alternatives at one position
-in one spec: a word list, or a regex joining them (words escaped) with a
-top-level "|". A regex must match the whole token, so "cp|cps" holds for
-"cps" but not for "cpx".
+in one spec: a regex joining them (words escaped) with a top-level "|", such
+as "un|une".
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from types import MethodType
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import PatternError, decode_json
-from .textnorm import Sentence, is_one_token, normalize_text
+from .textnorm import Sentence
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 
@@ -93,8 +92,9 @@ MAX_TRANSITIONS = 10_000
 
 @dataclass(frozen=True)
 class TokenSpec:
-    lower: frozenset[str] | None = None
-    regex: "re.Pattern[str] | None" = None
+    """One token of a pattern: its compiled regex, which must match the token's whole text, and its quantifier."""
+
+    regex: "re.Pattern[str]"
     op: str = "1"
 
 
@@ -150,7 +150,7 @@ class _State:
         self.accepts = tuple(p for node in nodes for p in node.accepts)
         # Nodes of different patterns share tests, a run of "?" specs repeats
         # its tests in every folded closure, and two nodes may share a child.
-        moves: dict[Callable[[str], bool], dict[_Node, None]] = {}
+        moves: dict[Callable[[str], object], dict[_Node, None]] = {}
         for node in nodes:
             for test, child in node.edges:
                 moves.setdefault(test, {})[child] = None
@@ -161,9 +161,10 @@ class _State:
 class PatternSet:
     """Immutable collection of patterns, compiled once.
 
-    ``specs`` holds each distinct spec once (the quantifier is not part of a
-    spec's identity), and ``tests`` its test, ``match_token`` bound to it.
-    ``root`` is the NFA's start node: its edges enter every pattern's chain.
+    ``tests`` holds each distinct regex's ``fullmatch`` once, in the order
+    the build first meets them: the test of every spec holding that regex,
+    whatever its quantifier. ``root`` is the NFA's start node: its edges
+    enter every pattern's chain.
 
     The set also owns its DFA cache (``_start``, the start state, and
     ``_states``, the intern table of states by their nodes), so two sets
@@ -183,27 +184,19 @@ class PatternSet:
             if len(p.specs) > MAX_SPECS:
                 raise PatternError(f"pattern {p.pattern_id!r} has {len(p.specs)} specs, more than {MAX_SPECS}")
 
-        ids: dict[tuple, int] = {}
-        specs: list[TokenSpec] = []
-        tests: list[Callable[[str], bool]] = []
+        tests: dict[re.Pattern[str], Callable[[str], object]] = {}
         entries: list = []  # each chain's entry edges
         for p in self.patterns:
             edges, accepts = (), (p,)  # what may follow the specs chained so far
             for spec in reversed(p.specs):
-                key = (spec.lower, spec.regex)
-                sid = ids.get(key)
-                if sid is None:
-                    sid = ids[key] = len(specs)
-                    specs.append(spec)
-                    tests.append(MethodType(match_token, spec))
-                edge = (tests[sid], _Node(edges, accepts))  # the spec's token, then what follows
+                test = tests.setdefault(spec.regex, spec.regex.fullmatch)
+                edge = (test, _Node(edges, accepts))  # the spec's token, then what follows
                 if spec.op == "?":
                     edges = (edge,) + edges  # or straight on to what follows
                 else:
                     edges, accepts = (edge,), ()
             entries.extend(edges)  # a zero-length accept is left out
-        self.specs: tuple[TokenSpec, ...] = tuple(specs)
-        self.tests: tuple[Callable[[str], bool], ...] = tuple(tests)
+        self.tests: tuple[Callable[[str], object], ...] = tuple(tests.values())
         self.root = _Node(tuple(entries), ())
         self._flush()
 
@@ -233,47 +226,25 @@ class PatternSet:
         return nxt
 
 
-def _is_token_lower(word: str) -> bool:
-    """True iff some token's text can equal ``word``: it is normalized and one whole token."""
-    return normalize_text(word).text == word and is_one_token(word)
-
-
 def _parse_spec(obj: dict, where: str) -> TokenSpec:
     if not isinstance(obj, dict):
         raise PatternError(f"{where}: spec must be an object")
-    unknown = set(obj) - {"lower", "regex", "op"}
+    unknown = set(obj) - {"regex", "op"}
     if unknown:
         raise PatternError(f"{where}: unknown spec fields {sorted(unknown)}")
 
-    lower = obj.get("lower")
-    if lower is not None:
-        if isinstance(lower, str):
-            lower = frozenset((lower,))
-        elif isinstance(lower, list) and lower and all(isinstance(x, str) for x in lower):
-            lower = frozenset(lower)
-        else:
-            raise PatternError(f"{where}.lower: expected string or non-empty string list")
-        for word in sorted(lower):
-            if not _is_token_lower(word):
-                raise PatternError(f"{where}.lower: {word!r} is not one normalized token, so it never matches")
-
     regex = obj.get("regex")
-    if regex is not None:
-        if not isinstance(regex, str):
-            raise PatternError(f"{where}.regex: expected string")
-        try:
-            regex = re.compile(regex)
-        except re.error as exc:
-            raise PatternError(f"{where}.regex: {exc}") from exc
+    if not isinstance(regex, str):
+        raise PatternError(f"{where}.regex: expected string")
+    try:
+        regex = re.compile(regex)
+    except re.error as exc:
+        raise PatternError(f"{where}.regex: {exc}") from exc
 
     op = obj.get("op", "1")
     if op not in ("1", "?"):
         raise PatternError(f"{where}.op: {op!r} not one of 1 ?")
-
-    if op == "1" and lower is None and regex is None:
-        # an unconstrained single token is almost always an authoring mistake
-        raise PatternError(f"{where}: an unconstrained spec must be '?'")
-    return TokenSpec(lower=lower, regex=regex, op=op)
+    return TokenSpec(regex=regex, op=op)
 
 
 def parse_patterns(data) -> PatternSet:
@@ -304,13 +275,6 @@ def parse_patterns(data) -> PatternSet:
 def load_patterns(path) -> PatternSet:
     with open(path, "rb") as fh:
         return parse_patterns(decode_json(fh.read(), path, PatternError))
-
-
-def match_token(spec: TokenSpec, text: str) -> bool:
-    """True iff every constraint present on the spec holds for a token of this text."""
-    if spec.lower is not None and text not in spec.lower:
-        return False
-    return spec.regex is None or spec.regex.fullmatch(text) is not None
 
 
 def find_all(patterns: PatternSet, sentence: Sentence) -> list[MatchSpan]:

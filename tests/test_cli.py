@@ -83,10 +83,12 @@ def test_patterns_file_with_an_over_long_pattern_is_a_schema_error(run, tmp_path
 
 @pytest.mark.parametrize("data, message", [
     ([], "a pattern set holds no patterns"),
-    ([{"id": "xs", "label": "DOSE", "specs": [{"lower": "x", "op": "+"}]}], "patterns[0].specs[0].op: '+' not one of 1 ?"),
-    ([{"id": "xs", "label": "DOSE", "specs": [{"lower": "x", "op": "*"}]}], "patterns[0].specs[0].op: '*' not one of 1 ?"),
-    ([{"id": "xs", "label": "DOSE", "lable": "DOSE", "specs": [{"lower": "x"}]}], "patterns[0]: unknown pattern fields ['lable']"),
-], ids=["no-patterns", "plus-op", "star-op", "unknown-pattern-field"])
+    ([{"id": "xs", "label": "DOSE", "specs": [{"regex": "x", "op": "+"}]}], "patterns[0].specs[0].op: '+' not one of 1 ?"),
+    ([{"id": "xs", "label": "DOSE", "specs": [{"regex": "x", "op": "*"}]}], "patterns[0].specs[0].op: '*' not one of 1 ?"),
+    ([{"id": "xs", "label": "DOSE", "lable": "DOSE", "specs": [{"regex": "x"}]}], "patterns[0]: unknown pattern fields ['lable']"),
+    ([{"id": "xs", "label": "DOSE", "specs": [{"lower": ["un", "une"]}]}], "patterns[0].specs[0]: unknown spec fields ['lower']"),
+    ([{"id": "xs", "label": "DOSE", "specs": [{"op": "?"}]}], "patterns[0].specs[0].regex: expected string"),
+], ids=["no-patterns", "plus-op", "star-op", "unknown-pattern-field", "word-list", "no-regex"])
 def test_patterns_file_refused_by_the_set_is_a_schema_error(run, tmp_path, data, message):
     bad = tmp_path / "patterns.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
@@ -254,10 +256,6 @@ def _latin1(path, text):
     return str(path)
 
 
-def _one_lower_pattern(word):
-    return json.dumps([{"id": "p1", "label": "FREQUENCY", "specs": [{"lower": word}]}], ensure_ascii=False)
-
-
 def _fixture_with_line_box(path, field, value):
     data = json.loads(FIXTURE.read_text(encoding="utf-8"))
     data["lines"][0]["bbox"][field] = value
@@ -301,14 +299,6 @@ ERROR_CASES = [
         3, "model", None, "No such file or directory", id="train-model-in-missing-dir",
     ),
     pytest.param(lambda m, d: _extract(m, "--patterns", ""), 3, "patterns", None, None, id="patterns-flag-empty"),
-    pytest.param(
-        lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _one_lower_pattern("Matin"))),
-        2, "patterns", None, None, id="patterns-lower-word-with-a-capital",
-    ),
-    pytest.param(
-        lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", _one_lower_pattern("après"))),
-        2, "patterns", None, None, id="patterns-lower-word-with-an-accent",
-    ),
     pytest.param(
         lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_line_box(d / "nan.json", "top", float("nan"))],
         2, "GeometryError", None, None, id="line-box-top-nan",
@@ -784,7 +774,7 @@ def test_a_flag_given_is_the_file_read(model_file, tmp_path, monkeypatch, comman
 _LATIN1_FILES = {
     "model": '{"magic": "ordonnance-classifier-2", "labels": ["é"]}\n',
     "lexicon": "id,name\nA1,Paracétamol\n",
-    "patterns": _one_lower_pattern("après"),
+    "patterns": json.dumps([{"id": "p1", "label": "FREQUENCY", "specs": [{"regex": "après"}]}], ensure_ascii=False),
 }
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordonnance.corpus import CorpusSpec, generate, noisify
@@ -21,7 +21,6 @@ from ordonnance.patterns import (
     TokenPattern,
     TokenSpec,
     find_all,
-    match_token,
     parse_patterns,
 )
 from ordonnance.posology import extract_posology
@@ -52,48 +51,62 @@ def pattern(pid, label, *specs):
     return parse_patterns([{"id": pid, "label": label, "specs": [dict(s) for s in specs]}]).patterns[0]
 
 
-class TestMatchToken:
-    """``match_token`` on a token's text."""
+def holds(spec: TokenSpec, text: str) -> bool:
+    """The definition of a spec holding for a token: its regex matches the whole text."""
+    return spec.regex.fullmatch(text) is not None
+
+
+class TestSpecHolds:
+    """A spec's regex on a token's text."""
 
     def tok(self, text):
         return sent(text).tokens[0]
 
-    def test_lower_set_membership(self):
-        p = pattern("x", "DOSE", {"lower": ["cp", "comprime"]})
-        assert match_token(p.specs[0], self.tok("cp"))
-        assert not match_token(p.specs[0], self.tok("gelule"))
-
-    def test_constraints_are_conjunctive(self):
-        # a spec with a regex and a word list holds where both do
-        p = pattern("x", "DOSE", {"regex": "[a-z]+", "lower": ["cp", "12"]})
-        assert match_token(p.specs[0], self.tok("cp"))
-        assert not match_token(p.specs[0], self.tok("12"))  # a listed word the regex refuses
-        assert not match_token(p.specs[0], self.tok("mg"))  # the regex holds, the word is not listed
+    def test_word_alternation(self):
+        p = pattern("x", "DOSE", {"regex": "cp|comprime"})
+        assert holds(p.specs[0], self.tok("cp"))
+        assert not holds(p.specs[0], self.tok("gelule"))
 
     def test_regex_is_anchored_to_the_whole_token(self):
         p = pattern("x", "DOSE", {"regex": "[0-9]+"})
-        assert match_token(p.specs[0], self.tok("15"))
+        assert holds(p.specs[0], self.tok("15"))
         for text in ("1.5", "a1", "15mg"):
-            assert not match_token(p.specs[0], self.tok(text)), text
+            assert not holds(p.specs[0], self.tok(text)), text
 
     def test_a_number_is_a_regex(self):
         # the decimal and fraction shapes a number token takes, and ASCII digits only
         p = pattern("x", "DOSE", NUMBER)
         for text in ("15", "1.5", "1/2"):
-            assert match_token(p.specs[0], self.tok(text)), text
+            assert holds(p.specs[0], self.tok(text)), text
         for text in ("matin", "\u0663", "\uff11", "12/04/2021"):
-            assert not match_token(p.specs[0], text), text
+            assert not holds(p.specs[0], text), text
 
-    def test_lower_words_are_compared_with_the_text(self):
-        # normalized text is its own lower case, so a lower word equals the token text
-        p = pattern("x", "DOSE", {"lower": ["cp"]})
-        assert match_token(p.specs[0], self.tok("CP"))
-        assert not match_token(p.specs[0], "CP")
+    def test_a_regex_is_compared_with_the_normalized_text(self):
+        # normalized text is its own lower case, so a lower-case regex holds for a capitalized word
+        p = pattern("x", "DOSE", {"regex": "cp"})
+        assert holds(p.specs[0], self.tok("CP"))
+        assert not holds(p.specs[0], "CP")
+
+    @pytest.mark.parametrize("words", [["un", "une"], ["1.5", "1/2"], [","]], ids=["prefix", "escaped", "punctuation"])
+    def test_a_word_list_is_an_escaped_alternation(self, words):
+        # fullmatch tries each alternative, so "un|une" holds for "une" as well;
+        # escaped, "1\.5" holds for "1.5" but not for "125"
+        p = pattern("x", "DOSE", {"regex": "|".join(map(re.escape, words))})
+        near = ["u", "unee", "une,", "125", "1x5", "1/25", ";", ",,"]
+        assert [w for w in words + near if holds(p.specs[0], w)] == words
+
+    @given(st.text())
+    @example("1 cp\nmatin\r\n\x85soir\u2028midi")
+    @settings(max_examples=200, derandomize=True)
+    def test_the_wildcard_holds_for_every_token(self, text):
+        # a token holds no whitespace, so ".*" (any character but a newline) matches it whole
+        p = pattern("x", "DOSE", {"regex": ".*"})
+        assert all(holds(p.specs[0], t) for t in tokenize(text)[0])
 
 
 class TestFindMatches:
     def test_simple_sequence(self):
-        p = pattern("x", "DOSE", NUMBER, {"lower": ["cp"]})
+        p = pattern("x", "DOSE", NUMBER, {"regex": "cp"})
         spans = find_all(PatternSet((p,)), sent("prendre 1 cp matin"))
         assert len(spans) == 1
         assert spans[0].text == "1 cp"
@@ -103,7 +116,7 @@ class TestFindMatches:
         p = pattern(
             "x",
             "DURATION",
-            {"lower": ["pendant"]},
+            {"regex": "pendant"},
             NUMBER,
             {"regex": "jours?|semaines?|mois"},
         )
@@ -113,12 +126,12 @@ class TestFindMatches:
         assert spans[0].text == "pendant 10 jours"
 
     def test_matches_do_not_overlap_and_resume_after_end(self):
-        p = pattern("x", "DOSE", NUMBER, {"lower": ["cp"]})
+        p = pattern("x", "DOSE", NUMBER, {"regex": "cp"})
         spans = find_all(PatternSet((p,)), sent("1 cp puis 2 cp"))
         assert [sp.text for sp in spans] == ["1 cp", "2 cp"]
 
     def test_optional_spec(self):
-        p = pattern("x", "FREQUENCY", {"lower": ["matin"]}, {"lower": [","], "op": "?"}, {"lower": ["midi"]})
+        p = pattern("x", "FREQUENCY", {"regex": "matin"}, {"regex": ",", "op": "?"}, {"regex": "midi"})
         assert find_all(PatternSet((p,)), sent("matin midi"))[0].text == "matin midi"
         assert find_all(PatternSet((p,)), sent("matin , midi"))[0].text == "matin , midi"
 
@@ -144,7 +157,7 @@ def brute_force_reach(p: TokenPattern, sentence, start: int) -> set[int]:
         for k in range(lo, hi + 1):
             if pos + k > len(tokens):
                 break
-            if not all(match_token(p.specs[si], tokens[pos + x]) for x in range(k)):
+            if not all(holds(p.specs[si], tokens[pos + x]) for x in range(k)):
                 break  # a longer run cannot match if this prefix does not
             out |= ends(si + 1, pos + k)
         return out
@@ -175,12 +188,12 @@ class TestBruteForceEquivalence:
         spec_pool = [
             NUMBER,
             {"regex": "[0-9]+"},
-            {"lower": ["cp", "mg"]},
-            {"lower": ["matin"]},
+            {"regex": "cp|mg"},
+            {"regex": "matin"},
             {"regex": "m.*"},
-            {"lower": ["et"], "op": "?"},
+            {"regex": "et", "op": "?"},
             {**NUMBER, "op": "?"},
-            {"lower": ["cp"], "op": "?"},
+            {"regex": "cp", "op": "?"},
             {"regex": "[a-z]+", "op": "?"},
         ]
         for trial in range(300):
@@ -244,21 +257,16 @@ def accept_paths(pats: PatternSet) -> Counter:
     return paths
 
 
-def constraints(spec: TokenSpec) -> tuple:
-    """A spec's identity within a PatternSet: its constraints, not its quantifier."""
-    return spec.lower, spec.regex
-
-
 def is_fixed(p: TokenPattern) -> bool:
     return all(spec.op == "1" for spec in p.specs)
 
 
 def spec_paths(pats: PatternSet, p: TokenPattern) -> set:
     """The spec-id sequences ``p`` matches, each optional spec taken or not."""
-    sid_of = {constraints(spec): sid for sid, spec in enumerate(pats.specs)}
+    sid_of = {test.__self__: sid for sid, test in enumerate(pats.tests)}
     reps = {"1": (1,), "?": (0, 1)}
     return {
-        sum(((sid_of[constraints(spec)],) * k for spec, k in zip(p.specs, counts)), ())
+        sum(((sid_of[spec.regex],) * k for spec, k in zip(p.specs, counts)), ())
         for counts in itertools.product(*(reps[spec.op] for spec in p.specs))
     } - {()}
 
@@ -277,14 +285,16 @@ class TestCompiledMatcher:
     def test_default_set_dedupes_to_distinct_specs(self, patterns):
         pats = patterns
         assert sum(len(p.specs) for p in pats.patterns) == 235
-        assert len(pats.specs) == 104
+        assert len(pats.tests) == 104
 
     def test_each_spec_compiles_to_one_test_on_the_text(self, patterns):
-        # one test per distinct spec, and it is the one definition of a spec holding
+        # one test per distinct regex, and it is that regex's own fullmatch
         pats = patterns
-        assert len(pats.tests) == len(pats.specs) == len(set(map(id, pats.tests)))
-        for spec, test in zip(pats.specs, pats.tests):
-            assert test.__func__ is match_token and test.__self__ is spec, (spec, test)
+        regexes = [test.__self__ for test in pats.tests]
+        assert len(set(map(id, pats.tests))) == len(set(regexes)) == len(regexes)
+        assert set(regexes) == {spec.regex for p in pats.patterns for spec in p.specs}
+        for regex, test in zip(regexes, pats.tests):
+            assert isinstance(regex, re.Pattern) and test == regex.fullmatch, test
         # every edge of the NFA carries one of them
         edge_tests, seen, todo = set(), set(), [pats.root]
         while todo:
@@ -296,13 +306,12 @@ class TestCompiledMatcher:
         assert edge_tests == set(map(id, pats.tests))
 
     def test_wildcard_spec_is_decided_by_its_compiled_test(self):
+        # ".*" holds for every token, as a token holds no whitespace
         pats = parse_patterns([
-            {"id": "gap", "label": "DOSE", "specs": [NUMBER, {"op": "?"}, {"lower": "cp"}]},
-            {"id": "lead", "label": "COMMENT", "specs": [{"op": "?"}, {"lower": "si"}]},
+            {"id": "gap", "label": "DOSE", "specs": [NUMBER, {"regex": ".*", "op": "?"}, {"regex": "cp"}]},
+            {"id": "lead", "label": "COMMENT", "specs": [{"regex": ".*", "op": "?"}, {"regex": "si"}]},
         ])
-        wildcards = [sid for sid, spec in enumerate(pats.specs) if spec == TokenSpec(op=spec.op)]
-        assert len(wildcards) == 1
-        (test,) = [pats.tests[sid] for sid in wildcards]
+        (test,) = [test for test in pats.tests if test.__self__.pattern == ".*"]
         s = raw_sent("1 x cp 2 cp un si")
         assert all(test(t) for t in s.tokens)
         # the wildcard leads "lead", so its test is a root edge as well as a later edge of "gap"
@@ -312,23 +321,27 @@ class TestCompiledMatcher:
             ("gap", "1 x cp"), ("gap", "2 cp"), ("lead", "un si")
         ]
 
-    def test_a_spec_is_its_word_list_and_regex(self):
-        # the same regex with another word list is another spec; with another quantifier it is not
+    def test_a_spec_is_its_compiled_regex(self):
+        # the same regex with another quantifier is the same spec; with another flag it is not
         pats = parse_patterns([
-            {"id": "a", "label": "DOSE", "specs": [{"regex": "[a-z]+"}, {"regex": "[a-z]+", "op": "?"}]},
-            {"id": "b", "label": "DOSE", "specs": [{"regex": "[a-z]+", "lower": ["cp"]}]},
+            {"id": "a", "label": "DOSE", "specs": [{"regex": "cp"}, {"regex": "cp", "op": "?"}]},
+            {"id": "b", "label": "DOSE", "specs": [{"regex": "(?i)cp"}, {"regex": "cp"}]},
         ])
-        assert len(pats.specs) == len(pats.tests) == 2
-        assert {constraints(spec) for spec in pats.specs} == {
-            (None, re.compile("[a-z]+")), (frozenset({"cp"}), re.compile("[a-z]+"))
-        }
+        assert [test.__self__ for test in pats.tests] == [re.compile("cp"), re.compile("(?i)cp")]
+        # two compiles of one regex are one spec: a compiled regex compares by value
+        first = re.compile("[0-9]+")
+        re.purge()
+        again = re.compile("[0-9]+")
+        assert first is not again and first == again
+        specs = (TokenSpec(regex=first), TokenSpec(regex=again, op="?"))
+        assert len(PatternSet([TokenPattern("c", "DOSE", specs)]).tests) == 1
 
     def test_quantifier_is_not_part_of_a_spec(self):
         pats = parse_patterns([
-            {"id": "a", "label": "DOSE", "specs": [NUMBER, {"lower": ["cp"]}]},
-            {"id": "b", "label": "FREQUENCY", "specs": [NUMBER, {"lower": "cp", "op": "?"}, {**NUMBER, "op": "?"}]},
+            {"id": "a", "label": "DOSE", "specs": [NUMBER, {"regex": "cp"}]},
+            {"id": "b", "label": "FREQUENCY", "specs": [NUMBER, {"regex": "cp", "op": "?"}, {**NUMBER, "op": "?"}]},
         ])
-        assert len(pats.specs) == 2
+        assert len(pats.tests) == 2
         # one root test for the shared first spec, on each chain's entry edge; each chain reuses both specs' tests
         assert len(pats.root.edges) == 2 and len({test for test, _ in pats.root.edges}) == 1
         paths = accept_paths(pats)
@@ -344,7 +357,7 @@ class TestCompiledMatcher:
         # which the start state's moves hold once each
         assert len(pats.root.edges) == len(pats.patterns) == 65
         roots = [test for test, _ in pats.root.edges]
-        assert len(set(map(id, roots))) == len({constraints(p.specs[0]) for p in pats.patterns}) == 33
+        assert len(set(map(id, roots))) == len({p.specs[0].regex for p in pats.patterns}) == 33
         assert all(any(test is t for t in pats.tests) for test in roots)
         assert [test for test, _ in pats._start.moves] == list(dict.fromkeys(roots))
         paths = accept_paths(pats)
@@ -376,14 +389,14 @@ class TestCompiledMatcher:
         spec_pool = [
             NUMBER,
             {"regex": "[0-9]+"},
-            {"lower": ["cp", "mg"]},
-            {"lower": ["matin", "soir"]},
+            {"regex": "cp|mg"},
+            {"regex": "matin|soir"},
             {"regex": "m.*"},
-            {"lower": ["et"], "op": "?"},
+            {"regex": "et", "op": "?"},
             {**NUMBER, "op": "?"},
-            {"lower": ["cp"], "op": "?"},
+            {"regex": "cp", "op": "?"},
             {"regex": "[a-z]+", "op": "?"},
-            {"lower": ["matin", "soir"], "op": "?"},
+            {"regex": "matin|soir", "op": "?"},
         ]
         leading_optional = shared = 0
         for trial in range(200):
@@ -397,7 +410,7 @@ class TestCompiledMatcher:
             ]
             pats = parse_patterns(data)
             leading_optional += sum(p.specs[0].op == "?" for p in pats.patterns)
-            shared += len(pats.specs) < sum(len(p.specs) for p in pats.patterns)
+            shared += len(pats.tests) < sum(len(p.specs) for p in pats.patterns)
             for _ in range(3):
                 s = raw_sent(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 9))))
                 assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
@@ -418,9 +431,9 @@ class TestCompiledMatcher:
             {"regex": "[0-9]+"},
             {"regex": "m.*"},
             {"regex": "(?i)x"},
-            {"lower": ["cp", "mg"]},
-            {"lower": ["matin", "soir"]},
-            {"lower": ["et"]},
+            {"regex": "cp|mg"},
+            {"regex": "matin|soir"},
+            {"regex": "et"},
         ]
         stressed: Counter = Counter()
         for trial in range(200):
@@ -440,14 +453,14 @@ class TestCompiledMatcher:
                 data.append({"id": f"t{trial}-{i}", "label": rng.choice(("DOSE", "FREQUENCY")), "specs": specs})
             pats = parse_patterns(data)
 
-            sequences = [(tuple(map(constraints, p.specs)), p.label) for p in pats.patterns if is_fixed(p)]
+            sequences = [(tuple(spec.regex for spec in p.specs), p.label) for p in pats.patterns if is_fixed(p)]
             optional = [p for p in pats.patterns if not is_fixed(p)]
             pairs = list(itertools.permutations(sequences, 2))
             stressed["shared prefix, two labels"] += any(a[0][0] == b[0][0] and a[1] != b[1] for a, b in pairs)
             stressed["strict prefix"] += any(len(a[0]) < len(b[0]) and b[0][: len(a[0])] == a[0] for a, b in pairs)
             stressed["same sequence"] += any(a[0] == b[0] for a, b in pairs)
             stressed["optional beside fixed"] += any(
-                q.specs[0].op == "1" and constraints(q.specs[0]) == seq[0] for q in optional for seq, _ in sequences
+                q.specs[0].op == "1" and q.specs[0].regex == seq[0] for q in optional for seq, _ in sequences
             )
             stressed["optional first"] += any(p.specs[0].op == "?" for p in pats.patterns)
             for _ in range(4):
@@ -507,20 +520,19 @@ class TestCompiledMatcher:
 
 
 class TestFirstSpecScanner:
-    """The first-spec scan: the start state's transitions decide first specs of every kind as ``match_token`` does."""
+    """The first-spec scan: the start state's transitions decide first specs of every kind as their regex does."""
 
     # A regex with a group (a backreference or a named group), a flag other
-    # than the default, a global inline flag group, a word list besides the
-    # regex, a word list alone, and bare regexes.
+    # than the default, a global inline flag group, a word alternation, and
+    # bare regexes.
     FIRSTS = {
         "backreference": {"regex": r"([0-9])\1"},
         "named-group": {"regex": "(?P<unit>cp|mg)"},
         "ignorecase-flag": {"regex": "(?i)cp"},
         "default-flag-inline": {"regex": "(?u)cp"},
         "verbose-flag": {"regex": "(?x) c p"},
-        "regex-and-lower": {"regex": "[a-z]+", "lower": ["cp", "mg"]},
         "number": NUMBER,
-        "lower": {"lower": ["cp", "matin"]},
+        "words": {"regex": "cp|matin"},
         "digits": {"regex": "[0-9]+"},
         "alternation": {"regex": "m.*|cp"},
         "scoped-flag": {"regex": "(?i:cp)"},
@@ -535,7 +547,7 @@ class TestFirstSpecScanner:
 
     def test_one_regex_starting_patterns_of_two_labels(self):
         pats = parse_patterns([
-            {"id": "d", "label": "DOSE", "specs": [{"regex": "[0-9]+"}, {"lower": "cp"}]},
+            {"id": "d", "label": "DOSE", "specs": [{"regex": "[0-9]+"}, {"regex": "cp"}]},
             {"id": "f", "label": "FREQUENCY", "specs": [{"regex": "[0-9]+"}, {"regex": "x"}]},
         ])
         # one root test, on each chain's entry edge: the start state's one move enters both chains
@@ -549,8 +561,8 @@ class TestFirstSpecScanner:
     def test_random_first_specs_equal_brute_force(self):
         rng = random.Random(11)
         firsts = list(self.FIRSTS.values())
-        firsts += [{"lower": ["et"], "op": "?"}, {"regex": "[0-9]+", "op": "?"}, {"regex": "m.*|cp", "op": "?"}]
-        later = firsts + [{"lower": ["cp"], "op": "?"}]
+        firsts += [{"regex": "et", "op": "?"}, {"regex": "[0-9]+", "op": "?"}, {"regex": "m.*|cp", "op": "?"}]
+        later = firsts + [{"regex": "cp", "op": "?"}]
         leading_optional = root_edges = first_later = 0
         for trial in range(200):
             data = [
@@ -565,23 +577,21 @@ class TestFirstSpecScanner:
             leading_optional += sum(p.specs[0].op == "?" for p in pats.patterns)
             root_edges += len(pats.root.edges)
             # a spec that starts one pattern and comes later in one
-            later_specs = {constraints(spec) for p in pats.patterns for spec in p.specs[1:]}
-            first_later += not later_specs.isdisjoint(constraints(p.specs[0]) for p in pats.patterns)
+            later_specs = {spec.regex for p in pats.patterns for spec in p.specs[1:]}
+            first_later += not later_specs.isdisjoint(p.specs[0].regex for p in pats.patterns)
             for _ in range(3):
                 s = raw_sent(" ".join(rng.choice(self.VOCAB) for _ in range(rng.randint(1, 9))))
                 assert compiled_find_all(pats, s) == brute_force_find_all(pats, s), (data, s.match_text)
         assert leading_optional > 50 and root_edges > 500 and first_later > 80, (leading_optional, root_edges, first_later)
 
 
-# Constraints of a drawn spec; {} is the wildcard, which must be optional.
-DRAWN_CONSTRAINTS = [{"lower": ["cp", "mg"]}, {"lower": ["x"]}, NUMBER, {"regex": "m.*"}, {}]
+# Regexes of a drawn spec; ".*" is the wildcard, which holds for any token.
+DRAWN_CONSTRAINTS = [{"regex": "cp|mg"}, {"regex": "x"}, NUMBER, {"regex": "m.*"}, {"regex": ".*"}]
 
 
 @st.composite
 def drawn_specs(draw) -> dict:
-    spec = dict(draw(st.sampled_from(DRAWN_CONSTRAINTS)))
-    spec["op"] = draw(st.sampled_from("1?" if spec else "?"))
-    return spec
+    return {**draw(st.sampled_from(DRAWN_CONSTRAINTS)), "op": draw(st.sampled_from("1?"))}
 
 
 DRAWN_PATTERN_SETS = st.lists(
@@ -628,21 +638,21 @@ class TestFindAll:
         assert spans >= 200
 
     def test_longest_same_label_wins(self):
-        p1 = pattern("short", "DOSE", NUMBER, {"lower": ["cp"]})
-        p2 = pattern("long", "DOSE", NUMBER, {"lower": ["cp"]}, {"lower": ["matin"]})
+        p1 = pattern("short", "DOSE", NUMBER, {"regex": "cp"})
+        p2 = pattern("long", "DOSE", NUMBER, {"regex": "cp"}, {"regex": "matin"})
         spans = find_all(self.make_set(p1, p2), sent("1 cp matin"))
         assert len(spans) == 1
         assert spans[0].pattern_id == "long"
 
     def test_disjoint_labels_both_kept(self):
-        p1 = pattern("d", "DOSE", NUMBER, {"lower": ["cp"]})
-        p2 = pattern("f", "FREQUENCY", {"lower": ["matin"]}, {"lower": ["et"]}, {"lower": ["soir"]})
+        p1 = pattern("d", "DOSE", NUMBER, {"regex": "cp"})
+        p2 = pattern("f", "FREQUENCY", {"regex": "matin"}, {"regex": "et"}, {"regex": "soir"})
         spans = find_all(self.make_set(p1, p2), sent("1 cp matin et soir"))
         assert {s.label for s in spans} == {"DOSE", "FREQUENCY"}
 
     def test_identical_spans_collapse(self):
-        p1 = pattern("a", "DOSE", NUMBER, {"lower": ["cp"]})
-        p2 = pattern("b", "DOSE", {"regex": "[0-9]+"}, {"lower": ["cp"]})
+        p1 = pattern("a", "DOSE", NUMBER, {"regex": "cp"})
+        p2 = pattern("b", "DOSE", {"regex": "[0-9]+"}, {"regex": "cp"})
         spans = find_all(self.make_set(p1, p2), sent("1 cp"))
         assert len(spans) == 1
         assert spans[0].pattern_id == "a"
@@ -650,8 +660,8 @@ class TestFindAll:
     def test_a_pattern_resumes_after_its_own_last_match(self):
         # "x x" matches at 1 and would match again at 2, inside its own match:
         # only the first is its match, and "a x" outranks that one
-        head = pattern("head", "DOSE", {"lower": ["a"]}, {"lower": ["x"]})
-        pair = pattern("pair", "DOSE", {"lower": ["x"]}, {"lower": ["x"]})
+        head = pattern("head", "DOSE", {"regex": "a"}, {"regex": "x"})
+        pair = pattern("pair", "DOSE", {"regex": "x"}, {"regex": "x"})
         spans = find_all(self.make_set(head, pair), raw_sent("a x x x"))
         assert [(s.pattern_id, s.start_token, s.end_token) for s in spans] == [("head", 0, 2)]
 
@@ -699,7 +709,7 @@ class TestDfaCache:
         # state would hold a node once per path to it, doubling per optional spec;
         # a first "x" enters the four nodes after each "x?" through the root
         pats = parse_patterns([
-            {"id": "xs", "label": "DOSE", "specs": [{"lower": "x", "op": "?"}] * 4 + [{"lower": "cp"}]}
+            {"id": "xs", "label": "DOSE", "specs": [{"regex": "x", "op": "?"}] * 4 + [{"regex": "cp"}]}
         ])
         s = raw_sent("x " * 20 + "cp")
         assert compiled_find_all(pats, s) == brute_force_find_all(pats, s) == [(16, 21, "DOSE", "xs")]
@@ -710,7 +720,7 @@ class TestDfaCache:
     def test_a_pattern_accepted_twice_in_a_state_matches_once(self):
         # after "x y", the nodes after each "y?" both accept the pattern
         pats = parse_patterns([
-            {"id": "xyy", "label": "DOSE", "specs": [{"lower": "x"}] + [{"lower": "y", "op": "?"}] * 2}
+            {"id": "xyy", "label": "DOSE", "specs": [{"regex": "x"}] + [{"regex": "y", "op": "?"}] * 2}
         ])
         s = raw_sent("x y x y y y x")
         assert compiled_find_all(pats, s) == brute_force_find_all(pats, s) == [
@@ -721,13 +731,26 @@ class TestDfaCache:
     def test_a_miss_runs_each_distinct_test_once(self, monkeypatch):
         # 16 "NUMBER?" specs compile to one test, which every folded closure
         # repeats: a miss walks up to a hundred edges but decides the text once
-        calls = []
-        monkeypatch.setattr(
-            "ordonnance.patterns.match_token", lambda spec, text: calls.append(text) or match_token(spec, text)
-        )
         specs = [{**NUMBER, "op": "?"}] * MAX_SPECS
         pats = parse_patterns([{"id": "long", "label": "DOSE", "specs": specs}])
-        assert len(pats.tests) == 1
+        (fullmatch,) = pats.tests
+        calls = []
+
+        def counting_test(text):
+            calls.append(text)
+            return fullmatch(text)
+
+        copies: dict = {}  # id of a node -> its copy testing by counting_test, so shared children stay shared
+
+        def instrument(node):
+            if id(node) not in copies:
+                assert all(test is fullmatch for test, _ in node.edges)
+                edges = tuple((counting_test, instrument(child)) for _, child in node.edges)
+                copies[id(node)] = dataclasses.replace(node, edges=edges)
+            return copies[id(node)]
+
+        pats.root = instrument(pats.root)
+        pats._flush()
         per_miss = []  # (calls made, distinct tests on the state's edges)
         advance = pats._advance
 
@@ -804,42 +827,42 @@ class TestPatternFile:
         with pytest.raises(PatternError):
             parse_patterns([{"id": "a", "label": "DOSE", "specs": []}])
 
-    def test_wildcard_requires_quantifier(self):
-        with pytest.raises(PatternError):
-            parse_patterns([{"id": "a", "label": "DOSE", "specs": [{}]}])
-        ok = parse_patterns([{"id": "a", "label": "DOSE", "specs": [NUMBER, {"op": "?"}]}])
-        assert len(ok.patterns) == 1
+    def test_a_spec_holds_a_regex_and_a_quantifier(self):
+        assert [f.name for f in dataclasses.fields(TokenSpec)] == ["regex", "op"]
 
-    def test_a_spec_holds_a_word_list_a_regex_and_a_quantifier(self):
-        assert [f.name for f in dataclasses.fields(TokenSpec)] == ["lower", "regex", "op"]
-
-    def test_the_shipped_specs_test_by_regex_or_word_list(self):
+    def test_the_shipped_specs_test_by_regex(self):
         kinds = Counter(key for p in shipped_data() for spec in p["specs"] for key in spec if key != "op")
-        assert kinds == {"regex": 232, "lower": 3}
+        assert kinds == {"regex": 235}
+
+    @pytest.mark.parametrize("pid, index, words", [
+        ("dose-demi-comprime", 0, {"un", "une"}), ("dose-form-de-mass", 4, {"mg", "g"}), ("freq-matin-midi-soir", 1, {","}),
+    ])
+    def test_a_shipped_word_alternation_holds_for_its_words_alone(self, patterns, pid, index, words):
+        # the three specs once written as word lists hold for those words and no other corpus token
+        (p,) = [p for p in patterns.patterns if p.pattern_id == pid]
+        vocabulary = {t for noise in (0.0, 0.1) for s in corpus_sentences(noise) for t in s.tokens}
+        assert len(vocabulary) > 300
+        assert {t for t in vocabulary | words if holds(p.specs[index], t)} == words
 
     def test_bad_regex_rejected(self):
         with pytest.raises(PatternError):
             parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"regex": "("}]}])
 
-    @pytest.mark.parametrize("word", ["Matin", "après", "le matin", "1,5", "cp.", ""])
-    def test_lower_word_that_no_token_can_equal_rejected(self, word):
-        with pytest.raises(PatternError, match="never matches"):
-            parse_patterns([{"id": "a", "label": "FREQUENCY", "specs": [{"lower": ["soir", word]}]}])
-
     # each refusal of one spec, the second of its pattern's specs, as the pattern file's author sees it
     @pytest.mark.parametrize("spec, message", [
         ("soir", "patterns[0].specs[1]: spec must be an object"),
         ({**NUMBER, "case": "lower"}, "patterns[0].specs[1]: unknown spec fields ['case']"),
-        ({"lower": []}, "patterns[0].specs[1].lower: expected string or non-empty string list"),
-        ({"lower": ["soir", 5]}, "patterns[0].specs[1].lower: expected string or non-empty string list"),
+        ({"lower": ["un", "une"]}, "patterns[0].specs[1]: unknown spec fields ['lower']"),
+        ({}, "patterns[0].specs[1].regex: expected string"),
+        ({"op": "?"}, "patterns[0].specs[1].regex: expected string"),
         ({"regex": 5}, "patterns[0].specs[1].regex: expected string"),
         ({"is_digit": True}, "patterns[0].specs[1]: unknown spec fields ['is_digit']"),
         ({"like_num": True}, "patterns[0].specs[1]: unknown spec fields ['like_num']"),
         ({**NUMBER, "op": "{2}"}, "patterns[0].specs[1].op: '{2}' not one of 1 ?"),
-        ({"lower": "x", "op": "+"}, "patterns[0].specs[1].op: '+' not one of 1 ?"),
-        ({"lower": "x", "op": "*"}, "patterns[0].specs[1].op: '*' not one of 1 ?"),
-    ], ids=["not-an-object", "unknown-field", "lower-empty-list", "lower-not-strings", "regex-not-a-string",
-            "is-digit-unknown", "like-num-unknown", "unknown-op", "plus-op", "star-op"])
+        ({"regex": "x", "op": "+"}, "patterns[0].specs[1].op: '+' not one of 1 ?"),
+        ({"regex": "x", "op": "*"}, "patterns[0].specs[1].op: '*' not one of 1 ?"),
+    ], ids=["not-an-object", "unknown-field", "word-list", "regex-missing", "optional-regex-missing",
+            "regex-not-a-string", "is-digit-unknown", "like-num-unknown", "unknown-op", "plus-op", "star-op"])
     def test_a_bad_spec_is_named_by_its_place(self, spec, message):
         with pytest.raises(PatternError) as info:
             parse_patterns([{"id": "a", "label": "DOSE", "specs": [NUMBER, spec]}])
@@ -894,7 +917,7 @@ class TestPatternFile:
             (p.pattern_id, q.pattern_id)
             for p, q in itertools.combinations(filter(is_fixed, patterns.patterns), 2)
             if p.label == q.label and len(p.specs) == len(q.specs)
-            and sum(constraints(a) != constraints(b) for a, b in zip(p.specs, q.specs)) == 1
+            and sum(a.regex != b.regex for a, b in zip(p.specs, q.specs)) == 1
         ]
         assert mergeable == []
 

@@ -353,11 +353,13 @@ class TestUnifyNumbers:
         assert self.unify("1 0 0 0") == "1000"
 
     @given(NUMBERS)
+    @settings(max_examples=100, derandomize=True)
     def test_idempotent(self, s):
         once = self.unify(s)
         assert self.unify(once) == once
 
     @given(FRENCH)
+    @settings(max_examples=100, derandomize=True)
     def test_letters_and_digits_untouched(self, s):
         # unification only edits spaces and separators around digits, so the
         # letters are those of the folded text and the digits those of s
@@ -434,7 +436,8 @@ class TestTokenize:
 
 class TestNormalizeText:
     def test_normalized_text_is_its_own_lower_case_at_every_code_point(self):
-        # The pattern engine compares "lower" words with the token text itself.
+        # A pattern spec's regex is matched against the token text itself, so a
+        # regex letter must be lower-case and unaccented to match a token.
         # Folding maps one character at a time, and the "x" between two code
         # points keeps a whitespace run or a digit pair from spanning them, so a
         # chunk holds iff each of its code points does; a chunk that fails is
@@ -447,11 +450,13 @@ class TestNormalizeText:
         assert changed == []
 
     @given(FRENCH)
+    @settings(max_examples=100, derandomize=True)
     def test_pipeline_idempotent(self, s):
         once = normalize_text(s).text
         assert normalize_text(once).text == once
 
     @given(FRENCH)
+    @settings(max_examples=100, derandomize=True)
     def test_origins_monotonic_and_in_range(self, s):
         n = normalize_text(s)
         assert len(n.origins) == len(n.text)
@@ -487,6 +492,7 @@ class TestMakeSentence:
         assert make_sentence(ocr_line("cp")) is not None
 
     @given(st.lists(st.sampled_from(["cp", "matin", "12", "et"]), min_size=2, max_size=6))
+    @settings(max_examples=100, derandomize=True)
     def test_multi_token_lines_never_dropped(self, words):
         assert make_sentence(ocr_line(" ".join(words))) is not None
 
