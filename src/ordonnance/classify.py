@@ -17,17 +17,23 @@ ids are indexed once, when it is built, as a ``HASH_DIM``-bit bitmap with
 the count of ids up to each 64-bit word (a rank directory, see
 ``ClassifierModel``), so the keys of a batch find their weight rows with a
 few shifts, gathers and popcounts (``_lookup``) rather than a binary search
-each; the logits of all lines and labels are one ``np.bincount`` over the
-batch's terms, each (line, label) bin adding its terms in entry order. Each
-line's softmax is then a few Python float operations on its row: the row
-max, ``math.exp`` of each logit less it, their sum ``(e0 + e1) + e2`` (the
-order numpy sums a 3-wide row in), each exp over that sum, and the label of
-the first maximal probability, so the scores are those of the array
-``_softmax`` that training runs, bit for bit, without its fixed numpy cost.
-Sorting and popcounts are exact on every kernel, so a line's scores and a
-trained model's bytes depend neither on the BLAS build nor on numpy's CPU
-dispatch, and a line's scores not on the other lines of its batch; a lone
-line is a batch of one.
+each. The logits are one gather of those weight rows, each row scaled by
+its entry's value (zero where the model lacks the id), then one sum per
+label that starts at 0.0 and adds the label's terms in entry order: a
+reduce over axis 0 of the C-ordered (entries, labels) block for a lone
+line, which numpy adds row after row, and per label one ``np.bincount``
+over the entries' lines for a batch. Either is the sequence of float
+additions a spelled-out loop makes, so a line's logits do not depend on
+the path, and a reduce along a contiguous axis (numpy sums those pairwise)
+is never used. Each line's softmax is then a few Python float operations on
+its row: the row max, ``math.exp`` of each logit less it, their sum ``(e0 +
+e1) + e2`` (the order numpy sums a 3-wide row in), each exp over that sum,
+and the label of the first maximal probability, so the scores are those of
+the array ``_softmax`` that training runs, bit for bit, without its fixed
+numpy cost. Sorting and popcounts are exact on every kernel, so a line's
+scores and a trained model's bytes depend neither on the BLAS build nor on
+numpy's CPU dispatch, and a line's scores not on the other lines of its
+batch.
 
 ``predict`` stays a per-line call, because ``perfbench`` times this layer
 by wrapping ``pipeline.predict`` once per line. Every line, bare text too,
@@ -38,10 +44,12 @@ inside that call's span, and later calls look their line up.
 training corpus) at once and returns three flat arrays ``(line, ids,
 values)``, sorted by id and then by line, as the sort that counts them
 leaves them; each line's entries, in increasing id order, add up in every
-``bincount`` sum. An entry's key packs its id and its line into one int64,
-``id << shift | line`` with ``shift = (n_lines - 1).bit_length()``, which
-sorts as ``id * n_lines + line`` does and unpacks with one ``>>`` and one
-``&``; a lone line's shift is 0, so its keys are its ids.
+sum. An entry's key packs its id and its line into one int64, ``id << shift
+| line`` with ``shift = (n_lines - 1).bit_length()``, which sorts as ``id *
+n_lines + line`` does and unpacks with one ``>>`` and one ``&``. A lone
+line (each ``annotate_text`` call scores one) takes one early branch: its
+keys are its ids, so it needs no line index, no window mask and no per-line
+norm.
 A line's n-grams are the ``NGRAM_MIN``- to ``NGRAM_MAX``-byte windows of its
 UTF-8 feature text, none crossing into the next line; in ASCII text, which
 is nearly all of it after accent stripping, a byte is a character. CRC-32 is
@@ -202,59 +210,67 @@ def featurize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     sorted by feature id, then by line index, so ``ids`` never decreases,
     line ``k``'s ids are strictly increasing and a line without features
     has no entries. The n-gram ``g``, the n bytes ``text.encode()[i:i + n]``,
-    hashes to ``crc32(b"c%d|" % n + g) % HASH_DIM`` and the word ``w`` to
-    ``crc32(f"w|{w}".encode()) % HASH_DIM``; no window crosses from one line
-    into the next. The lines are hashed together as one UTF-8 byte buffer,
-    all n-gram lengths from one gather of the stacked ``_gram_table``.
-    Entries are counted by sorting keys ``id << shift | line``, where
-    ``shift = (len(texts) - 1).bit_length()`` leaves room for every line
-    index, so the keys are unique per (id, line) and sort by id, then line.
+    hashes to ``crc32(b"c%d|" % n + g) % HASH_DIM`` and the word ``w``, a
+    run of the encoded text between ASCII whitespace bytes, to
+    ``crc32(b"w|" + w) % HASH_DIM``; a feature text holds no other
+    whitespace (its tokens are joined by one space), so its words are
+    ``text.split()``. No window crosses from one line into the next. A lone
+    line is hashed on its own, its keys being its ids. The lines of a batch
+    are hashed together as one UTF-8 byte buffer, all n-gram lengths from
+    one gather of the stacked ``_gram_table``, and entries are counted by
+    sorting keys ``id << shift | line``, where ``shift = (len(texts) -
+    1).bit_length()`` leaves room for every line index, so the keys are
+    unique per (id, line) and sort by id, then line.
     """
+    crc32 = zlib.crc32
+    word_seed = _seed("w|")
+    table = _gram_table()
+    if len(texts) == 1:
+        data = texts[0].encode("utf-8")
+        gathered = table.take(np.frombuffer(data, dtype=np.uint8), axis=1)
+        parts = [np.array([crc32(word, word_seed) % HASH_DIM for word in data.split()], dtype=np.int64)]
+        crcs = gathered[0]
+        for n in range(2, min(NGRAM_MAX, len(data)) + 1):
+            crcs = gathered[n - 1, : len(data) - n + 1] ^ crcs[1:]
+            if n >= NGRAM_MIN:
+                parts.append(crcs)
+        ids, counts = _runs(np.concatenate(parts))
+        return np.zeros(len(ids), dtype=np.int64), ids, counts / float(counts @ counts) ** 0.5
     n_lines = len(texts)
     shift = (n_lines - 1).bit_length()  # an entry's key is id << shift | line: unique, and in id order
-    one = n_lines == 1  # a lone line needs no masks and no per-line norms; its key is its id
     encoded = [text.encode("utf-8") for text in texts]
+    lengths = [len(b) for b in encoded]
     data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    if not one:
-        lengths = [len(b) for b in encoded]
-        rows = np.repeat(np.arange(n_lines), lengths)
-        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))  # bytes to the line's end
-    gathered = _gram_table().take(data, axis=1)  # row n - 1: each byte's share of the n-gram it starts
-    parts = []
+    rows = np.repeat(np.arange(n_lines), lengths)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))  # bytes to the line's end
+    gathered = table.take(data, axis=1)  # row n - 1: each byte's share of the n-gram it starts
+    parts = [
+        np.array(
+            [crc32(word, word_seed) % HASH_DIM << shift | k for k, b in enumerate(encoded) for word in b.split()],
+            dtype=np.int64,
+        )
+    ]
     for n in range(1, min(NGRAM_MAX, len(data)) + 1):
         share = gathered[n - 1, : len(data) - n + 1]
         crcs = share if n == 1 else share ^ crcs[1:]
         if n >= NGRAM_MIN:
-            if one:
-                parts.append(crcs)
-            else:
-                inside = left[: len(crcs)] >= n
-                parts.append(crcs[inside] << shift | rows[: len(crcs)][inside])
-    keys = []
-    crc32 = zlib.crc32
-    word_seed = _seed("w|")
-    for k, text in enumerate(texts):
-        for word in text.split():
-            keys.append(crc32(word.encode("utf-8"), word_seed) % HASH_DIM << shift | k)
-    parts.append(np.array(keys, dtype=np.int64))
-    keys = np.concatenate(parts)
+            inside = left[: len(crcs)] >= n
+            parts.append(crcs[inside] << shift | rows[: len(crcs)][inside])
+    unique, counts = _runs(np.concatenate(parts))
+    line = unique & ((1 << shift) - 1)
+    sum_sq = np.bincount(line, counts * counts, minlength=n_lines)
+    norm = np.array([s**0.5 for s in sum_sq.tolist()])[line]
+    return line, unique >> shift, counts / norm
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys`` in increasing order, and how often each occurs; sorts ``keys`` in place."""
     keys.sort()
     edge = np.empty(len(keys) + 1, dtype=bool)  # edge[i]: a run of equal keys starts at i, or i is the end
     edge[0] = edge[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
     bounds = edge.nonzero()[0]
-    unique = keys.take(bounds[:-1])
-    counts = bounds[1:] - bounds[:-1]
-    if one:
-        line = np.zeros(len(unique), dtype=np.int64)
-        ids = unique
-        norm = float(counts @ counts) ** 0.5
-    else:
-        ids = unique >> shift
-        line = unique & ((1 << shift) - 1)
-        sum_sq = np.bincount(line, counts * counts, minlength=n_lines)
-        norm = np.array([s**0.5 for s in sum_sq.tolist()])[line]
-    return line, ids, counts / norm
+    return keys.take(bounds[:-1]), bounds[1:] - bounds[:-1]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -364,31 +380,42 @@ def _lookup(model: ClassifierModel, keys: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _score(model: ClassifierModel, texts: Sequence[str]) -> list[SentenceClass]:
-    """Each feature text's class scores: one featurize, one id lookup, one bincount, then a softmax per row."""
+    """Each feature text's class scores: one featurize, one id lookup, one weight-row gather, a softmax per line.
+
+    Each label's logit is 0.0 plus its line's terms ``value * weight`` in
+    entry order, then the bias: for a lone line a reduce over axis 0 of the
+    C-ordered (entries, labels) terms, for a batch one ``np.bincount`` per
+    label, the same additions in the same order either way. A key the model
+    lacks gathers some row and scales it by 0.0; with the finite weights
+    ``load_model`` admits, its terms are +-0.0, which leave a sum that
+    starts at 0.0 (never -0.0) exactly as it was.
+    """
     line, keys, values = featurize(texts)
     n = len(texts)
-    n_labels = len(CLASS_LABELS)
-    if len(model.weights):
-        rows, hit = _lookup(model, keys)
-        # A key the model lacks has weight zero: with the finite weights
-        # load_model admits, its terms are +-0.0, which leave a bincount sum
-        # (never -0.0) exactly as it was.
-        terms = model.weights.take(rows, axis=0, mode="clip") * (values * hit)[:, None]
-        # Bin (line, k) adds its line's label-k terms in entry order.
-        cells = (line * n_labels)[:, None] + np.arange(n_labels)
-        logits = np.bincount(cells.ravel(), terms.ravel(), minlength=n * n_labels).reshape(n, n_labels)
+    if not len(model.weights):
+        logits = [(model.bias + 0.0).tolist()] * n
     else:
-        logits = np.zeros((n, n_labels))
+        rows, hit = _lookup(model, keys)
+        values *= hit
+        terms = model.weights.take(rows, axis=0, mode="clip")
+        if n == 1:
+            terms *= values[:, None]
+            logits = [(np.add.reduce(terms, 0, initial=0.0) + model.bias).tolist()]
+        else:
+            terms = np.multiply(terms.T, values, order="C")  # row k: label k's terms, contiguous for bincount
+            logits = zip(*[(np.bincount(line, t, minlength=n) + b).tolist() for t, b in zip(terms, model.bias)])
     classes = []
     exp = math.exp
-    for a, b, c in (logits + model.bias).tolist():
+    drug, posology, useless = CLASS_LABELS
+    for a, b, c in logits:
         # _softmax on one row, bit for bit: numpy sums a 3-wide row left to right
         top = max(a, b, c)
         ea, eb, ec = exp(a - top), exp(b - top), exp(c - top)
         total = ea + eb + ec
         pa, pb, pc = ea / total, eb / total, ec / total
-        best = 0 if pa >= pb and pa >= pc else 1 if pb >= pc else 2  # the first maximum, as argmax picks
-        classes.append(SentenceClass(CLASS_LABELS[best], dict(zip(CLASS_LABELS, (pa, pb, pc)))))
+        # the first maximum, as argmax picks
+        best = drug if pa >= pb and pa >= pc else posology if pb >= pc else useless
+        classes.append(SentenceClass(best, {drug: pa, posology: pb, useless: pc}))
     return classes
 
 

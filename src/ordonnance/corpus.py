@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .druglink import build_lexicon
-from .errors import SchemaError, TemplateError, check_int, check_number, data_path, decode_json
+from .errors import SchemaError, TemplateError, check_int, check_number, check_utf8, data_path, decode_json
 
 POSOLOGY_SLOTS = ("dose", "frequency", "duration", "comment")
 
@@ -273,7 +273,8 @@ def read_jsonl_lines(path) -> list[tuple[str, AnnotatedSentence]]:
     """``(path:line, record)`` for each record of a JSONL file, checked against the schema.
 
     A record is an object with string ``text`` and ``label`` and an optional
-    list of ``spans``; any other line is a SchemaError naming ``path:line``.
+    list of ``spans``, its text free of lone surrogates (which no UTF-8
+    encodes); any other line is a SchemaError naming ``path:line``.
     Blank lines are skipped.
     """
     out: list[tuple[str, AnnotatedSentence]] = []
@@ -288,6 +289,7 @@ def read_jsonl_lines(path) -> list[tuple[str, AnnotatedSentence]]:
             text, label, spans = obj.get("text"), obj.get("label"), obj.get("spans", [])
             if not (isinstance(text, str) and isinstance(label, str) and isinstance(spans, list)):
                 raise SchemaError(f"{where}: needs a string 'text', a string 'label' and a list of 'spans'")
+            check_utf8(text, f"{where}: text", SchemaError)
             checked = tuple(_span(s, text, f"{where}: spans[{j}]") for j, s in enumerate(spans))
             out.append((where, AnnotatedSentence(text=text, label=label, spans=checked)))
     return out

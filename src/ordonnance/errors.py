@@ -10,7 +10,9 @@ for JSON bytes, and refuses invalid UTF-8 as a ``FileError`` naming the file
 and line. A file that cannot be opened is left as the ``OSError`` that
 ``open`` raises. The files shipped with the package are found by `data_path`
 and read by the loader a user file of the same kind goes through, so they
-meet the same rules.
+meet the same rules. JSON decodes an escape such as ``\\ud800`` to a lone
+surrogate, a string that no UTF-8 encodes; `check_utf8` refuses one in a
+text field where the text enters, before any stage encodes it.
 
 Every numeric setting is checked by `check_int` or `check_number`, which
 raise a ``ValueError`` naming the setting and the value; both refuse a bool,
@@ -82,6 +84,19 @@ def decode_json(data: str | bytes, where, error: type[OrdonnanceError]):
         raise error(f"{where}: JSON nests too deeply to decode") from exc
     except ValueError as exc:  # bad syntax, invalid UTF-8, or an integer too long to convert
         raise error(f"{where}: not valid JSON: {exc}") from exc
+
+
+def check_utf8(text: str, where: str, error: type[OrdonnanceError]) -> None:
+    """``error`` naming ``where`` when ``text`` holds a lone surrogate, which UTF-8 cannot encode.
+
+    ASCII text, nearly all of it, is passed by one ``isascii`` call.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            char = text[exc.start]
+            raise error(f"{where}: holds a lone surrogate {char!r} at offset {exc.start}, not UTF-8 text") from None
 
 
 def check_int(name: str, value, least: int | None = None) -> None:

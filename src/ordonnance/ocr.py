@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, NamedTuple
 
-from .errors import EmptyDocument, GeometryError, SchemaError, decode_json
+from .errors import EmptyDocument, GeometryError, SchemaError, check_utf8, decode_json
 
 _EPS = 1e-6
 
@@ -153,6 +153,7 @@ def _parse_line(obj: Any, pages: int, idx: int) -> OcrLine:
     text = _require(obj, "text", str, where)
     if not text.strip():
         raise SchemaError(f"{where}.text: empty after whitespace trim")
+    check_utf8(text, f"{where}.text", SchemaError)
     bbox = _parse_bbox(_require(obj, "bbox", dict, where), f"{where}.bbox")
 
     words: list[str] = []
@@ -162,6 +163,7 @@ def _parse_line(obj: Any, pages: int, idx: int) -> OcrLine:
     for w_idx, w in enumerate(raw_words):
         w_where = f"{where}.words[{w_idx}]"
         words.append(_require(w, "text", str, w_where))
+        check_utf8(words[-1], f"{w_where}.text", SchemaError)
         _parse_bbox(_require(w, "bbox", dict, w_where), f"{w_where}.bbox")
     if words and " ".join(words).split() != text.split():
         raise SchemaError(f"{where}: word texts do not reassemble the line text")
@@ -182,14 +184,16 @@ def _inside(box: dict) -> bool:
 def _checked_line(obj: Any, pages: int) -> OcrLine | None:
     """The line when it passes every test of `_parse_line` with nothing to clamp, else None.
 
-    Raises nothing: a missing key, or a value that is not a dict where one
-    is indexed, ends the check with None like any failed test.
+    Raises nothing: a missing key, a value that is not a dict where one is
+    indexed, or a text that UTF-8 cannot encode (a lone surrogate) ends the
+    check with None like any failed test. The word texts it accepts are the
+    line text's words, so they encode when the line text does.
     """
     try:
         line_id, page, text, box = obj["id"], obj["page"], obj["text"], obj["bbox"]
         if not (
             type(line_id) is str and type(text) is str and type(page) is int
-            and 1 <= page <= pages and text.strip() and _inside(box)
+            and 1 <= page <= pages and text.strip() and (text.isascii() or text.encode("utf-8")) and _inside(box)
         ):
             return None
         raw_words = obj.get("words", [])
@@ -204,7 +208,7 @@ def _checked_line(obj: Any, pages: int) -> OcrLine | None:
         for w in raw_words:
             if not _inside(w["bbox"]):
                 return None
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, UnicodeEncodeError):
         return None
     bbox = BoundingBox(box["left"], box["top"], box["width"], box["height"])
     return OcrLine(line_id, text, bbox, page, tuple(words))

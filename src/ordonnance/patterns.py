@@ -58,11 +58,15 @@ Pattern file format (JSON list)::
 
 Every spec has a "regex"; "op" defaults to "1". A spec holds for a token
 whose whole text its regex matches (``fullmatch``), so "cp|cps" holds for
-"cps" but not for "cpx". Token text is normalized, so a letter that a regex
-names must be lower-case and unaccented to match. A number is a regex, such as
-"[0-9]+". A token holds no whitespace, so ".*" holds for any token; an
-optional token of any text is {"regex": ".*", "op": "?"}. A pattern or spec
-with any other field is refused.
+"cps" but not for "cpx". Token text is normalized (each character folded to
+lower case without accents) and holds no whitespace, so a regex that names,
+outside a backslash escape, a group name, inline flags or a verbose regex's
+layout, a character the fold changes (an upper-case or accented letter) or
+a whitespace character could never match it, and is refused; escapes such
+as "\\S" or "\\D" are classes, not characters. A number is a regex, such
+as "[0-9]+", and ".*" holds for any token; an optional token of any text is
+{"regex": ".*", "op": "?"}. A pattern or spec with any other field is
+refused.
 
 Write one pattern per phrase shape, with the alternatives at one position
 in one spec: a regex joining them (words escaped) with a top-level "|", such
@@ -76,7 +80,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import PatternError, decode_json
-from .textnorm import Sentence
+from .textnorm import Sentence, _fold_char
 
 LABELS = ("DOSE", "FREQUENCY", "DURATION", "COMMENT")
 
@@ -226,6 +230,18 @@ class PatternSet:
         return nxt
 
 
+# The syntax of a regex source that names no character a token must hold: a
+# backslash escape (``\N{...}`` whole), a group's name or back-reference, and
+# inline flags; in a verbose regex also whitespace and comments. It is matched
+# first and passed over. Group 1 is any other character the fold may change
+# or that is whitespace: an ASCII capital, whitespace or a non-ASCII character.
+_SYNTAX = r"\\N\{[^}]*\}|\\.|\(\?P<\w+>|\(\?P=\w+\)|\(\?[aiLmsux]*(?:-[imsx]+)?[:)]"
+_SUSPECT = r"([A-Z\s]|[^\x00-\x7f])"
+_SUSPECT_RE = re.compile(_SUSPECT)  # a source without one, as every shipped regex is, needs no other pass
+_SUSPECTS_RE = re.compile(f"{_SYNTAX}|{_SUSPECT}", re.DOTALL)
+_VERBOSE_SUSPECTS_RE = re.compile(rf"{_SYNTAX}|\s+|#[^\n]*|{_SUSPECT}", re.DOTALL)
+
+
 def _parse_spec(obj: dict, where: str) -> TokenSpec:
     if not isinstance(obj, dict):
         raise PatternError(f"{where}: spec must be an object")
@@ -240,6 +256,16 @@ def _parse_spec(obj: dict, where: str) -> TokenSpec:
         regex = re.compile(regex)
     except re.error as exc:
         raise PatternError(f"{where}.regex: {exc}") from exc
+    # Each character is folded on its own: normalize_text on the whole source
+    # would also rewrite its syntax ("{1,3}" to "{1.3}").
+    if _SUSPECT_RE.search(regex.pattern):
+        for m in (_VERBOSE_SUSPECTS_RE if regex.flags & re.VERBOSE else _SUSPECTS_RE).finditer(regex.pattern):
+            ch = m[1]
+            if ch is not None and (ch.isspace() or _fold_char(ch) != ch):
+                raise PatternError(
+                    f"{where}.regex: {ch!r} at offset {m.start(1)} is in no normalized token (folded to lower case"
+                    " without accents, no whitespace), so the regex never matches"
+                )
 
     op = obj.get("op", "1")
     if op not in ("1", "?"):

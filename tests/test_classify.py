@@ -38,6 +38,11 @@ from ordonnance.textnorm import sentence_from_text
 
 from conftest import avx512_dispatch_names
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+
+import harness  # noqa: E402
+from docgen import eval_sentences  # noqa: E402
+
 
 def sent(text):
     return sentence_from_text(text)
@@ -226,6 +231,16 @@ class TestFeaturize:
         text = sent("œdème 5 µg/kg à 37°").feature_text
         assert not text.isascii()  # accent stripping keeps œ, µ and °
         assert_equals_oracle([text])
+
+    def test_words_split_from_the_bytes_are_the_feature_texts_words(self):
+        # featurize splits the encoded text at ASCII whitespace; a feature text
+        # joins its tokens by one space, so other whitespace never reaches it
+        raws = ["doliprane\xa01000 mg", "1 cp\x1cmatin\x85soir\u2028midi\u3000nuit", "a\x0bb\x0cc\td\u2009é"]
+        texts = [sent(raw).feature_text for raw in raws]
+        assert texts == ["doliprane 1000 mg", "1 cp matin soir midi nuit", "a b c d e"]
+        assert_equals_oracle(texts)
+        for text in texts:
+            assert_equals_oracle([text])
 
     def test_mixed_batch_hashes_each_line_on_its_own(self):
         assert_equals_oracle(MIXED)
@@ -591,6 +606,148 @@ class TestTrainedPredictions:
             got, want = alone(trained_model, s), oracle_predict(trained_model, s.feature_text)
             assert got.label == want.label
             assert got.scores == pytest.approx(want.scores, rel=0, abs=1e-12)
+
+
+def reference_featurize(texts):
+    """The reference featurize: one path for any batch size, each ``str`` word encoded and hashed on its own."""
+    n_lines = len(texts)
+    shift = (n_lines - 1).bit_length()
+    one = n_lines == 1
+    encoded = [text.encode("utf-8") for text in texts]
+    data = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    if not one:
+        lengths = [len(b) for b in encoded]
+        rows = np.repeat(np.arange(n_lines), lengths)
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(data))
+    gathered = classify._gram_table().take(data, axis=1)
+    parts = []
+    for n in range(1, min(classify.NGRAM_MAX, len(data)) + 1):
+        share = gathered[n - 1, : len(data) - n + 1]
+        crcs = share if n == 1 else share ^ crcs[1:]
+        if n >= classify.NGRAM_MIN:
+            if one:
+                parts.append(crcs)
+            else:
+                inside = left[: len(crcs)] >= n
+                parts.append(crcs[inside] << shift | rows[: len(crcs)][inside])
+    keys = []
+    word_seed = zlib.crc32(b"w|")
+    for k, text in enumerate(texts):
+        for word in text.split():
+            keys.append(zlib.crc32(word.encode("utf-8"), word_seed) % HASH_DIM << shift | k)
+    parts.append(np.array(keys, dtype=np.int64))
+    keys = np.concatenate(parts)
+    keys.sort()
+    edge = np.empty(len(keys) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    unique = keys.take(bounds[:-1])
+    counts = bounds[1:] - bounds[:-1]
+    if one:
+        line = np.zeros(len(unique), dtype=np.int64)
+        ids = unique
+        norm = float(counts @ counts) ** 0.5
+    else:
+        ids = unique >> shift
+        line = unique & ((1 << shift) - 1)
+        sum_sq = np.bincount(line, counts * counts, minlength=n_lines)
+        norm = np.array([s**0.5 for s in sum_sq.tolist()])[line]
+    return line, ids, counts / norm
+
+
+def reference_score(model, texts):
+    """The reference _score: every logit one bin of a bincount over (line, label) cells, then the softmax per row."""
+    line, keys, values = reference_featurize(texts)
+    n = len(texts)
+    n_labels = len(CLASS_LABELS)
+    if len(model.weights):
+        key = keys.view(np.uint64)
+        word_at = key >> 6
+        top = model.bits.take(word_at) << (key & 63)
+        rows, hit = model.rank.take(word_at) - np.bitwise_count(top), top >> 63
+        terms = model.weights.take(rows, axis=0, mode="clip") * (values * hit)[:, None]
+        cells = (line * n_labels)[:, None] + np.arange(n_labels)
+        logits = np.bincount(cells.ravel(), terms.ravel(), minlength=n * n_labels).reshape(n, n_labels)
+    else:
+        logits = np.zeros((n, n_labels))
+    classes = []
+    for a, b, c in (logits + model.bias).tolist():
+        top = max(a, b, c)
+        ea, eb, ec = math.exp(a - top), math.exp(b - top), math.exp(c - top)
+        total = ea + eb + ec
+        pa, pb, pc = ea / total, eb / total, ec / total
+        best = 0 if pa >= pb and pa >= pc else 1 if pb >= pc else 2
+        classes.append(SentenceClass(CLASS_LABELS[best], dict(zip(CLASS_LABELS, (pa, pb, pc)))))
+    return classes
+
+
+def score_bits(classes):
+    """Each class as its label and the ``float.hex`` of each score, in ``CLASS_LABELS`` order."""
+    return [(c.label, [c.scores[k].hex() for k in CLASS_LABELS]) for c in classes]
+
+
+def assert_scores_as_the_reference(model, texts):
+    """featurize's arrays byte for byte, and _score's labels and score bits, as the reference gives them."""
+    for got, want in zip(featurize(texts), reference_featurize(texts)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), texts
+    assert score_bits(classify._score(model, texts)) == score_bits(reference_score(model, texts)), texts
+
+
+@pytest.fixture(scope="module")
+def eval_noisy_texts(stopwords):
+    """The feature texts of perfbench's eval-noisy set, as annotate_text builds them."""
+    rows = eval_sentences(per_class=harness.WORKLOADS["eval-noisy"].pool // 3, seed=harness.EVAL_SEED)
+    return [s.feature_text for row in rows if (s := sentence_from_text(row.text, stopwords)) is not None]
+
+
+# Feature texts of 0 to 4 bytes: ASCII, and a 2-, 3- and 4-byte character alone and beside another.
+SHORT_TEXTS = ["", "a", "ab", "abc", "abcd", "a b", "é", "éa", "µg", "€", "𝄞", "a é", "1 €"]
+
+
+class TestScoreEqualsTheReference:
+    """featurize and _score give the reference's arrays and score bits on every path: lone line, batch, no column."""
+
+    def test_every_eval_noisy_sentence_scored_alone(self, trained_model, eval_noisy_texts):
+        assert len(eval_noisy_texts) == harness.WORKLOADS["eval-noisy"].pool
+        for text in eval_noisy_texts:
+            assert_scores_as_the_reference(trained_model, [text])
+
+    @given(st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_a_drawn_batch_of_eval_noisy_sentences(self, trained_model, eval_noisy_texts, data):
+        size = data.draw(st.integers(1, 64))
+        picked = data.draw(st.lists(st.integers(0, len(eval_noisy_texts) - 1), min_size=size, max_size=size))
+        assert_scores_as_the_reference(trained_model, [eval_noisy_texts[i] for i in picked])
+
+    @pytest.mark.parametrize("texts", [[t] for t in SHORT_TEXTS] + [SHORT_TEXTS, ["", ""], ["abc", ""]],
+                             ids=[repr(t) for t in SHORT_TEXTS] + ["all-short", "two-empty", "empty-last"])
+    def test_empty_and_short_texts(self, trained_model, texts):
+        assert_scores_as_the_reference(trained_model, texts)
+
+    def test_multi_byte_characters_at_the_edges_of_a_line(self, trained_model, eval_noisy_texts):
+        for text in MIXED:
+            assert_scores_as_the_reference(trained_model, [text])
+        assert_scores_as_the_reference(trained_model, MIXED)
+        assert_scores_as_the_reference(trained_model, [t for pair in zip(MIXED, eval_noisy_texts) for t in pair])
+
+    def test_a_model_without_columns(self, eval_noisy_texts):
+        empty = ClassifierModel(ids=np.empty(0, dtype=np.int64), weights=np.empty((0, len(CLASS_LABELS))),
+                                bias=np.array([0.5, -0.0, 0.25]))
+        for texts in [[""], ["a"], eval_noisy_texts[:1], eval_noisy_texts[:17], MIXED]:
+            assert_scores_as_the_reference(empty, texts)
+
+    def test_a_model_of_negative_zero_weights(self, eval_noisy_texts):
+        # every term is +-0.0: each label's sum starts at 0.0 on every path, so a logit is never -0.0
+        _, ids, _ = featurize(eval_noisy_texts[:5])
+        ids = np.unique(ids)
+        model = ClassifierModel(ids=ids, weights=np.full((len(ids), len(CLASS_LABELS)), -0.0),
+                                bias=np.array([-0.0, -0.0, 0.0]))
+        for texts in [eval_noisy_texts[:1], eval_noisy_texts[:5], ["zq"]]:
+            assert_scores_as_the_reference(model, texts)
+        assert score_bits(classify._score(model, eval_noisy_texts[:1])) == score_bits(
+            classify._score(model, ["zq"])
+        )
 
 
 # A valid header with two columns, for the bad-file table.

@@ -262,6 +262,13 @@ def _fixture_with_line_box(path, field, value):
     return _write(path, json.dumps(data))  # json writes the non-standard NaN token
 
 
+def _fixture_with_line_text(path, suffix):
+    data = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    data["lines"][0]["text"] += suffix
+    data["lines"][0].pop("words", None)
+    return _write(path, json.dumps(data))  # json writes a lone surrogate as its \u escape
+
+
 def _deeply_nested(key, depth=200_000):
     """A JSON object whose one value nests lists deeper than the decoder recurses."""
     return '{"%s": %s%s}' % (key, "[" * depth, "]" * depth)
@@ -341,6 +348,23 @@ ERROR_CASES = [
         lambda m, d: ["extract", "--input", str(FIXTURE),
                       "--model", _model_file_with_labels(d / "m.bin", ["A", "B", "C"])],
         2, "model", None, r"'labels' must be .*, got \['A', 'B', 'C'\]", id="model-labels-not-the-three-classes",
+    ),
+    pytest.param(
+        lambda m, d: ["extract", "--model", str(m), "--input", _fixture_with_line_text(d / "s.json", " \ud800")],
+        2, "SchemaError", None, r"^lines\[0\]\.text: holds a lone surrogate '\\ud800' at offset \d+, not UTF-8 text$",
+        id="payload-line-text-with-a-lone-surrogate",
+    ),
+    pytest.param(
+        lambda m, d: ["eval", "--model", str(m), "--gold", _gold(d / "gold.jsonl", {"text": "doliprane \udfff 1 g",
+                                                                                   "label": "DRUG"})],
+        2, "gold", None, r"gold\.jsonl:1: text: holds a lone surrogate '\\udfff' at offset 10, not UTF-8 text$",
+        id="gold-text-with-a-lone-surrogate",
+    ),
+    pytest.param(
+        lambda m, d: _extract(m, "--patterns", _write(d / "patterns.json", json.dumps(
+            [{"id": "x", "label": "FREQUENCY", "specs": [{"regex": "le Matin"}]}]))),
+        2, "patterns", None, r"^patterns\[0\]\.specs\[0\]\.regex: ' ' at offset 2 is in no normalized token",
+        id="patterns-regex-no-normalized-token-matches",
     ),
     pytest.param(
         lambda m, d: ["eval", "--gold", _write(d / "gold.jsonl", '"doliprane 1000 mg"\n')],

@@ -228,6 +228,22 @@ class TestJsonl:
         with pytest.raises(SchemaError, match=r"bad\.jsonl:2: "):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("surrogate", ["\\ud800", "\\udfff"])
+    def test_rejects_a_text_holding_a_lone_surrogate(self, tmp_path, surrogate):
+        # JSON decodes the escape to a string that no UTF-8 encodes; the featurizer would fail on it later
+        from ordonnance.errors import SchemaError
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"text": "x", "label": "DRUG"}\n{"text": "doliprane ' + surrogate + ' 1 g", "label": "DRUG"}\n')
+        with pytest.raises(SchemaError, match=r"bad\.jsonl:2: text: holds a lone surrogate '\\ud[8f]"):
+            read_jsonl(path)
+
+    def test_a_surrogate_pair_escape_is_one_character_of_text(self, tmp_path):
+        path = tmp_path / "pair.jsonl"
+        path.write_text('{"text": "sol \\ud834\\udd1e", "label": "USELESS"}\n')
+        (record,) = read_jsonl(path)
+        assert record.text == "sol \U0001d11e"
+
 
 def _edit_distance(a, b):
     prev = list(range(len(b) + 1))

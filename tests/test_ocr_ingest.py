@@ -259,6 +259,30 @@ def test_words_differing_from_the_text_in_the_first_word_are_refused():
         parse_ocr_document(payload([line(text="DOLIPRANE 1000 mg", words=words)]))
 
 
+@pytest.mark.parametrize("surrogate", ["\ud800", "\udfff"])
+def test_a_lone_surrogate_in_a_line_text_is_a_schema_error_naming_the_field(surrogate):
+    # JSON decodes the escape to a string that no UTF-8 encodes, which the featurizer would fail on later
+    text = payload([line(), line(id="l2", top=0.5, text="DOLIPRANE " + surrogate)])
+    assert surrogate not in text and surrogate.encode("unicode_escape").decode() in text
+    with pytest.raises(SchemaError, match=r"^lines\[1\]\.text: holds a lone surrogate '\\ud[8f]"):
+        parse_ocr_document(text)
+
+
+def test_a_lone_surrogate_in_a_word_text_is_a_schema_error_naming_the_field():
+    words = [
+        {"text": text, "bbox": {"left": left, "top": 0.2, "width": 0.1, "height": 0.03}}
+        for text, left in (("DOLIPRANE", 0.1), ("\ud800", 0.22))
+    ]
+    with pytest.raises(SchemaError, match=r"^lines\[0\]\.words\[1\]\.text: holds a lone surrogate"):
+        parse_ocr_document(payload([line(text="DOLIPRANE 1000", words=words)]))
+
+
+def test_a_surrogate_pair_escape_is_one_character_of_text():
+    text = payload([line(text="SOL \U0001d11e")])
+    assert "\\ud834\\udd1e" in text
+    assert parse_ocr_document(text).lines[0].raw_text == "SOL \U0001d11e"
+
+
 def test_reading_order_key_values():
     ln = OcrLine("x", "text", BoundingBox(0.1, 0.3, 0.2, 0.02), page=1)
     assert reading_order_key(ln) == (1, 0.3, 0.1, "x")
@@ -335,6 +359,7 @@ WORD_TEXT_CHANGES = {
     "split-in-two": lambda w: w.update(text=w["text"][:1] + " " + w["text"][1:]),
     "int": lambda w: w.update(text=5),
     "none": lambda w: w.update(text=None),
+    "lone-surrogate": lambda w: w.update(text=w["text"] + "\ud800"),
 }
 
 LINE_CHANGES = {
@@ -345,6 +370,10 @@ LINE_CHANGES = {
     "page-float": lambda ln: ln.update(page=1.0),
     "text-blank": lambda ln: ln.update(text="  "),
     "text-extra-space": lambda ln: ln.update(text=" " + ln["text"].replace(" ", "  ") + "\t"),
+    "text-lone-surrogate": lambda ln: ln.update(text=ln["text"] + " \udfff"),
+    "text-and-word-lone-surrogate": lambda ln: (
+        ln.update(text=ln["text"] + " \udc80"), ln["words"].append({**ln["words"][-1], "text": "\udc80"})
+    ),
     "bbox-list": lambda ln: ln.update(bbox=[0.1, 0.1, 0.1, 0.1]),
     "words-none": lambda ln: ln.update(words=None),
     "words-empty": lambda ln: ln.update(words=[]),

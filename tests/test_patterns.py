@@ -868,6 +868,31 @@ class TestPatternFile:
             parse_patterns([{"id": "a", "label": "DOSE", "specs": [NUMBER, spec]}])
         assert str(info.value) == message
 
+    # a regex naming, outside a backslash escape, a character that no normalized token holds never matches
+    @pytest.mark.parametrize("regex, char, offset", [
+        ("Matin", "M", 0), ("après", "è", 3), ("le matin", " ", 2), ("[A-Z]", "A", 1), ("matin|soir\t", "\t", 10),
+        ("É", "É", 0), ("(?P<unit>cp|MG)", "M", 12), ("(?i)Cp", "C", 4), ("(?x)c\\ p|Cp", "C", 9),
+    ], ids=["upper-case", "accented", "space", "upper-case-class", "tab", "accented-capital", "after-a-group-name",
+            "after-inline-flags", "verbose"])
+    def test_a_regex_that_no_normalized_token_can_match_is_refused(self, regex, char, offset):
+        with pytest.raises(PatternError) as info:
+            parse_patterns([{"id": "a", "label": "DOSE", "specs": [NUMBER, {"regex": regex}]}])
+        assert str(info.value).startswith(f"patterns[0].specs[1].regex: {char!r} at offset {offset} is in no ")
+
+    @pytest.mark.parametrize("regex", [
+        "matin", r"\S+", r"\D", "[0-9]+", "[0-9]{1,3}", r"1\.5|1/2", r"\\", "(?:x)?", "(?P<Unit>cp|mg)(?P=Unit)?",
+        "(?i:cp)", "(?-i:cp)", r"\N{DIGIT ONE}", "(?x) c p  # Comprimé",
+    ])
+    def test_a_regex_of_folded_characters_and_escapes_is_accepted(self, regex):
+        # "{1,3}" stays a quantifier: each character is folded alone, not the source as a text
+        (p,) = parse_patterns([{"id": "a", "label": "DOSE", "specs": [{"regex": regex}]}]).patterns
+        assert p.specs[0].regex.pattern == regex
+
+    def test_every_shipped_regex_is_accepted(self):
+        regexes = {spec["regex"] for p in shipped_data() for spec in p["specs"]}
+        assert len(regexes) == 104
+        parse_patterns([{"id": f"p{i}", "label": "DOSE", "specs": [{"regex": r}]} for i, r in enumerate(sorted(regexes))])
+
     @pytest.mark.parametrize("data, message", [
         ({"id": "a", "label": "DOSE", "specs": [NUMBER]}, "pattern file must contain a JSON list"),
         ([{"id": "a", "label": "DOSE", "specs": [NUMBER]}, "b"], "patterns[1]: expected object"),
